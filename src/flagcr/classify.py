@@ -588,14 +588,6 @@ def beta0() -> tuple[Fraction, ...]:
     return spin(())
 
 
-def v7() -> tuple[int, ...]:
-    return (0, 0, 0, 0, 0, 0, -1, 1)
-
-
-def v6() -> tuple[int, ...]:
-    return (0, 0, 0, 0, 0, -1, -1, 1)
-
-
 def _is_spinor(v: tuple[int, ...]) -> bool:
     return all(abs(x) == 1 for x in v)
 

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .gaussq import C_I, C_ONE, C_ZERO, CMatrix, CNum, RMatrix, complexify_vector, realify_vector, solve_linear
+from .gaussq import C_I, C_ONE, C_ZERO, CNum, Factored, RMatrix, complexify_vector, kernel, realify_vector
 
 
 class NotADerivation(ValueError):
@@ -138,31 +138,10 @@ class LieAlgebraPresentation:
                 if lhs != rhs:
                     raise ValueError("conjugation is not a Lie automorphism")
 
-    # -- realified helpers ---------------------------------------------------
-    def realify_map_nu(self):
-        """nu as a rational 2n x 2n matrix on realified coordinates."""
-        n = self.dim
-        cols = []
-        for j in range(n):
-            for part in (0, 1):
-                v = [C_ZERO] * n
-                v[j] = C_ONE if part == 0 else C_I
-                img = realify_vector(self.nu(v))
-                cols.append(img)
-        return cols  # cols[2j+part] = image of unit coordinate
-
     def g0_subspace(self) -> RMatrix:
         """Fixed points of nu as a realified row space (real dimension n)."""
-        if self._g0 is not None:
-            return self._g0
-        n = self.dim
-        cols = self.realify_map_nu()
-        rows = []
-        for r in range(2 * n):
-            row = [cols[c][r] - (Fraction(1) if c == r else Fraction(0)) for c in range(2 * n)]
-            rows.append(row)
-        basis = RMatrix([]).kernel_of_columns(rows)
-        self._g0 = RMatrix(basis) if basis else RMatrix.empty(2 * n)
+        if self._g0 is None:
+            self._g0 = realified_eigenspace(self.dim, self.nu, C_ONE)
         return self._g0
 
     def g0_basis(self):
@@ -227,6 +206,20 @@ def rspan(pres: LieAlgebraPresentation, vectors) -> RMatrix:
 def conj_space(pres: LieAlgebraPresentation, space: RMatrix) -> RMatrix:
     rows = [realify_vector(pres.nu(complexify_vector(r))) for r in space.rows]
     return RMatrix(rows) if rows else RMatrix.empty(2 * pres.dim)
+
+
+def realified_eigenspace(n, apply, c) -> RMatrix:
+    """{v : T v = c v} in realified coordinates, for an R-linear map T on
+    CNum n-vectors given by apply: the kernel of T - c I, with columns the
+    images of the 2n real unit vectors."""
+    cols = []
+    for i in range(2 * n):
+        unit = [C_ZERO] * n
+        unit[i // 2] = C_ONE if i % 2 == 0 else C_I
+        img = apply(tuple(unit))
+        cols.append(realify_vector(tuple(x - c * y for x, y in zip(img, unit))))
+    basis = kernel([[col[t] for col in cols] for t in range(2 * n)], Fraction)
+    return RMatrix(basis) if basis else RMatrix.empty(2 * n)
 
 
 def bracket_spaces(pres: LieAlgebraPresentation, a: RMatrix, b: RMatrix) -> RMatrix:
@@ -313,30 +306,13 @@ def _solve_subspace_condition(pres, domain: RMatrix, images_fn, target: RMatrix)
     rows = domain.rows
     if not rows:
         return domain
-    # unknowns: coefficients c_k over the domain basis (real)
-    conditions = []  # each condition: list of coefficient rows (per unknown), stacked mod target
-    per_k_images = []
-    for r in rows:
-        per_k_images.append([realify_vector(img) for img in images_fn(complexify_vector(r))])
-    nimg = len(per_k_images[0]) if per_k_images else 0
-    # residue map modulo target
-    def residue(vec):
-        v = list(vec)
-        for trow, p in zip(target.rows, target.pivots):
-            if v[p]:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, trow)]
-        return v
-
-    mat_rows = []
+    # unknowns: coefficients c_k over the domain basis (real); one condition
+    # per image m and coordinate: sum_k c_k residue(image m of row k) = 0
+    residues = [[target.residue(realify_vector(img)) for img in images_fn(complexify_vector(r))] for r in rows]
+    nimg = len(residues[0])
     n2 = 2 * pres.dim
-    for m in range(nimg):
-        for coord in range(n2):
-            row = []
-            for k in range(len(rows)):
-                row.append(residue(per_k_images[k][m])[coord])
-            mat_rows.append(row)
-    ker = RMatrix([]).kernel_of_columns(mat_rows) if mat_rows else [
+    mat_rows = [[res[m][coord] for res in residues] for m in range(nimg) for coord in range(n2)]
+    ker = kernel(mat_rows, Fraction) if mat_rows else [
         tuple(Fraction(1) if i == k else Fraction(0) for i in range(len(rows))) for k in range(len(rows))
     ]
     out_rows = []
@@ -390,10 +366,7 @@ def ideal_closure(pres: LieAlgebraPresentation, seed: RMatrix) -> RMatrix:
 def _g0_coords_solver(pres: LieAlgebraPresentation):
     """Express complex vectors in the C-basis given by the g0 basis."""
     basis = pres.g0_basis()
-    rows = [[basis[j][i] for j in range(len(basis))] for i in range(pres.dim)]
-    def solve(v):
-        return solve_linear(rows, list(v), CNum.of)
-    return solve
+    return Factored([[b[i] for b in basis] for i in range(pres.dim)], CNum.of).solve
 
 
 def scalar_levi_form(a: CRAlgebra, xi) -> list[list[CNum]]:
@@ -421,8 +394,7 @@ def scalar_levi_form(a: CRAlgebra, xi) -> list[list[CNum]]:
     zs = []
     probe = cap
     for r in a.q.rows:
-        cand = probe.sum(RMatrix([r]))
-        if cand.rank() > probe.rank():
+        if not probe.contains(r):
             v = complexify_vector(r)
             # keep complex-independence: also absorb i*v
             probe = probe.sum(cspan(pres, [v]))
@@ -444,13 +416,8 @@ def vector_levi_form(a: CRAlgebra, z) -> tuple[Fraction, ...]:
     z = tuple(CNum.of(x) for x in z)
     v = pres.bracket(pres.nu(z), z)
     v = tuple(C_I * x for x in v)
-    vec = list(realify_vector(v))
     cut = a.q_plus_qbar().intersect(pres.g0_subspace())
-    for trow, p in zip(cut.rows, cut.pivots):
-        if vec[p]:
-            f = vec[p]
-            vec = [x - f * y for x, y in zip(vec, trow)]
-    return tuple(vec)
+    return tuple(cut.residue(realify_vector(v)))
 
 
 def _check_derivation(pres, jmat):
@@ -526,40 +493,23 @@ def exact_exponential(pres: LieAlgebraPresentation, jmat):
     pieces = []
     total = RMatrix.empty(2 * n)
     for k in range(-bound, bound + 1):
-        rows = []
-        for i in range(2 * n):
-            coord_vec = [C_ZERO] * n
-            coord_vec[i // 2] = C_ONE if i % 2 == 0 else C_I
-            img = apply_j(tuple(coord_vec))
-            shifted = tuple(x - CNum(Fraction(0), Fraction(k)) * y for x, y in zip(img, coord_vec))
-            rows.append(realify_vector(shifted))
-        mat = [[rows[c][t] for c in range(2 * n)] for t in range(2 * n)]
-        ker = RMatrix([]).kernel_of_columns(mat)
-        if ker:
-            space = RMatrix(ker)
+        space = realified_eigenspace(n, apply_j, CNum(Fraction(0), Fraction(k)))
+        if space.rank():
             pieces.append((k, space))
             total = total.sum(space)
     if total.rank() != 2 * n:
         raise NonExactExponential("derivation is not semisimple with spectrum in iZ")
     ipow = {0: C_ONE, 1: C_I, 2: -C_ONE, 3: -C_I}
+    # express v in the union of the eigenbases, factored once
+    eigvecs = [(k, r) for k, space in pieces for r in space.rows]
+    eigen = Factored([[r[i] for _, r in eigvecs] for i in range(2 * n)], Fraction)
 
     def apply_u(v):
-        vec = list(realify_vector(tuple(CNum.of(x) for x in v)))
-        out = [C_ZERO] * n
-        for k, space in pieces:
-            # project v onto the eigenspace by solving in the direct sum
-            pass
-        # direct solve: express v in the union eigenbasis
-        allrows = []
-        tags = []
-        for k, space in pieces:
-            for r in space.rows:
-                allrows.append(r)
-                tags.append(k)
-        sol = solve_linear([[allrows[j][i] for j in range(len(allrows))] for i in range(2 * n)], vec, Fraction)
+        sol = eigen.solve(realify_vector(tuple(CNum.of(x) for x in v)))
         if sol is None:
             raise NonExactExponential("eigenbasis does not span")
-        for c, r, k in zip(sol, allrows, tags):
+        out = [C_ZERO] * n
+        for c, (k, r) in zip(sol, eigvecs):
             if c:
                 comp = complexify_vector(r)
                 f = ipow[k % 4] * CNum.of(c)
@@ -673,17 +623,7 @@ def check_cr_symmetric(a: CRAlgebra, lam) -> dict:
         if nxt.rank() == qnat.rank():
             break
         qnat = nxt
-    rows = []
-    for i in range(2 * n):
-        coord_vec = [C_ZERO] * n
-        coord_vec[i // 2] = C_ONE if i % 2 == 0 else C_I
-        img = apply_l(tuple(coord_vec))
-        shifted = tuple(x - y for x, y in zip(img, coord_vec))
-        rows.append(realify_vector(shifted))
-    mat = [[rows[c][t] for c in range(2 * n)] for t in range(2 * n)]
-    fixed = RMatrix(RMatrix([]).kernel_of_columns(mat) or []) if True else None
-    if fixed.rank() == 0:
-        fixed = RMatrix.empty(2 * n)
+    fixed = realified_eigenspace(n, apply_l, C_ONE)
     report["fixed_in_qnat"] = qnat.contains_space(fixed)
     cap = a.q_cap_qbar()
     ok = True
@@ -694,15 +634,7 @@ def check_cr_symmetric(a: CRAlgebra, lam) -> dict:
             ok = False
     report["z_plus_lz_in_cap"] = ok
     # gradation compatibility: q and g0 split into (+1) and (-1) eigenparts
-    minus_rows = []
-    for i in range(2 * n):
-        coord_vec = [C_ZERO] * n
-        coord_vec[i // 2] = C_ONE if i % 2 == 0 else C_I
-        img = apply_l(tuple(coord_vec))
-        shifted = tuple(x + y for x, y in zip(img, coord_vec))
-        minus_rows.append(realify_vector(shifted))
-    mat_m = [[minus_rows[c][t] for c in range(2 * n)] for t in range(2 * n)]
-    minus = RMatrix(RMatrix([]).kernel_of_columns(mat_m) or [])
+    minus = realified_eigenspace(n, apply_l, -C_ONE)
     # bracket corollary: the odd part of q brackets into q n qbar (the
     # clause Z + lambda(Z) in cap makes the even part of q sit in cap, so
     # this is the content of the printed [Z1, Z2] in q n qbar)
@@ -750,21 +682,6 @@ def _re(z: CNum) -> Fraction:
     if z.im != 0:
         raise ValueError("Killing form value is not real on real vectors")
     return z.re
-
-
-def _real_subspace_from_g0_coords(a_or_pres, vectors) -> RMatrix:
-    pres = a_or_pres.pres if isinstance(a_or_pres, CRAlgebra) else a_or_pres
-    basis = pres.g0_basis()
-    rows = []
-    for coeffs in vectors:
-        v = [C_ZERO] * pres.dim
-        for c, b in zip(coeffs, basis):
-            c = Fraction(c)
-            if c:
-                for t in range(pres.dim):
-                    v[t] = v[t] + CNum.of(c) * b[t]
-        rows.append(realify_vector(tuple(v)))
-    return RMatrix(rows) if rows else RMatrix.empty(2 * pres.dim)
 
 
 def fibration_compatible(a: CRAlgebra, ideal_rows: RMatrix) -> bool:
@@ -823,23 +740,18 @@ def induced_base_fiber(a: CRAlgebra, ideal_rows: RMatrix):
 def sub_presentation(pres: LieAlgebraPresentation, space: RMatrix):
     """Presentation of a nu-stable complex subalgebra given by its realified
     row space; returns (presentation, embed, project)."""
-    # complex basis: independent complexified rows
-    cb = []
-    probe = CMatrix.empty(pres.dim)
-    for r in space.rows:
-        v = complexify_vector(r)
-        cand = CMatrix(list(probe.rows) + [v])
-        if cand.rank() > probe.rank():
-            probe = cand
-            cb.append(v)
+    # complex basis cb: the complexified rows that are independent of the
+    # earlier ones, i.e. the pivot columns of the matrix having them as columns
+    vecs = [complexify_vector(r) for r in space.rows]
+    span = Factored([[v[i] for v in vecs] for i in range(pres.dim)], CNum.of)
+    cb = [vecs[p] for p in span.pivots]
     m = len(cb)
-    rows = [[cb[j][i] for j in range(m)] for i in range(pres.dim)]
 
     def project(v):
-        sol = solve_linear(rows, list(v), CNum.of)
+        sol = span.solve(v)
         if sol is None:
             raise ValueError("vector outside the subalgebra")
-        return tuple(sol)
+        return tuple(sol[p] for p in span.pivots)
 
     def embed(c):
         out = [C_ZERO] * pres.dim
@@ -984,8 +896,7 @@ def morphism_classify(src: CRAlgebra, tgt: CRAlgebra, phi0) -> dict:
         mat = []
         for t in range(n2t):
             mat.append([cols[c][t] for c in range(n2s)] + [-Fraction(w[t]) for w in wrows])
-        ker = RMatrix([]).kernel_of_columns(mat)
-        vecs = [k[:n2s] for k in ker]
+        vecs = [k[:n2s] for k in kernel(mat, Fraction)]
         vecs = [v for v in vecs if any(v)]
         return RMatrix(vecs) if vecs else RMatrix.empty(n2s)
 

@@ -1,8 +1,10 @@
 """Exact linear algebra over the Gaussian rationals Q(i) and over Q.
 
-CNum is an immutable Gaussian rational; CMatrix / RMatrix represent
-subspaces by their rows, canonicalized through reduced row echelon form, so
-equality of subspaces is equality of canonical forms.
+CNum is an immutable Gaussian rational.  _rref is the one Gauss-Jordan
+elimination over a field in the package; Factored keeps one elimination of a
+matrix for repeated solves, its kernel and its inverse.  CMatrix / RMatrix
+represent subspaces by their rows, canonicalized through reduced row echelon
+form, so equality of subspaces is equality of canonical forms.
 """
 
 from __future__ import annotations
@@ -73,14 +75,18 @@ C_ONE = CNum(Fraction(1))
 C_I = CNum(Fraction(0), Fraction(1))
 
 
-def _rref(rows, conj_scalar=None):
-    """Generic reduced row echelon over a field with CNum/Fraction entries."""
+def _rref(rows):
+    """Reduced row echelon form over a field (CNum or Fraction entries):
+    (nonzero rows, pivot columns).  This is the one Gauss-Jordan loop of the
+    package; intlat does the integer (Smith/Hermite) eliminations."""
     a = [list(r) for r in rows]
     nr = len(a)
     nc = len(a[0]) if nr else 0
     rpos = 0
     pivots = []
     for c in range(nc):
+        if rpos == nr:
+            break
         piv = next((i for i in range(rpos, nr) if a[i][c]), None)
         if piv is None:
             continue
@@ -94,6 +100,88 @@ def _rref(rows, conj_scalar=None):
         pivots.append(c)
         rpos += 1
     return [tuple(r) for r in a[:rpos]], pivots
+
+
+def _null_basis(red, pivots, ncols, coerce):
+    """Kernel basis of a matrix from its reduced row echelon form: one vector
+    per free column."""
+    zero, one = coerce(0), coerce(1)
+    pset = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc in pset:
+            continue
+        v = [zero] * ncols
+        v[fc] = one
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc]
+        basis.append(tuple(v))
+    return basis
+
+
+class Factored:
+    """A matrix A (given by its rows) eliminated once over the field of
+    ``coerce``: Gauss-Jordan on [A | I] gives [R | T], with R the reduced row
+    echelon form of A and T the invertible row transform, T A = R.  Solves
+    against any number of right-hand sides, the kernel and the inverse are
+    read off R and T without eliminating again."""
+
+    def __init__(self, rows, coerce):
+        self.coerce = coerce
+        a = [[coerce(x) for x in r] for r in rows]
+        m = len(a)
+        n = len(a[0]) if m else 0
+        zero, one = coerce(0), coerce(1)
+        red, pivots = _rref([r + [one if j == i else zero for j in range(m)] for i, r in enumerate(a)])
+        self.ncols = n
+        self.rank = sum(1 for p in pivots if p < n)
+        self.pivots = pivots[: self.rank]
+        self._r = [row[:n] for row in red[: self.rank]]
+        self._t = [row[n:] for row in red]
+
+    def solve(self, b):
+        """One x with A x = b, free unknowns set to 0; None when the system
+        is inconsistent (some row of T b beyond the rank is nonzero)."""
+        b = [(j, v) for j, v in enumerate(map(self.coerce, b)) if v]
+        zero = self.coerce(0)
+
+        def t_dot_b(t):
+            s = zero
+            for j, v in b:
+                if t[j]:
+                    s = s + t[j] * v
+            return s
+
+        if any(t_dot_b(t) for t in self._t[self.rank :]):
+            return None
+        x = [zero] * self.ncols
+        for p, t in zip(self.pivots, self._t):
+            x[p] = t_dot_b(t)
+        return x
+
+    def kernel(self):
+        """Basis of {x : A x = 0}."""
+        return _null_basis(self._r, self.pivots, self.ncols, self.coerce)
+
+    def inverse(self):
+        """Rows of A^-1; ValueError unless A is square and invertible."""
+        if not self.rank == self.ncols == len(self._t):
+            raise ValueError("matrix is not invertible")
+        return list(self._t)
+
+
+def solve_linear(rows, rhs, coerce):
+    """One solution x of rows * x = rhs over the field, or None."""
+    return Factored(rows, coerce).solve(rhs)
+
+
+def kernel(rows, coerce):
+    """Basis of {x : rows * x = 0} over the field.  A one-shot kernel needs
+    no row transform, so A alone is eliminated: on tall systems (many
+    conditions, few unknowns) T would be square in the row count."""
+    a = [[coerce(x) for x in r] for r in rows]
+    red, pivots = _rref(a)
+    return _null_basis(red, pivots, len(a[0]) if a else 0, coerce)
 
 
 class _SpaceBase:
@@ -115,16 +203,17 @@ class _SpaceBase:
     def rank(self) -> int:
         return len(self.rows)
 
-    def rref(self):
-        return self
-
-    def contains(self, vec) -> bool:
+    def residue(self, vec) -> list:
+        """vec reduced modulo the row space; zero exactly when vec lies in it."""
         v = [self.coerce(x) for x in vec]
         for row, p in zip(self.rows, self.pivots):
             if v[p]:
                 f = v[p]
                 v = [x - f * y for x, y in zip(v, row)]
-        return all(not x for x in v)
+        return v
+
+    def contains(self, vec) -> bool:
+        return not any(self.residue(vec))
 
     def contains_space(self, other) -> bool:
         return all(self.contains(r) for r in other.rows)
@@ -142,22 +231,6 @@ class _SpaceBase:
             return self
         return type(self)(list(self.rows) + list(other.rows))
 
-    def kernel_of_columns(self, cols_matrix):
-        """Kernel {x : M x = 0} for M given as list of rows; returns basis."""
-        a = [list(r) for r in cols_matrix]
-        nr = len(a)
-        nc = len(a[0]) if nr else 0
-        red, pivots = _rref([[self.coerce(x) for x in row] for row in a])
-        free = [c for c in range(nc) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [self.coerce(0)] * nc
-            v[fc] = self.coerce(1)
-            for i, pc in enumerate(pivots):
-                v[pc] = -red[i][fc]
-            basis.append(tuple(v))
-        return basis
-
     def intersect(self, other):
         """Intersection of row spaces."""
         if not self.rows or not other.rows:
@@ -168,7 +241,7 @@ class _SpaceBase:
         m = []
         for c in range(self.ncols):
             m.append([u[i][c] for i in range(len(u))] + [-w[j][c] for j in range(len(w))])
-        ker = self.kernel_of_columns(m)
+        ker = kernel(m, self.coerce)
         vecs = []
         for k in ker:
             vec = [self.coerce(0)] * self.ncols
@@ -197,20 +270,6 @@ class RMatrix(_SpaceBase):
     @staticmethod
     def coerce(x):
         return Fraction(x)
-
-
-def solve_linear(rows, rhs, coerce):
-    """One solution x of rows * x = rhs over the field, or None."""
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    a = [[coerce(x) for x in row] + [coerce(rhs[i])] for i, row in enumerate(rows)]
-    red, pivots = _rref(a)
-    x = [coerce(0)] * nc
-    for row, p in zip(red, pivots):
-        if p == nc:
-            return None
-        x[p] = row[nc]
-    return x
 
 
 def realify_vector(v) -> tuple[Fraction, ...]:

@@ -17,10 +17,13 @@ from fractions import Fraction
 from .cralg import (
     CRAlgebra,
     LieAlgebraPresentation,
+    _g0_coords_solver,
     cspan,
+    realified_eigenspace,
     rspan,
+    sub_presentation,
 )
-from .gaussq import C_I, C_ONE, C_ZERO, CNum, RMatrix, realify_vector, solve_linear
+from .gaussq import C_I, C_ONE, C_ZERO, CNum, Factored, RMatrix, kernel, solve_linear
 from .intlat import solve_congruence
 from .rootsys import RootSystem, build_root_system, evaluate
 from .weyl import apply_matrix_cols, diagram_automorphisms
@@ -116,12 +119,10 @@ class _MatrixModel:
         self.size = size
         self.mats = basis_mats
         self.labels = labels
-        flat_rows = [[m[i][j] for m in basis_mats] for i in range(size) for j in range(size)]
-        self._rows = flat_rows
+        self._basis = Factored([[m[i][j] for m in basis_mats] for i in range(size) for j in range(size)], CNum.of)
 
     def coords(self, mat):
-        rhs = [mat[i][j] for i in range(self.size) for j in range(self.size)]
-        sol = solve_linear(self._rows, rhs, CNum.of)
+        sol = self._basis.solve([mat[i][j] for i in range(self.size) for j in range(self.size)])
         if sol is None:
             raise ValueError("matrix not in the span of the basis")
         return tuple(sol)
@@ -214,8 +215,6 @@ class FlagPreset:
         h = self.cartan_element(grading_element.ambient)
         mih = tuple(CNum(Fraction(0), Fraction(-1)) * x for x in h)
         basis = self.pres.g0_basis()
-        from .cralg import _g0_coords_solver
-
         coords = _g0_coords_solver(self.pres)
         cols = []
         for b in basis:
@@ -249,12 +248,12 @@ class FlagPreset:
             signs.append(C_ONE if k % 2 == 0 else -C_ONE)
         # change of basis
         m = len(basis_vecs)
-        rows = [[basis_vecs[j][i] for j in range(m)] for i in range(n)]
+        change = Factored([[basis_vecs[j][i] for j in range(m)] for i in range(n)], CNum.of)
         lam_cols = []
         for t in range(n):
             unit = [C_ZERO] * n
             unit[t] = C_ONE
-            sol = solve_linear(rows, unit, CNum.of)
+            sol = change.solve(unit)
             img = [C_ZERO] * n
             for c, s, bv in zip(sol, signs, basis_vecs):
                 f = c * s
@@ -335,15 +334,6 @@ def _classical_model(type_tag: str, n: int) -> tuple[_MatrixModel, RootSystem, d
         labels.append(f"x{idx}")
     model = _MatrixModel(size, mats, labels)
     return model, rs, {"hdual": hdual, "rootmat": rootmat}
-
-
-def _cartan_vectors(pres, rs, root_start, model, hduals):
-    """Coordinate vectors of the Cartan elements dual to the ambient
-    coordinates: H_k with alpha(H_k) = (original) alpha_k coefficient."""
-    out = []
-    for h in hduals:
-        out.append(model.coords(h))
-    return out
 
 
 _FLAG_CACHE: dict = {}
@@ -494,19 +484,8 @@ def _g2_preset() -> FlagPreset:
                 raise AssertionError("triality lift is not an automorphism")
 
     # fixed subalgebra
-    rows2 = []
-    for i in range(2 * pres.dim):
-        cv = [C_ZERO] * pres.dim
-        cv[i // 2] = C_ONE if i % 2 == 0 else C_I
-        img = shat(tuple(cv))
-        shifted = tuple(x - y for x, y in zip(img, cv))
-        rows2.append(realify_vector(shifted))
-    mat = [[rows2[c][t] for c in range(2 * pres.dim)] for t in range(2 * pres.dim)]
-    ker = RMatrix([]).kernel_of_columns(mat)
-    fixed = RMatrix(ker)
+    fixed = realified_eigenspace(pres.dim, shat, C_ONE)
     assert fixed.rank() == 28, f"fixed subalgebra has wrong dimension {fixed.rank()}"
-
-    from .cralg import sub_presentation
 
     sub, embed, project = sub_presentation(pres, fixed)
     assert sub.dim == 14
@@ -514,13 +493,7 @@ def _g2_preset() -> FlagPreset:
     # Cartan of the fold: images of fixed Cartan vectors
     g2 = build_root_system("G2")
     # fixed Cartan = ambient vectors fixed by tri
-    from .realform import _rational_kernel
-
-    n4 = 4
-    m = [[tri.cols[j][i] for j in range(n4)] for i in range(n4)]
-    for i in range(n4):
-        m[i][i] -= 1
-    hfix = _rational_kernel(m)
+    hfix = kernel([[tri.cols[j][i] - (1 if i == j else 0) for j in range(4)] for i in range(4)], Fraction)
     assert len(hfix) == 2
     def h_of_amb(amb):
         v = [C_ZERO] * pres.dim

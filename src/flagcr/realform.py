@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rootsys import RootSystem, root_sum
+from .gaussq import CMatrix, CNum, kernel
+from .qsets import is_closed
+from .rootsys import RootSystem
 from .weyl import apply_matrix_cols
 
 
@@ -72,17 +74,6 @@ def a_reverse_conjugation(r: RootSystem) -> RootConjugation:
         col[n - 1 - j] = Fraction(1)
         cols.append(tuple(col))
     return conjugation_from_matrix(r, cols)
-
-
-def is_closed(r: RootSystem, q) -> bool:
-    qs = sorted(q)
-    qset = set(qs)
-    for a in range(len(qs)):
-        for b in range(a + 1, len(qs)):
-            s = root_sum(r, qs[a], qs[b])
-            if s is not None and s not in qset:
-                return False
-    return True
 
 
 def check_eq_ha(r: RootSystem, q, sigma: RootConjugation) -> bool:
@@ -281,46 +272,7 @@ def _simple_for_subsystem(r: RootSystem, head, qr) -> bool:
 
 def _minus_eigenbasis(sigma: RootConjugation, n: int):
     """Rational basis of ker(sigma + id)."""
-    rows = []
-    for i in range(n):
-        row = [sigma.cols[j][i] + (Fraction(1) if i == j else Fraction(0)) for j in range(n)]
-        rows.append(row)
-    # kernel of rows (sigma^T + I acts the same as sigma + I for our use:
-    # build kernel of the matrix with columns sigma(e_j) + e_j)
-    m = [[sigma.cols[j][i] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        m[i][i] += 1
-    return _rational_kernel(m)
-
-
-def _rational_kernel(m):
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    a = [row[:] for row in m]
-    piv_cols = []
-    rpos = 0
-    for c in range(nc):
-        piv = next((i for i in range(rpos, nr) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[rpos], a[piv] = a[piv], a[rpos]
-        f = a[rpos][c]
-        a[rpos] = [x / f for x in a[rpos]]
-        for i in range(nr):
-            if i != rpos and a[i][c] != 0:
-                fi = a[i][c]
-                a[i] = [x - fi * y for x, y in zip(a[i], a[rpos])]
-        piv_cols.append(c)
-        rpos += 1
-    free = [c for c in range(nc) if c not in piv_cols]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * nc
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(piv_cols):
-            v[pc] = -a[i][fc]
-        basis.append(tuple(v))
-    return basis
+    return kernel([[sigma.cols[j][i] + (1 if i == j else 0) for j in range(n)] for i in range(n)], Fraction)
 
 
 def regular_max_structure(r: RootSystem, sigma: RootConjugation, q, m_basis) -> dict:
@@ -330,15 +282,13 @@ def regular_max_structure(r: RootSystem, sigma: RootConjugation, q, m_basis) -> 
 
     m_basis: rows of Gaussian-rational ambient vectors (pairs (re, im) of
     rational ambient vectors)."""
-    from .gaussq import CMatrix, CNum
-
     if not check_eq_ha(r, q, sigma):
         raise ValueError("Q fails the partition condition")
     ell = r.rank
     rows = []
     for re, im in m_basis:
         rows.append([CNum(Fraction(x), Fraction(y)) for x, y in zip(re, im)])
-    m = CMatrix(rows).rref()
+    m = CMatrix(rows)
     report = {"dim_m": m.rank(), "expected_dim": ell // 2}
     report["dim_ok"] = m.rank() == ell // 2
     # conj(v) for the h-space conjugation: sigma applied to coordinatewise conj
@@ -347,7 +297,7 @@ def regular_max_structure(r: RootSystem, sigma: RootConjugation, q, m_basis) -> 
         cre = apply_matrix_cols(sigma.cols, re)
         cim = apply_matrix_cols(sigma.cols, im)
         conj_rows.append([CNum(Fraction(x), Fraction(-y)) for x, y in zip(cre, cim)])
-    mbar = CMatrix(conj_rows).rref()
+    mbar = CMatrix(conj_rows)
     inter = m.intersect(mbar)
     report["m_meets_mbar_trivially"] = inter.rank() == 0
     # Q^r coroot span inside m

@@ -18,6 +18,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .gaussq import Factored, solve_linear
 from .intlat import column_solver, hermite_basis, smith_normal_form
 
 TYPES = ("A", "B", "C", "D", "G2", "F4", "E6", "E7", "E8")
@@ -185,9 +186,6 @@ class RootSystem:
     def nroots(self) -> int:
         return len(self.roots)
 
-    def root_index(self, stored: tuple[int, ...]) -> int:
-        return self.index[tuple(stored)]
-
     def neg(self, i: int) -> int:
         return self.index[tuple(-x for x in self.roots[i])]
 
@@ -202,43 +200,11 @@ class RootSystem:
     def ambient_to_coweight_coords(self, ambient) -> tuple[int, ...] | None:
         """Integer coweight coordinates of an ambient vector, or None if it is
         not in the coweight lattice."""
-        rows = [[Fraction(v[k]) for v in self.coweight_basis] for k in range(self.ambient_dim)]
-        target = [Fraction(x) for x in ambient]
-        sol = _solve_rational(rows, target)
+        rows = [[v[k] for v in self.coweight_basis] for k in range(self.ambient_dim)]
+        sol = solve_linear(rows, ambient, Fraction)
         if sol is None or any(x.denominator != 1 for x in sol):
             return None
         return tuple(int(x) for x in sol)
-
-
-def _solve_rational(rows: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """Solve rows * x = b exactly; None if inconsistent (unique solution
-    assumed when consistent with full column rank)."""
-    nr, nc = len(rows), len(rows[0]) if rows else 0
-    a = [rows[i][:] + [b[i]] for i in range(nr)]
-    piv_cols = []
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        f = a[r][c]
-        a[r] = [x / f for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c] != 0:
-                fi = a[i][c]
-                a[i] = [x - fi * y for x, y in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == nr:
-            break
-    for i in range(r, nr):
-        if a[i][nc] != 0:
-            return None
-    x = [Fraction(0)] * nc
-    for i, c in enumerate(piv_cols):
-        x[c] = a[i][nc]
-    return x
 
 
 def inner(alpha: tuple[int, ...], beta: tuple[int, ...]) -> Fraction:
@@ -273,35 +239,6 @@ def root_sum(r: RootSystem, i: int, j: int) -> int | None:
     return out
 
 
-def _span_basis(roots: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """A maximal linearly independent subset of the stored root vectors."""
-    basis: list[tuple[int, ...]] = []
-    rows: list[list[Fraction]] = []
-    for v in roots:
-        cand = rows + [[Fraction(x) for x in v]]
-        if _rank_rational(cand) > len(rows):
-            rows = cand
-            basis.append(v)
-    return basis
-
-
-def _rank_rational(rows: list[list[Fraction]]) -> int:
-    a = [row[:] for row in rows]
-    nr, nc = len(a), len(a[0]) if a else 0
-    r = 0
-    for c in range(nc):
-        piv = next((i for i in range(r, nr) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, nr):
-            if a[i][c] != 0:
-                f = a[i][c] / a[r][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-    return r
-
-
 def coweight_lattice_basis(roots: list[tuple[int, ...]]) -> list[tuple[Fraction, ...]]:
     """Basis of {H in span(R) : alpha(H) in Z for all alpha}, computed as the
     dual lattice of the root lattice inside the span of the roots."""
@@ -315,7 +252,7 @@ def coweight_lattice_basis(roots: list[tuple[int, ...]]) -> list[tuple[Fraction,
     # coordinates.  With stored vectors: alpha(H) = dot(stored, H)/2, so we
     # require dot(dbasis_i, d_j)/2 = delta_ij.
     gram = [[Fraction(sum(a * b for a, b in zip(dbasis[i], dbasis[j])), 2) for j in range(r)] for i in range(r)]
-    inv = _invert_rational(gram)
+    inv = Factored(gram, Fraction).inverse()
     dual = []
     for j in range(r):
         vec = [Fraction(0)] * n
@@ -324,21 +261,6 @@ def coweight_lattice_basis(roots: list[tuple[int, ...]]) -> list[tuple[Fraction,
                 vec[k] += inv[j][i] * dbasis[i][k]
         dual.append(tuple(vec))
     return dual
-
-
-def _invert_rational(m: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(m)
-    a = [list(m[i]) + [Fraction(1) if j == i else Fraction(0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if a[i][c] != 0)
-        a[c], a[piv] = a[piv], a[c]
-        f = a[c][c]
-        a[c] = [x / f for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                fi = a[i][c]
-                a[i] = [x - fi * y for x, y in zip(a[i], a[c])]
-    return [row[n:] for row in a]
 
 
 def build_root_system(type_tag: str, rank: int | None = None) -> RootSystem:
@@ -440,25 +362,35 @@ def rootset_to_json(r: RootSystem, q) -> str:
 
 
 def rootset_from_json(text: str) -> tuple[RootSystem, frozenset[int]]:
+    """Inverse of rootset_to_json.  Malformed input raises ValueError naming
+    what is wrong: not an object, a missing or ill-typed field, a vector that
+    is not a root (stored doubled coordinates) or a root listed twice."""
     data = json.loads(text)
-    tag = data["type"]
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object with keys type, rank, roots; got a {type(data).__name__}")
+    for key in ("type", "roots"):
+        if key not in data:
+            raise ValueError(f"missing key {key!r}")
+    tag, roots = data["type"], data["roots"]
+    if not isinstance(tag, str) or tag not in TYPES:
+        raise ValueError(f"unknown type {tag!r}")
     if tag in FIXED_RANK:
         rs = build_root_system(tag)
+        name = tag
     else:
-        ambient = {"A": lambda rk: rk + 1}.get(tag, lambda rk: rk)(data["rank"])
-        rs = build_root_system(tag, ambient)
-    q = frozenset(rs.index[tuple(v)] for v in data["roots"])
-    return rs, q
-
-
-def rootsystem_to_json(r: RootSystem) -> str:
-    return json.dumps(
-        {
-            "type": r.type_tag,
-            "rank": r.rank,
-            "ambient_dim": r.ambient_dim,
-            "roots": [list(v) for v in r.roots],
-            "coweight_basis": [[str(x) for x in v] for v in r.coweight_basis],
-        },
-        sort_keys=True,
-    )
+        rank = data.get("rank")
+        if type(rank) is not int:
+            raise ValueError(f"type {tag} needs an integer rank, got {rank!r}")
+        rs = build_root_system(tag, rank + 1 if tag == "A" else rank)
+        name = f"{tag}{rank}"
+    if not isinstance(roots, list):
+        raise ValueError("roots must be a list of root vectors")
+    q: set[int] = set()
+    for k, v in enumerate(roots):
+        idx = rs.index.get(tuple(v)) if isinstance(v, list) and all(type(x) is int for x in v) else None
+        if idx is None:
+            raise ValueError(f"roots[{k}] = {json.dumps(v)} is not a root of {name} (doubled coordinates)")
+        if idx in q:
+            raise ValueError(f"roots[{k}] = {json.dumps(v)} repeats an earlier root")
+        q.add(idx)
+    return rs, frozenset(q)

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .gaussq import Factored, RMatrix
 from .rootsys import RootSystem, inner
 
 
@@ -91,9 +92,7 @@ def _matrix_from_images(r: RootSystem, srcs: list[tuple[Fraction, ...]], imgs: l
     # build via Gram: express the action in the basis srcs (assumed independent)
     n = dim
     gram = [[sum(a * b for a, b in zip(srcs[i], srcs[j])) for j in range(len(srcs))] for i in range(len(srcs))]
-    from .rootsys import _invert_rational
-
-    ginv = _invert_rational([[Fraction(x) for x in row] for row in gram])
+    ginv = Factored(gram, Fraction).inverse()
     # projection coefficients of e_k onto span: coeffs = Ginv * (srcs . e_k)
     cols = []
     for k in range(n):
@@ -312,26 +311,16 @@ def _isometries_mapping(r: RootSystem, q1, q2):
     q1s = sorted(q1)
     q2s = sorted(q2)
     n1 = len(q1s)
-    # order q1 roots to get an independent prefix early
-    from .rootsys import _rank_rational, _span_basis
-
-    span = _span_basis([r.roots[i] for i in range(r.nroots)])
-    dim = len(span)
-    # candidate pools by norm
-    gram1 = {
-        (i, j): inner(r.roots[i], r.roots[j]) for i in q1s for j in q1s
-    }
-
-    # extend base with extra roots so images determine a full-rank map
+    # extend q1 by further roots to a basis of the root span (dimension
+    # r.rank), so the images of the base determine the map
     base = []
-    rows: list[list[Fraction]] = []
+    span = RMatrix.empty(r.ambient_dim)
     for i in q1s + [k for k in range(r.nroots) if k not in q2 and k not in q1]:
-        cand = rows + [[Fraction(x) for x in r.roots[i]]]
-        if _rank_rational(cand) > len(rows):
-            rows = cand
-            base.append(i)
-        if len(base) == dim:
+        if len(base) == r.rank:
             break
+        if not span.contains(r.roots[i]):
+            span = RMatrix(span.rows + [r.roots[i]])
+            base.append(i)
     extras = [b for b in base if b not in q1]
 
     order = q1s + extras

@@ -92,6 +92,34 @@ def test_check_parse_error(tmp_path, capsys):
     assert main(["check", "--roots", str(f)]) == 1
 
 
+MALFORMED_ROOT_SETS = [
+    ("top-level list", "[1, 2]", "expected a JSON object"),
+    ("top-level string", '"A"', "expected a JSON object"),
+    ("missing type", '{"rank": 2, "roots": []}', "missing key 'type'"),
+    ("missing roots", '{"type": "A", "rank": 2}', "missing key 'roots'"),
+    ("unknown type", '{"type": "H8", "roots": []}', "unknown type 'H8'"),
+    ("unhashable type", '{"type": ["A"], "roots": []}', "unknown type ['A']"),
+    ("rank not an integer", '{"type": "A", "rank": "2", "roots": []}', "needs an integer rank"),
+    ("roots not a list", '{"type": "A", "rank": 2, "roots": 5}', "roots must be a list"),
+    ("non-root vector", '{"type": "A", "rank": 2, "roots": [[9, 9, 9]]}', "roots[0] = [9, 9, 9] is not a root of A2"),
+    ("non-integer entries", '{"type": "G2", "roots": [["2", "-2", "0"]]}', "is not a root of G2"),
+    ("duplicate root", '{"type": "A", "rank": 2, "roots": [[2, -2, 0], [2, -2, 0]]}',
+     "roots[1] = [2, -2, 0] repeats an earlier root"),
+]
+
+
+@pytest.mark.parametrize("cmd", [["check"], ["realform", "--conjugation", "compact"]], ids=["check", "realform"])
+@pytest.mark.parametrize("text,message", [c[1:] for c in MALFORMED_ROOT_SETS],
+                         ids=[c[0] for c in MALFORMED_ROOT_SETS])
+def test_malformed_root_set_exits_1(tmp_path, capsys, cmd, text, message):
+    f = tmp_path / "bad.json"
+    f.write_text(text)
+    assert main([cmd[0], "--roots", str(f), *cmd[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_cralg_heisenberg_levi(capsys):
     code, out = run(capsys, "cralg", "--preset", "heisenberg", "--op", "levi")
     assert code == 0

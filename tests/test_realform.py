@@ -160,10 +160,10 @@ def test_sigma_equivariance():
         from fractions import Fraction
 
         # compute inverse columns by solving g * x = e_k
-        from flagcr.rootsys import _invert_rational
+        from flagcr.gaussq import Factored
 
         gmat = [[g.cols[j][i] for j in range(n)] for i in range(n)]
-        ginv = _invert_rational([[Fraction(x) for x in row] for row in gmat])
+        ginv = Factored(gmat, Fraction).inverse()
         ginv_cols = [tuple(ginv[i][j] for i in range(n)) for j in range(n)]
         new_cols = []
         for j in range(n):
