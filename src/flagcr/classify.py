@@ -26,7 +26,7 @@ from .rootsys import (
     roots_set,
     sorted_indices,
 )
-from .weyl import generators
+from .weyl import OrbitBudgetExceeded, canonical_form, set_key, set_orbit
 
 H = Fraction(1, 2)
 
@@ -120,33 +120,17 @@ def enumerate_maximal(
     adj = compat_graph(r, constraint)
     cliques = maximal_cliques(adj, budget)
     fundamental = [c for c in cliques if is_fundamental(r, c)]
-    gens = generators(r, quotient)
-    perms = [g.perm for g in gens]
     seen: set[frozenset[int]] = set()
     classes: list[EnumClass] = []
     for cl in sorted(fundamental, key=lambda c: tuple(r.roots[i] for i in c)):
-        fs = frozenset(cl)
-        if fs in seen:
+        if frozenset(cl) in seen:
             continue
-        orbit = {fs}
-        frontier = [fs]
-        best = (tuple(sorted(r.roots[i] for i in fs)), fs)
-        while frontier:
-            if budget is not None and len(orbit) > budget:
-                raise BudgetExceeded("orbit dedup exceeded budget", classes)
-            nxt = []
-            for cur in frontier:
-                for p in perms:
-                    img = frozenset(p[i] for i in cur)
-                    if img not in orbit:
-                        orbit.add(img)
-                        nxt.append(img)
-                        key = tuple(sorted(r.roots[i] for i in img))
-                        if key < best[0]:
-                            best = (key, img)
-            frontier = nxt
+        try:
+            orbit = set_orbit(r, cl, quotient, budget)
+        except OrbitBudgetExceeded as e:
+            raise BudgetExceeded(f"orbit dedup: {e}", classes) from e
         seen |= orbit
-        rep = sorted_indices(best[1])
+        rep = sorted_indices(min(orbit, key=lambda s: set_key(r, s)))
         classes.append(EnumClass(rep, len(orbit), property_report(r, rep)))
     classes.sort(key=lambda c: tuple(r.roots[i] for i in c.canonical))
     return classes
@@ -327,8 +311,6 @@ def _bd_symmetric_sets(r: RootSystem, n: int, with_short: bool):
 def _dedupe_entries(r: RootSystem, raw, budget: int = 500_000):
     """Drop entries that are W-equivalent to an earlier one and entries that
     are not maximal cliques; deduped via set-orbit marking."""
-    from .weyl import set_orbit
-
     seen: set[frozenset[int]] = set()
     out = []
     for params, q, *extra in raw:
@@ -435,8 +417,6 @@ def catalog(type_tag: str, rank: int | None = None, which: str = "all") -> list[
             )
         kept = []
         seen: set[frozenset[int]] = set()
-        from .weyl import set_orbit
-
         for params, q, witness in raw:
             fq = frozenset(q)
             if fq in seen:
@@ -987,23 +967,14 @@ def subset_universe(r: RootSystem, budget: int = 1_000_000) -> list[frozenset[in
 def maximal_symmetric_classes(r: RootSystem, budget: int = 1_000_000):
     """Maximal elements of Q_s(R) up to W, with their J status, found by
     exhaustive scan of the subset universe."""
-    from .weyl import canonical_form
-
     out: dict[tuple[int, ...], dict] = {}
     for q in subset_universe(r, budget):
-        got = qsets.is_symmetric(r, q)
-        if got is qsets.NOT_FUNDAMENTAL or not got[0]:
-            continue
         if not _is_symmetric_maximal(r, q):
             continue
         cf = tuple(sorted(canonical_form(r, q)))
         if cf not in out:
-            out[cf] = {
-                "canonical": cf,
-                "size": len(cf),
-                "weak_j": qsets.has_weak_j(r, q)[0],
-                "j": qsets.has_j(r, q)[0],
-            }
+            rep = property_report(r, q)
+            out[cf] = {"canonical": cf, "size": len(cf), "weak_j": rep.weak_j, "j": rep.j_property}
     return sorted(out.values(), key=lambda d: d["canonical"])
 
 

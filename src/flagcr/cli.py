@@ -178,9 +178,8 @@ def _verify_section_6(budget):
         except classify.CatalogClaimFailed as e:
             rows.append(_row(f"{tag}{n} symmetric catalog entries verify", False, str(e)))
     # the classical collapse claim itself
-    r, q = classify.b3_counterexample()
-    sym = qsets.is_symmetric(r, q)[0]
-    jay = qsets.has_j(r, q)[0]
+    rep = qsets.property_report(*classify.b3_counterexample())
+    sym, jay = rep.symmetric, rep.j_property
     rows.append(
         _row(
             "classical collapse Q_s = Q_0 (B_n, D_n)",
@@ -221,9 +220,8 @@ def _verify_section_7(budget):
         rows.append(_row("F4: the five printed sets are maximal elements", True))
     except classify.CatalogClaimFailed as e:
         rows.append(_row("F4: the five printed sets are maximal elements", False, str(e)))
-    rf, qf = classify.f4_counterexample()
-    sym = qsets.is_symmetric(rf, qf)[0]
-    wk = qsets.has_weak_j(rf, qf)[0]
+    rep = qsets.property_report(*classify.f4_counterexample())
+    sym, wk = rep.symmetric, rep.weak_j
     rows.append(
         _row(
             "F4 collapse Q_s = Q_Upsilon = Q_0",
@@ -248,10 +246,9 @@ def _verify_section_7(budget):
     ]:
         rsys = classify.e_system(pair[0])
         q = classify.construct_q(*pair, [anchor])
-        s = qsets.is_symmetric(rsys, q)
-        w = qsets.has_weak_j(rsys, q)
+        rep = qsets.property_report(rsys, q)
         rows.append(
-            _row(f"{label} in Q_s \\ Q_Upsilon", s[0] is True and w[0] is False, f"size {len(q)}")
+            _row(f"{label} in Q_s \\ Q_Upsilon", rep.symmetric is True and rep.weak_j is False, f"size {len(q)}")
         )
     return rows
 
@@ -302,10 +299,8 @@ def _verify_e8():
     e8 = classify.e_system(8)
     for ex in classify.e8_examples():
         q = classify.e8_example_set(ex)
-        s = qsets.is_symmetric(e8, q)
-        w = qsets.has_weak_j(e8, q)
-        j = qsets.has_j(e8, q)
-        got = (s[0], w[0], j[0])
+        rep = qsets.property_report(e8, q)
+        got = (rep.symmetric, rep.weak_j, rep.j_property)
         known = {"4": "e8-example-4", "6": "e8-example-6"}.get(ex["label"])
         detail = f"size {len(q)}, got {got}"
         if known:

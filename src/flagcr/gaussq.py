@@ -55,11 +55,8 @@ class CNum:
     def conj(self) -> "CNum":
         return CNum(self.re, -self.im)
 
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.re) or bool(self.im)
 
     def __str__(self):
         if self.im == 0:

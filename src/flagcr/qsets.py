@@ -9,10 +9,13 @@ independent routes that must agree:
 * weak-J          <->  an E with alpha(E) = 1 mod 4 on Q
 * J               <->  an E with alpha(E) = 1 exactly on Q
 
-Route A analyses the coset of achievable coefficient sums over the integer
-kernel of the Q-expression lattice; route B solves the congruence or
-Diophantine system over the coweight lattice.  A mismatch is always a bug and
-raises MethodDisagreement.
+Each set is analysed once (lb, fundamental, the Q-expression lattice, Q*_{1,1}
+and the integer coweight evaluation rows), and one decision over that
+analysis, parameterised by the modulus 2, 4 or exact, serves all three
+properties.  Route A analyses the coset of achievable coefficient sums over
+the integer kernel of the Q-expression lattice; route B solves the
+congruence or Diophantine system over the coweight lattice.  A mismatch is
+always a bug and raises MethodDisagreement.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .intlat import SNFSolver, lattice_coset_gcd, solve_congruence, solve_diophantine
-from .rootsys import GradingElement, RootSystem, evaluate_int, root_sum, sorted_indices
+from .rootsys import GradingElement, RootSystem, evaluate, evaluate_int, root_sum, sorted_indices
 
 
 class MethodDisagreement(AssertionError):
@@ -109,12 +112,15 @@ def _expression_solver(r: RootSystem, q) -> SNFSolver:
     return SNFSolver(a)
 
 
-def is_fundamental(r: RootSystem, q) -> bool:
-    """Every root lies in the integer lattice generated by Q."""
+def is_fundamental(r: RootSystem, q, solver: SNFSolver | None = None) -> bool:
+    """Every root lies in the integer lattice Z[Q]; it suffices that the
+    Z-basis ``r.lattice_basis`` of the root lattice does.  ``solver`` is
+    Q's expression solver when the caller already has one."""
     if not q:
         return r.nroots == 0
-    solver = _expression_solver(r, q)
-    return all(solver.solve(list(v)) is not None for v in r.roots)
+    if solver is None:
+        solver = _expression_solver(r, q)
+    return all(solver.solve(v) is not None for v in r.lattice_basis)
 
 
 @dataclass(frozen=True)
@@ -171,8 +177,11 @@ def degree_set(r: RootSystem, q, gamma_idx: int) -> DegreeCoset:
 def kernel_degree_gcd(r: RootSystem, q) -> int:
     """gcd of coefficient sums over the integer kernel of the Q-expression
     lattice; the coset of every expressible root is (base + gcd*Z)."""
-    solver = _expression_solver(r, q)
-    return lattice_coset_gcd(solver.kernel_basis, [1] * max(1, len(sorted_indices(q))))
+    return _kernel_gcd(_expression_solver(r, q))
+
+
+def _kernel_gcd(solver: SNFSolver) -> int:
+    return lattice_coset_gcd(solver.kernel_basis, [1] * solver.nc)
 
 
 def q_star_11(r: RootSystem, q) -> frozenset[int]:
@@ -210,98 +219,75 @@ def q_star_bounded(r: RootSystem, q, h: int, max_terms: int = 6) -> frozenset[in
     return frozenset(found)
 
 
-def _coweight_eval_matrix(r: RootSystem, q) -> list[list[int]]:
-    rows = []
-    for i in sorted(q):
-        row = []
-        for basis_vec in r.coweight_basis:
-            from .rootsys import evaluate
-
-            v = evaluate(r.roots[i], basis_vec)
-            assert v.denominator == 1
-            row.append(int(v))
-        rows.append(row)
-    return rows
-
-
 def _verify_witness(r: RootSystem, q, e: GradingElement, modulus: int | None):
-    for i in sorted(q):
+    for i in q:
         v = evaluate_int(r.roots[i], e)
         if modulus is None:
             assert v == 1, "witness fails exact evaluation"
         else:
             assert v % modulus == 1 % modulus, "witness fails congruence"
     for root in r.roots:
-        from .rootsys import evaluate
-
         assert evaluate(root, e).denominator == 1, "witness leaves the coweight lattice"
 
 
-def _precheck(r: RootSystem, q):
-    if not is_lb(r, q):
-        return NOT_FUNDAMENTAL
-    if not is_fundamental(r, q):
-        return NOT_FUNDAMENTAL
-    return None
+_PROPERTY = {2: "symmetric", 4: "weak-J", None: "J"}
+
+
+class _Analysis:
+    """What the three decisions need about (R, Q), computed once: the lb and
+    fundamental hypotheses and, when both hold, the kernel degree gcd,
+    Q*_{1,1} and the integer coweight evaluation rows of Q."""
+
+    def __init__(self, r: RootSystem, q):
+        self.r, self.q = r, sorted_indices(q)
+        solver = _expression_solver(r, self.q)
+        self.lb = is_lb(r, self.q)
+        self.fundamental = is_fundamental(r, self.q, solver)
+        self.holds = self.lb and self.fundamental
+        if self.holds:
+            self.gcd = _kernel_gcd(solver)
+            self.star = q_star_11(r, self.q)
+            self.rows = [r.coweight_values[i] for i in self.q]
+
+    def decide(self, m: int | None):
+        """CR-symmetric (m = 2), weak-J (m = 4) or J (m = None) by both
+        routes: (bool, witness-or-None), or NOT_FUNDAMENTAL off the
+        lb/fundamental hypothesis."""
+        if not self.holds:
+            return NOT_FUNDAMENTAL
+        # route A: the degree cosets of Q*_{1,1} are base 0 + gcd*Z; J needs
+        # every coset to be a singleton
+        verdict_a = self.gcd == 0 if m is None else (not self.star) or self.gcd % m == 0
+        # route B: alpha(E) = 1 on Q (mod m, or exactly) over the coweight lattice
+        ones = [1] * len(self.rows)
+        if m is None:
+            sol = solve_diophantine(self.rows, ones)
+            x = None if sol is None else sol.particular
+        else:
+            x = solve_congruence(self.rows, ones, m)
+        if (x is not None) != verdict_a:
+            raise MethodDisagreement(f"{_PROPERTY[m]}: coset route {verdict_a}, solver route {x is not None}")
+        if x is None:
+            return (False, None)
+        e = self.r.grading_element(x)
+        _verify_witness(self.r, self.q, e, m)
+        return (True, e)
 
 
 def is_symmetric(r: RootSystem, q):
     """CR-symmetry: returns (bool, witness-or-None), or NOT_FUNDAMENTAL when
     the lb/fundamental hypothesis fails."""
-    bad = _precheck(r, q)
-    if bad is not None:
-        return bad
-    # route A: parity of the degree cosets of Q*_{1,1} (all have base 0)
-    star = q_star_11(r, q)
-    g = kernel_degree_gcd(r, q)
-    verdict_a = (not star) or (g % 2 == 0)
-    # route B: alpha(E) = 1 mod 2 over the coweight lattice
-    rows = _coweight_eval_matrix(r, q)
-    x = solve_congruence(rows, [1] * len(rows), 2)
-    if (x is not None) != verdict_a:
-        raise MethodDisagreement(f"symmetric: coset route {verdict_a}, solver route {x is not None}")
-    if x is None:
-        return (False, None)
-    e = r.grading_element(x)
-    _verify_witness(r, q, e, 2)
-    return (True, e)
+    return _Analysis(r, q).decide(2)
 
 
 def has_weak_j(r: RootSystem, q):
     """Weak-J property (mod-4 witness); same contract as is_symmetric."""
-    bad = _precheck(r, q)
-    if bad is not None:
-        return bad
-    star = q_star_11(r, q)
-    g = kernel_degree_gcd(r, q)
-    verdict_a = (not star) or (g % 4 == 0)
-    rows = _coweight_eval_matrix(r, q)
-    x = solve_congruence(rows, [1] * len(rows), 4)
-    if (x is not None) != verdict_a:
-        raise MethodDisagreement(f"weak-J: coset route {verdict_a}, solver route {x is not None}")
-    if x is None:
-        return (False, None)
-    e = r.grading_element(x)
-    _verify_witness(r, q, e, 4)
-    return (True, e)
+    return _Analysis(r, q).decide(4)
 
 
 def has_j(r: RootSystem, q):
     """J property (exact witness alpha(E) = 1 on Q); same contract."""
-    bad = _precheck(r, q)
-    if bad is not None:
-        return bad
-    # route A: all degree cosets are singletons <=> kernel degree gcd is 0
-    verdict_a = kernel_degree_gcd(r, q) == 0
-    rows = _coweight_eval_matrix(r, q)
-    sol = solve_diophantine(rows, [1] * len(rows))
-    if (sol is not None) != verdict_a:
-        raise MethodDisagreement(f"J: coset route {verdict_a}, solver route {sol is not None}")
-    if sol is None:
-        return (False, None)
-    e = r.grading_element(sol.particular)
-    _verify_witness(r, q, e, None)
-    return (True, e)
+    return _Analysis(r, q).decide(None)
 
 
 @dataclass
@@ -334,14 +320,11 @@ class PropertyReport:
 def property_report(r: RootSystem, q) -> PropertyReport:
     """Full report; enforces the j => weak-J => symmetric hierarchy on every
     evaluation (HierarchyViolation would be an internal bug)."""
-    lb = is_lb(r, q)
-    fund = is_fundamental(r, q)
-    rep = PropertyReport(is_lb=lb, is_fundamental=fund)
-    if not lb or not fund:
+    a = _Analysis(r, q)
+    rep = PropertyReport(is_lb=a.lb, is_fundamental=a.fundamental)
+    if not a.holds:
         return rep
-    sym, e2 = is_symmetric(r, q)
-    wj, e4 = has_weak_j(r, q)
-    jp, ee = has_j(r, q)
+    (sym, e2), (wj, e4), (jp, ee) = (a.decide(m) for m in (2, 4, None))
     rep.symmetric, rep.weak_j, rep.j_property = sym, wj, jp
     rep.witness_mod2, rep.witness_mod4, rep.witness_exact = e2, e4, ee
     if (jp and not wj) or (wj and not sym):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -179,7 +180,11 @@ class RootSystem:
     ambient_dim: int
     roots: list[tuple[int, ...]] = field(repr=False)
     index: dict[tuple[int, ...], int] = field(repr=False)
+    # Z-basis of the lattice spanned by the stored (doubled) roots
+    lattice_basis: list[list[int]] = field(repr=False)
     coweight_basis: list[tuple[Fraction, ...]] = field(repr=False)
+    # coweight_values[i][k] = alpha_i(omega_k) for the coweight basis omega_k
+    coweight_values: list[tuple[int, ...]] = field(repr=False)
     _sum_table: dict[tuple[int, int], int | None] = field(default_factory=dict, repr=False)
 
     @property
@@ -239,13 +244,12 @@ def root_sum(r: RootSystem, i: int, j: int) -> int | None:
     return out
 
 
-def coweight_lattice_basis(roots: list[tuple[int, ...]]) -> list[tuple[Fraction, ...]]:
+def coweight_lattice_basis(dbasis: list[list[int]]) -> list[tuple[Fraction, ...]]:
     """Basis of {H in span(R) : alpha(H) in Z for all alpha}, computed as the
-    dual lattice of the root lattice inside the span of the roots."""
-    # Z-basis of the doubled root lattice
-    dbasis = hermite_basis([list(v) for v in roots])
+    dual lattice of the root lattice inside the span of the roots, from a
+    Z-basis ``dbasis`` of the doubled root lattice."""
     r = len(dbasis)
-    n = len(roots[0])
+    n = len(dbasis[0])
     # root-lattice basis in original coordinates is dbasis/2; we need dual
     # vectors d_j in the span with (dbasis_i/2 | d_j) = delta_ij, where the
     # evaluation pairing alpha(H) equals the euclidean product in original
@@ -289,16 +293,26 @@ def build_root_system(type_tag: str, rank: int | None = None) -> RootSystem:
     stored = sorted(_BUILDERS[type_tag](n))
     ambient = len(stored[0])
     true_rank = {"A": n - 1, "B": n, "C": n, "D": n}.get(type_tag, FIXED_RANK.get(type_tag))
-    cw = coweight_lattice_basis(stored)
-    rs = RootSystem(
+    dbasis = hermite_basis([list(v) for v in stored])
+    cw = coweight_lattice_basis(dbasis)
+    # alpha(omega) = dot(stored, omega)/2, in integers once omega is scaled
+    # by the common denominator d of its coordinates
+    scaled = []
+    for w in cw:
+        d = math.lcm(*(x.denominator for x in w))
+        scaled.append((2 * d, [int(x * d) for x in w]))
+    values = [[divmod(sum(a * b for a, b in zip(v, w)), d) for d, w in scaled] for v in stored]
+    assert all(rem == 0 for row in values for _, rem in row), "a root is not integral on the coweight basis"
+    return RootSystem(
         type_tag=type_tag,
         rank=true_rank,
         ambient_dim=ambient,
         roots=stored,
         index={v: i for i, v in enumerate(stored)},
+        lattice_basis=dbasis,
         coweight_basis=cw,
+        coweight_values=[tuple(x for x, _ in row) for row in values],
     )
-    return rs
 
 
 def coroot(alpha: tuple[int, ...]) -> tuple[Fraction, ...]:

@@ -192,44 +192,28 @@ def generators(r: RootSystem, group: str = "weyl") -> list[GroupElement]:
     return gens
 
 
-def _set_key(r: RootSystem, q) -> tuple:
+def set_key(r: RootSystem, q) -> tuple:
+    """Order of sets that canonical forms minimise: the sorted root vectors."""
     return tuple(sorted(r.roots[i] for i in q))
 
 
-def canonical_form(r: RootSystem, q, group: str = "weyl", budget: int = 2_000_000) -> frozenset[int]:
-    """Lexicographically least image of the set under the chosen group, via
-    BFS over the orbit under simple reflections (plus diagram automorphisms
-    for 'aut').  Raises OrbitBudgetExceeded past the node budget."""
-    gens = generators(r, group)
-    start = frozenset(q)
-    seen = {start}
-    best = (_set_key(r, start), start)
-    frontier = [start]
-    while frontier:
-        if len(seen) > budget:
-            raise OrbitBudgetExceeded(f"set orbit exceeded {budget} nodes")
-        nxt = []
-        for cur in frontier:
-            for g in gens:
-                img = frozenset(g.perm[i] for i in cur)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-                    key = _set_key(r, img)
-                    if key < best[0]:
-                        best = (key, img)
-        frontier = nxt
-    return best[1]
+def canonical_form(r: RootSystem, q, group: str = "weyl", budget: int | None = 2_000_000) -> frozenset[int]:
+    """Lexicographically least image of the set under the chosen group: the
+    set_key-minimal element of its orbit.  Raises OrbitBudgetExceeded past
+    the node budget."""
+    return min(set_orbit(r, q, group, budget), key=lambda s: set_key(r, s))
 
 
-def set_orbit(r: RootSystem, q, group: str = "weyl", budget: int = 2_000_000):
-    """Full orbit of the set (as a set of frozensets)."""
+def set_orbit(r: RootSystem, q, group: str = "weyl", budget: int | None = 2_000_000) -> set[frozenset[int]]:
+    """Full orbit of the set (as a set of frozensets), by BFS under simple
+    reflections (plus diagram automorphisms for 'aut').  Raises
+    OrbitBudgetExceeded past ``budget`` nodes; None means no limit."""
     gens = generators(r, group)
     start = frozenset(q)
     seen = {start}
     frontier = [start]
     while frontier:
-        if len(seen) > budget:
+        if budget is not None and len(seen) > budget:
             raise OrbitBudgetExceeded(f"set orbit exceeded {budget} nodes")
         nxt = []
         for cur in frontier:

@@ -32,7 +32,7 @@ from flagcr.classify import (
 )
 from flagcr.qsets import compat_graph, is_fundamental, is_lb
 from flagcr.rootsys import build_root_system, evaluate_int, find_root, roots_set
-from flagcr.weyl import reflection_perm, root_orbit, sets_equivalent
+from flagcr.weyl import OrbitBudgetExceeded, reflection_perm, root_orbit, sets_equivalent
 
 H = Fraction(1, 2)
 
@@ -50,6 +50,19 @@ def test_enumerate_budget():
     f4 = build_root_system("F4")
     with pytest.raises(BudgetExceeded):
         enumerate_maximal(f4, budget=10)
+
+
+def test_enumerate_budget_in_orbit_stage():
+    # restricted to two F4 classes (orbits of 96 and 576 sets) the clique
+    # search fits in 200 nodes, the second orbit walk does not
+    f4 = build_root_system("F4")
+    classes = enumerate_maximal(f4)
+    small = next(c.canonical for c in classes if c.orbit_size == 96)
+    big = next(c.canonical for c in classes if c.orbit_size == 576)
+    with pytest.raises(BudgetExceeded) as e:
+        enumerate_maximal(f4, budget=200, constraint=set(small) | set(big))
+    assert isinstance(e.value.__cause__, OrbitBudgetExceeded)
+    assert [(c.canonical, c.orbit_size) for c in e.value.partial] == [(small, 96)]
 
 
 def test_all_cliques_small():

@@ -28,6 +28,7 @@ def test_cnum_arithmetic():
     assert str(CNum(Fraction(1, 2))) == "1/2"
     with pytest.raises(ZeroDivisionError):
         a / CNum()
+    assert not CNum() and a and CNum(Fraction(0), Fraction(-1)) and CNum(Fraction(1, 3))
 
 
 def test_realify_roundtrip():

@@ -1,11 +1,18 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flagcr import qsets
+from flagcr.classify import maximal_cliques
+from flagcr.intlat import column_solver
 from flagcr.qsets import (
     NOT_FUNDAMENTAL,
+    MethodDisagreement,
     DegreeCoset,
     compat_graph,
     compatible,
@@ -206,3 +213,67 @@ def test_difference_roots_nonempty_for_proper_sets():
                     continue
                 if len(q) * 2 < rs.nroots:
                     assert q_star_11(rs, q), q
+
+
+def _fundamental_oracle(r, q):
+    """Every root, not only a basis of the root lattice, lies in Z[Q]."""
+    solver = column_solver([list(r.roots[i]) for i in sorted(q)])
+    return all(solver.solve(list(v)) is not None for v in r.roots)
+
+
+@pytest.mark.parametrize("tag,rank,limit", [("G2", None, None), ("B", 3, None), ("F4", None, None), ("E6", None, 500)])
+def test_is_fundamental_matches_all_roots_oracle(tag, rank, limit):
+    # maximal cliques, and each with its first root dropped so that
+    # non-fundamental sets are tested too
+    rs = build_root_system(tag, rank)
+    outcomes = set()
+    for clique in maximal_cliques(compat_graph(rs))[:limit]:
+        for q in (clique, clique[1:]):
+            got = is_fundamental(rs, q)
+            assert got == _fundamental_oracle(rs, q), q
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+@functools.lru_cache(maxsize=None)
+def _system_and_cliques(tag):
+    rs = build_root_system(tag, 3 if tag == "B" else None)
+    return rs, maximal_cliques(compat_graph(rs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tag=st.sampled_from(["G2", "B", "F4"]), data=st.data())
+def test_property_report_matches_single_predicates(tag, data):
+    # W-images of maximal cliques, of cliques with roots dropped (often not
+    # fundamental) and of cliques with a root added (often not lb)
+    rs, cliques = _system_and_cliques(tag)
+    clique = data.draw(st.sampled_from(cliques))
+    q = set(clique) - data.draw(st.sets(st.sampled_from(clique), max_size=4))
+    if data.draw(st.booleans()):
+        q.add(data.draw(st.integers(0, rs.nroots - 1)))
+    g = random_element(rs, random.Random(data.draw(st.integers(0, 2**32))))
+    q = frozenset(g.perm[i] for i in q)
+    rep = property_report(rs, q)
+    assert rep.is_lb == is_lb(rs, q)
+    assert rep.is_fundamental == is_fundamental(rs, q)
+    for predicate, verdict, witness in (
+        (is_symmetric, rep.symmetric, rep.witness_mod2),
+        (has_weak_j, rep.weak_j, rep.witness_mod4),
+        (has_j, rep.j_property, rep.witness_exact),
+    ):
+        got = predicate(rs, q)
+        if rep.is_lb and rep.is_fundamental:
+            assert got == (verdict, witness)
+        else:
+            assert got is NOT_FUNDAMENTAL and verdict is None and witness is None
+
+
+def test_both_routes_run_on_every_decision(monkeypatch):
+    # with route B forced to find no solution, route A still says symmetric
+    g2, _, q1, _ = g2_sets()
+    assert is_symmetric(g2, q1)[0] is True
+    monkeypatch.setattr(qsets, "solve_congruence", lambda *args: None)
+    with pytest.raises(MethodDisagreement):
+        property_report(g2, q1)
+    with pytest.raises(MethodDisagreement):
+        is_symmetric(g2, q1)

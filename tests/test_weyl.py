@@ -119,6 +119,12 @@ def test_canonical_form_budget():
     q = roots_set(f4, [(1, 0, 0, 0), (1, 1, 0, 0)])
     with pytest.raises(OrbitBudgetExceeded):
         canonical_form(f4, q, budget=3)
+    with pytest.raises(OrbitBudgetExceeded):
+        set_orbit(f4, q, budget=3)
+    # no budget: the whole orbit, whose least set is the canonical form
+    orbit = set_orbit(f4, q, budget=None)
+    assert frozenset(q) in orbit
+    assert canonical_form(f4, q, budget=None) == min(orbit, key=lambda s: sorted(f4.roots[i] for i in s))
 
 
 def test_equivalence_agrees_with_orbit_bfs():
