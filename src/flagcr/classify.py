@@ -724,19 +724,7 @@ def construct_q(l: int, i: int, anchors, within=None) -> tuple[int, ...]:
     pool = table.s_part if within is None else (frozenset(within) & table.s_part)
     if within is not None and any(a not in pool for a in idxs):
         raise AnchorViolation("anchors must lie inside the restriction set")
-    s_sorted = sorted(pool, key=lambda k: r.roots[k])
-    cur = list(idxs)
-    curset = set(idxs)
-    for a in idxs:
-        for cand in s_sorted:
-            if cand in curset:
-                continue
-            if inner(r.roots[cand], r.roots[a]) <= 0:
-                continue
-            if all(inner(r.roots[cand], r.roots[t]) >= 0 for t in cur):
-                cur.append(cand)
-                curset.add(cand)
-    return sorted_indices(curset)
+    return sorted_indices(_sweep(r, pool, idxs)[-1])
 
 
 def construct_q_stages(l: int, i: int, anchors) -> list[frozenset[int]]:
@@ -744,8 +732,15 @@ def construct_q_stages(l: int, i: int, anchors) -> list[frozenset[int]]:
     after sweeping the first p anchor shells (stages[0] = the anchor set)."""
     table = grading_table(l, i)
     r = table.system
-    idxs = [a if isinstance(a, int) else find_root(r, a) for a in anchors]
-    s_sorted = sorted(table.s_part, key=lambda k: r.roots[k])
+    return _sweep(r, table.s_part, [a if isinstance(a, int) else find_root(r, a) for a in anchors])
+
+
+def _sweep(r: RootSystem, pool, idxs) -> list[frozenset[int]]:
+    """The anchor-shell sweep of construct_q over ``pool``, in root order:
+    for each anchor in turn, add every root of its positive shell that stays
+    nonnegative against everything accumulated.  Returns the stages, the
+    anchor set first and then the set after each anchor's shell."""
+    s_sorted = sorted(pool, key=lambda k: r.roots[k])
     cur = list(idxs)
     curset = set(idxs)
     stages = [frozenset(curset)]

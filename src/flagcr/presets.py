@@ -26,7 +26,7 @@ from .cralg import (
 from .gaussq import C_I, C_ONE, C_ZERO, CNum, Factored, RMatrix, kernel, solve_linear
 from .intlat import solve_congruence
 from .rootsys import RootSystem, build_root_system, evaluate
-from .weyl import apply_matrix_cols, diagram_automorphisms
+from .weyl import diagram_automorphisms, matrix_of
 
 
 def _table(entries, dim):
@@ -388,18 +388,12 @@ def _g2_preset() -> FlagPreset:
     model, d4, extra = _classical_model("D", 4)
     pres = model.presentation()
     nh = 4
-    # order-3 diagram automorphism of D4
-    autos = [g for g in diagram_automorphisms(d4)]
-    tri = None
-    for g in autos:
-        # order 3: g^3 = id and g != id
-        p2 = tuple(g.perm[g.perm[i]] for i in range(d4.nroots))
-        p3 = tuple(g.perm[p2[i]] for i in range(d4.nroots))
-        if p3 == tuple(range(d4.nroots)) and g.perm != tuple(range(d4.nroots)):
-            tri = g
-            break
-    assert tri is not None, "no triality automorphism found"
-    perm = tri.perm
+    # order-3 diagram automorphism of D4: g^3 = id and g != id
+    ident = tuple(range(d4.nroots))
+    perm = next((g for g in diagram_automorphisms(d4) if g != ident and tuple(g[g[g[i]]] for i in ident) == ident), None)
+    assert perm is not None, "no triality automorphism found"
+    # tri_cols[k] = tri(e_k): the ambient matrix of the triality tri = perm
+    tri_cols = matrix_of(d4, perm)
     # sign corrections c_alpha = (-1)^{x_alpha} solved mod 2
     nroots = d4.nroots
     rows = []
@@ -460,11 +454,8 @@ def _g2_preset() -> FlagPreset:
         for k in range(nh):
             if not amb[k]:
                 continue
-            e = [Fraction(0)] * 4
-            e[k] = Fraction(1)
-            img = apply_matrix_cols(tri.cols, e)
             for t in range(nh):
-                out[t] = out[t] + amb[k] * CNum.of(img[t])
+                out[t] = out[t] + amb[k] * CNum.of(tri_cols[k][t])
         for idx in range(nroots):
             c = v[nh + idx]
             if c:
@@ -493,7 +484,7 @@ def _g2_preset() -> FlagPreset:
     # Cartan of the fold: images of fixed Cartan vectors
     g2 = build_root_system("G2")
     # fixed Cartan = ambient vectors fixed by tri
-    hfix = kernel([[tri.cols[j][i] - (1 if i == j else 0) for j in range(4)] for i in range(4)], Fraction)
+    hfix = kernel([[tri_cols[j][i] - (1 if i == j else 0) for j in range(4)] for i in range(4)], Fraction)
     assert len(hfix) == 2
     def h_of_amb(amb):
         v = [C_ZERO] * pres.dim

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .gaussq import CMatrix, CNum, kernel
 from .qsets import is_closed
 from .rootsys import RootSystem
-from .weyl import apply_matrix_cols
+from .weyl import apply_matrix_cols, simple_roots
 
 
 class NoRegularVector(RuntimeError):
@@ -192,21 +192,7 @@ def adapted_simple_system(r: RootSystem, q, sigma: RootConjugation) -> dict:
     a = tuple(Fraction(x) + eps * Fraction(y) for x, y in zip(a0, a1))
     if any(_eval_on(v, a) == 0 for v in r.roots):
         raise NoRegularVector("A = A0 + eps*A1 is not regular")
-    pos = [i for i in range(r.nroots) if _eval_on(r.roots[i], a) > 0]
-    posset = set(pos)
-    simples = []
-    for i in pos:
-        decomposable = False
-        for x in pos:
-            if x == i:
-                continue
-            rest = tuple(u - w for u, w in zip(r.roots[i], r.roots[x]))
-            ri = r.index.get(rest)
-            if ri is not None and ri in posset:
-                decomposable = True
-                break
-        if not decomposable:
-            simples.append(i)
+    simples = simple_roots(r, [i for i in range(r.nroots) if _eval_on(r.roots[i], a) > 0])
     # label: first the simple roots inside Q^r, then those in Q^n, then the rest
     head = [s for s in simples if s in qr]
     mid = [s for s in simples if s in qn]

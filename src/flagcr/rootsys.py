@@ -186,6 +186,8 @@ class RootSystem:
     # coweight_values[i][k] = alpha_i(omega_k) for the coweight basis omega_k
     coweight_values: list[tuple[int, ...]] = field(repr=False)
     _sum_table: dict[tuple[int, int], int | None] = field(default_factory=dict, repr=False)
+    # group data of weyl (simple roots, generator permutations), built on use
+    _group_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def nroots(self) -> int:
@@ -325,10 +327,7 @@ def coweight_index(r: RootSystem) -> int:
     """Index of the coroot lattice inside the coweight lattice (equals the
     order of the fundamental group for the nine supported types)."""
     coroots = [coroot(v) for v in r.roots]
-    lcm = 1
-    for vec in itertools.chain(coroots, r.coweight_basis):
-        for x in vec:
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
+    lcm = math.lcm(*(x.denominator for vec in itertools.chain(coroots, r.coweight_basis) for x in vec))
     cor_basis = hermite_basis([[int(x * lcm) for x in c] for c in coroots])
     cw_cols = [[int(x * lcm) for x in v] for v in r.coweight_basis]
     solver = column_solver(cw_cols)
@@ -345,12 +344,6 @@ def coweight_index(r: RootSystem) -> int:
             raise ValueError("coroot lattice has lower rank than coweight lattice")
         idx *= s[i][i]
     return abs(idx)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def find_root(r: RootSystem, spec) -> int:

@@ -1,16 +1,19 @@
 """Weyl-group and automorphism-group actions on roots and root sets:
 reflections, orbits of sets, canonical forms and equivalence testing.
 
-Group elements act through the permutation they induce on the root list; a
-linear representative (exact rational matrix on the ambient space) is kept so
-that membership in W versus the full automorphism group can be decided by the
-chamber-walk algorithm.
+A group element is the permutation it induces on the root list: a tuple g of
+root indices, g[i] the index of the image of root i.  The simple reflections
+and the diagram automorphisms are built once per root system, in integer
+arithmetic, and kept on it; ``matrix_of`` gives back the ambient linear map
+of an element.  Membership in W versus the full automorphism group is
+decided by the chamber walk on permutations.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .gaussq import Factored, RMatrix
@@ -21,23 +24,24 @@ class OrbitBudgetExceeded(RuntimeError):
     pass
 
 
-def reflect(r: RootSystem, alpha_idx: int, v) -> tuple[Fraction, ...]:
-    """s_alpha(v) = v - 2(v|alpha)/(alpha|alpha) alpha, exact, in stored
-    (doubled) coordinates for v."""
-    alpha = r.roots[alpha_idx]
-    num = 2 * sum(Fraction(x) * a for x, a in zip(v, alpha))
-    den = sum(a * a for a in alpha)
-    f = Fraction(num, den)
-    return tuple(Fraction(x) - f * a for x, a in zip(v, alpha))
-
-
 def reflection_perm(r: RootSystem, alpha_idx: int) -> tuple[int, ...]:
-    """Permutation of root indices induced by s_alpha."""
+    """Permutation of root indices induced by s_alpha(v) = v - c alpha, with
+    the Cartan integer c = 2(v|alpha)/(alpha|alpha), exact on stored vectors."""
+    alpha = r.roots[alpha_idx]
+    norm = sum(a * a for a in alpha)
     out = []
     for v in r.roots:
-        img = reflect(r, alpha_idx, v)
-        out.append(r.index[tuple(int(x) for x in img)])
+        c, rem = divmod(2 * sum(x * a for x, a in zip(v, alpha)), norm)
+        assert rem == 0, "Cartan integer is not an integer"
+        out.append(r.index[tuple(x - c * a for x, a in zip(v, alpha))])
     return tuple(out)
+
+
+def _cached(r: RootSystem, key: str, build):
+    """Per-root-system store of the group data, built on first use."""
+    if key not in r._group_cache:
+        r._group_cache[key] = build()
+    return r._group_cache[key]
 
 
 def _lex_positive(v: tuple[int, ...]) -> bool:
@@ -52,22 +56,19 @@ def positive_roots(r: RootSystem) -> list[int]:
     return [i for i, v in enumerate(r.roots) if _lex_positive(v)]
 
 
-def simple_roots(r: RootSystem) -> list[int]:
-    """Simple roots of the lexicographic positive system."""
-    pos = positive_roots(r)
+def simple_roots(r: RootSystem, positive=None) -> list[int]:
+    """Simple roots (in root order) of a positive system: the positive roots
+    that are not a sum of two positive roots.  The default, the lexicographic
+    positive system, is computed once per root system."""
+    if positive is None:
+        return list(_cached(r, "simples", lambda: tuple(simple_roots(r, positive_roots(r)))))
+    pos = sorted(positive)
     pset = set(pos)
     simples = []
     for i in pos:
-        decomposable = False
-        for a in pos:
-            if a == i:
-                continue
-            b = tuple(x - y for x, y in zip(r.roots[i], r.roots[a]))
-            bi = r.index.get(b)
-            if bi is not None and bi in pset:
-                decomposable = True
-                break
-        if not decomposable:
+        if not any(
+            r.index.get(tuple(x - y for x, y in zip(r.roots[i], r.roots[a]))) in pset for a in pos if a != i
+        ):
             simples.append(i)
     return simples
 
@@ -84,27 +85,91 @@ def cartan_matrix(r: RootSystem, simples: list[int]) -> list[list[int]]:
     return out
 
 
-def _matrix_from_images(r: RootSystem, srcs: list[tuple[Fraction, ...]], imgs: list[tuple[Fraction, ...]], dim: int):
-    """Linear map fixing the orthogonal complement of span(srcs) and taking
-    srcs[i] to imgs[i]; returned as a list of columns acting on ambient
-    vectors, or None when inconsistent."""
-    # solve M * s_i = t_i with M = I + C where C vanishes on the complement
-    # build via Gram: express the action in the basis srcs (assumed independent)
-    n = dim
-    gram = [[sum(a * b for a, b in zip(srcs[i], srcs[j])) for j in range(len(srcs))] for i in range(len(srcs))]
+def _base_map(r: RootSystem, base: list[int]):
+    """Permutation builder for a base of the root span (root indices): the
+    returned function takes images of the base roots, which must have the
+    base's Gram matrix, and gives the root permutation of the isometry they
+    define, or None when some root is not sent to a root.  Each root's
+    coordinates in the base are solved once, as integer numerators over a
+    common denominator."""
+    f = Factored([[r.roots[b][k] for b in base] for k in range(r.ambient_dim)], Fraction)
+    coords = [f.solve(v) for v in r.roots]
+    den = math.lcm(*(x.denominator for c in coords for x in c))
+    nums = [[int(x * den) for x in c] for c in coords]
+
+    def perm_of(images) -> tuple[int, ...] | None:
+        vecs = [r.roots[i] for i in images]
+        out = []
+        for row in nums:
+            img = []
+            for k in range(r.ambient_dim):
+                x, rem = divmod(sum(c * v[k] for c, v in zip(row, vecs)), den)
+                if rem:
+                    return None
+                img.append(x)
+            idx = r.index.get(tuple(img))
+            if idx is None:
+                return None
+            out.append(idx)
+        return tuple(out)
+
+    return perm_of
+
+
+def diagram_automorphisms(r: RootSystem) -> list[tuple[int, ...]]:
+    """Nontrivial diagram automorphisms lifted to root-system isometries
+    (identity on the orthogonal complement of the root span), as root
+    permutations; computed once per root system."""
+    return list(_cached(r, "diagram", lambda: _diagram_automorphisms(r)))
+
+
+def _diagram_automorphisms(r: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """The permutations of the simple roots that keep their Gram matrix, each
+    extended linearly (all of them permute the roots)."""
+    simples = simple_roots(r)
+    k = len(simples)
+    gram = [[sum(a * b for a, b in zip(r.roots[i], r.roots[j])) for j in simples] for i in simples]
+    perm_of = _base_map(r, simples)
+    out = []
+    for perm in itertools.permutations(range(k)):
+        if perm == tuple(range(k)) or any(gram[perm[i]][perm[j]] != gram[i][j] for i in range(k) for j in range(k)):
+            continue
+        g = perm_of([simples[i] for i in perm])
+        if g is not None:
+            out.append(g)
+    return tuple(out)
+
+
+def generators(r: RootSystem, group: str = "weyl") -> tuple[tuple[int, ...], ...]:
+    """The simple reflections, followed for 'aut' by the diagram
+    automorphisms; built once per root system."""
+    if group not in ("weyl", "aut"):
+        raise ValueError("group must be 'weyl' or 'aut'")
+    gens = _cached(r, "reflections", lambda: tuple(reflection_perm(r, s) for s in simple_roots(r)))
+    if group == "aut":
+        gens = gens + tuple(diagram_automorphisms(r))
+    return gens
+
+
+def matrix_of(r: RootSystem, g) -> list[tuple[Fraction, ...]]:
+    """Columns of the ambient matrix of the element g: the linear map taking
+    each simple root s to root g[s] and fixing the orthogonal complement of
+    the root span."""
+    simples = simple_roots(r)
+    vecs = [r.roots[s] for s in simples]
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in vecs] for u in vecs]
     ginv = Factored(gram, Fraction).inverse()
-    # projection coefficients of e_k onto span: coeffs = Ginv * (srcs . e_k)
+    n = r.ambient_dim
     cols = []
     for k in range(n):
-        ek_dots = [Fraction(s[k]) for s in srcs]
-        coeff = [sum(ginv[i][j] * ek_dots[j] for j in range(len(srcs))) for i in range(len(srcs))]
-        # image of e_k = e_k - proj + sum coeff_i * imgs_i
-        img = [Fraction(0)] * n
-        img[k] = Fraction(1)
-        for i, c in enumerate(coeff):
+        # e_k = its projection sum_i coeff_i s_i onto the root span, plus a
+        # vector orthogonal to every root, which the map fixes
+        coeff = [sum(gi[j] * vecs[j][k] for j in range(len(vecs))) for gi in ginv]
+        col = [Fraction(int(t == k)) for t in range(n)]
+        for c, s, v in zip(coeff, simples, vecs):
             for t in range(n):
-                img[t] += c * (Fraction(imgs[i][t]) - Fraction(srcs[i][t]))
-        cols.append(tuple(img))
+                col[t] += c * (r.roots[g[s]][t] - v[t])
+        cols.append(tuple(col))
     return cols
 
 
@@ -118,78 +183,6 @@ def apply_matrix_cols(cols, v):
             for t in range(len(col)):
                 out[t] += vk * col[t]
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """Automorphism of the root system: permutation of root indices plus a
-    linear representative given by matrix columns."""
-
-    perm: tuple[int, ...]
-    cols: tuple[tuple[Fraction, ...], ...]
-    word: tuple[int, ...] | None = None
-
-
-def element_from_matrix(r: RootSystem, cols, word=None) -> GroupElement:
-    perm = []
-    for v in r.roots:
-        img = apply_matrix_cols(cols, v)
-        key = tuple(int(x) for x in img)
-        if any(Fraction(x) != y for x, y in zip(key, img)) or key not in r.index:
-            raise ValueError("matrix does not permute the root list")
-    for v in r.roots:
-        img = apply_matrix_cols(cols, v)
-        perm.append(r.index[tuple(int(x) for x in img)])
-    return GroupElement(tuple(perm), tuple(tuple(c) for c in cols), word)
-
-
-def simple_reflection_elements(r: RootSystem) -> list[GroupElement]:
-    out = []
-    for s in simple_roots(r):
-        cols = []
-        n = r.ambient_dim
-        for k in range(n):
-            ek = [Fraction(0)] * n
-            ek[k] = Fraction(1)
-            cols.append(reflect(r, s, ek))
-        out.append(GroupElement(reflection_perm(r, s), tuple(cols), (s,)))
-    return out
-
-
-def diagram_automorphisms(r: RootSystem) -> list[GroupElement]:
-    """Nontrivial diagram automorphisms lifted to root-system isometries
-    (identity on the orthogonal complement of the root span)."""
-    import itertools
-
-    simples = simple_roots(r)
-    cm = cartan_matrix(r, simples)
-    k = len(simples)
-    lens = [inner(r.roots[i], r.roots[i]) for i in simples]
-    out = []
-    for perm in itertools.permutations(range(k)):
-        if perm == tuple(range(k)):
-            continue
-        if any(lens[perm[i]] != lens[i] for i in range(k)):
-            continue
-        if any(cm[perm[i]][perm[j]] != cm[i][j] for i in range(k) for j in range(k)):
-            continue
-        srcs = [tuple(Fraction(x) for x in r.roots[simples[i]]) for i in range(k)]
-        imgs = [tuple(Fraction(x) for x in r.roots[simples[perm[i]]]) for i in range(k)]
-        cols = _matrix_from_images(r, srcs, imgs, r.ambient_dim)
-        try:
-            out.append(element_from_matrix(r, cols))
-        except ValueError:
-            continue
-    return out
-
-
-def generators(r: RootSystem, group: str = "weyl") -> list[GroupElement]:
-    gens = simple_reflection_elements(r)
-    if group == "aut":
-        gens = gens + diagram_automorphisms(r)
-    elif group != "weyl":
-        raise ValueError("group must be 'weyl' or 'aut'")
-    return gens
 
 
 def set_key(r: RootSystem, q) -> tuple:
@@ -218,7 +211,7 @@ def set_orbit(r: RootSystem, q, group: str = "weyl", budget: int | None = 2_000_
         nxt = []
         for cur in frontier:
             for g in gens:
-                img = frozenset(g.perm[i] for i in cur)
+                img = frozenset(g[i] for i in cur)
                 if img not in seen:
                     seen.add(img)
                     nxt.append(img)
@@ -241,43 +234,24 @@ def root_orbit(r: RootSystem, idx: int, gen_perms) -> frozenset[int]:
     return frozenset(seen)
 
 
-def in_weyl(r: RootSystem, g: GroupElement) -> bool:
-    """Chamber-walk membership test: move g(regular) back to the fundamental
-    chamber with simple reflections; g is in W iff the residual chamber
-    symmetry is the identity permutation of simple roots."""
+def in_weyl(r: RootSystem, g) -> bool:
+    """Chamber-walk membership test for an automorphism g of R: while some
+    simple root s has a preimage outside the positive system, compose
+    inv = g^-1 with s; the walk ends at the diagram automorphism (w g)^-1
+    that fixes the positive system, and g lies in W exactly when it is the
+    identity.  Each step lowers by one the number of positive roots that inv
+    makes negative, so at most |R|/2 steps are taken."""
     simples = simple_roots(r)
-    n = r.ambient_dim
-    # deterministic regular vector: strictly dominant for the lexicographic
-    # order, so no root evaluates to zero on it
-    base = max(max(abs(x) for x in v) for v in r.roots) * len(r.roots) + 3
-    reg = tuple(Fraction(base ** (n - 1 - k)) for k in range(n))
-    # walk g(reg) back into the fundamental chamber, recording the word
-    word = []
-    v = apply_matrix_cols(g.cols, reg)
-    guard = 0
-    while True:
-        done = True
-        for s in simples:
-            alpha = r.roots[s]
-            val = sum(Fraction(x) * a for x, a in zip(v, alpha))
-            if val < 0:
-                v = reflect(r, s, v)
-                word.append(s)
-                done = False
-        if done:
-            break
-        guard += 1
-        if guard > 100000:
-            raise RuntimeError("chamber walk failed to terminate")
-    # w*g fixes the chamber, hence permutes the simple roots; g lies in W
-    # exactly when that residual permutation is the identity
-    for s in simples:
-        img = apply_matrix_cols(g.cols, r.roots[s])
-        for w in word:
-            img = reflect(r, w, img)
-        if tuple(int(x) for x in img) != r.roots[s]:
-            return False
-    return True
+    steps = list(zip(simples, generators(r)))
+    inv = [0] * r.nroots
+    for i, j in enumerate(g):
+        inv[j] = i
+    for _ in range(r.nroots // 2 + 1):
+        s = next((p for a, p in steps if not _lex_positive(r.roots[inv[a]])), None)
+        if s is None:
+            return all(i == k for k, i in enumerate(inv))
+        inv = [inv[k] for k in s]
+    raise ValueError("permutation is not an automorphism of the root system")
 
 
 def _fingerprint(r: RootSystem, q) -> tuple:
@@ -290,7 +264,7 @@ def _fingerprint(r: RootSystem, q) -> tuple:
 
 
 def _isometries_mapping(r: RootSystem, q1, q2):
-    """Yield GroupElements (isometries of R) with g(q1) = q2, found by
+    """Root permutations of the isometries g of R with g(q1) = q2, found by
     Gram-preserving backtracking on root images."""
     q1s = sorted(q1)
     q2s = sorted(q2)
@@ -308,6 +282,7 @@ def _isometries_mapping(r: RootSystem, q1, q2):
     extras = [b for b in base if b not in q1]
 
     order = q1s + extras
+    perm_of = _base_map(r, base)
     assign: dict[int, int] = {}
 
     def candidates(pos):
@@ -331,14 +306,8 @@ def _isometries_mapping(r: RootSystem, q1, q2):
 
     def backtrack(pos):
         if pos == len(order):
-            srcs = [tuple(Fraction(x) for x in r.roots[i]) for i in base]
-            imgs = [tuple(Fraction(x) for x in r.roots[assign[i]]) for i in base]
-            cols = _matrix_from_images(r, srcs, imgs, r.ambient_dim)
-            try:
-                g = element_from_matrix(r, cols)
-            except ValueError:
-                return
-            if {g.perm[i] for i in q1} == set(q2):
+            g = perm_of([assign[i] for i in base])
+            if g is not None and {g[i] for i in q1} == set(q2):
                 results.append(g)
             return
         src = order[pos]
@@ -375,17 +344,11 @@ def sets_equivalent(r: RootSystem, q1, q2, group: str = "weyl") -> bool:
     return False
 
 
-def random_element(r: RootSystem, rng: random.Random, length: int = 12, group: str = "weyl") -> GroupElement:
+def random_element(r: RootSystem, rng: random.Random, length: int = 12, group: str = "weyl") -> tuple[int, ...]:
+    """Product of ``length`` generators drawn by ``rng``, as a root permutation."""
     gens = generators(r, group)
-    perm = tuple(range(r.nroots))
-    cols = tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for i in range(r.ambient_dim))
-        for j in range(r.ambient_dim)
-    )
-    cur = GroupElement(perm, cols)
+    g = tuple(range(r.nroots))
     for _ in range(length):
-        g = rng.choice(gens)
-        perm = tuple(g.perm[cur.perm[i]] for i in range(r.nroots))
-        newcols = tuple(apply_matrix_cols(g.cols, c) for c in cur.cols)
-        cur = GroupElement(perm, newcols)
-    return cur
+        s = rng.choice(gens)
+        g = tuple(s[i] for i in g)
+    return g

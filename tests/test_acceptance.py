@@ -318,7 +318,7 @@ def test_criterion_9_hierarchy_and_invariance():
         evaluated += 1
         for _ in range(50):
             g = random_element(rs, rng, length=8)
-            moved = frozenset(g.perm[i] for i in q)
+            moved = frozenset(g[i] for i in q)
             rep = qsets.property_report(rs, moved)
             evaluated += 1
             assert (rep.symmetric, rep.weak_j, rep.j_property) == (

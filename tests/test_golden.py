@@ -1,0 +1,33 @@
+"""Default CLI output, byte-compared with outputs recorded under golden/.
+
+The commands run in-process through cli.main, so module caches (the G2 flag
+preset among them) are shared with the rest of the suite.  After a change
+that is meant to move the output, re-record a file with
+``PYTHONPATH=src python -m flagcr <argv> > tests/golden/<name>.out``.
+"""
+
+import os
+
+import pytest
+
+from flagcr.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+# (file name, argv, exit code)
+COMMANDS = [
+    ("enumerate-A4-aut", ["enumerate", "--type", "A", "--rank", "4", "--quotient", "aut"], 0),
+    ("verify-paper-gradings", ["verify-paper", "--section", "gradings"], 0),
+    ("verify-paper-7", ["verify-paper", "--section", "7"], 0),
+    ("cralg-G2-Q40-predicates", ["cralg", "--preset", "flag:G2:Q40", "--op", "predicates"], 0),
+]
+
+
+@pytest.mark.parametrize("name,argv,code", COMMANDS, ids=[c[0] for c in COMMANDS])
+def test_golden_output(capsys, name, argv, code):
+    got_code = main(argv)
+    out = capsys.readouterr().out
+    with open(os.path.join(GOLDEN, name + ".out"), "rb") as f:
+        want = f.read()
+    assert got_code == code
+    assert out.encode() == want

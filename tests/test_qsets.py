@@ -171,7 +171,7 @@ def test_weyl_invariance_of_predicates():
     base = property_report(g2, q1)
     for _ in range(10):
         g = random_element(g2, rng)
-        moved = frozenset(g.perm[i] for i in q1)
+        moved = frozenset(g[i] for i in q1)
         rep = property_report(g2, moved)
         assert (rep.symmetric, rep.weak_j, rep.j_property) == (
             base.symmetric,
@@ -252,7 +252,7 @@ def test_property_report_matches_single_predicates(tag, data):
     if data.draw(st.booleans()):
         q.add(data.draw(st.integers(0, rs.nroots - 1)))
     g = random_element(rs, random.Random(data.draw(st.integers(0, 2**32))))
-    q = frozenset(g.perm[i] for i in q)
+    q = frozenset(g[i] for i in q)
     rep = property_report(rs, q)
     assert rep.is_lb == is_lb(rs, q)
     assert rep.is_fundamental == is_fundamental(rs, q)

@@ -142,14 +142,14 @@ def test_sigma_equivariance():
     # verify_lemma_lb(Q, sigma) <=> verify_lemma_lb(wQ, w sigma w^-1)
     import random
 
-    from flagcr.weyl import apply_matrix_cols, random_element
+    from flagcr.weyl import apply_matrix_cols, matrix_of, random_element
 
     a3, sigma, q = a3_reverse_q()
     rng = random.Random(17)
     base = verify_lemma_lb(a3, q, sigma)["ok"]
     for _ in range(5):
         g = random_element(a3, rng, length=6)
-        moved = frozenset(g.perm[i] for i in q)
+        moved = frozenset(g[i] for i in q)
         # conjugated sigma: w sigma w^-1 as a matrix
         n = a3.ambient_dim
         ginv_cols = []
@@ -162,7 +162,8 @@ def test_sigma_equivariance():
         # compute inverse columns by solving g * x = e_k
         from flagcr.gaussq import Factored
 
-        gmat = [[g.cols[j][i] for j in range(n)] for i in range(n)]
+        g_cols = matrix_of(a3, g)
+        gmat = [[g_cols[j][i] for j in range(n)] for i in range(n)]
         ginv = Factored(gmat, Fraction).inverse()
         ginv_cols = [tuple(ginv[i][j] for i in range(n)) for j in range(n)]
         new_cols = []
@@ -171,7 +172,7 @@ def test_sigma_equivariance():
             e[j] = Fraction(1)
             v = apply_matrix_cols(ginv_cols, e)
             v = apply_matrix_cols(sigma.cols, v)
-            v = apply_matrix_cols(g.cols, v)
+            v = apply_matrix_cols(g_cols, v)
             new_cols.append(v)
         sigma2 = conjugation_from_matrix(a3, new_cols)
         assert verify_lemma_lb(a3, moved, sigma2)["ok"] == base

@@ -1,15 +1,16 @@
 import random
-from fractions import Fraction
 
-from flagcr.rootsys import build_root_system, find_root, inner, roots_set
+from flagcr.rootsys import build_root_system, find_root, roots_set
 from flagcr.weyl import (
+    apply_matrix_cols,
     canonical_form,
     cartan_matrix,
     diagram_automorphisms,
     generators,
     in_weyl,
+    matrix_of,
     random_element,
-    reflect,
+    reflection_perm,
     sets_equivalent,
     set_orbit,
     simple_roots,
@@ -19,15 +20,13 @@ from flagcr.weyl import (
 def test_reflect_basics():
     a2 = build_root_system("A", 3)
     i = find_root(a2, (1, -1, 0))
-    alpha = a2.roots[i]
-    assert tuple(int(x) for x in reflect(a2, i, alpha)) == tuple(-x for x in alpha)
-    # orthogonal vector is fixed
-    v = (Fraction(1), Fraction(1), Fraction(1))
-    assert reflect(a2, i, v) == v
+    s = reflection_perm(a2, i)
+    assert s[i] == a2.neg(i)
+    assert all(s[s[k]] == k for k in range(a2.nroots))
     # s_{e1-e2}(e2-e3) = e1-e3
-    j = find_root(a2, (0, 1, -1))
-    img = reflect(a2, i, a2.roots[j])
-    assert tuple(int(x) for x in img) == a2.roots[find_root(a2, (1, 0, -1))]
+    assert s[find_root(a2, (0, 1, -1))] == find_root(a2, (1, 0, -1))
+    # the vector orthogonal to the root span is fixed
+    assert apply_matrix_cols(matrix_of(a2, s), (1, 1, 1)) == (1, 1, 1)
 
 
 def test_simple_roots_counts():
@@ -62,7 +61,7 @@ def test_canonical_form_idempotent_and_orbit_constant():
     c3 = canonical_form(b3, q3)
     for _ in range(20):
         g = random_element(b3, rng)
-        moved = frozenset(g.perm[i] for i in q3)
+        moved = frozenset(g[i] for i in q3)
         assert canonical_form(b3, moved) == c3
 
 
@@ -129,7 +128,7 @@ def test_canonical_form_budget():
 
 def test_equivalence_agrees_with_orbit_bfs():
     rng = random.Random(31)
-    for tag, rank in [("A", 3), ("B", 2), ("G2", None)]:
+    for tag, rank in [("A", 3), ("B", 2), ("G2", None), ("D", 4), ("A", 5)]:
         rs = build_root_system(tag, rank)
         for _ in range(6):
             size = rng.randint(1, 3)
@@ -138,3 +137,73 @@ def test_equivalence_agrees_with_orbit_bfs():
             for group in ("weyl", "aut"):
                 want = frozenset(q2) in set_orbit(rs, q1, group)
                 assert sets_equivalent(rs, q1, q2, group) == want
+
+
+def _closure(gens):
+    """All products of the permutations gens (a finite group), by BFS."""
+    ident = tuple(range(len(gens[0])))
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s in gens:
+                h = tuple(s[i] for i in g)
+                if h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return seen
+
+
+def test_in_weyl_exactly_on_w():
+    # oracle: W as the closure of the simple reflections, Aut as the closure
+    # with the diagram automorphisms added
+    for tag, rank, w_order, aut_order in [("A", 4, 24, 48), ("B", 3, 48, 48), ("D", 4, 192, 1152), ("G2", None, 12, 12)]:
+        rs = build_root_system(tag, rank)
+        w = _closure([reflection_perm(rs, s) for s in simple_roots(rs)])
+        aut = _closure([reflection_perm(rs, s) for s in simple_roots(rs)] + diagram_automorphisms(rs))
+        assert (len(w), len(aut)) == (w_order, aut_order), tag
+        for g in aut:
+            assert in_weyl(rs, g) == (g in w), (tag, g)
+
+
+def test_generators_are_isometries_and_match_matrix_of():
+    for tag, rank in [("A", 5), ("B", 4), ("C", 3), ("D", 4), ("D", 5), ("G2", None), ("F4", None),
+                      ("E6", None), ("E7", None), ("E8", None)]:
+        rs = build_root_system(tag, rank)
+        gram = [[sum(a * b for a, b in zip(u, v)) for v in rs.roots] for u in rs.roots]
+        for g in generators(rs, "aut"):
+            assert sorted(g) == list(range(rs.nroots))
+            assert all(gram[g[i]][g[j]] == gram[i][j] for i in range(rs.nroots) for j in range(rs.nroots)), tag
+            cols = matrix_of(rs, g)
+            assert all(apply_matrix_cols(cols, v) == rs.roots[g[i]] for i, v in enumerate(rs.roots)), tag
+
+
+def test_generators_built_once(monkeypatch):
+    from flagcr import weyl
+
+    built = {"reflections": 0, "diagram": 0}
+    reflection_perm_, base_map = weyl.reflection_perm, weyl._base_map
+
+    def counting_reflection(r, i):
+        built["reflections"] += 1
+        return reflection_perm_(r, i)
+
+    def counting_base_map(r, base):
+        built["diagram"] += 1
+        return base_map(r, base)
+
+    monkeypatch.setattr(weyl, "reflection_perm", counting_reflection)
+    monkeypatch.setattr(weyl, "_base_map", counting_base_map)
+    d4 = build_root_system("D", 4)
+    q = roots_set(d4, [(1, 1, 0, 0), (1, 0, 1, 0)])
+    orbit = set_orbit(d4, q)
+    assert built == {"reflections": 4, "diagram": 0}
+    assert set_orbit(d4, q) == orbit
+    canonical_form(d4, q)
+    random_element(d4, random.Random(3))
+    assert built == {"reflections": 4, "diagram": 0}
+    set_orbit(d4, q, "aut")
+    set_orbit(d4, q, "aut")
+    assert built == {"reflections": 4, "diagram": 1}
