@@ -4,8 +4,9 @@ the Z2-grading tables of the E series.
 
 Maximal elements of Q(R) are exactly the maximal cliques of the compatibility
 graph whose Z-span contains R (enlarging a set never shrinks its span), so
-enumeration is pivoting Bron-Kerbosch plus a fundamentality filter and Weyl
-orbit deduplication.
+enumeration is pivoting Bron-Kerbosch followed by orbit-first deduplication:
+each orbit of maximal cliques is walked once, and one property report on its
+least member decides fundamentality for the whole class.
 """
 
 from __future__ import annotations
@@ -119,10 +120,11 @@ def enumerate_maximal(
     to the chosen quotient group, with property reports."""
     adj = compat_graph(r, constraint)
     cliques = maximal_cliques(adj, budget)
-    fundamental = [c for c in cliques if is_fundamental(r, c)]
     seen: set[frozenset[int]] = set()
     classes: list[EnumClass] = []
-    for cl in sorted(fundamental, key=lambda c: tuple(r.roots[i] for i in c)):
+    # fundamentality is invariant under the group, so each orbit is walked
+    # once and decided on its least member
+    for cl in sorted(cliques, key=lambda c: tuple(r.roots[i] for i in c)):
         if frozenset(cl) in seen:
             continue
         try:
@@ -131,7 +133,9 @@ def enumerate_maximal(
             raise BudgetExceeded(f"orbit dedup: {e}", classes) from e
         seen |= orbit
         rep = sorted_indices(min(orbit, key=lambda s: set_key(r, s)))
-        classes.append(EnumClass(rep, len(orbit), property_report(r, rep)))
+        report = property_report(r, rep)
+        if report.is_fundamental:
+            classes.append(EnumClass(rep, len(orbit), report))
     classes.sort(key=lambda c: tuple(r.roots[i] for i in c.canonical))
     return classes
 
@@ -170,18 +174,22 @@ def _is_maximal_clique(r: RootSystem, q) -> bool:
 
 def _verify_entry(r: RootSystem, entry: CatalogEntry, witness: GradingElement | None = None):
     q = frozenset(entry.indices)
-    if entry.claims.get("lb") and not is_lb(r, q):
+    rep = property_report(r, q)
+    if entry.claims.get("lb") and not rep.is_lb:
         raise CatalogClaimFailed(entry.label, "lb")
-    if entry.claims.get("fundamental") and not is_fundamental(r, q):
+    if entry.claims.get("fundamental") and not rep.is_fundamental:
         raise CatalogClaimFailed(entry.label, "fundamental")
     if entry.claims.get("maximal") and not _is_maximal_clique(r, q):
         raise CatalogClaimFailed(entry.label, "maximal")
-    for key, fn in (("symmetric", qsets.is_symmetric), ("weak_j", qsets.has_weak_j), ("j", qsets.has_j)):
+    for key, verdict, e in (
+        ("symmetric", rep.symmetric, rep.witness_mod2),
+        ("weak_j", rep.weak_j, rep.witness_mod4),
+        ("j", rep.j_property, rep.witness_exact),
+    ):
         want = entry.claims.get(key)
-        if want is None:
-            continue
-        got = fn(r, q)
-        if got is qsets.NOT_FUNDAMENTAL or got[0] is not want:
+        if want is not None and verdict is not want:
+            # the raw result of is_symmetric / has_weak_j / has_j
+            got = qsets.NOT_FUNDAMENTAL if verdict is None else (verdict, e)
             raise CatalogClaimFailed(entry.label, key, f"got {got}")
     if witness is not None:
         for i in entry.indices:
@@ -217,8 +225,26 @@ def _gap_chains(p: int, n: int, max_s: int):
         for gap in range(min(hi, n - prev), 0, -1):
             yield from rec(prev + gap, gaps + [gap])
 
-    for gaps in rec(p, []):
-        yield gaps
+    yield from rec(p, [])
+
+
+def _chain(p: int, gaps, n: int):
+    """Chain points q_0 = p < q_1 < ... of a gap chain and its +- families
+    e_t +- e_j for q_{t-1} < j <= q_t."""
+    qs = list(itertools.accumulate(gaps, initial=p))
+    fams = [
+        _epm(t, j, 1, sign, n)
+        for t in range(1, len(gaps) + 1)
+        for j in range(qs[t - 1] + 1, qs[t] + 1)
+        for sign in (1, -1)
+    ]
+    return qs, fams
+
+
+def _first_of_each_gap(gaps) -> list[int]:
+    """Chain positions where a gap value first occurs: one class of the short
+    root e_{i0} each."""
+    return [t for t, g in enumerate(gaps, start=1) if g not in gaps[: t - 1]]
 
 
 def _bd_sets(r: RootSystem, n: int, with_short: bool):
@@ -227,41 +253,16 @@ def _bd_sets(r: RootSystem, n: int, with_short: bool):
     out = []
     for p in range(1, n + 1):
         for gaps in _gap_chains(p, n, p):
-            s = len(gaps)
-            qs = [p]
-            for g in gaps:
-                qs.append(qs[-1] + g)
+            qs, fams = _chain(p, gaps, n)
+            params = {"p": p, "q": tuple(qs[1:])}
             pairs = [_epm(i, j, 1, 1, n) for i in range(1, p + 1) for j in range(i + 1, p + 1)]
-            fams = []
-            for t in range(1, s + 1):
-                for j in range(qs[t - 1] + 1, qs[t] + 1):
-                    fams.append(_epm(t, j, 1, 1, n))
-                    fams.append(_epm(t, j, 1, -1, n))
             if with_short:
                 # i0 classes: one per distinct gap value, plus the tail (s, p]
-                i0s = []
-                seen_gap = set()
-                for t, g in enumerate(gaps, start=1):
-                    if g not in seen_gap:
-                        seen_gap.add(g)
-                        i0s.append(t)
-                if p > s:
-                    i0s.append(p)
-                if not i0s:
-                    i0s = [p]
-                for i0 in i0s:
-                    specs = [_e(i0, n)] + pairs + fams
-                    out.append(
-                        (
-                            {"i0": i0, "p": p, "q": tuple(qs[1:])},
-                            roots_set(r, specs),
-                        )
-                    )
-            else:
-                if not pairs and not fams:
-                    continue
-                specs = pairs + fams
-                out.append(({"p": p, "q": tuple(qs[1:])}, roots_set(r, specs)))
+                i0s = _first_of_each_gap(gaps) + ([p] if p > len(gaps) else [])
+                for i0 in i0s or [p]:
+                    out.append(({"i0": i0, **params}, roots_set(r, [_e(i0, n)] + pairs + fams)))
+            elif pairs or fams:
+                out.append((params, roots_set(r, pairs + fams)))
     return out
 
 
@@ -272,39 +273,15 @@ def _bd_symmetric_sets(r: RootSystem, n: int, with_short: bool):
     for p in range(1, n + 1):
         for gaps in _gap_chains(p, n, p):
             s = len(gaps)
-            if s == 0 and with_short:
-                continue
-            qs = [p]
-            for g in gaps:
-                qs.append(qs[-1] + g)
-            pairs = [
-                _epm(i, j, 1, 1, n)
-                for i in range(1, s + 1)
-                for j in range(s + 1, p + 1)
-            ]
-            fams = []
-            for t in range(1, s + 1):
-                for j in range(qs[t - 1] + 1, qs[t] + 1):
-                    fams.append(_epm(t, j, 1, 1, n))
-                    fams.append(_epm(t, j, 1, -1, n))
+            qs, fams = _chain(p, gaps, n)
+            params = {"p": p, "q": tuple(qs[1:])}
+            pairs = [_epm(i, j, 1, 1, n) for i in range(1, s + 1) for j in range(s + 1, p + 1)]
             witness = [1 if h <= s else 0 for h in range(1, n + 1)]
             if with_short:
-                seen_gap = set()
-                i0s = []
-                for t, g in enumerate(gaps, start=1):
-                    if g not in seen_gap:
-                        seen_gap.add(g)
-                        i0s.append(t)
-                for i0 in i0s:
-                    specs = [_e(i0, n)] + pairs + fams
-                    out.append(
-                        ({"i0": i0, "p": p, "q": tuple(qs[1:])}, roots_set(r, specs), witness)
-                    )
-            else:
-                specs = pairs + fams
-                if not specs:
-                    continue
-                out.append(({"p": p, "q": tuple(qs[1:])}, roots_set(r, specs), witness))
+                for i0 in _first_of_each_gap(gaps):
+                    out.append(({"i0": i0, **params}, roots_set(r, [_e(i0, n)] + pairs + fams), witness))
+            elif pairs or fams:
+                out.append((params, roots_set(r, pairs + fams), witness))
     return out
 
 
@@ -844,20 +821,8 @@ def e8_examples():
         ("8", (8, 2), [b(7, 8), b(5, 6), b(3, 4)], None, (True, True, True), None, None),
         ("9", (8, 2), [b(7, 8), b(5, 6), b(3, 4), b(1, 2)], None, (True, True, True), None, None),
     ]
-    out = []
-    for label, pair, anchors, within, pattern, wit, members in ex:
-        out.append(
-            {
-                "label": label,
-                "pair": pair,
-                "anchors": anchors,
-                "within": within,
-                "pattern": pattern,
-                "mod4_witness": wit,
-                "members": members,
-            }
-        )
-    return out
+    keys = ("label", "pair", "anchors", "within", "pattern", "mod4_witness", "members")
+    return [dict(zip(keys, row)) for row in ex]
 
 
 def e8_example_set(ex) -> tuple[int, ...]:

@@ -3,8 +3,9 @@ with machine-readable, byte-deterministic output.
 
 Exit codes: 0 success, 1 bad arguments / parse or validation failure,
 2 budget exceeded (partial results are still printed, flagged
-non-exhaustive).  verify-paper exits nonzero only when a claim fails that is
-not on the known-discrepancy list.
+non-exhaustive).  verify-paper exits 1 only when a claim fails that is not
+on the known-discrepancy list.  A budget must be a positive integer, whether
+it comes from --budget or from FLAGCR_BUDGET.
 """
 
 from __future__ import annotations
@@ -22,12 +23,22 @@ from .rootsys import build_root_system
 
 
 def _budget(args) -> int:
-    if getattr(args, "budget", None):
-        return args.budget
+    """--budget, else FLAGCR_BUDGET, else the default; anything but a positive
+    integer is a usage error (exit 1) naming where it came from."""
     env = os.environ.get("FLAGCR_BUDGET")
-    if env:
-        return int(env)
-    return 2_000_000
+    if getattr(args, "budget", None) is not None:
+        source, text = "--budget", args.budget
+    elif env:
+        source, text = "FLAGCR_BUDGET", env
+    else:
+        return 2_000_000
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise SystemExit2(f"{source} must be a positive integer, got {text!r}", 1)
+    return value
 
 
 def _digest(payload) -> str:
@@ -43,7 +54,7 @@ def _emit(args, command, inputs, results, exhaustive=True, started=None):
         "results": results,
     }
     if getattr(args, "verbose", False) and started is not None:
-        report["timing_s"] = round(time.time() - started, 3)
+        report["timing_s"] = round(time.perf_counter() - started, 3)
     if getattr(args, "format", "json") == "table":
         _print_table(results)
     else:
@@ -89,7 +100,7 @@ class SystemExit2(SystemExit):
 
 
 def cmd_enumerate(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     try:
         rs = _system_for(args)
     except rootsys.InvalidRank as e:
@@ -115,7 +126,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     try:
         with open(args.roots) as f:
             text = f.read()
@@ -346,18 +357,24 @@ def _verify_e8():
 
 
 def cmd_verify_paper(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     budget = _budget(args)
     section = args.section
-    rows = []
-    if section in ("6", "all"):
-        rows += _verify_section_6(budget)
-    if section in ("7", "all"):
-        rows += _verify_section_7(budget)
-    if section in ("gradings", "all"):
-        rows += _verify_gradings()
-    if section in ("e8-examples", "all"):
-        rows += _verify_e8()
+    sections = {
+        "6": lambda: _verify_section_6(budget),
+        "7": lambda: _verify_section_7(budget),
+        "gradings": _verify_gradings,
+        "e8-examples": _verify_e8,
+    }
+    rows, exhaustive = [], True
+    try:
+        for name, run in sections.items():
+            if section in (name, "all"):
+                rows += run()
+    except BudgetExceeded as e:
+        # the rows of the sections that finished are printed, flagged
+        print(f"error: {e}", file=sys.stderr)
+        exhaustive = False
     for r in rows:
         mark = {"pass": "PASS", "FAIL": "FAIL", "known-discrepancy": "KNOWN"}[r["status"]]
         line = f"[{mark}] {r['claim']}"
@@ -370,14 +387,14 @@ def cmd_verify_paper(args) -> int:
         "known_discrepancies": sum(1 for r in rows if r["status"] == "known-discrepancy"),
     }
     if args.format == "json":
-        _emit(args, "verify-paper", {"section": section}, {"rows": rows, "summary": summary}, True, started)
+        _emit(args, "verify-paper", {"section": section}, {"rows": rows, "summary": summary}, exhaustive, started)
     else:
         print(json.dumps(summary, sort_keys=True))
-    return 1 if summary["fail"] else 0
+    return 1 if summary["fail"] else 0 if exhaustive else 2
 
 
 def cmd_realform(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     from . import realform as rf
 
     try:
@@ -419,7 +436,7 @@ def cmd_realform(args) -> int:
 
 
 def cmd_cralg(args) -> int:
-    started = time.time()
+    started = time.perf_counter()
     from . import cralg as ca
     from .presets import get_preset
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from flagcr import qsets
 from flagcr.classify import (
     XI,
+    ORTH_FRAMES,
     AnchorViolation,
     BudgetExceeded,
     CatalogClaimFailed,
@@ -32,7 +34,7 @@ from flagcr.classify import (
 )
 from flagcr.qsets import compat_graph, is_fundamental, is_lb
 from flagcr.rootsys import build_root_system, evaluate_int, find_root, roots_set
-from flagcr.weyl import OrbitBudgetExceeded, reflection_perm, root_orbit, sets_equivalent
+from flagcr.weyl import OrbitBudgetExceeded, canonical_form, reflection_perm, root_orbit, sets_equivalent
 
 H = Fraction(1, 2)
 
@@ -63,6 +65,63 @@ def test_enumerate_budget_in_orbit_stage():
         enumerate_maximal(f4, budget=200, constraint=set(small) | set(big))
     assert isinstance(e.value.__cause__, OrbitBudgetExceeded)
     assert [(c.canonical, c.orbit_size) for c in e.value.partial] == [(small, 96)]
+
+
+@pytest.mark.parametrize(
+    "tag,n,quotient",
+    [("A", n, "weyl") for n in (4, 5, 6)]
+    + [("B", n, "weyl") for n in (3, 4)]
+    + [("C", n, "weyl") for n in (3, 4, 5)]
+    + [("D", n, "weyl") for n in (4, 5)]
+    + [("G2", None, "weyl"), ("F4", None, "weyl"), ("D", 4, "aut")],
+)
+def test_enumerate_classes_cover_the_fundamental_cliques(tag, n, quotient):
+    # oracle: fundamentality tested on every maximal clique, as an
+    # enumeration that filters before it dedups would
+    rs = build_root_system(tag, n)
+    fundamental = [c for c in maximal_cliques(compat_graph(rs)) if is_fundamental(rs, c)]
+    classes = enumerate_maximal(rs, quotient)
+    assert sum(c.orbit_size for c in classes) == len(fundamental)
+    assert all(c.report.is_fundamental and is_fundamental(rs, c.canonical) for c in classes)
+
+
+@pytest.mark.parametrize("tag,n", [("B", 3), ("G2", None)])
+def test_enumerate_under_constraint_keeps_only_fundamental_classes(tag, n):
+    # without one root, some maximal cliques are not fundamental; the classes
+    # are the canonical forms of exactly the fundamental ones
+    rs = build_root_system(tag, n)
+    constraint = set(range(1, rs.nroots))
+    cliques = maximal_cliques(compat_graph(rs, constraint))
+    fundamental = [c for c in cliques if is_fundamental(rs, c)]
+    assert 0 < len(fundamental) < len(cliques)
+    classes = enumerate_maximal(rs, constraint=constraint)
+    assert {frozenset(c.canonical) for c in classes} == {canonical_form(rs, c) for c in fundamental}
+    assert all(c.report.is_fundamental for c in classes)
+
+
+@functools.lru_cache(maxsize=None)
+def _e6_classes(quotient):
+    return enumerate_maximal(e_system(6), quotient)
+
+
+def test_e6_aut_classes_are_unions_of_weyl_classes():
+    e6 = e_system(6)
+    weyl, aut = _e6_classes("weyl"), _e6_classes("aut")
+    assert (len(weyl), len(aut)) == (13, 10)
+    merged: dict[frozenset[int], int] = {}
+    for c in weyl:
+        key = canonical_form(e6, c.canonical, "aut")
+        merged[key] = merged.get(key, 0) + c.orbit_size
+    assert merged == {frozenset(c.canonical): c.orbit_size for c in aut}
+
+
+def test_e6_construct_q_is_an_enumerated_class():
+    from flagcr.classify import _is_maximal_clique
+
+    e6 = e_system(6)
+    q = construct_q(6, 2, ORTH_FRAMES[(6, 2)][:1])
+    assert is_lb(e6, q) and _is_maximal_clique(e6, q)
+    assert canonical_form(e6, q) in {frozenset(c.canonical) for c in _e6_classes("weyl")}
 
 
 def test_all_cliques_small():

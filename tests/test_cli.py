@@ -189,3 +189,43 @@ def test_verify_paper_gradings(capsys):
     report = json.loads("\n".join(lines[start:]))
     assert report["results"]["summary"]["fail"] == 0
     assert report["results"]["summary"]["pass"] >= 10
+
+
+BUDGET_CASES = [
+    # (argv, FLAGCR_BUDGET, exit code, stderr fragment)
+    (["enumerate", "--type", "G2", "--budget", "0"], None, 1, "--budget must be a positive integer"),
+    (["enumerate", "--type", "G2", "--budget", "-5"], None, 1, "--budget must be a positive integer"),
+    (["enumerate", "--type", "G2", "--budget", "abc"], None, 1, "argument --budget"),
+    (["enumerate", "--type", "G2"], "abc", 1, "FLAGCR_BUDGET must be a positive integer"),
+    (["enumerate", "--type", "G2"], "0", 1, "FLAGCR_BUDGET must be a positive integer"),
+    (["enumerate", "--type", "G2"], "-5", 1, "FLAGCR_BUDGET must be a positive integer"),
+    (["enumerate", "--type", "G2", "--budget", "100000"], "abc", 0, ""),
+    (["enumerate", "--type", "F4", "--budget", "10"], None, 2, ""),
+    (["verify-paper", "--section", "7", "--budget", "0"], None, 1, "--budget must be a positive integer"),
+    (["verify-paper", "--section", "7", "--budget", "-5"], None, 1, "--budget must be a positive integer"),
+    (["verify-paper", "--section", "7"], "abc", 1, "FLAGCR_BUDGET must be a positive integer"),
+    (["verify-paper", "--section", "7", "--budget", "5"], None, 2, "clique search exceeded 5 nodes"),
+    (["check", "--roots", "{roots}"], "abc", 0, ""),
+    (["check", "--roots", "{roots}", "--budget", "5"], None, 1, "unrecognized arguments"),
+]
+
+
+@pytest.mark.parametrize("argv,env,want,fragment", BUDGET_CASES)
+def test_budget_inputs(argv, env, want, fragment, tmp_path, capsys, monkeypatch):
+    # every budget input ends in an exit code, never in an exception
+    g2 = rootsys.build_root_system("G2")
+    f = tmp_path / "q.json"
+    f.write_text(rootsys.rootset_to_json(g2, classify.enumerate_maximal(g2)[0].canonical))
+    if env is None:
+        monkeypatch.delenv("FLAGCR_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("FLAGCR_BUDGET", env)
+    try:
+        code = main([a.format(roots=f) for a in argv])
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    assert code == want
+    assert fragment in captured.err
+    if want == 2:
+        assert json.loads(captured.out[captured.out.index("{") :])["exhaustive"] is False

@@ -27,7 +27,7 @@ from flagcr.qsets import (
     q_star_11,
     q_star_bounded,
 )
-from flagcr.rootsys import build_root_system, evaluate_int, find_root, roots_set
+from flagcr.rootsys import GradingElement, build_root_system, coroot, evaluate, evaluate_int, find_root, roots_set
 from flagcr.weyl import random_element
 
 H = Fraction(1, 2)
@@ -266,6 +266,21 @@ def test_property_report_matches_single_predicates(tag, data):
             assert got == (verdict, witness)
         else:
             assert got is NOT_FUNDAMENTAL and verdict is None and witness is None
+
+
+@pytest.mark.parametrize("tag,rank", [("A", 3), ("F4", None), ("E8", None)])
+def test_witness_outside_coweight_lattice_is_rejected(tag, rank):
+    # E = alpha^vee / 2 takes the value 1 on alpha, so the exact and the
+    # congruence checks pass on Q = {alpha}; it is half-integral on some
+    # other root, hence not in the coweight lattice
+    rs = build_root_system(tag, rank)
+    alpha = rs.roots[0]
+    e = GradingElement((0,) * rs.rank, tuple(x / 2 for x in coroot(alpha)))
+    assert evaluate(alpha, e) == 1
+    assert any(evaluate(root, e).denominator != 1 for root in rs.roots)
+    for modulus in (2, 4, None):
+        with pytest.raises(AssertionError, match="coweight lattice"):
+            qsets._verify_witness(rs, [0], e, modulus)
 
 
 def test_both_routes_run_on_every_decision(monkeypatch):
