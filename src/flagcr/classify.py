@@ -27,7 +27,7 @@ from .rootsys import (
     roots_set,
     sorted_indices,
 )
-from .weyl import OrbitBudgetExceeded, canonical_form, set_key, set_orbit
+from .weyl import OrbitBudgetExceeded, canonical_form, set_orbit
 
 H = Fraction(1, 2)
 
@@ -117,9 +117,14 @@ def enumerate_maximal(
     constraint=None,
 ) -> list[EnumClass]:
     """All maximal elements of Q(R) (restricted to ``constraint`` if given) up
-    to the chosen quotient group, with property reports."""
+    to the chosen quotient group, with property reports.  A budget stop
+    raises BudgetExceeded whose ``partial`` lists the classes found so far
+    (none when the clique search stops)."""
     adj = compat_graph(r, constraint)
-    cliques = maximal_cliques(adj, budget)
+    try:
+        cliques = maximal_cliques(adj, budget)
+    except BudgetExceeded as e:
+        raise BudgetExceeded(str(e), []) from e
     seen: set[frozenset[int]] = set()
     classes: list[EnumClass] = []
     # fundamentality is invariant under the group, so each orbit is walked
@@ -129,10 +134,10 @@ def enumerate_maximal(
             continue
         try:
             orbit = set_orbit(r, cl, quotient, budget)
+            rep = sorted_indices(canonical_form(r, cl, quotient, budget))
         except OrbitBudgetExceeded as e:
             raise BudgetExceeded(f"orbit dedup: {e}", classes) from e
         seen |= orbit
-        rep = sorted_indices(min(orbit, key=lambda s: set_key(r, s)))
         report = property_report(r, rep)
         if report.is_fundamental:
             classes.append(EnumClass(rep, len(orbit), report))

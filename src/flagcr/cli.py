@@ -110,9 +110,8 @@ def cmd_enumerate(args) -> int:
     try:
         classes = classify.enumerate_maximal(rs, args.quotient, budget)
     except BudgetExceeded as e:
-        classes = e.partial or []
+        classes = e.partial
         exhaustive = False
-        classes = [c for c in classes if hasattr(c, "canonical")]
     results = [c.to_jsonable(rs) for c in classes]
     _emit(
         args,

@@ -5,8 +5,11 @@ A group element is the permutation it induces on the root list: a tuple g of
 root indices, g[i] the index of the image of root i.  The simple reflections
 and the diagram automorphisms are built once per root system, in integer
 arithmetic, and kept on it; ``matrix_of`` gives back the ambient linear map
-of an element.  Membership in W versus the full automorphism group is
-decided by the chamber walk on permutations.
+of an element.  A stabiliser chain of W and of Aut, also built once, gives
+the canonical form of a set (its least image, found without walking the
+orbit), and two sets are equivalent when their canonical forms agree.
+Membership of one element in W is decided by the chamber walk on
+permutations.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 import random
 from fractions import Fraction
 
-from .gaussq import Factored, RMatrix
+from .gaussq import Factored
 from .rootsys import RootSystem, inner
 
 
@@ -191,16 +194,113 @@ def set_key(r: RootSystem, q) -> tuple:
 
 
 def canonical_form(r: RootSystem, q, group: str = "weyl", budget: int | None = 2_000_000) -> frozenset[int]:
-    """Lexicographically least image of the set under the chosen group: the
-    set_key-minimal element of its orbit.  Raises OrbitBudgetExceeded past
-    the node budget."""
-    return min(set_orbit(r, q, group, budget), key=lambda s: set_key(r, s))
+    """Lexicographically least image of the set under the chosen group (the
+    set_key-minimal member of its orbit), by Linton's smallest-image search
+    down the stabiliser chain.  ``budget`` counts the candidate images the
+    search generates; past it OrbitBudgetExceeded is raised, and None means
+    no limit."""
+    cands = {frozenset(q)}
+    made = 0
+    for k, level in enumerate(_chain(r, group)):
+        # the least image contains k exactly when some candidate can be moved
+        # onto k by the stabiliser of 0..k-1; the candidates all agree on 0..k-1
+        if len(level) == 1:
+            cands = {c for c in cands if k in c} or cands
+            continue
+        pairs = [(t, c) for c in cands for t in c if t in level]
+        if not pairs:
+            pairs = [(t, c) for c in cands for t in level]
+        made += len(pairs)
+        if budget is not None and made > budget:
+            raise OrbitBudgetExceeded(f"canonical image search exceeded {budget} candidates")
+        cands = {frozenset(map(level[t].__getitem__, c)) for t, c in pairs}
+    return min(cands, key=sorted)
+
+
+def _chain(r: RootSystem, group: str) -> tuple[dict[int, tuple[int, ...]], ...]:
+    """Stabiliser chain of the group for the base 0, 1, ..., n-1 (root-index
+    order, which is set_key order because the roots are stored sorted): level
+    k maps each point t of the orbit of k under the pointwise stabiliser of
+    0..k-1 to the inverse of a transversal element sending k to t.  It stops
+    at the last level with more than one point; built once per root system
+    and group."""
+    return _cached(r, "chain:" + group, lambda: _schreier_sims(generators(r, group), r.nroots))
+
+
+def _schreier_sims(gens, n: int) -> tuple[dict[int, tuple[int, ...]], ...]:
+    """Deterministic Schreier-Sims (Seress, Permutation Group Algorithms,
+    2003) for the base 0..n-1.  Levels are completed from the deepest
+    up: every Schreier generator of level k is sifted through the levels
+    below it, and a residue that does not sift becomes a strong generator of
+    every level down to the point where it stuck, whose levels are redone."""
+    ident = tuple(range(n))
+
+    def compose(a, b):  # a after b
+        return tuple(map(a.__getitem__, b))
+
+    strong = [[] for _ in range(n)]  # level k: the strong generators fixing 0..k-1
+    trans = [{k: (ident, ident)} for k in range(n)]  # level k: t -> (u_t, u_t^-1)
+    tested = [set() for _ in range(n)]
+
+    def add(g):
+        j = next(i for i in range(n) if g[i] != i)
+        for k in range(j + 1):
+            strong[k].append(g)
+        return j
+
+    def sift(h, k):
+        for j in range(k, n):
+            if h[j] != j:
+                u = trans[j].get(h[j])
+                if u is None:
+                    return h
+                h = compose(u[1], h)
+        return None
+
+    for g in gens:
+        if g != ident:
+            add(g)
+    k = n - 1
+    while k >= 0:
+        orbit = trans[k]
+        pts = list(orbit)
+        for t in pts:  # extend the orbit, keeping the transversal already chosen
+            u = orbit[t][0]
+            for s in strong[k]:
+                if s[t] not in orbit:
+                    su = compose(s, u)
+                    orbit[s[t]] = (su, _inverse(su))
+                    pts.append(s[t])
+        redo = None
+        for t in pts:
+            u = orbit[t][0]
+            for i, s in enumerate(strong[k]):
+                if (t, i) in tested[k]:
+                    continue
+                tested[k].add((t, i))
+                h = sift(compose(orbit[s[t]][1], compose(s, u)), k + 1)
+                if h is not None:
+                    redo = add(h)
+                    break
+            if redo is not None:
+                break
+        k = k - 1 if redo is None else redo
+    last = max((k for k in range(n) if len(trans[k]) > 1), default=-1)
+    return tuple({t: uinv for t, (u, uinv) in level.items()} for level in trans[: last + 1])
+
+
+def _inverse(g) -> tuple[int, ...]:
+    out = [0] * len(g)
+    for i, j in enumerate(g):
+        out[j] = i
+    return tuple(out)
 
 
 def set_orbit(r: RootSystem, q, group: str = "weyl", budget: int | None = 2_000_000) -> set[frozenset[int]]:
     """Full orbit of the set (as a set of frozensets), by BFS under simple
-    reflections (plus diagram automorphisms for 'aut').  Raises
-    OrbitBudgetExceeded past ``budget`` nodes; None means no limit."""
+    reflections (plus diagram automorphisms for 'aut'): orbit sizes and the
+    orbit dedup of the clique enumeration.  Raises OrbitBudgetExceeded past
+    ``budget`` nodes; None means no limit."""
     gens = generators(r, group)
     start = frozenset(q)
     seen = {start}
@@ -243,9 +343,7 @@ def in_weyl(r: RootSystem, g) -> bool:
     makes negative, so at most |R|/2 steps are taken."""
     simples = simple_roots(r)
     steps = list(zip(simples, generators(r)))
-    inv = [0] * r.nroots
-    for i, j in enumerate(g):
-        inv[j] = i
+    inv = _inverse(g)
     for _ in range(r.nroots // 2 + 1):
         s = next((p for a, p in steps if not _lex_positive(r.roots[inv[a]])), None)
         if s is None:
@@ -254,94 +352,13 @@ def in_weyl(r: RootSystem, g) -> bool:
     raise ValueError("permutation is not an automorphism of the root system")
 
 
-def _fingerprint(r: RootSystem, q) -> tuple:
-    qs = sorted(q)
-    grams = sorted(
-        tuple(sorted(inner(r.roots[i], r.roots[j]) for j in qs)) for i in qs
-    )
-    norms = tuple(sorted(inner(r.roots[i], r.roots[i]) for i in qs))
-    return (len(qs), norms, tuple(grams))
-
-
-def _isometries_mapping(r: RootSystem, q1, q2):
-    """Root permutations of the isometries g of R with g(q1) = q2, found by
-    Gram-preserving backtracking on root images."""
-    q1s = sorted(q1)
-    q2s = sorted(q2)
-    n1 = len(q1s)
-    # extend q1 by further roots to a basis of the root span (dimension
-    # r.rank), so the images of the base determine the map
-    base = []
-    span = RMatrix.empty(r.ambient_dim)
-    for i in q1s + [k for k in range(r.nroots) if k not in q2 and k not in q1]:
-        if len(base) == r.rank:
-            break
-        if not span.contains(r.roots[i]):
-            span = RMatrix(span.rows + [r.roots[i]])
-            base.append(i)
-    extras = [b for b in base if b not in q1]
-
-    order = q1s + extras
-    perm_of = _base_map(r, base)
-    assign: dict[int, int] = {}
-
-    def candidates(pos):
-        src = order[pos]
-        pool = q2s if pos < n1 else range(r.nroots)
-        for img in pool:
-            if inner(r.roots[img], r.roots[img]) != inner(r.roots[src], r.roots[src]):
-                continue
-            ok = True
-            for done_src, done_img in assign.items():
-                if inner(r.roots[src], r.roots[done_src]) != inner(
-                    r.roots[img], r.roots[done_img]
-                ):
-                    ok = False
-                    break
-            if ok:
-                yield img
-
-    used2: set[int] = set()
-    results = []
-
-    def backtrack(pos):
-        if pos == len(order):
-            g = perm_of([assign[i] for i in base])
-            if g is not None and {g[i] for i in q1} == set(q2):
-                results.append(g)
-            return
-        src = order[pos]
-        for img in candidates(pos):
-            if pos < n1 and img in used2:
-                continue
-            assign[src] = img
-            if pos < n1:
-                used2.add(img)
-            backtrack(pos + 1)
-            del assign[src]
-            if pos < n1:
-                used2.discard(img)
-
-    backtrack(0)
-    return results
-
-
 def sets_equivalent(r: RootSystem, q1, q2, group: str = "weyl") -> bool:
-    """True iff some element of the chosen group maps q1 onto q2.
-
-    Invariant fingerprints (cardinality, Gram multiset) prune, then a
-    complete backtracking isometry search runs; for group='weyl' each found
-    isometry is tested for W-membership by the chamber walk.
-    """
+    """True iff some element of the chosen group maps q1 onto q2: the sets
+    have the same size and the same canonical form.  Each of the two
+    canonical-image searches runs under canonical_form's default budget
+    (candidate images generated), and OrbitBudgetExceeded is raised past it."""
     q1, q2 = frozenset(q1), frozenset(q2)
-    if len(q1) != len(q2):
-        return False
-    if _fingerprint(r, q1) != _fingerprint(r, q2):
-        return False
-    for g in _isometries_mapping(r, q1, q2):
-        if group == "aut" or in_weyl(r, g):
-            return True
-    return False
+    return len(q1) == len(q2) and canonical_form(r, q1, group) == canonical_form(r, q2, group)
 
 
 def random_element(r: RootSystem, rng: random.Random, length: int = 12, group: str = "weyl") -> tuple[int, ...]:

@@ -1,4 +1,3 @@
-import functools
 import itertools
 from fractions import Fraction
 
@@ -52,6 +51,11 @@ def test_enumerate_budget():
     f4 = build_root_system("F4")
     with pytest.raises(BudgetExceeded):
         enumerate_maximal(f4, budget=10)
+    # a stop in the clique search carries no classes (not the raw cliques)
+    with pytest.raises(BudgetExceeded) as e:
+        enumerate_maximal(f4, budget=100)
+    assert e.value.partial == []
+    assert isinstance(e.value.__cause__, BudgetExceeded)
 
 
 def test_enumerate_budget_in_orbit_stage():
@@ -99,14 +103,9 @@ def test_enumerate_under_constraint_keeps_only_fundamental_classes(tag, n):
     assert all(c.report.is_fundamental for c in classes)
 
 
-@functools.lru_cache(maxsize=None)
-def _e6_classes(quotient):
-    return enumerate_maximal(e_system(6), quotient)
-
-
-def test_e6_aut_classes_are_unions_of_weyl_classes():
-    e6 = e_system(6)
-    weyl, aut = _e6_classes("weyl"), _e6_classes("aut")
+def test_e6_aut_classes_are_unions_of_weyl_classes(enumerated):
+    e6, weyl = enumerated("E6", None, "weyl")
+    aut = enumerated("E6", None, "aut")[1]
     assert (len(weyl), len(aut)) == (13, 10)
     merged: dict[frozenset[int], int] = {}
     for c in weyl:
@@ -115,13 +114,13 @@ def test_e6_aut_classes_are_unions_of_weyl_classes():
     assert merged == {frozenset(c.canonical): c.orbit_size for c in aut}
 
 
-def test_e6_construct_q_is_an_enumerated_class():
+def test_e6_construct_q_is_an_enumerated_class(enumerated):
     from flagcr.classify import _is_maximal_clique
 
     e6 = e_system(6)
     q = construct_q(6, 2, ORTH_FRAMES[(6, 2)][:1])
     assert is_lb(e6, q) and _is_maximal_clique(e6, q)
-    assert canonical_form(e6, q) in {frozenset(c.canonical) for c in _e6_classes("weyl")}
+    assert canonical_form(e6, q) in {frozenset(c.canonical) for c in enumerated("E6", None, "weyl")[1]}
 
 
 def test_all_cliques_small():

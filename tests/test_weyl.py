@@ -1,6 +1,11 @@
+import math
 import random
 
-from flagcr.rootsys import build_root_system, find_root, roots_set
+import pytest
+
+from flagcr import weyl
+from flagcr.classify import enumerate_maximal
+from flagcr.rootsys import TYPES, build_root_system, find_root, roots_set
 from flagcr.weyl import (
     apply_matrix_cols,
     canonical_form,
@@ -11,6 +16,7 @@ from flagcr.weyl import (
     matrix_of,
     random_element,
     reflection_perm,
+    set_key,
     sets_equivalent,
     set_orbit,
     simple_roots,
@@ -128,7 +134,7 @@ def test_canonical_form_budget():
 
 def test_equivalence_agrees_with_orbit_bfs():
     rng = random.Random(31)
-    for tag, rank in [("A", 3), ("B", 2), ("G2", None), ("D", 4), ("A", 5)]:
+    for tag, rank in [("A", 3), ("B", 2), ("G2", None), ("D", 4), ("A", 5), ("F4", None), ("E6", None)]:
         rs = build_root_system(tag, rank)
         for _ in range(6):
             size = rng.randint(1, 3)
@@ -137,6 +143,105 @@ def test_equivalence_agrees_with_orbit_bfs():
             for group in ("weyl", "aut"):
                 want = frozenset(q2) in set_orbit(rs, q1, group)
                 assert sets_equivalent(rs, q1, q2, group) == want
+                # an image of q1 is equivalent to it
+                g = random_element(rs, rng, group=group)
+                assert sets_equivalent(rs, q1, [g[i] for i in q1], group)
+    # the D5 class pair exchanged by the diagram automorphism: the twisted
+    # image is Aut- but not W-equivalent to the class representative
+    d5 = build_root_system("D", 5)
+    twist = diagram_automorphisms(d5)[0]
+    pairs = [(c.canonical, frozenset(twist[i] for i in c.canonical)) for c in enumerate_maximal(d5)]
+    twisted = [(q, tq) for q, tq in pairs if tq not in set_orbit(d5, q, "weyl")]
+    assert twisted
+    for q, tq in twisted:
+        assert tq in set_orbit(d5, q, "aut")
+        assert not sets_equivalent(d5, q, tq, "weyl")
+        assert sets_equivalent(d5, q, tq, "aut")
+
+
+# (type, rank, |W|, |Aut|)
+GROUP_ORDERS = [
+    ("A", 2, 2, 2), ("A", 3, 6, 12), ("A", 4, 24, 48), ("A", 5, 120, 240), ("A", 6, 720, 1440),
+    ("B", 2, 8, 8), ("B", 3, 48, 48), ("B", 4, 384, 384), ("B", 5, 3840, 3840),
+    ("C", 2, 8, 8), ("C", 3, 48, 48), ("C", 4, 384, 384), ("C", 5, 3840, 3840),
+    ("D", 4, 192, 1152), ("D", 5, 1920, 3840), ("G2", None, 12, 12), ("F4", None, 1152, 1152),
+    ("E6", None, 51840, 103680), ("E7", None, 2903040, 2903040), ("E8", None, 696729600, 696729600),
+]
+
+
+@pytest.mark.parametrize("tag,rank,w_order,aut_order", GROUP_ORDERS, ids=[f"{t}{n or ''}" for t, n, *_ in GROUP_ORDERS])
+def test_chain_orders(tag, rank, w_order, aut_order):
+    rs = build_root_system(tag, rank)
+    for group, order in (("weyl", w_order), ("aut", aut_order)):
+        chain = weyl._chain(rs, group)
+        assert math.prod(len(level) for level in chain) == order, group
+        assert len(chain[-1]) > 1
+        for k, level in enumerate(chain):
+            for t, uinv in level.items():
+                # u_t^-1 fixes 0..k-1 and sends t to k
+                assert uinv[t] == k and all(uinv[i] == i for i in range(k))
+        assert weyl._chain(rs, group) is chain
+
+
+def test_schreier_sims_from_other_generating_sets():
+    # the simple reflections already generate every point stabiliser of the
+    # chain; generators conjugated by a random element, or a few random
+    # products, do not, and the Schreier generators must fill the levels
+    rng = random.Random(11)
+    for tag, rank, group, order in [("B", 4, "weyl", 384), ("D", 4, "aut", 1152), ("F4", None, "weyl", 1152),
+                                    ("E6", None, "aut", 103680)]:
+        rs = build_root_system(tag, rank)
+        g = random_element(rs, rng, length=30, group=group)
+        ginv = weyl._inverse(g)
+        conjugated = [tuple(g[s[ginv[i]]] for i in range(rs.nroots)) for s in generators(rs, group)]
+        assert math.prod(len(level) for level in weyl._schreier_sims(conjugated, rs.nroots)) == order, tag
+        if order < 2000:
+            # three random products may generate a proper subgroup
+            products = [random_element(rs, rng, length=25, group=group) for _ in range(3)]
+            chain = weyl._schreier_sims(products, rs.nroots)
+            assert math.prod(len(level) for level in chain) == len(_closure(products)), tag
+
+
+def test_roots_stored_sorted():
+    # the chain's base 0, 1, ..., n-1 is set_key order only because of this
+    for tag in TYPES:
+        rs = build_root_system(tag, None if tag in ("G2", "F4", "E6", "E7", "E8") else 4)
+        assert list(rs.roots) == sorted(rs.roots), tag
+
+
+def _bfs_min(rs, q, group):
+    return min(set_orbit(rs, q, group, None), key=lambda s: set_key(rs, s))
+
+
+@pytest.mark.parametrize("tag,rank", [("A", 3), ("A", 4), ("A", 5), ("B", 3), ("B", 4), ("C", 3), ("C", 4),
+                                      ("D", 4), ("D", 5), ("G2", None), ("F4", None), ("E6", None)])
+def test_canonical_form_matches_bfs_on_enumerated_classes(enumerated, tag, rank):
+    rng = random.Random(17)
+    for group in ("weyl", "aut"):
+        rs, classes = enumerated(tag, rank, group)
+        for c in classes:
+            want = _bfs_min(rs, c.canonical, group)
+            assert c.canonical == tuple(sorted(want))
+            assert canonical_form(rs, c.canonical, group) == want
+            for _ in range(2):
+                g = random_element(rs, rng, group=group)
+                assert canonical_form(rs, [g[i] for i in c.canonical], group) == want
+
+
+def test_canonical_form_matches_bfs_on_random_sets():
+    rng = random.Random(23)
+    disjoint_from_first_orbit = 0
+    for tag, rank in [("A", 4), ("B", 3), ("B", 4), ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("G2", None), ("F4", None)]:
+        rs = build_root_system(tag, rank)
+        for group in ("weyl", "aut"):
+            first_orbit = weyl._chain(rs, group)[0]
+            for _ in range(12):
+                q = frozenset(rng.sample(range(rs.nroots), rng.randint(1, min(12, rs.nroots))))
+                # a set missing the orbit of root 0 sends the search through
+                # every point of that orbit at level 0
+                disjoint_from_first_orbit += not any(i in first_orbit for i in q)
+                assert canonical_form(rs, q, group) == _bfs_min(rs, q, group), (tag, group, sorted(q))
+    assert disjoint_from_first_orbit >= 5
 
 
 def _closure(gens):
