@@ -1,32 +1,25 @@
 """Preset CR algebras: Heisenberg, sl(2), su(2), the abelian-extension
-no-go example, and flag presets built from exact matrix models of the
-classical algebras (with G2 obtained by folding so(8) along a triality
-lift).
+no-go example, and flag presets of types A-D and G2.
 
-Flag presets expose, for a root system built by rootsys, the basis vector of
-each root space and the Cartan element realizing a given ambient functional,
-so combinatorial witnesses transfer to honest derivations/automorphisms of
-the presentation.
+A flag preset is the Chevalley basis of a root system built by rootsys
+(simple coroots, then one root vector per root) with the compact
+conjugation, so its real form g0 is the compact algebra and q = h + sum of
+the root spaces of Q is the CR algebra of a complete flag.  It exposes the
+basis vector of each root space and the Cartan element realizing a given
+ambient functional, so combinatorial witnesses transfer to honest
+derivations/automorphisms of the presentation.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cralg import (
-    CRAlgebra,
-    LieAlgebraPresentation,
-    _g0_coords_solver,
-    cspan,
-    realified_eigenspace,
-    rspan,
-    sub_presentation,
-)
-from .gaussq import C_I, C_ONE, C_ZERO, CNum, Factored, RMatrix, kernel, solve_linear
-from .intlat import solve_congruence
-from .rootsys import RootSystem, build_root_system, evaluate
-from .weyl import diagram_automorphisms, matrix_of
+from .cralg import CRAlgebra, LieAlgebraPresentation, _g0_coords_solver, cspan, rspan
+from .gaussq import C_I, C_ONE, C_ZERO, CNum, Factored, RMatrix
+from .rootsys import RootSystem, build_root_system, evaluate, evaluate_int, root_sum, roots_set
+from .weyl import cartan_matrix, positive_roots, simple_roots
 
 
 def _table(entries, dim):
@@ -73,8 +66,8 @@ def su2() -> LieAlgebraPresentation:
 
 
 def su2_flag() -> CRAlgebra:
-    """(su(2), borel): the sphere CR structure; q = C(u1 + i u2) + C u3?  No:
-    q must satisfy q n g0 = t0 = R u3; take q = C u3 + C (u1 + i u2)."""
+    """(su(2), borel): the sphere CR structure, q = C u3 + C (u1 + i u2), so
+    that q n g0 = R u3 is the maximal torus."""
     pres = su2()
     q = cspan(pres, [(C_ZERO, C_ZERO, C_ONE), (C_ONE, C_I, C_ZERO)])
     return CRAlgebra(pres, q)
@@ -109,82 +102,15 @@ def exam_bf() -> tuple[CRAlgebra, RMatrix]:
 
 
 # ---------------------------------------------------------------------------
-# matrix models
-
-
-class _MatrixModel:
-    """Lie algebra of matrices over CNum with a distinguished basis."""
-
-    def __init__(self, size, basis_mats, labels):
-        self.size = size
-        self.mats = basis_mats
-        self.labels = labels
-        self._basis = Factored([[m[i][j] for m in basis_mats] for i in range(size) for j in range(size)], CNum.of)
-
-    def coords(self, mat):
-        sol = self._basis.solve([mat[i][j] for i in range(self.size) for j in range(self.size)])
-        if sol is None:
-            raise ValueError("matrix not in the span of the basis")
-        return tuple(sol)
-
-    def presentation(self, validate=True) -> LieAlgebraPresentation:
-        n = len(self.mats)
-        table = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                br = _mat_bracket(self.mats[i], self.mats[j])
-                table[(i, j)] = self.coords(br)
-        conj_cols = [self.coords(_mat_nu(m)) for m in self.mats]
-        conj_matrix = [[conj_cols[j][i] for j in range(n)] for i in range(n)]
-        return LieAlgebraPresentation(n, table, conj_matrix, labels=self.labels, validate=validate)
-
-
-def _zeros(n):
-    return [[C_ZERO for _ in range(n)] for _ in range(n)]
-
-
-def _mat_bracket(a, b):
-    n = len(a)
-    out = _zeros(n)
-    for i in range(n):
-        for k in range(n):
-            if a[i][k]:
-                for j in range(n):
-                    if b[k][j]:
-                        out[i][j] = out[i][j] + a[i][k] * b[k][j]
-    for i in range(n):
-        for k in range(n):
-            if b[i][k]:
-                for j in range(n):
-                    if a[k][j]:
-                        out[i][j] = out[i][j] - b[i][k] * a[k][j]
-    return out
-
-
-def _mat_nu(a):
-    """Compact-form conjugation nu(M) = -conj(M)^T."""
-    n = len(a)
-    return [[-a[j][i].conj() for j in range(n)] for i in range(n)]
-
-
-def _e(n, i, j, c=1):
-    m = _zeros(n)
-    m[i][j] = CNum.of(Fraction(c))
-    return m
-
-
-def _madd(*ms):
-    n = len(ms[0])
-    out = _zeros(n)
-    for m in ms:
-        for i in range(n):
-            for j in range(n):
-                out[i][j] = out[i][j] + m[i][j]
-    return out
+# flag presets: the Chevalley basis of a root system
 
 
 @dataclass
 class FlagPreset:
+    """The Chevalley basis of the complex simple Lie algebra of a root system:
+    simple coroots h0, h1, ... first, then x_alpha for every root in root
+    order, with the compact conjugation nu(h) = -h, nu(x_alpha) = -x_{-alpha}."""
+
     system: RootSystem
     pres: LieAlgebraPresentation
     root_vec: dict = field(repr=False)  # root index -> CNum coordinate vector
@@ -230,137 +156,126 @@ class FlagPreset:
         return [[cols[j][i] for j in range(n)] for i in range(n)]
 
     def symmetry_involution(self, grading_element):
-        """lambda = Ad(exp(i pi E)): acts by (-1)^{alpha(E)} on root spaces."""
-        from .rootsys import evaluate_int
-
-        n = self.pres.dim
-        cols = [[C_ZERO] * n for _ in range(n)]
-        # build on the basis h-part (fixed) and root vectors (sign)
-        basis_vecs = []
-        signs = []
-        for hv in self.cartan_vec:
-            if any(hv):
-                basis_vecs.append(hv)
-                signs.append(C_ONE)
-        for idx in range(self.system.nroots):
-            basis_vecs.append(self.root_vec[idx])
-            k = evaluate_int(self.system.roots[idx], grading_element)
-            signs.append(C_ONE if k % 2 == 0 else -C_ONE)
-        # change of basis
-        m = len(basis_vecs)
-        change = Factored([[basis_vecs[j][i] for j in range(m)] for i in range(n)], CNum.of)
-        lam_cols = []
-        for t in range(n):
-            unit = [C_ZERO] * n
-            unit[t] = C_ONE
-            sol = change.solve(unit)
-            img = [C_ZERO] * n
-            for c, s, bv in zip(sol, signs, basis_vecs):
-                f = c * s
-                if f:
-                    for u in range(n):
-                        img[u] = img[u] + f * bv[u]
-            lam_cols.append(img)
-        return [[lam_cols[j][i] for j in range(n)] for i in range(n)]
+        """lambda = Ad(exp(i pi E)): the identity on the Cartan coordinates
+        and (-1)^{alpha(E)} on x_alpha, a diagonal matrix."""
+        signs = [C_ONE] * self.system.rank
+        signs += [-C_ONE if evaluate_int(v, grading_element) % 2 else C_ONE for v in self.system.roots]
+        return [[s if i == j else C_ZERO for j in range(len(signs))] for i, s in enumerate(signs)]
 
 
-def _classical_model(type_tag: str, n: int) -> tuple[_MatrixModel, RootSystem, dict]:
-    rs = build_root_system(type_tag, n)
-    if type_tag == "A":
-        size = n
-        cartan = [ _madd(_e(size, i, i), _e(size, i + 1, i + 1, -1)) for i in range(n - 1)]
-        def rootmat(v):
-            # v doubled coords: e_i - e_j
-            i = v.index(2)
-            j = v.index(-2)
-            return _e(size, i, j)
-        # trace-zero realization of the coordinate functionals
-        third = Fraction(1, size)
-        hdual = [
-            _madd(_e(size, i, i), *[_e(size, k, k, -third) for k in range(size)])
-            for i in range(size)
-        ]
-    elif type_tag in ("B", "D"):
-        size = 2 * n + 1 if type_tag == "B" else 2 * n
-        def opp(i):
-            return size - 1 - i
-        cartan = [_madd(_e(size, i, i), _e(size, opp(i), opp(i), -1)) for i in range(n)]
-        def rootmat(v):
-            nz = [(k, x) for k, x in enumerate(v) if x]
-            if len(nz) == 1:
-                (i, x) = nz[0]
-                if x == 2:
-                    return _madd(_e(size, i, n), _e(size, n, opp(i), -1))
-                return _madd(_e(size, n, i), _e(size, opp(i), n, -1))
-            (i, xi), (j, xj) = nz
-            if xi == 2 and xj == -2:
-                return _madd(_e(size, i, j), _e(size, opp(j), opp(i), -1))
-            if xi == -2 and xj == 2:
-                return _madd(_e(size, j, i), _e(size, opp(i), opp(j), -1))
-            if xi == 2 and xj == 2:
-                return _madd(_e(size, i, opp(j)), _e(size, j, opp(i), -1))
-            return _madd(_e(size, opp(j), i), _e(size, opp(i), j, -1))
-        hdual = [_madd(_e(size, i, i), _e(size, opp(i), opp(i), -1)) for i in range(n)]
-    elif type_tag == "C":
-        size = 2 * n
-        def opp(i):
-            return size - 1 - i
-        cartan = [_madd(_e(size, i, i), _e(size, opp(i), opp(i), -1)) for i in range(n)]
-        def rootmat(v):
-            nz = [(k, x) for k, x in enumerate(v) if x]
-            if len(nz) == 1:
-                (i, x) = nz[0]
-                if x == 4:
-                    return _e(size, i, opp(i))
-                return _e(size, opp(i), i)
-            (i, xi), (j, xj) = nz
-            if xi == 2 and xj == -2:
-                return _madd(_e(size, i, j), _e(size, opp(j), opp(i), -1))
-            if xi == -2 and xj == 2:
-                return _madd(_e(size, j, i), _e(size, opp(i), opp(j), -1))
-            if xi == 2 and xj == 2:
-                return _madd(_e(size, i, opp(j)), _e(size, j, opp(i)))
-            return _madd(_e(size, opp(j), i), _e(size, opp(i), j))
-        hdual = [_madd(_e(size, i, i), _e(size, opp(i), opp(i), -1)) for i in range(n)]
-    else:
-        raise ValueError(type_tag)
-    mats = []
-    labels = []
-    for k, h in enumerate(cartan):
-        mats.append(h)
-        labels.append(f"h{k}")
-    for idx, v in enumerate(rs.roots):
-        mats.append(rootmat(v))
-        labels.append(f"x{idx}")
-    model = _MatrixModel(size, mats, labels)
-    return model, rs, {"hdual": hdual, "rootmat": rootmat}
+def _chevalley_preset(r: RootSystem) -> FlagPreset:
+    """Chevalley basis of r (Carter, *Simple Groups of Lie Type*, 1972, 4.1-4.2).
 
+    [h_i, x_a] = <a, s_i^v> x_a for the simple roots s_i, [x_a, x_-a] = a^v
+    written in simple coroots, and [x_a, x_b] = N_ab x_{a+b}.  N is +(p+1) on
+    extraspecial pairs, where b - p a is the end of the a-string through b;
+    Carter's relations give the rest, with N_{-a,-b} = -N_ab.  Root order is
+    lexicographic, an order compatible with addition, so the extraspecial
+    pair of a positive root c is (a, c - a) for the first positive a with
+    c - a a positive root."""
+    simples = simple_roots(r)
+    positive = positive_roots(r)
+    pos = set(positive)
+    rank, nroots = len(simples), r.nroots
+    norm = [sum(x * x for x in v) for v in r.roots]
+
+    def diff(a, b):
+        """Index of a - b when it is a root, else None."""
+        return r.index.get(tuple(x - y for x, y in zip(r.roots[a], r.roots[b])))
+
+    extraspecial = {}
+    for c in positive:
+        first = next((a for a in positive if diff(c, a) in pos), None)
+        if first is not None:
+            extraspecial[c] = first
+
+    @functools.cache
+    def n_of(a, b):
+        """N_ab for roots a, b whose sum c is a root."""
+        c = root_sum(r, a, b)
+        if a not in pos and b not in pos:
+            return -n_of(r.neg(a), r.neg(b))
+        if a in pos and b in pos:
+            e = extraspecial[c]
+            if a == e:
+                p, v = 0, diff(b, a)
+                while v is not None:
+                    p, v = p + 1, diff(v, a)
+                return p + 1
+            if b == e:
+                return -n_of(b, a)
+            # relation (iv) on a + b + f + g = 0 with f = -e, g = e - c
+            f, g = r.neg(e), r.neg(diff(c, e))
+            out = Fraction(0)
+            if (be := diff(b, e)) is not None:
+                out += Fraction(n_of(b, f) * n_of(a, g), norm[be])
+            if (ae := diff(a, e)) is not None:
+                out += Fraction(n_of(f, a) * n_of(b, g), norm[ae])
+            out *= Fraction(norm[c], -n_of(f, g))
+        else:
+            # relation (ii) on a + b + (-c) = 0: pair -c with the root of its sign
+            mc = r.neg(c)
+            if (b in pos) == (mc in pos):
+                out = Fraction(norm[c] * n_of(b, mc), norm[a])
+            else:
+                out = Fraction(norm[c] * n_of(mc, a), norm[b])
+        assert out.denominator == 1, "structure constant is not an integer"
+        return int(out)
+
+    # a = sum_i k_i s_i gives a^v = sum_i k_i |s_i|^2 / |a|^2 s_i^v
+    simple_cols = Factored([[r.roots[s][k] for s in simples] for k in range(r.ambient_dim)], Fraction)
+    coroot = [[k * norm[s] / norm[a] for k, s in zip(simple_cols.solve(v), simples)] for a, v in enumerate(r.roots)]
+    entries = {}
+    for a in range(nroots):
+        x = rank + a
+        for i, s in enumerate(simples):
+            c = 2 * sum(u * v for u, v in zip(r.roots[a], r.roots[s])) // norm[s]
+            if c:
+                entries[(i, x)] = [(x, c)]
+        ma = r.neg(a)
+        if a < ma:
+            entries[(x, rank + ma)] = [(i, k) for i, k in enumerate(coroot[a]) if k]
+        for b in range(a + 1, nroots):
+            c = root_sum(r, a, b)
+            if c is not None:
+                entries[(x, rank + b)] = [(rank + c, n_of(a, b))]
+    dim = rank + nroots
+    conj = [[C_ZERO] * dim for _ in range(dim)]
+    for i in range(rank):
+        conj[i][i] = -C_ONE
+    for a in range(nroots):
+        conj[rank + r.neg(a)][rank + a] = -C_ONE
+    labels = [f"h{i}" for i in range(rank)] + [f"x{a}" for a in range(nroots)]
+    pres = LieAlgebraPresentation(dim, _table(entries, dim), conj, labels=labels)
+    # H_k = sum_i c_i h_i with s_j(H_k) = evaluate(s_j, e_k) for every simple root s_j
+    cartan = Factored(cartan_matrix(r, simples), Fraction)
+    cartan_vec = []
+    for k in range(r.ambient_dim):
+        sol = cartan.solve([Fraction(r.roots[s][k], 2) for s in simples])
+        cartan_vec.append(tuple(CNum.of(x) for x in sol) + (C_ZERO,) * nroots)
+    root_vec = {a: tuple(C_ONE if t == rank + a else C_ZERO for t in range(dim)) for a in range(nroots)}
+    return FlagPreset(r, pres, root_vec, cartan_vec)
+
+
+FLAG_TYPES = ("A", "B", "C", "D", "G2")
 
 _FLAG_CACHE: dict = {}
 
 
 def flag_preset(type_tag: str, rank: int | None = None) -> FlagPreset:
+    """The flag preset of type A (rank = ambient dimension n, for sl(n)), B, C,
+    D (rank n) or G2 (no rank), built once and validated: Jacobi identity,
+    conjugation axioms and the grading of every root vector."""
     key = (type_tag, rank)
-    if key in _FLAG_CACHE:
-        return _FLAG_CACHE[key]
-    if type_tag == "G2":
-        out = _g2_preset()
-    else:
-        model, rs, extra = _classical_model(type_tag, rank)
-        pres = model.presentation()
-        nh = rs.rank
-        root_vec = {}
-        for idx in range(rs.nroots):
-            vec = [C_ZERO] * pres.dim
-            vec[nh + idx] = C_ONE
-            root_vec[idx] = tuple(vec)
-        cartan_vec = []
-        for h in extra["hdual"]:
-            cartan_vec.append(model.coords(h))
-        out = FlagPreset(rs, pres, root_vec, cartan_vec)
+    if key not in _FLAG_CACHE:
+        if type_tag not in FLAG_TYPES:
+            raise ValueError(f"no flag preset of type {type_tag!r}; supported types: {', '.join(FLAG_TYPES)}")
+        if type_tag == "G2" and rank is not None:
+            raise ValueError("G2 takes no rank")
+        out = _chevalley_preset(build_root_system(type_tag, rank))
         _verify_flag(out)
-    _FLAG_CACHE[key] = out
-    return out
+        _FLAG_CACHE[key] = out
+    return _FLAG_CACHE[key]
 
 
 def _verify_flag(fp: FlagPreset):
@@ -380,296 +295,51 @@ def _verify_flag(fp: FlagPreset):
                 raise AssertionError(f"flag preset mis-grades root {rs.roots[idx]}")
 
 
-# ---------------------------------------------------------------------------
-# G2 by folding so(8)
-
-
-def _g2_preset() -> FlagPreset:
-    model, d4, extra = _classical_model("D", 4)
-    pres = model.presentation()
-    nh = 4
-    # order-3 diagram automorphism of D4: g^3 = id and g != id
-    ident = tuple(range(d4.nroots))
-    perm = next((g for g in diagram_automorphisms(d4) if g != ident and tuple(g[g[g[i]]] for i in ident) == ident), None)
-    assert perm is not None, "no triality automorphism found"
-    # tri_cols[k] = tri(e_k): the ambient matrix of the triality tri = perm
-    tri_cols = matrix_of(d4, perm)
-    # sign corrections c_alpha = (-1)^{x_alpha} solved mod 2
-    nroots = d4.nroots
-    rows = []
-    rhs = []
-    basis = [tuple(C_ONE if k == i else C_ZERO for k in range(pres.dim)) for i in range(pres.dim)]
-
-    def xvec(idx):
-        return basis[nh + idx]
-
-    def ratio_bit(i, j, k):
-        """bit of N_{si,sj}/N_{i,j} where [x_i, x_j] = N x_k."""
-        bij = pres.bracket(xvec(i), xvec(j))
-        n1 = bij[nh + k]
-        bss = pres.bracket(xvec(perm[i]), xvec(perm[j]))
-        n2 = bss[nh + perm[k]]
-        r = n1 / n2
-        assert r.im == 0 and abs(r.re) == 1, "triality does not preserve |N|"
-        return 0 if r.re == 1 else 1
-
-    from .rootsys import root_sum
-
-    eqs = []
-    bvec = []
-    for i in range(nroots):
-        for j in range(i + 1, nroots):
-            k = root_sum(d4, i, j)
-            if k is None:
-                continue
-            row = [0] * nroots
-            row[i] ^= 1
-            row[j] ^= 1
-            row[k] ^= 1
-            eqs.append(row)
-            bvec.append(ratio_bit(i, j, k))
-    for i in range(nroots):
-        row = [0] * nroots
-        row[i] ^= 1
-        row[d4.neg(i)] ^= 1
-        eqs.append(row)
-        bvec.append(0)
-        row2 = [0] * nroots
-        row2[i] ^= 1
-        row2[perm[i]] ^= 1
-        row2[perm[perm[i]]] ^= 1
-        eqs.append(row2)
-        bvec.append(0)
-    sol = solve_congruence(eqs, bvec, 2)
-    assert sol is not None, "triality sign system unsolvable"
-    sign = [C_ONE if s % 2 == 0 else -C_ONE for s in sol]
-
-    # shat on coordinates: cartan part via the ambient matrix of tri
-    def shat(v):
-        out = [C_ZERO] * pres.dim
-        # cartan: coordinates 0..3 correspond to hdual-ish basis h0..h3
-        # transport: H_amb -> H_{tri(amb)}
-        amb = [v[k] for k in range(nh)]
-        # h_k = E_kk - E_opp: corresponds to ambient e_k; express tri(e_k)
-        for k in range(nh):
-            if not amb[k]:
-                continue
-            for t in range(nh):
-                out[t] = out[t] + amb[k] * CNum.of(tri_cols[k][t])
-        for idx in range(nroots):
-            c = v[nh + idx]
-            if c:
-                out[nh + perm[idx]] = out[nh + perm[idx]] + c * sign[idx]
-        return tuple(out)
-
-    # verify shat is an order-3 automorphism commuting with nu
-    for i in range(pres.dim):
-        b = basis[i]
-        if shat(shat(shat(b))) != b:
-            raise AssertionError("triality lift is not of order 3")
-        if pres.nu(shat(b)) != shat(pres.nu(b)):
-            raise AssertionError("triality lift does not commute with the conjugation")
-    for i in range(pres.dim):
-        for j in range(i + 1, pres.dim):
-            if shat(pres.bracket(basis[i], basis[j])) != pres.bracket(shat(basis[i]), shat(basis[j])):
-                raise AssertionError("triality lift is not an automorphism")
-
-    # fixed subalgebra
-    fixed = realified_eigenspace(pres.dim, shat, C_ONE)
-    assert fixed.rank() == 28, f"fixed subalgebra has wrong dimension {fixed.rank()}"
-
-    sub, embed, project = sub_presentation(pres, fixed)
-    assert sub.dim == 14
-
-    # Cartan of the fold: images of fixed Cartan vectors
-    g2 = build_root_system("G2")
-    # fixed Cartan = ambient vectors fixed by tri
-    hfix = kernel([[tri_cols[j][i] - (1 if i == j else 0) for j in range(4)] for i in range(4)], Fraction)
-    assert len(hfix) == 2
-    def h_of_amb(amb):
-        v = [C_ZERO] * pres.dim
-        for k in range(4):
-            v[k] = CNum.of(Fraction(amb[k]))
-        return tuple(v)
-
-    h1 = project(h_of_amb(hfix[0]))
-    h2 = project(h_of_amb(hfix[1]))
-    # joint eigen-decomposition of (ad h1, ad h2) on the fold
-    sub_basis = [tuple(C_ONE if k == i else C_ZERO for k in range(14)) for i in range(14)]
-    pairs = {}
-    id_cols1 = [sub.bracket(h1, b) for b in sub_basis]
-    id_cols2 = [sub.bracket(h2, b) for b in sub_basis]
-    # restricted roots of the D4 roots: alpha|_{hfix}
-    weights = {}
-    for idx in range(nroots):
-        lam1 = evaluate(d4.roots[idx], tuple(hfix[0]))
-        lam2 = evaluate(d4.roots[idx], tuple(hfix[1]))
-        weights.setdefault((lam1, lam2), []).append(idx)
-    assert len([w for w in weights if w != (0, 0)]) == 12
-    # root vectors of the fold: orbit sums
-    fold_vec = {}
-    for w, idxs in weights.items():
-        if w == (0, 0):
-            continue
-        orbit = set()
-        for idx in idxs:
-            if idx in orbit:
-                continue
-            o = [idx, perm[idx], perm[perm[idx]]]
-            if o[1] == idx:
-                o = [idx]
-            vec = [C_ZERO] * pres.dim
-            seen = set()
-            for t, oi in enumerate(o):
-                if oi in seen:
-                    continue
-                seen.add(oi)
-                # accumulate shat^t applied to x_idx
-                val = xvec(idx)
-                for _ in range(t):
-                    val = shat(val)
-                for u in range(pres.dim):
-                    vec[u] = vec[u] + val[u]
-            orbit.update(o)
-            fold_vec[w] = project(tuple(vec))
-            break
-    # match restricted weights to our G2 roots by re-expressing both sides
-    # over a simple-root basis
-    g2_map = _match_g2(g2, list(fold_vec.keys()), hfix)
-    root_vec = {}
-    for w, vec in fold_vec.items():
-        root_vec[g2_map[w]] = vec
-    assert len(root_vec) == 12
-    # Cartan vectors for our G2 ambient coordinates: find H with
-    # alpha(H) = evaluate(alpha, e_k) for all alpha
-    cartan_vec = []
-    for k in range(3):
-        amb = [Fraction(0)] * 3
-        amb[k] = Fraction(1)
-        # solve: H = a*h1 + b*h2 with restricted values matching two
-        # independent roots
-        ridx = sorted(root_vec)
-        from .rootsys import inner
-
-        a_b = _solve_cartan_coeffs(g2, d4, g2_map, hfix, amb, ridx)
-        vec = tuple(CNum.of(a_b[0]) * x + CNum.of(a_b[1]) * y for x, y in zip(h1, h2))
-        cartan_vec.append(vec)
-    out = FlagPreset(g2, sub, root_vec, cartan_vec)
-    _verify_flag(out)
-    return out
-
-
-def _match_g2(g2: RootSystem, weights, hfix):
-    """Bijection (restricted weight pair) -> our G2 root index, linear in the
-    weight and sending the weight set onto the root set."""
-    # pick two independent weights as a basis, try mapping them to candidate
-    # root pairs, extend linearly, accept the bijection that works
-    ws = sorted(weights)
-    basis = None
-    for i in range(len(ws)):
-        for j in range(i + 1, len(ws)):
-            a, b = ws[i], ws[j]
-            det = a[0] * b[1] - a[1] * b[0]
-            if det != 0:
-                basis = (a, b)
-                break
-        if basis:
-            break
-    a, b = basis
-    det = a[0] * b[1] - a[1] * b[0]
-    wset = set(ws)
-    for ra in range(g2.nroots):
-        for rb in range(g2.nroots):
-            if ra == rb:
-                continue
-            out = {}
-            ok = True
-            for w in ws:
-                # solve w = s*a + t*b
-                s = (w[0] * b[1] - w[1] * b[0]) / det
-                t = (a[0] * w[1] - a[1] * w[0]) / det
-                target = tuple(
-                    s * Fraction(x) + t * Fraction(y)
-                    for x, y in zip(g2.roots[ra], g2.roots[rb])
-                )
-                key = tuple(target)
-                if any(v.denominator != 1 for v in key):
-                    ok = False
-                    break
-                key = tuple(int(v) for v in key)
-                if key not in g2.index:
-                    ok = False
-                    break
-                out[w] = g2.index[key]
-            if ok and len(set(out.values())) == len(ws):
-                return out
-    raise AssertionError("could not identify the folded root system with G2")
-
-
-def _solve_cartan_coeffs(g2, d4, g2_map, hfix, amb, ridx):
-    """Coefficients (a, b) with alpha(a h1 + b h2) = evaluate(alpha, amb)."""
-    inv_map = {v: k for k, v in g2_map.items()}
-    rows = []
-    rhs = []
-    for idx in ridx[:3]:
-        w = inv_map[idx]
-        rows.append([Fraction(w[0]), Fraction(w[1])])
-        rhs.append(evaluate(g2.roots[idx], tuple(amb)))
-    sol = solve_linear(rows, rhs, Fraction)
-    assert sol is not None
-    return sol
+def _sl2_borel() -> CRAlgebra:
+    pres = sl2()
+    return CRAlgebra(pres, cspan(pres, [(C_ONE, C_ZERO, C_ZERO), (C_ZERO, C_ONE, C_ZERO)]))
 
 
 PRESET_BUILDERS = {
-    "heisenberg": lambda: heisenberg(),
-    "sl2": None,
-    "su2": None,
-    "su2-flag": lambda: su2_flag(),
+    "heisenberg": heisenberg,
+    "sl2": _sl2_borel,
+    "su2": su2_flag,
+    "su2-flag": su2_flag,
     "exam-bf": lambda: exam_bf()[0],
 }
 
 
 def get_preset(name: str) -> CRAlgebra:
-    """CLI preset lookup: heisenberg, su2-flag, exam-bf, flag:TYPE[:RANK][:Qspec]."""
-    if name in PRESET_BUILDERS and PRESET_BUILDERS[name]:
+    """CLI preset lookup: heisenberg, sl2, su2, su2-flag, exam-bf, or
+    flag:TYPE[:RANK][:QSPEC] with TYPE one of A, B, C, D (which need RANK) or
+    G2 (which takes none), and QSPEC borel (the default), cartan, or for G2
+    Q40, Q41, Q42."""
+    if name in PRESET_BUILDERS:
         return PRESET_BUILDERS[name]()
     if name.startswith("flag:"):
-        parts = name.split(":")
-        tag = parts[1]
-        rank = None
-        qspec = None
-        rest = parts[2:]
-        for p in rest:
-            if p.isdigit():
-                rank = int(p)
-            else:
-                qspec = p
-        fp = flag_preset(tag, rank)
-        q_indices = _named_q(fp.system, qspec)
-        return fp.cr_algebra(q_indices)
-    raise KeyError(f"unknown preset {name!r}")
+        tag, *rest = name[len("flag:") :].split(":")
+        ranks = [p for p in rest if p.isdigit()]
+        qspecs = [p for p in rest if not p.isdigit()]
+        if len(ranks) > 1:
+            raise ValueError(f"preset {name!r} gives more than one rank")
+        if len(qspecs) > 1:
+            raise ValueError(f"preset {name!r} gives more than one Q spec")
+        fp = flag_preset(tag, int(ranks[0]) if ranks else None)
+        return fp.cr_algebra(_named_q(fp.system, qspecs[0] if qspecs else None))
+    raise ValueError(f"unknown preset {name!r}")
 
 
 def _named_q(rs: RootSystem, qspec: str | None):
-    from .weyl import positive_roots
-
+    g2_sets = {
+        "Q40": [(1, 0, -1), (2, -1, -1)],
+        "Q41": [(1, 0, -1), (2, -1, -1), (1, -2, 1)],
+        "Q42": [(1, 0, -1), (2, -1, -1), (1, 1, -2)],
+    } if rs.type_tag == "G2" else {}
     if qspec in (None, "borel"):
         return positive_roots(rs)
-    if rs.type_tag == "G2" and qspec in ("Q40", "Q41", "Q42"):
-        from .rootsys import roots_set
-
-        table = {
-            "Q40": [(1, 0, -1), (2, -1, -1)],
-            "Q41": [(1, 0, -1), (2, -1, -1), (1, -2, 1)],
-            "Q42": [(1, 0, -1), (2, -1, -1), (1, 1, -2)],
-        }
-        return sorted(roots_set(rs, table[qspec]))
     if qspec == "cartan":
         return []
-    raise KeyError(f"unknown Q spec {qspec!r}")
-
-
-PRESET_BUILDERS["sl2"] = lambda: CRAlgebra(
-    sl2(), cspan(sl2(), [(C_ONE, C_ZERO, C_ZERO), (C_ZERO, C_ONE, C_ZERO)])
-)
-PRESET_BUILDERS["su2"] = lambda: su2_flag()
+    if qspec in g2_sets:
+        return sorted(roots_set(rs, g2_sets[qspec]))
+    known = ", ".join(["borel", "cartan", *g2_sets])
+    raise ValueError(f"unknown Q spec {qspec!r} for {rs.type_tag}; known: {known}")

@@ -32,7 +32,7 @@ from flagcr.classify import (
     verify_grading,
 )
 from flagcr.qsets import compat_graph, is_fundamental, is_lb
-from flagcr.rootsys import build_root_system, evaluate_int, find_root, roots_set
+from flagcr.rootsys import build_root_system, evaluate_int, find_root, root_sum, roots_set
 from flagcr.weyl import OrbitBudgetExceeded, canonical_form, reflection_perm, root_orbit, sets_equivalent
 
 H = Fraction(1, 2)
@@ -386,13 +386,45 @@ def test_enumerate_aut_quotient_merges_d4():
     assert len(aut_classes) < len(w_classes)
 
 
-def test_g2_fold_presentation_axioms():
-    # the folded so(8) presentation satisfies Jacobi and the conjugation
-    # axioms exhaustively
+CHEVALLEY_SPECS = [("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 4), ("G2", None)]
+
+
+@pytest.mark.parametrize(
+    "spec", CHEVALLEY_SPECS, ids=[f"{t}{r - 1 if t == 'A' else r}" if r else t for t, r in CHEVALLEY_SPECS]
+)
+def test_chevalley_presentation_axioms(spec):
+    # the flag presentation satisfies Jacobi and the conjugation axioms
+    # exhaustively, and its basis is a Chevalley basis: alpha(h_alpha) = 2,
+    # nu(x_alpha) = -x_{-alpha}, nu(h) = -h, and [x_a, x_b] = N x_{a+b} with
+    # |N| = p + 1 for the a-string b - p a, ..., b through b
+    from flagcr.gaussq import C_ZERO, CNum
     from flagcr.presets import flag_preset
 
-    fp = flag_preset("G2")
+    fp = flag_preset(*spec)
     fp.pres._validate()
+    r, pres, x = fp.system, fp.pres, fp.root_vec
+    for hv in fp.cartan_vec:
+        assert pres.nu(hv) == tuple(-t for t in hv)
+    for a in range(r.nroots):
+        ma = r.neg(a)
+        assert pres.nu(x[a]) == tuple(-t for t in x[ma])
+        h = pres.bracket(x[a], x[ma])
+        assert pres.nu(h) == tuple(-t for t in h)
+        assert pres.bracket(h, x[a]) == tuple(CNum.of(2) * t for t in x[a])
+        for b in range(r.nroots):
+            if b in (a, ma):
+                continue
+            got = pres.bracket(x[a], x[b])
+            c = root_sum(r, a, b)
+            if c is None:
+                assert all(t == C_ZERO for t in got)
+                continue
+            p = 0
+            while tuple(v - (p + 1) * u for u, v in zip(r.roots[a], r.roots[b])) in r.index:
+                p += 1
+            n = next(t for t in got if t)
+            assert got == tuple(n * t for t in x[c])
+            assert n.im == 0 and abs(n.re) == p + 1
 
 
 def test_known_discrepancies_listed():

@@ -140,6 +140,36 @@ def test_cralg_flag_g2_predicates(capsys):
     assert res["effective"] is True
 
 
+BAD_PRESETS = [
+    ("rank on G2", "flag:G2:5", "G2 takes no rank"),
+    ("its own rank on G2", "flag:G2:2:Q40", "G2 takes no rank"),
+    ("two ranks", "flag:A:3:4", "preset 'flag:A:3:4' gives more than one rank"),
+    ("two Q specs", "flag:B:2:borel:cartan", "preset 'flag:B:2:borel:cartan' gives more than one Q spec"),
+    ("F4", "flag:F4", "no flag preset of type 'F4'; supported types: A, B, C, D, G2"),
+    ("E6 with Q spec", "flag:E6:borel", "supported types: A, B, C, D, G2"),
+    ("missing rank", "flag:A", "type A requires a rank"),
+    ("rank too small", "flag:D:2", "D_n needs n >= 3"),
+    ("G2 Q spec on B", "flag:B:2:Q40", "unknown Q spec 'Q40' for B; known: borel, cartan"),
+    ("unknown Q spec on G2", "flag:G2:Q43", "unknown Q spec 'Q43' for G2; known: borel, cartan, Q40, Q41, Q42"),
+    ("unknown name", "sl3", "unknown preset 'sl3'"),
+]
+
+
+@pytest.mark.parametrize("preset,message", [c[1:] for c in BAD_PRESETS], ids=[c[0] for c in BAD_PRESETS])
+def test_bad_preset_exits_1(capsys, preset, message):
+    # a malformed preset name ends in exit 1 with a precise message, and
+    # leaves no flag preset cached under a malformed key
+    from flagcr import presets
+
+    assert main(["cralg", "--preset", preset, "--op", "predicates"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot load algebra: ")
+    assert message in captured.err
+    for tag, rank in presets._FLAG_CACHE:
+        assert tag in presets.FLAG_TYPES and (rank is None) == (tag == "G2")
+
+
 def test_cralg_file_mode(tmp_path, capsys):
     from flagcr.presets import heisenberg
 

@@ -21,6 +21,10 @@ COMMANDS = [
     ("verify-paper-gradings", ["verify-paper", "--section", "gradings"], 0),
     ("verify-paper-7", ["verify-paper", "--section", "7"], 0),
     ("cralg-G2-Q40-predicates", ["cralg", "--preset", "flag:G2:Q40", "--op", "predicates"], 0),
+    ("cralg-G2-Q41-levi", ["cralg", "--preset", "flag:G2:Q41", "--op", "levi"], 0),
+    ("cralg-G2-Q42-levi", ["cralg", "--preset", "flag:G2:Q42", "--op", "levi"], 0),
+    ("cralg-B-3-cartan-levi", ["cralg", "--preset", "flag:B:3:cartan", "--op", "levi"], 0),
+    ("cralg-C-3-anticanonical", ["cralg", "--preset", "flag:C:3", "--op", "anticanonical"], 0),
 ]
 
 
