@@ -434,6 +434,27 @@ def cmd_realform(args) -> int:
     return 0
 
 
+def _q_vectors(text):
+    """The --q file: a JSON list of vectors, each a list of [re, im] pairs."""
+    from .gaussq import CNum
+
+    vecs = json.loads(text)
+    if not isinstance(vecs, list) or not all(isinstance(v, list) for v in vecs):
+        raise ValueError("--q must hold a JSON list of vectors")
+    return [tuple(CNum.from_pair(z, f"--q vector {t}") for z in v) for t, v in enumerate(vecs)]
+
+
+def _xi(text, n):
+    """--xi: a JSON list of n integers, the coefficients on the g0 basis."""
+    try:
+        xi = json.loads(text)
+    except ValueError:
+        xi = None
+    if not (isinstance(xi, list) and len(xi) == n and all(type(x) is int for x in xi)):
+        raise SystemExit2(f"--xi must be a JSON list of {n} integers, got {text!r}", 1)
+    return xi
+
+
 def cmd_cralg(args) -> int:
     started = time.perf_counter()
     from . import cralg as ca
@@ -447,14 +468,8 @@ def cmd_cralg(args) -> int:
                 raise SystemExit2("--file mode requires --file and --q", 1)
             with open(args.file) as f:
                 pres = ca.LieAlgebraPresentation.from_json(f.read())
-            from fractions import Fraction
-
-            from .gaussq import CNum
-
-            qvecs = []
-            for vec in json.loads(open(args.q).read()):
-                qvecs.append(tuple(CNum(Fraction(re), Fraction(im)) for re, im in vec))
-            alg = ca.CRAlgebra(pres, ca.cspan(pres, qvecs))
+            with open(args.q) as f:
+                alg = ca.CRAlgebra(pres, ca.cspan(pres, _q_vectors(f.read())))
     except (OSError, ValueError, KeyError) as e:
         raise SystemExit2(f"cannot load algebra: {e}", 1)
     out = {}
@@ -468,21 +483,28 @@ def cmd_cralg(args) -> int:
             "effective": ca.is_effective(alg),
         }
     elif args.op == "levi":
-        xi = json.loads(args.xi) if args.xi else None
-        if xi is None:
-            n = len(alg.pres.g0_basis())
-            for k in range(n):
-                cand = [1 if t == k else 0 for t in range(n)]
+        n = len(alg.pres.g0_basis())
+        if args.xi is not None:
+            xi = _xi(args.xi, n)
+            try:
+                m = ca.scalar_levi_form(alg, xi)
+            except ca.NotCharacteristic as e:
+                raise SystemExit2(f"--xi {args.xi} is not characteristic: {e}", 1)
+        else:
+            # the first unit covector that is characteristic; when q + qbar = g
+            # (CR codimension 0) only xi = 0 is
+            if ca.cr_dim_codim(alg)[1] == 0:
+                cands = [[0] * n]
+            else:
+                cands = [[1 if t == k else 0 for t in range(n)] for k in range(n)]
+            for xi in cands:
                 try:
-                    m = ca.scalar_levi_form(alg, cand)
-                    xi = cand
+                    m = ca.scalar_levi_form(alg, xi)
                     break
                 except ca.NotCharacteristic:
                     continue
             else:
                 raise SystemExit2("no characteristic covector found; pass --xi", 1)
-        else:
-            m = ca.scalar_levi_form(alg, [int(x) for x in xi])
         out = {"xi": xi, "levi_matrix": [[str(x) for x in row] for row in m]}
     elif args.op == "fibration":
         from .gaussq import RMatrix

@@ -1,7 +1,7 @@
 """Structure-constants CR algebras over exact Gaussian rationals.
 
-A presentation carries a complex Lie algebra g (basis-indexed structure
-constants), together with an antilinear involutive automorphism nu whose
+A presentation carries a complex Lie algebra g (a sparse table of its
+nonzero structure constants in one basis), together with an antilinear involutive automorphism nu whose
 fixed set is the real form g0.  A CR algebra is such a presentation plus a
 complex subalgebra q; all predicates, Levi forms, J / weak-J / CR-symmetry
 verification, fibration compatibility and the anticanonical construction are
@@ -49,94 +49,118 @@ class PreconditionViolation(ValueError):
     pass
 
 
-def _czero_vec(n):
-    return tuple(C_ZERO for _ in range(n))
+def _std_basis(n):
+    """The unit vectors of C^n as CNum tuples."""
+    return [tuple(C_ONE if k == i else C_ZERO for k in range(n)) for i in range(n)]
+
+
+def _apply(cols, v, n):
+    """sum_j v[j] cols[j] as a CNum n-vector, skipping the zero coordinates
+    of v and of the columns: every linear map of this module is applied here."""
+    out = [C_ZERO] * n
+    for z, col in zip(v, cols):
+        if z:
+            z = CNum.of(z)
+            for t, c in enumerate(col):
+                if c:
+                    out[t] = out[t] + z * c
+    return tuple(out)
+
+
+def _matrix_map(m, n):
+    """v -> M v for the n x n matrix M given by its rows."""
+    cols = [tuple(CNum.of(m[i][j]) for i in range(n)) for j in range(n)]
+    return lambda v: _apply(cols, v, n)
+
+
+def _preserves_bracket(src, tgt, apply, basis, error):
+    """apply([u, v]) = [apply(u), apply(v)] on every pair of the basis (of
+    src); raises error naming the first pair where it fails."""
+    imgs = [apply(b) for b in basis]
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            if apply(src.bracket(basis[i], basis[j])) != tgt.bracket(imgs[i], imgs[j]):
+                raise error(f"fails on basis pair {i},{j}")
 
 
 class LieAlgebraPresentation:
-    """dim, labels, structure constants and the real-form conjugation."""
+    """dim, labels, structure constants and the real-form conjugation.
 
-    def __init__(self, dim, bracket_table, conj_matrix, labels=None, validate=True):
+    ``table`` maps (i, j) to pairs (k, c) with [b_i, b_j] = sum of c b_k.  Only
+    the nonzero constants are stored, under i < j: a j < i key is stored
+    negated, and entries for one coordinate add up.  ``conj`` is the matrix
+    of nu by rows.  Every presentation is checked on construction: the Jacobi
+    identity on every basis triple, and nu an involutive antilinear
+    automorphism."""
+
+    def __init__(self, dim, table, conj, labels=None):
         self.dim = dim
         self.labels = list(labels) if labels else [f"b{k}" for k in range(dim)]
-        # bracket_table: dict (i, j) -> CNum vector for i < j
+        rows = {}
+        for (i, j), pairs in table.items():
+            for k, c in pairs:
+                if not all(0 <= t < dim for t in (i, j, k)):
+                    raise ValueError(f"structure constant ({i}, {j}) -> {k}: index outside 0..{dim - 1}")
+                if i == j:
+                    raise ValueError(f"structure constant ({i}, {j}) -> {k}: i = j, but [b_i, b_i] = 0")
+                row = rows.setdefault((min(i, j), max(i, j)), {})
+                row[k] = row.get(k, C_ZERO) + (CNum.of(c) if i < j else -CNum.of(c))
         self.table = {}
-        for (i, j), v in bracket_table.items():
-            vec = tuple(CNum.of(x) for x in v)
-            if i < j:
-                self.table[(i, j)] = vec
-            elif j < i:
-                self.table[(j, i)] = tuple(-x for x in vec)
-        self.conj_cols = tuple(
-            tuple(CNum.of(conj_matrix[i][j]) for i in range(dim)) for j in range(dim)
-        )
-        if validate:
-            self._validate()
+        for key, row in sorted(rows.items()):
+            if pairs := tuple((k, c) for k, c in sorted(row.items()) if c):
+                self.table[key] = pairs
+        if len(conj) != dim or any(len(row) != dim for row in conj):
+            raise ValueError(f"conj must be a {dim} x {dim} matrix")
+        self.conj_cols = tuple(tuple(CNum.of(conj[i][j]) for i in range(dim)) for j in range(dim))
+        self._validate()
         self._g0 = None
-        self._killing = None
 
     # -- core algebra ------------------------------------------------------
     def basis_bracket(self, i, j):
-        if i == j:
-            return _czero_vec(self.dim)
-        if i < j:
-            return self.table.get((i, j), _czero_vec(self.dim))
-        v = self.table.get((j, i), _czero_vec(self.dim))
-        return tuple(-x for x in v)
+        """[b_i, b_j] as a dense CNum vector."""
+        out = [C_ZERO] * self.dim
+        for k, c in self.table.get((min(i, j), max(i, j)), ()):
+            out[k] = c if i < j else -c
+        return tuple(out)
 
     def bracket(self, x, y):
-        n = self.dim
-        out = [C_ZERO] * n
-        for i in range(n):
-            if not x[i]:
+        table = self.table
+        out = [C_ZERO] * self.dim
+        ys = [(j, b) for j, b in enumerate(y) if b]
+        for i, a in enumerate(x):
+            if not a:
                 continue
-            for j in range(n):
-                if not y[j]:
-                    continue
-                cij = self.basis_bracket(i, j)
-                f = x[i] * y[j]
-                for k in range(n):
-                    if cij[k]:
-                        out[k] = out[k] + f * cij[k]
+            for j, b in ys:
+                pairs = table.get((i, j) if i < j else (j, i))
+                if pairs:
+                    f = a * b if i < j else -(a * b)
+                    for k, c in pairs:
+                        out[k] = out[k] + f * c
         return tuple(out)
 
     def nu(self, v):
         """Antilinear conjugation nu(v) = N conj(v)."""
-        n = self.dim
-        out = [C_ZERO] * n
-        for j in range(n):
-            c = CNum.of(v[j]).conj()
-            if not c:
-                continue
-            col = self.conj_cols[j]
-            for i in range(n):
-                if col[i]:
-                    out[i] = out[i] + c * col[i]
-        return tuple(out)
+        return _apply(self.conj_cols, [CNum.of(z).conj() for z in v], self.dim)
 
     def _validate(self):
-        n = self.dim
-        basis = [tuple(C_ONE if k == i else C_ZERO for k in range(n)) for i in range(n)]
-        # Jacobi
+        n, table = self.dim, self.table
+        # Jacobi: [b_i, [b_j, b_k]] - [b_j, [b_i, b_k]] + [b_k, [b_i, b_j]] = 0,
+        # summed over the stored entries of the inner and the outer bracket
         for i in range(n):
             for j in range(i + 1, n):
-                bij = self.basis_bracket(i, j)
                 for k in range(j + 1, n):
-                    t1 = self.bracket(basis[i], self.basis_bracket(j, k))
-                    t2 = self.bracket(basis[j], self.basis_bracket(k, i))
-                    t3 = self.bracket(basis[k], bij)
-                    if any(a + b + c for a, b, c in zip(t1, t2, t3)):
+                    acc = {}
+                    for a, p, q, sign in ((i, j, k, 1), (j, i, k, -1), (k, i, j, 1)):
+                        for m, c in table.get((p, q), ()):
+                            f = c if (a < m) == (sign > 0) else -c
+                            for t, d in table.get((min(a, m), max(a, m)), ()):
+                                acc[t] = acc.get(t, C_ZERO) + f * d
+                    if any(acc.values()):
                         raise ValueError(f"Jacobi identity fails on basis triple {i},{j},{k}")
-        # conjugation: involutive antilinear automorphism
-        for i in range(n):
-            if self.nu(self.nu(basis[i])) != basis[i]:
-                raise ValueError("conjugation is not an involution")
-        for i in range(n):
-            for j in range(i + 1, n):
-                lhs = self.nu(self.basis_bracket(i, j))
-                rhs = self.bracket(self.nu(basis[i]), self.nu(basis[j]))
-                if lhs != rhs:
-                    raise ValueError("conjugation is not a Lie automorphism")
+        basis = _std_basis(n)
+        if any(self.nu(self.nu(b)) != b for b in basis):
+            raise ValueError("conjugation is not an involution")
+        _preserves_bracket(self, self, self.nu, basis, lambda m: ValueError(f"conjugation is not a Lie automorphism: {m}"))
 
     def g0_subspace(self) -> RMatrix:
         """Fixed points of nu as a realified row space (real dimension n)."""
@@ -150,9 +174,7 @@ class LieAlgebraPresentation:
 
     def ad(self, x):
         """Complex matrix of ad(x) (columns = images of basis vectors)."""
-        n = self.dim
-        basis = [tuple(C_ONE if k == i else C_ZERO for k in range(n)) for i in range(n)]
-        return [self.bracket(x, b) for b in basis]  # list of column vectors
+        return [self.bracket(x, b) for b in _std_basis(self.dim)]
 
     def killing(self, x, y):
         adx = self.ad(x)
@@ -167,31 +189,40 @@ class LieAlgebraPresentation:
         return tot
 
     def to_json(self):
-        entries = []
-        for (i, j), vec in sorted(self.table.items()):
-            for k, z in enumerate(vec):
-                if z:
-                    entries.append([i, j, k, str(z.re), str(z.im)])
+        entries = [[i, j, k, str(c.re), str(c.im)] for (i, j), pairs in sorted(self.table.items()) for k, c in pairs]
         conj = [[[str(self.conj_cols[j][i].re), str(self.conj_cols[j][i].im)] for j in range(self.dim)] for i in range(self.dim)]
         return json.dumps({"dim": self.dim, "labels": self.labels, "c": entries, "conj": conj}, sort_keys=True)
 
     @staticmethod
     def from_json(text):
+        """Inverse of to_json; malformed input raises ValueError naming the
+        part at fault."""
         data = json.loads(text)
-        n = data["dim"]
+        if not isinstance(data, dict) or not {"dim", "c", "conj"} <= data.keys():
+            raise ValueError("expected a JSON object with keys dim, c and conj")
+        n, entries, conj = data["dim"], data["c"], data["conj"]
+        if not (type(n) is int and n >= 0):
+            raise ValueError(f"dim must be a non-negative integer, got {n!r}")
+        if not (isinstance(entries, list) and isinstance(conj, list) and all(isinstance(r, list) for r in conj)):
+            raise ValueError("c must be a list of entries and conj a list of rows")
         table = {}
-        for i, j, k, re, im in data["c"]:
-            vec = list(table.setdefault((i, j), [C_ZERO] * n))
-            vec[k] = CNum(Fraction(re), Fraction(im))
-            table[(i, j)] = vec
-        conj = [[CNum(Fraction(data["conj"][i][j][0]), Fraction(data["conj"][i][j][1])) for j in range(n)] for i in range(n)]
-        return LieAlgebraPresentation(n, table, conj, data.get("labels"))
+        for e in entries:
+            if not (isinstance(e, list) and len(e) == 5 and all(type(t) is int for t in e[:3])):
+                raise ValueError(f"structure constant {e!r} is not [i, j, k, re, im] with integer i, j, k")
+            table.setdefault((e[0], e[1]), []).append((e[2], CNum.from_pair(e[3:], f"structure constant {e!r}")))
+        conj = [[CNum.from_pair(z, f"conj[{i}][{j}]") for j, z in enumerate(row)] for i, row in enumerate(conj)]
+        labels = data.get("labels")
+        if labels is not None and not (isinstance(labels, list) and len(labels) == n):
+            raise ValueError(f"labels must be a list of {n} names")
+        return LieAlgebraPresentation(n, table, conj, labels)
 
 
 def cspan(pres: LieAlgebraPresentation, vectors) -> RMatrix:
     """Complex span of CNum vectors as a realified row space."""
     rows = []
-    for v in vectors:
+    for t, v in enumerate(vectors):
+        if len(v) != pres.dim:
+            raise ValueError(f"vector {t} has {len(v)} coordinates, not {pres.dim}")
         v = tuple(CNum.of(x) for x in v)
         rows.append(realify_vector(v))
         rows.append(realify_vector(tuple(C_I * x for x in v)))
@@ -237,6 +268,20 @@ def is_subalgebra(pres, space: RMatrix) -> bool:
     return space.contains_space(bracket_spaces(pres, space, space))
 
 
+def _generated(pres, space: RMatrix) -> RMatrix:
+    """The subalgebra generated by a subspace."""
+    while True:
+        nxt = space.sum(bracket_spaces(pres, space, space))
+        if nxt.rank() == space.rank():
+            return space
+        space = nxt
+
+
+def _complexified(pres, space: RMatrix) -> RMatrix:
+    """space + i space: the complex span of a real subspace."""
+    return cspan(pres, [complexify_vector(r) for r in space.rows])
+
+
 @dataclass
 class CRAlgebra:
     pres: LieAlgebraPresentation
@@ -278,13 +323,7 @@ def cr_dim_codim(a: CRAlgebra) -> tuple[int, int]:
 
 def is_fundamental_cr(a: CRAlgebra) -> bool:
     """The subalgebra generated by q + qbar equals g."""
-    v = a.q_plus_qbar()
-    while True:
-        nxt = v.sum(bracket_spaces(a.pres, v, v))
-        if nxt.rank() == v.rank():
-            break
-        v = nxt
-    return v.rank() == 2 * a.pres.dim
+    return _generated(a.pres, a.q_plus_qbar()).rank() == 2 * a.pres.dim
 
 
 def is_levi_nondegenerate(a: CRAlgebra) -> bool:
@@ -420,35 +459,26 @@ def vector_levi_form(a: CRAlgebra, z) -> tuple[Fraction, ...]:
     return tuple(cut.residue(realify_vector(v)))
 
 
+def _g0_map(src, tgt, mat):
+    """The complex-linear map from src to tgt presentation coordinates whose
+    matrix on the g0 bases is the rational matrix mat."""
+    sbasis, tbasis = src.g0_basis(), tgt.g0_basis()
+    imgs = [_apply(tbasis, [mat[i][j] for i in range(len(tbasis))], tgt.dim) for j in range(len(sbasis))]
+    coords = _g0_coords_solver(src)
+    return lambda v: _apply(imgs, coords(v), tgt.dim)
+
+
 def _check_derivation(pres, jmat):
     """jmat: rational matrix on g0-basis coordinates; returns the complex
-    matrix map on presentation coordinates."""
+    map on presentation coordinates once the Leibniz rule holds."""
+    apply = _g0_map(pres, pres, jmat)
     basis = pres.g0_basis()
-    n = len(basis)
-    imgs = []
-    for j in range(n):
-        img = [C_ZERO] * pres.dim
-        for i in range(n):
-            f = CNum.of(Fraction(jmat[i][j]))
-            if f:
-                for t in range(pres.dim):
-                    img[t] = img[t] + f * basis[i][t]
-        imgs.append(tuple(img))
-    coords = _g0_coords_solver(pres)
-    def apply(v):
-        c = coords(v)
-        out = [C_ZERO] * pres.dim
-        for j, z in enumerate(c):
-            if z:
-                for t in range(pres.dim):
-                    out[t] = out[t] + z * imgs[j][t]
-        return tuple(out)
-    for i in range(n):
-        for j in range(i + 1, n):
+    imgs = [apply(b) for b in basis]
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
             lhs = apply(pres.bracket(basis[i], basis[j]))
-            rhs1 = pres.bracket(apply(basis[i]), basis[j])
-            rhs2 = pres.bracket(basis[i], apply(basis[j]))
-            if lhs != tuple(x + y for x, y in zip(rhs1, rhs2)):
+            rhs = zip(pres.bracket(imgs[i], basis[j]), pres.bracket(basis[i], imgs[j]))
+            if lhs != tuple(x + y for x, y in rhs):
                 raise NotADerivation(f"Leibniz fails on g0 basis pair {i},{j}")
     return apply
 
@@ -469,27 +499,13 @@ def check_j_property(a: CRAlgebra, jmat) -> bool:
     return True
 
 
-def _check_automorphism(pres, apply):
-    basis = [tuple(C_ONE if k == i else C_ZERO for k in range(pres.dim)) for i in range(pres.dim)]
-    for i in range(pres.dim):
-        for j in range(i + 1, pres.dim):
-            lhs = apply(pres.basis_bracket(i, j))
-            rhs = pres.bracket(apply(basis[i]), apply(basis[j]))
-            if lhs != rhs:
-                raise NotAnAutomorphism(f"fails on basis pair {i},{j}")
-
-
 def exact_exponential(pres: LieAlgebraPresentation, jmat):
     """Upsilon = exp(pi J / 2) for a semisimple derivation with spectrum in
     iZ: acts as i^k on the eigenspace of ik; NonExactExponential otherwise."""
     apply_j = _check_derivation(pres, jmat)
     n = pres.dim
-    basis = [tuple(C_ONE if k == i else C_ZERO for k in range(n)) for i in range(n)]
-    jcols = [apply_j(b) for b in basis]
-    bound = 0
-    for col in jcols:
-        s = sum(abs(x.re) + abs(x.im) for x in col)
-        bound = max(bound, int(s) + 1)
+    jcols = [apply_j(b) for b in _std_basis(n)]
+    bound = max((int(sum(abs(x.re) + abs(x.im) for x in col)) + 1 for col in jcols), default=0)
     pieces = []
     total = RMatrix.empty(2 * n)
     for k in range(-bound, bound + 1):
@@ -499,23 +515,18 @@ def exact_exponential(pres: LieAlgebraPresentation, jmat):
             total = total.sum(space)
     if total.rank() != 2 * n:
         raise NonExactExponential("derivation is not semisimple with spectrum in iZ")
-    ipow = {0: C_ONE, 1: C_I, 2: -C_ONE, 3: -C_I}
-    # express v in the union of the eigenbases, factored once
+    # express v in the union of the eigenbases, factored once; the
+    # eigenvector of ik goes to i^k times itself
     eigvecs = [(k, r) for k, space in pieces for r in space.rows]
     eigen = Factored([[r[i] for _, r in eigvecs] for i in range(2 * n)], Fraction)
+    ipow = (C_ONE, C_I, -C_ONE, -C_I)
+    cols = [tuple(ipow[k % 4] * x for x in complexify_vector(r)) for k, r in eigvecs]
 
     def apply_u(v):
-        sol = eigen.solve(realify_vector(tuple(CNum.of(x) for x in v)))
+        sol = eigen.solve(realify_vector(v))
         if sol is None:
             raise NonExactExponential("eigenbasis does not span")
-        out = [C_ZERO] * n
-        for c, (k, r) in zip(sol, eigvecs):
-            if c:
-                comp = complexify_vector(r)
-                f = ipow[k % 4] * CNum.of(c)
-                for t in range(n):
-                    out[t] = out[t] + f * comp[t]
-        return tuple(out)
+        return _apply(cols, sol, n)
 
     return apply_u
 
@@ -527,31 +538,20 @@ def check_weak_j(a: CRAlgebra, upsilon=None, jmat=None) -> bool:
     derivation J with iZ spectrum (then Upsilon = exp(pi J/2) exactly)."""
     pres = a.pres
     if upsilon is not None:
-        cols = [tuple(CNum.of(upsilon[i][j]) for i in range(pres.dim)) for j in range(pres.dim)]
-        def apply_u(v):
-            out = [C_ZERO] * pres.dim
-            for j, z in enumerate(v):
-                z = CNum.of(z)
-                if z:
-                    for t in range(pres.dim):
-                        out[t] = out[t] + z * cols[j][t]
-            return tuple(out)
-        _check_automorphism(pres, apply_u)
+        apply_u = _matrix_map(upsilon, pres.dim)
     elif jmat is not None:
         apply_u = exact_exponential(pres, jmat)
-        _check_automorphism(pres, apply_u)
     else:
         raise ValueError("need upsilon or jmat")
+    _preserves_bracket(pres, pres, apply_u, _std_basis(pres.dim), NotAnAutomorphism)
     img = RMatrix([realify_vector(apply_u(complexify_vector(r))) for r in a.q.rows])
     if img != a.q:
         return False
     cap = a.q_cap_qbar()
-    for r in a.q.rows:
-        v = complexify_vector(r)
-        w = tuple(x - C_I * y for x, y in zip(v, apply_u(v)))
-        if not cap.contains(realify_vector(w)):
-            return False
-    return True
+    return all(
+        cap.contains(realify_vector(tuple(x - C_I * y for x, y in zip(v, apply_u(v)))))
+        for v in map(complexify_vector, a.q.rows)
+    )
 
 
 def _psd(matrix_rows) -> tuple[bool, RMatrix]:
@@ -592,22 +592,12 @@ def check_cr_symmetric(a: CRAlgebra, lam) -> dict:
     compatibility, the bracket corollary, and almost-compactness of i0."""
     pres = a.pres
     n = pres.dim
-    cols = [tuple(CNum.of(lam[i][j]) for i in range(n)) for j in range(n)]
-
-    def apply_l(v):
-        out = [C_ZERO] * n
-        for j, z in enumerate(v):
-            z = CNum.of(z)
-            if z:
-                for t in range(n):
-                    out[t] = out[t] + z * cols[j][t]
-        return tuple(out)
-
-    basis = [tuple(C_ONE if k == i else C_ZERO for k in range(n)) for i in range(n)]
+    apply_l = _matrix_map(lam, n)
+    basis = _std_basis(n)
     report = {}
     report["involution"] = all(apply_l(apply_l(b)) == b for b in basis)
     try:
-        _check_automorphism(pres, apply_l)
+        _preserves_bracket(pres, pres, apply_l, basis, NotAnAutomorphism)
         report["automorphism"] = True
     except NotAnAutomorphism:
         report["automorphism"] = False
@@ -617,35 +607,20 @@ def check_cr_symmetric(a: CRAlgebra, lam) -> dict:
     img_q = RMatrix([realify_vector(apply_l(complexify_vector(r))) for r in a.q.rows])
     report["preserves_q"] = img_q == a.q
     # ker(Id - lambda) inside the subalgebra generated by q + qbar
-    qnat = a.q_plus_qbar()
-    while True:
-        nxt = qnat.sum(bracket_spaces(pres, qnat, qnat))
-        if nxt.rank() == qnat.rank():
-            break
-        qnat = nxt
     fixed = realified_eigenspace(n, apply_l, C_ONE)
-    report["fixed_in_qnat"] = qnat.contains_space(fixed)
+    report["fixed_in_qnat"] = _generated(pres, a.q_plus_qbar()).contains_space(fixed)
     cap = a.q_cap_qbar()
-    ok = True
-    for r in a.q.rows:
-        v = complexify_vector(r)
-        w = tuple(x + y for x, y in zip(v, apply_l(v)))
-        if not cap.contains(realify_vector(w)):
-            ok = False
-    report["z_plus_lz_in_cap"] = ok
+    report["z_plus_lz_in_cap"] = all(
+        cap.contains(realify_vector(tuple(x + y for x, y in zip(v, apply_l(v)))))
+        for v in map(complexify_vector, a.q.rows)
+    )
     # gradation compatibility: q and g0 split into (+1) and (-1) eigenparts
     minus = realified_eigenspace(n, apply_l, -C_ONE)
     # bracket corollary: the odd part of q brackets into q n qbar (the
     # clause Z + lambda(Z) in cap makes the even part of q sit in cap, so
     # this is the content of the printed [Z1, Z2] in q n qbar)
     q_odd = a.q.intersect(minus)
-    ok = True
-    for r1 in q_odd.rows:
-        for r2 in q_odd.rows:
-            w = pres.bracket(complexify_vector(r1), complexify_vector(r2))
-            if not cap.contains(realify_vector(w)):
-                ok = False
-    report["brackets_in_cap"] = ok
+    report["brackets_in_cap"] = cap.contains_space(bracket_spaces(pres, q_odd, q_odd))
     report["q_splits"] = (
         a.q.intersect(fixed).rank() + a.q.intersect(minus).rank() == a.q.rank()
     )
@@ -659,21 +634,10 @@ def check_cr_symmetric(a: CRAlgebra, lam) -> dict:
     k = [[-_re(pres.killing(u, v)) for v in ivecs] for u in ivecs]
     psd, rad = _psd(k)
     report["killing_negative_semidefinite"] = psd
-    if psd and rad.rank():
-        g0vecs = [complexify_vector(r) for r in g0.rows]
-        ok = True
-        for rrow in rad.rows:
-            x = [C_ZERO] * n
-            for c, iv in zip(rrow, ivecs):
-                if c:
-                    for t in range(n):
-                        x[t] = x[t] + CNum.of(c) * iv[t]
-            for gv in g0vecs:
-                if pres.killing(tuple(x), gv):
-                    ok = False
-        report["radical_in_ambient_radical"] = ok
-    else:
-        report["radical_in_ambient_radical"] = True
+    g0vecs = [complexify_vector(r) for r in g0.rows]
+    report["radical_in_ambient_radical"] = not psd or not any(
+        pres.killing(_apply(ivecs, rrow, n), gv) for rrow in rad.rows for gv in g0vecs
+    )
     report["ok"] = all(v for k_, v in report.items() if k_ != "ok")
     return report
 
@@ -693,11 +657,7 @@ def fibration_compatible(a: CRAlgebra, ideal_rows: RMatrix) -> bool:
     br = bracket_spaces(pres, g0, ideal_rows)
     if not ideal_rows.contains_space(br):
         raise NotAnIdeal("subspace is not an ideal of g0")
-    ac = ideal_rows.sum(
-        RMatrix([realify_vector(tuple(C_I * x for x in complexify_vector(r))) for r in ideal_rows.rows])
-        if ideal_rows.rows
-        else ideal_rows
-    )
+    ac = _complexified(pres, ideal_rows)
     lhs = a.q_cap_qbar().sum(ac)
     rhs = a.q.sum(ac).intersect(a.qbar.sum(ac))
     return lhs == rhs
@@ -724,11 +684,7 @@ def induced_base_fiber(a: CRAlgebra, ideal_rows: RMatrix):
     """Base (g0, q + a) on the same presentation and the fiber presentation
     (a0, q n a) on the complexified ideal."""
     pres = a.pres
-    ac = ideal_rows.sum(
-        RMatrix([realify_vector(tuple(C_I * x for x in complexify_vector(r))) for r in ideal_rows.rows])
-        if ideal_rows.rows
-        else ideal_rows
-    )
+    ac = _complexified(pres, ideal_rows)
     base = CRAlgebra(pres, a.q.sum(ac))
     sub_pres, embed, project = sub_presentation(pres, ac)
     fib_q_rows = [project(complexify_vector(r)) for r in a.q.intersect(ac).rows]
@@ -753,23 +709,10 @@ def sub_presentation(pres: LieAlgebraPresentation, space: RMatrix):
             raise ValueError("vector outside the subalgebra")
         return tuple(sol[p] for p in span.pivots)
 
-    def embed(c):
-        out = [C_ZERO] * pres.dim
-        for j, z in enumerate(c):
-            z = CNum.of(z)
-            if z:
-                for t in range(pres.dim):
-                    out[t] = out[t] + z * cb[j][t]
-        return tuple(out)
-
-    table = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            table[(i, j)] = project(pres.bracket(cb[i], cb[j]))
-    conj_cols = [project(pres.nu(cb[j])) for j in range(m)]
-    conj_matrix = [[conj_cols[j][i] for j in range(m)] for i in range(m)]
-    sub = LieAlgebraPresentation(m, table, conj_matrix, validate=False)
-    return sub, embed, project
+    table = {(i, j): enumerate(project(pres.bracket(cb[i], cb[j]))) for i in range(m) for j in range(i + 1, m)}
+    conj_cols = [project(pres.nu(v)) for v in cb]
+    sub = LieAlgebraPresentation(m, table, [[col[i] for col in conj_cols] for i in range(m)])
+    return sub, lambda c: _apply(cb, c, pres.dim), project
 
 
 def anticanonical(a: CRAlgebra) -> dict:
@@ -779,11 +722,7 @@ def anticanonical(a: CRAlgebra) -> dict:
     g0 = pres.g0_subspace()
     qrows = [complexify_vector(r) for r in a.q.rows]
     a0 = _solve_subspace_condition(pres, g0, lambda v: [pres.bracket(v, w) for w in qrows], a.q)
-    ac = a0.sum(
-        RMatrix([realify_vector(tuple(C_I * x for x in complexify_vector(r))) for r in a0.rows])
-        if a0.rows
-        else a0
-    )
+    ac = _complexified(pres, a0)
     qprime = a.q.sum(ac)
     report = {"a0": a0, "q_prime": qprime}
     report["q_in_qprime"] = qprime.contains_space(a.q)
@@ -797,7 +736,7 @@ def anticanonical(a: CRAlgebra) -> dict:
     # item (5) equivalences
     i = a0.rank() == g0.rank()
     ii = qprime.rank() == 2 * pres.dim
-    br = bracket_spaces(pres, RMatrix([realify_vector(b) for b in _std_basis(pres)]), a.q)
+    br = bracket_spaces(pres, rspan(pres, _std_basis(pres.dim)), a.q)
     iii = a.q.contains_space(br)
     iv = ideal_closure(pres, a0) == a0
     report["item5"] = {"a0_is_g0": i, "qprime_is_g": ii, "q_is_ideal": iii, "a0_is_ideal": iv}
@@ -816,10 +755,6 @@ def anticanonical(a: CRAlgebra) -> dict:
     return report
 
 
-def _std_basis(pres):
-    return [tuple(C_ONE if k == i else C_ZERO for k in range(pres.dim)) for i in range(pres.dim)]
-
-
 def closure_extension(a: CRAlgebra, i0_prime: RMatrix) -> CRAlgebra:
     """Extended CR algebra (g0, q + C i0') for a caller-supplied i0' with
     i0 in i0', [i0', i0'] in i0, [i0', q] in q; verifies the equivariant map
@@ -832,11 +767,7 @@ def closure_extension(a: CRAlgebra, i0_prime: RMatrix) -> CRAlgebra:
         raise PreconditionViolation("[i0', i0'] not contained in i0")
     if not a.q.contains_space(bracket_spaces(pres, i0_prime, a.q)):
         raise PreconditionViolation("[i0', q] not contained in q")
-    ac = i0_prime.sum(
-        RMatrix([realify_vector(tuple(C_I * x for x in complexify_vector(r))) for r in i0_prime.rows])
-        if i0_prime.rows
-        else i0_prime
-    )
+    ac = _complexified(pres, i0_prime)
     qprime = a.q.sum(ac)
     out = CRAlgebra(pres, qprime)
     # submersion: q' = q + i' is a subalgebra (guaranteed by construction
@@ -852,32 +783,8 @@ def morphism_classify(src: CRAlgebra, tgt: CRAlgebra, phi0) -> dict:
     """Classify a Lie algebra homomorphism phi0 (rational matrix from src g0
     coordinates to tgt g0 coordinates) as a CR-algebras morphism."""
     sp, tp = src.pres, tgt.pres
-    sbasis = sp.g0_basis()
-    tbasis = tp.g0_basis()
-    imgs = []
-    for j in range(len(sbasis)):
-        v = [C_ZERO] * tp.dim
-        for i in range(len(tbasis)):
-            c = Fraction(phi0[i][j])
-            if c:
-                for t in range(tp.dim):
-                    v[t] = v[t] + CNum.of(c) * tbasis[i][t]
-        imgs.append(tuple(v))
-    coords = _g0_coords_solver(sp)
-
-    def apply(v):
-        c = coords(v)
-        out = [C_ZERO] * tp.dim
-        for j, z in enumerate(c):
-            if z:
-                for t in range(tp.dim):
-                    out[t] = out[t] + z * imgs[j][t]
-        return tuple(out)
-
-    for i in range(len(sbasis)):
-        for j in range(i + 1, len(sbasis)):
-            if apply(sp.bracket(sbasis[i], sbasis[j])) != tp.bracket(apply(sbasis[i]), apply(sbasis[j])):
-                raise NotAHomomorphism(f"fails on g0 basis pair {i},{j}")
+    apply = _g0_map(sp, tp, phi0)
+    _preserves_bracket(sp, tp, apply, sp.g0_basis(), NotAHomomorphism)
 
     def push(space: RMatrix) -> RMatrix:
         rows = [realify_vector(apply(complexify_vector(r))) for r in space.rows]
@@ -887,11 +794,7 @@ def morphism_classify(src: CRAlgebra, tgt: CRAlgebra, phi0) -> dict:
     def pull(space: RMatrix) -> RMatrix:
         # {v : phi(v) in space}
         n2s, n2t = 2 * sp.dim, 2 * tp.dim
-        cols = []
-        for i in range(n2s):
-            cv = [C_ZERO] * sp.dim
-            cv[i // 2] = C_ONE if i % 2 == 0 else C_I
-            cols.append(realify_vector(apply(tuple(cv))))
+        cols = [realify_vector(apply(tuple(z * x for x in b))) for b in _std_basis(sp.dim) for z in (C_ONE, C_I)]
         wrows = list(space.rows)
         mat = []
         for t in range(n2t):
@@ -904,11 +807,7 @@ def morphism_classify(src: CRAlgebra, tgt: CRAlgebra, phi0) -> dict:
     scap = src.q_cap_qbar()
     is_morphism = tgt.q.contains_space(push(src.q))
     immersion = (pull(tcap) == scap) and (pull(tgt.q) == src.q)
-    full_rows = []
-    for b in _std_basis(sp):
-        full_rows.append(realify_vector(b))
-        full_rows.append(realify_vector(tuple(C_I * x for x in b)))
-    full = RMatrix(full_rows)
+    full = cspan(sp, _std_basis(sp.dim))
     submersion = (
         push(full).sum(tcap).rank() == 2 * tp.dim
         and push(src.q).sum(tcap) == tgt.q

@@ -24,6 +24,17 @@ class CNum:
             return x
         return CNum(Fraction(x), Fraction(0))
 
+    @staticmethod
+    def from_pair(pair, where) -> "CNum":
+        """CNum from a JSON pair [re, im] of rationals; ValueError naming
+        ``where`` for anything else."""
+        try:
+            if isinstance(pair, list) and len(pair) == 2:
+                return CNum(Fraction(pair[0]), Fraction(pair[1]))
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            pass
+        raise ValueError(f"{where}: {pair!r} is not a pair [re, im] of rationals")
+
     def __add__(self, o):
         o = CNum.of(o)
         return CNum(self.re + o.re, self.im + o.im)

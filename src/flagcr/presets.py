@@ -16,31 +16,15 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cralg import CRAlgebra, LieAlgebraPresentation, _g0_coords_solver, cspan, rspan
+from .cralg import CRAlgebra, LieAlgebraPresentation, _apply, _g0_coords_solver, _std_basis, cspan, rspan
 from .gaussq import C_I, C_ONE, C_ZERO, CNum, Factored, RMatrix
 from .rootsys import RootSystem, build_root_system, evaluate, evaluate_int, root_sum, roots_set
 from .weyl import cartan_matrix, positive_roots, simple_roots
 
 
-def _table(entries, dim):
-    out = {}
-    for (i, j), pairs in entries.items():
-        v = [C_ZERO] * dim
-        for k, c in pairs:
-            v[k] = CNum.of(Fraction(c))
-        out[(i, j)] = tuple(v)
-    return out
-
-
-def _conj_identity(dim):
-    return [[C_ONE if i == j else C_ZERO for j in range(dim)] for i in range(dim)]
-
-
 def heisenberg() -> CRAlgebra:
     """g0 = <X, Y, T>, [X, Y] = T; q = C (X + iY)."""
-    pres = LieAlgebraPresentation(
-        3, _table({(0, 1): [(2, 1)]}, 3), _conj_identity(3), labels=["X", "Y", "T"]
-    )
+    pres = LieAlgebraPresentation(3, {(0, 1): [(2, 1)]}, _std_basis(3), labels=["X", "Y", "T"])
     q = cspan(pres, [(C_ONE, C_I, C_ZERO)])
     return CRAlgebra(pres, q)
 
@@ -49,8 +33,8 @@ def sl2() -> LieAlgebraPresentation:
     """sl(2, R): H, E, F with [H,E] = 2E, [H,F] = -2F, [E,F] = H."""
     return LieAlgebraPresentation(
         3,
-        _table({(0, 1): [(1, 2)], (0, 2): [(2, -2)], (1, 2): [(0, 1)]}, 3),
-        _conj_identity(3),
+        {(0, 1): [(1, 2)], (0, 2): [(2, -2)], (1, 2): [(0, 1)]},
+        _std_basis(3),
         labels=["H", "E", "F"],
     )
 
@@ -59,8 +43,8 @@ def su2() -> LieAlgebraPresentation:
     """su(2) as u1, u2, u3 with cyclic brackets."""
     return LieAlgebraPresentation(
         3,
-        _table({(0, 1): [(2, 1)], (1, 2): [(0, 1)], (0, 2): [(1, -1)]}, 3),
-        _conj_identity(3),
+        {(0, 1): [(2, 1)], (1, 2): [(0, 1)], (0, 2): [(1, -1)]},
+        _std_basis(3),
         labels=["u1", "u2", "u3"],
     )
 
@@ -88,7 +72,7 @@ def exam_bf() -> tuple[CRAlgebra, RMatrix]:
         (1, 4): [(3, 1)],
         (2, 3): [(4, 1)],
     }
-    pres = LieAlgebraPresentation(5, _table(entries, 5), _conj_identity(5), labels=["H", "E", "F", "v1", "v2"])
+    pres = LieAlgebraPresentation(5, entries, _std_basis(5), labels=["H", "E", "F", "v1", "v2"])
     # a0 = span{H, E}; v0 = v1: H.v0 = v1, E.v0 = 0
     q = cspan(
         pres,
@@ -119,13 +103,7 @@ class FlagPreset:
     def cartan_element(self, ambient):
         """Element H with alpha(H) = evaluate(alpha, ambient) for all roots,
         as a CNum coordinate vector."""
-        out = [C_ZERO] * self.pres.dim
-        for x, hvec in zip(ambient, self.cartan_vec):
-            f = CNum.of(Fraction(x))
-            if f:
-                for t in range(self.pres.dim):
-                    out[t] = out[t] + f * hvec[t]
-        return tuple(out)
+        return _apply(self.cartan_vec, ambient, self.pres.dim)
 
     def q_subspace(self, q_indices) -> RMatrix:
         """q = h + sum of the root spaces of Q (realified)."""
@@ -246,14 +224,14 @@ def _chevalley_preset(r: RootSystem) -> FlagPreset:
     for a in range(nroots):
         conj[rank + r.neg(a)][rank + a] = -C_ONE
     labels = [f"h{i}" for i in range(rank)] + [f"x{a}" for a in range(nroots)]
-    pres = LieAlgebraPresentation(dim, _table(entries, dim), conj, labels=labels)
+    pres = LieAlgebraPresentation(dim, entries, conj, labels=labels)
     # H_k = sum_i c_i h_i with s_j(H_k) = evaluate(s_j, e_k) for every simple root s_j
     cartan = Factored(cartan_matrix(r, simples), Fraction)
     cartan_vec = []
     for k in range(r.ambient_dim):
         sol = cartan.solve([Fraction(r.roots[s][k], 2) for s in simples])
         cartan_vec.append(tuple(CNum.of(x) for x in sol) + (C_ZERO,) * nroots)
-    root_vec = {a: tuple(C_ONE if t == rank + a else C_ZERO for t in range(dim)) for a in range(nroots)}
+    root_vec = dict(enumerate(_std_basis(dim)[rank:]))
     return FlagPreset(r, pres, root_vec, cartan_vec)
 
 

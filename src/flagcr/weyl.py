@@ -4,10 +4,10 @@ reflections, orbits of sets, canonical forms and equivalence testing.
 A group element is the permutation it induces on the root list: a tuple g of
 root indices, g[i] the index of the image of root i.  The simple reflections
 and the diagram automorphisms are built once per root system, in integer
-arithmetic, and kept on it; ``matrix_of`` gives back the ambient linear map
-of an element.  A stabiliser chain of W and of Aut, also built once, gives
-the canonical form of a set (its least image, found without walking the
-orbit), and two sets are equivalent when their canonical forms agree.
+arithmetic, and kept on it.  A stabiliser chain of W and of Aut, also built
+once, gives the canonical form of a set (its least image, found without
+walking the orbit), and two sets are equivalent when their canonical forms
+agree.
 Membership of one element in W is decided by the chamber walk on
 permutations.
 """
@@ -152,28 +152,6 @@ def generators(r: RootSystem, group: str = "weyl") -> tuple[tuple[int, ...], ...
     if group == "aut":
         gens = gens + tuple(diagram_automorphisms(r))
     return gens
-
-
-def matrix_of(r: RootSystem, g) -> list[tuple[Fraction, ...]]:
-    """Columns of the ambient matrix of the element g: the linear map taking
-    each simple root s to root g[s] and fixing the orthogonal complement of
-    the root span."""
-    simples = simple_roots(r)
-    vecs = [r.roots[s] for s in simples]
-    gram = [[sum(a * b for a, b in zip(u, v)) for v in vecs] for u in vecs]
-    ginv = Factored(gram, Fraction).inverse()
-    n = r.ambient_dim
-    cols = []
-    for k in range(n):
-        # e_k = its projection sum_i coeff_i s_i onto the root span, plus a
-        # vector orthogonal to every root, which the map fixes
-        coeff = [sum(gi[j] * vecs[j][k] for j in range(len(vecs))) for gi in ginv]
-        col = [Fraction(int(t == k)) for t in range(n)]
-        for c, s, v in zip(coeff, simples, vecs):
-            for t in range(n):
-                col[t] += c * (r.roots[g[s]][t] - v[t])
-        cols.append(tuple(col))
-    return cols
 
 
 def apply_matrix_cols(cols, v):

@@ -184,6 +184,72 @@ def test_cralg_file_mode(tmp_path, capsys):
     assert res["cr_dim"] == 1 and res["cr_codim"] == 1
 
 
+def _heisenberg_json(edit=None):
+    from flagcr.presets import heisenberg
+
+    data = json.loads(heisenberg().pres.to_json())
+    if edit:
+        edit(data)
+    return json.dumps(data)
+
+
+def _set(path, value):
+    def edit(data):
+        *keys, last = path
+        for k in keys:
+            data = data[k]
+        data[last] = value
+    return edit
+
+
+X_PLUS_IY = "[[[1, 0], [0, 1], [0, 0]]]"
+
+# (id, --file text or None for --preset heisenberg, --q text, extra argv, message)
+MALFORMED_CRALG = [
+    ("index k >= dim", _heisenberg_json(_set(["c", 0, 2], 7)), X_PLUS_IY, [],
+     "structure constant (0, 1) -> 7: index outside 0..2"),
+    ("negative index", _heisenberg_json(_set(["c", 0, 0], -1)), X_PLUS_IY, [],
+     "structure constant (-1, 1) -> 2: index outside 0..2"),
+    ("i = j", _heisenberg_json(_set(["c", 0, 1], 0)), X_PLUS_IY, [], "structure constant (0, 0) -> 2: i = j"),
+    ("conj not dim x dim", _heisenberg_json(_set(["conj"], [[["1", "0"]]])), X_PLUS_IY, [],
+     "conj must be a 3 x 3 matrix"),
+    ("short entry", _heisenberg_json(_set(["c", 0], [0, 1, 2])), X_PLUS_IY, [],
+     "structure constant [0, 1, 2] is not [i, j, k, re, im]"),
+    ("non-rational constant", _heisenberg_json(_set(["c", 0, 3], "x")), X_PLUS_IY, [],
+     "is not a pair [re, im] of rationals"),
+    ("not an object", "[3]", X_PLUS_IY, [], "expected a JSON object with keys dim, c and conj"),
+    ("dim not an integer", _heisenberg_json(_set(["dim"], "3")), X_PLUS_IY, [],
+     "dim must be a non-negative integer, got '3'"),
+    ("Jacobi fails", _heisenberg_json(lambda d: d["c"].append([0, 2, 0, "1", "0"])), X_PLUS_IY, [],
+     "Jacobi identity fails on basis triple 0,1,2"),
+    ("q vector too short", _heisenberg_json(), "[[[1, 0], [0, 1]]]", [], "vector 0 has 2 coordinates, not 3"),
+    ("q not a list of vectors", _heisenberg_json(), "5", [], "--q must hold a JSON list of vectors"),
+    ("q coordinate not a pair", _heisenberg_json(), "[[[1, 0], [0, 1], 5]]", [],
+     "--q vector 0: 5 is not a pair [re, im] of rationals"),
+    ("xi not JSON", None, None, ["--xi", "abc"], "--xi must be a JSON list of 3 integers, got 'abc'"),
+    ("xi too short", None, None, ["--xi", "[1]"], "--xi must be a JSON list of 3 integers, got '[1]'"),
+    ("xi fractional", None, None, ["--xi", "[0,0,0.5]"], "--xi must be a JSON list of 3 integers"),
+    ("xi boolean", None, None, ["--xi", "[0,0,true]"], "--xi must be a JSON list of 3 integers"),
+    ("xi not characteristic", None, None, ["--xi", "[1,0,0]"],
+     "--xi [1,0,0] is not characteristic: xi does not annihilate (q+qbar) n g0"),
+]
+
+
+@pytest.mark.parametrize("alg,q,extra,message", [c[1:] for c in MALFORMED_CRALG], ids=[c[0] for c in MALFORMED_CRALG])
+def test_malformed_cralg_input_exits_1(tmp_path, capsys, alg, q, extra, message):
+    if alg is None:
+        source = ["--preset", "heisenberg"]
+    else:
+        (tmp_path / "alg.json").write_text(alg)
+        (tmp_path / "q.json").write_text(q)
+        source = ["--file", str(tmp_path / "alg.json"), "--q", str(tmp_path / "q.json")]
+    assert main(["cralg", *source, "--op", "levi", *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+
+
 def test_realform_command(tmp_path, capsys):
     a3 = rootsys.build_root_system("A", 4)
     from flagcr.weyl import positive_roots

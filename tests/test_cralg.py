@@ -41,19 +41,70 @@ def ident(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def test_presentation_json_roundtrip():
-    h = heisenberg()
-    text = h.pres.to_json()
-    again = LieAlgebraPresentation.from_json(text)
-    assert again.dim == 3
-    assert again.basis_bracket(0, 1) == h.pres.basis_bracket(0, 1)
-
-
 def test_presentation_validation():
     # broken Jacobi is rejected
-    bad = {(0, 1): [C_ZERO, C_ZERO, C_ONE], (0, 2): [C_ONE, C_ZERO, C_ZERO], (1, 2): [C_ZERO, C_ONE, C_ZERO]}
+    bad = {(0, 1): [(2, C_ONE)], (0, 2): [(0, C_ONE)], (1, 2): [(1, C_ONE)]}
     with pytest.raises(ValueError):
         LieAlgebraPresentation(3, bad, ident(3))
+
+
+def _conj_rows(pres):
+    return [[pres.conj_cols[j][i] for j in range(pres.dim)] for i in range(pres.dim)]
+
+
+@pytest.mark.parametrize("spec", [("A", 3), ("G2", None)], ids=["A3", "G2"])
+def test_corrupted_flag_presentation_rejected(spec):
+    # one root-root constant with its sign flipped breaks Jacobi; one conj
+    # entry changed breaks the conjugation axioms
+    fp = flag_preset(*spec)
+    pres, rank = fp.pres, fp.system.rank
+    LieAlgebraPresentation(pres.dim, pres.table, _conj_rows(pres))
+    key = next(key for key, pairs in sorted(pres.table.items()) if key[0] >= rank and pairs[0][0] >= rank)
+    flipped = dict(pres.table)
+    flipped[key] = [(k, -c) for k, c in pres.table[key]]
+    with pytest.raises(ValueError, match="Jacobi identity fails"):
+        LieAlgebraPresentation(pres.dim, flipped, _conj_rows(pres))
+    conj = _conj_rows(pres)
+    conj[0][0] = -conj[0][0]
+    with pytest.raises(ValueError, match="conjugation is not"):
+        LieAlgebraPresentation(pres.dim, pres.table, conj)
+
+
+ROUNDTRIP = {"heisenberg": lambda: heisenberg().pres, "exam-bf": lambda: exam_bf()[0].pres}
+ROUNDTRIP.update({
+    f"{t}{r - 1 if t == 'A' else r}" if r else t: (lambda t=t, r=r: flag_preset(t, r).pres)
+    for t, r in [("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 4), ("G2", None)]
+})
+
+
+@pytest.mark.parametrize("name", list(ROUNDTRIP))
+def test_presentation_json_roundtrip(name):
+    # to_json -> from_json gives the same bytes and every basis bracket back
+    pres = ROUNDTRIP[name]()
+    text = pres.to_json()
+    again = LieAlgebraPresentation.from_json(text)
+    assert again.to_json() == text
+    n = pres.dim
+    assert all(again.basis_bracket(i, j) == pres.basis_bracket(i, j) for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize("spec", [("A", 3), ("B", 2), ("G2", None)], ids=["sl3", "so5", "G2"])
+def test_bracket_is_the_bilinear_expansion(spec):
+    pres = flag_preset(*spec).pres
+    n = pres.dim
+    rng = random.Random(31)
+
+    def gaussian():
+        return CNum(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+
+    for _ in range(4):
+        x = tuple(gaussian() if rng.random() < 0.6 else C_ZERO for _ in range(n))
+        y = tuple(gaussian() if rng.random() < 0.6 else C_ZERO for _ in range(n))
+        want = [C_ZERO] * n
+        for i in range(n):
+            for j in range(n):
+                want = [w + x[i] * y[j] * b for w, b in zip(want, pres.basis_bracket(i, j))]
+        assert pres.bracket(x, y) == tuple(want)
 
 
 def test_heisenberg_suite():

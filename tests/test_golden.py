@@ -25,6 +25,7 @@ COMMANDS = [
     ("cralg-G2-Q42-levi", ["cralg", "--preset", "flag:G2:Q42", "--op", "levi"], 0),
     ("cralg-B-3-cartan-levi", ["cralg", "--preset", "flag:B:3:cartan", "--op", "levi"], 0),
     ("cralg-C-3-anticanonical", ["cralg", "--preset", "flag:C:3", "--op", "anticanonical"], 0),
+    ("cralg-A-3-levi", ["cralg", "--preset", "flag:A:3", "--op", "levi"], 0),
 ]
 
 

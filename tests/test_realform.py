@@ -142,7 +142,9 @@ def test_sigma_equivariance():
     # verify_lemma_lb(Q, sigma) <=> verify_lemma_lb(wQ, w sigma w^-1)
     import random
 
-    from flagcr.weyl import apply_matrix_cols, matrix_of, random_element
+    from ambient_matrix import matrix_of
+
+    from flagcr.weyl import apply_matrix_cols, random_element
 
     a3, sigma, q = a3_reverse_q()
     rng = random.Random(17)

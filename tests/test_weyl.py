@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from ambient_matrix import matrix_of
 
 from flagcr import weyl
 from flagcr.classify import enumerate_maximal
@@ -13,7 +14,6 @@ from flagcr.weyl import (
     diagram_automorphisms,
     generators,
     in_weyl,
-    matrix_of,
     random_element,
     reflection_perm,
     set_key,
