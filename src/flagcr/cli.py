@@ -497,14 +497,10 @@ def cmd_cralg(args) -> int:
                 cands = [[0] * n]
             else:
                 cands = [[1 if t == k else 0 for t in range(n)] for k in range(n)]
-            for xi in cands:
-                try:
-                    m = ca.scalar_levi_form(alg, xi)
-                    break
-                except ca.NotCharacteristic:
-                    continue
-            else:
+            xi = next((c for c in cands if ca.is_characteristic(alg, c)), None)
+            if xi is None:
                 raise SystemExit2("no characteristic covector found; pass --xi", 1)
+            m = ca.scalar_levi_form(alg, xi)
         out = {"xi": xi, "levi_matrix": [[str(x) for x in row] for row in m]}
     elif args.op == "fibration":
         from .gaussq import RMatrix

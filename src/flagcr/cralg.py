@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .gaussq import C_I, C_ONE, C_ZERO, CNum, Factored, RMatrix, complexify_vector, kernel, realify_vector
+from .gaussq import C_I, C_ONE, C_ZERO, CNum, Factored, RMatrix, _insert, complexify_vector, kernel, realify_vector
 
 
 class NotADerivation(ValueError):
@@ -114,6 +114,7 @@ class LieAlgebraPresentation:
         self.conj_cols = tuple(tuple(CNum.of(conj[i][j]) for i in range(dim)) for j in range(dim))
         self._validate()
         self._g0 = None
+        self._g0_coords = None
 
     # -- core algebra ------------------------------------------------------
     def basis_bracket(self, i, j):
@@ -171,6 +172,13 @@ class LieAlgebraPresentation:
     def g0_basis(self):
         """Fixed vectors as CNum tuples (a C-basis of g as well)."""
         return [complexify_vector(r) for r in self.g0_subspace().rows]
+
+    def g0_coords(self, v):
+        """Coordinates in the C-basis g0_basis(), factored once per presentation."""
+        if self._g0_coords is None:
+            basis = self.g0_basis()
+            self._g0_coords = Factored([[b[i] for b in basis] for i in range(self.dim)], CNum.of)
+        return self._g0_coords.solve(v)
 
     def ad(self, x):
         """Complex matrix of ad(x) (columns = images of basis vectors)."""
@@ -254,12 +262,13 @@ def realified_eigenspace(n, apply, c) -> RMatrix:
 
 
 def bracket_spaces(pres: LieAlgebraPresentation, a: RMatrix, b: RMatrix) -> RMatrix:
+    """[a, b]; for a is b only its row pairs i < j, which span it by antisymmetry."""
+    vb = [complexify_vector(r) for r in b.rows]
     rows = []
-    for ra in a.rows:
+    for i, ra in enumerate(a.rows):
         va = complexify_vector(ra)
-        for rb in b.rows:
-            vb = complexify_vector(rb)
-            rows.append(realify_vector(pres.bracket(va, vb)))
+        for w in vb[i + 1 :] if a is b else vb:
+            rows.append(realify_vector(pres.bracket(va, w)))
     rows = [r for r in rows if any(r)]
     return RMatrix(rows) if rows else RMatrix.empty(2 * pres.dim)
 
@@ -268,13 +277,37 @@ def is_subalgebra(pres, space: RMatrix) -> bool:
     return space.contains_space(bracket_spaces(pres, space, space))
 
 
+def _ascend(space: RMatrix, images) -> RMatrix:
+    """Smallest space containing space and closed under a bilinear step,
+    computed semi-naively (de Graaf, Lie Algebras: Theory and Algorithms,
+    2000): images(new, old) yields what a round must add, where new spans the
+    vectors the last round added and new + old the space before it.  Each
+    image joins the echelon basis at once unless it lies in it; the loop
+    ends when a round adds nothing or the space is the whole ambient one."""
+    rows, pivots = [list(r) for r in space.rows], list(space.pivots)
+    old, new = [], list(space.rows)
+    while new and len(rows) < space.ncols:
+        added = []
+        for v in images(new, old):
+            if (row := _insert(rows, pivots, v)) is not None:
+                added.append(row)
+                if len(rows) == space.ncols:
+                    break
+        old, new = old + new, added
+    return RMatrix(rows) if len(rows) > space.rank() else space
+
+
 def _generated(pres, space: RMatrix) -> RMatrix:
-    """The subalgebra generated by a subspace."""
-    while True:
-        nxt = space.sum(bracket_spaces(pres, space, space))
-        if nxt.rank() == space.rank():
-            return space
-        space = nxt
+    """The subalgebra generated by a subspace: new x old and new x new, i < j."""
+
+    def images(new, old):
+        old = [complexify_vector(r) for r in old]
+        new = [complexify_vector(r) for r in new]
+        for i, u in enumerate(new):
+            for w in old + new[i + 1 :]:
+                yield realify_vector(pres.bracket(u, w))
+
+    return _ascend(space, images)
 
 
 def _complexified(pres, space: RMatrix) -> RMatrix:
@@ -287,8 +320,9 @@ class CRAlgebra:
     pres: LieAlgebraPresentation
     q: RMatrix = field(repr=False)
 
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
     def __post_init__(self):
-        n = self.pres.dim
         # q must be a complex subspace closed under the bracket
         for r in self.q.rows:
             iv = realify_vector(tuple(C_I * x for x in complexify_vector(r)))
@@ -297,19 +331,33 @@ class CRAlgebra:
         if not is_subalgebra(self.pres, self.q):
             raise ValueError("q is not closed under the bracket")
 
+    def _once(self, key, build):
+        """A space derived from (g0, q), built on first use and kept."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
+
     @property
     def qbar(self) -> RMatrix:
-        return conj_space(self.pres, self.q)
+        return self._once("qbar", lambda: conj_space(self.pres, self.q))
 
     def q_cap_qbar(self) -> RMatrix:
-        return self.q.intersect(self.qbar)
+        return self._once("cap", lambda: self.q.intersect(self.qbar))
 
     def q_plus_qbar(self) -> RMatrix:
-        return self.q.sum(self.qbar)
+        return self._once("plus", lambda: self.q.sum(self.qbar))
+
+    def q_nat(self) -> RMatrix:
+        """The subalgebra generated by q + qbar."""
+        return self._once("nat", lambda: _generated(self.pres, self.q_plus_qbar()))
+
+    def q_plus_qbar_real(self) -> RMatrix:
+        """(q + qbar) n g0."""
+        return self._once("plus_real", lambda: self.q_plus_qbar().intersect(self.pres.g0_subspace()))
 
     def isotropy(self) -> RMatrix:
         """i0 = q n g0 (realified)."""
-        return self.q.intersect(self.pres.g0_subspace())
+        return self._once("i0", lambda: self.q.intersect(self.pres.g0_subspace()))
 
 
 def cr_dim_codim(a: CRAlgebra) -> tuple[int, int]:
@@ -323,47 +371,29 @@ def cr_dim_codim(a: CRAlgebra) -> tuple[int, int]:
 
 def is_fundamental_cr(a: CRAlgebra) -> bool:
     """The subalgebra generated by q + qbar equals g."""
-    return _generated(a.pres, a.q_plus_qbar()).rank() == 2 * a.pres.dim
+    return a.q_nat().rank() == 2 * a.pres.dim
 
 
 def is_levi_nondegenerate(a: CRAlgebra) -> bool:
     """{Z in q : ad(Z)(qbar) in q + qbar} equals q n qbar."""
-    pres = a.pres
-    qb = a.qbar.rows
-    s = a.q_plus_qbar()
-    deg = _solve_subspace_condition(
-        pres,
-        a.q,
-        lambda v: [pres.bracket(v, complexify_vector(w)) for w in qb],
-        s,
-    )
+    pres, qb = a.pres, [complexify_vector(w) for w in a.qbar.rows]
+    deg = _solve_subspace_condition(pres, a.q, lambda v: [pres.bracket(v, w) for w in qb], a.q_plus_qbar())
     return deg == a.q_cap_qbar()
 
 
 def _solve_subspace_condition(pres, domain: RMatrix, images_fn, target: RMatrix) -> RMatrix:
     """{v in domain : every vector of images_fn(v) lies in target}."""
     rows = domain.rows
-    if not rows:
-        return domain
     # unknowns: coefficients c_k over the domain basis (real); one condition
     # per image m and coordinate: sum_k c_k residue(image m of row k) = 0
     residues = [[target.residue(realify_vector(img)) for img in images_fn(complexify_vector(r))] for r in rows]
-    nimg = len(residues[0])
     n2 = 2 * pres.dim
-    mat_rows = [[res[m][coord] for res in residues] for m in range(nimg) for coord in range(n2)]
-    ker = kernel(mat_rows, Fraction) if mat_rows else [
-        tuple(Fraction(1) if i == k else Fraction(0) for i in range(len(rows))) for k in range(len(rows))
-    ]
-    out_rows = []
-    for coeffs in ker:
-        vec = [Fraction(0)] * n2
-        for k, c in enumerate(coeffs):
-            if c:
-                for t in range(n2):
-                    vec[t] += c * rows[k][t]
-        if any(vec):
-            out_rows.append(vec)
-    return RMatrix(out_rows) if out_rows else RMatrix.empty(n2)
+    mat_rows = [[res[m][t] for res in residues] for m in range(len(residues[0]) if rows else 0) for t in range(n2)]
+    if not mat_rows:
+        return domain
+    vecs = [[sum((c * r[t] for c, r in zip(coeffs, rows) if c), Fraction(0)) for t in range(n2)]
+            for coeffs in kernel(mat_rows, Fraction)]
+    return RMatrix(vecs) if vecs else RMatrix.empty(n2)
 
 
 def largest_ideal_in(a: CRAlgebra, space: RMatrix | None = None) -> RMatrix:
@@ -385,27 +415,26 @@ def is_effective(a: CRAlgebra) -> bool:
 
 
 def ideal_closure(pres: LieAlgebraPresentation, seed: RMatrix) -> RMatrix:
-    """Smallest ideal of g0 containing the (real) seed subspace."""
-    g0 = pres.g0_subspace()
-    gens = [complexify_vector(r) for r in g0.rows]
-    cur = seed
-    while True:
-        nxt = cur.sum(
-            RMatrix(
-                [realify_vector(pres.bracket(g, complexify_vector(r))) for g in gens for r in cur.rows]
-            )
-            if cur.rows
-            else cur
-        )
-        if nxt.rank() == cur.rank():
-            return nxt
-        cur = nxt
+    """Smallest ideal of g0 containing the (real) seed subspace: g0 x new."""
+    gens = pres.g0_basis()
+
+    def images(new, old):
+        for r in new:
+            v = complexify_vector(r)
+            for g in gens:
+                yield realify_vector(pres.bracket(g, v))
+
+    return _ascend(seed, images)
 
 
-def _g0_coords_solver(pres: LieAlgebraPresentation):
-    """Express complex vectors in the C-basis given by the g0 basis."""
-    basis = pres.g0_basis()
-    return Factored([[b[i] for b in basis] for i in range(pres.dim)], CNum.of).solve
+def _xi_value(pres, xi, v) -> CNum:
+    """xi(v) for a real covector xi on the g0 basis, extended C-linearly."""
+    return sum((CNum.of(Fraction(w)) * z for w, z in zip(xi, pres.g0_coords(v)) if w), C_ZERO)
+
+
+def is_characteristic(a: CRAlgebra, xi) -> bool:
+    """xi annihilates (q + qbar) n g0."""
+    return not any(_xi_value(a.pres, xi, complexify_vector(r)) for r in a.q_plus_qbar_real().rows)
 
 
 def scalar_levi_form(a: CRAlgebra, xi) -> list[list[CNum]]:
@@ -415,20 +444,8 @@ def scalar_levi_form(a: CRAlgebra, xi) -> list[list[CNum]]:
     annihilate (q + qbar) n g0.
     """
     pres = a.pres
-    xi = [Fraction(x) for x in xi]
-    g0 = pres.g0_subspace()
-    char_space = a.q_plus_qbar().intersect(g0)
-    coords = _g0_coords_solver(pres)
-    def xi_c(v):
-        c = coords(v)
-        tot = C_ZERO
-        for w, z in zip(xi, c):
-            tot = tot + CNum.of(w) * z
-        return tot
-
-    for r in char_space.rows:
-        if xi_c(complexify_vector(r)):
-            raise NotCharacteristic("xi does not annihilate (q+qbar) n g0")
+    if not is_characteristic(a, xi):
+        raise NotCharacteristic("xi does not annihilate (q+qbar) n g0")
     cap = a.q_cap_qbar()
     zs = []
     probe = cap
@@ -442,7 +459,7 @@ def scalar_levi_form(a: CRAlgebra, xi) -> list[list[CNum]]:
     for za in zs:
         row = []
         for zb in zs:
-            val = CNum(Fraction(0), Fraction(-1)) * xi_c(pres.bracket(za, pres.nu(zb)))
+            val = CNum(Fraction(0), Fraction(-1)) * _xi_value(pres, xi, pres.bracket(za, pres.nu(zb)))
             row.append(val)
         m.append(row)
     return m
@@ -455,8 +472,7 @@ def vector_levi_form(a: CRAlgebra, z) -> tuple[Fraction, ...]:
     z = tuple(CNum.of(x) for x in z)
     v = pres.bracket(pres.nu(z), z)
     v = tuple(C_I * x for x in v)
-    cut = a.q_plus_qbar().intersect(pres.g0_subspace())
-    return tuple(cut.residue(realify_vector(v)))
+    return tuple(a.q_plus_qbar_real().residue(realify_vector(v)))
 
 
 def _g0_map(src, tgt, mat):
@@ -464,8 +480,9 @@ def _g0_map(src, tgt, mat):
     matrix on the g0 bases is the rational matrix mat."""
     sbasis, tbasis = src.g0_basis(), tgt.g0_basis()
     imgs = [_apply(tbasis, [mat[i][j] for i in range(len(tbasis))], tgt.dim) for j in range(len(sbasis))]
-    coords = _g0_coords_solver(src)
-    return lambda v: _apply(imgs, coords(v), tgt.dim)
+    # its columns on the presentation basis, one g0-coordinate solve each
+    cols = [_apply(imgs, src.g0_coords(e), tgt.dim) for e in _std_basis(src.dim)]
+    return lambda v: _apply(cols, v, tgt.dim)
 
 
 def _check_derivation(pres, jmat):
@@ -487,16 +504,17 @@ def check_j_property(a: CRAlgebra, jmat) -> bool:
     """J(i0) in i0 and X + i J(X) in q; verified in the complexified form
     J(q) in q, Z - i J(Z) in q n qbar on a basis of q."""
     apply_j = _check_derivation(a.pres, jmat)
+    j_in_q = all(a.q.contains(realify_vector(apply_j(complexify_vector(r)))) for r in a.q.rows)
+    return j_in_q and _minus_i_in_cap(a, apply_j)
+
+
+def _minus_i_in_cap(a: CRAlgebra, apply) -> bool:
+    """Z - i T(Z) lies in q n qbar for every Z of the basis of q."""
     cap = a.q_cap_qbar()
-    for r in a.q.rows:
-        v = complexify_vector(r)
-        jv = apply_j(v)
-        if not a.q.contains(realify_vector(jv)):
-            return False
-        w = tuple(x - C_I * y for x, y in zip(v, jv))
-        if not cap.contains(realify_vector(w)):
-            return False
-    return True
+    return all(
+        cap.contains(realify_vector(tuple(x - C_I * y for x, y in zip(v, apply(v)))))
+        for v in map(complexify_vector, a.q.rows)
+    )
 
 
 def exact_exponential(pres: LieAlgebraPresentation, jmat):
@@ -545,27 +563,19 @@ def check_weak_j(a: CRAlgebra, upsilon=None, jmat=None) -> bool:
         raise ValueError("need upsilon or jmat")
     _preserves_bracket(pres, pres, apply_u, _std_basis(pres.dim), NotAnAutomorphism)
     img = RMatrix([realify_vector(apply_u(complexify_vector(r))) for r in a.q.rows])
-    if img != a.q:
-        return False
-    cap = a.q_cap_qbar()
-    return all(
-        cap.contains(realify_vector(tuple(x - C_I * y for x, y in zip(v, apply_u(v)))))
-        for v in map(complexify_vector, a.q.rows)
-    )
+    return img == a.q and _minus_i_in_cap(a, apply_u)
 
 
 def _psd(matrix_rows) -> tuple[bool, RMatrix]:
     """(is positive semidefinite, radical) for a symmetric rational matrix."""
     n = len(matrix_rows)
     a = [[Fraction(x) for x in row] for row in matrix_rows]
-    basis = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     rad_rows = []
-    used = [False] * n
 
     def form(u, v):
         return sum(u[i] * a[i][j] * v[j] for i in range(n) for j in range(n))
 
-    vecs = [row[:] for row in basis]
+    vecs = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     pos = []
     while vecs:
         v = vecs.pop(0)
@@ -608,7 +618,7 @@ def check_cr_symmetric(a: CRAlgebra, lam) -> dict:
     report["preserves_q"] = img_q == a.q
     # ker(Id - lambda) inside the subalgebra generated by q + qbar
     fixed = realified_eigenspace(n, apply_l, C_ONE)
-    report["fixed_in_qnat"] = _generated(pres, a.q_plus_qbar()).contains_space(fixed)
+    report["fixed_in_qnat"] = a.q_nat().contains_space(fixed)
     cap = a.q_cap_qbar()
     report["z_plus_lz_in_cap"] = all(
         cap.contains(realify_vector(tuple(x + y for x, y in zip(v, apply_l(v)))))

@@ -1,10 +1,12 @@
 """Exact linear algebra over the Gaussian rationals Q(i) and over Q.
 
-CNum is an immutable Gaussian rational.  _rref is the one Gauss-Jordan
-elimination over a field in the package; Factored keeps one elimination of a
-matrix for repeated solves, its kernel and its inverse.  CMatrix / RMatrix
-represent subspaces by their rows, canonicalized through reduced row echelon
-form, so equality of subspaces is equality of canonical forms.
+CNum is an immutable Gaussian rational.  _insert is the one Gauss-Jordan
+step over a field in the package: _rref applies it row by row, and the
+closures of cralg grow a reduced basis with it.  Factored keeps one
+elimination of a matrix for repeated solves, its kernel and its inverse.
+CMatrix / RMatrix represent subspaces by their rows, canonicalized through
+reduced row echelon form, so equality of subspaces is equality of canonical
+forms.
 """
 
 from __future__ import annotations
@@ -83,31 +85,43 @@ C_ONE = CNum(Fraction(1))
 C_I = CNum(Fraction(0), Fraction(1))
 
 
+def _reduce(vec, rows, pivots):
+    """vec minus its combination of the reduced rows (pivot columns
+    pivots): zero exactly when vec lies in their span."""
+    v = list(vec)
+    for row, p in zip(rows, pivots):
+        if f := v[p]:
+            v = [x - f * y if y else x for x, y in zip(v, row)]
+    return v
+
+
+def _insert(rows, pivots, vec):
+    """One Gauss-Jordan step, in place: unless vec lies in the span of the
+    reduced rows, add its residue, scaled to a leading 1, and clear that
+    column from the other rows.  Returns the added row or None."""
+    v = _reduce(vec, rows, pivots)
+    p = next((c for c, x in enumerate(v) if x), None)
+    if p is None:
+        return None
+    f = v[p]
+    v = [x / f if x else x for x in v]
+    for t, row in enumerate(rows):
+        if g := row[p]:
+            rows[t] = [x - g * y if y else x for x, y in zip(row, v)]
+    rows.append(v)
+    pivots.append(p)
+    return v
+
+
 def _rref(rows):
     """Reduced row echelon form over a field (CNum or Fraction entries):
-    (nonzero rows, pivot columns).  This is the one Gauss-Jordan loop of the
-    package; intlat does the integer (Smith/Hermite) eliminations."""
-    a = [list(r) for r in rows]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    rpos = 0
-    pivots = []
-    for c in range(nc):
-        if rpos == nr:
-            break
-        piv = next((i for i in range(rpos, nr) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[rpos], a[piv] = a[piv], a[rpos]
-        f = a[rpos][c]
-        a[rpos] = [x / f for x in a[rpos]]
-        for i in range(nr):
-            if i != rpos and a[i][c]:
-                fi = a[i][c]
-                a[i] = [x - fi * y for x, y in zip(a[i], a[rpos])]
-        pivots.append(c)
-        rpos += 1
-    return [tuple(r) for r in a[:rpos]], pivots
+    (nonzero rows, pivot columns), built row by row with _insert, the one
+    Gauss-Jordan step of the package; intlat does the integer eliminations."""
+    red, pivots = [], []
+    for r in rows:
+        _insert(red, pivots, r)
+    order = sorted(range(len(red)), key=pivots.__getitem__)
+    return [tuple(red[i]) for i in order], [pivots[i] for i in order]
 
 
 def _null_basis(red, pivots, ncols, coerce):
@@ -213,12 +227,7 @@ class _SpaceBase:
 
     def residue(self, vec) -> list:
         """vec reduced modulo the row space; zero exactly when vec lies in it."""
-        v = [self.coerce(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        return v
+        return _reduce(map(self.coerce, vec), self.rows, self.pivots)
 
     def contains(self, vec) -> bool:
         return not any(self.residue(vec))
@@ -240,28 +249,14 @@ class _SpaceBase:
         return type(self)(list(self.rows) + list(other.rows))
 
     def intersect(self, other):
-        """Intersection of row spaces."""
+        """Intersection of row spaces (Zassenhaus): in the reduced form of the
+        rows (u | u) and (w | 0), the rows whose first half vanishes span it."""
+        n, zero = self.ncols, self.coerce(0)
         if not self.rows or not other.rows:
-            return type(self).empty(self.ncols)
-        u = list(self.rows)
-        w = list(other.rows)
-        # solve sum a_i u_i - sum b_j w_j = 0: columns = (a, b)
-        m = []
-        for c in range(self.ncols):
-            m.append([u[i][c] for i in range(len(u))] + [-w[j][c] for j in range(len(w))])
-        ker = kernel(m, self.coerce)
-        vecs = []
-        for k in ker:
-            vec = [self.coerce(0)] * self.ncols
-            for i in range(len(u)):
-                if k[i]:
-                    for c in range(self.ncols):
-                        vec[c] = vec[c] + k[i] * u[i][c]
-            vecs.append(tuple(vec))
-        vecs = [v for v in vecs if any(x for x in v)]
-        if not vecs:
-            return type(self).empty(self.ncols)
-        return type(self)(vecs)
+            return type(self).empty(n)
+        red, pivots = _rref([u + u for u in self.rows] + [w + (zero,) * n for w in other.rows])
+        vecs = [r[n:] for r, p in zip(red, pivots) if p >= n]
+        return type(self)(vecs) if vecs else type(self).empty(n)
 
 
 class CMatrix(_SpaceBase):

@@ -16,7 +16,7 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cralg import CRAlgebra, LieAlgebraPresentation, _apply, _g0_coords_solver, _std_basis, cspan, rspan
+from .cralg import CRAlgebra, LieAlgebraPresentation, _apply, _std_basis, cspan, rspan
 from .gaussq import C_I, C_ONE, C_ZERO, CNum, Factored, RMatrix
 from .rootsys import RootSystem, build_root_system, evaluate, evaluate_int, root_sum, roots_set
 from .weyl import cartan_matrix, positive_roots, simple_roots
@@ -119,11 +119,10 @@ class FlagPreset:
         h = self.cartan_element(grading_element.ambient)
         mih = tuple(CNum(Fraction(0), Fraction(-1)) * x for x in h)
         basis = self.pres.g0_basis()
-        coords = _g0_coords_solver(self.pres)
         cols = []
         for b in basis:
             img = self.pres.bracket(mih, b)
-            c = coords(img)
+            c = self.pres.g0_coords(img)
             col = []
             for z in c:
                 if z.im != 0:

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from flagcr import qsets
+from flagcr import cralg, gaussq, qsets
 from flagcr.cralg import (
+    _generated,
     CRAlgebra,
     LieAlgebraPresentation,
     NotADerivation,
@@ -31,10 +32,10 @@ from flagcr.cralg import (
     scalar_levi_form,
     vector_levi_form,
 )
-from flagcr.gaussq import C_I, C_ONE, C_ZERO, CNum, RMatrix, realify_vector
+from flagcr.gaussq import C_I, C_ONE, C_ZERO, CNum, RMatrix, complexify_vector, realify_vector
 from flagcr.presets import exam_bf, flag_preset, get_preset, heisenberg, sl2, su2, su2_flag
 from flagcr.rootsys import roots_set
-from flagcr.weyl import positive_roots
+from flagcr.weyl import positive_roots, simple_roots
 
 
 def ident(n):
@@ -432,3 +433,96 @@ def test_get_preset_names():
     assert is_fundamental_cr(a)
     b = get_preset("flag:A:3")
     assert cr_dim_codim(b)[1] == 0  # borel: totally complex
+
+
+def _naive_generated(pres, space):
+    # oracle: add the brackets of all ordered pairs until the rank is stable
+    while True:
+        vecs = [complexify_vector(r) for r in space.rows]
+        nxt = space.sum(rspan(pres, [pres.bracket(u, w) for u in vecs for w in vecs]))
+        if nxt.rank() == space.rank():
+            return space
+        space = nxt
+
+
+def _naive_ideal(pres, space):
+    gens = pres.g0_basis()
+    while True:
+        vecs = [complexify_vector(r) for r in space.rows]
+        nxt = space.sum(rspan(pres, [pres.bracket(g, v) for g in gens for v in vecs]))
+        if nxt.rank() == space.rank():
+            return space
+        space = nxt
+
+
+def _closure_seeds(fp, rng, gaussian):
+    """Cartan subspace, Borel minus a simple and minus the highest root, a
+    few root vectors (with and without a Cartan element), random real and
+    Gaussian combinations of the basis, and q + qbar of the Borel."""
+    pres, rs = fp.pres, fp.system
+    pos = sorted(positive_roots(rs))
+    cartan = [v for v in fp.cartan_vec if any(v)]
+    simple = simple_roots(rs)[0]
+    highest = max(pos, key=lambda i: tuple(rs.roots[i]))  # lexicographic order refines dominance
+    seeds = [cspan(pres, cartan)] + [fp.q_subspace([i for i in pos if i != j]) for j in (simple, highest)]
+    for k in range(4):
+        picks = rng.sample(range(len(rs.roots)), 2 + k % 2)
+        seeds.append(cspan(pres, [fp.root_vec[i] for i in picks] + cartan[: k % 2]))
+    for _ in range(2):
+        vecs = [[rng.randint(-2, 2) for _ in range(pres.dim)] for _ in range(2)]
+        seeds.append(rspan(pres, vecs))
+    if gaussian:
+        seeds.append(rspan(pres, [[CNum(Fraction(x), Fraction(rng.randint(-2, 2))) for x in v] for v in vecs]))
+    seeds.append(fp.cr_algebra(pos).q_plus_qbar())
+    return seeds
+
+
+# a Gaussian seed generates all of g, and the naive oracle takes seconds on
+# one for G2; there the Borel's q + qbar covers the full-rank stop
+@pytest.mark.parametrize("spec,gaussian", [(("A", 3), True), (("B", 2), True), (("G2", None), False)],
+                         ids=["sl3", "so5", "G2"])
+def test_semi_naive_closure_matches_fixed_point(spec, gaussian):
+    fp = flag_preset(*spec)
+    pres = fp.pres
+    rng = random.Random(3)
+    proper = 0
+    seeds = _closure_seeds(fp, rng, gaussian)
+    for seed in seeds:
+        got = _generated(pres, seed)
+        assert got == _naive_generated(pres, seed)
+        proper += got.rank() < 2 * pres.dim
+    assert 3 <= proper < len(seeds)
+    g0 = pres.g0_subspace()
+    for seed in [RMatrix.empty(2 * pres.dim), RMatrix(g0.rows[:1]), RMatrix(rng.sample(g0.rows, 2))]:
+        assert ideal_closure(pres, seed) == _naive_ideal(pres, seed)
+
+
+def test_semi_naive_ideal_closure_proper_ideals():
+    for a in (heisenberg(), exam_bf()[0]):
+        pres = a.pres
+        for seed in [RMatrix([r]) for r in pres.g0_subspace().rows] + [a.isotropy()]:
+            got = ideal_closure(pres, seed)
+            assert got == _naive_ideal(pres, seed)
+            assert got.contains_space(seed)
+
+
+def test_derived_spaces_computed_once(monkeypatch):
+    fg = flag_preset("A", 3)
+    rs = fg.system
+    q1 = sorted(roots_set(rs, [(1, -1, 0), (1, 0, -1)]))
+    lam = fg.symmetry_involution(qsets.is_symmetric(rs, frozenset(q1))[1])
+
+    def run(a):
+        return is_fundamental_cr(a), cr_dim_codim(a), check_cr_symmetric(a, lam)
+
+    a = fg.cr_algebra(q1)
+    first = run(a)
+    calls = []
+    for module, name in ((cralg, "conj_space"), (cralg, "Factored"), (gaussq, "Factored")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    assert run(a) == first
+    assert calls == []
+    # a fresh algebra builds its spaces again, with the same results
+    assert run(fg.cr_algebra(q1)) == first
+    assert "conj_space" in calls

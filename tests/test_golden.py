@@ -26,6 +26,8 @@ COMMANDS = [
     ("cralg-B-3-cartan-levi", ["cralg", "--preset", "flag:B:3:cartan", "--op", "levi"], 0),
     ("cralg-C-3-anticanonical", ["cralg", "--preset", "flag:C:3", "--op", "anticanonical"], 0),
     ("cralg-A-3-levi", ["cralg", "--preset", "flag:A:3", "--op", "levi"], 0),
+    ("cralg-D-4-cartan-levi", ["cralg", "--preset", "flag:D:4:cartan", "--op", "levi"], 0),
+    ("cralg-B-2-predicates", ["cralg", "--preset", "flag:B:2", "--op", "predicates"], 0),
 ]
 
 

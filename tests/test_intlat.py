@@ -2,6 +2,10 @@ import itertools
 import random
 from math import gcd
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from flagcr.intlat import (
     DiophantineSolution,
     det,
@@ -10,6 +14,7 @@ from flagcr.intlat import (
     lattice_contains,
     lattice_coset_gcd,
     mat_mul,
+    mat_vec,
     smith_normal_form,
     solve_congruence,
     solve_diophantine,
@@ -180,3 +185,79 @@ def test_hermite_basis():
         assert lattice_contains([list(b) for b in basis], v)
     assert not lattice_contains([list(b) for b in basis], [1, 0])
     assert hermite_basis([[0, 0]]) == []
+
+
+# --- properties (Hypothesis) -------------------------------------------------
+
+
+@st.composite
+def systems(draw, max_rows=4, max_cols=5):
+    """(A, b): an integer matrix with small entries and a right-hand side."""
+    nr = draw(st.integers(1, max_rows))
+    nc = draw(st.integers(1, max_cols))
+    a = draw(st.lists(st.lists(st.integers(-9, 9), min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    b = draw(st.lists(st.integers(-20, 20), min_size=nr, max_size=nr))
+    return a, b
+
+
+def _diag(s):
+    return [s[i][i] for i in range(min(len(s), len(s[0])))]
+
+
+def _certified_unsolvable(a, b):
+    """Some row u of the SNF transform U (U A V = S) with u A = 0 mod d and
+    u b != 0 mod d for its invariant factor d (d = 0: u A = 0 and u b != 0);
+    then A x = b has no integer solution, whatever V is."""
+    s, u, _ = smith_normal_form(a)
+    d = _diag(s) + [0] * (len(a) - min(len(a), len(a[0])))
+    for ui, di in zip(u, d):
+        ua = [sum(x * row[j] for x, row in zip(ui, a)) for j in range(len(a[0]))]
+        ub = sum(x * y for x, y in zip(ui, b))
+        if all((x % di if di else x) == 0 for x in ua) and (ub % di if di else ub) != 0:
+            return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_snf_property(system):
+    check_snf(system[0])  # U M V = S, |det U| = |det V| = 1, d_i | d_(i+1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_diophantine_answers_substitute_back(system):
+    a, b = system
+    sol = solve_diophantine(a, b)
+    if sol is None:
+        assert _certified_unsolvable(a, b)
+        return
+    assert mat_vec(a, list(sol.particular)) == b
+    for k in sol.kernel_basis:
+        assert mat_vec(a, list(k)) == [0] * len(a)
+    rank = sum(1 for d in _diag(smith_normal_form(a)[0]) if d)
+    assert len(sol.kernel_basis) == len(a[0]) - rank
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems(max_rows=3, max_cols=4), st.integers(2, 12))
+def test_congruence_answers_substitute_back(system, m):
+    a, b = system
+    x = solve_congruence(a, b, m)
+    if x is None:
+        # certified on the lifted system A x + m k = b over Z
+        assert _certified_unsolvable([row + [m if j == i else 0 for j in range(len(a))] for i, row in enumerate(a)], b)
+        return
+    assert all(0 <= t < m for t in x)
+    assert all((y - c) % m == 0 for y, c in zip(mat_vec(a, x), b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems())
+def test_invariant_factors_match_sympy(system):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    a = system[0]
+    want = _diag(sympy_snf(sympy.Matrix(a), domain=sympy.ZZ).tolist())
+    assert [abs(d) for d in _diag(smith_normal_form(a)[0])] == [abs(int(d)) for d in want]
