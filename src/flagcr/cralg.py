@@ -225,6 +225,40 @@ class LieAlgebraPresentation:
         return LieAlgebraPresentation(n, table, conj, labels)
 
 
+def _span(n2, rows) -> RMatrix:
+    """Row space of the nonzero rows, of width n2 also when there are none:
+    every subspace this module builds is made here."""
+    rows = [r for r in rows if any(r)]
+    return RMatrix(rows) if rows else RMatrix.empty(n2)
+
+
+def _image(space: RMatrix, apply, dim) -> RMatrix:
+    """The image of a realified space under a map into CNum dim-vectors."""
+    return _span(2 * dim, (realify_vector(apply(complexify_vector(r))) for r in space.rows))
+
+
+def _preimage(domain: RMatrix, images_fn, target: RMatrix) -> RMatrix:
+    """{v in domain : every vector of images_fn(v) lies in target}."""
+    rows = domain.rows
+    # unknowns: coefficients c_k over the domain basis (real); one condition
+    # per image m and coordinate: sum_k c_k residue(image m of row k) = 0
+    residues = [[target.residue(realify_vector(img)) for img in images_fn(complexify_vector(r))] for r in rows]
+    n_images = len(residues[0]) if rows else 0
+    mat_rows = [[res[m][t] for res in residues] for m in range(n_images) for t in range(target.ncols)]
+    if not mat_rows:
+        return domain
+    vecs = []
+    for coeffs in kernel(mat_rows, Fraction):
+        v = [Fraction(0)] * domain.ncols
+        for c, r in zip(coeffs, rows):
+            if c:
+                for t, x in enumerate(r):
+                    if x:
+                        v[t] += c * x
+        vecs.append(v)
+    return _span(domain.ncols, vecs)
+
+
 def cspan(pres: LieAlgebraPresentation, vectors) -> RMatrix:
     """Complex span of CNum vectors as a realified row space."""
     rows = []
@@ -234,31 +268,22 @@ def cspan(pres: LieAlgebraPresentation, vectors) -> RMatrix:
         v = tuple(CNum.of(x) for x in v)
         rows.append(realify_vector(v))
         rows.append(realify_vector(tuple(C_I * x for x in v)))
-    return RMatrix(rows) if rows else RMatrix.empty(2 * pres.dim)
+    return _span(2 * pres.dim, rows)
 
 
 def rspan(pres: LieAlgebraPresentation, vectors) -> RMatrix:
-    rows = [realify_vector(tuple(CNum.of(x) for x in v)) for v in vectors]
-    return RMatrix(rows) if rows else RMatrix.empty(2 * pres.dim)
+    return _span(2 * pres.dim, (realify_vector(tuple(CNum.of(x) for x in v)) for v in vectors))
 
 
 def conj_space(pres: LieAlgebraPresentation, space: RMatrix) -> RMatrix:
-    rows = [realify_vector(pres.nu(complexify_vector(r))) for r in space.rows]
-    return RMatrix(rows) if rows else RMatrix.empty(2 * pres.dim)
+    return _image(space, pres.nu, pres.dim)
 
 
 def realified_eigenspace(n, apply, c) -> RMatrix:
     """{v : T v = c v} in realified coordinates, for an R-linear map T on
-    CNum n-vectors given by apply: the kernel of T - c I, with columns the
-    images of the 2n real unit vectors."""
-    cols = []
-    for i in range(2 * n):
-        unit = [C_ZERO] * n
-        unit[i // 2] = C_ONE if i % 2 == 0 else C_I
-        img = apply(tuple(unit))
-        cols.append(realify_vector(tuple(x - c * y for x, y in zip(img, unit))))
-    basis = kernel([[col[t] for col in cols] for t in range(2 * n)], Fraction)
-    return RMatrix(basis) if basis else RMatrix.empty(2 * n)
+    CNum n-vectors given by apply; c v is subtracted only where v is nonzero."""
+    full = _span(2 * n, ([Fraction(int(i == j)) for j in range(2 * n)] for i in range(2 * n)))
+    return _preimage(full, lambda v: [tuple(x - c * y if y else x for x, y in zip(apply(v), v))], _span(2 * n, []))
 
 
 def bracket_spaces(pres: LieAlgebraPresentation, a: RMatrix, b: RMatrix) -> RMatrix:
@@ -269,8 +294,7 @@ def bracket_spaces(pres: LieAlgebraPresentation, a: RMatrix, b: RMatrix) -> RMat
         va = complexify_vector(ra)
         for w in vb[i + 1 :] if a is b else vb:
             rows.append(realify_vector(pres.bracket(va, w)))
-    rows = [r for r in rows if any(r)]
-    return RMatrix(rows) if rows else RMatrix.empty(2 * pres.dim)
+    return _span(2 * pres.dim, rows)
 
 
 def is_subalgebra(pres, space: RMatrix) -> bool:
@@ -294,7 +318,7 @@ def _ascend(space: RMatrix, images) -> RMatrix:
                 if len(rows) == space.ncols:
                     break
         old, new = old + new, added
-    return RMatrix(rows) if len(rows) > space.rank() else space
+    return _span(space.ncols, rows) if len(rows) > space.rank() else space
 
 
 def _generated(pres, space: RMatrix) -> RMatrix:
@@ -377,23 +401,8 @@ def is_fundamental_cr(a: CRAlgebra) -> bool:
 def is_levi_nondegenerate(a: CRAlgebra) -> bool:
     """{Z in q : ad(Z)(qbar) in q + qbar} equals q n qbar."""
     pres, qb = a.pres, [complexify_vector(w) for w in a.qbar.rows]
-    deg = _solve_subspace_condition(pres, a.q, lambda v: [pres.bracket(v, w) for w in qb], a.q_plus_qbar())
+    deg = _preimage(a.q, lambda v: [pres.bracket(v, w) for w in qb], a.q_plus_qbar())
     return deg == a.q_cap_qbar()
-
-
-def _solve_subspace_condition(pres, domain: RMatrix, images_fn, target: RMatrix) -> RMatrix:
-    """{v in domain : every vector of images_fn(v) lies in target}."""
-    rows = domain.rows
-    # unknowns: coefficients c_k over the domain basis (real); one condition
-    # per image m and coordinate: sum_k c_k residue(image m of row k) = 0
-    residues = [[target.residue(realify_vector(img)) for img in images_fn(complexify_vector(r))] for r in rows]
-    n2 = 2 * pres.dim
-    mat_rows = [[res[m][t] for res in residues] for m in range(len(residues[0]) if rows else 0) for t in range(n2)]
-    if not mat_rows:
-        return domain
-    vecs = [[sum((c * r[t] for c, r in zip(coeffs, rows) if c), Fraction(0)) for t in range(n2)]
-            for coeffs in kernel(mat_rows, Fraction)]
-    return RMatrix(vecs) if vecs else RMatrix.empty(n2)
 
 
 def largest_ideal_in(a: CRAlgebra, space: RMatrix | None = None) -> RMatrix:
@@ -404,7 +413,7 @@ def largest_ideal_in(a: CRAlgebra, space: RMatrix | None = None) -> RMatrix:
     cur = a.isotropy() if space is None else space
     gens = [complexify_vector(r) for r in g0.rows]
     while True:
-        nxt = _solve_subspace_condition(pres, cur, lambda v: [pres.bracket(g, v) for g in gens], cur)
+        nxt = _preimage(cur, lambda v: [pres.bracket(g, v) for g in gens], cur)
         if nxt.rank() == cur.rank():
             return nxt
         cur = nxt
@@ -487,16 +496,17 @@ def _g0_map(src, tgt, mat):
 
 def _check_derivation(pres, jmat):
     """jmat: rational matrix on g0-basis coordinates; returns the complex
-    map on presentation coordinates once the Leibniz rule holds."""
+    map on presentation coordinates once the Leibniz rule holds.  The map and
+    the rule are C-linear, so the presentation basis serves as well as g0's."""
     apply = _g0_map(pres, pres, jmat)
-    basis = pres.g0_basis()
+    basis = _std_basis(pres.dim)
     imgs = [apply(b) for b in basis]
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
             lhs = apply(pres.bracket(basis[i], basis[j]))
             rhs = zip(pres.bracket(imgs[i], basis[j]), pres.bracket(basis[i], imgs[j]))
             if lhs != tuple(x + y for x, y in rhs):
-                raise NotADerivation(f"Leibniz fails on g0 basis pair {i},{j}")
+                raise NotADerivation(f"Leibniz fails on basis pair {i},{j}")
     return apply
 
 
@@ -505,14 +515,14 @@ def check_j_property(a: CRAlgebra, jmat) -> bool:
     J(q) in q, Z - i J(Z) in q n qbar on a basis of q."""
     apply_j = _check_derivation(a.pres, jmat)
     j_in_q = all(a.q.contains(realify_vector(apply_j(complexify_vector(r)))) for r in a.q.rows)
-    return j_in_q and _minus_i_in_cap(a, apply_j)
+    return j_in_q and _shift_in_cap(a, apply_j, -C_I)
 
 
-def _minus_i_in_cap(a: CRAlgebra, apply) -> bool:
-    """Z - i T(Z) lies in q n qbar for every Z of the basis of q."""
+def _shift_in_cap(a: CRAlgebra, apply, c) -> bool:
+    """Z + c T(Z) lies in q n qbar for every Z of the basis of q."""
     cap = a.q_cap_qbar()
     return all(
-        cap.contains(realify_vector(tuple(x - C_I * y for x, y in zip(v, apply(v)))))
+        cap.contains(realify_vector(tuple(x + c * y for x, y in zip(v, apply(v)))))
         for v in map(complexify_vector, a.q.rows)
     )
 
@@ -524,14 +534,10 @@ def exact_exponential(pres: LieAlgebraPresentation, jmat):
     n = pres.dim
     jcols = [apply_j(b) for b in _std_basis(n)]
     bound = max((int(sum(abs(x.re) + abs(x.im) for x in col)) + 1 for col in jcols), default=0)
-    pieces = []
-    total = RMatrix.empty(2 * n)
-    for k in range(-bound, bound + 1):
-        space = realified_eigenspace(n, apply_j, CNum(Fraction(0), Fraction(k)))
-        if space.rank():
-            pieces.append((k, space))
-            total = total.sum(space)
-    if total.rank() != 2 * n:
+    # eigenspaces of distinct eigenvalues are independent: they span C^n
+    # exactly when their dimensions add up to it
+    pieces = [(k, realified_eigenspace(n, apply_j, CNum(Fraction(0), Fraction(k)))) for k in range(-bound, bound + 1)]
+    if sum(space.rank() for _, space in pieces) != 2 * n:
         raise NonExactExponential("derivation is not semisimple with spectrum in iZ")
     # express v in the union of the eigenbases, factored once; the
     # eigenvector of ik goes to i^k times itself
@@ -549,25 +555,31 @@ def exact_exponential(pres: LieAlgebraPresentation, jmat):
     return apply_u
 
 
-def check_weak_j(a: CRAlgebra, upsilon=None, jmat=None) -> bool:
-    """Upsilon(q) = q and Z - i Upsilon(Z) in q n qbar.
-
-    Either an automorphism matrix (CNum, presentation coordinates) or a
-    derivation J with iZ spectrum (then Upsilon = exp(pi J/2) exactly)."""
-    pres = a.pres
+def _upsilon_map(pres, upsilon, jmat):
+    """Upsilon as a map: an automorphism matrix (CNum, presentation
+    coordinates), or exp(pi J/2) for a derivation J with iZ spectrum."""
     if upsilon is not None:
-        apply_u = _matrix_map(upsilon, pres.dim)
-    elif jmat is not None:
-        apply_u = exact_exponential(pres, jmat)
-    else:
-        raise ValueError("need upsilon or jmat")
+        return _matrix_map(upsilon, pres.dim)
+    if jmat is not None:
+        return exact_exponential(pres, jmat)
+    raise ValueError("need upsilon or jmat")
+
+
+def check_weak_j(a: CRAlgebra, upsilon=None, jmat=None) -> bool:
+    """Upsilon(q) = q and Z - i Upsilon(Z) in q n qbar, for Upsilon given
+    by either an automorphism matrix or a derivation (see _upsilon_map)."""
+    return _is_weak_j(a, _upsilon_map(a.pres, upsilon, jmat))
+
+
+def _is_weak_j(a: CRAlgebra, apply_u) -> bool:
+    pres = a.pres
     _preserves_bracket(pres, pres, apply_u, _std_basis(pres.dim), NotAnAutomorphism)
-    img = RMatrix([realify_vector(apply_u(complexify_vector(r))) for r in a.q.rows])
-    return img == a.q and _minus_i_in_cap(a, apply_u)
+    return _image(a.q, apply_u, pres.dim) == a.q and _shift_in_cap(a, apply_u, -C_I)
 
 
-def _psd(matrix_rows) -> tuple[bool, RMatrix]:
-    """(is positive semidefinite, radical) for a symmetric rational matrix."""
+def _psd(matrix_rows) -> tuple[bool, RMatrix | None]:
+    """(is positive semidefinite, radical or None) for a symmetric rational
+    matrix."""
     n = len(matrix_rows)
     a = [[Fraction(x) for x in row] for row in matrix_rows]
     rad_rows = []
@@ -581,7 +593,7 @@ def _psd(matrix_rows) -> tuple[bool, RMatrix]:
         v = vecs.pop(0)
         q = form(v, v)
         if q < 0:
-            return False, RMatrix.empty(n)
+            return False, None
         if q == 0:
             # must pair to zero with everything for PSD; check later
             rad_rows.append(v)
@@ -591,9 +603,8 @@ def _psd(matrix_rows) -> tuple[bool, RMatrix]:
     for v in rad_rows:
         for u in pos + rad_rows:
             if form(v, u) != 0:
-                return False, RMatrix.empty(n)
-    rad = RMatrix([r for r in rad_rows if any(r)]) if rad_rows else RMatrix.empty(n)
-    return True, rad
+                return False, None
+    return True, _span(n, rad_rows)
 
 
 def check_cr_symmetric(a: CRAlgebra, lam) -> dict:
@@ -612,18 +623,13 @@ def check_cr_symmetric(a: CRAlgebra, lam) -> dict:
     except NotAnAutomorphism:
         report["automorphism"] = False
     g0 = pres.g0_subspace()
-    img_g0 = RMatrix([realify_vector(apply_l(complexify_vector(r))) for r in g0.rows])
-    report["preserves_g0"] = img_g0 == g0
-    img_q = RMatrix([realify_vector(apply_l(complexify_vector(r))) for r in a.q.rows])
-    report["preserves_q"] = img_q == a.q
+    report["preserves_g0"] = _image(g0, apply_l, n) == g0
+    report["preserves_q"] = _image(a.q, apply_l, n) == a.q
     # ker(Id - lambda) inside the subalgebra generated by q + qbar
     fixed = realified_eigenspace(n, apply_l, C_ONE)
     report["fixed_in_qnat"] = a.q_nat().contains_space(fixed)
     cap = a.q_cap_qbar()
-    report["z_plus_lz_in_cap"] = all(
-        cap.contains(realify_vector(tuple(x + y for x, y in zip(v, apply_l(v)))))
-        for v in map(complexify_vector, a.q.rows)
-    )
+    report["z_plus_lz_in_cap"] = _shift_in_cap(a, apply_l, C_ONE)
     # gradation compatibility: q and g0 split into (+1) and (-1) eigenparts
     minus = realified_eigenspace(n, apply_l, -C_ONE)
     # bracket corollary: the odd part of q brackets into q n qbar (the
@@ -680,13 +686,11 @@ def weak_j_implies_compatible(a: CRAlgebra, ideal_rows: RMatrix, jmat=None, upsi
     hypotheses."""
     pres = a.pres
     if upsilon is not None or jmat is not None:
-        if not check_weak_j(a, upsilon=upsilon, jmat=jmat):
+        apply_u = _upsilon_map(pres, upsilon, jmat)
+        if not _is_weak_j(a, apply_u):
             raise PreconditionViolation("structure does not have the weak-J property")
-        apply_u = exact_exponential(pres, jmat) if jmat is not None else None
-        if apply_u is not None and ideal_rows.rows:
-            img = RMatrix([realify_vector(apply_u(complexify_vector(r))) for r in ideal_rows.rows])
-            if img != ideal_rows:
-                raise PreconditionViolation("ideal is not Upsilon-invariant")
+        if _image(ideal_rows, apply_u, pres.dim) != ideal_rows:
+            raise PreconditionViolation("ideal is not Upsilon-invariant")
     return fibration_compatible(a, ideal_rows)
 
 
@@ -697,9 +701,7 @@ def induced_base_fiber(a: CRAlgebra, ideal_rows: RMatrix):
     ac = _complexified(pres, ideal_rows)
     base = CRAlgebra(pres, a.q.sum(ac))
     sub_pres, embed, project = sub_presentation(pres, ac)
-    fib_q_rows = [project(complexify_vector(r)) for r in a.q.intersect(ac).rows]
-    fib_q = RMatrix([realify_vector(v) for v in fib_q_rows]) if fib_q_rows else RMatrix.empty(2 * sub_pres.dim)
-    fiber = CRAlgebra(sub_pres, fib_q)
+    fiber = CRAlgebra(sub_pres, _image(a.q.intersect(ac), project, sub_pres.dim))
     return base, fiber
 
 
@@ -731,7 +733,7 @@ def anticanonical(a: CRAlgebra) -> dict:
     pres = a.pres
     g0 = pres.g0_subspace()
     qrows = [complexify_vector(r) for r in a.q.rows]
-    a0 = _solve_subspace_condition(pres, g0, lambda v: [pres.bracket(v, w) for w in qrows], a.q)
+    a0 = _preimage(g0, lambda v: [pres.bracket(v, w) for w in qrows], a.q)
     ac = _complexified(pres, a0)
     qprime = a.q.sum(ac)
     report = {"a0": a0, "q_prime": qprime}
@@ -794,34 +796,18 @@ def morphism_classify(src: CRAlgebra, tgt: CRAlgebra, phi0) -> dict:
     coordinates to tgt g0 coordinates) as a CR-algebras morphism."""
     sp, tp = src.pres, tgt.pres
     apply = _g0_map(sp, tp, phi0)
-    _preserves_bracket(sp, tp, apply, sp.g0_basis(), NotAHomomorphism)
-
-    def push(space: RMatrix) -> RMatrix:
-        rows = [realify_vector(apply(complexify_vector(r))) for r in space.rows]
-        rows = [r for r in rows if any(r)]
-        return RMatrix(rows) if rows else RMatrix.empty(2 * tp.dim)
+    _preserves_bracket(sp, tp, apply, _std_basis(sp.dim), NotAHomomorphism)
+    full = cspan(sp, _std_basis(sp.dim))
 
     def pull(space: RMatrix) -> RMatrix:
-        # {v : phi(v) in space}
-        n2s, n2t = 2 * sp.dim, 2 * tp.dim
-        cols = [realify_vector(apply(tuple(z * x for x in b))) for b in _std_basis(sp.dim) for z in (C_ONE, C_I)]
-        wrows = list(space.rows)
-        mat = []
-        for t in range(n2t):
-            mat.append([cols[c][t] for c in range(n2s)] + [-Fraction(w[t]) for w in wrows])
-        vecs = [k[:n2s] for k in kernel(mat, Fraction)]
-        vecs = [v for v in vecs if any(v)]
-        return RMatrix(vecs) if vecs else RMatrix.empty(n2s)
+        return _preimage(full, lambda v: [apply(v)], space)
 
     tcap = tgt.q_cap_qbar()
     scap = src.q_cap_qbar()
-    is_morphism = tgt.q.contains_space(push(src.q))
+    push_q = _image(src.q, apply, tp.dim)
+    is_morphism = tgt.q.contains_space(push_q)
     immersion = (pull(tcap) == scap) and (pull(tgt.q) == src.q)
-    full = cspan(sp, _std_basis(sp.dim))
-    submersion = (
-        push(full).sum(tcap).rank() == 2 * tp.dim
-        and push(src.q).sum(tcap) == tgt.q
-    )
+    submersion = _image(full, apply, tp.dim).sum(tcap).rank() == 2 * tp.dim and push_q.sum(tcap) == tgt.q
     if not is_morphism:
         kind = "NotAMorphism"
     elif immersion and submersion:

@@ -9,7 +9,6 @@ mean "no solution".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -26,30 +25,6 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 def mat_vec(a: list[list[int]], v: list[int]) -> list[int]:
     return [sum(r[k] * v[k] for k in range(len(v))) for r in a]
-
-
-def det(m: list[list[int]]) -> Fraction:
-    """Determinant via fraction-free elimination (exact, square input)."""
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    a = [[Fraction(x) for x in row] for row in m]
-    sign = 1
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        for r in range(c + 1, n):
-            f = a[r][c] / a[c][c]
-            for j in range(c, n):
-                a[r][j] -= f * a[c][j]
-    out = Fraction(sign)
-    for i in range(n):
-        out *= a[i][i]
-    return out
 
 
 def smith_normal_form(

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from flagcr import cralg, gaussq, qsets
+from flagcr import classify, cralg, gaussq, qsets
 from flagcr.cralg import (
     _generated,
     CRAlgebra,
@@ -368,6 +368,19 @@ def test_closure_extension_precondition_names():
         closure_extension(h, i0p)
 
 
+def _extension_morphism():
+    """(a, its closure extension by t0, the identity on g0): an equivariant
+    submersion."""
+    fa = flag_preset("A", 3)
+    rs = fa.system
+    neg = [rs.neg(i) for i in positive_roots(rs)]
+    hline = fa.cartan_element([1, 0, -1])
+    q = cspan(fa.pres, [hline] + [fa.root_vec[i] for i in neg])
+    a = CRAlgebra(fa.pres, q)
+    t0 = cspan(fa.pres, list(fa.cartan_vec)).intersect(fa.pres.g0_subspace())
+    return a, closure_extension(a, t0), ident(len(fa.pres.g0_basis()))
+
+
 def test_morphism_classify():
     h = heisenberg()
     out = morphism_classify(h, h, ident(3))
@@ -377,15 +390,7 @@ def test_morphism_classify():
     out2 = morphism_classify(h, h, zero)
     assert out2["kind"] in ("Morphism", "NotAMorphism")
     # equivariant submersion from closure extension
-    fa = flag_preset("A", 3)
-    rs = fa.system
-    neg = [rs.neg(i) for i in positive_roots(rs)]
-    hline = fa.cartan_element([1, 0, -1])
-    q = cspan(fa.pres, [hline] + [fa.root_vec[i] for i in neg])
-    a = CRAlgebra(fa.pres, q)
-    t0 = cspan(fa.pres, list(fa.cartan_vec)).intersect(fa.pres.g0_subspace())
-    ext = closure_extension(a, t0)
-    out3 = morphism_classify(a, ext, ident(len(fa.pres.g0_basis())))
+    out3 = morphism_classify(*_extension_morphism())
     assert out3["kind"] == "Submersion"
     # fiber is totally real here (fiber q inside cartan)
     assert out3["fiber_q"].rank() <= 2
@@ -526,3 +531,87 @@ def test_derived_spaces_computed_once(monkeypatch):
     # a fresh algebra builds its spaces again, with the same results
     assert run(fg.cr_algebra(q1)) == first
     assert "conj_space" in calls
+
+
+def test_zero_q_images_keep_their_width():
+    # the image of q = 0 is the zero space of g, not a space of width 0
+    h = heisenberg()
+    a = CRAlgebra(h.pres, RMatrix.empty(6))
+    iden = [[C_ONE if i == j else C_ZERO for j in range(3)] for i in range(3)]
+    assert check_weak_j(a, upsilon=iden)
+    assert check_cr_symmetric(a, iden)["preserves_q"]
+
+
+def test_weak_j_implies_compatible_checks_invariance_on_both_routes():
+    # the rotation of (X, Y) fixing T moves the ideal <X, T>, whether given
+    # as the automorphism Upsilon or as the derivation J with exp(pi J/2) = Upsilon
+    from flagcr.cralg import weak_j_implies_compatible
+
+    h = heisenberg()
+    ideal = rspan(h.pres, [(1, 0, 0), (0, 0, 1)])
+    upsilon = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
+    jmat = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
+    assert check_weak_j(h, upsilon=upsilon) and check_weak_j(h, jmat=jmat)
+    for kwargs in ({"upsilon": upsilon}, {"jmat": jmat}):
+        with pytest.raises(PreconditionViolation, match="Upsilon-invariant"):
+            weak_j_implies_compatible(h, ideal, **kwargs)
+        assert weak_j_implies_compatible(h, rspan(h.pres, [(0, 0, 1)]), **kwargs)
+
+
+def _kernel_eigenspace(n, apply, c):
+    # oracle: the kernel of T - c I, with columns the images of the 2n real
+    # unit vectors
+    cols = []
+    for i in range(2 * n):
+        unit = [C_ZERO] * n
+        unit[i // 2] = C_ONE if i % 2 == 0 else C_I
+        img = apply(tuple(unit))
+        cols.append(realify_vector(tuple(x - c * y for x, y in zip(img, unit))))
+    basis = gaussq.kernel([[col[t] for col in cols] for t in range(2 * n)], Fraction)
+    return RMatrix(basis) if basis else RMatrix.empty(2 * n)
+
+
+def _augmented_pull(sp, tp, apply, space):
+    # oracle: {v : phi(v) in space} from the kernel of [phi | -rows of space]
+    n2s = 2 * sp.dim
+    cols = [realify_vector(apply(tuple(z * x for x in b))) for b in cralg._std_basis(sp.dim) for z in (C_ONE, C_I)]
+    mat = [[col[t] for col in cols] + [-Fraction(w[t]) for w in space.rows] for t in range(2 * tp.dim)]
+    vecs = [k[:n2s] for k in gaussq.kernel(mat, Fraction) if any(k[:n2s])]
+    return RMatrix(vecs) if vecs else RMatrix.empty(n2s)
+
+
+@pytest.mark.parametrize("spec", [("A", 3), ("B", 2), ("G2", None)], ids=["sl3", "so5", "G2"])
+def test_eigenspace_preimage_matches_kernel_oracle(spec):
+    # nu (c = 1), every symmetry involution of a maximal class (c = +-1) and
+    # every J derivation (c = ik, k in -2..2), with G2's Q40 for a G2 J
+    fp = flag_preset(*spec)
+    pres, rs = fp.pres, fp.system
+    n = pres.dim
+    qs = [frozenset(c.canonical) for c in classify.enumerate_maximal(rs)]
+    if spec[0] == "G2":
+        qs.append(frozenset(roots_set(rs, [(1, 0, -1), (2, -1, -1)])))
+    maps = [(pres.nu, C_ONE)]
+    for q in qs:
+        ok, e = qsets.is_symmetric(rs, q)
+        if ok:
+            lam = cralg._matrix_map(fp.symmetry_involution(e), n)
+            maps += [(lam, C_ONE), (lam, -C_ONE)]
+        ok, e = qsets.has_j(rs, q)
+        if ok:
+            j = cralg._check_derivation(pres, fp.j_derivation(e))
+            maps += [(j, CNum(Fraction(0), Fraction(k))) for k in range(-2, 3)]
+    assert len(maps) >= 8
+    for apply, c in maps:
+        assert cralg.realified_eigenspace(n, apply, c) == _kernel_eigenspace(n, apply, c)
+
+
+def test_morphism_fibers_match_augmented_pull():
+    h = heisenberg()
+    cases = [(h, h, ident(3)), (h, h, [[0] * 3 for _ in range(3)]), _extension_morphism()]
+    for src, tgt, phi0 in cases:
+        sp, tp = src.pres, tgt.pres
+        apply = cralg._g0_map(sp, tp, phi0)
+        out = morphism_classify(src, tgt, phi0)
+        g0pp = _augmented_pull(sp, tp, apply, tgt.q.intersect(tp.g0_subspace())).intersect(sp.g0_subspace())
+        assert out["fiber_g0"] == g0pp
+        assert out["fiber_q"] == src.q.intersect(_augmented_pull(sp, tp, apply, tgt.q_cap_qbar()))
