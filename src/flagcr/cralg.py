@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .gaussq import C_I, C_ONE, C_ZERO, CNum, Factored, RMatrix, _insert, complexify_vector, kernel, realify_vector
+from .gaussq import C_I, C_ONE, C_ZERO, CNum, Factored, RMatrix, _insert, _rref, complexify_vector, kernel, realify_vector
 
 
 class NotADerivation(ValueError):
@@ -573,8 +573,17 @@ def check_weak_j(a: CRAlgebra, upsilon=None, jmat=None) -> bool:
 
 def _is_weak_j(a: CRAlgebra, apply_u) -> bool:
     pres = a.pres
-    _preserves_bracket(pres, pres, apply_u, _std_basis(pres.dim), NotAnAutomorphism)
+    _check_automorphism(pres, apply_u)
     return _image(a.q, apply_u, pres.dim) == a.q and _shift_in_cap(a, apply_u, -C_I)
+
+
+def _check_automorphism(pres, apply):
+    """A Lie automorphism is bijective, so the basis images span g over C (the
+    zero map preserves every bracket), and preserves the bracket."""
+    basis = _std_basis(pres.dim)
+    if len(_rref([apply(b) for b in basis])[1]) != pres.dim:
+        raise NotAnAutomorphism("the basis images do not span g")
+    _preserves_bracket(pres, pres, apply, basis, NotAnAutomorphism)
 
 
 def _psd(matrix_rows) -> tuple[bool, RMatrix | None]:
@@ -618,7 +627,7 @@ def check_cr_symmetric(a: CRAlgebra, lam) -> dict:
     report = {}
     report["involution"] = all(apply_l(apply_l(b)) == b for b in basis)
     try:
-        _preserves_bracket(pres, pres, apply_l, basis, NotAnAutomorphism)
+        _check_automorphism(pres, apply_l)
         report["automorphism"] = True
     except NotAnAutomorphism:
         report["automorphism"] = False

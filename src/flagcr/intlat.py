@@ -52,32 +52,29 @@ def smith_normal_form(
         for row in v:
             row[i], row[j] = row[j], row[i]
 
+    # the adds skip zero source entries: the same operations, fewer products
     def row_add(dst, src, f):
-        arow, srow = a[dst], a[src]
-        for k in range(nc):
-            arow[k] += f * srow[k]
-        urow, usrc = u[dst], u[src]
-        for k in range(nr):
-            urow[k] += f * usrc[k]
+        for rows in (a, u):
+            row = rows[dst]
+            for k, x in enumerate(rows[src]):
+                if x:
+                    row[k] += f * x
 
     def col_add(dst, src, f):
-        for row in a:
-            row[dst] += f * row[src]
-        for row in v:
-            row[dst] += f * row[src]
+        for rows in (a, v):
+            for row in rows:
+                if x := row[src]:
+                    row[dst] += f * x
 
     t = 0
     while t < min(nr, nc):
-        # locate smallest nonzero entry in the trailing block
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+        # the smallest nonzero entry of the trailing block, first in row order
+        nonzero = [(abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]]
+        if not nonzero:
             break
-        row_swap(t, best[0])
-        col_swap(t, best[1])
+        _, bi, bj = min(nonzero)
+        row_swap(t, bi)
+        col_swap(t, bj)
         while True:
             # clear column t
             moved = False
@@ -101,14 +98,7 @@ def smith_normal_form(
                 break
         # enforce divisibility of the trailing block by the pivot
         piv = a[t][t]
-        offender = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % piv != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next((i for i in range(t + 1, nr) if any(a[i][j] % piv for j in range(t + 1, nc))), None)
         if offender is not None:
             row_add(t, offender, 1)
             continue  # redo elimination at the same t
@@ -130,33 +120,46 @@ class DiophantineSolution:
 
 
 class SNFSolver:
-    """Factored form of an integer matrix for solving many systems A x = b."""
+    """Factored form U A V = S of an integer matrix, for solving many systems
+    A x = b over Z (solve) or mod m (solve_mod)."""
 
     def __init__(self, a: list[list[int]]):
         self.nr = len(a)
         self.nc = len(a[0]) if self.nr else 0
         self.s, self.u, self.v = smith_normal_form(a)
-        self.rank = 0
-        for i in range(min(self.nr, self.nc)):
-            if self.s[i][i] != 0:
-                self.rank += 1
+        # the nonzero invariant factors d_1 | d_2 | ... lead the diagonal of S
+        self.d = [x for x in (self.s[i][i] for i in range(min(self.nr, self.nc))) if x]
+        self.rank = len(self.d)
         self.kernel_basis = tuple(
             tuple(self.v[i][j] for i in range(self.nc)) for j in range(self.rank, self.nc)
         )
 
+    def _transform(self, b: list[int]) -> list[int]:
+        """c = U b, for a right-hand side of the factored system."""
+        if len(b) != self.nr:
+            raise ValueError("dimension mismatch between matrix and right-hand side")
+        return mat_vec(self.u, list(b))
+
     def solve(self, b: list[int]) -> DiophantineSolution | None:
-        c = mat_vec(self.u, list(b))
-        y = [0] * self.nc
-        for i in range(self.rank):
-            d = self.s[i][i]
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-        for i in range(self.rank, self.nr):
-            if c[i] != 0:
-                return None
-        x = mat_vec(self.v, y)
-        return DiophantineSolution(tuple(x), self.kernel_basis)
+        c = self._transform(b)
+        if any(ci % d for ci, d in zip(c, self.d)) or any(c[self.rank :]):
+            return None
+        y = [ci // d for ci, d in zip(c, self.d)] + [0] * (self.nc - self.rank)
+        return DiophantineSolution(tuple(mat_vec(self.v, y)), self.kernel_basis)
+
+    def solve_mod(self, b: list[int], m: int) -> list[int] | None:
+        """A x = b (mod m), m >= 2, from the same factorization: with c = U b
+        and y = V^-1 x it reads d_i y_i = c_i (mod m), d_i = 0 past the rank,
+        solvable iff g_i = gcd(d_i, m) divides c_i (Newman, Integral
+        Matrices, 1972, ch. II).  V y reduced mod m, or None."""
+        if m < 2:
+            raise ValueError("modulus must be >= 2")
+        c = self._transform(b)
+        g = [gcd(d, m) for d in self.d] + [m] * (self.nr - self.rank)
+        if any(ci % gi for ci, gi in zip(c, g)):
+            return None
+        y = [ci // gi * pow(d // gi, -1, m // gi) % (m // gi) for ci, gi, d in zip(c, g, self.d)]
+        return [x % m for x in mat_vec(self.v, y + [0] * (self.nc - self.rank))]
 
 
 def solve_diophantine(a: list[list[int]], b: list[int]) -> DiophantineSolution | None:
@@ -165,27 +168,14 @@ def solve_diophantine(a: list[list[int]], b: list[int]) -> DiophantineSolution |
     Returns the particular solution and a basis of the full integer kernel
     lattice, or ``None`` when no integer solution exists.
     """
-    if len(a) != len(b):
-        raise ValueError("dimension mismatch between matrix and right-hand side")
     return SNFSolver(a).solve(b)
 
 
 def solve_congruence(a: list[list[int]], b: list[int], m: int) -> list[int] | None:
-    """Solve A x = b (mod m) for m >= 2, valid for composite m.
-
-    The system is lifted to A x + m k = b over Z and solved through the Smith
-    normal form; the returned vector is reduced mod m.  ``None`` means no
-    solution exists.
-    """
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
-    aug = [list(a[i]) + [m if j == i else 0 for j in range(nr)] for i in range(nr)]
-    sol = solve_diophantine(aug, list(b))
-    if sol is None:
-        return None
-    return [x % m for x in sol.particular[:nc]]
+    """Solve A x = b (mod m) for m >= 2, valid for composite m, through the
+    Smith normal form of A (SNFSolver.solve_mod).  The returned vector has
+    entries in 0..m-1; ``None`` means no solution exists."""
+    return SNFSolver(a).solve_mod(b, m)
 
 
 def lattice_coset_gcd(vectors: list[list[int]] | tuple, weight: list[int] | tuple) -> int:

@@ -13,16 +13,16 @@ Each set is analysed once (lb, fundamental, the Q-expression lattice, Q*_{1,1}
 and the integer coweight evaluation rows), and one decision over that
 analysis, parameterised by the modulus 2, 4 or exact, serves all three
 properties.  Route A analyses the coset of achievable coefficient sums over
-the integer kernel of the Q-expression lattice; route B solves the
-congruence or Diophantine system over the coweight lattice.  A mismatch is
-always a bug and raises MethodDisagreement.
+the integer kernel of the Q-expression lattice; route B solves alpha(E) = 1
+on Q from one Smith normal form of the coweight evaluation rows, mod 2, mod 4
+and exactly.  A mismatch is always a bug and raises MethodDisagreement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intlat import SNFSolver, lattice_coset_gcd, solve_congruence, solve_diophantine
+from .intlat import SNFSolver, lattice_coset_gcd
 from .rootsys import GradingElement, RootSystem, evaluate, evaluate_int, root_sum, sorted_indices
 
 
@@ -238,7 +238,7 @@ _PROPERTY = {2: "symmetric", 4: "weak-J", None: "J"}
 class _Analysis:
     """What the three decisions need about (R, Q), computed once: the lb and
     fundamental hypotheses and, when both hold, the kernel degree gcd,
-    Q*_{1,1} and the integer coweight evaluation rows of Q."""
+    Q*_{1,1} and the factored integer coweight evaluation rows of Q."""
 
     def __init__(self, r: RootSystem, q):
         self.r, self.q = r, sorted_indices(q)
@@ -249,7 +249,7 @@ class _Analysis:
         if self.holds:
             self.gcd = _kernel_gcd(solver)
             self.star = q_star_11(r, self.q)
-            self.rows = [r.coweight_values[i] for i in self.q]
+            self.coweights = SNFSolver([r.coweight_values[i] for i in self.q])
 
     def decide(self, m: int | None):
         """CR-symmetric (m = 2), weak-J (m = 4) or J (m = None) by both
@@ -261,12 +261,12 @@ class _Analysis:
         # every coset to be a singleton
         verdict_a = self.gcd == 0 if m is None else (not self.star) or self.gcd % m == 0
         # route B: alpha(E) = 1 on Q (mod m, or exactly) over the coweight lattice
-        ones = [1] * len(self.rows)
+        ones = [1] * len(self.q)
         if m is None:
-            sol = solve_diophantine(self.rows, ones)
+            sol = self.coweights.solve(ones)
             x = None if sol is None else sol.particular
         else:
-            x = solve_congruence(self.rows, ones, m)
+            x = self.coweights.solve_mod(ones, m)
         if (x is not None) != verdict_a:
             raise MethodDisagreement(f"{_PROPERTY[m]}: coset route {verdict_a}, solver route {x is not None}")
         if x is None:

@@ -9,6 +9,7 @@ from flagcr.cralg import (
     CRAlgebra,
     LieAlgebraPresentation,
     NotADerivation,
+    NotAnAutomorphism,
     NotAnIdeal,
     NotCharacteristic,
     PreconditionViolation,
@@ -540,6 +541,18 @@ def test_zero_q_images_keep_their_width():
     iden = [[C_ONE if i == j else C_ZERO for j in range(3)] for i in range(3)]
     assert check_weak_j(a, upsilon=iden)
     assert check_cr_symmetric(a, iden)["preserves_q"]
+
+
+def test_singular_maps_are_not_automorphisms():
+    # the zero map preserves every bracket, but it is not bijective
+    a = CRAlgebra(heisenberg().pres, RMatrix.empty(6))
+    zero = [[C_ZERO] * 3 for _ in range(3)]
+    iden = [[C_ONE if i == j else C_ZERO for j in range(3)] for i in range(3)]
+    with pytest.raises(NotAnAutomorphism, match="span"):
+        check_weak_j(a, upsilon=zero)
+    assert check_cr_symmetric(a, zero)["automorphism"] is False
+    assert check_weak_j(a, upsilon=iden)
+    assert check_cr_symmetric(a, iden)["automorphism"] is True
 
 
 def test_weak_j_implies_compatible_checks_invariance_on_both_routes():

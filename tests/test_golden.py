@@ -18,6 +18,8 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 COMMANDS = [
     ("enumerate-A4-aut", ["enumerate", "--type", "A", "--rank", "4", "--quotient", "aut"], 0),
     ("enumerate-E6-aut", ["enumerate", "--type", "E6", "--quotient", "aut"], 0),
+    ("enumerate-F4", ["enumerate", "--type", "F4"], 0),
+    ("enumerate-D-5", ["enumerate", "--type", "D", "--rank", "5"], 0),
     ("verify-paper-gradings", ["verify-paper", "--section", "gradings"], 0),
     ("verify-paper-7", ["verify-paper", "--section", "7"], 0),
     ("cralg-G2-Q40-predicates", ["cralg", "--preset", "flag:G2:Q40", "--op", "predicates"], 0),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from flagcr.gaussq import Factored
 from flagcr.intlat import (
     DiophantineSolution,
+    SNFSolver,
     hermite_basis,
     identity_matrix,
     lattice_contains,
@@ -129,6 +130,16 @@ def test_diophantine_vs_enumeration():
         )
 
 
+def lifted_congruence(a, b, m):
+    """Independent oracle for A x = b (mod m): lift to A x + m k = b over Z,
+    solve that Diophantine system and reduce the x part mod m (None when no
+    solution exists)."""
+    nr = len(a)
+    nc = len(a[0]) if nr else 0
+    sol = solve_diophantine([list(row) + [m if j == i else 0 for j in range(nr)] for i, row in enumerate(a)], list(b))
+    return None if sol is None else [x % m for x in sol.particular[:nc]]
+
+
 def test_congruence_basics():
     assert solve_congruence([[2]], [1], 2) is None
     assert solve_congruence([[1]], [3], 4) == [3]
@@ -196,11 +207,12 @@ def test_hermite_basis():
 
 
 @st.composite
-def systems(draw, max_rows=4, max_cols=5):
-    """(A, b): an integer matrix with small entries and a right-hand side."""
+def systems(draw, max_rows=4, max_cols=5, entry=9):
+    """(A, b): an integer matrix with entries in -entry..entry and a
+    right-hand side."""
     nr = draw(st.integers(1, max_rows))
     nc = draw(st.integers(1, max_cols))
-    a = draw(st.lists(st.lists(st.integers(-9, 9), min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    a = draw(st.lists(st.lists(st.integers(-entry, entry), min_size=nc, max_size=nc), min_size=nr, max_size=nr))
     b = draw(st.lists(st.integers(-20, 20), min_size=nr, max_size=nr))
     return a, b
 
@@ -255,6 +267,29 @@ def test_congruence_answers_substitute_back(system, m):
         return
     assert all(0 <= t < m for t in x)
     assert all((y - c) % m == 0 for y, c in zip(mat_vec(a, x), b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems(max_rows=6, max_cols=6, entry=4), st.integers(2, 12))
+def test_solve_mod_matches_lifted_oracle(system, m):
+    # one SNF of A against the SNF of the lifted [A | mI]: the same verdict,
+    # and an answer that is a solution reduced into 0..m-1
+    a, b = system
+    x = SNFSolver(a).solve_mod(b, m)
+    assert (x is None) == (lifted_congruence(a, b, m) is None)
+    if x is not None:
+        assert all(0 <= t < m for t in x)
+        assert all((y - c) % m == 0 for y, c in zip(mat_vec(a, x), b))
+
+
+def test_solvers_reject_bad_input():
+    for m in (1, 0, -3):
+        with pytest.raises(ValueError, match="modulus"):
+            SNFSolver([[1]]).solve_mod([1], m)
+    for b in ([1], [1, 2, 3]):
+        for solve in (solve_diophantine, lambda a, b: solve_congruence(a, b, 4)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                solve([[1, 0], [0, 1]], b)
 
 
 @settings(max_examples=100, deadline=None)

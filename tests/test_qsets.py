@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from flagcr import qsets
 from flagcr.classify import maximal_cliques
-from flagcr.intlat import column_solver
+from flagcr.intlat import SNFSolver, column_solver
 from flagcr.qsets import (
     NOT_FUNDAMENTAL,
     MethodDisagreement,
@@ -29,6 +29,7 @@ from flagcr.qsets import (
 )
 from flagcr.rootsys import GradingElement, build_root_system, coroot, evaluate, evaluate_int, find_root, roots_set
 from flagcr.weyl import random_element
+from test_intlat import lifted_congruence
 
 H = Fraction(1, 2)
 
@@ -287,8 +288,27 @@ def test_both_routes_run_on_every_decision(monkeypatch):
     # with route B forced to find no solution, route A still says symmetric
     g2, _, q1, _ = g2_sets()
     assert is_symmetric(g2, q1)[0] is True
-    monkeypatch.setattr(qsets, "solve_congruence", lambda *args: None)
+    monkeypatch.setattr(SNFSolver, "solve_mod", lambda *args: None)
     with pytest.raises(MethodDisagreement):
         property_report(g2, q1)
     with pytest.raises(MethodDisagreement):
         is_symmetric(g2, q1)
+
+
+WITNESS_SYSTEMS = [("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("D", 4), ("G2", None), ("F4", None)]
+
+
+@pytest.mark.parametrize("tag,rank", WITNESS_SYSTEMS, ids=[f"{t}{r or ''}" for t, r in WITNESS_SYSTEMS])
+def test_congruence_witnesses_match_lifted_oracle(enumerated, tag, rank):
+    # the mod-2 and mod-4 witnesses of every maximal class and of two seeded
+    # W-images of it are exactly those of the [A | mI] lift of alpha(E) = 1
+    rs, classes = enumerated(tag, rank, "weyl")
+    rng = random.Random(f"{tag}{rank}")
+    for cls in classes:
+        images = [random_element(rs, rng) for _ in range(2)]
+        for q in [cls.canonical] + [sorted(g[i] for i in cls.canonical) for g in images]:
+            rep = property_report(rs, q)
+            rows = [rs.coweight_values[i] for i in sorted(q)]
+            for m, witness in ((2, rep.witness_mod2), (4, rep.witness_mod4)):
+                want = lifted_congruence(rows, [1] * len(rows), m)
+                assert (None if witness is None else list(witness.coords)) == want, (q, m)
