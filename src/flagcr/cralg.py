@@ -166,7 +166,7 @@ class LieAlgebraPresentation:
     def g0_subspace(self) -> RMatrix:
         """Fixed points of nu as a realified row space (real dimension n)."""
         if self._g0 is None:
-            self._g0 = realified_eigenspace(self.dim, self.nu, C_ONE)
+            self._g0 = realified_eigenspace(unit_images(self.dim, self.nu), C_ONE)
         return self._g0
 
     def g0_basis(self):
@@ -279,11 +279,18 @@ def conj_space(pres: LieAlgebraPresentation, space: RMatrix) -> RMatrix:
     return _image(space, pres.nu, pres.dim)
 
 
-def realified_eigenspace(n, apply, c) -> RMatrix:
+def realified_eigenspace(images, c) -> RMatrix:
     """{v : T v = c v} in realified coordinates, for an R-linear map T on
-    CNum n-vectors given by apply; c v is subtracted only where v is nonzero."""
-    full = _span(2 * n, ([Fraction(int(i == j)) for j in range(2 * n)] for i in range(2 * n)))
-    return _preimage(full, lambda v: [tuple(x - c * y if y else x for x, y in zip(apply(v), v))], _span(2 * n, []))
+    CNum n-vectors given by its unit_images: the kernel of the real matrix
+    with columns T u - c u, c u subtracted only where u is nonzero."""
+    cols = [realify_vector(tuple(x - c * y if y else x for x, y in zip(img, u))) for u, img in images]
+    return _span(len(cols), kernel([[col[t] for col in cols] for t in range(len(cols))], Fraction))
+
+
+def unit_images(n, apply):
+    """(u, T u) for the 2n real unit vectors u of C^n, T given by apply."""
+    units = (complexify_vector([Fraction(int(i == j)) for j in range(2 * n)]) for i in range(2 * n))
+    return [(u, apply(u)) for u in units]
 
 
 def bracket_spaces(pres: LieAlgebraPresentation, a: RMatrix, b: RMatrix) -> RMatrix:
@@ -532,11 +539,12 @@ def exact_exponential(pres: LieAlgebraPresentation, jmat):
     iZ: acts as i^k on the eigenspace of ik; NonExactExponential otherwise."""
     apply_j = _check_derivation(pres, jmat)
     n = pres.dim
-    jcols = [apply_j(b) for b in _std_basis(n)]
-    bound = max((int(sum(abs(x.re) + abs(x.im) for x in col)) + 1 for col in jcols), default=0)
+    # J applied once to the real unit vectors; the even ones are e_1..e_n
+    images = unit_images(n, apply_j)
+    bound = max((int(sum(abs(x.re) + abs(x.im) for x in col)) + 1 for _, col in images[::2]), default=0)
     # eigenspaces of distinct eigenvalues are independent: they span C^n
     # exactly when their dimensions add up to it
-    pieces = [(k, realified_eigenspace(n, apply_j, CNum(Fraction(0), Fraction(k)))) for k in range(-bound, bound + 1)]
+    pieces = [(k, realified_eigenspace(images, CNum(Fraction(0), Fraction(k)))) for k in range(-bound, bound + 1)]
     if sum(space.rank() for _, space in pieces) != 2 * n:
         raise NonExactExponential("derivation is not semisimple with spectrum in iZ")
     # express v in the union of the eigenbases, factored once; the
@@ -635,12 +643,13 @@ def check_cr_symmetric(a: CRAlgebra, lam) -> dict:
     report["preserves_g0"] = _image(g0, apply_l, n) == g0
     report["preserves_q"] = _image(a.q, apply_l, n) == a.q
     # ker(Id - lambda) inside the subalgebra generated by q + qbar
-    fixed = realified_eigenspace(n, apply_l, C_ONE)
+    images = unit_images(n, apply_l)
+    fixed = realified_eigenspace(images, C_ONE)
     report["fixed_in_qnat"] = a.q_nat().contains_space(fixed)
     cap = a.q_cap_qbar()
     report["z_plus_lz_in_cap"] = _shift_in_cap(a, apply_l, C_ONE)
     # gradation compatibility: q and g0 split into (+1) and (-1) eigenparts
-    minus = realified_eigenspace(n, apply_l, -C_ONE)
+    minus = realified_eigenspace(images, -C_ONE)
     # bracket corollary: the odd part of q brackets into q n qbar (the
     # clause Z + lambda(Z) in cap makes the even part of q sit in cap, so
     # this is the content of the printed [Z1, Z2] in q n qbar)

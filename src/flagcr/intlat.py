@@ -1,5 +1,5 @@
 """Exact integer linear algebra: Smith normal form, Diophantine and modular
-linear systems, lattice membership.
+linear systems, Hermite bases of lattices.
 
 Matrices are plain lists of rows of Python ints (arbitrary precision).  All
 functions are pure and total except where a ``None`` return is documented to
@@ -14,13 +14,6 @@ from math import gcd
 
 def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    if not a:
-        return []
-    nb = len(b[0]) if b else 0
-    return [[sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(nb)] for ra in a]
 
 
 def mat_vec(a: list[list[int]], v: list[int]) -> list[int]:
@@ -188,15 +181,6 @@ def lattice_coset_gcd(vectors: list[list[int]] | tuple, weight: list[int] | tupl
     for v in vectors:
         g = gcd(g, sum(w * x for w, x in zip(weight, v)))
     return abs(g)
-
-
-def lattice_contains(basis_columns: list[list[int]], target: list[int]) -> bool:
-    """Whether ``target`` lies in the Z-span of the column vectors."""
-    if not basis_columns:
-        return all(x == 0 for x in target)
-    n = len(basis_columns[0])
-    a = [[col[i] for col in basis_columns] for i in range(n)]
-    return solve_diophantine(a, list(target)) is not None
 
 
 def column_solver(columns: list[list[int]]) -> SNFSolver:

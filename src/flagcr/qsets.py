@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .intlat import SNFSolver, lattice_coset_gcd
-from .rootsys import GradingElement, RootSystem, evaluate, evaluate_int, root_sum, sorted_indices
+from .rootsys import GradingElement, RootSystem, dot, evaluate_int, root_sum, sorted_indices
 
 
 class MethodDisagreement(AssertionError):
@@ -77,17 +77,9 @@ def compat_graph(r: RootSystem, constraint=None) -> dict[int, set[int]]:
 
 
 def is_lb(r: RootSystem, q) -> bool:
+    """Q is a clique of the compatibility graph."""
     qs = sorted(q)
-    for a in range(len(qs)):
-        for b in range(a, len(qs)):
-            i, j = qs[a], qs[b]
-            if i == j:
-                continue
-            if r.neg(i) == j:
-                return False
-            if root_sum(r, i, j) is not None:
-                return False
-    return True
+    return all(compatible(r, i, j) for a, i in enumerate(qs) for j in qs[a + 1 :])
 
 
 def is_closed(r: RootSystem, q) -> bool:
@@ -227,9 +219,9 @@ def _verify_witness(r: RootSystem, q, e: GradingElement, modulus: int | None):
         else:
             assert v % modulus == 1 % modulus, "witness fails congruence"
     # every root is an integer combination of the lattice basis, so integrality
-    # on the basis is integrality on R
+    # on the basis is integrality on R: dot(b, num) / (2 den) in Z
     for b in r.lattice_basis:
-        assert evaluate(b, e).denominator == 1, "witness leaves the coweight lattice"
+        assert dot(b, e.num) % (2 * e.den) == 0, "witness leaves the coweight lattice"
 
 
 _PROPERTY = {2: "symmetric", 4: "weak-J", None: "J"}

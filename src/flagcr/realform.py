@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from .gaussq import CMatrix, CNum, kernel
 from .qsets import is_closed
-from .rootsys import RootSystem
+from .intlat import solve_diophantine
+from .rootsys import RootSystem, coroot, dot, root_sum, scaled
 from .weyl import apply_matrix_cols, simple_roots
 
 
@@ -109,14 +110,9 @@ def verify_lemma_lb(r: RootSystem, q, sigma: RootConjugation) -> dict:
     report = {}
     report["closed_qr_qbar"] = is_closed(r, qr | qbar)
     report["closed_qr_qbarn"] = is_closed(r, qr | qbar_n)
-    strong = True
-    for a in qr:
-        for b in qbar_r:
-            s = tuple(x + y for x, y in zip(r.roots[a], r.roots[b]))
-            d = tuple(x - y for x, y in zip(r.roots[a], r.roots[b]))
-            if s in r.index or d in r.index:
-                strong = False
-    report["strongly_orthogonal"] = strong
+    report["strongly_orthogonal"] = all(
+        root_sum(r, a, b) is None and root_sum(r, a, r.neg(b)) is None for a in qr for b in qbar_r
+    )
     p = q | qbar_r
     pneg = frozenset(r.neg(i) for i in p)
     pn = frozenset(i for i in p if r.neg(i) not in p)
@@ -126,26 +122,19 @@ def verify_lemma_lb(r: RootSystem, q, sigma: RootConjugation) -> dict:
     return report
 
 
-def _eval_on(alpha, vec) -> Fraction:
-    return Fraction(sum(a * Fraction(x) for a, x in zip(alpha, vec)), 2)
-
-
-def _defining_vector(r: RootSystem, q, qn, p) -> tuple[Fraction, ...]:
+def _defining_vector(r: RootSystem, q, qn, p) -> tuple[int, ...]:
     """A_0 with alpha(A_0) > 0 on P^n, = 0 on P^r, < 0 off P; taken as the
-    sum of the nilpotent-part roots and verified."""
-    n = r.ambient_dim
-    a0 = [Fraction(0)] * n
-    for i in qn:
-        for k in range(n):
-            a0[k] += Fraction(r.roots[i][k])
+    sum of the nilpotent-part roots, an integer vector, and verified.  A
+    root takes dot(alpha, A_0) / 2 on it, so the signs are those of the dot."""
+    a0 = tuple(sum(r.roots[i][k] for i in qn) for k in range(r.ambient_dim))
     pr = frozenset(i for i in p if r.neg(i) in p)
     for i in range(r.nroots):
-        v = _eval_on(r.roots[i], a0)
+        v = dot(r.roots[i], a0)
         if i in qn and not v > 0:
             raise NoRegularVector("sum of Q^n does not define the parabolic set")
         if i in pr and v != 0:
             raise NoRegularVector("sum of Q^n does not vanish on P^r")
-    return tuple(a0)
+    return a0
 
 
 def adapted_simple_system(r: RootSystem, q, sigma: RootConjugation) -> dict:
@@ -167,6 +156,8 @@ def adapted_simple_system(r: RootSystem, q, sigma: RootConjugation) -> dict:
     eig = _minus_eigenbasis(sigma, n)
     if not eig:
         raise NoRegularVector("conjugation has no (-1)-eigenspace")
+    # every vector below is paired with roots as integer numerators over a
+    # positive denominator: alpha(num/den) = dot(alpha, num) / (2 den)
     a1 = None
     t = 1
     while t < 1000:
@@ -174,25 +165,25 @@ def adapted_simple_system(r: RootSystem, q, sigma: RootConjugation) -> dict:
         for j, b in enumerate(eig):
             for k in range(n):
                 cand[k] += Fraction(t**j) * b[k]
-        if all(_eval_on(v, cand) != 0 for v in r.roots):
+        num1, den1 = scaled(cand)
+        if all(dot(v, num1) for v in r.roots):
             a1 = tuple(cand)
             break
         t += 1
     if a1 is None:
         raise NoRegularVector("no regular vector found in the (-1)-eigenspace")
-    # exact epsilon per the strict-inequality argument
-    max_a1 = max(abs(_eval_on(v, a1)) for v in r.roots)
-    inv_a0 = max(
-        -(-_eval_on(r.roots[i], a0).denominator // _eval_on(r.roots[i], a0).numerator)
-        if _eval_on(r.roots[i], a0) > 0
-        else 0
-        for i in qn
-    ) if qn else 1
-    eps = Fraction(1, int(1 + max_a1 * max(1, inv_a0)))
-    a = tuple(Fraction(x) + eps * Fraction(y) for x, y in zip(a0, a1))
-    if any(_eval_on(v, a) == 0 for v in r.roots):
+    # exact epsilon per the strict-inequality argument: max |alpha(A_1)| and
+    # the largest ceil(1 / alpha(A_0)) = ceil(2 / dot) over Q^n
+    max_a1 = Fraction(max(abs(dot(v, num1)) for v in r.roots), 2 * den1)
+    inv_a0 = max((-(-2 // dot(r.roots[i], a0)) for i in qn), default=1)
+    big = int(1 + max_a1 * max(1, inv_a0))
+    eps = Fraction(1, big)
+    # A = A_0 + eps A_1 = (big den1 A_0 + num1) / (big den1)
+    num = tuple(big * den1 * x + y for x, y in zip(a0, num1))
+    vals = [dot(v, num) for v in r.roots]
+    if 0 in vals:
         raise NoRegularVector("A = A0 + eps*A1 is not regular")
-    simples = simple_roots(r, [i for i in range(r.nroots) if _eval_on(r.roots[i], a) > 0])
+    simples = simple_roots(r, [i for i in range(r.nroots) if vals[i] > 0])
     # label: first the simple roots inside Q^r, then those in Q^n, then the rest
     head = [s for s in simples if s in qr]
     mid = [s for s in simples if s in qn]
@@ -216,7 +207,7 @@ def adapted_simple_system(r: RootSystem, q, sigma: RootConjugation) -> dict:
         "simples_in_p": all(s in p for s in lset),
         "head_in_qr": all(s in qr for s in lset[:plen]),
         "mid_in_qn": all(s in qn for s in lset[plen : ell - plen]),
-        "bars_negative": all(_eval_on(r.roots[sigma.bar(s)], a) < 0 for s in lset),
+        "bars_negative": all(vals[sigma.bar(s)] < 0 for s in lset),
         "head_pairing": all(
             sigma.bar(lset[i]) == r.neg(lset[ell - 1 - i]) for i in range(plen)
         ),
@@ -236,10 +227,6 @@ def adapted_simple_system(r: RootSystem, q, sigma: RootConjugation) -> dict:
 def _simple_for_subsystem(r: RootSystem, head, qr) -> bool:
     """head must be a simple system for the root subsystem Q^r: every element
     of Q^r is an all-nonnegative or all-nonpositive integer combination."""
-    if not head and not qr:
-        return True
-    from .intlat import solve_diophantine
-
     cols = [r.roots[i] for i in head]
     if not cols:
         return not qr
@@ -288,8 +275,6 @@ def regular_max_structure(r: RootSystem, sigma: RootConjugation, q, m_basis) -> 
     report["m_meets_mbar_trivially"] = inter.rank() == 0
     # Q^r coroot span inside m
     qr, qn = split_r_n(r, q)
-    from .rootsys import coroot
-
     ok = True
     for i in sorted(qr):
         cr = coroot(r.roots[i])

@@ -5,7 +5,8 @@ R* = {H : alpha(H) in Z for all alpha}.
 Roots are stored in DOUBLED ambient coordinates (stored = 2 * coordinate), so
 the half-integer roots of the E series and F4 become integer vectors.  Inner
 products in the original normalization are dot(stored)/4; evaluation of a root
-on an ambient vector is dot(stored, vector)/2.
+on an ambient vector is dot(stored, vector)/2, one integer dot product on a
+grading element, which carries integer numerators over one denominator.
 
 A root set is handled as a frozenset of root indices into ``RootSystem.roots``;
 the canonical external form is the sorted index tuple.
@@ -18,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .gaussq import Factored, solve_linear
 from .intlat import column_solver, hermite_basis, smith_normal_form
@@ -164,13 +166,33 @@ _BUILDERS = {
 }
 
 
+def dot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
+def scaled(vec) -> tuple[tuple[int, ...], int]:
+    """(num, den) with vec = num/den, num integer, den the least positive one."""
+    den = math.lcm(*(Fraction(x).denominator for x in vec))
+    return tuple(int(Fraction(x) * den) for x in vec), den
+
+
 @dataclass(frozen=True)
 class GradingElement:
     """Element of the coweight lattice R*, stored both as integer coordinates
-    in the coweight basis and as the ambient rational vector."""
+    in the coweight basis and as the ambient rational vector, the latter also
+    as integer numerators over one denominator, ambient = num/den (derived
+    when not given; not compared), so alpha(E) = dot(alpha, num) / (2 den)."""
 
     coords: tuple[int, ...]
     ambient: tuple[Fraction, ...]
+    num: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
+    den: int = field(default=1, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.num is None:
+            num, den = scaled(self.ambient)
+            object.__setattr__(self, "num", num)
+            object.__setattr__(self, "den", den)
 
 
 @dataclass
@@ -183,8 +205,12 @@ class RootSystem:
     # Z-basis of the lattice spanned by the stored (doubled) roots
     lattice_basis: list[list[int]] = field(repr=False)
     coweight_basis: list[tuple[Fraction, ...]] = field(repr=False)
+    # (columns of the coweight basis scaled to integers, their denominator)
+    coweight_scaled: tuple[list[tuple[int, ...]], int] = field(repr=False)
     # coweight_values[i][k] = alpha_i(omega_k) for the coweight basis omega_k
     coweight_values: list[tuple[int, ...]] = field(repr=False)
+    # negation[i] is the index of -roots[i]
+    negation: list[int] = field(repr=False)
     _sum_table: dict[tuple[int, int], int | None] = field(default_factory=dict, repr=False)
     # group data of weyl (simple roots, generator permutations), built on use
     _group_cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -194,15 +220,13 @@ class RootSystem:
         return len(self.roots)
 
     def neg(self, i: int) -> int:
-        return self.index[tuple(-x for x in self.roots[i])]
+        return self.negation[i]
 
     def grading_element(self, coords) -> GradingElement:
         coords = tuple(int(c) for c in coords)
-        amb = [Fraction(0)] * self.ambient_dim
-        for c, basis_vec in zip(coords, self.coweight_basis):
-            for k in range(self.ambient_dim):
-                amb[k] += c * basis_vec[k]
-        return GradingElement(coords, tuple(amb))
+        cols, den = self.coweight_scaled
+        num = tuple(dot(coords, col) for col in cols)
+        return GradingElement(coords, tuple(Fraction(x, den) for x in num), num, den)
 
     def ambient_to_coweight_coords(self, ambient) -> tuple[int, ...] | None:
         """Integer coweight coordinates of an ambient vector, or None if it is
@@ -218,20 +242,20 @@ def inner(alpha: tuple[int, ...], beta: tuple[int, ...]) -> Fraction:
     """Exact inner product in the original (undoubled) normalization."""
     if len(alpha) != len(beta):
         raise ValueError("ambient dimension mismatch")
-    return Fraction(sum(a * b for a, b in zip(alpha, beta)), 4)
+    return Fraction(dot(alpha, beta), 4)
 
 
 def evaluate(alpha: tuple[int, ...], e: GradingElement | tuple) -> Fraction:
-    """alpha(E) for an ambient vector or grading element E."""
-    vec = e.ambient if isinstance(e, GradingElement) else e
-    return Fraction(sum(a * Fraction(x) for a, x in zip(alpha, vec)), 2)
+    """alpha(E) for a grading element or an ambient vector E."""
+    num, den = (e.num, e.den) if isinstance(e, GradingElement) else scaled(e)
+    return Fraction(dot(alpha, num), 2 * den)
 
 
 def evaluate_int(alpha: tuple[int, ...], e: GradingElement) -> int:
-    v = evaluate(alpha, e)
-    if v.denominator != 1:
+    v, rem = divmod(dot(alpha, e.num), 2 * e.den)
+    if rem:
         raise ValueError("root does not evaluate integrally")
-    return int(v)
+    return v
 
 
 def root_sum(r: RootSystem, i: int, j: int) -> int | None:
@@ -257,7 +281,7 @@ def coweight_lattice_basis(dbasis: list[list[int]]) -> list[tuple[Fraction, ...]
     # evaluation pairing alpha(H) equals the euclidean product in original
     # coordinates.  With stored vectors: alpha(H) = dot(stored, H)/2, so we
     # require dot(dbasis_i, d_j)/2 = delta_ij.
-    gram = [[Fraction(sum(a * b for a, b in zip(dbasis[i], dbasis[j])), 2) for j in range(r)] for i in range(r)]
+    gram = [[Fraction(dot(dbasis[i], dbasis[j]), 2) for j in range(r)] for i in range(r)]
     inv = Factored(gram, Fraction).inverse()
     dual = []
     for j in range(r):
@@ -297,23 +321,24 @@ def build_root_system(type_tag: str, rank: int | None = None) -> RootSystem:
     true_rank = {"A": n - 1, "B": n, "C": n, "D": n}.get(type_tag, FIXED_RANK.get(type_tag))
     dbasis = hermite_basis([list(v) for v in stored])
     cw = coweight_lattice_basis(dbasis)
-    # alpha(omega) = dot(stored, omega)/2, in integers once omega is scaled
-    # by the common denominator d of its coordinates
-    scaled = []
-    for w in cw:
-        d = math.lcm(*(x.denominator for x in w))
-        scaled.append((2 * d, [int(x * d) for x in w]))
-    values = [[divmod(sum(a * b for a, b in zip(v, w)), d) for d, w in scaled] for v in stored]
+    # alpha(omega) = dot(stored, omega)/2, in integers once the basis is
+    # scaled by the common denominator of its coordinates
+    den = math.lcm(*(x.denominator for w in cw for x in w))
+    cw_num = [tuple(int(x * den) for x in w) for w in cw]
+    values = [[divmod(dot(v, w), 2 * den) for w in cw_num] for v in stored]
     assert all(rem == 0 for row in values for _, rem in row), "a root is not integral on the coweight basis"
+    index = {v: i for i, v in enumerate(stored)}
     return RootSystem(
         type_tag=type_tag,
         rank=true_rank,
         ambient_dim=ambient,
         roots=stored,
-        index={v: i for i, v in enumerate(stored)},
+        index=index,
         lattice_basis=dbasis,
         coweight_basis=cw,
+        coweight_scaled=(list(zip(*cw_num)), den),
         coweight_values=[tuple(x for x, _ in row) for row in values],
+        negation=[index[tuple(-x for x in v)] for v in stored],
     )
 
 

@@ -615,7 +615,7 @@ def test_eigenspace_preimage_matches_kernel_oracle(spec):
             maps += [(j, CNum(Fraction(0), Fraction(k))) for k in range(-2, 3)]
     assert len(maps) >= 8
     for apply, c in maps:
-        assert cralg.realified_eigenspace(n, apply, c) == _kernel_eigenspace(n, apply, c)
+        assert cralg.realified_eigenspace(cralg.unit_images(n, apply), c) == _kernel_eigenspace(n, apply, c)
 
 
 def test_morphism_fibers_match_augmented_pull():

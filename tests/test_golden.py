@@ -1,9 +1,11 @@
 """Default CLI output, byte-compared with outputs recorded under golden/.
 
 The commands run in-process through cli.main, so module caches (the G2 flag
-preset among them) are shared with the rest of the suite.  After a change
-that is meant to move the output, re-record a file with
-``PYTHONPATH=src python -m flagcr <argv> > tests/golden/<name>.out``.
+preset among them) are shared with the rest of the suite.  They run from the
+repository root, because the check and realform commands read root-set files
+under golden/ by a path relative to it and echo that path.  After a change
+that is meant to move the output, re-record a file from the repository root
+with ``PYTHONPATH=src python -m flagcr <argv> > tests/golden/<name>.out``.
 """
 
 import os
@@ -13,6 +15,7 @@ import pytest
 from flagcr.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # (file name, argv, exit code)
 COMMANDS = [
@@ -22,6 +25,13 @@ COMMANDS = [
     ("enumerate-D-5", ["enumerate", "--type", "D", "--rank", "5"], 0),
     ("verify-paper-gradings", ["verify-paper", "--section", "gradings"], 0),
     ("verify-paper-7", ["verify-paper", "--section", "7"], 0),
+    ("verify-paper-6", ["verify-paper", "--section", "6"], 0),
+    ("check-E7-maximal", ["check", "--roots", "tests/golden/check-E7-maximal.json"], 0),
+    (
+        "realform-F4-positive-adapted",
+        ["realform", "--roots", "tests/golden/realform-F4-positive.json", "--conjugation", "compact", "--op", "adapted"],
+        0,
+    ),
     ("cralg-G2-Q40-predicates", ["cralg", "--preset", "flag:G2:Q40", "--op", "predicates"], 0),
     ("cralg-G2-Q41-levi", ["cralg", "--preset", "flag:G2:Q41", "--op", "levi"], 0),
     ("cralg-G2-Q42-levi", ["cralg", "--preset", "flag:G2:Q42", "--op", "levi"], 0),
@@ -34,7 +44,8 @@ COMMANDS = [
 
 
 @pytest.mark.parametrize("name,argv,code", COMMANDS, ids=[c[0] for c in COMMANDS])
-def test_golden_output(capsys, name, argv, code):
+def test_golden_output(capsys, monkeypatch, name, argv, code):
+    monkeypatch.chdir(ROOT)
     got_code = main(argv)
     out = capsys.readouterr().out
     with open(os.path.join(GOLDEN, name + ".out"), "rb") as f:

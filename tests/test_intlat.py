@@ -13,14 +13,29 @@ from flagcr.intlat import (
     SNFSolver,
     hermite_basis,
     identity_matrix,
-    lattice_contains,
     lattice_coset_gcd,
-    mat_mul,
     mat_vec,
     smith_normal_form,
     solve_congruence,
     solve_diophantine,
 )
+
+
+def mat_mul(a, b):
+    """Integer matrix product, the oracle for U M V = S."""
+    if not a:
+        return []
+    nb = len(b[0]) if b else 0
+    return [[sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(nb)] for ra in a]
+
+
+def lattice_contains(basis_columns, target):
+    """Whether ``target`` lies in the Z-span of the column vectors."""
+    if not basis_columns:
+        return all(x == 0 for x in target)
+    n = len(basis_columns[0])
+    a = [[col[i] for col in basis_columns] for i in range(n)]
+    return solve_diophantine(a, list(target)) is not None
 
 
 def _unimodular(m):

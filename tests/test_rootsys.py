@@ -1,6 +1,9 @@
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagcr.rootsys import (
     GradingElement,
@@ -173,3 +176,78 @@ def test_rootset_json_roundtrip():
     rs2, q2 = rootset_from_json(text)
     assert rs2.type_tag == "F4"
     assert {rs2.roots[i] for i in q2} == {f4.roots[i] for i in q}
+
+
+# one system of each of the nine types
+NINE = [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("G2", None), ("F4", None), ("E6", None), ("E7", None), ("E8", None)]
+
+
+@functools.lru_cache(maxsize=None)
+def _system(tag, rank):
+    return build_root_system(tag, rank)
+
+
+def _oracle_ambient(rs, coords):
+    """The coweight combination sum_k c_k omega_k, summed in Fractions."""
+    amb = [Fraction(0)] * rs.ambient_dim
+    for c, basis_vec in zip(coords, rs.coweight_basis):
+        for k in range(rs.ambient_dim):
+            amb[k] += c * basis_vec[k]
+    return tuple(amb)
+
+
+def _oracle_evaluate(alpha, ambient):
+    """alpha(E) = dot(stored alpha, ambient) / 2, one Fraction per coordinate."""
+    return Fraction(sum(a * Fraction(x) for a, x in zip(alpha, ambient)), 2)
+
+
+def _assert_pairing_matches_oracle(rs, e):
+    # roots, and the lattice basis, which is not made of roots
+    for alpha in list(rs.roots) + [tuple(b) for b in rs.lattice_basis]:
+        want = _oracle_evaluate(alpha, e.ambient)
+        assert evaluate(alpha, e) == want
+        if want.denominator == 1:
+            assert evaluate_int(alpha, e) == want
+        else:
+            with pytest.raises(ValueError, match="does not evaluate integrally"):
+                evaluate_int(alpha, e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_pairing_matches_fraction_oracle(data):
+    tag, rank = data.draw(st.sampled_from(NINE))
+    rs = _system(tag, rank)
+    coords = data.draw(st.lists(st.integers(-60, 60), min_size=rs.rank, max_size=rs.rank))
+    e = rs.grading_element(coords)
+    assert e.ambient == _oracle_ambient(rs, coords)
+    assert all(Fraction(x, e.den) == y for x, y in zip(e.num, e.ambient))
+    _assert_pairing_matches_oracle(rs, e)
+    # built from ambient only, the numerators are derived; they take no part
+    # in equality, hashing or repr
+    direct = GradingElement(e.coords, e.ambient)
+    assert (direct, hash(direct), repr(direct)) == (e, hash(e), repr(e))
+    _assert_pairing_matches_oracle(rs, direct)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_direct_grading_element_matches_fraction_oracle(data):
+    # arbitrary rational ambient vectors, mostly off the coweight lattice, as
+    # in test_witness_outside_coweight_lattice_is_rejected
+    tag, rank = data.draw(st.sampled_from(NINE))
+    rs = _system(tag, rank)
+    entry = st.fractions(min_value=-8, max_value=8, max_denominator=12)
+    ambient = tuple(data.draw(st.lists(entry, min_size=rs.ambient_dim, max_size=rs.ambient_dim)))
+    e = GradingElement((0,) * rs.rank, ambient)
+    assert e.den > 0 and all(Fraction(x, e.den) == y for x, y in zip(e.num, ambient))
+    _assert_pairing_matches_oracle(rs, e)
+
+
+@pytest.mark.parametrize("tag,rank", NINE)
+def test_negation_table_is_tuple_negation_and_an_involution(tag, rank):
+    rs = _system(tag, rank)
+    assert len(rs.negation) == rs.nroots
+    for i, v in enumerate(rs.roots):
+        assert rs.roots[rs.neg(i)] == tuple(-x for x in v)
+        assert rs.neg(rs.neg(i)) == i
