@@ -126,23 +126,23 @@ def enumerate_maximal(
     except BudgetExceeded as e:
         raise BudgetExceeded(str(e), []) from e
     seen: set[frozenset[int]] = set()
-    classes: list[EnumClass] = []
+    classes: dict[tuple[int, ...], EnumClass] = {}
     # fundamentality is invariant under the group, so each orbit is walked
-    # once and decided on its least member
-    for cl in sorted(cliques, key=lambda c: tuple(r.roots[i] for i in c)):
+    # once and decided on its least member; the roots are stored sorted, so
+    # index tuples sort as the tuples of their roots
+    for cl in sorted(cliques):
         if frozenset(cl) in seen:
             continue
         try:
             orbit = set_orbit(r, cl, quotient, budget)
             rep = sorted_indices(canonical_form(r, cl, quotient, budget))
         except OrbitBudgetExceeded as e:
-            raise BudgetExceeded(f"orbit dedup: {e}", classes) from e
+            raise BudgetExceeded(f"orbit dedup: {e}", list(classes.values())) from e
         seen |= orbit
         report = property_report(r, rep)
         if report.is_fundamental:
-            classes.append(EnumClass(rep, len(orbit), report))
-    classes.sort(key=lambda c: tuple(r.roots[i] for i in c.canonical))
-    return classes
+            classes[rep] = EnumClass(rep, len(orbit), report)
+    return [classes[rep] for rep in sorted(classes)]
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,7 @@ def _chevalley_preset(r: RootSystem) -> FlagPreset:
     labels = [f"h{i}" for i in range(rank)] + [f"x{a}" for a in range(nroots)]
     pres = LieAlgebraPresentation(dim, entries, conj, labels=labels)
     # H_k = sum_i c_i h_i with s_j(H_k) = evaluate(s_j, e_k) for every simple root s_j
-    cartan = Factored(cartan_matrix(r, simples), Fraction)
+    cartan = Factored(cartan_matrix(r), Fraction)
     cartan_vec = []
     for k in range(r.ambient_dim):
         sol = cartan.solve([Fraction(r.roots[s][k], 2) for s in simples])

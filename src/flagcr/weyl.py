@@ -7,9 +7,9 @@ and the diagram automorphisms are built once per root system, in integer
 arithmetic, and kept on it.  A stabiliser chain of W and of Aut, also built
 once, gives the canonical form of a set (its least image, found without
 walking the orbit), and two sets are equivalent when their canonical forms
-agree.
-Membership of one element in W is decided by the chamber walk on
-permutations.
+agree.  A set orbit is enumerated once per member, through the W-orbit of
+its dominant root sum.  Membership of one element in W is decided by the
+chamber walk on permutations.
 """
 
 from __future__ import annotations
@@ -20,24 +20,32 @@ import random
 from fractions import Fraction
 
 from .gaussq import Factored
-from .rootsys import RootSystem, inner
+from .rootsys import RootSystem
 
 
 class OrbitBudgetExceeded(RuntimeError):
     pass
 
 
-def reflection_perm(r: RootSystem, alpha_idx: int) -> tuple[int, ...]:
-    """Permutation of root indices induced by s_alpha(v) = v - c alpha, with
-    the Cartan integer c = 2(v|alpha)/(alpha|alpha), exact on stored vectors."""
+def _coroot_pairing(r: RootSystem, alpha_idx: int) -> list[int]:
+    """Cartan integers <v, alpha^vee> = 2(v|alpha)/(alpha|alpha) of every root v, exact;
+    kept per root system, so a simple reflection and the label table share them."""
     alpha = r.roots[alpha_idx]
     norm = sum(a * a for a in alpha)
-    out = []
-    for v in r.roots:
+
+    def pair(v):
         c, rem = divmod(2 * sum(x * a for x, a in zip(v, alpha)), norm)
         assert rem == 0, "Cartan integer is not an integer"
-        out.append(r.index[tuple(x - c * a for x, a in zip(v, alpha))])
-    return tuple(out)
+        return c
+
+    return _cached(r, f"pairing:{alpha_idx}", lambda: [pair(v) for v in r.roots])
+
+
+def reflection_perm(r: RootSystem, alpha_idx: int) -> tuple[int, ...]:
+    """Permutation of root indices induced by s_alpha(v) = v - <v, alpha^vee> alpha."""
+    alpha = r.roots[alpha_idx]
+    pairing = _coroot_pairing(r, alpha_idx)
+    return tuple(r.index[tuple(x - c * a for x, a in zip(v, alpha))] for v, c in zip(r.roots, pairing))
 
 
 def _cached(r: RootSystem, key: str, build):
@@ -76,16 +84,15 @@ def simple_roots(r: RootSystem, positive=None) -> list[int]:
     return simples
 
 
-def cartan_matrix(r: RootSystem, simples: list[int]) -> list[list[int]]:
-    out = []
-    for i in simples:
-        row = []
-        for j in simples:
-            c = 2 * inner(r.roots[i], r.roots[j]) / inner(r.roots[j], r.roots[j])
-            assert c.denominator == 1
-            row.append(int(c))
-        out.append(row)
-    return out
+def _labels(r: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """Each root's integer labels <beta, alpha_i^vee> against the simple roots, built once."""
+    return _cached(r, "labels", lambda: tuple(zip(*(_coroot_pairing(r, s) for s in simple_roots(r)))))
+
+
+def cartan_matrix(r: RootSystem) -> list[tuple[int, ...]]:
+    """Rows <alpha_i, alpha_j^vee>: the label rows of the simple roots."""
+    labels = _labels(r)
+    return [labels[s] for s in simple_roots(r)]
 
 
 def _base_map(r: RootSystem, base: list[int]):
@@ -275,26 +282,59 @@ def _inverse(g) -> tuple[int, ...]:
 
 
 def set_orbit(r: RootSystem, q, group: str = "weyl", budget: int | None = 2_000_000) -> set[frozenset[int]]:
-    """Full orbit of the set (as a set of frozensets), by BFS under simple
-    reflections (plus diagram automorphisms for 'aut'): orbit sizes and the
-    orbit dedup of the clique enumeration.  Raises OrbitBudgetExceeded past
-    ``budget`` nodes; None means no limit."""
-    gens = generators(r, group)
-    start = frozenset(q)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        if budget is not None and len(seen) > budget:
+    """Full orbit of the set, for orbit sizes and the orbit dedup of the
+    clique enumeration, with each member built once.  Simple reflections move
+    Q until its root sum, which is W-equivariant, is a dominant weight lam; BFS under its stabiliser W_J, generated by the s_j
+    with lam_j = 0 (Chevalley), gives the fibre W_J Q.  The orbit is the
+    disjoint union of the fibre's images under the minimal coset
+    representatives of W_J, walked as the reverse-search tree of W lam (Snow,
+    ACM TOMS 16, 1990; Avis-Fukuda 1996): a weight's parent is its reflection
+    at its first negative label.  For 'aut', where W is normal, each diagram
+    automorphism that moves Q out of the orbit adds its image of the W-orbit.
+    OrbitBudgetExceeded is raised exactly when the orbit has more than
+    ``budget`` sets; None means no limit."""
+    labels, cartan = _labels(r), cartan_matrix(r)
+    n, limit = len(cartan), math.inf if budget is None else budget
+    refl = generators(r, group)[:n]
+    cur = q = tuple(q)
+    lam = [sum(c) for c in zip(*(labels[b] for b in cur))] or [0] * n
+    while (i := next((k for k, x in enumerate(lam) if x < 0), None)) is not None:
+        cur, x = [refl[i][b] for b in cur], lam[i]
+        lam = [a - x * c for a, c in zip(lam, cartan[i])]
+
+    def grow(new):
+        orbit.update(new)
+        if len(orbit) > limit:
             raise OrbitBudgetExceeded(f"set orbit exceeded {budget} nodes")
-        nxt = []
-        for cur in frontier:
-            for g in gens:
-                img = frozenset(g[i] for i in cur)
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return seen
+
+    fibre, orbit = [frozenset(cur)], set()
+    grow(fibre)
+    stab = [g for g, x in zip(refl, lam) if x == 0]
+    for s in fibre:
+        for g in stab:
+            if (img := frozenset(map(g.__getitem__, s))) not in orbit:
+                fibre.append(img)
+                grow((img,))
+    # node (nu, p, fib): nu's first negative label is at p (n at lam); s_i raises only
+    # i's neighbours, so s_i nu is a child if i < p, and can be if i is p's later neighbour
+    later = [[j for j in range(i + 1, n) if cartan[i][j]] for i in range(n)] + [[]]
+    stack = [(lam, n, fibre)]
+    while stack:
+        nu, p, fib = stack.pop()
+        for i in itertools.chain(range(p), later[p]):
+            if (x := nu[i]) <= 0 or i > p and nu[p] < x * cartan[i][p]:
+                continue
+            child = [a - x * c for a, c in zip(nu, cartan[i])]
+            if i < p or min(child[:i]) >= 0:
+                g = refl[i]
+                grow(img := [frozenset(map(g.__getitem__, s)) for s in fib])
+                stack.append((child, i, img))
+    if group == "aut":
+        w_orbit = list(orbit)
+        for g in diagram_automorphisms(r):
+            if frozenset(map(g.__getitem__, q)) not in orbit:
+                grow([frozenset(map(g.__getitem__, s)) for s in w_orbit])
+    return orbit
 
 
 def root_orbit(r: RootSystem, idx: int, gen_perms) -> frozenset[int]:

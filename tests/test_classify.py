@@ -68,6 +68,7 @@ def test_enumerate_budget_in_orbit_stage():
     with pytest.raises(BudgetExceeded) as e:
         enumerate_maximal(f4, budget=200, constraint=set(small) | set(big))
     assert isinstance(e.value.__cause__, OrbitBudgetExceeded)
+    assert str(e.value).startswith("orbit dedup: ")
     assert [(c.canonical, c.orbit_size) for c in e.value.partial] == [(small, 96)]
 
 

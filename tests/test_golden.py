@@ -21,6 +21,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COMMANDS = [
     ("enumerate-A4-aut", ["enumerate", "--type", "A", "--rank", "4", "--quotient", "aut"], 0),
     ("enumerate-E6-aut", ["enumerate", "--type", "E6", "--quotient", "aut"], 0),
+    ("enumerate-D-4-aut", ["enumerate", "--type", "D", "--rank", "4", "--quotient", "aut"], 0),
     ("enumerate-F4", ["enumerate", "--type", "F4"], 0),
     ("enumerate-D-5", ["enumerate", "--type", "D", "--rank", "5"], 0),
     ("verify-paper-gradings", ["verify-paper", "--section", "gradings"], 0),

@@ -23,6 +23,25 @@ from flagcr.weyl import (
 )
 
 
+def _bfs_orbit(rs, q, group):
+    """Oracle: the orbit of a set by breadth-first search under the simple
+    reflections, plus the diagram automorphisms for 'aut'."""
+    gens = generators(rs, group)
+    start = frozenset(q)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for g in gens:
+                img = frozenset(map(g.__getitem__, cur))
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return seen
+
+
 def test_reflect_basics():
     a2 = build_root_system("A", 3)
     i = find_root(a2, (1, -1, 0))
@@ -40,7 +59,7 @@ def test_simple_roots_counts():
         rs = build_root_system(tag, rank)
         s = simple_roots(rs)
         assert len(s) == expect
-        cm = cartan_matrix(rs, s)
+        cm = cartan_matrix(rs)
         assert all(cm[i][i] == 2 for i in range(len(s)))
 
 
@@ -132,6 +151,74 @@ def test_canonical_form_budget():
     assert canonical_form(f4, q, budget=None) == min(orbit, key=lambda s: sorted(f4.roots[i] for i in s))
 
 
+# A2-A5 (build_root_system("A", n) is A_{n-1}), B2-B4, C2-C4, D4, D5, G2, F4, E6
+ORBIT_SYSTEMS = [("A", 3), ("A", 4), ("A", 5), ("A", 6), ("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3),
+                 ("C", 4), ("D", 4), ("D", 5), ("G2", None), ("F4", None), ("E6", None)]
+
+
+def _orbit_inputs(rs, rng, n_random):
+    """The empty set, every single root, every {beta, -beta}, the positive
+    system and all of R (root sum 0: the stabiliser is all of W), and random
+    subsets of 1-8 roots."""
+    pos = weyl.positive_roots(rs)
+    sets = [(), *((i,) for i in range(rs.nroots)), *((i, rs.neg(i)) for i in pos), tuple(pos), tuple(range(rs.nroots))]
+    return sets + [tuple(rng.sample(range(rs.nroots), rng.randint(1, min(8, rs.nroots)))) for _ in range(n_random)]
+
+
+@pytest.mark.parametrize("tag,rank", ORBIT_SYSTEMS, ids=[f"{t}{n or ''}" for t, n in ORBIT_SYSTEMS])
+def test_set_orbit_matches_bfs_oracle(tag, rank):
+    rs = build_root_system(tag, rank)
+    rng = random.Random(f"orbit-{tag}{rank}")
+    for q in _orbit_inputs(rs, rng, 1 if tag == "E6" else 12):
+        # on E6 the oracle takes seconds per group for the positive system and
+        # a random set (orbits of 51,840 to 103,680 sets), so those two run
+        # under W only; the E6 Aut orbits of the enumerated classes are
+        # compared with the oracle in the canonical-form test below
+        big = tag == "E6" and 2 < len(q) < rs.nroots
+        for group in ("weyl",) if big else ("weyl", "aut"):
+            assert set_orbit(rs, q, group) == _bfs_orbit(rs, q, group), (group, sorted(q))
+
+
+def test_set_orbit_builds_each_set_once(monkeypatch):
+    # the root sum of the positive system is regular: its stabiliser is
+    # trivial, the fibre is one set and the tree walk reaches every other
+    # member of the orbit (all |W| positive systems) exactly once
+    built = []
+    monkeypatch.setattr(weyl, "frozenset", lambda it=(): built.append(1) or frozenset(it), raising=False)
+    for tag, rank, order in [("A", 5, 120), ("B", 4, 384), ("D", 5, 1920), ("G2", None, 12), ("F4", None, 1152)]:
+        rs = build_root_system(tag, rank)
+        built.clear()
+        assert len(set_orbit(rs, weyl.positive_roots(rs))) == order
+        assert len(built) == order, tag
+
+
+@pytest.mark.parametrize("tag,rank,group", [("B", 3, "weyl"), ("D", 5, "weyl"), ("F4", None, "weyl"),
+                                            ("A", 5, "aut"), ("D", 4, "weyl"), ("D", 4, "aut")])
+def test_set_orbit_budget_is_exact(tag, rank, group):
+    # OrbitBudgetExceeded exactly when the orbit has more sets than the
+    # budget, whether the count passes it in the fibre, in the tree or, for
+    # 'aut', in the union over the diagram automorphisms
+    rs = build_root_system(tag, rank)
+    rng = random.Random(f"budget-{tag}{rank}{group}")
+    unions = 0
+    for q in _orbit_inputs(rs, rng, 12)[:: 3 if rs.nroots > 20 else 1]:
+        orbit = set_orbit(rs, q, group, None)
+        assert set_orbit(rs, q, group, len(orbit)) == orbit
+        with pytest.raises(weyl.OrbitBudgetExceeded):
+            set_orbit(rs, q, group, len(orbit) - 1)
+        unions += group == "aut" and len(orbit) > len(set_orbit(rs, q, "weyl"))
+    if group == "aut":
+        assert unions > 0
+    if (tag, group) == ("D", "aut"):
+        # triality: Q_4 and its images make three W-orbits
+        q4 = roots_set(rs, [(1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1), (0, 0, 1, 1)])
+        orbit = set_orbit(rs, q4, "aut")
+        assert len(orbit) == 3 * len(set_orbit(rs, q4, "weyl"))
+        assert set_orbit(rs, q4, "aut", len(orbit)) == orbit
+        with pytest.raises(weyl.OrbitBudgetExceeded):
+            set_orbit(rs, q4, "aut", len(orbit) - 1)
+
+
 def test_equivalence_agrees_with_orbit_bfs():
     rng = random.Random(31)
     for tag, rank in [("A", 3), ("B", 2), ("G2", None), ("D", 4), ("A", 5), ("F4", None), ("E6", None)]:
@@ -141,7 +228,7 @@ def test_equivalence_agrees_with_orbit_bfs():
             q1 = frozenset(rng.sample(range(rs.nroots), size))
             q2 = frozenset(rng.sample(range(rs.nroots), size))
             for group in ("weyl", "aut"):
-                want = frozenset(q2) in set_orbit(rs, q1, group)
+                want = frozenset(q2) in _bfs_orbit(rs, q1, group)
                 assert sets_equivalent(rs, q1, q2, group) == want
                 # an image of q1 is equivalent to it
                 g = random_element(rs, rng, group=group)
@@ -203,14 +290,18 @@ def test_schreier_sims_from_other_generating_sets():
 
 
 def test_roots_stored_sorted():
-    # the chain's base 0, 1, ..., n-1 is set_key order only because of this
+    # the chain's base 0, 1, ..., n-1 is set_key order, and enumerate_maximal
+    # sorts index tuples for root tuples, only because of this
     for tag in TYPES:
-        rs = build_root_system(tag, None if tag in ("G2", "F4", "E6", "E7", "E8") else 4)
-        assert list(rs.roots) == sorted(rs.roots), tag
+        for rank in (None,) if tag in ("G2", "F4", "E6", "E7", "E8") else (3, 4, 5, 6):
+            rs = build_root_system(tag, rank)
+            assert list(rs.roots) == sorted(rs.roots), (tag, rank)
+            assert len(rs.index) == rs.nroots
+            assert all(rs.index[v] == i for i, v in enumerate(rs.roots)), (tag, rank)
 
 
 def _bfs_min(rs, q, group):
-    return min(set_orbit(rs, q, group, None), key=lambda s: set_key(rs, s))
+    return min(_bfs_orbit(rs, q, group), key=lambda s: set_key(rs, s))
 
 
 @pytest.mark.parametrize("tag,rank", [("A", 3), ("A", 4), ("A", 5), ("B", 3), ("B", 4), ("C", 3), ("C", 4),
@@ -220,7 +311,10 @@ def test_canonical_form_matches_bfs_on_enumerated_classes(enumerated, tag, rank)
     for group in ("weyl", "aut"):
         rs, classes = enumerated(tag, rank, group)
         for c in classes:
-            want = _bfs_min(rs, c.canonical, group)
+            orbit = _bfs_orbit(rs, c.canonical, group)
+            # the orbit sizes that enumerate prints
+            assert c.orbit_size == len(orbit) and set_orbit(rs, c.canonical, group) == orbit
+            want = min(orbit, key=lambda s: set_key(rs, s))
             assert c.canonical == tuple(sorted(want))
             assert canonical_form(rs, c.canonical, group) == want
             for _ in range(2):
