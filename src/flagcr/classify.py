@@ -6,7 +6,9 @@ Maximal elements of Q(R) are exactly the maximal cliques of the compatibility
 graph whose Z-span contains R (enlarging a set never shrinks its span), so
 enumeration is pivoting Bron-Kerbosch followed by orbit-first deduplication:
 each orbit of maximal cliques is walked once, and one property report on its
-least member decides fundamentality for the whole class.
+least member decides fundamentality for the whole class.  enumerate_maximal
+is the one caller of set_orbit, because it reports orbit sizes; the B/D
+catalogs and the maximal symmetric classes key W-classes by canonical form.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import qsets
-from .qsets import compat_graph, is_fundamental, is_lb, property_report
+from .qsets import compat_graph, is_fundamental, property_report
 from .rootsys import (
     GradingElement,
     RootSystem,
@@ -167,14 +169,24 @@ class CatalogEntry:
         }
 
 
-def _is_maximal_clique(r: RootSystem, q) -> bool:
+def _extensions(r: RootSystem, q):
+    """The roots outside q that are compatible with every root of q."""
     qset = set(q)
-    for cand in range(r.nroots):
-        if cand in qset:
-            continue
-        if all(qsets.compatible(r, cand, i) for i in qset):
-            return False
-    return True
+    return (c for c in range(r.nroots) if c not in qset and all(qsets.compatible(r, c, i) for i in qset))
+
+
+def _is_maximal_clique(r: RootSystem, q) -> bool:
+    return next(_extensions(r, q), None) is None
+
+
+def _is_symmetric(r: RootSystem, q) -> bool:
+    got = qsets.is_symmetric(r, q)
+    return got is not qsets.NOT_FUNDAMENTAL and got[0]
+
+
+def _is_symmetric_maximal(r: RootSystem, q) -> bool:
+    """q is CR-symmetric and no single compatible root keeps it symmetric."""
+    return _is_symmetric(r, q) and not any(_is_symmetric(r, frozenset(q) | {c}) for c in _extensions(r, q))
 
 
 def _verify_entry(r: RootSystem, entry: CatalogEntry, witness: GradingElement | None = None):
@@ -254,7 +266,8 @@ def _first_of_each_gap(gaps) -> list[int]:
 
 def _bd_sets(r: RootSystem, n: int, with_short: bool):
     """Candidate maximal sets of types B (with the short root e_{i0}) and D,
-    parametrized by p, the gap chain and (for B) the class of i0."""
+    parametrized by p, the gap chain and (for B) the class of i0; they carry
+    no witness."""
     out = []
     for p in range(1, n + 1):
         for gaps in _gap_chains(p, n, p):
@@ -265,9 +278,9 @@ def _bd_sets(r: RootSystem, n: int, with_short: bool):
                 # i0 classes: one per distinct gap value, plus the tail (s, p]
                 i0s = _first_of_each_gap(gaps) + ([p] if p > len(gaps) else [])
                 for i0 in i0s or [p]:
-                    out.append(({"i0": i0, **params}, roots_set(r, [_e(i0, n)] + pairs + fams)))
+                    out.append(({"i0": i0, **params}, roots_set(r, [_e(i0, n)] + pairs + fams), None))
             elif pairs or fams:
-                out.append((params, roots_set(r, pairs + fams)))
+                out.append((params, roots_set(r, pairs + fams), None))
     return out
 
 
@@ -290,20 +303,18 @@ def _bd_symmetric_sets(r: RootSystem, n: int, with_short: bool):
     return out
 
 
-def _dedupe_entries(r: RootSystem, raw, budget: int = 500_000):
-    """Drop entries that are W-equivalent to an earlier one and entries that
-    are not maximal cliques; deduped via set-orbit marking."""
+def _first_of_each_class(r: RootSystem, raw, keep):
+    """The entries of ``raw`` whose set passes ``keep`` and whose W-class,
+    keyed by canonical form, no earlier kept entry has."""
     seen: set[frozenset[int]] = set()
     out = []
-    for params, q, *extra in raw:
+    for params, q, witness in raw:
         fq = frozenset(q)
-        if fq in seen:
-            continue
-        if not _is_maximal_clique(r, fq):
-            continue
-        orbit = set_orbit(r, fq, "weyl", budget)
-        seen |= orbit
-        out.append((params, fq, *extra))
+        if keep(r, fq):
+            key = canonical_form(r, fq)
+            if key not in seen:
+                seen.add(key)
+                out.append((params, fq, witness))
     return out
 
 
@@ -358,68 +369,25 @@ def catalog(type_tag: str, rank: int | None = None, which: str = "all") -> list[
     if type_tag in ("B", "D"):
         n = rank
         r = build_root_system(type_tag, n)
-        if which == "all":
-            raw = _bd_sets(r, n, with_short=(type_tag == "B"))
-            if type_tag == "D":
-                qm = [_epm(i, j, 1, 1, n) for i in range(1, n) for j in range(i + 1, n)]
-                qm += [_epm(i, n, 1, -1, n) for i in range(1, n)]
-                raw.append(({"label": "-n"}, roots_set(r, qm)))
-            deduped = _dedupe_entries(r, raw)
-            for params, q in deduped:
-                label = f"Q_{params}"
-                entry = CatalogEntry(
-                    label,
-                    sorted_indices(q),
-                    params,
-                    {"lb": True, "fundamental": True, "maximal": True},
-                    "classical B/D list (enumeration-derived constraints)",
-                )
-                _verify_entry(r, entry)
-                entries.append(entry)
-            return entries
-        raw = _bd_symmetric_sets(r, n, with_short=(type_tag == "B"))
+        symmetric = which == "symmetric"
+        raw = (_bd_symmetric_sets if symmetric else _bd_sets)(r, n, with_short=(type_tag == "B"))
         if type_tag == "D":
-            raw.append(
-                (
-                    {"label": "n"},
-                    roots_set(r, [_epm(i, j, 1, 1, n) for i in range(1, n + 1) for j in range(i + 1, n + 1)]),
-                    [H] * n,
-                )
-            )
-            raw.append(
-                (
-                    {"label": "-n"},
-                    roots_set(
-                        r,
-                        [_epm(i, j, 1, 1, n) for i in range(1, n) for j in range(i + 1, n)]
-                        + [_epm(i, n, 1, -1, n) for i in range(1, n)],
-                    ),
-                    [H] * (n - 1) + [-H],
-                )
-            )
-        kept = []
-        seen: set[frozenset[int]] = set()
-        for params, q, witness in raw:
-            fq = frozenset(q)
-            if fq in seen:
-                continue
-            if not is_lb(r, fq) or not is_fundamental(r, fq):
-                continue
-            # maximal within Q_s: no single compatible root keeps symmetry
-            if not _is_symmetric_maximal(r, fq):
-                continue
-            orbit = set_orbit(r, fq, "weyl")
-            seen |= orbit
-            kept.append((params, fq, witness))
-        for params, q, witness in kept:
-            entry = CatalogEntry(
-                f"Qs_{params}",
-                sorted_indices(q),
-                params,
-                {"lb": True, "fundamental": True, "symmetric": True, "j": True},
-                "classical symmetric list",
-            )
-            _verify_entry(r, entry, _witness_from_ambient(r, witness))
+            # the two half-spin sets: all e_i+e_j, and its image under e_n -> -e_n
+            minus_n = [_epm(i, j, 1, 1, n) for i in range(1, n) for j in range(i + 1, n)]
+            minus_n += [_epm(i, n, 1, -1, n) for i in range(1, n)]
+            if symmetric:
+                plus_n = [_epm(i, j, 1, 1, n) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+                raw.append(({"label": "n"}, roots_set(r, plus_n), [H] * n))
+            raw.append(({"label": "-n"}, roots_set(r, minus_n), [H] * (n - 1) + [-H] if symmetric else None))
+        if symmetric:
+            prefix, keep, source = "Qs_", _is_symmetric_maximal, "classical symmetric list"
+            claims = {"lb": True, "fundamental": True, "symmetric": True, "j": True}
+        else:
+            prefix, keep, source = "Q_", _is_maximal_clique, "classical B/D list (enumeration-derived constraints)"
+            claims = {"lb": True, "fundamental": True, "maximal": True}
+        for params, q, witness in _first_of_each_class(r, raw, keep):
+            entry = CatalogEntry(f"{prefix}{params}", sorted_indices(q), params, dict(claims), source)
+            _verify_entry(r, entry, None if witness is None else _witness_from_ambient(r, witness))
             entries.append(entry)
         return entries
     if type_tag == "G2":
@@ -498,22 +466,6 @@ def catalog(type_tag: str, rank: int | None = None, which: str = "all") -> list[
     raise ValueError(f"no catalog for type {type_tag}")
 
 
-def _is_symmetric_maximal(r: RootSystem, q) -> bool:
-    got = qsets.is_symmetric(r, q)
-    if got is qsets.NOT_FUNDAMENTAL or not got[0]:
-        return False
-    qset = set(q)
-    for cand in range(r.nroots):
-        if cand in qset:
-            continue
-        if all(qsets.compatible(r, cand, i) for i in qset):
-            bigger = frozenset(qset | {cand})
-            res = qsets.is_symmetric(r, bigger)
-            if res is not qsets.NOT_FUNDAMENTAL and res[0]:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # E-series data
 
@@ -560,7 +512,6 @@ def _minus_set(v: tuple[int, ...]) -> frozenset[int]:
 
 def _printed_s_membership(pair, v) -> bool:
     """Membership of a stored root vector in the printed S^l_i family list."""
-    l, i = pair
     if _is_spinor(v):
         m = _minus_set(v)
         if pair == (6, 1) or pair == (7, 1) or pair == (8, 1):
@@ -592,7 +543,9 @@ def _printed_s_membership(pair, v) -> bool:
     if pair == (7, 2):
         return b <= 6 and (xa > 0) == (xb > 0)
     if pair == (7, 3):
-        return a <= 5 and b == 6
+        # (a, b) = (7, 8): the roots +-(e_8 - e_7), the only ones of E7 with
+        # nonzeros at 7 and 8
+        return (a <= 5 and b == 6) or (a, b) == (7, 8)
     if pair == (8, 2):
         return (xa > 0) == (xb > 0)
     return False
@@ -606,28 +559,6 @@ def _pm_minus_sets(sets_):
         out.add(frozenset(s))
         out.add(full - frozenset(s))
     return out
-
-
-def _printed_s_pred(pair):
-    l, i = pair
-    if pair == (7, 3):
-        def pred(v):
-            if _is_spinor(v):
-                return _printed_s_membership(pair, v)
-            nz = [(k + 1, x) for k, x in enumerate(v) if x]
-            if tuple(v) in (v7_stored(), tuple(-x for x in v7_stored())):
-                return True
-            if len(nz) != 2:
-                return False
-            (a, _), (b, _) = nz
-            return a <= 5 and b == 6
-
-        return pred
-    return lambda v: _printed_s_membership(pair, v)
-
-
-def v7_stored() -> tuple[int, ...]:
-    return (0, 0, 0, 0, 0, 0, -2, 2)
 
 
 @dataclass
@@ -668,10 +599,9 @@ def verify_grading(l: int, i: int) -> tuple[bool, list[str]]:
     """Check that E_{l,i} splits the root system exactly into the printed
     even/odd families; failures are reported per root."""
     table = grading_table(l, i)
-    pred = _printed_s_pred((l, i))
     failures = []
     for idx, v in enumerate(table.system.roots):
-        printed_s = pred(v)
+        printed_s = _printed_s_membership((l, i), v)
         actual_s = idx in table.s_part
         if printed_s != actual_s:
             failures.append(f"root {v}: printed S={printed_s}, E-split S={actual_s}")
@@ -881,9 +811,8 @@ def printed_orbit_61():
 
 
 def bn_constraint_discrepancy(n: int) -> dict:
-    """Compare the printed B_n parameter constraint with what enumeration
-    derives; returns a report dict (the printed inequality admits no chain
-    with s >= 2)."""
+    """The chains that the printed B_n parameter constraint admits; returns a
+    report dict (the printed inequality admits no chain with s >= 2)."""
     printed_ok = []
     for p in range(1, n + 1):
         for s in range(1, p + 1):
@@ -893,10 +822,8 @@ def bn_constraint_discrepancy(n: int) -> dict:
                     chain[t] + 2 * chain[t - 2] <= chain[t - 1] for t in range(2, len(chain))
                 ):
                     printed_ok.append(chain)
-    derived = catalog("B", n, "all")
     return {
         "printed_chains_with_s_ge_2": [c for c in printed_ok if len(c) >= 4],
-        "derived_class_count": len(derived),
         "note": "printed inequality q_i + 2q_{i-2} <= q_{i-1} admits no increasing chain; "
         "enumeration-derived nonincreasing-gap rule used instead",
     }
@@ -1005,28 +932,3 @@ KNOWN_DISCREPANCIES = (
     },
 )
 
-
-def classify_flags(type_tag: str, rank: int | None = None, quotient: str = "weyl", budget: int | None = 2_000_000) -> dict:
-    """Stratification report over the maximal classes of Q(R)."""
-    r = build_root_system(type_tag, rank)
-    classes = enumerate_maximal(r, quotient, budget)
-    out = []
-    for c in classes:
-        rep = c.report
-        out.append(
-            {
-                "roots": [list(r.roots[i]) for i in c.canonical],
-                "size": len(c.canonical),
-                "orbit_size": c.orbit_size,
-                "maximal": True,
-                "symmetric": rep.symmetric,
-                "weak_j": rep.weak_j,
-                "j": rep.j_property,
-                "witnesses": {
-                    "mod2": None if rep.witness_mod2 is None else list(rep.witness_mod2.coords),
-                    "mod4": None if rep.witness_mod4 is None else list(rep.witness_mod4.coords),
-                    "exact": None if rep.witness_exact is None else list(rep.witness_exact.coords),
-                },
-            }
-        )
-    return {"type": type_tag, "rank": rank, "quotient": quotient, "classes": out}

@@ -175,7 +175,7 @@ def _verify_section_6(budget):
     rows.append(
         _row(
             "printed B_n parameter constraint admits chains with s >= 2",
-            False,
+            bool(rep["printed_chains_with_s_ge_2"]),
             rep["note"],
             known_id="bn-dn-constraints",
         )
@@ -419,17 +419,20 @@ def cmd_realform(args) -> int:
         qr, qn = rf.split_r_n(rs, q)
         out["q_reductive"] = [list(rs.roots[i]) for i in sorted(qr)]
         out["q_nilpotent_size"] = len(qn)
-        rep = rf.verify_lemma_lb(rs, q, sigma)
-        out["lemma"] = rep
-        if args.op == "adapted" and rep["ok"]:
+        if args.op == "lemma":
+            out["lemma"] = rf.verify_lemma_lb(rs, q, sigma)
+        else:
+            # the adapted system carries the lemma report it was built on
             ad = rf.adapted_simple_system(rs, q, sigma)
-            out["adapted"] = {
-                "simples": [list(rs.roots[i]) for i in ad["simples"]],
-                "p": ad["p"],
-                "epsilon": str(ad["epsilon"]),
-                "checks": ad["checks"],
-                "ok": ad["ok"],
-            }
+            out["lemma"] = ad["lemma"]
+            if ad["lemma"]["ok"]:
+                out["adapted"] = {
+                    "simples": [list(rs.roots[i]) for i in ad["simples"]],
+                    "p": ad["p"],
+                    "epsilon": str(ad["epsilon"]),
+                    "checks": ad["checks"],
+                    "ok": ad["ok"],
+                }
     _emit(args, "realform", {"file": args.roots, "conjugation": spec, "op": args.op}, out, True, started)
     return 0
 
@@ -562,10 +565,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("check", help="full property report for a root-set file")
-    p.add_argument("--type", help="(informational; the file carries the type)")
-    p.add_argument("--rank", type=int)
     p.add_argument("--roots", required=True)
-    p.add_argument("--properties", default="all", choices=["all"])
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=cmd_check)

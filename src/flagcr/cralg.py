@@ -117,13 +117,6 @@ class LieAlgebraPresentation:
         self._g0_coords = None
 
     # -- core algebra ------------------------------------------------------
-    def basis_bracket(self, i, j):
-        """[b_i, b_j] as a dense CNum vector."""
-        out = [C_ZERO] * self.dim
-        for k, c in self.table.get((min(i, j), max(i, j)), ()):
-            out[k] = c if i < j else -c
-        return tuple(out)
-
     def bracket(self, x, y):
         table = self.table
         out = [C_ZERO] * self.dim

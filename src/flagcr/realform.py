@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .gaussq import CMatrix, CNum, kernel
 from .qsets import is_closed
-from .intlat import solve_diophantine
+from .intlat import column_solver
 from .rootsys import RootSystem, coroot, dot, root_sum, scaled
 from .weyl import apply_matrix_cols, simple_roots
 
@@ -142,10 +142,12 @@ def adapted_simple_system(r: RootSystem, q, sigma: RootConjugation) -> dict:
     positive system containing P, labeled so that a_1..a_p is a simple system
     for Q^r, the middle block lies in Q^n, every conj(a_i) is negative, and
     conj(a_i) = -a_{l+1-i} for i <= p.  All five conditions are re-verified
-    on the output."""
-    rep = verify_lemma_lb(r, q, sigma)
-    if not rep["ok"]:
-        raise ValueError(f"lemma preconditions fail: {rep}")
+    on the output.  The result carries the verify_lemma_lb report under
+    "lemma"; when the lemma fails, it is {"lemma": report, "ok": False} and
+    no simple system is built."""
+    lemma = verify_lemma_lb(r, q, sigma)
+    if not lemma["ok"]:
+        return {"lemma": lemma, "ok": False}
     q = frozenset(q)
     qr, qn = split_r_n(r, q)
     qbar_r = frozenset(sigma.bar(i) for i in qr)
@@ -214,6 +216,7 @@ def adapted_simple_system(r: RootSystem, q, sigma: RootConjugation) -> dict:
         "head_spans_qr": _simple_for_subsystem(r, lset[:plen], qr),
     }
     return {
+        "lemma": lemma,
         "simples": labeled,
         "p": plen,
         "a0": a0,
@@ -226,18 +229,18 @@ def adapted_simple_system(r: RootSystem, q, sigma: RootConjugation) -> dict:
 
 def _simple_for_subsystem(r: RootSystem, head, qr) -> bool:
     """head must be a simple system for the root subsystem Q^r: every element
-    of Q^r is an all-nonnegative or all-nonpositive integer combination."""
-    cols = [r.roots[i] for i in head]
-    if not cols:
+    of Q^r is an all-nonnegative or all-nonpositive integer combination.  The
+    head columns are factored once, for every root of Q^r."""
+    if not head:
         return not qr
-    a = [[c[t] for c in cols] for t in range(r.ambient_dim)]
+    solver = column_solver([r.roots[i] for i in head])
+    if solver.kernel_basis:
+        return False  # head not independent; cannot be a simple system
     for i in qr:
-        sol = solve_diophantine(a, list(r.roots[i]))
+        sol = solver.solve(list(r.roots[i]))
         if sol is None:
             return False
         ks = sol.particular
-        if sol.kernel_basis:
-            return False  # head not independent; cannot be a simple system
         if not (all(k >= 0 for k in ks) or all(k <= 0 for k in ks)):
             return False
     return True

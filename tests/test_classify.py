@@ -14,7 +14,6 @@ from flagcr.classify import (
     b3_counterexample,
     beta0,
     catalog,
-    classify_flags,
     construct_q,
     e8_example_set,
     e8_examples,
@@ -144,9 +143,9 @@ def test_catalog_a_and_c():
 
 
 def test_catalog_b_d_match_enumeration():
-    # the generator (with maximality filter and orbit dedup) must reproduce
-    # exactly the enumerated classes
-    for tag, n in [("B", 2), ("B", 3), ("B", 4), ("D", 4)]:
+    # the generator (with maximality filter and canonical-form dedup) must
+    # reproduce exactly the enumerated classes
+    for tag, n in [("B", 2), ("B", 3), ("B", 4), ("D", 4), ("B", 5), ("D", 5)]:
         rs = build_root_system(tag, n)
         cat = catalog(tag, n, "all")
         classes = enumerate_maximal(rs)
@@ -154,6 +153,28 @@ def test_catalog_b_d_match_enumeration():
         for entry in cat:
             q = frozenset(entry.indices)
             assert any(sets_equivalent(rs, q, frozenset(c.canonical), "weyl") for c in classes)
+
+
+# parameters of every B4/D4 catalog entry, in catalog order: the dedup keeps
+# the first generated member of each W-class
+CATALOG_PARAMETERS = {
+    ("B", "all"): [
+        {"i0": 1, "p": 1, "q": (4,)},
+        {"i0": 2, "p": 2, "q": (4,)},
+        {"i0": 1, "p": 2, "q": (3, 4)},
+        {"i0": 1, "p": 3, "q": (4,)},
+        {"i0": 3, "p": 3, "q": (4,)},
+        {"i0": 4, "p": 4, "q": ()},
+    ],
+    ("B", "symmetric"): [{"i0": 1, "p": 1, "q": (4,)}],
+    ("D", "all"): [{"p": 1, "q": (4,)}, {"p": 2, "q": (3, 4)}, {"p": 3, "q": (4,)}, {"p": 4, "q": ()}, {"label": "-n"}],
+    ("D", "symmetric"): [{"p": 1, "q": (4,)}, {"label": "n"}, {"label": "-n"}],
+}
+
+
+@pytest.mark.parametrize("tag,which", list(CATALOG_PARAMETERS), ids=[f"{t}4-{w}" for t, w in CATALOG_PARAMETERS])
+def test_catalog_b_d_keeps_first_of_each_class(tag, which):
+    assert [e.parameters for e in catalog(tag, 4, which)] == CATALOG_PARAMETERS[tag, which]
 
 
 def test_catalog_g2_f4():
@@ -365,18 +386,6 @@ def test_maximal_symmetric_landscape_small():
     # maximal symmetric class is the documented gap in the source
     cat = catalog("B", 3, "symmetric")
     assert len(cat) == 1
-
-
-def test_classify_flags_report():
-    rep = classify_flags("G2")
-    assert rep["type"] == "G2"
-    assert len(rep["classes"]) == 2
-    syms = sorted(c["symmetric"] for c in rep["classes"])
-    assert syms == [False, True]
-    for c in rep["classes"]:
-        assert c["maximal"] is True
-        if c["j"]:
-            assert c["witnesses"]["exact"] is not None
 
 
 def test_enumerate_aut_quotient_merges_d4():

@@ -303,6 +303,7 @@ BUDGET_CASES = [
     (["verify-paper", "--section", "7", "--budget", "5"], None, 2, "clique search exceeded 5 nodes"),
     (["check", "--roots", "{roots}"], "abc", 0, ""),
     (["check", "--roots", "{roots}", "--budget", "5"], None, 1, "unrecognized arguments"),
+    (["check", "--roots", "{roots}", "--properties", "all"], None, 1, "unrecognized arguments"),
 ]
 
 

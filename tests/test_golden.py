@@ -27,6 +27,7 @@ COMMANDS = [
     ("verify-paper-gradings", ["verify-paper", "--section", "gradings"], 0),
     ("verify-paper-7", ["verify-paper", "--section", "7"], 0),
     ("verify-paper-6", ["verify-paper", "--section", "6"], 0),
+    ("verify-paper-e8-examples", ["verify-paper", "--section", "e8-examples"], 0),
     ("check-E7-maximal", ["check", "--roots", "tests/golden/check-E7-maximal.json"], 0),
     (
         "realform-F4-positive-adapted",

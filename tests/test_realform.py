@@ -1,3 +1,5 @@
+import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,7 @@ from flagcr.realform import (
     split_r_n,
     verify_lemma_lb,
 )
-from flagcr.rootsys import build_root_system, find_root, roots_set
+from flagcr.rootsys import build_root_system, find_root, roots_set, rootset_to_json
 from flagcr.weyl import positive_roots
 
 H = Fraction(1, 2)
@@ -189,3 +191,39 @@ def test_regular_max_structure_rejects_real_m():
     out = regular_max_structure(a2, sigma, pos, [(re, im)])
     assert not out["m_meets_mbar_trivially"]
     assert not out["ok"]
+
+
+
+@pytest.mark.parametrize("op", ["lemma", "adapted"])
+@pytest.mark.parametrize("case", ["F4-compact", "A3-reverse"])
+def test_realform_command_decides_the_lemma_once(case, op, tmp_path, monkeypatch, capsys):
+    # one realform command runs the structure lemma once and the partition
+    # test at most twice (the command's own and the lemma's); the adapted
+    # system factors its head columns (none for F4, one root for A3) in at
+    # most one Smith normal form
+    from flagcr import cli, intlat, realform
+
+    calls = {"verify_lemma_lb": 0, "check_eq_ha": 0, "smith_normal_form": 0}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(realform, "verify_lemma_lb")
+    counting(realform, "check_eq_ha")
+    counting(intlat, "smith_normal_form")
+    if case == "F4-compact":
+        path, conj, heads = os.path.join(os.path.dirname(__file__), "golden", "realform-F4-positive.json"), "compact", 0
+    else:
+        a3, _, q = a3_reverse_q()
+        path, conj, heads = tmp_path / "q.json", "a-reverse:m=2", 1
+        path.write_text(rootset_to_json(a3, q))
+    assert cli.main(["realform", "--roots", str(path), "--conjugation", conj, "--op", op]) == 0
+    out = json.loads(capsys.readouterr().out)["results"]
+    assert out["lemma"]["ok"] and ("adapted" in out) == (op == "adapted")
+    assert calls == {"verify_lemma_lb": 1, "check_eq_ha": 2, "smith_normal_form": heads if op == "adapted" else 0}
