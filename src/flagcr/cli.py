@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 
@@ -404,11 +405,11 @@ def cmd_realform(args) -> int:
     spec = args.conjugation
     if spec == "compact":
         sigma = rf.compact_conjugation(rs)
-    elif spec.startswith("a-reverse"):
+    elif arev := re.fullmatch(r"a-reverse(?::m=([1-9][0-9]*))?", spec):
         if rs.type_tag != "A":
             raise SystemExit2("a-reverse applies to type A root systems", 1)
-        if ":" in spec:
-            m = int(spec.split("m=")[1])
+        if arev[1]:
+            m = int(arev[1])
             if rs.ambient_dim != 2 * m:
                 raise SystemExit2(f"a-reverse:m={m} needs the A_{{2m-1}} system", 1)
         sigma = rf.a_reverse_conjugation(rs)
@@ -506,20 +507,20 @@ def cmd_cralg(args) -> int:
             m = ca.scalar_levi_form(alg, xi)
         out = {"xi": xi, "levi_matrix": [[str(x) for x in row] for row in m]}
     elif args.op == "fibration":
-        from .gaussq import RMatrix
-
-        if args.ideal == "radical" and args.preset == "exam-bf":
+        # the named ideals of g0, each by its complexification
+        owner = {"radical": "exam-bf", "center": "heisenberg"}.get(args.ideal)
+        if owner is not None and args.preset != owner:
+            raise SystemExit2(f"--ideal {args.ideal} is defined only for the {owner} preset", 1)
+        if args.ideal == "radical":
             from .presets import exam_bf
 
             alg, ideal = exam_bf()
-        elif args.ideal == "center" and args.preset == "heisenberg":
-            from .cralg import rspan
-
-            ideal = rspan(alg.pres, [(0, 0, 1)])
+        elif args.ideal == "center":
+            ideal = ca.cspan(alg.pres, [(0, 0, 1)])
         elif args.ideal == "zero":
-            ideal = RMatrix.empty(2 * alg.pres.dim)
+            ideal = ca.cspan(alg.pres, [])
         elif args.ideal == "full":
-            ideal = alg.pres.g0_subspace()
+            ideal = ca.full_space(alg.pres)
         else:
             raise SystemExit2("--ideal must be radical|center|zero|full for presets", 1)
         try:
@@ -536,7 +537,7 @@ def cmd_cralg(args) -> int:
         out = {
             "ok": rep["ok"],
             "normalizer_dim": rep["a0"].rank(),
-            "q_prime_dim_c": rep["q_prime"].rank() // 2,
+            "q_prime_dim_c": rep["q_prime"].rank(),
             "item5": rep["item5"],
         }
     _emit(args, "cralg", {"preset": args.preset, "op": args.op}, out, True, started)

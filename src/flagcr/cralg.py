@@ -7,9 +7,13 @@ complex subalgebra q; all predicates, Levi forms, J / weak-J / CR-symmetry
 verification, fibration compatibility and the anticanonical construction are
 exact subspace computations.
 
-Elements are CNum coordinate tuples in the presentation basis; subspaces are
-held in realified coordinates (re_1, im_1, ..., re_n, im_n) so real and
-complex subspaces live in one lattice of RMatrix row spaces.
+Elements are CNum coordinate tuples in the presentation basis, and every
+subspace is a CMatrix row space of g = C (x) g0.  A real subspace V of g0 is
+held as its complexification V + iV, a nu-stable complex subspace of complex
+rank dim_R V: i0 = q n g0 is q n qbar, (q + qbar) n g0 is q + qbar, g0 is all
+of g, and a real condition {v in g0 : P(v)} with P C-linear is W n nu(W) for
+W = {v in g : P(v)}.  Real vectors are read off such a space by real_points;
+g0_basis() is the one realified row space of the module.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .gaussq import C_I, C_ONE, C_ZERO, CNum, Factored, RMatrix, _insert, _rref, complexify_vector, kernel, realify_vector
+from .gaussq import C_I, C_ONE, C_ZERO, CMatrix, CNum, Factored, RMatrix, _insert, _rref, complexify_vector, kernel, realify_vector
 
 
 class NotADerivation(ValueError):
@@ -113,7 +117,7 @@ class LieAlgebraPresentation:
             raise ValueError(f"conj must be a {dim} x {dim} matrix")
         self.conj_cols = tuple(tuple(CNum.of(conj[i][j]) for i in range(dim)) for j in range(dim))
         self._validate()
-        self._g0 = None
+        self._g0_basis = None
         self._g0_coords = None
 
     # -- core algebra ------------------------------------------------------
@@ -156,15 +160,14 @@ class LieAlgebraPresentation:
             raise ValueError("conjugation is not an involution")
         _preserves_bracket(self, self, self.nu, basis, lambda m: ValueError(f"conjugation is not a Lie automorphism: {m}"))
 
-    def g0_subspace(self) -> RMatrix:
-        """Fixed points of nu as a realified row space (real dimension n)."""
-        if self._g0 is None:
-            self._g0 = realified_eigenspace(unit_images(self.dim, self.nu), C_ONE)
-        return self._g0
-
     def g0_basis(self):
-        """Fixed vectors as CNum tuples (a C-basis of g as well)."""
-        return [complexify_vector(r) for r in self.g0_subspace().rows]
+        """The fixed vectors of nu (a C-basis of g as well) as CNum tuples: the
+        rows of the reduced echelon form of g0 in realified coordinates
+        (re_1, im_1, ..., re_n, im_n), in which --xi and J are written."""
+        if self._g0_basis is None:
+            real = RMatrix([realify_vector(v) for v in real_points(self, full_space(self))])
+            self._g0_basis = [complexify_vector(r) for r in real.rows]
+        return self._g0_basis
 
     def g0_coords(self, v):
         """Coordinates in the C-basis g0_basis(), factored once per presentation."""
@@ -218,90 +221,83 @@ class LieAlgebraPresentation:
         return LieAlgebraPresentation(n, table, conj, labels)
 
 
-def _span(n2, rows) -> RMatrix:
-    """Row space of the nonzero rows, of width n2 also when there are none:
+def _span(n, rows) -> CMatrix:
+    """Row space of the nonzero rows, of width n also when there are none:
     every subspace this module builds is made here."""
     rows = [r for r in rows if any(r)]
-    return RMatrix(rows) if rows else RMatrix.empty(n2)
+    return CMatrix(rows) if rows else CMatrix.empty(n)
 
 
-def _image(space: RMatrix, apply, dim) -> RMatrix:
-    """The image of a realified space under a map into CNum dim-vectors."""
-    return _span(2 * dim, (realify_vector(apply(complexify_vector(r))) for r in space.rows))
+def _image(space: CMatrix, apply, dim) -> CMatrix:
+    """The image of a space under a C-linear or antilinear map into CNum
+    dim-vectors: the span of the images of its rows."""
+    return _span(dim, (apply(r) for r in space.rows))
 
 
-def _preimage(domain: RMatrix, images_fn, target: RMatrix) -> RMatrix:
-    """{v in domain : every vector of images_fn(v) lies in target}."""
+def _preimage(domain: CMatrix, images_fn, target: CMatrix) -> CMatrix:
+    """{v in domain : every vector of images_fn(v) lies in target}, for a
+    C-linear images_fn."""
     rows = domain.rows
-    # unknowns: coefficients c_k over the domain basis (real); one condition
-    # per image m and coordinate: sum_k c_k residue(image m of row k) = 0
-    residues = [[target.residue(realify_vector(img)) for img in images_fn(complexify_vector(r))] for r in rows]
+    # unknowns: coefficients c_k over the domain basis; one condition per
+    # image m and coordinate: sum_k c_k residue(image m of row k) = 0
+    residues = [[target.residue(img) for img in images_fn(r)] for r in rows]
     n_images = len(residues[0]) if rows else 0
     mat_rows = [[res[m][t] for res in residues] for m in range(n_images) for t in range(target.ncols)]
     if not mat_rows:
         return domain
-    vecs = []
-    for coeffs in kernel(mat_rows, Fraction):
-        v = [Fraction(0)] * domain.ncols
-        for c, r in zip(coeffs, rows):
-            if c:
-                for t, x in enumerate(r):
-                    if x:
-                        v[t] += c * x
-        vecs.append(v)
-    return _span(domain.ncols, vecs)
+    return _span(domain.ncols, (_apply(rows, c, domain.ncols) for c in kernel(mat_rows, CNum.of)))
 
 
-def cspan(pres: LieAlgebraPresentation, vectors) -> RMatrix:
-    """Complex span of CNum vectors as a realified row space."""
-    rows = []
+def cspan(pres: LieAlgebraPresentation, vectors) -> CMatrix:
+    """Complex span of CNum vectors."""
     for t, v in enumerate(vectors):
         if len(v) != pres.dim:
             raise ValueError(f"vector {t} has {len(v)} coordinates, not {pres.dim}")
-        v = tuple(CNum.of(x) for x in v)
-        rows.append(realify_vector(v))
-        rows.append(realify_vector(tuple(C_I * x for x in v)))
-    return _span(2 * pres.dim, rows)
+    return _span(pres.dim, vectors)
 
 
-def rspan(pres: LieAlgebraPresentation, vectors) -> RMatrix:
-    return _span(2 * pres.dim, (realify_vector(tuple(CNum.of(x) for x in v)) for v in vectors))
+def full_space(pres: LieAlgebraPresentation) -> CMatrix:
+    """All of g: the complexification of g0."""
+    return _span(pres.dim, _std_basis(pres.dim))
 
 
-def conj_space(pres: LieAlgebraPresentation, space: RMatrix) -> RMatrix:
+def conj_space(pres: LieAlgebraPresentation, space: CMatrix) -> CMatrix:
     return _image(space, pres.nu, pres.dim)
 
 
-def realified_eigenspace(images, c) -> RMatrix:
-    """{v : T v = c v} in realified coordinates, for an R-linear map T on
-    CNum n-vectors given by its unit_images: the kernel of the real matrix
-    with columns T u - c u, c u subtracted only where u is nonzero."""
-    cols = [realify_vector(tuple(x - c * y if y else x for x, y in zip(img, u))) for u, img in images]
-    return _span(len(cols), kernel([[col[t] for col in cols] for t in range(len(cols))], Fraction))
+def real_points(pres: LieAlgebraPresentation, space: CMatrix) -> list:
+    """nu-fixed vectors whose complex span is the nu-stable space: independent
+    ones among w + nu(w) and i(w - nu(w)) over the rows w of the space, which
+    span its real points over R."""
+    rows, pivots, out = [], [], []
+    for w in space.rows:
+        nw = pres.nu(w)
+        for v in (tuple(x + y for x, y in zip(w, nw)), tuple(C_I * (x - y) for x, y in zip(w, nw))):
+            if len(out) < space.rank() and _insert(rows, pivots, v) is not None:
+                out.append(v)
+    return out
 
 
-def unit_images(n, apply):
-    """(u, T u) for the 2n real unit vectors u of C^n, T given by apply."""
-    units = (complexify_vector([Fraction(int(i == j)) for j in range(2 * n)]) for i in range(2 * n))
-    return [(u, apply(u)) for u in units]
+def _eigenspace(images, c) -> CMatrix:
+    """{v : T v = c v} for a C-linear map T on CNum n-vectors given by the
+    images of the unit vectors: the kernel of the matrix with columns
+    T e_j - c e_j."""
+    n = len(images)
+    cols = [tuple(x - c if t == j else x for t, x in enumerate(img)) for j, img in enumerate(images)]
+    return _span(n, kernel([[col[t] for col in cols] for t in range(n)], CNum.of))
 
 
-def bracket_spaces(pres: LieAlgebraPresentation, a: RMatrix, b: RMatrix) -> RMatrix:
+def bracket_spaces(pres: LieAlgebraPresentation, a: CMatrix, b: CMatrix) -> CMatrix:
     """[a, b]; for a is b only its row pairs i < j, which span it by antisymmetry."""
-    vb = [complexify_vector(r) for r in b.rows]
-    rows = []
-    for i, ra in enumerate(a.rows):
-        va = complexify_vector(ra)
-        for w in vb[i + 1 :] if a is b else vb:
-            rows.append(realify_vector(pres.bracket(va, w)))
-    return _span(2 * pres.dim, rows)
+    pairs = ((u, w) for i, u in enumerate(a.rows) for w in (b.rows[i + 1 :] if a is b else b.rows))
+    return _span(pres.dim, (pres.bracket(u, w) for u, w in pairs))
 
 
-def is_subalgebra(pres, space: RMatrix) -> bool:
+def is_subalgebra(pres, space: CMatrix) -> bool:
     return space.contains_space(bracket_spaces(pres, space, space))
 
 
-def _ascend(space: RMatrix, images) -> RMatrix:
+def _ascend(space: CMatrix, images) -> CMatrix:
     """Smallest space containing space and closed under a bilinear step,
     computed semi-naively (de Graaf, Lie Algebras: Theory and Algorithms,
     2000): images(new, old) yields what a round must add, where new spans the
@@ -321,37 +317,25 @@ def _ascend(space: RMatrix, images) -> RMatrix:
     return _span(space.ncols, rows) if len(rows) > space.rank() else space
 
 
-def _generated(pres, space: RMatrix) -> RMatrix:
+def _generated(pres, space: CMatrix) -> CMatrix:
     """The subalgebra generated by a subspace: new x old and new x new, i < j."""
 
     def images(new, old):
-        old = [complexify_vector(r) for r in old]
-        new = [complexify_vector(r) for r in new]
         for i, u in enumerate(new):
             for w in old + new[i + 1 :]:
-                yield realify_vector(pres.bracket(u, w))
+                yield pres.bracket(u, w)
 
     return _ascend(space, images)
-
-
-def _complexified(pres, space: RMatrix) -> RMatrix:
-    """space + i space: the complex span of a real subspace."""
-    return cspan(pres, [complexify_vector(r) for r in space.rows])
 
 
 @dataclass
 class CRAlgebra:
     pres: LieAlgebraPresentation
-    q: RMatrix = field(repr=False)
+    q: CMatrix = field(repr=False)
 
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # q must be a complex subspace closed under the bracket
-        for r in self.q.rows:
-            iv = realify_vector(tuple(C_I * x for x in complexify_vector(r)))
-            if not self.q.contains(iv):
-                raise ValueError("q is not a complex subspace")
         if not is_subalgebra(self.pres, self.q):
             raise ValueError("q is not closed under the bracket")
 
@@ -362,56 +346,45 @@ class CRAlgebra:
         return self._derived[key]
 
     @property
-    def qbar(self) -> RMatrix:
+    def qbar(self) -> CMatrix:
         return self._once("qbar", lambda: conj_space(self.pres, self.q))
 
-    def q_cap_qbar(self) -> RMatrix:
+    def q_cap_qbar(self) -> CMatrix:
+        """q n qbar, the complexification of i0 = q n g0."""
         return self._once("cap", lambda: self.q.intersect(self.qbar))
 
-    def q_plus_qbar(self) -> RMatrix:
+    def q_plus_qbar(self) -> CMatrix:
+        """q + qbar, the complexification of (q + qbar) n g0."""
         return self._once("plus", lambda: self.q.sum(self.qbar))
 
-    def q_nat(self) -> RMatrix:
+    def q_nat(self) -> CMatrix:
         """The subalgebra generated by q + qbar."""
         return self._once("nat", lambda: _generated(self.pres, self.q_plus_qbar()))
 
-    def q_plus_qbar_real(self) -> RMatrix:
-        """(q + qbar) n g0."""
-        return self._once("plus_real", lambda: self.q_plus_qbar().intersect(self.pres.g0_subspace()))
-
-    def isotropy(self) -> RMatrix:
-        """i0 = q n g0 (realified)."""
-        return self._once("i0", lambda: self.q.intersect(self.pres.g0_subspace()))
-
 
 def cr_dim_codim(a: CRAlgebra) -> tuple[int, int]:
-    qd = a.q.rank()
-    cap = a.q_cap_qbar().rank()
-    plus = a.q_plus_qbar().rank()
-    crdim = (qd - cap) // 2
-    crcodim = a.pres.dim - plus // 2
-    return crdim, crcodim
+    return a.q.rank() - a.q_cap_qbar().rank(), a.pres.dim - a.q_plus_qbar().rank()
 
 
 def is_fundamental_cr(a: CRAlgebra) -> bool:
     """The subalgebra generated by q + qbar equals g."""
-    return a.q_nat().rank() == 2 * a.pres.dim
+    return a.q_nat().rank() == a.pres.dim
 
 
 def is_levi_nondegenerate(a: CRAlgebra) -> bool:
     """{Z in q : ad(Z)(qbar) in q + qbar} equals q n qbar."""
-    pres, qb = a.pres, [complexify_vector(w) for w in a.qbar.rows]
+    pres, qb = a.pres, a.qbar.rows
     deg = _preimage(a.q, lambda v: [pres.bracket(v, w) for w in qb], a.q_plus_qbar())
     return deg == a.q_cap_qbar()
 
 
-def largest_ideal_in(a: CRAlgebra, space: RMatrix | None = None) -> RMatrix:
-    """Largest ideal of g0 contained in the given real subspace (default i0),
-    by the descending fixed point a_{k+1} = {X in a_k : [g0, X] in a_k}."""
+def largest_ideal_in(a: CRAlgebra, space: CMatrix | None = None) -> CMatrix:
+    """Largest ideal of g0 contained in the real subspace whose
+    complexification is given (default i0), by the descending fixed point
+    a_{k+1} = {X in a_k : [g, X] in a_k}, which stays nu-stable."""
     pres = a.pres
-    g0 = pres.g0_subspace()
-    cur = a.isotropy() if space is None else space
-    gens = [complexify_vector(r) for r in g0.rows]
+    cur = a.q_cap_qbar() if space is None else space
+    gens = _std_basis(pres.dim)
     while True:
         nxt = _preimage(cur, lambda v: [pres.bracket(g, v) for g in gens], cur)
         if nxt.rank() == cur.rank():
@@ -423,15 +396,16 @@ def is_effective(a: CRAlgebra) -> bool:
     return largest_ideal_in(a).rank() == 0
 
 
-def ideal_closure(pres: LieAlgebraPresentation, seed: RMatrix) -> RMatrix:
-    """Smallest ideal of g0 containing the (real) seed subspace: g0 x new."""
-    gens = pres.g0_basis()
+def ideal_closure(pres: LieAlgebraPresentation, seed: CMatrix) -> CMatrix:
+    """Smallest ideal of g containing the seed subspace: g x new, over the
+    presentation basis; for a nu-stable seed, the complexified ideal of g0
+    generated by its real points."""
+    gens = _std_basis(pres.dim)
 
     def images(new, old):
-        for r in new:
-            v = complexify_vector(r)
+        for v in new:
             for g in gens:
-                yield realify_vector(pres.bracket(g, v))
+                yield pres.bracket(g, v)
 
     return _ascend(seed, images)
 
@@ -442,8 +416,8 @@ def _xi_value(pres, xi, v) -> CNum:
 
 
 def is_characteristic(a: CRAlgebra, xi) -> bool:
-    """xi annihilates (q + qbar) n g0."""
-    return not any(_xi_value(a.pres, xi, complexify_vector(r)) for r in a.q_plus_qbar_real().rows)
+    """xi annihilates (q + qbar) n g0, that is (C-linearly) q + qbar."""
+    return not any(_xi_value(a.pres, xi, r) for r in a.q_plus_qbar().rows)
 
 
 def scalar_levi_form(a: CRAlgebra, xi) -> list[list[CNum]]:
@@ -455,13 +429,10 @@ def scalar_levi_form(a: CRAlgebra, xi) -> list[list[CNum]]:
     pres = a.pres
     if not is_characteristic(a, xi):
         raise NotCharacteristic("xi does not annihilate (q+qbar) n g0")
-    cap = a.q_cap_qbar()
     zs = []
-    probe = cap
-    for r in a.q.rows:
-        if not probe.contains(r):
-            v = complexify_vector(r)
-            # keep complex-independence: also absorb i*v
+    probe = a.q_cap_qbar()
+    for v in a.q.rows:
+        if not probe.contains(v):
             probe = probe.sum(cspan(pres, [v]))
             zs.append(v)
     m = []
@@ -474,14 +445,13 @@ def scalar_levi_form(a: CRAlgebra, xi) -> list[list[CNum]]:
     return m
 
 
-def vector_levi_form(a: CRAlgebra, z) -> tuple[Fraction, ...]:
-    """Residue of i[conj z, z] modulo (q + qbar) n g0, in realified
-    coordinates (zero tuple means the trivial class)."""
+def vector_levi_form(a: CRAlgebra, z) -> tuple[CNum, ...]:
+    """Residue of the real vector i[conj z, z] modulo q + qbar, which holds
+    it exactly when (q + qbar) n g0 does (zero tuple means the trivial class)."""
     pres = a.pres
     z = tuple(CNum.of(x) for x in z)
     v = pres.bracket(pres.nu(z), z)
-    v = tuple(C_I * x for x in v)
-    return tuple(a.q_plus_qbar_real().residue(realify_vector(v)))
+    return tuple(a.q_plus_qbar().residue(C_I * x for x in v))
 
 
 def _g0_map(src, tgt, mat):
@@ -514,17 +484,13 @@ def check_j_property(a: CRAlgebra, jmat) -> bool:
     """J(i0) in i0 and X + i J(X) in q; verified in the complexified form
     J(q) in q, Z - i J(Z) in q n qbar on a basis of q."""
     apply_j = _check_derivation(a.pres, jmat)
-    j_in_q = all(a.q.contains(realify_vector(apply_j(complexify_vector(r)))) for r in a.q.rows)
-    return j_in_q and _shift_in_cap(a, apply_j, -C_I)
+    return all(a.q.contains(apply_j(v)) for v in a.q.rows) and _shift_in_cap(a, apply_j, -C_I)
 
 
 def _shift_in_cap(a: CRAlgebra, apply, c) -> bool:
     """Z + c T(Z) lies in q n qbar for every Z of the basis of q."""
     cap = a.q_cap_qbar()
-    return all(
-        cap.contains(realify_vector(tuple(x + c * y for x, y in zip(v, apply(v)))))
-        for v in map(complexify_vector, a.q.rows)
-    )
+    return all(cap.contains(tuple(x + c * y for x, y in zip(v, apply(v)))) for v in a.q.rows)
 
 
 def exact_exponential(pres: LieAlgebraPresentation, jmat):
@@ -532,28 +498,21 @@ def exact_exponential(pres: LieAlgebraPresentation, jmat):
     iZ: acts as i^k on the eigenspace of ik; NonExactExponential otherwise."""
     apply_j = _check_derivation(pres, jmat)
     n = pres.dim
-    # J applied once to the real unit vectors; the even ones are e_1..e_n
-    images = unit_images(n, apply_j)
-    bound = max((int(sum(abs(x.re) + abs(x.im) for x in col)) + 1 for _, col in images[::2]), default=0)
+    # J applied once to the unit vectors, for every eigenvalue
+    images = [apply_j(e) for e in _std_basis(n)]
+    bound = max((int(sum(abs(x.re) + abs(x.im) for x in col)) + 1 for col in images), default=0)
     # eigenspaces of distinct eigenvalues are independent: they span C^n
     # exactly when their dimensions add up to it
-    pieces = [(k, realified_eigenspace(images, CNum(Fraction(0), Fraction(k)))) for k in range(-bound, bound + 1)]
-    if sum(space.rank() for _, space in pieces) != 2 * n:
+    pieces = [(k, _eigenspace(images, CNum(Fraction(0), Fraction(k)))) for k in range(-bound, bound + 1)]
+    if sum(space.rank() for _, space in pieces) != n:
         raise NonExactExponential("derivation is not semisimple with spectrum in iZ")
     # express v in the union of the eigenbases, factored once; the
     # eigenvector of ik goes to i^k times itself
     eigvecs = [(k, r) for k, space in pieces for r in space.rows]
-    eigen = Factored([[r[i] for _, r in eigvecs] for i in range(2 * n)], Fraction)
+    eigen = Factored([[r[i] for _, r in eigvecs] for i in range(n)], CNum.of)
     ipow = (C_ONE, C_I, -C_ONE, -C_I)
-    cols = [tuple(ipow[k % 4] * x for x in complexify_vector(r)) for k, r in eigvecs]
-
-    def apply_u(v):
-        sol = eigen.solve(realify_vector(v))
-        if sol is None:
-            raise NonExactExponential("eigenbasis does not span")
-        return _apply(cols, sol, n)
-
-    return apply_u
+    cols = [tuple(ipow[k % 4] * x for x in r) for k, r in eigvecs]
+    return lambda v: _apply(cols, eigen.solve(v), n)
 
 
 def _upsilon_map(pres, upsilon, jmat):
@@ -587,9 +546,16 @@ def _check_automorphism(pres, apply):
     _preserves_bracket(pres, pres, apply, basis, NotAnAutomorphism)
 
 
-def _psd(matrix_rows) -> tuple[bool, RMatrix | None]:
-    """(is positive semidefinite, radical or None) for a symmetric rational
-    matrix."""
+def _preserves_real(pres, space: CMatrix, apply) -> bool:
+    """A C-linear map takes the real points of a nu-stable space onto
+    themselves exactly when it maps the space onto itself and commutes with
+    nu on its rows (both sides are antilinear)."""
+    return _image(space, apply, pres.dim) == space and all(apply(pres.nu(w)) == pres.nu(apply(w)) for w in space.rows)
+
+
+def _psd(matrix_rows) -> tuple[bool, list | None]:
+    """(is positive semidefinite, a basis of the radical or None) for a
+    symmetric rational matrix."""
     n = len(matrix_rows)
     a = [[Fraction(x) for x in row] for row in matrix_rows]
     rad_rows = []
@@ -614,7 +580,7 @@ def _psd(matrix_rows) -> tuple[bool, RMatrix | None]:
         for u in pos + rad_rows:
             if form(v, u) != 0:
                 return False, None
-    return True, _span(n, rad_rows)
+    return True, rad_rows
 
 
 def check_cr_symmetric(a: CRAlgebra, lam) -> dict:
@@ -632,17 +598,16 @@ def check_cr_symmetric(a: CRAlgebra, lam) -> dict:
         report["automorphism"] = True
     except NotAnAutomorphism:
         report["automorphism"] = False
-    g0 = pres.g0_subspace()
-    report["preserves_g0"] = _image(g0, apply_l, n) == g0
+    report["preserves_g0"] = _preserves_real(pres, full_space(pres), apply_l)
     report["preserves_q"] = _image(a.q, apply_l, n) == a.q
     # ker(Id - lambda) inside the subalgebra generated by q + qbar
-    images = unit_images(n, apply_l)
-    fixed = realified_eigenspace(images, C_ONE)
+    images = [apply_l(b) for b in basis]
+    fixed = _eigenspace(images, C_ONE)
     report["fixed_in_qnat"] = a.q_nat().contains_space(fixed)
     cap = a.q_cap_qbar()
     report["z_plus_lz_in_cap"] = _shift_in_cap(a, apply_l, C_ONE)
     # gradation compatibility: q and g0 split into (+1) and (-1) eigenparts
-    minus = realified_eigenspace(images, -C_ONE)
+    minus = _eigenspace(images, -C_ONE)
     # bracket corollary: the odd part of q brackets into q n qbar (the
     # clause Z + lambda(Z) in cap makes the even part of q sit in cap, so
     # this is the content of the printed [Z1, Z2] in q n qbar)
@@ -651,19 +616,17 @@ def check_cr_symmetric(a: CRAlgebra, lam) -> dict:
     report["q_splits"] = (
         a.q.intersect(fixed).rank() + a.q.intersect(minus).rank() == a.q.rank()
     )
-    report["g0_splits"] = (
-        g0.intersect(fixed).rank() + g0.intersect(minus).rank() == g0.rank()
-    )
+    # g0 is the sum of its (+1) and (-1) parts exactly when lambda maps g0
+    # onto itself (so both eigenspaces are nu-stable) and they add up to g
+    report["g0_splits"] = report["preserves_g0"] and fixed.rank() + minus.rank() == n
     # almost-compactness of i0: Killing form psd-negative with radical in the
     # radical of the ambient Killing form
-    i0 = a.isotropy()
-    ivecs = [complexify_vector(r) for r in i0.rows]
+    ivecs = real_points(pres, cap)
     k = [[-_re(pres.killing(u, v)) for v in ivecs] for u in ivecs]
     psd, rad = _psd(k)
     report["killing_negative_semidefinite"] = psd
-    g0vecs = [complexify_vector(r) for r in g0.rows]
     report["radical_in_ambient_radical"] = not psd or not any(
-        pres.killing(_apply(ivecs, rrow, n), gv) for rrow in rad.rows for gv in g0vecs
+        pres.killing(_apply(ivecs, r, n), b) for r in rad for b in basis
     )
     report["ok"] = all(v for k_, v in report.items() if k_ != "ok")
     return report
@@ -675,22 +638,20 @@ def _re(z: CNum) -> Fraction:
     return z.re
 
 
-def fibration_compatible(a: CRAlgebra, ideal_rows: RMatrix) -> bool:
-    """(q n qbar) + a == (q + a) n (qbar + a) for the complexified ideal."""
+def fibration_compatible(a: CRAlgebra, ideal: CMatrix) -> bool:
+    """(q n qbar) + a == (q + a) n (qbar + a) for an ideal of g0 given by its
+    complexification a."""
     pres = a.pres
-    g0 = pres.g0_subspace()
-    if not g0.contains_space(ideal_rows):
-        raise NotAnIdeal("subspace is not contained in g0")
-    br = bracket_spaces(pres, g0, ideal_rows)
-    if not ideal_rows.contains_space(br):
+    if conj_space(pres, ideal) != ideal:
+        raise NotAnIdeal("subspace is not nu-stable, so not the complexification of a subspace of g0")
+    if not ideal.contains_space(bracket_spaces(pres, full_space(pres), ideal)):
         raise NotAnIdeal("subspace is not an ideal of g0")
-    ac = _complexified(pres, ideal_rows)
-    lhs = a.q_cap_qbar().sum(ac)
-    rhs = a.q.sum(ac).intersect(a.qbar.sum(ac))
+    lhs = a.q_cap_qbar().sum(ideal)
+    rhs = a.q.sum(ideal).intersect(a.qbar.sum(ideal))
     return lhs == rhs
 
 
-def weak_j_implies_compatible(a: CRAlgebra, ideal_rows: RMatrix, jmat=None, upsilon=None) -> bool:
+def weak_j_implies_compatible(a: CRAlgebra, ideal: CMatrix, jmat=None, upsilon=None) -> bool:
     """Test-harness operation: for an Upsilon-invariant ideal and a weak-J
     structure, the fibration-compatibility identity must hold; returns the
     verification outcome of fibration_compatible after checking the
@@ -700,37 +661,31 @@ def weak_j_implies_compatible(a: CRAlgebra, ideal_rows: RMatrix, jmat=None, upsi
         apply_u = _upsilon_map(pres, upsilon, jmat)
         if not _is_weak_j(a, apply_u):
             raise PreconditionViolation("structure does not have the weak-J property")
-        if _image(ideal_rows, apply_u, pres.dim) != ideal_rows:
+        if not _preserves_real(pres, ideal, apply_u):
             raise PreconditionViolation("ideal is not Upsilon-invariant")
-    return fibration_compatible(a, ideal_rows)
+    return fibration_compatible(a, ideal)
 
 
-def induced_base_fiber(a: CRAlgebra, ideal_rows: RMatrix):
+def induced_base_fiber(a: CRAlgebra, ideal: CMatrix):
     """Base (g0, q + a) on the same presentation and the fiber presentation
-    (a0, q n a) on the complexified ideal."""
+    (a0, q n a) on the complexified ideal a."""
     pres = a.pres
-    ac = _complexified(pres, ideal_rows)
-    base = CRAlgebra(pres, a.q.sum(ac))
-    sub_pres, embed, project = sub_presentation(pres, ac)
-    fiber = CRAlgebra(sub_pres, _image(a.q.intersect(ac), project, sub_pres.dim))
+    base = CRAlgebra(pres, a.q.sum(ideal))
+    sub_pres, embed, project = sub_presentation(pres, ideal)
+    fiber = CRAlgebra(sub_pres, _image(a.q.intersect(ideal), project, sub_pres.dim))
     return base, fiber
 
 
-def sub_presentation(pres: LieAlgebraPresentation, space: RMatrix):
-    """Presentation of a nu-stable complex subalgebra given by its realified
-    row space; returns (presentation, embed, project)."""
-    # complex basis cb: the complexified rows that are independent of the
-    # earlier ones, i.e. the pivot columns of the matrix having them as columns
-    vecs = [complexify_vector(r) for r in space.rows]
-    span = Factored([[v[i] for v in vecs] for i in range(pres.dim)], CNum.of)
-    cb = [vecs[p] for p in span.pivots]
-    m = len(cb)
+def sub_presentation(pres: LieAlgebraPresentation, space: CMatrix):
+    """Presentation of a nu-stable complex subalgebra on the rows of its
+    reduced echelon form; returns (presentation, embed, project).  A vector of
+    the space is the combination of the rows with its pivot coordinates."""
+    cb, m = space.rows, space.rank()
 
     def project(v):
-        sol = span.solve(v)
-        if sol is None:
+        if not space.contains(v):
             raise ValueError("vector outside the subalgebra")
-        return tuple(sol[p] for p in span.pivots)
+        return tuple(v[p] for p in space.pivots)
 
     table = {(i, j): enumerate(project(pres.bracket(cb[i], cb[j]))) for i in range(m) for j in range(i + 1, m)}
     conj_cols = [project(pres.nu(v)) for v in cb]
@@ -740,27 +695,26 @@ def sub_presentation(pres: LieAlgebraPresentation, space: RMatrix):
 
 def anticanonical(a: CRAlgebra) -> dict:
     """Real normalizer a0 = N_{g0}(q), q' = q + C a0, with the verification
-    items of the anticanonical fibration."""
+    items of the anticanonical fibration; a0 is held as its complexification
+    N_g(q) n nu(N_g(q))."""
     pres = a.pres
-    g0 = pres.g0_subspace()
-    qrows = [complexify_vector(r) for r in a.q.rows]
-    a0 = _preimage(g0, lambda v: [pres.bracket(v, w) for w in qrows], a.q)
-    ac = _complexified(pres, a0)
-    qprime = a.q.sum(ac)
+    full = full_space(pres)
+    normalizer = _preimage(full, lambda v: [pres.bracket(v, w) for w in a.q.rows], a.q)
+    a0 = normalizer.intersect(conj_space(pres, normalizer))
+    qprime = a.q.sum(a0)
+    qpb = conj_space(pres, qprime)
     report = {"a0": a0, "q_prime": qprime}
     report["q_in_qprime"] = qprime.contains_space(a.q)
-    report["qprime_cap_g0_is_a0"] = qprime.intersect(g0) == a0
+    report["qprime_cap_g0_is_a0"] = qprime.intersect(qpb) == a0
     report["qprime_subalgebra"] = is_subalgebra(pres, qprime)
-    qpb = conj_space(pres, qprime)
     cap_q_qpb = a.q.intersect(qpb)
-    report["a_cap_q_is_q_cap_qprimebar"] = ac.intersect(a.q) == cap_q_qpb
+    report["a_cap_q_is_q_cap_qprimebar"] = a0.intersect(a.q) == cap_q_qpb
     lf = bracket_spaces(pres, cap_q_qpb, a.qbar.intersect(qprime))
     report["levi_flat_fiber"] = a.q_cap_qbar().contains_space(lf)
     # item (5) equivalences
-    i = a0.rank() == g0.rank()
-    ii = qprime.rank() == 2 * pres.dim
-    br = bracket_spaces(pres, rspan(pres, _std_basis(pres.dim)), a.q)
-    iii = a.q.contains_space(br)
+    i = a0.rank() == pres.dim
+    ii = qprime.rank() == pres.dim
+    iii = a.q.contains_space(bracket_spaces(pres, full, a.q))
     iv = ideal_closure(pres, a0) == a0
     report["item5"] = {"a0_is_g0": i, "qprime_is_g": ii, "q_is_ideal": iii, "a0_is_ideal": iv}
     report["item5_consistent"] = (i == ii == iii) and (not i or iv)
@@ -778,20 +732,20 @@ def anticanonical(a: CRAlgebra) -> dict:
     return report
 
 
-def closure_extension(a: CRAlgebra, i0_prime: RMatrix) -> CRAlgebra:
-    """Extended CR algebra (g0, q + C i0') for a caller-supplied i0' with
-    i0 in i0', [i0', i0'] in i0, [i0', q] in q; verifies the equivariant map
-    is an algebraic CR submersion with Levi-flat fiber."""
+def closure_extension(a: CRAlgebra, i0_prime: CMatrix) -> CRAlgebra:
+    """Extended CR algebra (g0, q + C i0') for a caller-supplied i0' (given by
+    its complexification) with i0 in i0', [i0', i0'] in i0, [i0', q] in q;
+    verifies the equivariant map is an algebraic CR submersion with
+    Levi-flat fiber."""
     pres = a.pres
-    i0 = a.isotropy()
+    i0 = a.q_cap_qbar()
     if not i0_prime.contains_space(i0):
         raise PreconditionViolation("i0 not contained in i0'")
     if not i0.contains_space(bracket_spaces(pres, i0_prime, i0_prime)):
         raise PreconditionViolation("[i0', i0'] not contained in i0")
     if not a.q.contains_space(bracket_spaces(pres, i0_prime, a.q)):
         raise PreconditionViolation("[i0', q] not contained in q")
-    ac = _complexified(pres, i0_prime)
-    qprime = a.q.sum(ac)
+    qprime = a.q.sum(i0_prime)
     out = CRAlgebra(pres, qprime)
     # submersion: q' = q + i' is a subalgebra (guaranteed by construction
     # check in CRAlgebra) and phi(q) + q' n qbar' = q' trivially for phi = id
@@ -808,17 +762,17 @@ def morphism_classify(src: CRAlgebra, tgt: CRAlgebra, phi0) -> dict:
     sp, tp = src.pres, tgt.pres
     apply = _g0_map(sp, tp, phi0)
     _preserves_bracket(sp, tp, apply, _std_basis(sp.dim), NotAHomomorphism)
-    full = cspan(sp, _std_basis(sp.dim))
+    full = full_space(sp)
 
-    def pull(space: RMatrix) -> RMatrix:
+    def pull(space: CMatrix) -> CMatrix:
         return _preimage(full, lambda v: [apply(v)], space)
 
     tcap = tgt.q_cap_qbar()
-    scap = src.q_cap_qbar()
+    pulled_cap = pull(tcap)
     push_q = _image(src.q, apply, tp.dim)
     is_morphism = tgt.q.contains_space(push_q)
-    immersion = (pull(tcap) == scap) and (pull(tgt.q) == src.q)
-    submersion = _image(full, apply, tp.dim).sum(tcap).rank() == 2 * tp.dim and push_q.sum(tcap) == tgt.q
+    immersion = pulled_cap == src.q_cap_qbar() and pull(tgt.q) == src.q
+    submersion = _image(full, apply, tp.dim).sum(tcap).rank() == tp.dim and push_q.sum(tcap) == tgt.q
     if not is_morphism:
         kind = "NotAMorphism"
     elif immersion and submersion:
@@ -829,7 +783,6 @@ def morphism_classify(src: CRAlgebra, tgt: CRAlgebra, phi0) -> dict:
         kind = "Submersion"
     else:
         kind = "Morphism"
-    # fiber CR algebra (g0'' = phi0^{-1}(q' n g0'), q'' = q n phi^{-1}(q' n qbar'))
-    g0pp = pull(tgt.q.intersect(tp.g0_subspace())).intersect(sp.g0_subspace())
-    qpp = src.q.intersect(pull(tcap))
-    return {"kind": kind, "fiber_g0": g0pp, "fiber_q": qpp}
+    # fiber CR algebra: g0'' = phi0^{-1}(q' n g0') is complexified to
+    # phi^{-1}(q' n qbar'), as phi maps g0 into g0'; q'' = q n phi^{-1}(q' n qbar')
+    return {"kind": kind, "fiber_g0": pulled_cap, "fiber_q": src.q.intersect(pulled_cap)}

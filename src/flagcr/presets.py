@@ -16,8 +16,8 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cralg import CRAlgebra, LieAlgebraPresentation, _apply, _std_basis, cspan, rspan
-from .gaussq import C_I, C_ONE, C_ZERO, CNum, Factored, RMatrix
+from .cralg import CRAlgebra, LieAlgebraPresentation, _apply, _std_basis, cspan
+from .gaussq import C_I, C_ONE, C_ZERO, CMatrix, CNum, Factored
 from .rootsys import RootSystem, build_root_system, evaluate, evaluate_int, root_sum, roots_set
 from .weyl import cartan_matrix, positive_roots, simple_roots
 
@@ -57,10 +57,10 @@ def su2_flag() -> CRAlgebra:
     return CRAlgebra(pres, q)
 
 
-def exam_bf() -> tuple[CRAlgebra, RMatrix]:
+def exam_bf() -> tuple[CRAlgebra, CMatrix]:
     """The abelian extension sl(2,R) + R^2 with q = C{X + i X.v0 : X in
-    borel}, v0 = first basis vector; returns (CR algebra, the radical V as a
-    realified subspace).  The Levi-Malcev compatibility identity fails here.
+    borel}, v0 = first basis vector; returns (CR algebra, the radical V by
+    its complexification).  The Levi-Malcev compatibility identity fails here.
     """
     # basis: H, E, F, v1, v2
     entries = {
@@ -81,7 +81,7 @@ def exam_bf() -> tuple[CRAlgebra, RMatrix]:
             (C_ZERO, C_ONE, C_ZERO, C_ZERO, C_ZERO),  # E
         ],
     )
-    radical = rspan(pres, [(0, 0, 0, 1, 0), (0, 0, 0, 0, 1)])
+    radical = cspan(pres, [(0, 0, 0, 1, 0), (0, 0, 0, 0, 1)])
     return CRAlgebra(pres, q), radical
 
 
@@ -105,8 +105,8 @@ class FlagPreset:
         as a CNum coordinate vector."""
         return _apply(self.cartan_vec, ambient, self.pres.dim)
 
-    def q_subspace(self, q_indices) -> RMatrix:
-        """q = h + sum of the root spaces of Q (realified)."""
+    def q_subspace(self, q_indices) -> CMatrix:
+        """q = h + sum of the root spaces of Q."""
         vecs = [v for v in self.cartan_vec if any(v)]
         vecs += [self.root_vec[i] for i in sorted(q_indices)]
         return cspan(self.pres, vecs)

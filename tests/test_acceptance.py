@@ -245,15 +245,16 @@ def test_criterion_7_solver_cross_agreement():
 def test_criterion_8_cralg_oracles():
     t0 = time.time()
     from flagcr.cralg import (
-        RMatrix,
         bracket_spaces,
         check_j_property,
         fibration_compatible,
+        full_space,
         ideal_closure,
         largest_ideal_in,
+        real_points,
         scalar_levi_form,
     )
-    from flagcr.gaussq import CNum
+    from flagcr.gaussq import CMatrix, CNum
     from flagcr.presets import exam_bf, flag_preset, heisenberg, su2_flag
     from fractions import Fraction
 
@@ -265,12 +266,11 @@ def test_criterion_8_cralg_oracles():
     for a in presets:
         assert a.pres.dim <= 6
         ideal = largest_ideal_in(a)
-        i0 = a.isotropy()
-        g0 = a.pres.g0_subspace()
+        i0 = a.q_cap_qbar()
         assert i0.contains_space(ideal)
-        assert ideal.contains_space(bracket_spaces(a.pres, g0, ideal))
-        for r in i0.rows:
-            cand = ideal.sum(RMatrix([r]))
+        assert ideal.contains_space(bracket_spaces(a.pres, full_space(a.pres), ideal))
+        for r in real_points(a.pres, i0):
+            cand = ideal.sum(CMatrix([r]))
             if cand.rank() == ideal.rank():
                 continue
             assert not i0.contains_space(ideal_closure(a.pres, cand))

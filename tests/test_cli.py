@@ -132,6 +132,15 @@ def test_cralg_exam_bf_fibration(capsys):
     assert json.loads(out)["results"]["compatible"] is False
 
 
+@pytest.mark.parametrize("preset,ideal,owner", [("su2-flag", "center", "heisenberg"),
+                                                ("heisenberg", "radical", "exam-bf")])
+def test_cralg_named_ideal_names_its_preset(capsys, preset, ideal, owner):
+    assert main(["cralg", "--preset", preset, "--op", "fibration", "--ideal", ideal]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --ideal {ideal} is defined only for the {owner} preset\n"
+
+
 def test_cralg_flag_g2_predicates(capsys):
     code, out = run(capsys, "cralg", "--preset", "flag:G2:Q40", "--op", "predicates")
     assert code == 0
@@ -304,21 +313,27 @@ BUDGET_CASES = [
     (["check", "--roots", "{roots}"], "abc", 0, ""),
     (["check", "--roots", "{roots}", "--budget", "5"], None, 1, "unrecognized arguments"),
     (["check", "--roots", "{roots}", "--properties", "all"], None, 1, "unrecognized arguments"),
+    (["realform", "--roots", "{a_roots}", "--conjugation", "a-reverse:m=x"], None, 1, "'a-reverse:m=x'"),
+    (["realform", "--roots", "{a_roots}", "--conjugation", "a-reverse:m="], None, 1, "'a-reverse:m='"),
+    (["realform", "--roots", "{a_roots}", "--conjugation", "a-reverse:k"], None, 1, "'a-reverse:k'"),
 ]
 
 
 @pytest.mark.parametrize("argv,env,want,fragment", BUDGET_CASES)
 def test_budget_inputs(argv, env, want, fragment, tmp_path, capsys, monkeypatch):
-    # every budget input ends in an exit code, never in an exception
+    # every budget or option input ends in an exit code, never in an exception
     g2 = rootsys.build_root_system("G2")
     f = tmp_path / "q.json"
     f.write_text(rootsys.rootset_to_json(g2, classify.enumerate_maximal(g2)[0].canonical))
+    a3 = rootsys.build_root_system("A", 4)
+    fa = tmp_path / "a.json"
+    fa.write_text(rootsys.rootset_to_json(a3, classify.enumerate_maximal(a3)[0].canonical))
     if env is None:
         monkeypatch.delenv("FLAGCR_BUDGET", raising=False)
     else:
         monkeypatch.setenv("FLAGCR_BUDGET", env)
     try:
-        code = main([a.format(roots=f) for a in argv])
+        code = main([a.format(roots=f, a_roots=fa) for a in argv])
     except SystemExit as e:
         code = e.code
     captured = capsys.readouterr()

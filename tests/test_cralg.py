@@ -29,12 +29,12 @@ from flagcr.cralg import (
     is_levi_nondegenerate,
     largest_ideal_in,
     morphism_classify,
-    rspan,
+    real_points,
     scalar_levi_form,
     vector_levi_form,
 )
-from flagcr.gaussq import C_I, C_ONE, C_ZERO, CNum, RMatrix, complexify_vector, realify_vector
-from flagcr.presets import exam_bf, flag_preset, get_preset, heisenberg, sl2, su2, su2_flag
+from flagcr.gaussq import C_I, C_ONE, C_ZERO, CMatrix, CNum, RMatrix, complexify_vector, realify_vector
+from flagcr.presets import PRESET_BUILDERS, exam_bf, flag_preset, get_preset, heisenberg, sl2, su2, su2_flag
 from flagcr.rootsys import roots_set
 from flagcr.weyl import positive_roots, simple_roots
 
@@ -132,8 +132,6 @@ def test_levi_form_hermitian_everywhere():
     for a, xi in [(heisenberg(), [0, 0, 1]), (su2_flag(), None)]:
         if xi is None:
             # find a characteristic covector: annihilate (q+qbar) n g0
-            g0 = a.pres.g0_subspace()
-            cut = a.q_plus_qbar().intersect(g0)
             n = len(a.pres.g0_basis())
             xi = None
             for k in range(n):
@@ -178,14 +176,13 @@ def test_effective_brute_force_small():
     for a in cases:
         ideal = largest_ideal_in(a)
         pres = a.pres
-        g0 = pres.g0_subspace()
-        i0 = a.isotropy()
+        i0 = a.q_cap_qbar()
         # (i) it is an ideal inside i0
         assert i0.contains_space(ideal)
-        assert ideal.contains_space(bracket_spaces(pres, g0, ideal))
-        # (ii) maximality: adding any complement direction of i0 escapes i0
-        for r in i0.rows:
-            cand = ideal.sum(RMatrix([r]))
+        assert ideal.contains_space(bracket_spaces(pres, cralg.full_space(pres), ideal))
+        # (ii) maximality: adding any real complement direction of i0 escapes i0
+        for r in real_points(pres, i0):
+            cand = ideal.sum(CMatrix([r]))
             if cand.rank() == ideal.rank():
                 continue
             closure = ideal_closure(pres, cand)
@@ -219,14 +216,14 @@ def test_exam_bf_fibration_fails():
     a, radical = exam_bf()
     assert not fibration_compatible(a, radical)
     with pytest.raises(NotAnIdeal):
-        fibration_compatible(a, rspan(a.pres, [(1, 0, 0, 0, 0)]))  # sl2 line is no ideal
+        fibration_compatible(a, cspan(a.pres, [(1, 0, 0, 0, 0)]))  # sl2 line is no ideal
 
 
 def test_fibration_trivial_cases():
     h = heisenberg()
-    zero = RMatrix.empty(2 * h.pres.dim)
+    zero = CMatrix.empty(h.pres.dim)
     assert fibration_compatible(h, zero)
-    g0 = h.pres.g0_subspace()
+    g0 = cralg.full_space(h.pres)
     assert fibration_compatible(h, g0)
     base, fiber = induced_base_fiber(h, g0)
     assert cr_dim_codim(base) == (0, 0)
@@ -237,7 +234,7 @@ def test_heisenberg_center_fibration():
     h = heisenberg()
     j = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
     assert check_j_property(h, j)
-    center = rspan(h.pres, [(0, 0, 1)])
+    center = cspan(h.pres, [(0, 0, 1)])
     assert fibration_compatible(h, center)
     base, fiber = induced_base_fiber(h, center)
     assert cr_dim_codim(base) == (1, 0)
@@ -314,7 +311,7 @@ def test_anticanonical_heisenberg():
     assert rep["ok"]
     # normalizer of C(X+iY) in g0 is the center RT
     assert rep["a0"].rank() == 1
-    assert rep["a0"].contains(realify_vector((C_ZERO, C_ZERO, C_ONE)))
+    assert rep["a0"].contains((C_ZERO, C_ZERO, C_ONE))
     assert rep["item5"]["q_is_ideal"] is False
 
 
@@ -346,11 +343,11 @@ def test_closure_extension():
     hline = fa.cartan_element([1, 0, -1])
     q = cspan(fa.pres, [hline] + [fa.root_vec[i] for i in neg])
     a = CRAlgebra(fa.pres, q)
-    t0 = cspan(fa.pres, list(fa.cartan_vec)).intersect(fa.pres.g0_subspace())
+    t0 = cspan(fa.pres, list(fa.cartan_vec))
     ext = closure_extension(a, t0)
     assert cr_dim_codim(ext) == (3, 0)  # the borel: totally complex
     # identity extension
-    same = closure_extension(a, a.isotropy())
+    same = closure_extension(a, a.q_cap_qbar())
     assert same.q == a.q
     # violating the bracket preconditions errors: add a compact root
     # direction X_a - X_{-a} to i0'
@@ -359,13 +356,13 @@ def test_closure_extension():
     xma = fa.root_vec[rs.neg(pos0)]
     vec = tuple(x - y for x, y in zip(xa, xma))
     with pytest.raises(PreconditionViolation):
-        closure_extension(a, a.isotropy().sum(rspan(fa.pres, [vec])))
+        closure_extension(a, a.q_cap_qbar().sum(cspan(fa.pres, [vec])))
 
 
 def test_closure_extension_precondition_names():
     h = heisenberg()
     # i0' = R X: [i0', q]: [X, X+iY] = iT not in q -> violation
-    i0p = rspan(h.pres, [(1, 0, 0)])
+    i0p = cspan(h.pres, [(1, 0, 0)])
     with pytest.raises(PreconditionViolation):
         closure_extension(h, i0p)
 
@@ -379,7 +376,7 @@ def _extension_morphism():
     hline = fa.cartan_element([1, 0, -1])
     q = cspan(fa.pres, [hline] + [fa.root_vec[i] for i in neg])
     a = CRAlgebra(fa.pres, q)
-    t0 = cspan(fa.pres, list(fa.cartan_vec)).intersect(fa.pres.g0_subspace())
+    t0 = cspan(fa.pres, list(fa.cartan_vec))
     return a, closure_extension(a, t0), ident(len(fa.pres.g0_basis()))
 
 
@@ -395,7 +392,7 @@ def test_morphism_classify():
     out3 = morphism_classify(*_extension_morphism())
     assert out3["kind"] == "Submersion"
     # fiber is totally real here (fiber q inside cartan)
-    assert out3["fiber_q"].rank() <= 2
+    assert out3["fiber_q"].rank() <= 1
 
 
 def test_weak_j_implies_compatible_property():
@@ -406,17 +403,17 @@ def test_weak_j_implies_compatible_property():
     rng = random.Random(12)
     h = heisenberg()
     j = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
-    center = rspan(h.pres, [(0, 0, 1)])
+    center = cspan(h.pres, [(0, 0, 1)])
     assert check_weak_j(h, jmat=j)
     assert weak_j_implies_compatible(h, center, jmat=j)
     # extremes: zero ideal and the full algebra
-    assert weak_j_implies_compatible(h, RMatrix.empty(2 * h.pres.dim), jmat=j)
-    assert weak_j_implies_compatible(h, h.pres.g0_subspace(), jmat=j)
+    assert weak_j_implies_compatible(h, CMatrix.empty(h.pres.dim), jmat=j)
+    assert weak_j_implies_compatible(h, cralg.full_space(h.pres), jmat=j)
     # re-evaluation stability under basis shuffling
     for _ in range(5):
         rows = list(center.rows)
         rng.shuffle(rows)
-        assert fibration_compatible(h, RMatrix(rows))
+        assert fibration_compatible(h, CMatrix(rows))
     # J that is not weak-J-compatible raises
     with pytest.raises(PreconditionViolation):
         n = 3
@@ -445,8 +442,8 @@ def test_get_preset_names():
 def _naive_generated(pres, space):
     # oracle: add the brackets of all ordered pairs until the rank is stable
     while True:
-        vecs = [complexify_vector(r) for r in space.rows]
-        nxt = space.sum(rspan(pres, [pres.bracket(u, w) for u in vecs for w in vecs]))
+        vecs = space.rows
+        nxt = space.sum(cspan(pres, [pres.bracket(u, w) for u in vecs for w in vecs]))
         if nxt.rank() == space.rank():
             return space
         space = nxt
@@ -455,8 +452,8 @@ def _naive_generated(pres, space):
 def _naive_ideal(pres, space):
     gens = pres.g0_basis()
     while True:
-        vecs = [complexify_vector(r) for r in space.rows]
-        nxt = space.sum(rspan(pres, [pres.bracket(g, v) for g in gens for v in vecs]))
+        vecs = space.rows
+        nxt = space.sum(cspan(pres, [pres.bracket(g, v) for g in gens for v in vecs]))
         if nxt.rank() == space.rank():
             return space
         space = nxt
@@ -477,9 +474,9 @@ def _closure_seeds(fp, rng, gaussian):
         seeds.append(cspan(pres, [fp.root_vec[i] for i in picks] + cartan[: k % 2]))
     for _ in range(2):
         vecs = [[rng.randint(-2, 2) for _ in range(pres.dim)] for _ in range(2)]
-        seeds.append(rspan(pres, vecs))
+        seeds.append(cspan(pres, vecs))
     if gaussian:
-        seeds.append(rspan(pres, [[CNum(Fraction(x), Fraction(rng.randint(-2, 2))) for x in v] for v in vecs]))
+        seeds.append(cspan(pres, [[CNum(Fraction(x), Fraction(rng.randint(-2, 2))) for x in v] for v in vecs]))
     seeds.append(fp.cr_algebra(pos).q_plus_qbar())
     return seeds
 
@@ -497,17 +494,17 @@ def test_semi_naive_closure_matches_fixed_point(spec, gaussian):
     for seed in seeds:
         got = _generated(pres, seed)
         assert got == _naive_generated(pres, seed)
-        proper += got.rank() < 2 * pres.dim
+        proper += got.rank() < pres.dim
     assert 3 <= proper < len(seeds)
-    g0 = pres.g0_subspace()
-    for seed in [RMatrix.empty(2 * pres.dim), RMatrix(g0.rows[:1]), RMatrix(rng.sample(g0.rows, 2))]:
+    g0 = pres.g0_basis()
+    for seed in [CMatrix.empty(pres.dim), cspan(pres, g0[:1]), cspan(pres, rng.sample(g0, 2))]:
         assert ideal_closure(pres, seed) == _naive_ideal(pres, seed)
 
 
 def test_semi_naive_ideal_closure_proper_ideals():
     for a in (heisenberg(), exam_bf()[0]):
         pres = a.pres
-        for seed in [RMatrix([r]) for r in pres.g0_subspace().rows] + [a.isotropy()]:
+        for seed in [cspan(pres, [b]) for b in pres.g0_basis()] + [a.q_cap_qbar()]:
             got = ideal_closure(pres, seed)
             assert got == _naive_ideal(pres, seed)
             assert got.contains_space(seed)
@@ -538,7 +535,7 @@ def test_derived_spaces_computed_once(monkeypatch):
 def test_zero_q_images_keep_their_width():
     # the image of q = 0 is the zero space of g, not a space of width 0
     h = heisenberg()
-    a = CRAlgebra(h.pres, RMatrix.empty(6))
+    a = CRAlgebra(h.pres, CMatrix.empty(3))
     iden = [[C_ONE if i == j else C_ZERO for j in range(3)] for i in range(3)]
     assert check_weak_j(a, upsilon=iden)
     assert check_cr_symmetric(a, iden)["preserves_q"]
@@ -546,7 +543,7 @@ def test_zero_q_images_keep_their_width():
 
 def test_singular_maps_are_not_automorphisms():
     # the zero map preserves every bracket, but it is not bijective
-    a = CRAlgebra(heisenberg().pres, RMatrix.empty(6))
+    a = CRAlgebra(heisenberg().pres, CMatrix.empty(3))
     zero = [[C_ZERO] * 3 for _ in range(3)]
     iden = [[C_ONE if i == j else C_ZERO for j in range(3)] for i in range(3)]
     with pytest.raises(NotAnAutomorphism, match="span"):
@@ -556,20 +553,34 @@ def test_singular_maps_are_not_automorphisms():
     assert check_cr_symmetric(a, iden)["automorphism"] is True
 
 
+def test_preserves_g0_needs_a_bijection_commuting_with_nu():
+    # on heisenberg: the rotation by pi and the identity map g0 onto itself;
+    # X, Y -> iX, iY with T -> -T is an automorphism of g that moves g0, and
+    # the zero map is not onto
+    a = heisenberg()
+    i, one = C_I, C_ONE
+    cases = [([[-one, 0, 0], [0, -one, 0], [0, 0, one]], True), (ident(3), True),
+             ([[i, 0, 0], [0, i, 0], [0, 0, -one]], False), ([[0] * 3 for _ in range(3)], False)]
+    for lam, want in cases:
+        rep = check_cr_symmetric(a, lam)
+        assert rep["preserves_g0"] is want
+        assert rep["g0_splits"] is want
+
+
 def test_weak_j_implies_compatible_checks_invariance_on_both_routes():
     # the rotation of (X, Y) fixing T moves the ideal <X, T>, whether given
     # as the automorphism Upsilon or as the derivation J with exp(pi J/2) = Upsilon
     from flagcr.cralg import weak_j_implies_compatible
 
     h = heisenberg()
-    ideal = rspan(h.pres, [(1, 0, 0), (0, 0, 1)])
+    ideal = cspan(h.pres, [(1, 0, 0), (0, 0, 1)])
     upsilon = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
     jmat = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
     assert check_weak_j(h, upsilon=upsilon) and check_weak_j(h, jmat=jmat)
     for kwargs in ({"upsilon": upsilon}, {"jmat": jmat}):
         with pytest.raises(PreconditionViolation, match="Upsilon-invariant"):
             weak_j_implies_compatible(h, ideal, **kwargs)
-        assert weak_j_implies_compatible(h, rspan(h.pres, [(0, 0, 1)]), **kwargs)
+        assert weak_j_implies_compatible(h, cspan(h.pres, [(0, 0, 1)]), **kwargs)
 
 
 def _kernel_eigenspace(n, apply, c):
@@ -594,17 +605,32 @@ def _augmented_pull(sp, tp, apply, space):
     return RMatrix(vecs) if vecs else RMatrix.empty(n2s)
 
 
+def _realified(space):
+    # a complex space as the real row space of the rows v, iv
+    rows = [realify_vector(w) for v in space.rows for w in (v, tuple(C_I * x for x in v))]
+    return RMatrix(rows) if rows else RMatrix.empty(2 * space.ncols)
+
+
+def _complexified(space, n):
+    # the complex span of realified rows
+    rows = [complexify_vector(r) for r in space.rows]
+    return CMatrix(rows) if rows else CMatrix.empty(n)
+
+
 @pytest.mark.parametrize("spec", [("A", 3), ("B", 2), ("G2", None)], ids=["sl3", "so5", "G2"])
 def test_eigenspace_preimage_matches_kernel_oracle(spec):
-    # nu (c = 1), every symmetry involution of a maximal class (c = +-1) and
-    # every J derivation (c = ik, k in -2..2), with G2's Q40 for a G2 J
+    # nu (c = 1) against g0_basis, every symmetry involution of a maximal
+    # class (c = +-1) and every J derivation (c = ik, k in -2..2), with G2's
+    # Q40 for a G2 J, against the complexified oracle
     fp = flag_preset(*spec)
     pres, rs = fp.pres, fp.system
     n = pres.dim
+    g0 = _kernel_eigenspace(n, pres.nu, C_ONE)
+    assert [complexify_vector(r) for r in g0.rows] == pres.g0_basis()
     qs = [frozenset(c.canonical) for c in classify.enumerate_maximal(rs)]
     if spec[0] == "G2":
         qs.append(frozenset(roots_set(rs, [(1, 0, -1), (2, -1, -1)])))
-    maps = [(pres.nu, C_ONE)]
+    maps = []
     for q in qs:
         ok, e = qsets.is_symmetric(rs, q)
         if ok:
@@ -614,9 +640,10 @@ def test_eigenspace_preimage_matches_kernel_oracle(spec):
         if ok:
             j = cralg._check_derivation(pres, fp.j_derivation(e))
             maps += [(j, CNum(Fraction(0), Fraction(k))) for k in range(-2, 3)]
-    assert len(maps) >= 8
+    assert len(maps) >= 7
     for apply, c in maps:
-        assert cralg.realified_eigenspace(cralg.unit_images(n, apply), c) == _kernel_eigenspace(n, apply, c)
+        images = [apply(e) for e in cralg._std_basis(n)]
+        assert cralg._eigenspace(images, c) == _complexified(_kernel_eigenspace(n, apply, c), n)
 
 
 def test_morphism_fibers_match_augmented_pull():
@@ -626,6 +653,81 @@ def test_morphism_fibers_match_augmented_pull():
         sp, tp = src.pres, tgt.pres
         apply = cralg._g0_map(sp, tp, phi0)
         out = morphism_classify(src, tgt, phi0)
-        g0pp = _augmented_pull(sp, tp, apply, tgt.q.intersect(tp.g0_subspace())).intersect(sp.g0_subspace())
-        assert out["fiber_g0"] == g0pp
-        assert out["fiber_q"] == src.q.intersect(_augmented_pull(sp, tp, apply, tgt.q_cap_qbar()))
+        g0s, g0t = (_kernel_eigenspace(p.dim, p.nu, C_ONE) for p in (sp, tp))
+        g0pp = _augmented_pull(sp, tp, apply, _realified(tgt.q).intersect(g0t)).intersect(g0s)
+        assert out["fiber_g0"] == _complexified(g0pp, sp.dim)
+        qpp = _realified(src.q).intersect(_augmented_pull(sp, tp, apply, _realified(tgt.q_cap_qbar())))
+        assert out["fiber_q"] == _complexified(qpp, sp.dim)
+
+
+# g0_basis() of five presets, recorded before subspaces moved to complex
+# coordinates: {coordinate: value} for the nonzero coordinates of each vector
+G0_BASIS = {
+    "heisenberg": [{0: "1"}, {1: "1"}, {2: "1"}],
+    "su2-flag": [{0: "1"}, {1: "1"}, {2: "1"}],
+    "exam-bf": [{0: "1"}, {1: "1"}, {2: "1"}, {3: "1"}, {4: "1"}],
+    "flag:A:3": [{0: "1i"}, {1: "1i"}, {2: "1", 7: "-1"}, {2: "1i", 7: "1i"}, {3: "1", 6: "-1"}, {3: "1i", 6: "1i"},
+                 {4: "1", 5: "-1"}, {4: "1i", 5: "1i"}],
+    "flag:G2": [{0: "1i"}, {1: "1i"}, {2: "1", 13: "-1"}, {2: "1i", 13: "1i"}, {3: "1", 12: "-1"}, {3: "1i", 12: "1i"},
+                {4: "1", 11: "-1"}, {4: "1i", 11: "1i"}, {5: "1", 10: "-1"}, {5: "1i", 10: "1i"}, {6: "1", 9: "-1"},
+                {6: "1i", 9: "1i"}, {7: "1", 8: "-1"}, {7: "1i", 8: "1i"}],
+}
+
+
+@pytest.mark.parametrize("name", list(G0_BASIS))
+def test_g0_basis_is_pinned(name):
+    # --xi coordinates, j_derivation and the levi goldens are written in it
+    got = [{k: str(z) for k, z in enumerate(v) if z} for v in get_preset(name).pres.g0_basis()]
+    assert got == G0_BASIS[name]
+
+
+# (cr_dim_codim, complex rank of q n qbar, anticanonical normalizer_dim),
+# recorded before subspaces moved to complex coordinates
+RECORDED = {
+    "heisenberg": ((1, 1), 0, 1),
+    "sl2": ((0, 1), 2, 2),
+    "su2": ((1, 0), 1, 1),
+    "su2-flag": ((1, 0), 1, 1),
+    "exam-bf": ((1, 2), 1, 1),
+    "A3-class0": ((2, 2), 2, 2),
+    "A3-class1": ((2, 2), 2, 2),
+    "B2-class0": ((3, 2), 2, 2),
+    "G2-class0": ((3, 6), 2, 2),
+    "G2-class1": ((3, 6), 2, 2),
+}
+FLAG_SPECS = {"A3": ("A", 3), "B2": ("B", 2), "G2": ("G2", None)}
+
+
+def _recorded_case(name):
+    # every preset, and every enumerated maximal class of the three flag presets
+    assert set(PRESET_BUILDERS) <= set(RECORDED)
+    if name in PRESET_BUILDERS:
+        return PRESET_BUILDERS[name]()
+    tag, k = name.split("-class")
+    fp = flag_preset(*FLAG_SPECS[tag])
+    classes = classify.enumerate_maximal(fp.system)
+    assert len(classes) == sum(key.startswith(tag + "-") for key in RECORDED)
+    return fp.cr_algebra(sorted(classes[int(k)].canonical))
+
+
+@pytest.mark.parametrize("name", list(RECORDED))
+def test_real_points_and_complex_spaces(name):
+    a = _recorded_case(name)
+    pres, n = a.pres, a.pres.dim
+    a0 = anticanonical(a)["a0"]
+    assert (cr_dim_codim(a), a.q_cap_qbar().rank(), a0.rank()) == RECORDED[name]
+    for space in (a.q_cap_qbar(), a.q_plus_qbar(), a0, cralg.full_space(pres)):
+        pts = real_points(pres, space)
+        assert all(pres.nu(v) == v for v in pts)
+        assert len(pts) == space.rank() and cspan(pres, pts) == space
+    # the realified route: g0 as the kernel of nu - 1, i0 = q n g0,
+    # (q + qbar) n g0, and a0 = {v in g0 : [v, w] in q for w in q} by pulls
+    g0 = _kernel_eigenspace(n, pres.nu, C_ONE)
+    q = _realified(a.q)
+    qbar = RMatrix([realify_vector(pres.nu(complexify_vector(r))) for r in q.rows]) if q.rows else q
+    assert a.q_cap_qbar() == _complexified(q.intersect(g0), n)
+    assert a.q_plus_qbar() == _complexified(q.sum(qbar).intersect(g0), n)
+    normalizer = g0
+    for w in a.q.rows:
+        normalizer = normalizer.intersect(_augmented_pull(pres, pres, lambda v, w=w: pres.bracket(v, w), q))
+    assert a0 == _complexified(normalizer, n)
