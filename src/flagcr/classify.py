@@ -9,6 +9,11 @@ each orbit of maximal cliques is walked once, and one property report on its
 least member decides fundamentality for the whole class.  enumerate_maximal
 is the one caller of set_orbit, because it reports orbit sizes; the B/D
 catalogs and the maximal symmetric classes key W-classes by canonical form.
+
+subset_universe (every fundamental lb-set up to W, as subsets of the class
+representatives) and maximal_symmetric_classes serve the exhaustive claims
+of the acceptance criteria: the G2 stratification, the F4 and classical
+collapse claims (criteria 3 and 4), and solver agreement and invariance.
 """
 
 from __future__ import annotations
@@ -80,21 +85,6 @@ def maximal_cliques(adj: dict[int, set[int]], budget: int | None = None):
 
     bk(set(), set(adj.keys()), set())
     return found
-
-
-def all_cliques(adj: dict[int, set[int]]):
-    """Every nonempty clique of the graph, each exactly once."""
-    verts = sorted(adj)
-    out: list[tuple[int, ...]] = []
-
-    def grow(prefix: list[int], allowed: list[int]):
-        for k, v in enumerate(allowed):
-            cur = prefix + [v]
-            out.append(tuple(cur))
-            grow(cur, [w for w in allowed[k + 1 :] if w in adj[v]])
-
-    grow([], verts)
-    return out
 
 
 @dataclass
@@ -492,10 +482,10 @@ _TYPE_LABELS = {
 }
 
 
-def spin(minus, n: int = 8) -> tuple[Fraction, ...]:
-    """Half-sum root with minus signs on the given index set (1-based)."""
+def spin(minus) -> tuple[Fraction, ...]:
+    """Half-sum root of E8 with minus signs on the given index set (1-based)."""
     ms = set(minus)
-    return tuple(-H if k in ms else H for k in range(1, n + 1))
+    return tuple(-H if k in ms else H for k in range(1, 9))
 
 
 def beta0() -> tuple[Fraction, ...]:
@@ -639,14 +629,6 @@ def construct_q(l: int, i: int, anchors, within=None) -> tuple[int, ...]:
     return sorted_indices(_sweep(r, pool, idxs)[-1])
 
 
-def construct_q_stages(l: int, i: int, anchors) -> list[frozenset[int]]:
-    """Intermediate accumulation stages of construct_q: stages[p] is the set
-    after sweeping the first p anchor shells (stages[0] = the anchor set)."""
-    table = grading_table(l, i)
-    r = table.system
-    return _sweep(r, table.s_part, [a if isinstance(a, int) else find_root(r, a) for a in anchors])
-
-
 def _sweep(r: RootSystem, pool, idxs) -> list[frozenset[int]]:
     """The anchor-shell sweep of construct_q over ``pool``, in root order:
     for each anchor in turn, add every root of its positive shell that stays
@@ -669,16 +651,10 @@ def _sweep(r: RootSystem, pool, idxs) -> list[frozenset[int]]:
     return stages
 
 
-def grading_level_set(l: int, i: int, value: int, modulus: int | None = None) -> frozenset[int]:
-    """Roots of S^l_i on which E_{l,i} evaluates to ``value`` (exactly, or
-    mod ``modulus`` when given)."""
+def grading_level_set(l: int, i: int, value: int) -> frozenset[int]:
+    """Roots of S^l_i on which E_{l,i} evaluates to ``value``."""
     table = grading_table(l, i)
-    out = set()
-    for idx in table.s_part:
-        v = evaluate_int(table.system.roots[idx], table.e)
-        if (v == value) if modulus is None else (v % modulus == value % modulus):
-            out.add(idx)
-    return frozenset(out)
+    return frozenset(idx for idx in table.s_part if evaluate_int(table.system.roots[idx], table.e) == value)
 
 
 def _epair(i, j):
@@ -829,7 +805,12 @@ def bn_constraint_discrepancy(n: int) -> dict:
     }
 
 
-def subset_universe(r: RootSystem, budget: int = 1_000_000) -> list[frozenset[int]]:
+# subsets of the maximal class representatives that subset_universe examines
+# before it stops with BudgetExceeded
+_SUBSET_BUDGET = 1_000_000
+
+
+def subset_universe(r: RootSystem) -> list[frozenset[int]]:
     """All fundamental lb-subsets of the maximal class representatives.
 
     Every fundamental lb-set is W-equivalent to a subset of some maximal
@@ -845,7 +826,7 @@ def subset_universe(r: RootSystem, budget: int = 1_000_000) -> list[frozenset[in
         for size in range(1, len(rep) + 1):
             for combo in itertools.combinations(rep, size):
                 count += 1
-                if count > budget:
+                if count > _SUBSET_BUDGET:
                     raise BudgetExceeded("subset universe exceeded budget", out)
                 fs = frozenset(combo)
                 if fs in seen:
@@ -856,11 +837,11 @@ def subset_universe(r: RootSystem, budget: int = 1_000_000) -> list[frozenset[in
     return out
 
 
-def maximal_symmetric_classes(r: RootSystem, budget: int = 1_000_000):
+def maximal_symmetric_classes(r: RootSystem):
     """Maximal elements of Q_s(R) up to W, with their J status, found by
     exhaustive scan of the subset universe."""
     out: dict[tuple[int, ...], dict] = {}
-    for q in subset_universe(r, budget):
+    for q in subset_universe(r):
         if not _is_symmetric_maximal(r, q):
             continue
         cf = tuple(sorted(canonical_form(r, q)))

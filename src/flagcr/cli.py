@@ -87,7 +87,7 @@ def _cell(v):
 def _system_for(args):
     tag = args.type
     if tag in rootsys.FIXED_RANK:
-        return build_root_system(tag)
+        return build_root_system(tag, args.rank)
     if args.rank is None:
         raise SystemExit2("--rank is required for classical types", 1)
     n = args.rank + 1 if tag == "A" else args.rank

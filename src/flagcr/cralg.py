@@ -14,6 +14,16 @@ rank dim_R V: i0 = q n g0 is q n qbar, (q + qbar) n g0 is q + qbar, g0 is all
 of g, and a real condition {v in g0 : P(v)} with P C-linear is W n nu(W) for
 W = {v in g : P(v)}.  Real vectors are read off such a space by real_points;
 g0_basis() is the one realified row space of the module.
+
+Names that no CLI op reaches state a notion or claim of the paper:
+check_j_property, check_weak_j and check_cr_symmetric verify the J, weak-J
+and CR-symmetric structures that a combinatorial witness transfers to a flag
+preset (the benchmark's cr workload runs the first and the last);
+vector_levi_form is the vector-valued Levi form; closure_extension is the
+extension (g0, q + C i0') of the canonical fibrations; morphism_classify
+sorts a morphism into immersion, submersion and local isomorphism;
+weak_j_implies_compatible states that a weak-J structure makes every
+Upsilon-invariant ideal give a compatible fibration.
 """
 
 from __future__ import annotations
@@ -119,6 +129,7 @@ class LieAlgebraPresentation:
         self._validate()
         self._g0_basis = None
         self._g0_coords = None
+        self._killing = None
 
     # -- core algebra ------------------------------------------------------
     def bracket(self, x, y):
@@ -176,21 +187,40 @@ class LieAlgebraPresentation:
             self._g0_coords = Factored([[b[i] for b in basis] for i in range(self.dim)], CNum.of)
         return self._g0_coords.solve(v)
 
-    def ad(self, x):
-        """Complex matrix of ad(x) (columns = images of basis vectors)."""
-        return [self.bracket(x, b) for b in _std_basis(self.dim)]
-
     def killing(self, x, y):
-        adx = self.ad(x)
-        ady = self.ad(y)
-        n = self.dim
+        """The Killing form tr(ad x ad y) = sum of x_i K[i][j] y_j over the
+        Gram matrix K of the basis, built on first use."""
+        if self._killing is None:
+            self._killing = self._killing_gram()
+        ys = [(j, b) for j, b in enumerate(y) if b]
         tot = C_ZERO
-        for i in range(n):
-            col = ady[i]
-            for k in range(n):
-                if col[k]:
-                    tot = tot + adx[k][i] * col[k]
+        for i, a in enumerate(x):
+            if a:
+                row = self._killing[i]
+                for j, b in ys:
+                    if row[j]:
+                        tot = tot + a * row[j] * b
         return tot
+
+    def _killing_gram(self):
+        """K[i][j] = tr(ad b_i ad b_j) = sum over k, l of c^k_{il} c^l_{jk},
+        read off the stored structure constants."""
+        n = self.dim
+        # ad[i][(k, l)]: the coefficient of b_k in [b_i, b_l]
+        ad = [{} for _ in range(n)]
+        for (i, j), pairs in self.table.items():
+            for k, c in pairs:
+                ad[i][(k, j)] = c
+                ad[j][(k, i)] = -c
+        gram = [[C_ZERO] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                t = C_ZERO
+                for (k, l), c in ad[i].items():
+                    if d := ad[j].get((l, k)):
+                        t = t + c * d
+                gram[i][j] = gram[j][i] = t
+        return gram
 
     def to_json(self):
         entries = [[i, j, k, str(c.re), str(c.im)] for (i, j), pairs in sorted(self.table.items()) for k, c in pairs]
@@ -378,12 +408,12 @@ def is_levi_nondegenerate(a: CRAlgebra) -> bool:
     return deg == a.q_cap_qbar()
 
 
-def largest_ideal_in(a: CRAlgebra, space: CMatrix | None = None) -> CMatrix:
-    """Largest ideal of g0 contained in the real subspace whose
-    complexification is given (default i0), by the descending fixed point
-    a_{k+1} = {X in a_k : [g, X] in a_k}, which stays nu-stable."""
+def largest_ideal_in(a: CRAlgebra) -> CMatrix:
+    """Largest ideal of g0 contained in i0, complexified, by the descending
+    fixed point a_{k+1} = {X in a_k : [g, X] in a_k} from a_0 = q n qbar,
+    which stays nu-stable."""
     pres = a.pres
-    cur = a.q_cap_qbar() if space is None else space
+    cur = a.q_cap_qbar()
     gens = _std_basis(pres.dim)
     while True:
         nxt = _preimage(cur, lambda v: [pres.bracket(g, v) for g in gens], cur)
@@ -652,10 +682,9 @@ def fibration_compatible(a: CRAlgebra, ideal: CMatrix) -> bool:
 
 
 def weak_j_implies_compatible(a: CRAlgebra, ideal: CMatrix, jmat=None, upsilon=None) -> bool:
-    """Test-harness operation: for an Upsilon-invariant ideal and a weak-J
-    structure, the fibration-compatibility identity must hold; returns the
-    verification outcome of fibration_compatible after checking the
-    hypotheses."""
+    """For an Upsilon-invariant ideal and a weak-J structure, the
+    fibration-compatibility identity must hold; returns the verification
+    outcome of fibration_compatible after checking the hypotheses."""
     pres = a.pres
     if upsilon is not None or jmat is not None:
         apply_u = _upsilon_map(pres, upsilon, jmat)

@@ -3,7 +3,8 @@
 CNum is an immutable Gaussian rational.  _insert is the one Gauss-Jordan
 step over a field in the package: _rref applies it row by row, and the
 closures of cralg grow a reduced basis with it.  Factored keeps one
-elimination of a matrix for repeated solves, its kernel and its inverse.
+elimination of a matrix for repeated solves and its inverse; kernel is a
+one-shot elimination of the matrix alone.
 CMatrix / RMatrix represent subspaces by their rows, canonicalized through
 reduced row echelon form, so equality of subspaces is equality of canonical
 forms.
@@ -124,29 +125,12 @@ def _rref(rows):
     return [tuple(red[i]) for i in order], [pivots[i] for i in order]
 
 
-def _null_basis(red, pivots, ncols, coerce):
-    """Kernel basis of a matrix from its reduced row echelon form: one vector
-    per free column."""
-    zero, one = coerce(0), coerce(1)
-    pset = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pset:
-            continue
-        v = [zero] * ncols
-        v[fc] = one
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[fc]
-        basis.append(tuple(v))
-    return basis
-
-
 class Factored:
     """A matrix A (given by its rows) eliminated once over the field of
     ``coerce``: Gauss-Jordan on [A | I] gives [R | T], with R the reduced row
     echelon form of A and T the invertible row transform, T A = R.  Solves
-    against any number of right-hand sides, the kernel and the inverse are
-    read off R and T without eliminating again."""
+    against any number of right-hand sides and the inverse are read off R
+    and T without eliminating again."""
 
     def __init__(self, rows, coerce):
         self.coerce = coerce
@@ -158,7 +142,6 @@ class Factored:
         self.ncols = n
         self.rank = sum(1 for p in pivots if p < n)
         self.pivots = pivots[: self.rank]
-        self._r = [row[:n] for row in red[: self.rank]]
         self._t = [row[n:] for row in red]
 
     def solve(self, b):
@@ -181,10 +164,6 @@ class Factored:
             x[p] = t_dot_b(t)
         return x
 
-    def kernel(self):
-        """Basis of {x : A x = 0}."""
-        return _null_basis(self._r, self.pivots, self.ncols, self.coerce)
-
     def inverse(self):
         """Rows of A^-1; ValueError unless A is square and invertible."""
         if not self.rank == self.ncols == len(self._t):
@@ -200,10 +179,19 @@ def solve_linear(rows, rhs, coerce):
 def kernel(rows, coerce):
     """Basis of {x : rows * x = 0} over the field.  A one-shot kernel needs
     no row transform, so A alone is eliminated: on tall systems (many
-    conditions, few unknowns) T would be square in the row count."""
+    conditions, few unknowns) T would be square in the row count.  One basis
+    vector per free column."""
     a = [[coerce(x) for x in r] for r in rows]
     red, pivots = _rref(a)
-    return _null_basis(red, pivots, len(a[0]) if a else 0, coerce)
+    ncols, zero, one = len(a[0]) if a else 0, coerce(0), coerce(1)
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = [zero] * ncols
+        v[fc] = one
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc]
+        basis.append(tuple(v))
+    return basis
 
 
 class _SpaceBase:

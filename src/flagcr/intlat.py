@@ -3,7 +3,9 @@ linear systems, Hermite bases of lattices.
 
 Matrices are plain lists of rows of Python ints (arbitrary precision).  All
 functions are pure and total except where a ``None`` return is documented to
-mean "no solution".
+mean "no solution".  The package solves through SNFSolver; the one-shot
+solve_diophantine and solve_congruence have no caller in it and stay only
+because the benchmark tracer (perfbench/tracer.py) wraps them.
 """
 
 from __future__ import annotations

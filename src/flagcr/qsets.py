@@ -16,6 +16,10 @@ properties.  Route A analyses the coset of achievable coefficient sums over
 the integer kernel of the Q-expression lattice; route B solves alpha(E) = 1
 on Q from one Smith normal form of the coweight evaluation rows, mod 2, mod 4
 and exactly.  A mismatch is always a bug and raises MethodDisagreement.
+
+degree_set (the coset {h : gamma in Q*_h} of one root) and kernel_degree_gcd
+(the step shared by those cosets) state the Q*_h sets of the paper's
+definitions, which route A reads in closed form; the tests check it on them.
 """
 
 from __future__ import annotations
@@ -131,29 +135,6 @@ class DegreeCoset:
             return h == self.base
         return (h - self.base) % self.step == 0
 
-    def contains_odd(self) -> bool:
-        if self.empty:
-            return False
-        if self.step == 0:
-            return self.base % 2 == 1
-        if self.step % 2 == 1:
-            return True
-        return self.base % 2 == 1
-
-    def contains_two_mod_four(self) -> bool:
-        if self.empty:
-            return False
-        if self.step == 0:
-            return self.base % 4 == 2
-        if self.step % 2 == 1:
-            return True
-        if self.step % 4 == 2:
-            return self.base % 2 == 0
-        return self.base % 4 == 2
-
-    def is_singleton(self) -> bool:
-        return not self.empty and self.step == 0
-
 
 def degree_set(r: RootSystem, q, gamma_idx: int) -> DegreeCoset:
     """Achievable coefficient sums h with gamma = sum k_i beta_i, beta_i in Q."""
@@ -188,27 +169,6 @@ def q_star_11(r: RootSystem, q) -> frozenset[int]:
                 out.add(idx)
                 out.add(r.neg(idx))
     return frozenset(out)
-
-
-def q_star_bounded(r: RootSystem, q, h: int, max_terms: int = 6) -> frozenset[int]:
-    """Explicit Q*_h by bounded enumeration (cross-check oracle only):
-    expressions with at most ``max_terms`` summands +-beta."""
-    qs = sorted(q)
-    zero = tuple(0 for _ in range(r.ambient_dim))
-    states = {(zero, 0)}
-    found = set()
-    for _ in range(max_terms):
-        nxt = set()
-        for vec, deg in states:
-            for i in qs:
-                for sgn in (1, -1):
-                    v2 = tuple(x + sgn * y for x, y in zip(vec, r.roots[i]))
-                    nxt.add((v2, deg + sgn))
-        states |= nxt
-        for vec, deg in nxt:
-            if deg == h and vec in r.index:
-                found.add(r.index[vec])
-    return frozenset(found)
 
 
 def _verify_witness(r: RootSystem, q, e: GradingElement, modulus: int | None):

@@ -4,7 +4,9 @@ strong orthogonality, the parabolic closure, the adapted simple system, and
 the regular maximal CR structures over a maximally compact Cartan.
 
 A conjugation is carried as an exact rational involution of the ambient space
-together with the root-index permutation it induces.
+together with the root-index permutation it induces.  regular_max_structure,
+which no CLI op reaches, verifies the data of the paper's left-invariant CR
+structures of maximal CR dimension on a semisimple group.
 """
 
 from __future__ import annotations

@@ -9,7 +9,9 @@ on an ambient vector is dot(stored, vector)/2, one integer dot product on a
 grading element, which carries integer numerators over one denominator.
 
 A root set is handled as a frozenset of root indices into ``RootSystem.roots``;
-the canonical external form is the sorted index tuple.
+the canonical external form is the sorted index tuple.  rootset_to_json
+writes the root-set file that the check and realform commands read through
+rootset_from_json.
 """
 
 from __future__ import annotations
@@ -22,25 +24,11 @@ from fractions import Fraction
 from operator import mul
 
 from .gaussq import Factored, solve_linear
-from .intlat import column_solver, hermite_basis, smith_normal_form
+from .intlat import hermite_basis
 
 TYPES = ("A", "B", "C", "D", "G2", "F4", "E6", "E7", "E8")
 
 FIXED_RANK = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
-
-# order of the fundamental group P/Q, used to validate the coweight lattice
-FUNDAMENTAL_GROUP_ORDER = {
-    "A": lambda n: n,  # n = ambient dimension, type A_{n-1}
-    "B": lambda n: 2,
-    "C": lambda n: 2,
-    "D": lambda n: 4,
-    "G2": lambda n: 1,
-    "F4": lambda n: 1,
-    "E6": lambda n: 3,
-    "E7": lambda n: 2,
-    "E8": lambda n: 1,
-}
-
 
 class InvalidRank(ValueError):
     pass
@@ -348,29 +336,6 @@ def coroot(alpha: tuple[int, ...]) -> tuple[Fraction, ...]:
     return tuple(Fraction(a, 1) / nn for a in alpha)
 
 
-def coweight_index(r: RootSystem) -> int:
-    """Index of the coroot lattice inside the coweight lattice (equals the
-    order of the fundamental group for the nine supported types)."""
-    coroots = [coroot(v) for v in r.roots]
-    lcm = math.lcm(*(x.denominator for vec in itertools.chain(coroots, r.coweight_basis) for x in vec))
-    cor_basis = hermite_basis([[int(x * lcm) for x in c] for c in coroots])
-    cw_cols = [[int(x * lcm) for x in v] for v in r.coweight_basis]
-    solver = column_solver(cw_cols)
-    coords = []
-    for v in cor_basis:
-        sol = solver.solve(list(v))
-        if sol is None:
-            raise ValueError("coroot lattice not contained in coweight lattice")
-        coords.append(list(sol.particular))
-    s, _, _ = smith_normal_form(coords)
-    idx = 1
-    for i in range(min(len(s), len(s[0]) if s else 0)):
-        if s[i][i] == 0:
-            raise ValueError("coroot lattice has lower rank than coweight lattice")
-        idx *= s[i][i]
-    return abs(idx)
-
-
 def find_root(r: RootSystem, spec) -> int:
     """Index of a root given in ORIGINAL coordinates (ints, Fractions or
     halves as Fraction); convenience for tests and catalogs."""
@@ -387,6 +352,7 @@ def sorted_indices(q) -> tuple[int, ...]:
 
 
 def rootset_to_json(r: RootSystem, q) -> str:
+    """The root-set file that the check and realform commands read."""
     return json.dumps(
         {"type": r.type_tag, "rank": r.rank, "roots": [list(r.roots[i]) for i in sorted_indices(q)]},
         sort_keys=True,
@@ -406,13 +372,13 @@ def rootset_from_json(text: str) -> tuple[RootSystem, frozenset[int]]:
     tag, roots = data["type"], data["roots"]
     if not isinstance(tag, str) or tag not in TYPES:
         raise ValueError(f"unknown type {tag!r}")
+    rank = data.get("rank")
+    if type(rank) is not int and not (rank is None and tag in FIXED_RANK):
+        raise ValueError(f"type {tag} needs an integer rank, got {rank!r}")
     if tag in FIXED_RANK:
-        rs = build_root_system(tag)
+        rs = build_root_system(tag, rank)
         name = tag
     else:
-        rank = data.get("rank")
-        if type(rank) is not int:
-            raise ValueError(f"type {tag} needs an integer rank, got {rank!r}")
         rs = build_root_system(tag, rank + 1 if tag == "A" else rank)
         name = f"{tag}{rank}"
     if not isinstance(roots, list):

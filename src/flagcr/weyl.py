@@ -9,14 +9,14 @@ once, gives the canonical form of a set (its least image, found without
 walking the orbit), and two sets are equivalent when their canonical forms
 agree.  A set orbit is enumerated once per member, through the W-orbit of
 its dominant root sum.  Membership of one element in W is decided by the
-chamber walk on permutations.
+chamber walk on permutations; in_weyl has no caller in the package and stays
+only because the benchmark tracer (perfbench/tracer.py) wraps it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import random
 from fractions import Fraction
 
 from .gaussq import Factored
@@ -173,14 +173,9 @@ def apply_matrix_cols(cols, v):
     return tuple(out)
 
 
-def set_key(r: RootSystem, q) -> tuple:
-    """Order of sets that canonical forms minimise: the sorted root vectors."""
-    return tuple(sorted(r.roots[i] for i in q))
-
-
 def canonical_form(r: RootSystem, q, group: str = "weyl", budget: int | None = 2_000_000) -> frozenset[int]:
     """Lexicographically least image of the set under the chosen group (the
-    set_key-minimal member of its orbit), by Linton's smallest-image search
+    member of its orbit with the least sorted tuple of root vectors), by Linton's smallest-image search
     down the stabiliser chain.  ``budget`` counts the candidate images the
     search generates; past it OrbitBudgetExceeded is raised, and None means
     no limit."""
@@ -204,11 +199,11 @@ def canonical_form(r: RootSystem, q, group: str = "weyl", budget: int | None = 2
 
 def _chain(r: RootSystem, group: str) -> tuple[dict[int, tuple[int, ...]], ...]:
     """Stabiliser chain of the group for the base 0, 1, ..., n-1 (root-index
-    order, which is set_key order because the roots are stored sorted): level
-    k maps each point t of the orbit of k under the pointwise stabiliser of
-    0..k-1 to the inverse of a transversal element sending k to t.  It stops
-    at the last level with more than one point; built once per root system
-    and group."""
+    order, which is the order of the root vectors because they are stored
+    sorted): level k maps each point t of the orbit of k under the pointwise
+    stabiliser of 0..k-1 to the inverse of a transversal element sending k to
+    t.  It stops at the last level with more than one point; built once per
+    root system and group."""
     return _cached(r, "chain:" + group, lambda: _schreier_sims(generators(r, group), r.nroots))
 
 
@@ -377,13 +372,3 @@ def sets_equivalent(r: RootSystem, q1, q2, group: str = "weyl") -> bool:
     (candidate images generated), and OrbitBudgetExceeded is raised past it."""
     q1, q2 = frozenset(q1), frozenset(q2)
     return len(q1) == len(q2) and canonical_form(r, q1, group) == canonical_form(r, q2, group)
-
-
-def random_element(r: RootSystem, rng: random.Random, length: int = 12, group: str = "weyl") -> tuple[int, ...]:
-    """Product of ``length`` generators drawn by ``rng``, as a root permutation."""
-    gens = generators(r, group)
-    g = tuple(range(r.nroots))
-    for _ in range(length):
-        s = rng.choice(gens)
-        g = tuple(s[i] for i in g)
-    return g

@@ -31,7 +31,8 @@ from flagcr.classify import (
     verify_grading,
 )
 from flagcr.rootsys import build_root_system, evaluate_int, find_root, roots_set
-from flagcr.weyl import random_element, reflection_perm, root_orbit
+from flagcr.weyl import reflection_perm, root_orbit
+from weyl_words import random_element
 
 
 def report(n, ok, detail=""):

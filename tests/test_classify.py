@@ -10,7 +10,6 @@ from flagcr.classify import (
     AnchorViolation,
     BudgetExceeded,
     CatalogClaimFailed,
-    all_cliques,
     b3_counterexample,
     beta0,
     catalog,
@@ -121,6 +120,21 @@ def test_e6_construct_q_is_an_enumerated_class(enumerated):
     q = construct_q(6, 2, ORTH_FRAMES[(6, 2)][:1])
     assert is_lb(e6, q) and _is_maximal_clique(e6, q)
     assert canonical_form(e6, q) in {frozenset(c.canonical) for c in enumerated("E6", None, "weyl")[1]}
+
+
+def all_cliques(adj: dict[int, set[int]]):
+    """Every nonempty clique of the graph, each exactly once."""
+    verts = sorted(adj)
+    out: list[tuple[int, ...]] = []
+
+    def grow(prefix: list[int], allowed: list[int]):
+        for k, v in enumerate(allowed):
+            cur = prefix + [v]
+            out.append(tuple(cur))
+            grow(cur, [w for w in allowed[k + 1 :] if w in adj[v]])
+
+    grow([], verts)
+    return out
 
 
 def test_all_cliques_small():
@@ -310,10 +324,19 @@ def test_q_prime_parity():
         assert got[0] == (p % 2 == 0), p
 
 
+def construct_q_stages(l: int, i: int, anchors) -> list[frozenset[int]]:
+    """Intermediate accumulation stages of construct_q: stages[p] is the set
+    after sweeping the first p anchor shells (stages[0] = the anchor set)."""
+    from flagcr.classify import _sweep
+
+    table = grading_table(l, i)
+    r = table.system
+    return _sweep(r, table.s_part, [a if isinstance(a, int) else find_root(r, a) for a in anchors])
+
+
 def test_orthogonal_anchor_split():
     # for maximal constructed sets with orthogonal anchors, the split
     # Q = Q^p u (Q n {a_1..a_p}^perp) holds for 1 <= p < k
-    from flagcr.classify import ORTH_FRAMES, construct_q_stages
     from flagcr.rootsys import inner
 
     e8 = e_system(8)

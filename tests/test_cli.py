@@ -105,6 +105,8 @@ MALFORMED_ROOT_SETS = [
     ("non-integer entries", '{"type": "G2", "roots": [["2", "-2", "0"]]}', "is not a root of G2"),
     ("duplicate root", '{"type": "A", "rank": 2, "roots": [[2, -2, 0], [2, -2, 0]]}',
      "roots[1] = [2, -2, 0] repeats an earlier root"),
+    ("rank contradicts a fixed-rank type", '{"type": "E6", "rank": 7, "roots": []}', "E6 has fixed rank 6"),
+    ("fixed rank not an integer", '{"type": "E6", "rank": 6.0, "roots": []}', "type E6 needs an integer rank, got 6.0"),
 ]
 
 
@@ -316,6 +318,8 @@ BUDGET_CASES = [
     (["realform", "--roots", "{a_roots}", "--conjugation", "a-reverse:m=x"], None, 1, "'a-reverse:m=x'"),
     (["realform", "--roots", "{a_roots}", "--conjugation", "a-reverse:m="], None, 1, "'a-reverse:m='"),
     (["realform", "--roots", "{a_roots}", "--conjugation", "a-reverse:k"], None, 1, "'a-reverse:k'"),
+    (["enumerate", "--type", "G2", "--rank", "9"], None, 1, "G2 has fixed rank 2"),
+    (["enumerate", "--type", "G2", "--rank", "2"], None, 0, ""),
 ]
 
 

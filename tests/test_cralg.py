@@ -212,6 +212,55 @@ def test_su2_killing_negative_definite():
         assert k.im == 0 and k.re < 0
 
 
+def _ad(pres, x):
+    """Oracle: the matrix of ad(x), whose columns are the brackets with the
+    basis vectors."""
+    return [pres.bracket(x, b) for b in cralg._std_basis(pres.dim)]
+
+
+def _two_ad_killing(adx, ady):
+    """Oracle: tr(ad x ad y) from the two matrices."""
+    tot = C_ZERO
+    for i, col in enumerate(ady):
+        for k, z in enumerate(col):
+            if z:
+                tot = tot + adx[k][i] * z
+    return tot
+
+
+KILLING_FLAGS = {"A3": ("A", 3), "B2": ("B", 2), "G2": ("G2", None), "D4": ("D", 4)}
+
+
+def _killing_case(name):
+    """(presentation, the q n qbar of its CR algebras): a small preset's own,
+    or those of the CR-symmetric maximal classes of a flag preset."""
+    if name in PRESET_BUILDERS:
+        a = PRESET_BUILDERS[name]()
+        return a.pres, [a.q_cap_qbar()]
+    fp = flag_preset(*KILLING_FLAGS[name])
+    classes = [c for c in classify.enumerate_maximal(fp.system) if c.report.symmetric]
+    assert classes
+    return fp.pres, [fp.cr_algebra(sorted(c.canonical)).q_cap_qbar() for c in classes]
+
+
+@pytest.mark.parametrize("name", list(PRESET_BUILDERS) + list(KILLING_FLAGS))
+def test_killing_gram_matches_two_ad_formula(name):
+    # on every basis pair, and on every pair of real points of i0, where
+    # check_cr_symmetric evaluates it
+    pres, caps = _killing_case(name)
+    basis = cralg._std_basis(pres.dim)
+    ads = [_ad(pres, b) for b in basis]
+    for u, au in zip(basis, ads):
+        for v, av in zip(basis, ads):
+            assert pres.killing(u, v) == _two_ad_killing(au, av)
+    for cap in caps:
+        pts = real_points(pres, cap)
+        pads = [_ad(pres, u) for u in pts]
+        for u, au in zip(pts, pads):
+            for v, av in zip(pts, pads):
+                assert pres.killing(u, v) == _two_ad_killing(au, av)
+
+
 def test_exam_bf_fibration_fails():
     a, radical = exam_bf()
     assert not fibration_compatible(a, radical)

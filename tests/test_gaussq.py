@@ -69,7 +69,7 @@ def test_factored_inverse_and_singular():
     f = Factored([[2, 1], [4, 3]], Fraction)
     assert f.rank == 2 and f.pivots == [0, 1]
     assert f.inverse() == [(Fraction(3, 2), Fraction(-1, 2)), (Fraction(-2), Fraction(1))]
-    assert f.kernel() == []
+    assert kernel([[2, 1], [4, 3]], Fraction) == []
     with pytest.raises(ValueError):
         Factored([[1, 2], [2, 4]], Fraction).inverse()
     with pytest.raises(ValueError):
@@ -136,14 +136,12 @@ def test_factored_solve_property(system):
 def test_factored_kernel_property(system):
     name, a, _ = system
     coerce = FIELDS[name][1]
-    f = Factored(a, coerce)
-    ker = f.kernel()
-    assert len(ker) == len(a[0]) - f.rank
+    ker = kernel(a, coerce)
+    assert len(ker) == len(a[0]) - Factored(a, coerce).rank
     for v in ker:
         assert all(not z for z in _mul(a, v, coerce))
     if ker:
         assert _rank(name, ker) == len(ker)
-    assert kernel(a, coerce) == ker
 
 
 @settings(max_examples=150, deadline=None)

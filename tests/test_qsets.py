@@ -13,7 +13,6 @@ from flagcr.intlat import SNFSolver, column_solver
 from flagcr.qsets import (
     NOT_FUNDAMENTAL,
     MethodDisagreement,
-    DegreeCoset,
     compat_graph,
     compatible,
     degree_set,
@@ -25,11 +24,10 @@ from flagcr.qsets import (
     kernel_degree_gcd,
     property_report,
     q_star_11,
-    q_star_bounded,
 )
 from flagcr.rootsys import GradingElement, build_root_system, coroot, evaluate, evaluate_int, find_root, roots_set
-from flagcr.weyl import random_element
 from test_intlat import lifted_congruence
+from weyl_words import random_element
 
 H = Fraction(1, 2)
 
@@ -101,19 +99,6 @@ def test_q_star_11():
     assert find_root(e8, (1, 1, 0, 0, 0, 0, 0, 0)) in star8
 
 
-def test_degree_coset_mod_table_vs_enumeration():
-    # closed-form parity / mod-4 rules against brute enumeration
-    for base in range(-6, 7):
-        for step in range(0, 9):
-            c = DegreeCoset(empty=False, base=base, step=step)
-            values = {base + k * step for k in range(-40, 41)}
-            assert c.contains_odd() == any(v % 2 == 1 for v in values)
-            assert c.contains_two_mod_four() == any(v % 4 == 2 for v in values)
-            assert c.is_singleton() == (len(values) == 1)
-    empty = DegreeCoset(empty=True)
-    assert not empty.contains_odd() and not empty.contains_two_mod_four()
-
-
 def test_g2_stratification_members():
     g2, q0, q1, q2 = g2_sets()
     s1, w1 = is_symmetric(g2, q1)
@@ -179,6 +164,27 @@ def test_weyl_invariance_of_predicates():
             base.weak_j,
             base.j_property,
         )
+
+
+def q_star_bounded(r, q, h: int, max_terms: int = 6) -> frozenset[int]:
+    """Explicit Q*_h by bounded enumeration: expressions with at most
+    ``max_terms`` summands +-beta."""
+    qs = sorted(q)
+    zero = tuple(0 for _ in range(r.ambient_dim))
+    states = {(zero, 0)}
+    found = set()
+    for _ in range(max_terms):
+        nxt = set()
+        for vec, deg in states:
+            for i in qs:
+                for sgn in (1, -1):
+                    v2 = tuple(x + sgn * y for x, y in zip(vec, r.roots[i]))
+                    nxt.add((v2, deg + sgn))
+        states |= nxt
+        for vec, deg in nxt:
+            if deg == h and vec in r.index:
+                found.add(r.index[vec])
+    return frozenset(found)
 
 
 def test_q_star_symmetry_and_bounded_oracle():

@@ -145,8 +145,9 @@ def test_sigma_equivariance():
     import random
 
     from ambient_matrix import matrix_of
+    from weyl_words import random_element
 
-    from flagcr.weyl import apply_matrix_cols, random_element
+    from flagcr.weyl import apply_matrix_cols
 
     a3, sigma, q = a3_reverse_q()
     rng = random.Random(17)

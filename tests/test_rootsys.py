@@ -1,15 +1,18 @@
 import functools
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagcr.intlat import column_solver, hermite_basis, smith_normal_form
 from flagcr.rootsys import (
     GradingElement,
     InvalidRank,
     build_root_system,
-    coweight_index,
+    coroot,
     evaluate,
     evaluate_int,
     find_root,
@@ -120,6 +123,43 @@ def test_e_series_inclusion():
     assert s6 < s7 < s8
 
 
+# order of the fundamental group P/Q, used to validate the coweight lattice
+FUNDAMENTAL_GROUP_ORDER = {
+    "A": lambda n: n,  # n = ambient dimension, type A_{n-1}
+    "B": lambda n: 2,
+    "C": lambda n: 2,
+    "D": lambda n: 4,
+    "G2": lambda n: 1,
+    "F4": lambda n: 1,
+    "E6": lambda n: 3,
+    "E7": lambda n: 2,
+    "E8": lambda n: 1,
+}
+
+
+def coweight_index(r) -> int:
+    """Index of the coroot lattice inside the coweight lattice (equals the
+    order of the fundamental group for the nine supported types)."""
+    coroots = [coroot(v) for v in r.roots]
+    lcm = math.lcm(*(x.denominator for vec in itertools.chain(coroots, r.coweight_basis) for x in vec))
+    cor_basis = hermite_basis([[int(x * lcm) for x in c] for c in coroots])
+    cw_cols = [[int(x * lcm) for x in v] for v in r.coweight_basis]
+    solver = column_solver(cw_cols)
+    coords = []
+    for v in cor_basis:
+        sol = solver.solve(list(v))
+        if sol is None:
+            raise ValueError("coroot lattice not contained in coweight lattice")
+        coords.append(list(sol.particular))
+    s, _, _ = smith_normal_form(coords)
+    idx = 1
+    for i in range(min(len(s), len(s[0]) if s else 0)):
+        if s[i][i] == 0:
+            raise ValueError("coroot lattice has lower rank than coweight lattice")
+        idx *= s[i][i]
+    return abs(idx)
+
+
 @pytest.mark.parametrize(
     "tag,rank",
     [("A", 2), ("A", 4), ("B", 2), ("B", 4), ("C", 3), ("D", 4), ("G2", None), ("F4", None), ("E6", None), ("E7", None), ("E8", None)],
@@ -131,8 +171,6 @@ def test_coweight_lattice(tag, rank):
         for v in rs.roots:
             val = evaluate(v, basis_vec)
             assert val.denominator == 1
-    from flagcr.rootsys import FUNDAMENTAL_GROUP_ORDER
-
     n = rank if rank is not None else 0
     assert coweight_index(rs) == FUNDAMENTAL_GROUP_ORDER[tag](n)
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 from ambient_matrix import matrix_of
+from weyl_words import random_element
 
 from flagcr import weyl
 from flagcr.classify import enumerate_maximal
@@ -14,9 +15,7 @@ from flagcr.weyl import (
     diagram_automorphisms,
     generators,
     in_weyl,
-    random_element,
     reflection_perm,
-    set_key,
     sets_equivalent,
     set_orbit,
     simple_roots,
@@ -298,6 +297,11 @@ def test_roots_stored_sorted():
             assert list(rs.roots) == sorted(rs.roots), (tag, rank)
             assert len(rs.index) == rs.nroots
             assert all(rs.index[v] == i for i, v in enumerate(rs.roots)), (tag, rank)
+
+
+def set_key(rs, q) -> tuple:
+    """Order of sets that canonical forms minimise: the sorted root vectors."""
+    return tuple(sorted(rs.roots[i] for i in q))
 
 
 def _bfs_min(rs, q, group):
