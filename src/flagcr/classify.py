@@ -657,38 +657,6 @@ def grading_level_set(l: int, i: int, value: int) -> frozenset[int]:
     return frozenset(idx for idx in table.s_part if evaluate_int(table.system.roots[idx], table.e) == value)
 
 
-def _epair(i, j):
-    return tuple(1 if k + 1 in (i, j) else 0 for k in range(8))
-
-
-# maximal orthogonal frames in S^l_i used by the maximal-symmetric
-# classification (anchor tuples are drawn from prefixes/subsets of these)
-ORTH_FRAMES = {
-    (6, 2): [_epair(1, 5), _epair(2, 4), spin((1, 2, 6, 7)), spin((4, 5, 6, 7))],
-    (7, 1): [spin((6, 8)), spin((1, 7)), spin((2, 5, 6, 7)), spin((3, 4, 6, 7))],
-    (7, 2): [
-        _epair(1, 2),
-        _epair(3, 4),
-        _epair(5, 6),
-        spin((1, 3, 5, 7)),
-        spin((1, 4, 6, 7)),
-        spin((2, 3, 6, 7)),
-        spin((2, 4, 5, 7)),
-    ],
-    (8, 1): [
-        beta0(),
-        spin((1, 2, 3, 4)),
-        spin((1, 2, 5, 6)),
-        spin((1, 2, 7, 8)),
-        spin((1, 3, 5, 8)),
-        spin((1, 3, 6, 7)),
-        spin((2, 3, 5, 7)),
-        spin((2, 3, 6, 8)),
-    ],
-    (8, 2): [spin((1, 2)), spin((3, 4)), spin((5, 6)), spin((7, 8))],
-}
-
-
 def e8_examples():
     """The nine E8 examples: anchor data and expected membership pattern
     (symmetric, weak-J, J).

@@ -599,9 +599,18 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
     except SystemExit2 as e:
         return e.code if isinstance(e.code, int) else 1
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): point it at devnull so that the
+        # flush at exit cannot fail again (the SIGPIPE note of the signal docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -91,12 +91,14 @@ def smith_normal_form(
                         moved = True
             if not moved:
                 break
-        # enforce divisibility of the trailing block by the pivot
+        # enforce divisibility of the trailing block by the pivot (a unit
+        # pivot divides every entry, so there is nothing to scan)
         piv = a[t][t]
-        offender = next((i for i in range(t + 1, nr) if any(a[i][j] % piv for j in range(t + 1, nc))), None)
-        if offender is not None:
-            row_add(t, offender, 1)
-            continue  # redo elimination at the same t
+        if piv not in (1, -1):
+            offender = next((i for i in range(t + 1, nr) if any(a[i][j] % piv for j in range(t + 1, nc))), None)
+            if offender is not None:
+                row_add(t, offender, 1)
+                continue  # redo elimination at the same t
         t += 1
 
     for i in range(min(nr, nc)):
@@ -116,7 +118,11 @@ class DiophantineSolution:
 
 class SNFSolver:
     """Factored form U A V = S of an integer matrix, for solving many systems
-    A x = b over Z (solve) or mod m (solve_mod)."""
+    A x = b over Z (solve) or mod m (solve_mod).
+
+    Each right-hand side b is carried into the diagonal system S y = c by
+    c = U b (transform) once; feasible, lift and lift_mod start from c, so a
+    caller that needs several answers about one b forms c once."""
 
     def __init__(self, a: list[list[int]]):
         self.nr = len(a)
@@ -129,32 +135,43 @@ class SNFSolver:
             tuple(self.v[i][j] for i in range(self.nc)) for j in range(self.rank, self.nc)
         )
 
-    def _transform(self, b: list[int]) -> list[int]:
+    def transform(self, b: list[int]) -> list[int]:
         """c = U b, for a right-hand side of the factored system."""
         if len(b) != self.nr:
             raise ValueError("dimension mismatch between matrix and right-hand side")
         return mat_vec(self.u, list(b))
 
-    def solve(self, b: list[int]) -> DiophantineSolution | None:
-        c = self._transform(b)
-        if any(ci % d for ci, d in zip(c, self.d)) or any(c[self.rank :]):
+    def feasible(self, c: list[int]) -> bool:
+        """Whether A x = b has an integer solution, for c = U b: d_i | c_i up
+        to the rank and c_i = 0 past it.  Forms no solution."""
+        return all(ci % d == 0 for ci, d in zip(c, self.d)) and not any(c[self.rank :])
+
+    def lift(self, c: list[int]) -> tuple[int, ...] | None:
+        """The particular integer solution V y of A x = b, for c = U b, or None."""
+        if not self.feasible(c):
             return None
         y = [ci // d for ci, d in zip(c, self.d)] + [0] * (self.nc - self.rank)
-        return DiophantineSolution(tuple(mat_vec(self.v, y)), self.kernel_basis)
+        return tuple(mat_vec(self.v, y))
 
-    def solve_mod(self, b: list[int], m: int) -> list[int] | None:
-        """A x = b (mod m), m >= 2, from the same factorization: with c = U b
-        and y = V^-1 x it reads d_i y_i = c_i (mod m), d_i = 0 past the rank,
-        solvable iff g_i = gcd(d_i, m) divides c_i (Newman, Integral
-        Matrices, 1972, ch. II).  V y reduced mod m, or None."""
+    def lift_mod(self, c: list[int], m: int) -> list[int] | None:
+        """A x = b (mod m), m >= 2, for c = U b: with y = V^-1 x it reads
+        d_i y_i = c_i (mod m), d_i = 0 past the rank, solvable iff
+        g_i = gcd(d_i, m) divides c_i (Newman, Integral Matrices, 1972,
+        ch. II).  V y reduced mod m, or None."""
         if m < 2:
             raise ValueError("modulus must be >= 2")
-        c = self._transform(b)
         g = [gcd(d, m) for d in self.d] + [m] * (self.nr - self.rank)
         if any(ci % gi for ci, gi in zip(c, g)):
             return None
         y = [ci // gi * pow(d // gi, -1, m // gi) % (m // gi) for ci, gi, d in zip(c, g, self.d)]
         return [x % m for x in mat_vec(self.v, y + [0] * (self.nc - self.rank))]
+
+    def solve(self, b: list[int]) -> DiophantineSolution | None:
+        x = self.lift(self.transform(b))
+        return None if x is None else DiophantineSolution(x, self.kernel_basis)
+
+    def solve_mod(self, b: list[int], m: int) -> list[int] | None:
+        return self.lift_mod(self.transform(b), m)
 
 
 def solve_diophantine(a: list[list[int]], b: list[int]) -> DiophantineSolution | None:

@@ -14,8 +14,9 @@ and the integer coweight evaluation rows), and one decision over that
 analysis, parameterised by the modulus 2, 4 or exact, serves all three
 properties.  Route A analyses the coset of achievable coefficient sums over
 the integer kernel of the Q-expression lattice; route B solves alpha(E) = 1
-on Q from one Smith normal form of the coweight evaluation rows, mod 2, mod 4
-and exactly.  A mismatch is always a bug and raises MethodDisagreement.
+on Q from one Smith normal form U A V = S of the coweight evaluation rows,
+mod 2, mod 4 and exactly, all three from U 1 formed once.  A mismatch is
+always a bug and raises MethodDisagreement.
 
 degree_set (the coset {h : gamma in Q*_h} of one root) and kernel_degree_gcd
 (the step shared by those cosets) state the Q*_h sets of the paper's
@@ -110,13 +111,15 @@ def _expression_solver(r: RootSystem, q) -> SNFSolver:
 
 def is_fundamental(r: RootSystem, q, solver: SNFSolver | None = None) -> bool:
     """Every root lies in the integer lattice Z[Q]; it suffices that the
-    Z-basis ``r.lattice_basis`` of the root lattice does.  ``solver`` is
-    Q's expression solver when the caller already has one."""
+    Z-basis ``r.lattice_basis`` of the root lattice does.  Each basis vector b
+    is a solvability test on U b against the invariant factors of Q's
+    expression matrix; no solution is formed.  ``solver`` is Q's expression
+    solver when the caller already has one."""
     if not q:
         return r.nroots == 0
     if solver is None:
         solver = _expression_solver(r, q)
-    return all(solver.solve(v) is not None for v in r.lattice_basis)
+    return all(solver.feasible(solver.transform(v)) for v in r.lattice_basis)
 
 
 @dataclass(frozen=True)
@@ -158,13 +161,13 @@ def _kernel_gcd(solver: SNFSolver) -> int:
 
 
 def q_star_11(r: RootSystem, q) -> frozenset[int]:
-    """Roots of the form +-(beta1 - beta2) with beta1, beta2 in Q."""
+    """Roots of the form +-(beta1 - beta2) with beta1, beta2 in Q, read off
+    the system's sum table as beta1 + (-beta2)."""
     out = set()
     qs = sorted(q)
     for a in range(len(qs)):
         for b in range(a + 1, len(qs)):
-            diff = tuple(x - y for x, y in zip(r.roots[qs[a]], r.roots[qs[b]]))
-            idx = r.index.get(diff)
+            idx = root_sum(r, qs[a], r.neg(qs[b]))
             if idx is not None:
                 out.add(idx)
                 out.add(r.neg(idx))
@@ -189,8 +192,11 @@ _PROPERTY = {2: "symmetric", 4: "weak-J", None: "J"}
 
 class _Analysis:
     """What the three decisions need about (R, Q), computed once: the lb and
-    fundamental hypotheses and, when both hold, the kernel degree gcd,
-    Q*_{1,1} and the factored integer coweight evaluation rows of Q."""
+    fundamental hypotheses (fundamentality as a solvability test on U b, see
+    is_fundamental) and, when both hold, the kernel degree gcd, Q*_{1,1}, the
+    factored integer coweight evaluation rows of Q and route B's one
+    right-hand side: the all-ones vector, transformed to U 1 once for the
+    mod-2, mod-4 and exact decisions."""
 
     def __init__(self, r: RootSystem, q):
         self.r, self.q = r, sorted_indices(q)
@@ -202,6 +208,7 @@ class _Analysis:
             self.gcd = _kernel_gcd(solver)
             self.star = q_star_11(r, self.q)
             self.coweights = SNFSolver([r.coweight_values[i] for i in self.q])
+            self.ones = self.coweights.transform([1] * len(self.q))
 
     def decide(self, m: int | None):
         """CR-symmetric (m = 2), weak-J (m = 4) or J (m = None) by both
@@ -213,12 +220,7 @@ class _Analysis:
         # every coset to be a singleton
         verdict_a = self.gcd == 0 if m is None else (not self.star) or self.gcd % m == 0
         # route B: alpha(E) = 1 on Q (mod m, or exactly) over the coweight lattice
-        ones = [1] * len(self.q)
-        if m is None:
-            sol = self.coweights.solve(ones)
-            x = None if sol is None else sol.particular
-        else:
-            x = self.coweights.solve_mod(ones, m)
+        x = self.coweights.lift(self.ones) if m is None else self.coweights.lift_mod(self.ones, m)
         if (x is not None) != verdict_a:
             raise MethodDisagreement(f"{_PROPERTY[m]}: coset route {verdict_a}, solver route {x is not None}")
         if x is None:

@@ -6,7 +6,6 @@ import pytest
 from flagcr import qsets
 from flagcr.classify import (
     XI,
-    ORTH_FRAMES,
     AnchorViolation,
     BudgetExceeded,
     CatalogClaimFailed,
@@ -34,6 +33,38 @@ from flagcr.rootsys import build_root_system, evaluate_int, find_root, root_sum,
 from flagcr.weyl import OrbitBudgetExceeded, canonical_form, reflection_perm, root_orbit, sets_equivalent
 
 H = Fraction(1, 2)
+
+
+def _epair(i, j):
+    return tuple(1 if k + 1 in (i, j) else 0 for k in range(8))
+
+
+# maximal orthogonal frames of roots in S^l_i; construct_q anchors below are
+# prefixes of these
+ORTH_FRAMES = {
+    (6, 2): [_epair(1, 5), _epair(2, 4), spin((1, 2, 6, 7)), spin((4, 5, 6, 7))],
+    (7, 1): [spin((6, 8)), spin((1, 7)), spin((2, 5, 6, 7)), spin((3, 4, 6, 7))],
+    (7, 2): [
+        _epair(1, 2),
+        _epair(3, 4),
+        _epair(5, 6),
+        spin((1, 3, 5, 7)),
+        spin((1, 4, 6, 7)),
+        spin((2, 3, 6, 7)),
+        spin((2, 4, 5, 7)),
+    ],
+    (8, 1): [
+        beta0(),
+        spin((1, 2, 3, 4)),
+        spin((1, 2, 5, 6)),
+        spin((1, 2, 7, 8)),
+        spin((1, 3, 5, 8)),
+        spin((1, 3, 6, 7)),
+        spin((2, 3, 5, 7)),
+        spin((2, 3, 6, 8)),
+    ],
+    (8, 2): [spin((1, 2)), spin((3, 4)), spin((5, 6)), spin((7, 8))],
+}
 
 
 def test_enumerate_counts():

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -345,3 +348,31 @@ def test_budget_inputs(argv, env, want, fragment, tmp_path, capsys, monkeypatch)
     assert fragment in captured.err
     if want == 2:
         assert json.loads(captured.out[captured.out.index("{") :])["exhaustive"] is False
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--type", "G2"], ["check", "--roots", "tests/golden/check-E7-maximal.json"]],
+    ids=["enumerate", "check"],
+)
+def test_closed_stdout_exits_1_without_traceback(argv):
+    # stdout is a pipe whose reader is already gone, as after `| head -1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "flagcr", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            cwd=os.path.dirname(SRC),
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

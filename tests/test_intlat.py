@@ -316,3 +316,139 @@ def test_invariant_factors_match_sympy(system):
     a = system[0]
     want = _diag(sympy_snf(sympy.Matrix(a), domain=sympy.ZZ).tolist())
     assert [abs(d) for d in _diag(smith_normal_form(a)[0])] == [abs(int(d)) for d in want]
+
+
+# --- the unit-pivot skip and the feasibility test -------------------------
+
+
+def _snf_full_scan(
+    m: list[list[int]],
+) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """smith_normal_form with the trailing-block divisibility scan after
+    every pivot, unit pivots included: the oracle for the unit-pivot skip."""
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    a = [list(row) for row in m]
+    u = identity_matrix(nr)
+    v = identity_matrix(nc)
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def col_swap(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    # the adds skip zero source entries: the same operations, fewer products
+    def row_add(dst, src, f):
+        for rows in (a, u):
+            row = rows[dst]
+            for k, x in enumerate(rows[src]):
+                if x:
+                    row[k] += f * x
+
+    def col_add(dst, src, f):
+        for rows in (a, v):
+            for row in rows:
+                if x := row[src]:
+                    row[dst] += f * x
+
+    t = 0
+    while t < min(nr, nc):
+        # the smallest nonzero entry of the trailing block, first in row order
+        nonzero = [(abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]]
+        if not nonzero:
+            break
+        _, bi, bj = min(nonzero)
+        row_swap(t, bi)
+        col_swap(t, bj)
+        while True:
+            # clear column t
+            moved = False
+            for i in range(t + 1, nr):
+                if a[i][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    row_add(i, t, -q)
+                    if a[i][t] != 0:
+                        row_swap(t, i)
+                        moved = True
+            if moved:
+                continue
+            for j in range(t + 1, nc):
+                if a[t][j] != 0:
+                    q = a[t][j] // a[t][t]
+                    col_add(j, t, -q)
+                    if a[t][j] != 0:
+                        col_swap(t, j)
+                        moved = True
+            if not moved:
+                break
+        # enforce divisibility of the trailing block by the pivot
+        piv = a[t][t]
+        offender = next((i for i in range(t + 1, nr) if any(a[i][j] % piv for j in range(t + 1, nc))), None)
+        if offender is not None:
+            row_add(t, offender, 1)
+            continue  # redo elimination at the same t
+        t += 1
+
+    for i in range(min(nr, nc)):
+        if a[i][i] < 0:
+            a[i] = [-x for x in a[i]]
+            u[i] = [-x for x in u[i]]
+    return a, u, v
+
+
+def _seeded_matrices():
+    """Integer matrices from 0 rows up to 9 x 36, seeded: the empty matrix,
+    zero matrices, rank-deficient ones (rows that are integer combinations
+    of two others), dense ones, and ones with no entry +-1, whose pivots
+    need the trailing-block divisibility scan."""
+    rng = random.Random(20261019)
+    out = [[]]
+    for nr in range(1, 10):
+        for nc in (1, 2, 3, 5, 8, 13, 21, 36):
+            out.append([[0] * nc for _ in range(nr)])
+            dense = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
+            out.append(dense)
+            out.append([[rng.choice((0, 2, -2, 3, -3, 4, 6, -9)) for _ in range(nc)] for _ in range(nr)])
+            if nr > 2:
+                deficient = [list(row) for row in dense[:2]]
+                for _ in range(nr - 2):
+                    f, g = rng.randint(-3, 3), rng.randint(-3, 3)
+                    deficient.append([f * x + g * y for x, y in zip(*deficient[:2])])
+                rng.shuffle(deficient)
+                out.append(deficient)
+    return out
+
+
+def test_unit_pivot_skip_keeps_snf():
+    for m in _seeded_matrices():
+        assert smith_normal_form(m) == _snf_full_scan(m), m
+
+
+def test_feasible_matches_solve():
+    # feasible(U b) against solve(b) is not None, on right-hand sides in the
+    # column lattice (A x), off it (A x plus a unit vector) and random ones;
+    # each verdict is also checked on its own: a solution that substitutes
+    # back, or a certificate that none exists
+    rng = random.Random(36)
+    outcomes = set()
+    for a in _seeded_matrices():
+        solver = SNFSolver(a)
+        nc = len(a[0]) if a else 0
+        for _ in range(4):
+            ax = mat_vec(a, [rng.randint(-3, 3) for _ in range(nc)])
+            bumped = [y + (i == 0) for i, y in enumerate(ax)]
+            for b in (ax, bumped, [rng.randint(-20, 20) for _ in a]):
+                got = solver.feasible(solver.transform(b))
+                sol = solver.solve(b)
+                assert got == (sol is not None), (a, b)
+                if got:
+                    assert mat_vec(a, list(sol.particular)) == b
+                else:
+                    assert b is not ax and _certified_unsolvable(a, b), (a, b)
+                outcomes.add(got)
+    assert outcomes == {True, False}

@@ -1,5 +1,8 @@
 import functools
+import hashlib
 import itertools
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagcr import qsets
-from flagcr.classify import maximal_cliques
+from flagcr.classify import e8_example_set, e8_examples, e_system, maximal_cliques
 from flagcr.intlat import SNFSolver, column_solver
 from flagcr.qsets import (
     NOT_FUNDAMENTAL,
@@ -25,7 +28,16 @@ from flagcr.qsets import (
     property_report,
     q_star_11,
 )
-from flagcr.rootsys import GradingElement, build_root_system, coroot, evaluate, evaluate_int, find_root, roots_set
+from flagcr.rootsys import (
+    GradingElement,
+    build_root_system,
+    coroot,
+    evaluate,
+    evaluate_int,
+    find_root,
+    roots_set,
+    rootset_from_json,
+)
 from test_intlat import lifted_congruence
 from weyl_words import random_element
 
@@ -232,9 +244,9 @@ def _fundamental_oracle(r, q):
 def test_is_fundamental_matches_all_roots_oracle(tag, rank, limit):
     # maximal cliques, and each with its first root dropped so that
     # non-fundamental sets are tested too
-    rs = build_root_system(tag, rank)
+    rs, cliques = _system_and_cliques(tag)
     outcomes = set()
-    for clique in maximal_cliques(compat_graph(rs))[:limit]:
+    for clique in cliques[:limit]:
         for q in (clique, clique[1:]):
             got = is_fundamental(rs, q)
             assert got == _fundamental_oracle(rs, q), q
@@ -294,7 +306,7 @@ def test_both_routes_run_on_every_decision(monkeypatch):
     # with route B forced to find no solution, route A still says symmetric
     g2, _, q1, _ = g2_sets()
     assert is_symmetric(g2, q1)[0] is True
-    monkeypatch.setattr(SNFSolver, "solve_mod", lambda *args: None)
+    monkeypatch.setattr(SNFSolver, "lift_mod", lambda *args: None)
     with pytest.raises(MethodDisagreement):
         property_report(g2, q1)
     with pytest.raises(MethodDisagreement):
@@ -318,3 +330,81 @@ def test_congruence_witnesses_match_lifted_oracle(enumerated, tag, rank):
             for m, witness in ((2, rep.witness_mod2), (4, rep.witness_mod4)):
                 want = lifted_congruence(rows, [1] * len(rows), m)
                 assert (None if witness is None else list(witness.coords)) == want, (q, m)
+
+
+def _q_star_11_by_differences(r, q):
+    """Q*_{1,1} from the tuple difference beta1 - beta2 of every pair, looked
+    up in the root index: the oracle for the sum-table lookup."""
+    out = set()
+    qs = sorted(q)
+    for a in range(len(qs)):
+        for b in range(a + 1, len(qs)):
+            idx = r.index.get(tuple(x - y for x, y in zip(r.roots[qs[a]], r.roots[qs[b]])))
+            if idx is not None:
+                out.add(idx)
+                out.add(r.neg(idx))
+    return frozenset(out)
+
+
+def test_q_star_11_matches_difference_oracle():
+    # every maximal clique of F4; on E6, whose 59,238 cliques would take
+    # seconds, every pair of roots (Q*_{1,1} is a union over pairs) and every
+    # 20th clique; on E8, seeded random subsets of every size up to 40
+    rs, cliques = _system_and_cliques("F4")
+    for q in cliques:
+        assert q_star_11(rs, q) == _q_star_11_by_differences(rs, q), q
+    rs, cliques = _system_and_cliques("E6")
+    for pair in itertools.combinations(range(rs.nroots), 2):
+        assert q_star_11(rs, pair) == _q_star_11_by_differences(rs, pair), pair
+    for q in cliques[::20]:
+        assert q_star_11(rs, q) == _q_star_11_by_differences(rs, q), q
+    rs = build_root_system("E8")
+    rng = random.Random("q-star-E8")
+    for size in range(41):
+        for _ in range(5):
+            q = rng.sample(range(rs.nroots), size)
+            assert q_star_11(rs, q) == _q_star_11_by_differences(rs, q), q
+
+
+def _greedy_maximal_lb(r, rng):
+    """A maximal lb-set: the roots in a seeded order, each kept when it is
+    compatible with every root kept so far."""
+    order = list(range(r.nroots))
+    rng.shuffle(order)
+    q = []
+    for i in order:
+        if all(compatible(r, i, j) for j in q):
+            q.append(i)
+    return sorted(q)
+
+
+# SHA-256 of the property reports below, recorded before fundamentality
+# became a feasibility test and route B a single transformed right-hand side
+WITNESS_PIN = "1eb474fb21df42c2a40f2abf5d36c5f5be9907dccc62055d331237e9ca8ae8b1"
+
+
+def witness_pin_digest(enumerated):
+    """SHA-256 of property_report(...).to_jsonable() over two seeded W-images
+    each of: the maximal classes of F4 and E6, the maximal E7 set of the
+    check-E7-maximal golden, the nine E8 examples and two seeded greedy
+    maximal lb-sets each of E7 and E8."""
+    rng = random.Random("witness-pin")
+    sets = [enumerated(tag, None, "weyl") for tag in ("F4", "E6")]
+    sets = [(rs, cls.canonical) for rs, classes in sets for cls in classes]
+    golden = os.path.join(os.path.dirname(__file__), "golden", "check-E7-maximal.json")
+    with open(golden) as f:
+        e7, q7 = rootset_from_json(f.read())
+    e8 = e_system(8)
+    sets += [(e7, q7)] + [(e8, e8_example_set(ex)) for ex in e8_examples()]
+    sets += [(rs, _greedy_maximal_lb(rs, rng)) for rs in (e7, e7, e8, e8)]
+    reports = []
+    for rs, q in sets:
+        for _ in range(2):
+            g = random_element(rs, rng)
+            reports.append(property_report(rs, sorted(g[i] for i in q)).to_jsonable())
+    return hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+
+
+def test_witness_pin(enumerated):
+    # verdicts and witness coordinates of exceptional maximal sets did not move
+    assert witness_pin_digest(enumerated) == WITNESS_PIN
