@@ -5,10 +5,15 @@ the Z2-grading tables of the E series.
 Maximal elements of Q(R) are exactly the maximal cliques of the compatibility
 graph whose Z-span contains R (enlarging a set never shrinks its span), so
 enumeration is pivoting Bron-Kerbosch followed by orbit-first deduplication:
-each orbit of maximal cliques is walked once, and one property report on its
-least member decides fundamentality for the whole class.  enumerate_maximal
-is the one caller of set_orbit, because it reports orbit sizes; the B/D
-catalogs and the maximal symmetric classes key W-classes by canonical form.
+the group permutes the maximal cliques, so in the sorted clique list the
+first clique of each orbit is its least member, the class representative.
+Each orbit is walked once, and one property report on that member decides
+fundamentality for the whole class.  enumerate_maximal is the one caller of
+set_orbit, because it reports orbit sizes; the B/D catalogs and the maximal
+symmetric classes key W-classes by canonical form.
+
+catalog: each type yields rows of (label, root set, parameters, claims,
+source, witness), and one loop builds and re-verifies every entry.
 
 subset_universe (every fundamental lb-set up to W, as subsets of the class
 representatives) and maximal_symmetric_classes serve the exhaustive claims
@@ -34,7 +39,7 @@ from .rootsys import (
     roots_set,
     sorted_indices,
 )
-from .weyl import OrbitBudgetExceeded, canonical_form, set_orbit
+from .weyl import canonical_form, set_orbit
 
 H = Fraction(1, 2)
 
@@ -102,39 +107,31 @@ class EnumClass:
         }
 
 
-def enumerate_maximal(
-    r: RootSystem,
-    quotient: str = "weyl",
-    budget: int | None = 2_000_000,
-    constraint=None,
-) -> list[EnumClass]:
-    """All maximal elements of Q(R) (restricted to ``constraint`` if given) up
-    to the chosen quotient group, with property reports.  A budget stop
-    raises BudgetExceeded whose ``partial`` lists the classes found so far
-    (none when the clique search stops)."""
-    adj = compat_graph(r, constraint)
+def enumerate_maximal(r: RootSystem, quotient: str = "weyl", budget: int | None = 2_000_000) -> list[EnumClass]:
+    """All maximal elements of Q(R) up to the chosen quotient group, with
+    property reports.  A budget stop in the clique search raises
+    BudgetExceeded with no partial classes."""
     try:
-        cliques = maximal_cliques(adj, budget)
+        cliques = maximal_cliques(compat_graph(r), budget)
     except BudgetExceeded as e:
         raise BudgetExceeded(str(e), []) from e
     seen: set[frozenset[int]] = set()
-    classes: dict[tuple[int, ...], EnumClass] = {}
-    # fundamentality is invariant under the group, so each orbit is walked
-    # once and decided on its least member; the roots are stored sorted, so
-    # index tuples sort as the tuples of their roots
+    classes = []
+    # the group permutes the maximal cliques, so the first clique of an orbit
+    # in sorted order is its least member, the canonical form (the roots are
+    # stored sorted, so index tuples sort as the tuples of their roots); each
+    # orbit is walked once and decided on that member
     for cl in sorted(cliques):
         if frozenset(cl) in seen:
             continue
-        try:
-            orbit = set_orbit(r, cl, quotient, budget)
-            rep = sorted_indices(canonical_form(r, cl, quotient, budget))
-        except OrbitBudgetExceeded as e:
-            raise BudgetExceeded(f"orbit dedup: {e}", list(classes.values())) from e
+        # an orbit has no more sets than the search found maximal cliques, nor
+        # these more than its nodes, so no budget the search met can stop it
+        orbit = set_orbit(r, cl, quotient, budget=None)
         seen |= orbit
-        report = property_report(r, rep)
+        report = property_report(r, cl)
         if report.is_fundamental:
-            classes[rep] = EnumClass(rep, len(orbit), report)
-    return [classes[rep] for rep in sorted(classes)]
+            classes.append(EnumClass(cl, len(orbit), report))
+    return classes
 
 
 # ---------------------------------------------------------------------------
@@ -297,15 +294,13 @@ def _first_of_each_class(r: RootSystem, raw, keep):
     """The entries of ``raw`` whose set passes ``keep`` and whose W-class,
     keyed by canonical form, no earlier kept entry has."""
     seen: set[frozenset[int]] = set()
-    out = []
     for params, q, witness in raw:
         fq = frozenset(q)
         if keep(r, fq):
             key = canonical_form(r, fq)
             if key not in seen:
                 seen.add(key)
-                out.append((params, fq, witness))
-    return out
+                yield params, fq, witness
 
 
 def _witness_from_ambient(r: RootSystem, ambient) -> GradingElement:
@@ -315,6 +310,89 @@ def _witness_from_ambient(r: RootSystem, ambient) -> GradingElement:
     return r.grading_element(coords)
 
 
+# A catalog row: (label, root set, parameters, claims, source, ambient
+# J-witness or None).
+_LB = {"lb": True, "fundamental": True}
+_MAXIMAL = {**_LB, "maximal": True}
+_SJ = {"symmetric": True, "j": True}
+
+
+def _a_rows(r: RootSystem, n: int, symmetric: bool):
+    """Q_p = {e_i - e_j : i <= p < j}; the symmetric list is the same sets
+    with their J-witnesses."""
+    for p in range(1, n):
+        q = roots_set(r, [_epm(i, j, 1, -1, n) for i in range(1, p + 1) for j in range(p + 1, n + 1)])
+        witness = [Fraction(n - p, n)] * p + [Fraction(-p, n)] * (n - p)
+        claims = {**_MAXIMAL, **_SJ} if symmetric else _MAXIMAL
+        yield f"Q_{p}", q, {"p": p}, claims, "classical A list", witness if symmetric else None
+
+
+def _c_rows(r: RootSystem, n: int, symmetric: bool):
+    """Q_0 = {2e_i, e_i + e_j}, symmetric with the witness e_i -> 1/2."""
+    specs = [tuple(2 if k == i else 0 for k in range(n)) for i in range(n)]
+    specs += [_epm(i, j, 1, 1, n) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    claims = {**_MAXIMAL, **_SJ} if symmetric else _MAXIMAL
+    yield "Q_0", roots_set(r, specs), {}, claims, "classical C list", [H] * n if symmetric else None
+
+
+def _bd_rows(r: RootSystem, n: int, symmetric: bool):
+    """The generated B/D candidates (plus the two half-spin sets of D), the
+    first of each W-class that is maximal (maximal symmetric)."""
+    raw = (_bd_symmetric_sets if symmetric else _bd_sets)(r, n, with_short=(r.type_tag == "B"))
+    if r.type_tag == "D":
+        # the two half-spin sets: all e_i+e_j, and its image under e_n -> -e_n
+        minus_n = [_epm(i, j, 1, 1, n) for i in range(1, n) for j in range(i + 1, n)]
+        minus_n += [_epm(i, n, 1, -1, n) for i in range(1, n)]
+        if symmetric:
+            plus_n = [_epm(i, j, 1, 1, n) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+            raw.append(({"label": "n"}, roots_set(r, plus_n), [H] * n))
+        raw.append(({"label": "-n"}, roots_set(r, minus_n), [H] * (n - 1) + [-H] if symmetric else None))
+    if symmetric:
+        prefix, keep, source = "Qs_", _is_symmetric_maximal, "classical symmetric list"
+        claims = {**_LB, **_SJ}
+    else:
+        prefix, keep, source = "Q_", _is_maximal_clique, "classical B/D list (enumeration-derived constraints)"
+        claims = _MAXIMAL
+    for params, q, witness in _first_of_each_class(r, raw, keep):
+        yield f"{prefix}{params}", q, params, claims, source, witness
+
+
+_CLASSICAL_ROWS = {"A": _a_rows, "B": _bd_rows, "C": _c_rows, "D": _bd_rows}
+
+_G2_SHORT = [(1, 0, -1), (2, -1, -1)]
+_F4_HALF = [(H, H, H, H), (H, H, H, -H)]
+_F4_PAIRS = [_epm(i, j, 1, 1, 4) for i in range(1, 4) for j in range(i + 1, 4)] + [_epm(1, 4, 1, s, 4) for s in (1, -1)]
+_F4_CROSS = [_epm(i, j, 1, s, 4) for i, j in ((1, 3), (2, 4)) for s in (1, -1)]
+
+# The printed G2 and F4 lists: (type, which) -> rows with the root set given
+# by its root vectors and no parameters.
+_PRINTED_ROWS = {
+    ("G2", "all"): [
+        ("Q4_1", _G2_SHORT + [(1, -2, 1)], {**_MAXIMAL, "symmetric": True}, "G2 proposition", None),
+        ("Q4_2", _G2_SHORT + [(1, 1, -2)], {**_MAXIMAL, "symmetric": False}, "G2 proposition", None),
+    ],
+    ("G2", "symmetric"): [
+        ("Q4_1", _G2_SHORT + [(1, -2, 1)], {**_LB, "symmetric": True, "weak_j": False},
+         "G2 proposition (maximal symmetric; weak-J fails)", None),
+        ("Q4_0", _G2_SHORT, {**_LB, **_SJ, "weak_j": True}, "G2 proposition item (3)", None),
+    ],
+    ("F4", "all"): [
+        (label, specs + _F4_HALF, _MAXIMAL, "F4 proposition (five maximal classes)", None)
+        for label, specs in (
+            ("Q4_{1,4}", [_e(1, 4)] + [_epm(i, j, 1, 1, 4) for i in range(1, 5) for j in range(i + 1, 5)]),
+            ("Q4_{1,3,4}", [_e(1, 4)] + _F4_PAIRS),
+            ("Q4_{2,3,4}", [_e(2, 4)] + _F4_PAIRS),
+            ("Q4_{1,2,3,4}", [_e(1, 4), _epm(1, 2, 1, 1, 4)] + _F4_CROSS),
+            ("Q4_{1,1,4}", [_e(1, 4)] + [_epm(1, j, 1, s, 4) for j in (2, 3, 4) for s in (1, -1)]),
+        )
+    ],
+    ("F4", "symmetric"): [
+        ("Q4'_{1,2,3,4}", [_e(1, 4)] + _F4_HALF + _F4_CROSS, {**_LB, **_SJ, "weak_j": True},
+         "F4 symmetric proposition (unique maximal symmetric class)", [1, 1, 0, 0]),
+    ],
+}
+
+
 def catalog(type_tag: str, rank: int | None = None, which: str = "all") -> list[CatalogEntry]:
     """Materialized catalog lists as explicit root sets, re-verified on
     construction (CatalogClaimFailed on any failed claim).
@@ -322,138 +400,23 @@ def catalog(type_tag: str, rank: int | None = None, which: str = "all") -> list[
     which = 'all' gives the maximal elements of Q(R); 'symmetric' the maximal
     elements of Q_s(R) together with their exact J-witnesses.
     """
-    entries: list[CatalogEntry] = []
-    if type_tag == "A":
-        n = rank
-        r = build_root_system("A", n)
-        for p in range(1, n):
-            specs = [_epm(i, j, 1, -1, n) for i in range(1, p + 1) for j in range(p + 1, n + 1)]
-            q = roots_set(r, specs)
-            label = f"Q_{p}"
-            claims = {"lb": True, "fundamental": True, "maximal": True}
-            witness = None
-            if which == "symmetric":
-                claims.update({"symmetric": True, "j": True})
-                witness = _witness_from_ambient(
-                    r,
-                    [Fraction(n - p, n)] * p + [Fraction(-p, n)] * (n - p),
-                )
-            entry = CatalogEntry(label, sorted_indices(q), {"p": p}, claims, "classical A list")
-            _verify_entry(r, entry, witness)
-            entries.append(entry)
-        return entries
-    if type_tag == "C":
-        n = rank
-        r = build_root_system("C", n)
-        specs = [tuple(2 if k == i else 0 for k in range(n)) for i in range(n)]
-        specs += [_epm(i, j, 1, 1, n) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        q = roots_set(r, specs)
-        claims = {"lb": True, "fundamental": True, "maximal": True}
-        witness = None
-        if which == "symmetric":
-            claims.update({"symmetric": True, "j": True})
-            witness = _witness_from_ambient(r, [H] * n)
-        entry = CatalogEntry("Q_0", sorted_indices(q), {}, claims, "classical C list")
-        _verify_entry(r, entry, witness)
-        return [entry]
-    if type_tag in ("B", "D"):
-        n = rank
-        r = build_root_system(type_tag, n)
-        symmetric = which == "symmetric"
-        raw = (_bd_symmetric_sets if symmetric else _bd_sets)(r, n, with_short=(type_tag == "B"))
-        if type_tag == "D":
-            # the two half-spin sets: all e_i+e_j, and its image under e_n -> -e_n
-            minus_n = [_epm(i, j, 1, 1, n) for i in range(1, n) for j in range(i + 1, n)]
-            minus_n += [_epm(i, n, 1, -1, n) for i in range(1, n)]
-            if symmetric:
-                plus_n = [_epm(i, j, 1, 1, n) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-                raw.append(({"label": "n"}, roots_set(r, plus_n), [H] * n))
-            raw.append(({"label": "-n"}, roots_set(r, minus_n), [H] * (n - 1) + [-H] if symmetric else None))
-        if symmetric:
-            prefix, keep, source = "Qs_", _is_symmetric_maximal, "classical symmetric list"
-            claims = {"lb": True, "fundamental": True, "symmetric": True, "j": True}
-        else:
-            prefix, keep, source = "Q_", _is_maximal_clique, "classical B/D list (enumeration-derived constraints)"
-            claims = {"lb": True, "fundamental": True, "maximal": True}
-        for params, q, witness in _first_of_each_class(r, raw, keep):
-            entry = CatalogEntry(f"{prefix}{params}", sorted_indices(q), params, dict(claims), source)
-            _verify_entry(r, entry, None if witness is None else _witness_from_ambient(r, witness))
-            entries.append(entry)
-        return entries
-    if type_tag == "G2":
-        r = build_root_system("G2")
-        q41 = roots_set(r, [(1, 0, -1), (2, -1, -1), (1, -2, 1)])
-        q42 = roots_set(r, [(1, 0, -1), (2, -1, -1), (1, 1, -2)])
-        q40 = roots_set(r, [(1, 0, -1), (2, -1, -1)])
-        if which == "all":
-            for label, q, sym in (("Q4_1", q41, True), ("Q4_2", q42, False)):
-                entry = CatalogEntry(
-                    label,
-                    sorted_indices(q),
-                    {},
-                    {"lb": True, "fundamental": True, "maximal": True, "symmetric": sym},
-                    "G2 proposition",
-                )
-                _verify_entry(r, entry)
-                entries.append(entry)
-            return entries
-        entry = CatalogEntry(
-            "Q4_1",
-            sorted_indices(q41),
-            {},
-            {"lb": True, "fundamental": True, "symmetric": True, "weak_j": False},
-            "G2 proposition (maximal symmetric; weak-J fails)",
-        )
-        _verify_entry(r, entry)
-        w_entry = CatalogEntry(
-            "Q4_0",
-            sorted_indices(q40),
-            {},
-            {"lb": True, "fundamental": True, "symmetric": True, "weak_j": True, "j": True},
-            "G2 proposition item (3)",
-        )
-        _verify_entry(r, w_entry)
-        return [entry, w_entry]
-    if type_tag == "F4":
-        r = build_root_system("F4")
-        b0 = (H, H, H, H)
-        b4 = (H, H, H, -H)
-        base = {
-            "Q4_{1,4}": [_e(1, 4)] + [_epm(i, j, 1, 1, 4) for i in range(1, 5) for j in range(i + 1, 5)],
-            "Q4_{1,3,4}": [_e(1, 4)]
-            + [_epm(i, j, 1, 1, 4) for i in range(1, 4) for j in range(i + 1, 4)]
-            + [_epm(1, 4, 1, 1, 4), _epm(1, 4, 1, -1, 4)],
-            "Q4_{2,3,4}": [_e(2, 4)]
-            + [_epm(i, j, 1, 1, 4) for i in range(1, 4) for j in range(i + 1, 4)]
-            + [_epm(1, 4, 1, 1, 4), _epm(1, 4, 1, -1, 4)],
-            "Q4_{1,2,3,4}": [_e(1, 4), _epm(1, 2, 1, 1, 4), _epm(1, 3, 1, 1, 4), _epm(1, 3, 1, -1, 4), _epm(2, 4, 1, 1, 4), _epm(2, 4, 1, -1, 4)],
-            "Q4_{1,1,4}": [_e(1, 4)] + [_epm(1, j, 1, s, 4) for j in (2, 3, 4) for s in (1, -1)],
-        }
-        if which == "all":
-            for label, specs in base.items():
-                q = roots_set(r, list(specs) + [b0, b4])
-                entry = CatalogEntry(
-                    label,
-                    sorted_indices(q),
-                    {},
-                    {"lb": True, "fundamental": True, "maximal": True},
-                    "F4 proposition (five maximal classes)",
-                )
-                _verify_entry(r, entry)
-                entries.append(entry)
-            return entries
-        specs = [_e(1, 4), b0, b4, _epm(1, 3, 1, 1, 4), _epm(1, 3, 1, -1, 4), _epm(2, 4, 1, 1, 4), _epm(2, 4, 1, -1, 4)]
-        q = roots_set(r, specs)
-        entry = CatalogEntry(
-            "Q4'_{1,2,3,4}",
-            sorted_indices(q),
-            {},
-            {"lb": True, "fundamental": True, "symmetric": True, "weak_j": True, "j": True},
-            "F4 symmetric proposition (unique maximal symmetric class)",
-        )
-        _verify_entry(r, entry, _witness_from_ambient(r, [1, 1, 0, 0]))
-        return [entry]
-    raise ValueError(f"no catalog for type {type_tag}")
+    if which not in ("all", "symmetric"):
+        raise ValueError(f"which must be 'all' or 'symmetric', got {which!r}")
+    if type_tag in _CLASSICAL_ROWS:
+        r = build_root_system(type_tag, rank)
+        rows = _CLASSICAL_ROWS[type_tag](r, rank, which == "symmetric")
+    elif (type_tag, which) in _PRINTED_ROWS:
+        r = build_root_system(type_tag)
+        rows = ((label, roots_set(r, specs), {}, claims, source, witness)
+                for label, specs, claims, source, witness in _PRINTED_ROWS[type_tag, which])
+    else:
+        raise ValueError(f"no catalog for type {type_tag}")
+    entries = []
+    for label, q, params, claims, source, witness in rows:
+        entry = CatalogEntry(label, sorted_indices(q), params, dict(claims), source)
+        _verify_entry(r, entry, None if witness is None else _witness_from_ambient(r, witness))
+        entries.append(entry)
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -734,12 +697,7 @@ def q_prime_p(p: int) -> tuple[int, ...]:
 def orbit_lemma_expected(pair):
     """Expected two-orbit decomposition of S^l_i for (6,1) and (7,3): the
     level sets alpha(E_{l,i}) = +-1."""
-    table = grading_table(*pair)
-    plus, minus = set(), set()
-    for idx in table.s_part:
-        val = evaluate_int(table.system.roots[idx], table.e)
-        (plus if val == 1 else minus).add(idx)
-    return frozenset(plus), frozenset(minus)
+    return grading_level_set(*pair, 1), grading_level_set(*pair, -1)
 
 
 def printed_orbit_61():

@@ -1,11 +1,12 @@
-"""Command-line surface: enumerate, check, verify-paper and cralg commands
-with machine-readable, byte-deterministic output.
+"""Command-line surface: enumerate, check, verify-paper, realform and cralg
+commands with machine-readable, byte-deterministic output.  Every command
+takes --format and --verbose.
 
 Exit codes: 0 success, 1 bad arguments / parse or validation failure,
 2 budget exceeded (partial results are still printed, flagged
-non-exhaustive).  verify-paper exits 1 only when a claim fails that is not
-on the known-discrepancy list.  A budget must be a positive integer, whether
-it comes from --budget or from FLAGCR_BUDGET.
+non-exhaustive, and stderr names the stop).  verify-paper exits 1 only when
+a claim fails that is not on the known-discrepancy list.  A budget must be a
+positive integer, whether it comes from --budget or from FLAGCR_BUDGET.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ def _budget(args) -> int:
     """--budget, else FLAGCR_BUDGET, else the default; anything but a positive
     integer is a usage error (exit 1) naming where it came from."""
     env = os.environ.get("FLAGCR_BUDGET")
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         source, text = "--budget", args.budget
     elif env:
         source, text = "FLAGCR_BUDGET", env
@@ -46,7 +47,7 @@ def _digest(payload) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _emit(args, command, inputs, results, exhaustive=True, started=None):
+def _emit(args, command, inputs, results, exhaustive=True):
     report = {
         "command": command,
         "inputs": inputs,
@@ -54,9 +55,9 @@ def _emit(args, command, inputs, results, exhaustive=True, started=None):
         "exhaustive": exhaustive,
         "results": results,
     }
-    if getattr(args, "verbose", False) and started is not None:
-        report["timing_s"] = round(time.perf_counter() - started, 3)
-    if getattr(args, "format", "json") == "table":
+    if args.verbose:
+        report["timing_s"] = round(time.perf_counter() - args.started, 3)
+    if args.format == "table":
         _print_table(results)
     else:
         print(json.dumps(report, sort_keys=True, indent=2))
@@ -100,8 +101,17 @@ class SystemExit2(SystemExit):
         super().__init__(code)
 
 
+def _read_rootset(path):
+    """The root system and root set of a root-set file; an unreadable or
+    malformed file is a usage error (exit 1)."""
+    try:
+        with open(path) as f:
+            return rootsys.rootset_from_json(f.read())
+    except (OSError, ValueError, KeyError) as e:
+        raise SystemExit2(f"cannot parse root-set file: {e}", 1)
+
+
 def cmd_enumerate(args) -> int:
-    started = time.perf_counter()
     try:
         rs = _system_for(args)
     except rootsys.InvalidRank as e:
@@ -111,33 +121,23 @@ def cmd_enumerate(args) -> int:
     try:
         classes = classify.enumerate_maximal(rs, args.quotient, budget)
     except BudgetExceeded as e:
+        print(f"error: {e}", file=sys.stderr)
         classes = e.partial
         exhaustive = False
+    inputs = {"type": args.type, "rank": args.rank, "quotient": args.quotient, "budget": budget}
     results = [c.to_jsonable(rs) for c in classes]
-    _emit(
-        args,
-        "enumerate",
-        {"type": args.type, "rank": args.rank, "quotient": args.quotient, "budget": budget},
-        {"classes": results, "count": len(results)} if args.format == "json" else results,
-        exhaustive,
-        started,
-    )
+    payload = {"classes": results, "count": len(results)} if args.format == "json" else results
+    _emit(args, "enumerate", inputs, payload, exhaustive)
     return 0 if exhaustive else 2
 
 
 def cmd_check(args) -> int:
-    started = time.perf_counter()
-    try:
-        with open(args.roots) as f:
-            text = f.read()
-        rs, q = rootsys.rootset_from_json(text)
-    except (OSError, ValueError, KeyError) as e:
-        raise SystemExit2(f"cannot parse root-set file: {e}", 1)
+    rs, q = _read_rootset(args.roots)
     rep = qsets.property_report(rs, q)
     payload = rep.to_jsonable()
     payload["status"] = "ok" if rep.is_lb and rep.is_fundamental else "not_fundamental"
     payload["roots"] = [list(rs.roots[i]) for i in sorted(q)]
-    _emit(args, "check", {"file": args.roots, "type": rs.type_tag}, payload, True, started)
+    _emit(args, "check", {"file": args.roots, "type": rs.type_tag}, payload)
     return 0
 
 
@@ -312,9 +312,8 @@ def _verify_e8():
         q = classify.e8_example_set(ex)
         rep = qsets.property_report(e8, q)
         got = (rep.symmetric, rep.weak_j, rep.j_property)
-        known = {"4": "e8-example-4", "6": "e8-example-6"}.get(ex["label"])
         detail = f"size {len(q)}, got {got}"
-        if known:
+        if ex["label"] in ("4", "6"):
             detail += " (printed data repaired; see discrepancy list)"
         rows.append(_row(f"E8 example ({ex['label']}) membership pattern", got == ex["pattern"], detail))
         if ex["mod4_witness"] is not None and got == ex["pattern"]:
@@ -324,15 +323,10 @@ def _verify_e8():
 
             ok = all(evaluate_int(e8.roots[i], ge) % 4 == 1 for i in q)
             rows.append(_row(f"E8 example ({ex['label']}) printed mod-4 witness", ok))
-    for label, known in (("4", "e8-example-4"), ("6", "e8-example-6")):
-        rows.append(
-            _row(
-                f"E8 example ({label}) printed data is consistent",
-                False,
-                next(d["status"] for d in KNOWN_DISCREPANCIES if d["id"] == f"e8-example-{label}"),
-                known_id=known,
-            )
-        )
+    for label in ("4", "6"):
+        known = f"e8-example-{label}"
+        status = next(d["status"] for d in KNOWN_DISCREPANCIES if d["id"] == known)
+        rows.append(_row(f"E8 example ({label}) printed data is consistent", False, status, known_id=known))
     for p in range(1, 9):
         q = classify.q_prime_p(p)
         got = qsets.is_symmetric(e8, q)[0]
@@ -357,7 +351,6 @@ def _verify_e8():
 
 
 def cmd_verify_paper(args) -> int:
-    started = time.perf_counter()
     budget = _budget(args)
     section = args.section
     sections = {
@@ -387,21 +380,16 @@ def cmd_verify_paper(args) -> int:
         "known_discrepancies": sum(1 for r in rows if r["status"] == "known-discrepancy"),
     }
     if args.format == "json":
-        _emit(args, "verify-paper", {"section": section}, {"rows": rows, "summary": summary}, exhaustive, started)
+        _emit(args, "verify-paper", {"section": section}, {"rows": rows, "summary": summary}, exhaustive)
     else:
         print(json.dumps(summary, sort_keys=True))
     return 1 if summary["fail"] else 0 if exhaustive else 2
 
 
 def cmd_realform(args) -> int:
-    started = time.perf_counter()
     from . import realform as rf
 
-    try:
-        with open(args.roots) as f:
-            rs, q = rootsys.rootset_from_json(f.read())
-    except (OSError, ValueError, KeyError) as e:
-        raise SystemExit2(f"cannot parse root-set file: {e}", 1)
+    rs, q = _read_rootset(args.roots)
     spec = args.conjugation
     if spec == "compact":
         sigma = rf.compact_conjugation(rs)
@@ -434,7 +422,7 @@ def cmd_realform(args) -> int:
                     "checks": ad["checks"],
                     "ok": ad["ok"],
                 }
-    _emit(args, "realform", {"file": args.roots, "conjugation": spec, "op": args.op}, out, True, started)
+    _emit(args, "realform", {"file": args.roots, "conjugation": spec, "op": args.op}, out)
     return 0
 
 
@@ -460,7 +448,6 @@ def _xi(text, n):
 
 
 def cmd_cralg(args) -> int:
-    started = time.perf_counter()
     from . import cralg as ca
     from .presets import get_preset
 
@@ -540,7 +527,7 @@ def cmd_cralg(args) -> int:
             "q_prime_dim_c": rep["q_prime"].rank(),
             "item5": rep["item5"],
         }
-    _emit(args, "cralg", {"preset": args.preset, "op": args.op}, out, True, started)
+    _emit(args, "cralg", {"preset": args.preset, "op": args.op}, out)
     return 0
 
 
@@ -555,49 +542,43 @@ class _Parser(argparse.ArgumentParser):
 def main(argv=None) -> int:
     parser = _Parser(prog="flagcr", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=["json", "table"], default="json")
+    common.add_argument("--verbose", action="store_true")
 
-    p = sub.add_parser("enumerate", help="maximal classes of Q(R) up to the chosen quotient")
+    p = sub.add_parser("enumerate", parents=[common], help="maximal classes of Q(R) up to the chosen quotient")
     p.add_argument("--type", required=True, choices=list(rootsys.TYPES))
     p.add_argument("--rank", type=int)
     p.add_argument("--quotient", choices=["weyl", "aut"], default="weyl")
     p.add_argument("--budget", type=int)
-    p.add_argument("--format", choices=["json", "table"], default="json")
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=cmd_enumerate)
 
-    p = sub.add_parser("check", help="full property report for a root-set file")
+    p = sub.add_parser("check", parents=[common], help="full property report for a root-set file")
     p.add_argument("--roots", required=True)
-    p.add_argument("--format", choices=["json", "table"], default="json")
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("verify-paper", help="itemized verification of the catalog claims")
+    p = sub.add_parser("verify-paper", parents=[common], help="itemized verification of the catalog claims")
     p.add_argument("--section", default="all", choices=["6", "7", "gradings", "e8-examples", "all"])
     p.add_argument("--budget", type=int)
-    p.add_argument("--format", choices=["json", "table"], default="json")
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=cmd_verify_paper)
 
-    p = sub.add_parser("realform", help="real-form compatibility checks for a closed root set")
+    p = sub.add_parser("realform", parents=[common], help="real-form compatibility checks for a closed root set")
     p.add_argument("--roots", required=True)
     p.add_argument("--conjugation", required=True, help="compact | a-reverse[:m=K]")
     p.add_argument("--op", default="lemma", choices=["lemma", "adapted"])
-    p.add_argument("--format", choices=["json", "table"], default="json")
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=cmd_realform)
 
-    p = sub.add_parser("cralg", help="structure-constants CR algebra computations")
+    p = sub.add_parser("cralg", parents=[common], help="structure-constants CR algebra computations")
     p.add_argument("--preset")
     p.add_argument("--file")
     p.add_argument("--q")
     p.add_argument("--op", required=True, choices=["predicates", "levi", "fibration", "anticanonical"])
     p.add_argument("--ideal")
     p.add_argument("--xi")
-    p.add_argument("--format", choices=["json", "table"], default="json")
-    p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=cmd_cralg)
 
     args = parser.parse_args(argv)
+    args.started = time.perf_counter()
     try:
         code = args.fn(args)
         sys.stdout.flush()

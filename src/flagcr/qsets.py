@@ -66,15 +66,11 @@ def compatible(r: RootSystem, i: int, j: int) -> bool:
     return root_sum(r, i, j) is None
 
 
-def compat_graph(r: RootSystem, constraint=None) -> dict[int, set[int]]:
-    """Adjacency over the given roots (all roots when constraint is None);
-    lb-sets are exactly the cliques."""
-    verts = sorted(constraint) if constraint is not None else range(r.nroots)
-    verts = list(verts)
-    adj: dict[int, set[int]] = {v: set() for v in verts}
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            i, j = verts[a], verts[b]
+def compat_graph(r: RootSystem) -> dict[int, set[int]]:
+    """Adjacency over all roots; lb-sets are exactly the cliques."""
+    adj: dict[int, set[int]] = {v: set() for v in range(r.nroots)}
+    for i in range(r.nroots):
+        for j in range(i + 1, r.nroots):
             if compatible(r, i, j):
                 adj[i].add(j)
                 adj[j].add(i)

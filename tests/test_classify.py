@@ -1,9 +1,14 @@
+import contextlib
+import io
 import itertools
+import json
+import os
 from fractions import Fraction
 
 import pytest
 
 from flagcr import qsets
+from flagcr.cli import main
 from flagcr.classify import (
     XI,
     AnchorViolation,
@@ -30,7 +35,7 @@ from flagcr.classify import (
 )
 from flagcr.qsets import compat_graph, is_fundamental, is_lb
 from flagcr.rootsys import build_root_system, evaluate_int, find_root, root_sum, roots_set
-from flagcr.weyl import OrbitBudgetExceeded, canonical_form, reflection_perm, root_orbit, sets_equivalent
+from flagcr.weyl import canonical_form, reflection_perm, root_orbit, sets_equivalent
 
 H = Fraction(1, 2)
 
@@ -87,20 +92,6 @@ def test_enumerate_budget():
     assert isinstance(e.value.__cause__, BudgetExceeded)
 
 
-def test_enumerate_budget_in_orbit_stage():
-    # restricted to two F4 classes (orbits of 96 and 576 sets) the clique
-    # search fits in 200 nodes, the second orbit walk does not
-    f4 = build_root_system("F4")
-    classes = enumerate_maximal(f4)
-    small = next(c.canonical for c in classes if c.orbit_size == 96)
-    big = next(c.canonical for c in classes if c.orbit_size == 576)
-    with pytest.raises(BudgetExceeded) as e:
-        enumerate_maximal(f4, budget=200, constraint=set(small) | set(big))
-    assert isinstance(e.value.__cause__, OrbitBudgetExceeded)
-    assert str(e.value).startswith("orbit dedup: ")
-    assert [(c.canonical, c.orbit_size) for c in e.value.partial] == [(small, 96)]
-
-
 @pytest.mark.parametrize(
     "tag,n,quotient",
     [("A", n, "weyl") for n in (4, 5, 6)]
@@ -117,20 +108,28 @@ def test_enumerate_classes_cover_the_fundamental_cliques(tag, n, quotient):
     classes = enumerate_maximal(rs, quotient)
     assert sum(c.orbit_size for c in classes) == len(fundamental)
     assert all(c.report.is_fundamental and is_fundamental(rs, c.canonical) for c in classes)
+    # the representative is the least member of its orbit
+    assert all(frozenset(c.canonical) == canonical_form(rs, c.canonical, quotient) for c in classes)
 
 
-@pytest.mark.parametrize("tag,n", [("B", 3), ("G2", None)])
-def test_enumerate_under_constraint_keeps_only_fundamental_classes(tag, n):
-    # without one root, some maximal cliques are not fundamental; the classes
-    # are the canonical forms of exactly the fundamental ones
-    rs = build_root_system(tag, n)
-    constraint = set(range(1, rs.nroots))
-    cliques = maximal_cliques(compat_graph(rs, constraint))
-    fundamental = [c for c in cliques if is_fundamental(rs, c)]
-    assert 0 < len(fundamental) < len(cliques)
-    classes = enumerate_maximal(rs, constraint=constraint)
-    assert {frozenset(c.canonical) for c in classes} == {canonical_form(rs, c) for c in fundamental}
-    assert all(c.report.is_fundamental for c in classes)
+@pytest.mark.parametrize("tag,n", [("F4", None), ("D", 5)])
+def test_enumerate_finishes_at_the_least_clique_budget(enumerated, tag, n):
+    # an orbit has no more sets than there are maximal cliques, so at the
+    # least budget the clique search finishes in, the orbit walks finish too
+    rs, classes = enumerated(tag, n, "weyl")
+    adj = compat_graph(rs)
+    lo, hi = 1, 2_000_000
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            maximal_cliques(adj, mid)
+            hi = mid
+        except BudgetExceeded:
+            lo = mid + 1
+    with pytest.raises(BudgetExceeded):
+        maximal_cliques(adj, lo - 1)
+    got = enumerate_maximal(rs, budget=lo)
+    assert [(c.canonical, c.orbit_size) for c in got] == [(c.canonical, c.orbit_size) for c in classes]
 
 
 def test_e6_aut_classes_are_unions_of_weyl_classes(enumerated):
@@ -220,6 +219,20 @@ CATALOG_PARAMETERS = {
 @pytest.mark.parametrize("tag,which", list(CATALOG_PARAMETERS), ids=[f"{t}4-{w}" for t, w in CATALOG_PARAMETERS])
 def test_catalog_b_d_keeps_first_of_each_class(tag, which):
     assert [e.parameters for e in catalog(tag, 4, which)] == CATALOG_PARAMETERS[tag, which]
+
+
+# every entry of every catalog: label, root indices, parameters, claims and
+# source, keyed "<type><rank>-<which>"
+with open(os.path.join(os.path.dirname(__file__), "catalog_entries.json")) as f:
+    CATALOG_ENTRIES = json.load(f)
+
+
+@pytest.mark.parametrize("key", list(CATALOG_ENTRIES))
+def test_catalog_entries_as_recorded(key):
+    tag, which = key.split("-")
+    type_tag, rank = (tag, None) if tag in ("G2", "F4") else (tag[0], int(tag[1:]))
+    got = [[e.label, list(e.indices), e.parameters, e.claims, e.source] for e in catalog(type_tag, rank, which)]
+    assert json.loads(json.dumps(got)) == CATALOG_ENTRIES[key]
 
 
 def test_catalog_g2_f4():
@@ -496,3 +509,10 @@ def test_known_discrepancies_listed():
 
     ids = {d["id"] for d in KNOWN_DISCREPANCIES}
     assert {"f4-count", "classical-collapse", "f4-collapse", "e8-example-4", "e8-example-6"} <= ids
+    # verify-paper reports exactly the listed discrepancies, each by its id
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify-paper", "--section", "all"]) == 0
+    text = out.getvalue()
+    rows = json.loads(text[text.index("\n{") :])["results"]["rows"]
+    assert {r["discrepancy_id"] for r in rows if "discrepancy_id" in r} == ids

@@ -376,3 +376,101 @@ def test_closed_stdout_exits_1_without_traceback(argv):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+NO_TRACEBACK_FILES = {
+    "g2.json": rootsys.rootset_to_json(rootsys.build_root_system("G2"), []),
+    "a3.json": rootsys.rootset_to_json(rootsys.build_root_system("A", 4), []),
+    "garbled.json": "{broken",
+    "empty.json": "",
+    "binary.json": b"\xff\xfe{",
+    "nonroot.json": '{"type": "A", "rank": 2, "roots": [[9, 9, 9]]}',
+    "q.json": X_PLUS_IY,
+    "heisenberg.json": _heisenberg_json(),
+    "div0.json": _heisenberg_json(_set(["c", 0, 3], "1/0")),
+    "nan.json": _heisenberg_json(_set(["c", 0, 3], "NaN")),
+    "ieqj.json": _heisenberg_json(_set(["c", 0, 1], 0)),
+    "conj2.json": _heisenberg_json(_set(["conj", 0, 0], ["2", "0"])),
+}
+
+# (id, argv with {d} the directory of NO_TRACEBACK_FILES, FLAGCR_BUDGET, exit code)
+NO_TRACEBACK = [
+    ("enumerate no rank", ["enumerate", "--type", "A"], None, 1),
+    ("enumerate rank 0", ["enumerate", "--type", "A", "--rank", "0"], None, 1),
+    ("enumerate rank too small", ["enumerate", "--type", "D", "--rank", "2"], None, 1),
+    ("enumerate negative rank", ["enumerate", "--type", "B", "--rank", "-1"], None, 1),
+    ("enumerate rank not an integer", ["enumerate", "--type", "A", "--rank", "x"], None, 1),
+    ("enumerate fixed rank", ["enumerate", "--type", "E6", "--rank", "7"], None, 1),
+    ("enumerate unknown type", ["enumerate", "--type", "H8"], None, 1),
+    ("enumerate no type", ["enumerate"], None, 1),
+    ("enumerate unknown quotient", ["enumerate", "--type", "G2", "--quotient", "w"], None, 1),
+    ("enumerate budget 0", ["enumerate", "--type", "G2", "--budget", "0"], None, 1),
+    ("enumerate budget negative", ["enumerate", "--type", "G2", "--budget", "-1"], None, 1),
+    ("enumerate budget fractional", ["enumerate", "--type", "G2", "--budget", "1.5"], None, 1),
+    ("enumerate env budget text", ["enumerate", "--type", "G2"], "abc", 1),
+    ("enumerate env budget 0", ["enumerate", "--type", "G2"], "0", 1),
+    ("enumerate env budget exponent", ["enumerate", "--type", "G2"], "1e3", 1),
+    ("enumerate budget stop", ["enumerate", "--type", "F4", "--budget", "10"], None, 2),
+    ("check no roots", ["check"], None, 1),
+    ("check missing file", ["check", "--roots", "{d}/missing.json"], None, 1),
+    ("check directory", ["check", "--roots", "{d}"], None, 1),
+    ("check garbled file", ["check", "--roots", "{d}/garbled.json"], None, 1),
+    ("check empty file", ["check", "--roots", "{d}/empty.json"], None, 1),
+    ("check non-UTF-8 file", ["check", "--roots", "{d}/binary.json"], None, 1),
+    ("check non-root", ["check", "--roots", "{d}/nonroot.json"], None, 1),
+    ("check budget option", ["check", "--roots", "{d}/g2.json", "--budget", "5"], None, 1),
+    ("realform missing file", ["realform", "--roots", "{d}/missing.json", "--conjugation", "compact"], None, 1),
+    ("realform garbled file", ["realform", "--roots", "{d}/garbled.json", "--conjugation", "compact"], None, 1),
+    ("realform non-root", ["realform", "--roots", "{d}/nonroot.json", "--conjugation", "compact"], None, 1),
+    ("realform no conjugation", ["realform", "--roots", "{d}/g2.json"], None, 1),
+    ("realform unknown conjugation", ["realform", "--roots", "{d}/g2.json", "--conjugation", "split"], None, 1),
+    ("realform a-reverse on G2", ["realform", "--roots", "{d}/g2.json", "--conjugation", "a-reverse"], None, 1),
+    ("realform a-reverse m mismatch", ["realform", "--roots", "{d}/a3.json", "--conjugation", "a-reverse:m=3"], None, 1),
+    ("realform a-reverse m=0", ["realform", "--roots", "{d}/a3.json", "--conjugation", "a-reverse:m=0"], None, 1),
+    ("realform a-reverse empty m", ["realform", "--roots", "{d}/a3.json", "--conjugation", "a-reverse:m="], None, 1),
+    ("realform unknown op", ["realform", "--roots", "{d}/a3.json", "--conjugation", "compact", "--op", "x"], None, 1),
+    ("verify-paper unknown section", ["verify-paper", "--section", "9"], None, 1),
+    ("verify-paper budget 0", ["verify-paper", "--section", "7", "--budget", "0"], None, 1),
+    ("verify-paper env budget negative", ["verify-paper", "--section", "7"], "-3", 1),
+    ("verify-paper budget stop", ["verify-paper", "--section", "7", "--budget", "5"], None, 2),
+    ("cralg no op", ["cralg", "--preset", "heisenberg"], None, 1),
+    ("cralg unknown op", ["cralg", "--preset", "heisenberg", "--op", "x"], None, 1),
+    ("cralg unknown preset", ["cralg", "--preset", "sl3", "--op", "predicates"], None, 1),
+    ("cralg unknown Q spec", ["cralg", "--preset", "flag:B:2:Q40", "--op", "predicates"], None, 1),
+    ("cralg unknown G2 Q spec", ["cralg", "--preset", "flag:G2:Q43", "--op", "predicates"], None, 1),
+    ("cralg unknown ideal", ["cralg", "--preset", "heisenberg", "--op", "fibration", "--ideal", "x"], None, 1),
+    ("cralg no ideal", ["cralg", "--preset", "heisenberg", "--op", "fibration"], None, 1),
+    ("cralg center elsewhere", ["cralg", "--preset", "su2-flag", "--op", "fibration", "--ideal", "center"], None, 1),
+    ("cralg xi not JSON", ["cralg", "--preset", "heisenberg", "--op", "levi", "--xi", "abc"], None, 1),
+    ("cralg xi too long", ["cralg", "--preset", "heisenberg", "--op", "levi", "--xi", "[0,0,0,1]"], None, 1),
+    ("cralg file without q", ["cralg", "--file", "{d}/heisenberg.json", "--op", "predicates"], None, 1),
+    ("cralg q without file", ["cralg", "--q", "{d}/q.json", "--op", "predicates"], None, 1),
+    ("cralg missing file", ["cralg", "--file", "{d}/missing.json", "--q", "{d}/q.json", "--op", "levi"], None, 1),
+    ("cralg constant 1/0", ["cralg", "--file", "{d}/div0.json", "--q", "{d}/q.json", "--op", "levi"], None, 1),
+    ("cralg constant NaN", ["cralg", "--file", "{d}/nan.json", "--q", "{d}/q.json", "--op", "levi"], None, 1),
+    ("cralg i = j", ["cralg", "--file", "{d}/ieqj.json", "--q", "{d}/q.json", "--op", "levi"], None, 1),
+    ("cralg conj not involutive", ["cralg", "--file", "{d}/conj2.json", "--q", "{d}/q.json", "--op", "levi"], None, 1),
+    ("cralg q garbled", ["cralg", "--file", "{d}/heisenberg.json", "--q", "{d}/garbled.json", "--op", "levi"], None, 1),
+    ("no command", [], None, 1),
+    ("unknown command", ["classify"], None, 1),
+]
+
+
+@pytest.mark.parametrize("argv,env,want", [c[1:] for c in NO_TRACEBACK], ids=[c[0] for c in NO_TRACEBACK])
+def test_bad_input_exits_without_traceback(tmp_path, capsys, monkeypatch, argv, env, want):
+    # every subcommand turns bad input into an exit code and one error line,
+    # never into an exception
+    for name, text in NO_TRACEBACK_FILES.items():
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+    if env is None:
+        monkeypatch.delenv("FLAGCR_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("FLAGCR_BUDGET", env)
+    try:
+        code = main([a.format(d=tmp_path) for a in argv])
+    except SystemExit as e:
+        code = e.code
+    err = capsys.readouterr().err
+    assert code == want
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
