@@ -398,7 +398,10 @@ def catalog(type_tag: str, rank: int | None = None, which: str = "all") -> list[
     construction (CatalogClaimFailed on any failed claim).
 
     which = 'all' gives the maximal elements of Q(R); 'symmetric' the maximal
-    elements of Q_s(R) together with their exact J-witnesses.
+    elements of Q_s(R) together with their exact J-witnesses.  rank is that
+    of build_root_system: for type A the ambient dimension n, so
+    catalog("A", n) is about A_{n-1} = sl(n), the system that
+    `enumerate --type A --rank n-1` builds.
     """
     if which not in ("all", "symmetric"):
         raise ValueError(f"which must be 'all' or 'symmetric', got {which!r}")

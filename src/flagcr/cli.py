@@ -86,6 +86,9 @@ def _cell(v):
 
 
 def _system_for(args):
+    """The root system of --type and --rank, where --rank is the Lie rank:
+    --type A --rank n is A_n = sl(n+1), which build_root_system and
+    classify.catalog call ("A", n + 1)."""
     tag = args.type
     if tag in rootsys.FIXED_RANK:
         return build_root_system(tag, args.rank)

@@ -12,8 +12,11 @@ subspace is a CMatrix row space of g = C (x) g0.  A real subspace V of g0 is
 held as its complexification V + iV, a nu-stable complex subspace of complex
 rank dim_R V: i0 = q n g0 is q n qbar, (q + qbar) n g0 is q + qbar, g0 is all
 of g, and a real condition {v in g0 : P(v)} with P C-linear is W n nu(W) for
-W = {v in g : P(v)}.  Real vectors are read off such a space by real_points;
-g0_basis() is the one realified row space of the module.
+W = {v in g : P(v)}.  Real vectors are read off such a space by real_points.
+Every linear map (J, Upsilon, lambda, a morphism phi) is a CNum matrix on the
+presentation bases, given by rows; a map that must be real (J, phi) is
+checked to commute with nu.  g0_basis() is the one realified row space of the
+module, and only the covector --xi is written in it.
 
 Names that no CLI op reaches state a notion or claim of the paper:
 check_j_property, check_weak_j and check_cr_symmetric verify the J, weak-J
@@ -82,9 +85,16 @@ def _apply(cols, v, n):
 
 
 def _matrix_map(m, n):
-    """v -> M v for the n x n matrix M given by its rows."""
-    cols = [tuple(CNum.of(m[i][j]) for i in range(n)) for j in range(n)]
-    return lambda v: _apply(cols, v, n)
+    """v -> M v for the matrix M with n columns given by its rows."""
+    cols = [tuple(CNum.of(row[j]) for row in m) for j in range(n)]
+    return lambda v: _apply(cols, v, len(m))
+
+
+def _commutes_with_nu(src, tgt, apply, rows) -> bool:
+    """apply(nu(w)) = nu'(apply(w)) on the rows: on a basis, this is what
+    makes a C-linear map take real points to real points (both sides are
+    antilinear)."""
+    return all(apply(src.nu(w)) == tgt.nu(apply(w)) for w in rows)
 
 
 def _preserves_bracket(src, tgt, apply, basis, error):
@@ -174,7 +184,7 @@ class LieAlgebraPresentation:
     def g0_basis(self):
         """The fixed vectors of nu (a C-basis of g as well) as CNum tuples: the
         rows of the reduced echelon form of g0 in realified coordinates
-        (re_1, im_1, ..., re_n, im_n), in which --xi and J are written."""
+        (re_1, im_1, ..., re_n, im_n), in which --xi is written."""
         if self._g0_basis is None:
             real = RMatrix([realify_vector(v) for v in real_points(self, full_space(self))])
             self._g0_basis = [complexify_vector(r) for r in real.rows]
@@ -484,22 +494,14 @@ def vector_levi_form(a: CRAlgebra, z) -> tuple[CNum, ...]:
     return tuple(a.q_plus_qbar().residue(C_I * x for x in v))
 
 
-def _g0_map(src, tgt, mat):
-    """The complex-linear map from src to tgt presentation coordinates whose
-    matrix on the g0 bases is the rational matrix mat."""
-    sbasis, tbasis = src.g0_basis(), tgt.g0_basis()
-    imgs = [_apply(tbasis, [mat[i][j] for i in range(len(tbasis))], tgt.dim) for j in range(len(sbasis))]
-    # its columns on the presentation basis, one g0-coordinate solve each
-    cols = [_apply(imgs, src.g0_coords(e), tgt.dim) for e in _std_basis(src.dim)]
-    return lambda v: _apply(cols, v, tgt.dim)
-
-
-def _check_derivation(pres, jmat):
-    """jmat: rational matrix on g0-basis coordinates; returns the complex
-    map on presentation coordinates once the Leibniz rule holds.  The map and
-    the rule are C-linear, so the presentation basis serves as well as g0's."""
-    apply = _g0_map(pres, pres, jmat)
+def _check_derivation(pres, j):
+    """j: CNum matrix on the presentation basis; returns its map once it
+    commutes with nu (so it is the complexification of a map of g0) and the
+    Leibniz rule holds on every basis pair."""
+    apply = _matrix_map(j, pres.dim)
     basis = _std_basis(pres.dim)
+    if not _commutes_with_nu(pres, pres, apply, basis):
+        raise NotADerivation("the map does not commute with nu, so it is not a derivation of g0")
     imgs = [apply(b) for b in basis]
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
@@ -510,10 +512,11 @@ def _check_derivation(pres, jmat):
     return apply
 
 
-def check_j_property(a: CRAlgebra, jmat) -> bool:
-    """J(i0) in i0 and X + i J(X) in q; verified in the complexified form
-    J(q) in q, Z - i J(Z) in q n qbar on a basis of q."""
-    apply_j = _check_derivation(a.pres, jmat)
+def check_j_property(a: CRAlgebra, j) -> bool:
+    """J(i0) in i0 and X + i J(X) in q for a derivation J of g0 (CNum matrix
+    on the presentation basis); verified in the complexified form J(q) in q,
+    Z - i J(Z) in q n qbar on a basis of q."""
+    apply_j = _check_derivation(a.pres, j)
     return all(a.q.contains(apply_j(v)) for v in a.q.rows) and _shift_in_cap(a, apply_j, -C_I)
 
 
@@ -523,10 +526,11 @@ def _shift_in_cap(a: CRAlgebra, apply, c) -> bool:
     return all(cap.contains(tuple(x + c * y for x, y in zip(v, apply(v)))) for v in a.q.rows)
 
 
-def exact_exponential(pres: LieAlgebraPresentation, jmat):
-    """Upsilon = exp(pi J / 2) for a semisimple derivation with spectrum in
-    iZ: acts as i^k on the eigenspace of ik; NonExactExponential otherwise."""
-    apply_j = _check_derivation(pres, jmat)
+def exact_exponential(pres: LieAlgebraPresentation, j):
+    """Upsilon = exp(pi J / 2), as a CNum matrix on the presentation basis,
+    for a semisimple derivation J with spectrum in iZ: it acts as i^k on the
+    eigenspace of ik; NonExactExponential otherwise."""
+    apply_j = _check_derivation(pres, j)
     n = pres.dim
     # J applied once to the unit vectors, for every eigenvalue
     images = [apply_j(e) for e in _std_basis(n)]
@@ -542,23 +546,15 @@ def exact_exponential(pres: LieAlgebraPresentation, jmat):
     eigen = Factored([[r[i] for _, r in eigvecs] for i in range(n)], CNum.of)
     ipow = (C_ONE, C_I, -C_ONE, -C_I)
     cols = [tuple(ipow[k % 4] * x for x in r) for k, r in eigvecs]
-    return lambda v: _apply(cols, eigen.solve(v), n)
+    units = [_apply(cols, eigen.solve(e), n) for e in _std_basis(n)]
+    return [[u[i] for u in units] for i in range(n)]
 
 
-def _upsilon_map(pres, upsilon, jmat):
-    """Upsilon as a map: an automorphism matrix (CNum, presentation
-    coordinates), or exp(pi J/2) for a derivation J with iZ spectrum."""
-    if upsilon is not None:
-        return _matrix_map(upsilon, pres.dim)
-    if jmat is not None:
-        return exact_exponential(pres, jmat)
-    raise ValueError("need upsilon or jmat")
-
-
-def check_weak_j(a: CRAlgebra, upsilon=None, jmat=None) -> bool:
-    """Upsilon(q) = q and Z - i Upsilon(Z) in q n qbar, for Upsilon given
-    by either an automorphism matrix or a derivation (see _upsilon_map)."""
-    return _is_weak_j(a, _upsilon_map(a.pres, upsilon, jmat))
+def check_weak_j(a: CRAlgebra, upsilon) -> bool:
+    """Upsilon(q) = q and Z - i Upsilon(Z) in q n qbar, for an automorphism
+    Upsilon (CNum matrix on the presentation basis, for instance the
+    exact_exponential of a derivation)."""
+    return _is_weak_j(a, _matrix_map(upsilon, a.pres.dim))
 
 
 def _is_weak_j(a: CRAlgebra, apply_u) -> bool:
@@ -579,8 +575,8 @@ def _check_automorphism(pres, apply):
 def _preserves_real(pres, space: CMatrix, apply) -> bool:
     """A C-linear map takes the real points of a nu-stable space onto
     themselves exactly when it maps the space onto itself and commutes with
-    nu on its rows (both sides are antilinear)."""
-    return _image(space, apply, pres.dim) == space and all(apply(pres.nu(w)) == pres.nu(apply(w)) for w in space.rows)
+    nu on its rows."""
+    return _image(space, apply, pres.dim) == space and _commutes_with_nu(pres, pres, apply, space.rows)
 
 
 def _psd(matrix_rows) -> tuple[bool, list | None]:
@@ -643,9 +639,7 @@ def check_cr_symmetric(a: CRAlgebra, lam) -> dict:
     # this is the content of the printed [Z1, Z2] in q n qbar)
     q_odd = a.q.intersect(minus)
     report["brackets_in_cap"] = cap.contains_space(bracket_spaces(pres, q_odd, q_odd))
-    report["q_splits"] = (
-        a.q.intersect(fixed).rank() + a.q.intersect(minus).rank() == a.q.rank()
-    )
+    report["q_splits"] = a.q.intersect(fixed).rank() + q_odd.rank() == a.q.rank()
     # g0 is the sum of its (+1) and (-1) parts exactly when lambda maps g0
     # onto itself (so both eigenspaces are nu-stable) and they add up to g
     report["g0_splits"] = report["preserves_g0"] and fixed.rank() + minus.rank() == n
@@ -681,13 +675,14 @@ def fibration_compatible(a: CRAlgebra, ideal: CMatrix) -> bool:
     return lhs == rhs
 
 
-def weak_j_implies_compatible(a: CRAlgebra, ideal: CMatrix, jmat=None, upsilon=None) -> bool:
+def weak_j_implies_compatible(a: CRAlgebra, ideal: CMatrix, upsilon=None) -> bool:
     """For an Upsilon-invariant ideal and a weak-J structure, the
     fibration-compatibility identity must hold; returns the verification
-    outcome of fibration_compatible after checking the hypotheses."""
+    outcome of fibration_compatible after checking the hypotheses on Upsilon
+    (a matrix as for check_weak_j), when one is given."""
     pres = a.pres
-    if upsilon is not None or jmat is not None:
-        apply_u = _upsilon_map(pres, upsilon, jmat)
+    if upsilon is not None:
+        apply_u = _matrix_map(upsilon, pres.dim)
         if not _is_weak_j(a, apply_u):
             raise PreconditionViolation("structure does not have the weak-J property")
         if not _preserves_real(pres, ideal, apply_u):
@@ -785,12 +780,16 @@ def closure_extension(a: CRAlgebra, i0_prime: CMatrix) -> CRAlgebra:
     return out
 
 
-def morphism_classify(src: CRAlgebra, tgt: CRAlgebra, phi0) -> dict:
-    """Classify a Lie algebra homomorphism phi0 (rational matrix from src g0
-    coordinates to tgt g0 coordinates) as a CR-algebras morphism."""
+def morphism_classify(src: CRAlgebra, tgt: CRAlgebra, phi) -> dict:
+    """Classify the complexification phi of a Lie algebra homomorphism
+    phi0 : g0 -> g0' (CNum matrix from the src to the tgt presentation basis,
+    commuting with the conjugations) as a CR-algebras morphism."""
     sp, tp = src.pres, tgt.pres
-    apply = _g0_map(sp, tp, phi0)
-    _preserves_bracket(sp, tp, apply, _std_basis(sp.dim), NotAHomomorphism)
+    apply = _matrix_map(phi, sp.dim)
+    basis = _std_basis(sp.dim)
+    if not _commutes_with_nu(sp, tp, apply, basis):
+        raise NotAHomomorphism("the map does not commute with the conjugations, so it does not map g0 into g0'")
+    _preserves_bracket(sp, tp, apply, basis, NotAHomomorphism)
     full = full_space(sp)
 
     def pull(space: CMatrix) -> CMatrix:

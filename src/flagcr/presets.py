@@ -115,29 +115,21 @@ class FlagPreset:
         return CRAlgebra(self.pres, self.q_subspace(q_indices))
 
     def j_derivation(self, grading_element):
-        """J = ad(-i H_E) as a rational matrix on the g0 basis."""
-        h = self.cartan_element(grading_element.ambient)
-        mih = tuple(CNum(Fraction(0), Fraction(-1)) * x for x in h)
-        basis = self.pres.g0_basis()
-        cols = []
-        for b in basis:
-            img = self.pres.bracket(mih, b)
-            c = self.pres.g0_coords(img)
-            col = []
-            for z in c:
-                if z.im != 0:
-                    raise ValueError("ad(-iH) does not preserve g0")
-                col.append(z.re)
-            cols.append(col)
-        n = len(basis)
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+        """J = ad(-i H_E): 0 on the Cartan coordinates and -i alpha(E) on
+        x_alpha (Carter, 4.1), a diagonal matrix on the presentation basis."""
+        entries = [-C_I * evaluate(v, grading_element) for v in self.system.roots]
+        return _diagonal([C_ZERO] * self.system.rank + entries)
 
     def symmetry_involution(self, grading_element):
         """lambda = Ad(exp(i pi E)): the identity on the Cartan coordinates
         and (-1)^{alpha(E)} on x_alpha, a diagonal matrix."""
-        signs = [C_ONE] * self.system.rank
-        signs += [-C_ONE if evaluate_int(v, grading_element) % 2 else C_ONE for v in self.system.roots]
-        return [[s if i == j else C_ZERO for j in range(len(signs))] for i, s in enumerate(signs)]
+        signs = [-C_ONE if evaluate_int(v, grading_element) % 2 else C_ONE for v in self.system.roots]
+        return _diagonal([C_ONE] * self.system.rank + signs)
+
+
+def _diagonal(entries):
+    """The diagonal matrix with these entries, by rows."""
+    return [[d if i == j else C_ZERO for j in range(len(entries))] for i, d in enumerate(entries)]
 
 
 def _chevalley_preset(r: RootSystem) -> FlagPreset:

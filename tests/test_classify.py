@@ -4,11 +4,12 @@ import itertools
 import json
 import os
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from flagcr import qsets
-from flagcr.cli import main
+from flagcr.cli import _system_for, main
 from flagcr.classify import (
     XI,
     AnchorViolation,
@@ -180,6 +181,9 @@ def test_all_cliques_small():
 def test_catalog_a_and_c():
     entries = catalog("A", 4, "all")
     assert [e.parameters["p"] for e in entries] == [1, 2, 3]
+    # catalog("A", n) takes the ambient dimension n, so A4 here is A_3, the
+    # system of enumerate --type A --rank 3
+    assert _system_for(SimpleNamespace(type="A", rank=3)).roots == build_root_system("A", 4).roots
     sym = catalog("A", 4, "symmetric")
     assert len(sym) == 3
     c = catalog("C", 3, "symmetric")

@@ -9,6 +9,7 @@ from flagcr.cralg import (
     CRAlgebra,
     LieAlgebraPresentation,
     NotADerivation,
+    NotAHomomorphism,
     NotAnAutomorphism,
     NotAnIdeal,
     NotCharacteristic,
@@ -21,6 +22,7 @@ from flagcr.cralg import (
     closure_extension,
     cr_dim_codim,
     cspan,
+    exact_exponential,
     fibration_compatible,
     ideal_closure,
     induced_base_fiber,
@@ -299,8 +301,8 @@ def test_j_and_weak_j_on_flags():
     assert ok
     jm = fg.j_derivation(e)
     assert check_j_property(a40, jm)
-    assert check_weak_j(a40, jmat=jm)
-    n = len(fg.pres.g0_basis())
+    assert check_weak_j(a40, exact_exponential(fg.pres, jm))
+    n = fg.pres.dim
     zero = [[0] * n for _ in range(n)]
     assert not check_j_property(a40, zero)
     with pytest.raises(NotADerivation):
@@ -313,7 +315,7 @@ def test_weak_j_identity_fails_on_positive_cr_dim():
     h = heisenberg()
     n = h.pres.dim
     iden = [[C_ONE if i == j else C_ZERO for j in range(n)] for i in range(n)]
-    assert check_weak_j(h, upsilon=iden) is False
+    assert check_weak_j(h, iden) is False
 
 
 def test_weak_j_via_mod4_witness():
@@ -324,7 +326,7 @@ def test_weak_j_via_mod4_witness():
     ok, e4 = qsets.has_weak_j(g2, frozenset(q40))
     assert ok
     jm = fg.j_derivation(e4)
-    assert check_weak_j(a40, jmat=jm)
+    assert check_weak_j(a40, exact_exponential(fg.pres, jm))
 
 
 def test_cr_symmetric_flag():
@@ -351,7 +353,7 @@ def test_j_implies_weak_on_presets():
     h = heisenberg()
     j = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
     assert check_j_property(h, j)
-    assert check_weak_j(h, jmat=j)
+    assert check_weak_j(h, exact_exponential(h.pres, j))
 
 
 def test_anticanonical_heisenberg():
@@ -426,7 +428,7 @@ def _extension_morphism():
     q = cspan(fa.pres, [hline] + [fa.root_vec[i] for i in neg])
     a = CRAlgebra(fa.pres, q)
     t0 = cspan(fa.pres, list(fa.cartan_vec))
-    return a, closure_extension(a, t0), ident(len(fa.pres.g0_basis()))
+    return a, closure_extension(a, t0), ident(fa.pres.dim)
 
 
 def test_morphism_classify():
@@ -451,22 +453,22 @@ def test_weak_j_implies_compatible_property():
 
     rng = random.Random(12)
     h = heisenberg()
-    j = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
+    upsilon = exact_exponential(h.pres, [[0, -1, 0], [1, 0, 0], [0, 0, 0]])
     center = cspan(h.pres, [(0, 0, 1)])
-    assert check_weak_j(h, jmat=j)
-    assert weak_j_implies_compatible(h, center, jmat=j)
+    assert check_weak_j(h, upsilon)
+    assert weak_j_implies_compatible(h, center, upsilon)
     # extremes: zero ideal and the full algebra
-    assert weak_j_implies_compatible(h, CMatrix.empty(h.pres.dim), jmat=j)
-    assert weak_j_implies_compatible(h, cralg.full_space(h.pres), jmat=j)
+    assert weak_j_implies_compatible(h, CMatrix.empty(h.pres.dim), upsilon)
+    assert weak_j_implies_compatible(h, cralg.full_space(h.pres), upsilon)
     # re-evaluation stability under basis shuffling
     for _ in range(5):
         rows = list(center.rows)
         rng.shuffle(rows)
         assert fibration_compatible(h, CMatrix(rows))
-    # J that is not weak-J-compatible raises
+    # J that is not weak-J-compatible raises: exp(0) is the identity
     with pytest.raises(PreconditionViolation):
         n = 3
-        weak_j_implies_compatible(h, center, jmat=[[0] * n for _ in range(n)])
+        weak_j_implies_compatible(h, center, exact_exponential(h.pres, [[0] * n for _ in range(n)]))
 
 
 def test_flag_predicates_match_qsets():
@@ -586,7 +588,7 @@ def test_zero_q_images_keep_their_width():
     h = heisenberg()
     a = CRAlgebra(h.pres, CMatrix.empty(3))
     iden = [[C_ONE if i == j else C_ZERO for j in range(3)] for i in range(3)]
-    assert check_weak_j(a, upsilon=iden)
+    assert check_weak_j(a, iden)
     assert check_cr_symmetric(a, iden)["preserves_q"]
 
 
@@ -596,9 +598,9 @@ def test_singular_maps_are_not_automorphisms():
     zero = [[C_ZERO] * 3 for _ in range(3)]
     iden = [[C_ONE if i == j else C_ZERO for j in range(3)] for i in range(3)]
     with pytest.raises(NotAnAutomorphism, match="span"):
-        check_weak_j(a, upsilon=zero)
+        check_weak_j(a, zero)
     assert check_cr_symmetric(a, zero)["automorphism"] is False
-    assert check_weak_j(a, upsilon=iden)
+    assert check_weak_j(a, iden)
     assert check_cr_symmetric(a, iden)["automorphism"] is True
 
 
@@ -624,12 +626,12 @@ def test_weak_j_implies_compatible_checks_invariance_on_both_routes():
     h = heisenberg()
     ideal = cspan(h.pres, [(1, 0, 0), (0, 0, 1)])
     upsilon = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
-    jmat = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
-    assert check_weak_j(h, upsilon=upsilon) and check_weak_j(h, jmat=jmat)
-    for kwargs in ({"upsilon": upsilon}, {"jmat": jmat}):
+    j = [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
+    for u in (upsilon, exact_exponential(h.pres, j)):
+        assert check_weak_j(h, u)
         with pytest.raises(PreconditionViolation, match="Upsilon-invariant"):
-            weak_j_implies_compatible(h, ideal, **kwargs)
-        assert weak_j_implies_compatible(h, cspan(h.pres, [(0, 0, 1)]), **kwargs)
+            weak_j_implies_compatible(h, ideal, u)
+        assert weak_j_implies_compatible(h, cspan(h.pres, [(0, 0, 1)]), u)
 
 
 def _kernel_eigenspace(n, apply, c):
@@ -700,13 +702,69 @@ def test_morphism_fibers_match_augmented_pull():
     cases = [(h, h, ident(3)), (h, h, [[0] * 3 for _ in range(3)]), _extension_morphism()]
     for src, tgt, phi0 in cases:
         sp, tp = src.pres, tgt.pres
-        apply = cralg._g0_map(sp, tp, phi0)
+        apply = cralg._matrix_map(phi0, sp.dim)
         out = morphism_classify(src, tgt, phi0)
         g0s, g0t = (_kernel_eigenspace(p.dim, p.nu, C_ONE) for p in (sp, tp))
         g0pp = _augmented_pull(sp, tp, apply, _realified(tgt.q).intersect(g0t)).intersect(g0s)
         assert out["fiber_g0"] == _complexified(g0pp, sp.dim)
         qpp = _realified(src.q).intersect(_augmented_pull(sp, tp, apply, _realified(tgt.q_cap_qbar())))
         assert out["fiber_q"] == _complexified(qpp, sp.dim)
+
+
+def test_non_real_maps_are_rejected():
+    # on heisenberg (nu = complex conjugation of the coordinates) diag(i, i, 2i)
+    # is a derivation and diag(i, i, -1) an automorphism of g, but neither
+    # commutes with nu, so neither is the complexification of a map of g0
+    h = heisenberg()
+    j = [[C_I, 0, 0], [0, C_I, 0], [0, 0, 2 * C_I]]
+    with pytest.raises(NotADerivation, match="nu"):
+        check_j_property(h, j)
+    with pytest.raises(NotADerivation, match="nu"):
+        exact_exponential(h.pres, j)
+    phi = [[C_I, 0, 0], [0, C_I, 0], [0, 0, -C_ONE]]
+    with pytest.raises(NotAHomomorphism, match="conjugations"):
+        morphism_classify(h, h, phi)
+
+
+def _g0_map(src, tgt, mat):
+    """Oracle: the complex-linear map from src to tgt presentation coordinates
+    whose matrix on the g0 bases is the rational matrix mat."""
+    sbasis, tbasis = src.g0_basis(), tgt.g0_basis()
+    imgs = [cralg._apply(tbasis, [mat[i][j] for i in range(len(tbasis))], tgt.dim) for j in range(len(sbasis))]
+    cols = [cralg._apply(imgs, src.g0_coords(e), tgt.dim) for e in cralg._std_basis(src.dim)]
+    return lambda v: cralg._apply(cols, v, tgt.dim)
+
+
+def _g0_j_derivation(fp, e):
+    """Oracle: J = ad(-i H_E) as a rational matrix on the g0 basis, one
+    g0-coordinate solve per basis vector."""
+    pres = fp.pres
+    mih = tuple(-C_I * x for x in fp.cartan_element(e.ambient))
+    cols = []
+    for b in pres.g0_basis():
+        c = pres.g0_coords(pres.bracket(mih, b))
+        assert all(z.im == 0 for z in c), "ad(-iH) does not preserve g0"
+        cols.append([z.re for z in c])
+    return [list(row) for row in zip(*cols)]
+
+
+@pytest.mark.parametrize("spec", [("A", 3), ("A", 4), ("B", 2), ("B", 3), ("C", 3)],
+                         ids=["A3", "A4", "B2", "B3", "C3"])
+def test_diagonal_j_derivation_matches_g0_basis_oracle(spec):
+    # every J class among the maximal classes: the diagonal J on the
+    # presentation basis is the map of the g0-basis construction
+    fp = flag_preset(*spec)
+    pres, rs = fp.pres, fp.system
+    units = cralg._std_basis(pres.dim)
+    checked = 0
+    for c in classify.enumerate_maximal(rs):
+        ok, e = qsets.has_j(rs, frozenset(c.canonical))
+        if ok:
+            want = _g0_map(pres, pres, _g0_j_derivation(fp, e))
+            got = cralg._matrix_map(fp.j_derivation(e), pres.dim)
+            assert [got(u) for u in units] == [want(u) for u in units]
+            checked += 1
+    assert checked
 
 
 # g0_basis() of five presets, recorded before subspaces moved to complex
@@ -725,7 +783,7 @@ G0_BASIS = {
 
 @pytest.mark.parametrize("name", list(G0_BASIS))
 def test_g0_basis_is_pinned(name):
-    # --xi coordinates, j_derivation and the levi goldens are written in it
+    # --xi coordinates and the levi goldens are written in it
     got = [{k: str(z) for k, z in enumerate(v) if z} for v in get_preset(name).pres.g0_basis()]
     assert got == G0_BASIS[name]
 
