@@ -552,14 +552,16 @@ def exact_exponential(pres: LieAlgebraPresentation, j):
 
 def check_weak_j(a: CRAlgebra, upsilon) -> bool:
     """Upsilon(q) = q and Z - i Upsilon(Z) in q n qbar, for an automorphism
-    Upsilon (CNum matrix on the presentation basis, for instance the
-    exact_exponential of a derivation)."""
+    Upsilon of g0 (CNum matrix on the presentation basis, for instance the
+    exact_exponential of a derivation); NotAnAutomorphism otherwise."""
     return _is_weak_j(a, _matrix_map(upsilon, a.pres.dim))
 
 
 def _is_weak_j(a: CRAlgebra, apply_u) -> bool:
     pres = a.pres
     _check_automorphism(pres, apply_u)
+    if not _commutes_with_nu(pres, pres, apply_u, _std_basis(pres.dim)):
+        raise NotAnAutomorphism("the map does not commute with nu, so it is not an automorphism of g0")
     return _image(a.q, apply_u, pres.dim) == a.q and _shift_in_cap(a, apply_u, -C_I)
 
 

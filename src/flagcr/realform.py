@@ -4,9 +4,10 @@ strong orthogonality, the parabolic closure, the adapted simple system, and
 the regular maximal CR structures over a maximally compact Cartan.
 
 A conjugation is carried as an exact rational involution of the ambient space
-together with the root-index permutation it induces.  regular_max_structure,
-which no CLI op reaches, verifies the data of the paper's left-invariant CR
-structures of maximal CR dimension on a semisimple group.
+together with the root-index permutation it induces, both checked on integer
+numerators over one denominator.  regular_max_structure, which no CLI op
+reaches, verifies the data of the paper's left-invariant CR structures of
+maximal CR dimension on a semisimple group.
 """
 
 from __future__ import annotations
@@ -37,20 +38,21 @@ class RootConjugation:
 
 
 def conjugation_from_matrix(r: RootSystem, cols) -> RootConjugation:
+    """The involution with the given columns and its root permutation, or
+    ValueError.  Both checks run on integer numerators over one denominator,
+    M = num/den: M^2 = 1 reads num^2 = den^2 1."""
     cols = tuple(tuple(Fraction(x) for x in c) for c in cols)
     n = r.ambient_dim
-    # involution check
-    for k in range(n):
-        e = [Fraction(0)] * n
-        e[k] = Fraction(1)
-        twice = apply_matrix_cols(cols, apply_matrix_cols(cols, e))
-        if list(twice) != e:
+    num, den = scaled([x for c in cols for x in c])
+    rows = [num[k::n] for k in range(n)]
+    for j in range(n):
+        if [dot(row, num[j * n : j * n + n]) for row in rows] != [den * den * (k == j) for k in range(n)]:
             raise ValueError("matrix is not an involution")
     perm = []
     for v in r.roots:
-        img = apply_matrix_cols(cols, v)
-        key = tuple(int(x) for x in img)
-        if any(Fraction(k) != x for k, x in zip(key, img)) or key not in r.index:
+        img = [dot(row, v) for row in rows]
+        key = tuple(x // den for x in img)
+        if any(x % den for x in img) or key not in r.index:
             raise ValueError("matrix does not permute the root list")
         perm.append(r.index[key])
     return RootConjugation(cols, tuple(perm))
@@ -58,11 +60,7 @@ def conjugation_from_matrix(r: RootSystem, cols) -> RootConjugation:
 
 def compact_conjugation(r: RootSystem) -> RootConjugation:
     """Compact-form conjugation: alpha -> -alpha."""
-    n = r.ambient_dim
-    cols = tuple(
-        tuple(Fraction(-1) if i == j else Fraction(0) for i in range(n)) for j in range(n)
-    )
-    return conjugation_from_matrix(r, cols)
+    return conjugation_from_matrix(r, [[-int(i == j) for i in range(r.ambient_dim)] for j in range(r.ambient_dim)])
 
 
 def a_reverse_conjugation(r: RootSystem) -> RootConjugation:
@@ -71,12 +69,7 @@ def a_reverse_conjugation(r: RootSystem) -> RootConjugation:
     if r.type_tag != "A":
         raise ValueError("a-reverse preset applies to type A only")
     n = r.ambient_dim
-    cols = []
-    for j in range(n):
-        col = [Fraction(0)] * n
-        col[n - 1 - j] = Fraction(1)
-        cols.append(tuple(col))
-    return conjugation_from_matrix(r, cols)
+    return conjugation_from_matrix(r, [[int(i == n - 1 - j) for i in range(n)] for j in range(n)])
 
 
 def check_eq_ha(r: RootSystem, q, sigma: RootConjugation) -> bool:

@@ -6,7 +6,9 @@ Roots are stored in DOUBLED ambient coordinates (stored = 2 * coordinate), so
 the half-integer roots of the E series and F4 become integer vectors.  Inner
 products in the original normalization are dot(stored)/4; evaluation of a root
 on an ambient vector is dot(stored, vector)/2, one integer dot product on a
-grading element, which carries integer numerators over one denominator.
+grading element, which carries integer numerators over one denominator.  The
+coweight basis, dual to a Z-basis of the root lattice, comes from one Smith
+normal form of the integer Gram matrix, with no elimination over a field.
 
 A root set is handled as a frozenset of root indices into ``RootSystem.roots``;
 the canonical external form is the sorted index tuple.  rootset_to_json
@@ -23,8 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
-from .gaussq import Factored, solve_linear
-from .intlat import hermite_basis
+from .intlat import hermite_basis, smith_normal_form
 
 TYPES = ("A", "B", "C", "D", "G2", "F4", "E6", "E7", "E8")
 
@@ -218,12 +219,19 @@ class RootSystem:
 
     def ambient_to_coweight_coords(self, ambient) -> tuple[int, ...] | None:
         """Integer coweight coordinates of an ambient vector, or None if it is
-        not in the coweight lattice."""
-        rows = [[v[k] for v in self.coweight_basis] for k in range(self.ambient_dim)]
-        sol = solve_linear(rows, ambient, Fraction)
-        if sol is None or any(x.denominator != 1 for x in sol):
+        not in the coweight lattice.  The coweight basis is dual to
+        lattice_basis, so the coordinates are c_i = dot(b_i, H)/2; H is in the
+        lattice when they are integers and sum_i c_i omega_i gives H back,
+        which fails off the span of the roots."""
+        if len(ambient) != self.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        num, den = scaled(ambient)
+        pairs = [divmod(dot(b, num), 2 * den) for b in self.lattice_basis]
+        coords = tuple(c for c, _ in pairs)
+        cols, cw_den = self.coweight_scaled
+        if any(rem for _, rem in pairs) or any(dot(coords, col) * den != x * cw_den for col, x in zip(cols, num)):
             return None
-        return tuple(int(x) for x in sol)
+        return coords
 
 
 def inner(alpha: tuple[int, ...], beta: tuple[int, ...]) -> Fraction:
@@ -258,27 +266,22 @@ def root_sum(r: RootSystem, i: int, j: int) -> int | None:
     return out
 
 
-def coweight_lattice_basis(dbasis: list[list[int]]) -> list[tuple[Fraction, ...]]:
-    """Basis of {H in span(R) : alpha(H) in Z for all alpha}, computed as the
-    dual lattice of the root lattice inside the span of the roots, from a
-    Z-basis ``dbasis`` of the doubled root lattice."""
+def coweight_lattice_basis(dbasis: list[list[int]]) -> tuple[list[tuple[int, ...]], int]:
+    """Basis of {H in span(R) : alpha(H) in Z for all alpha}, the dual of the
+    root lattice, from a Z-basis ``dbasis`` of the doubled root lattice, as
+    (num, den) with omega_j = num[j]/den over the least denominator.  As
+    alpha(H) = dot(stored, H)/2, omega = (G/2)^-1 dbasis for the integer Gram
+    matrix G, and one Smith form U G V = S inverts it in integers:
+    (G/2)^-1 = 2 V S^-1 U = V diag(2d/d_i) U / d, d the largest invariant
+    factor."""
     r = len(dbasis)
-    n = len(dbasis[0])
-    # root-lattice basis in original coordinates is dbasis/2; we need dual
-    # vectors d_j in the span with (dbasis_i/2 | d_j) = delta_ij, where the
-    # evaluation pairing alpha(H) equals the euclidean product in original
-    # coordinates.  With stored vectors: alpha(H) = dot(stored, H)/2, so we
-    # require dot(dbasis_i, d_j)/2 = delta_ij.
-    gram = [[Fraction(dot(dbasis[i], dbasis[j]), 2) for j in range(r)] for i in range(r)]
-    inv = Factored(gram, Fraction).inverse()
-    dual = []
-    for j in range(r):
-        vec = [Fraction(0)] * n
-        for i in range(r):
-            for k in range(n):
-                vec[k] += inv[j][i] * dbasis[i][k]
-        dual.append(tuple(vec))
-    return dual
+    s, u, v = smith_normal_form([[dot(a, b) for b in dbasis] for a in dbasis])
+    d = s[r - 1][r - 1]
+    su = [[2 * d // s[i][i] * x for x in u[i]] for i in range(r)]
+    n_mat = [[dot(v[j], col) for col in zip(*su)] for j in range(r)]
+    num = [tuple(dot(row, col) for col in zip(*dbasis)) for row in n_mat]
+    g = math.gcd(d, *(x for w in num for x in w))
+    return [tuple(x // g for x in w) for w in num], d // g
 
 
 def build_root_system(type_tag: str, rank: int | None = None) -> RootSystem:
@@ -308,11 +311,7 @@ def build_root_system(type_tag: str, rank: int | None = None) -> RootSystem:
     ambient = len(stored[0])
     true_rank = {"A": n - 1, "B": n, "C": n, "D": n}.get(type_tag, FIXED_RANK.get(type_tag))
     dbasis = hermite_basis([list(v) for v in stored])
-    cw = coweight_lattice_basis(dbasis)
-    # alpha(omega) = dot(stored, omega)/2, in integers once the basis is
-    # scaled by the common denominator of its coordinates
-    den = math.lcm(*(x.denominator for w in cw for x in w))
-    cw_num = [tuple(int(x * den) for x in w) for w in cw]
+    cw_num, den = coweight_lattice_basis(dbasis)
     values = [[divmod(dot(v, w), 2 * den) for w in cw_num] for v in stored]
     assert all(rem == 0 for row in values for _, rem in row), "a root is not integral on the coweight basis"
     index = {v: i for i, v in enumerate(stored)}
@@ -323,7 +322,7 @@ def build_root_system(type_tag: str, rank: int | None = None) -> RootSystem:
         roots=stored,
         index=index,
         lattice_basis=dbasis,
-        coweight_basis=cw,
+        coweight_basis=[tuple(Fraction(x, den) for x in w) for w in cw_num],
         coweight_scaled=(list(zip(*cw_num)), den),
         coweight_values=[tuple(x for x, _ in row) for row in values],
         negation=[index[tuple(-x for x in v)] for v in stored],

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import os
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -131,6 +132,84 @@ def test_enumerate_finishes_at_the_least_clique_budget(enumerated, tag, n):
         maximal_cliques(adj, lo - 1)
     got = enumerate_maximal(rs, budget=lo)
     assert [(c.canonical, c.orbit_size) for c in got] == [(c.canonical, c.orbit_size) for c in classes]
+
+
+def _set_maximal_cliques(adj, budget=None):
+    """Oracle: pivoting Bron-Kerbosch on Python sets, the pivot the first
+    node of P | X in set order with the most neighbours in P."""
+    found = []
+    nodes = 0
+
+    def bk(r, p, x):
+        nonlocal nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise BudgetExceeded(f"clique search exceeded {budget} nodes", found)
+        if not p and not x:
+            found.append(tuple(sorted(r)))
+            return
+        pivot = max(p | x, key=lambda v: len(adj[v] & p))
+        for v in sorted(p - adj[pivot]):
+            bk(r | {v}, p & adj[v], x & adj[v])
+            p.remove(v)
+            x.add(v)
+
+    bk(set(), set(adj), set())
+    return found
+
+
+CLIQUE_TYPES = [("A", 4), ("A", 6), ("B", 3), ("B", 4), ("C", 3), ("C", 5), ("D", 4), ("D", 5), ("G2", None), ("F4", None)]
+
+
+@pytest.mark.parametrize("tag,n", CLIQUE_TYPES)
+def test_maximal_cliques_match_set_oracle(tag, n):
+    adj = compat_graph(build_root_system(tag, n))
+    got = maximal_cliques(adj)
+    want = _set_maximal_cliques(adj)
+    assert all(c == tuple(sorted(c)) for c in got)
+    assert len(set(got)) == len(got)
+    assert set(got) == set(want)
+
+
+def test_maximal_cliques_on_sparse_labels_match_set_oracle():
+    # nodes need not be 0..n-1: the bitmask search keys bits by sorted node
+    rng = random.Random(5)
+    for _ in range(30):
+        labels = rng.sample(range(1000), rng.randint(1, 24))
+        adj = {v: set() for v in labels}
+        for u, v in itertools.combinations(labels, 2):
+            if rng.random() < 0.5:
+                adj[u].add(v)
+                adj[v].add(u)
+        assert sorted(maximal_cliques(adj)) == sorted(_set_maximal_cliques(adj))
+    assert maximal_cliques({}) == [()]
+
+
+def test_clique_budget_stop_carries_maximal_cliques():
+    adj = compat_graph(build_root_system("F4"))
+    everything = set(_set_maximal_cliques(adj))
+    for budget in (20, 200, 2000):
+        with pytest.raises(BudgetExceeded) as e:
+            maximal_cliques(adj, budget)
+        partial = e.value.partial
+        assert partial and len(set(partial)) == len(partial) < len(everything)
+        assert set(partial) <= everything
+
+
+@pytest.mark.parametrize("tag,n", [("A", 6), ("B", 5), ("C", 5), ("D", 6), ("G2", None), ("F4", None), ("E6", None), ("E7", None), ("E8", None)])
+def test_greedy_maximal_cliques_are_fundamental(tag, n):
+    # a clique grown in random root order until no root fits is maximal, and
+    # every maximal clique is fundamental (proof at enumerate_maximal)
+    rs = build_root_system(tag, n)
+    rng = random.Random(f"greedy:{tag}:{n}")
+    for _ in range(25):
+        order = list(range(rs.nroots))
+        rng.shuffle(order)
+        q = []
+        for i in order:
+            if all(qsets.compatible(rs, i, j) for j in q):
+                q.append(i)
+        assert is_fundamental(rs, q)
 
 
 def test_e6_aut_classes_are_unions_of_weyl_classes(enumerated):

@@ -618,6 +618,22 @@ def test_preserves_g0_needs_a_bijection_commuting_with_nu():
         assert rep["g0_splits"] is want
 
 
+def test_weak_j_rejects_a_map_that_moves_g0():
+    # Upsilon = diag(-i, -i, -1) maps q = C(X + iY) onto itself with
+    # Z - i Upsilon(Z) = 0 and preserves the bracket of g, but it does not
+    # commute with nu, so it is not an automorphism of g0
+    from flagcr.cralg import weak_j_implies_compatible
+
+    h = heisenberg()
+    i, one = C_I, C_ONE
+    upsilon = [[-i, 0, 0], [0, -i, 0], [0, 0, -one]]
+    assert check_cr_symmetric(h, upsilon)["preserves_g0"] is False
+    with pytest.raises(NotAnAutomorphism, match="nu"):
+        check_weak_j(h, upsilon)
+    with pytest.raises(NotAnAutomorphism, match="nu"):
+        weak_j_implies_compatible(h, cspan(h.pres, [(0, 0, 1)]), upsilon)
+
+
 def test_weak_j_implies_compatible_checks_invariance_on_both_routes():
     # the rotation of (X, Y) fixing T moves the ideal <X, T>, whether given
     # as the automorphism Upsilon or as the derivation J with exp(pi J/2) = Upsilon

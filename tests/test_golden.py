@@ -24,6 +24,10 @@ COMMANDS = [
     ("enumerate-D-4-aut", ["enumerate", "--type", "D", "--rank", "4", "--quotient", "aut"], 0),
     ("enumerate-F4", ["enumerate", "--type", "F4"], 0),
     ("enumerate-D-5", ["enumerate", "--type", "D", "--rank", "5"], 0),
+    ("enumerate-B-4", ["enumerate", "--type", "B", "--rank", "4"], 0),
+    ("enumerate-C-5", ["enumerate", "--type", "C", "--rank", "5"], 0),
+    ("enumerate-A-5", ["enumerate", "--type", "A", "--rank", "5"], 0),
+    ("enumerate-G2", ["enumerate", "--type", "G2"], 0),
     ("verify-paper-gradings", ["verify-paper", "--section", "gradings"], 0),
     ("verify-paper-7", ["verify-paper", "--section", "7"], 0),
     ("verify-paper-6", ["verify-paper", "--section", "6"], 0),
@@ -32,6 +36,11 @@ COMMANDS = [
     (
         "realform-F4-positive-adapted",
         ["realform", "--roots", "tests/golden/realform-F4-positive.json", "--conjugation", "compact", "--op", "adapted"],
+        0,
+    ),
+    (
+        "realform-A3-reverse-adapted",
+        ["realform", "--roots", "tests/golden/realform-A3-reverse.json", "--conjugation", "a-reverse:m=2", "--op", "adapted"],
         0,
     ),
     ("cralg-G2-Q40-predicates", ["cralg", "--preset", "flag:G2:Q40", "--op", "predicates"], 0),

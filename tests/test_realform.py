@@ -16,7 +16,7 @@ from flagcr.realform import (
     verify_lemma_lb,
 )
 from flagcr.rootsys import build_root_system, find_root, roots_set, rootset_to_json
-from flagcr.weyl import positive_roots
+from flagcr.weyl import apply_matrix_cols, positive_roots
 
 H = Fraction(1, 2)
 
@@ -228,3 +228,59 @@ def test_realform_command_decides_the_lemma_once(case, op, tmp_path, monkeypatch
     out = json.loads(capsys.readouterr().out)["results"]
     assert out["lemma"]["ok"] and ("adapted" in out) == (op == "adapted")
     assert calls == {"verify_lemma_lb": 1, "check_eq_ha": 2, "smith_normal_form": heads if op == "adapted" else 0}
+
+
+def _fraction_conjugation_perm(r, cols):
+    """Oracle: the root permutation of an involution, found by applying its
+    Fraction columns, None when it is not one or does not permute the roots."""
+    n = r.ambient_dim
+    for k in range(n):
+        e = [Fraction(int(i == k)) for i in range(n)]
+        if list(apply_matrix_cols(cols, apply_matrix_cols(cols, e))) != e:
+            return None
+    perm = []
+    for v in r.roots:
+        img = apply_matrix_cols(cols, v)
+        if any(x.denominator != 1 for x in img) or tuple(map(int, img)) not in r.index:
+            return None
+        perm.append(r.index[tuple(map(int, img))])
+    return tuple(perm)
+
+
+def _reflection_cols(alpha):
+    # s_alpha(v) = v - 2 (alpha|v)/(alpha|alpha) alpha, columns on the unit vectors
+    n = len(alpha)
+    norm = sum(a * a for a in alpha)
+    return [tuple(Fraction(int(i == j)) - Fraction(2 * alpha[j] * alpha[i], norm) for i in range(n)) for j in range(n)]
+
+
+@pytest.mark.parametrize("tag,n", [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("G2", None), ("F4", None)])
+def test_conjugation_from_matrix_matches_fraction_oracle(tag, n):
+    # root reflections (half-integer entries on F4) and one of them times the
+    # compact conjugation are involutions that permute the roots
+    r = build_root_system(tag, n)
+    minus = [tuple(-x for x in c) for c in _reflection_cols(r.roots[0])]
+    for cols in [_reflection_cols(v) for v in r.roots] + [minus]:
+        sigma = conjugation_from_matrix(r, cols)
+        assert sigma.perm == _fraction_conjugation_perm(r, sigma.cols)
+        assert sigma.cols == tuple(tuple(Fraction(x) for x in c) for c in cols)
+
+
+def test_conjugation_from_matrix_rejects():
+    a3 = build_root_system("A", 4)
+    n = a3.ambient_dim
+    unit = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+    # twice the identity, and a 4-cycle of coordinates: not involutions
+    cycle = [unit[(j + 1) % n] for j in range(n)]
+    for cols in ([[2 * x for x in c] for c in unit], cycle):
+        assert _fraction_conjugation_perm(a3, cols) is None
+        with pytest.raises(ValueError, match="not an involution"):
+            conjugation_from_matrix(a3, cols)
+    # involutions that move roots off the roots: e_1 -> -e_1 sends e_1 - e_2
+    # to -e_1 - e_2, and the reflection in (1, 1, 1, 0) sends e_1 - e_4 to
+    # (1/3, -2/3, -2/3, -1)
+    flip = [[-x for x in unit[0]]] + unit[1:]
+    for cols in (flip, _reflection_cols((1, 1, 1, 0))):
+        assert _fraction_conjugation_perm(a3, cols) is None
+        with pytest.raises(ValueError, match="does not permute the root list"):
+            conjugation_from_matrix(a3, cols)

@@ -1,18 +1,21 @@
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagcr.gaussq import Factored, solve_linear
 from flagcr.intlat import column_solver, hermite_basis, smith_normal_form
 from flagcr.rootsys import (
     GradingElement,
     InvalidRank,
     build_root_system,
     coroot,
+    dot,
     evaluate,
     evaluate_int,
     find_root,
@@ -289,3 +292,73 @@ def test_negation_table_is_tuple_negation_and_an_involution(tag, rank):
     for i, v in enumerate(rs.roots):
         assert rs.roots[rs.neg(i)] == tuple(-x for x in v)
         assert rs.neg(rs.neg(i)) == i
+
+
+# Oracles: the coweight basis as the Gram matrix inverted over Q with the
+# dual vectors summed in Fractions, and coweight coordinates by one solve
+# over Q, against the one integer Smith form the root-system build uses.
+
+ALL_TYPES = (
+    [("A", n) for n in range(3, 11)]
+    + [(t, n) for t in ("B", "C") for n in range(2, 9)]
+    + [("D", n) for n in range(3, 9)]
+    + [(t, None) for t in ("G2", "F4", "E6", "E7", "E8")]
+)
+
+
+def _fraction_coweight_basis(dbasis):
+    r, n = len(dbasis), len(dbasis[0])
+    gram = [[Fraction(dot(dbasis[i], dbasis[j]), 2) for j in range(r)] for i in range(r)]
+    inv = Factored(gram, Fraction).inverse()
+    dual = []
+    for j in range(r):
+        vec = [Fraction(0)] * n
+        for i in range(r):
+            for k in range(n):
+                vec[k] += inv[j][i] * dbasis[i][k]
+        dual.append(tuple(vec))
+    return dual
+
+
+def _fraction_coweight_coords(rs, ambient):
+    rows = [[v[k] for v in rs.coweight_basis] for k in range(rs.ambient_dim)]
+    sol = solve_linear(rows, ambient, Fraction)
+    if sol is None or any(x.denominator != 1 for x in sol):
+        return None
+    return tuple(int(x) for x in sol)
+
+
+@pytest.mark.parametrize("tag,rank", ALL_TYPES)
+def test_coweight_basis_matches_fraction_oracle(tag, rank):
+    rs = build_root_system(tag, rank)
+    assert rs.lattice_basis == hermite_basis([list(v) for v in rs.roots])
+    cw = _fraction_coweight_basis(rs.lattice_basis)
+    den = math.lcm(*(x.denominator for w in cw for x in w))
+    cw_num = [tuple(int(x * den) for x in w) for w in cw]
+    assert rs.coweight_basis == cw
+    assert rs.coweight_scaled == (list(zip(*cw_num)), den)
+    assert rs.coweight_values == [tuple(_oracle_evaluate(v, w) for w in cw) for v in rs.roots]
+
+
+@pytest.mark.parametrize("tag,rank", NINE + [("A", 7), ("B", 5), ("C", 4), ("D", 6)])
+def test_coweight_coords_match_fraction_oracle(tag, rank):
+    rs = _system(tag, rank)
+    rng = random.Random(f"coweight-coords:{tag}:{rank}")
+    got = []
+    for _ in range(25):
+        coords = [rng.randint(-9, 9) for _ in range(rs.rank)]
+        on = rs.grading_element(coords).ambient
+        # lattice points, their fractions (in the span, mostly off the
+        # lattice), and rational vectors (off the span in type A)
+        cases = [on, tuple(x / rng.choice((2, 3, 4)) for x in on)]
+        cases.append(tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(rs.ambient_dim)))
+        if tag == "A":
+            cases.append(tuple(x + Fraction(1, 2) for x in on))
+        for ambient in cases:
+            want = _fraction_coweight_coords(rs, ambient)
+            assert rs.ambient_to_coweight_coords(ambient) == want
+            got.append(want)
+        assert got[-len(cases)] == tuple(coords)
+    assert None in got
+    with pytest.raises(ValueError, match="dimension"):
+        rs.ambient_to_coweight_coords((0,) * (rs.ambient_dim + 1))
