@@ -4,16 +4,18 @@ the Z2-grading tables of the E series.
 
 Maximal elements of Q(R) are exactly the maximal cliques of the compatibility
 graph, each of which spans R over Z (the proof is at enumerate_maximal), so
-enumeration is pivoting Bron-Kerbosch on int bitmasks of the roots followed
-by orbit-first deduplication: the group permutes the maximal cliques, so in
-the sorted clique list the first clique of each orbit is its least member,
-the class representative.  Each orbit is walked once, and one property
-report on that member serves the whole class.  enumerate_maximal is the one
-caller of set_orbit, because it reports orbit sizes; the B/D catalogs and
-the maximal symmetric classes key W-classes by canonical form.
+enumeration is pivoting Bron-Kerbosch on the graph's neighbour masks, which
+the root system keeps (qsets.compat_graph), followed by orbit-first
+deduplication: the group permutes the maximal cliques, so in the sorted
+clique list the first clique of each orbit is its least member, the class
+representative.  Each orbit is walked once, and one property report on that
+member serves the whole class.  enumerate_maximal is the one caller of
+set_orbit, because it reports orbit sizes; the B/D catalogs and the maximal
+symmetric classes key W-classes by canonical form.
 
-catalog: each type yields rows of (label, root set, parameters, claims,
-source, witness), and one loop builds and re-verifies every entry.
+catalog, on the caller's root system: each type yields rows of (label, root
+set, parameters, claims, source, witness), and one loop builds and
+re-verifies every entry; maximality is an AND of the neighbour masks.
 
 subset_universe (every fundamental lb-set up to W, as subsets of the class
 representatives) and maximal_symmetric_classes serve the exhaustive claims
@@ -65,18 +67,16 @@ class AnchorViolation(ValueError):
 # clique machinery
 
 
-def maximal_cliques(adj: dict[int, set[int]], budget: int | None = None):
+def maximal_cliques(nbr: list[int], budget: int | None = None):
     """Pivoting Bron-Kerbosch (Tomita et al., TCS 363, 2006) on int bitmasks
-    of the nodes in sorted order (San Segundo et al., Comput. Oper. Res. 38,
-    2011), the pivot of most neighbours in P by int.bit_count; returns the
-    maximal cliques of the adjacency dict as sorted tuples.
+    (San Segundo et al., Comput. Oper. Res. 38, 2011), the pivot of most
+    neighbours in P by int.bit_count; returns the maximal cliques of the graph
+    on 0..n-1 with neighbour masks ``nbr`` (bit j of nbr[i] for an edge ij,
+    as compat_graph gives them) as sorted tuples.
 
     ``budget`` bounds the number of recursion nodes; exceeding it raises
     BudgetExceeded with the cliques found so far attached.
     """
-    order = sorted(adj)
-    bit = {v: 1 << k for k, v in enumerate(order)}
-    nbr = [sum(bit[u] for u in adj[v]) for v in order]
     found: list[tuple[int, ...]] = []
     nodes = 0
 
@@ -104,11 +104,11 @@ def maximal_cliques(adj: dict[int, set[int]], budget: int | None = None):
             low = rest & -rest
             rest ^= low
             k = low.bit_length() - 1
-            bk(r + (order[k],), p & nbr[k], x & nbr[k])
+            bk(r + (k,), p & nbr[k], x & nbr[k])
             p ^= low
             x |= low
 
-    bk((), sum(bit.values()), 0)
+    bk((), (1 << len(nbr)) - 1, 0)
     return found
 
 
@@ -182,14 +182,17 @@ class CatalogEntry:
         }
 
 
-def _extensions(r: RootSystem, q):
-    """The roots outside q that are compatible with every root of q."""
-    qset = set(q)
-    return (c for c in range(r.nroots) if c not in qset and all(qsets.compatible(r, c, i) for i in qset))
+def _extensions(r: RootSystem, q) -> list[int]:
+    """The roots outside q that are compatible with every root of q: an AND
+    of the neighbour masks of q, none of which has its own root's bit."""
+    nbr, common = compat_graph(r), (1 << r.nroots) - 1
+    for i in q:
+        common &= nbr[i]
+    return [c for c in range(r.nroots) if common >> c & 1]
 
 
 def _is_maximal_clique(r: RootSystem, q) -> bool:
-    return next(_extensions(r, q), None) is None
+    return not _extensions(r, q)
 
 
 def _is_symmetric(r: RootSystem, q) -> bool:
@@ -419,27 +422,22 @@ _PRINTED_ROWS = {
 }
 
 
-def catalog(type_tag: str, rank: int | None = None, which: str = "all") -> list[CatalogEntry]:
-    """Materialized catalog lists as explicit root sets, re-verified on
-    construction (CatalogClaimFailed on any failed claim).
+def catalog(r: RootSystem, which: str = "all") -> list[CatalogEntry]:
+    """The catalog list of the caller's root system as explicit root sets,
+    re-verified on construction (CatalogClaimFailed on any failed claim).
 
     which = 'all' gives the maximal elements of Q(R); 'symmetric' the maximal
-    elements of Q_s(R) together with their exact J-witnesses.  rank is that
-    of build_root_system: for type A the ambient dimension n, so
-    catalog("A", n) is about A_{n-1} = sl(n), the system that
-    `enumerate --type A --rank n-1` builds.
+    elements of Q_s(R) together with their exact J-witnesses.
     """
     if which not in ("all", "symmetric"):
         raise ValueError(f"which must be 'all' or 'symmetric', got {which!r}")
-    if type_tag in _CLASSICAL_ROWS:
-        r = build_root_system(type_tag, rank)
-        rows = _CLASSICAL_ROWS[type_tag](r, rank, which == "symmetric")
-    elif (type_tag, which) in _PRINTED_ROWS:
-        r = build_root_system(type_tag)
+    if r.type_tag in _CLASSICAL_ROWS:
+        rows = _CLASSICAL_ROWS[r.type_tag](r, r.ambient_dim, which == "symmetric")
+    elif (r.type_tag, which) in _PRINTED_ROWS:
         rows = ((label, roots_set(r, specs), {}, claims, source, witness)
-                for label, specs, claims, source, witness in _PRINTED_ROWS[type_tag, which])
+                for label, specs, claims, source, witness in _PRINTED_ROWS[r.type_tag, which])
     else:
-        raise ValueError(f"no catalog for type {type_tag}")
+        raise ValueError(f"no catalog for type {r.type_tag}")
     entries = []
     for label, q, params, claims, source, witness in rows:
         entry = CatalogEntry(label, sorted_indices(q), params, dict(claims), source)

@@ -87,8 +87,7 @@ def _cell(v):
 
 def _system_for(args):
     """The root system of --type and --rank, where --rank is the Lie rank:
-    --type A --rank n is A_n = sl(n+1), which build_root_system and
-    classify.catalog call ("A", n + 1)."""
+    --type A --rank n is A_n = sl(n+1), built as ("A", n + 1)."""
     tag = args.type
     if tag in rootsys.FIXED_RANK:
         return build_root_system(tag, args.rank)
@@ -161,12 +160,15 @@ def _row(claim, ok, detail="", known_id=None):
 
 def _verify_section_6(budget):
     rows = []
+    # one root system per type, shared by the enumerations and the catalogs
+    systems = {key: build_root_system(*key) for key in
+               [("A", 3), ("A", 4), ("C", 2), ("C", 3), ("C", 4), ("B", 3), ("B", 4), ("D", 4)]}
     for tag, rank, want in [("A", 3, 2), ("A", 4, 3), ("C", 2, 1), ("C", 3, 1), ("C", 4, 1)]:
-        got = len(classify.enumerate_maximal(build_root_system(tag, rank), budget=budget))
+        got = len(classify.enumerate_maximal(systems[tag, rank], budget=budget))
         rows.append(_row(f"catalog count {tag} n={rank} is {want}", got == want, f"got {got}"))
     for tag, n in [("B", 3), ("B", 4), ("D", 4)]:
-        rs = build_root_system(tag, n)
-        cat = classify.catalog(tag, n, "all")
+        rs = systems[tag, n]
+        cat = classify.catalog(rs, "all")
         cls = classify.enumerate_maximal(rs, budget=budget)
         rows.append(
             _row(
@@ -187,7 +189,7 @@ def _verify_section_6(budget):
     # symmetric catalogs verify (witnesses check on construction)
     for tag, n in [("A", 4), ("B", 3), ("B", 4), ("C", 3), ("D", 4)]:
         try:
-            entries = classify.catalog(tag, n, "symmetric")
+            entries = classify.catalog(systems[tag, n], "symmetric")
             rows.append(_row(f"{tag}{n} symmetric catalog entries verify", True, f"{len(entries)} entries"))
         except classify.CatalogClaimFailed as e:
             rows.append(_row(f"{tag}{n} symmetric catalog entries verify", False, str(e)))
@@ -217,7 +219,7 @@ def _verify_section_7(budget):
             sorted(f[0] for f in flags) == [False, True],
         )
     )
-    ups = classify.catalog("G2", None, "symmetric")
+    ups = classify.catalog(g2, "symmetric")
     rows.append(_row("G2: Q4_0 has weak-J and J", any(e.label == "Q4_0" for e in ups)))
     f4 = build_root_system("F4")
     f4cls = classify.enumerate_maximal(f4, budget=budget)
@@ -230,7 +232,7 @@ def _verify_section_7(budget):
         )
     )
     try:
-        classify.catalog("F4", None, "all")
+        classify.catalog(f4, "all")
         rows.append(_row("F4: the five printed sets are maximal elements", True))
     except classify.CatalogClaimFailed as e:
         rows.append(_row("F4: the five printed sets are maximal elements", False, str(e)))
@@ -245,12 +247,11 @@ def _verify_section_7(budget):
         )
     )
     try:
-        classify.catalog("F4", None, "symmetric")
+        classify.catalog(f4, "symmetric")
         rows.append(_row("F4: Q4'_{1,2,3,4} verifies with witness e1,e2 -> 1", True))
     except classify.CatalogClaimFailed as e:
         rows.append(_row("F4: Q4'_{1,2,3,4} verifies with witness e1,e2 -> 1", False, str(e)))
     # level-1 shells: symmetric, not weak-J
-    e8 = classify.e_system(8)
     for pair, anchor, label in [
         ((6, 2), classify.spin((4, 5, 6, 7)), "Q_{6,2,b4567}"),
         ((7, 1), classify.spin((6, 7)), "Q_{7,1,b67}"),

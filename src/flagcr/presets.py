@@ -19,7 +19,7 @@ from fractions import Fraction
 from .cralg import CRAlgebra, LieAlgebraPresentation, _apply, _std_basis, cspan
 from .gaussq import C_I, C_ONE, C_ZERO, CMatrix, CNum, Factored
 from .rootsys import RootSystem, build_root_system, evaluate, evaluate_int, root_sum, roots_set
-from .weyl import cartan_matrix, positive_roots, simple_roots
+from .weyl import cartan_matrix, positive_roots, simple_coordinates, simple_roots
 
 
 def heisenberg() -> CRAlgebra:
@@ -192,8 +192,8 @@ def _chevalley_preset(r: RootSystem) -> FlagPreset:
         return int(out)
 
     # a = sum_i k_i s_i gives a^v = sum_i k_i |s_i|^2 / |a|^2 s_i^v
-    simple_cols = Factored([[r.roots[s][k] for s in simples] for k in range(r.ambient_dim)], Fraction)
-    coroot = [[k * norm[s] / norm[a] for k, s in zip(simple_cols.solve(v), simples)] for a, v in enumerate(r.roots)]
+    coords = simple_coordinates(r)
+    coroot = [[Fraction(k * norm[s], norm[a]) for k, s in zip(coords[a], simples)] for a in range(nroots)]
     entries = {}
     for a in range(nroots):
         x = rank + a

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .intlat import SNFSolver, lattice_coset_gcd
-from .rootsys import GradingElement, RootSystem, dot, evaluate_int, root_sum, sorted_indices
+from .rootsys import GradingElement, RootSystem, _cached, dot, evaluate_int, root_sum, sorted_indices
 
 
 class MethodDisagreement(AssertionError):
@@ -66,15 +66,20 @@ def compatible(r: RootSystem, i: int, j: int) -> bool:
     return root_sum(r, i, j) is None
 
 
-def compat_graph(r: RootSystem) -> dict[int, set[int]]:
-    """Adjacency over all roots; lb-sets are exactly the cliques."""
-    adj: dict[int, set[int]] = {v: set() for v in range(r.nroots)}
-    for i in range(r.nroots):
-        for j in range(i + 1, r.nroots):
-            if compatible(r, i, j):
-                adj[i].add(j)
-                adj[j].add(i)
-    return adj
+def compat_graph(r: RootSystem) -> list[int]:
+    """The compatibility graph over all roots as neighbour masks: bit j of
+    entry i is set when roots i and j are compatible.  lb-sets are exactly
+    the cliques.  Built once per root system."""
+    def build():
+        nbr = [0] * r.nroots
+        for i in range(r.nroots):
+            for j in range(i + 1, r.nroots):
+                if compatible(r, i, j):
+                    nbr[i] |= 1 << j
+                    nbr[j] |= 1 << i
+        return tuple(nbr)
+
+    return list(_cached(r, "compat", build))
 
 
 def is_lb(r: RootSystem, q) -> bool:

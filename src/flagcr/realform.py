@@ -18,7 +18,7 @@ from fractions import Fraction
 from .gaussq import CMatrix, CNum, kernel
 from .qsets import is_closed
 from .intlat import column_solver
-from .rootsys import RootSystem, coroot, dot, root_sum, scaled
+from .rootsys import RootSystem, dot, root_sum, scaled
 from .weyl import apply_matrix_cols, simple_roots
 
 
@@ -275,8 +275,8 @@ def regular_max_structure(r: RootSystem, sigma: RootConjugation, q, m_basis) -> 
     qr, qn = split_r_n(r, q)
     ok = True
     for i in sorted(qr):
-        cr = coroot(r.roots[i])
-        vec = [CNum(Fraction(x), Fraction(0)) for x in cr]
+        # the coroot is a multiple of the root, and membership ignores scale
+        vec = [CNum(Fraction(x), Fraction(0)) for x in r.roots[i]]
         if not m.contains(vec):
             ok = False
     report["coroot_span_in_m"] = ok

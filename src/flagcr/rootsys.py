@@ -193,16 +193,17 @@ class RootSystem:
     index: dict[tuple[int, ...], int] = field(repr=False)
     # Z-basis of the lattice spanned by the stored (doubled) roots
     lattice_basis: list[list[int]] = field(repr=False)
-    coweight_basis: list[tuple[Fraction, ...]] = field(repr=False)
     # (columns of the coweight basis scaled to integers, their denominator)
     coweight_scaled: tuple[list[tuple[int, ...]], int] = field(repr=False)
     # coweight_values[i][k] = alpha_i(omega_k) for the coweight basis omega_k
     coweight_values: list[tuple[int, ...]] = field(repr=False)
     # negation[i] is the index of -roots[i]
     negation: list[int] = field(repr=False)
-    _sum_table: dict[tuple[int, int], int | None] = field(default_factory=dict, repr=False)
-    # group data of weyl (simple roots, generator permutations), built on use
-    _group_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _sum_table: dict[tuple[int, int], int | None] = field(default_factory=dict, repr=False, compare=False)
+    # tables derived from the roots on first use and kept here (see _cached):
+    # the compatibility masks of qsets, the simple roots, their integer
+    # coordinates and the group data of weyl
+    _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def nroots(self) -> int:
@@ -252,6 +253,13 @@ def evaluate_int(alpha: tuple[int, ...], e: GradingElement) -> int:
     if rem:
         raise ValueError("root does not evaluate integrally")
     return v
+
+
+def _cached(r: RootSystem, key: str, build):
+    """The table ``key`` of the root system, built by ``build()`` on first use."""
+    if key not in r._tables:
+        r._tables[key] = build()
+    return r._tables[key]
 
 
 def root_sum(r: RootSystem, i: int, j: int) -> int | None:
@@ -322,17 +330,10 @@ def build_root_system(type_tag: str, rank: int | None = None) -> RootSystem:
         roots=stored,
         index=index,
         lattice_basis=dbasis,
-        coweight_basis=[tuple(Fraction(x, den) for x in w) for w in cw_num],
         coweight_scaled=(list(zip(*cw_num)), den),
         coweight_values=[tuple(x for x, _ in row) for row in values],
         negation=[index[tuple(-x for x in v)] for v in stored],
     )
-
-
-def coroot(alpha: tuple[int, ...]) -> tuple[Fraction, ...]:
-    """Coroot 2*alpha/(alpha|alpha) as an ambient rational vector."""
-    nn = inner(alpha, alpha)
-    return tuple(Fraction(a, 1) / nn for a in alpha)
 
 
 def find_root(r: RootSystem, spec) -> int:

@@ -2,15 +2,16 @@
 reflections, orbits of sets, canonical forms and equivalence testing.
 
 A group element is the permutation it induces on the root list: a tuple g of
-root indices, g[i] the index of the image of root i.  The simple reflections
-and the diagram automorphisms are built once per root system, in integer
-arithmetic, and kept on it.  A stabiliser chain of W and of Aut, also built
-once, gives the canonical form of a set (its least image, found without
-walking the orbit), and two sets are equivalent when their canonical forms
-agree.  A set orbit is enumerated once per member, through the W-orbit of
-its dominant root sum.  Membership of one element in W is decided by the
-chamber walk on permutations; in_weyl has no caller in the package and stays
-only because the benchmark tracer (perfbench/tracer.py) wraps it.
+root indices, g[i] the index of the image of root i.  The simple roots, each
+root's integer coordinates on them, the simple reflections and the diagram
+automorphisms are built once per root system, in integer arithmetic, and kept
+on it.  A stabiliser chain of W and of Aut, also built once, gives the
+canonical form of a set (its least image, found without walking the orbit),
+and two sets are equivalent when their canonical forms agree.  A set orbit
+is enumerated once per member, through the W-orbit of its dominant root sum.
+Membership of one element in W is decided by the chamber walk on
+permutations; in_weyl has no caller in the package and stays only because
+the benchmark tracer (perfbench/tracer.py) wraps it.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .gaussq import Factored
-from .rootsys import RootSystem
+from .intlat import column_solver
+from .rootsys import RootSystem, _cached, dot
 
 
 class OrbitBudgetExceeded(RuntimeError):
@@ -46,13 +47,6 @@ def reflection_perm(r: RootSystem, alpha_idx: int) -> tuple[int, ...]:
     alpha = r.roots[alpha_idx]
     pairing = _coroot_pairing(r, alpha_idx)
     return tuple(r.index[tuple(x - c * a for x, a in zip(v, alpha))] for v, c in zip(r.roots, pairing))
-
-
-def _cached(r: RootSystem, key: str, build):
-    """Per-root-system store of the group data, built on first use."""
-    if key not in r._group_cache:
-        r._group_cache[key] = build()
-    return r._group_cache[key]
 
 
 def _lex_positive(v: tuple[int, ...]) -> bool:
@@ -95,35 +89,15 @@ def cartan_matrix(r: RootSystem) -> list[tuple[int, ...]]:
     return [labels[s] for s in simple_roots(r)]
 
 
-def _base_map(r: RootSystem, base: list[int]):
-    """Permutation builder for a base of the root span (root indices): the
-    returned function takes images of the base roots, which must have the
-    base's Gram matrix, and gives the root permutation of the isometry they
-    define, or None when some root is not sent to a root.  Each root's
-    coordinates in the base are solved once, as integer numerators over a
-    common denominator."""
-    f = Factored([[r.roots[b][k] for b in base] for k in range(r.ambient_dim)], Fraction)
-    coords = [f.solve(v) for v in r.roots]
-    den = math.lcm(*(x.denominator for c in coords for x in c))
-    nums = [[int(x * den) for x in c] for c in coords]
+def simple_coordinates(r: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """Each root's coordinates on simple_roots(r), in root order: integers,
+    all of one sign (Humphreys, Introduction to Lie Algebras, 10.1), read off
+    one Smith form of the simple-root columns; built once."""
+    def build():
+        solver = column_solver([r.roots[s] for s in simple_roots(r)])
+        return tuple(solver.lift(solver.transform(v)) for v in r.roots)
 
-    def perm_of(images) -> tuple[int, ...] | None:
-        vecs = [r.roots[i] for i in images]
-        out = []
-        for row in nums:
-            img = []
-            for k in range(r.ambient_dim):
-                x, rem = divmod(sum(c * v[k] for c, v in zip(row, vecs)), den)
-                if rem:
-                    return None
-                img.append(x)
-            idx = r.index.get(tuple(img))
-            if idx is None:
-                return None
-            out.append(idx)
-        return tuple(out)
-
-    return perm_of
+    return _cached(r, "coordinates", build)
 
 
 def diagram_automorphisms(r: RootSystem) -> list[tuple[int, ...]]:
@@ -135,18 +109,18 @@ def diagram_automorphisms(r: RootSystem) -> list[tuple[int, ...]]:
 
 def _diagram_automorphisms(r: RootSystem) -> tuple[tuple[int, ...], ...]:
     """The permutations of the simple roots that keep their Gram matrix, each
-    extended linearly (all of them permute the roots)."""
+    extended linearly through the simple coordinates of the roots (all of
+    them permute the roots)."""
     simples = simple_roots(r)
     k = len(simples)
     gram = [[sum(a * b for a, b in zip(r.roots[i], r.roots[j])) for j in simples] for i in simples]
-    perm_of = _base_map(r, simples)
+    coords = simple_coordinates(r)
     out = []
     for perm in itertools.permutations(range(k)):
         if perm == tuple(range(k)) or any(gram[perm[i]][perm[j]] != gram[i][j] for i in range(k) for j in range(k)):
             continue
-        g = perm_of([simples[i] for i in perm])
-        if g is not None:
-            out.append(g)
+        cols = list(zip(*(r.roots[simples[i]] for i in perm)))
+        out.append(tuple(r.index[tuple(dot(row, col) for col in cols)] for row in coords))
     return tuple(out)
 
 

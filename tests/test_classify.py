@@ -119,19 +119,24 @@ def test_enumerate_finishes_at_the_least_clique_budget(enumerated, tag, n):
     # an orbit has no more sets than there are maximal cliques, so at the
     # least budget the clique search finishes in, the orbit walks finish too
     rs, classes = enumerated(tag, n, "weyl")
-    adj = compat_graph(rs)
+    nbr = compat_graph(rs)
     lo, hi = 1, 2_000_000
     while lo < hi:
         mid = (lo + hi) // 2
         try:
-            maximal_cliques(adj, mid)
+            maximal_cliques(nbr, mid)
             hi = mid
         except BudgetExceeded:
             lo = mid + 1
     with pytest.raises(BudgetExceeded):
-        maximal_cliques(adj, lo - 1)
+        maximal_cliques(nbr, lo - 1)
     got = enumerate_maximal(rs, budget=lo)
     assert [(c.canonical, c.orbit_size) for c in got] == [(c.canonical, c.orbit_size) for c in classes]
+
+
+def _adjacency(nbr):
+    """The neighbour masks as a dict of neighbour sets."""
+    return {i: {j for j in range(len(nbr)) if mask >> j & 1} for i, mask in enumerate(nbr)}
 
 
 def _set_maximal_cliques(adj, budget=None):
@@ -163,34 +168,32 @@ CLIQUE_TYPES = [("A", 4), ("A", 6), ("B", 3), ("B", 4), ("C", 3), ("C", 5), ("D"
 
 @pytest.mark.parametrize("tag,n", CLIQUE_TYPES)
 def test_maximal_cliques_match_set_oracle(tag, n):
-    adj = compat_graph(build_root_system(tag, n))
-    got = maximal_cliques(adj)
-    want = _set_maximal_cliques(adj)
+    nbr = compat_graph(build_root_system(tag, n))
+    got = maximal_cliques(nbr)
+    want = _set_maximal_cliques(_adjacency(nbr))
     assert all(c == tuple(sorted(c)) for c in got)
     assert len(set(got)) == len(got)
     assert set(got) == set(want)
 
 
-def test_maximal_cliques_on_sparse_labels_match_set_oracle():
-    # nodes need not be 0..n-1: the bitmask search keys bits by sorted node
+def test_maximal_cliques_on_random_mask_graphs_match_set_oracle():
     rng = random.Random(5)
     for _ in range(30):
-        labels = rng.sample(range(1000), rng.randint(1, 24))
-        adj = {v: set() for v in labels}
-        for u, v in itertools.combinations(labels, 2):
+        nbr = [0] * rng.randint(1, 24)
+        for u, v in itertools.combinations(range(len(nbr)), 2):
             if rng.random() < 0.5:
-                adj[u].add(v)
-                adj[v].add(u)
-        assert sorted(maximal_cliques(adj)) == sorted(_set_maximal_cliques(adj))
-    assert maximal_cliques({}) == [()]
+                nbr[u] |= 1 << v
+                nbr[v] |= 1 << u
+        assert sorted(maximal_cliques(nbr)) == sorted(_set_maximal_cliques(_adjacency(nbr)))
+    assert maximal_cliques([]) == [()]
 
 
 def test_clique_budget_stop_carries_maximal_cliques():
-    adj = compat_graph(build_root_system("F4"))
-    everything = set(_set_maximal_cliques(adj))
+    nbr = compat_graph(build_root_system("F4"))
+    everything = set(_set_maximal_cliques(_adjacency(nbr)))
     for budget in (20, 200, 2000):
         with pytest.raises(BudgetExceeded) as e:
-            maximal_cliques(adj, budget)
+            maximal_cliques(nbr, budget)
         partial = e.value.partial
         assert partial and len(set(partial)) == len(partial) < len(everything)
         assert set(partial) <= everything
@@ -232,25 +235,23 @@ def test_e6_construct_q_is_an_enumerated_class(enumerated):
     assert canonical_form(e6, q) in {frozenset(c.canonical) for c in enumerated("E6", None, "weyl")[1]}
 
 
-def all_cliques(adj: dict[int, set[int]]):
-    """Every nonempty clique of the graph, each exactly once."""
-    verts = sorted(adj)
+def all_cliques(nbr: list[int]):
+    """Every nonempty clique of the graph of neighbour masks, each exactly once."""
     out: list[tuple[int, ...]] = []
 
     def grow(prefix: list[int], allowed: list[int]):
         for k, v in enumerate(allowed):
             cur = prefix + [v]
             out.append(tuple(cur))
-            grow(cur, [w for w in allowed[k + 1 :] if w in adj[v]])
+            grow(cur, [w for w in allowed[k + 1 :] if nbr[v] >> w & 1])
 
-    grow([], verts)
+    grow([], list(range(len(nbr))))
     return out
 
 
 def test_all_cliques_small():
     a2 = build_root_system("A", 3)
-    adj = compat_graph(a2)
-    cl = all_cliques(adj)
+    cl = all_cliques(compat_graph(a2))
     assert len(set(cl)) == len(cl)
     assert all(is_lb(a2, c) for c in cl)
     # singletons + pairs: 6 roots, 6 maximal 2-cliques = 6 + 6
@@ -258,14 +259,15 @@ def test_all_cliques_small():
 
 
 def test_catalog_a_and_c():
-    entries = catalog("A", 4, "all")
+    # build_root_system("A", n) takes the ambient dimension n, so A4 here is
+    # A_3, the system of enumerate --type A --rank 3
+    a3 = build_root_system("A", 4)
+    entries = catalog(a3, "all")
     assert [e.parameters["p"] for e in entries] == [1, 2, 3]
-    # catalog("A", n) takes the ambient dimension n, so A4 here is A_3, the
-    # system of enumerate --type A --rank 3
-    assert _system_for(SimpleNamespace(type="A", rank=3)).roots == build_root_system("A", 4).roots
-    sym = catalog("A", 4, "symmetric")
+    assert _system_for(SimpleNamespace(type="A", rank=3)).roots == a3.roots
+    sym = catalog(a3, "symmetric")
     assert len(sym) == 3
-    c = catalog("C", 3, "symmetric")
+    c = catalog(build_root_system("C", 3), "symmetric")
     assert len(c) == 1 and len(c[0].indices) == 6
 
 
@@ -274,7 +276,7 @@ def test_catalog_b_d_match_enumeration():
     # reproduce exactly the enumerated classes
     for tag, n in [("B", 2), ("B", 3), ("B", 4), ("D", 4), ("B", 5), ("D", 5)]:
         rs = build_root_system(tag, n)
-        cat = catalog(tag, n, "all")
+        cat = catalog(rs, "all")
         classes = enumerate_maximal(rs)
         assert len(cat) == len(classes), (tag, n, len(cat), len(classes))
         for entry in cat:
@@ -301,7 +303,7 @@ CATALOG_PARAMETERS = {
 
 @pytest.mark.parametrize("tag,which", list(CATALOG_PARAMETERS), ids=[f"{t}4-{w}" for t, w in CATALOG_PARAMETERS])
 def test_catalog_b_d_keeps_first_of_each_class(tag, which):
-    assert [e.parameters for e in catalog(tag, 4, which)] == CATALOG_PARAMETERS[tag, which]
+    assert [e.parameters for e in catalog(build_root_system(tag, 4), which)] == CATALOG_PARAMETERS[tag, which]
 
 
 # every entry of every catalog: label, root indices, parameters, claims and
@@ -314,18 +316,18 @@ with open(os.path.join(os.path.dirname(__file__), "catalog_entries.json")) as f:
 def test_catalog_entries_as_recorded(key):
     tag, which = key.split("-")
     type_tag, rank = (tag, None) if tag in ("G2", "F4") else (tag[0], int(tag[1:]))
-    got = [[e.label, list(e.indices), e.parameters, e.claims, e.source] for e in catalog(type_tag, rank, which)]
+    rs = build_root_system(type_tag, rank)
+    got = [[e.label, list(e.indices), e.parameters, e.claims, e.source] for e in catalog(rs, which)]
     assert json.loads(json.dumps(got)) == CATALOG_ENTRIES[key]
 
 
 def test_catalog_g2_f4():
-    g2 = catalog("G2", None, "all")
-    assert len(g2) == 2
-    g2s = catalog("G2", None, "symmetric")
+    g2, f4 = build_root_system("G2"), build_root_system("F4")
+    assert len(catalog(g2, "all")) == 2
+    g2s = catalog(g2, "symmetric")
     assert {e.label for e in g2s} == {"Q4_1", "Q4_0"}
-    f4 = catalog("F4", None, "all")
-    assert len(f4) == 5
-    f4s = catalog("F4", None, "symmetric")
+    assert len(catalog(f4, "all")) == 5
+    f4s = catalog(f4, "symmetric")
     assert len(f4s) == 1 and len(f4s[0].indices) == 7
 
 
@@ -534,7 +536,7 @@ def test_maximal_symmetric_landscape_small():
     assert sorted(c["j"] for c in classes) == [False, True]
     # the catalog (the published list) covers only the J class: the non-J
     # maximal symmetric class is the documented gap in the source
-    cat = catalog("B", 3, "symmetric")
+    cat = catalog(b3, "symmetric")
     assert len(cat) == 1
 
 

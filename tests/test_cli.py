@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from flagcr import classify, rootsys
+from flagcr import classify, cli, rootsys
 from flagcr.cli import main
 
 
@@ -299,6 +299,25 @@ def test_verify_paper_gradings(capsys):
     report = json.loads("\n".join(lines[start:]))
     assert report["results"]["summary"]["fail"] == 0
     assert report["results"]["summary"]["pass"] >= 10
+
+
+@pytest.mark.parametrize("section,builds", [("6", 9), ("7", 6)])
+def test_verify_paper_builds_each_system_once(capsys, monkeypatch, section, builds):
+    # the enumerations, catalogs and criterion checks of a section share one
+    # root system per type; the B3 and F4 counterexamples build their own
+    calls = []
+    build = rootsys.build_root_system
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    for module in (rootsys, classify, cli):
+        monkeypatch.setattr(module, "build_root_system", counting)
+    monkeypatch.setattr(classify, "_SYSTEM_CACHE", {})
+    code, _ = run(capsys, "verify-paper", "--section", section)
+    assert code == 0
+    assert len(calls) == builds, calls
 
 
 BUDGET_CASES = [

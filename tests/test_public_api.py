@@ -54,14 +54,14 @@ PUBLIC = {
         "compact_conjugation", "conjugation_from_matrix", "regular_max_structure", "split_r_n", "verify_lemma_lb",
     },
     "rootsys": {
-        "FIXED_RANK", "GradingElement", "InvalidRank", "RootSystem", "TYPES", "build_root_system", "coroot",
+        "FIXED_RANK", "GradingElement", "InvalidRank", "RootSystem", "TYPES", "build_root_system",
         "coweight_lattice_basis", "dot", "evaluate", "evaluate_int", "find_root", "inner", "root_sum", "roots_set",
         "rootset_from_json", "rootset_to_json", "scaled", "sorted_indices",
     },
     "weyl": {
         "OrbitBudgetExceeded", "apply_matrix_cols", "canonical_form", "cartan_matrix", "diagram_automorphisms",
         "generators", "in_weyl", "positive_roots", "reflection_perm", "root_orbit", "set_orbit", "sets_equivalent",
-        "simple_roots",
+        "simple_coordinates", "simple_roots",
     },
 }
 

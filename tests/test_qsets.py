@@ -31,7 +31,7 @@ from flagcr.qsets import (
 from flagcr.rootsys import (
     GradingElement,
     build_root_system,
-    coroot,
+    dot,
     evaluate,
     evaluate_int,
     find_root,
@@ -150,17 +150,34 @@ def test_an_all_fundamental_sets_symmetric():
 
 def test_compat_graph_examples():
     a2 = build_root_system("A", 3)
-    adj = compat_graph(a2)
+    nbr = compat_graph(a2)
     i = find_root(a2, (1, -1, 0))
     j = find_root(a2, (1, 0, -1))
-    assert j in adj[i]
-    assert a2.neg(i) not in adj[i]
+    assert nbr[i] >> j & 1
+    assert not nbr[i] >> a2.neg(i) & 1
     f4 = build_root_system("F4")
     clique = roots_set(
         f4,
         [(1, 0, 0, 0), (H, H, H, H), (H, H, H, -H), (1, 0, 1, 0), (1, 0, -1, 0), (0, 1, 0, 1), (0, 1, 0, -1)],
     )
     assert is_lb(f4, clique)
+
+
+@pytest.mark.parametrize(
+    "tag,rank", [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("G2", None), ("F4", None), ("E6", None), ("E7", None), ("E8", None)]
+)
+def test_compat_graph_masks_are_the_compatible_relation(tag, rank):
+    rs = build_root_system(tag, rank)
+    nbr = compat_graph(rs)
+    assert len(nbr) == rs.nroots
+    assert all(0 <= mask < 1 << rs.nroots for mask in nbr)
+    for i in range(rs.nroots):
+        assert not nbr[i] >> i & 1
+        for j in range(rs.nroots):
+            if i != j:
+                assert bool(nbr[i] >> j & 1) == compatible(rs, i, j) == bool(nbr[j] >> i & 1), (tag, i, j)
+    # built once: a second call reads the kept table
+    assert compat_graph(rs) == nbr and rs._tables["compat"] == tuple(nbr)
 
 
 def test_weyl_invariance_of_predicates():
@@ -294,7 +311,8 @@ def test_witness_outside_coweight_lattice_is_rejected(tag, rank):
     # other root, hence not in the coweight lattice
     rs = build_root_system(tag, rank)
     alpha = rs.roots[0]
-    e = GradingElement((0,) * rs.rank, tuple(x / 2 for x in coroot(alpha)))
+    # the coroot 2 alpha / (alpha|alpha), with (alpha|alpha) = dot / 4 on the doubled roots
+    e = GradingElement((0,) * rs.rank, tuple(Fraction(2 * x, dot(alpha, alpha)) for x in alpha))
     assert evaluate(alpha, e) == 1
     assert any(evaluate(root, e).denominator != 1 for root in rs.roots)
     for modulus in (2, 4, None):

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from flagcr.gaussq import Factored, solve_linear
 from flagcr.intlat import column_solver, hermite_basis, smith_normal_form
+from flagcr.qsets import compat_graph
 from flagcr.rootsys import (
     GradingElement,
     InvalidRank,
     build_root_system,
-    coroot,
     dot,
     evaluate,
     evaluate_int,
@@ -97,6 +97,17 @@ def test_root_sum():
     assert root_sum(a2, i, k) is None
 
 
+def test_kept_tables_do_not_change_equality():
+    # the sum table and the derived tables fill on use; two builds of one
+    # system stay equal whichever of them has been used
+    one, two = build_root_system("B", 3), build_root_system("B", 3)
+    assert one == two
+    root_sum(one, 0, 1)
+    assert one == two
+    compat_graph(two)
+    assert one._sum_table != two._sum_table and one == two
+
+
 def test_g2_short_plus_short_is_root():
     # the sum of two short roots, when their sum is nonzero, is always a root
     g2 = build_root_system("G2")
@@ -140,13 +151,21 @@ FUNDAMENTAL_GROUP_ORDER = {
 }
 
 
+def coweight_basis(r) -> list[tuple[Fraction, ...]]:
+    """The coweight basis vectors as Fractions, from their scaled columns."""
+    cols, den = r.coweight_scaled
+    return [tuple(Fraction(x, den) for x in w) for w in zip(*cols)]
+
+
 def coweight_index(r) -> int:
     """Index of the coroot lattice inside the coweight lattice (equals the
     order of the fundamental group for the nine supported types)."""
-    coroots = [coroot(v) for v in r.roots]
-    lcm = math.lcm(*(x.denominator for vec in itertools.chain(coroots, r.coweight_basis) for x in vec))
+    # the coroot 2 alpha / (alpha|alpha), with (alpha|alpha) = dot / 4 on the doubled roots
+    coroots = [tuple(Fraction(4 * a, dot(v, v)) for a in v) for v in r.roots]
+    cw = coweight_basis(r)
+    lcm = math.lcm(*(x.denominator for vec in itertools.chain(coroots, cw) for x in vec))
     cor_basis = hermite_basis([[int(x * lcm) for x in c] for c in coroots])
-    cw_cols = [[int(x * lcm) for x in v] for v in r.coweight_basis]
+    cw_cols = [[int(x * lcm) for x in v] for v in cw]
     solver = column_solver(cw_cols)
     coords = []
     for v in cor_basis:
@@ -169,8 +188,8 @@ def coweight_index(r) -> int:
 )
 def test_coweight_lattice(tag, rank):
     rs = build_root_system(tag, rank)
-    assert len(rs.coweight_basis) == rs.rank
-    for basis_vec in rs.coweight_basis:
+    assert len(coweight_basis(rs)) == rs.rank
+    for basis_vec in coweight_basis(rs):
         for v in rs.roots:
             val = evaluate(v, basis_vec)
             assert val.denominator == 1
@@ -180,7 +199,7 @@ def test_coweight_lattice(tag, rank):
 
 def test_coweight_a1():
     a1 = build_root_system("A", 2)
-    (basis_vec,) = a1.coweight_basis
+    (basis_vec,) = coweight_basis(a1)
     assert basis_vec in ((Fraction(1, 2), Fraction(-1, 2)), (Fraction(-1, 2), Fraction(1, 2)))
 
 
@@ -231,7 +250,7 @@ def _system(tag, rank):
 def _oracle_ambient(rs, coords):
     """The coweight combination sum_k c_k omega_k, summed in Fractions."""
     amb = [Fraction(0)] * rs.ambient_dim
-    for c, basis_vec in zip(coords, rs.coweight_basis):
+    for c, basis_vec in zip(coords, coweight_basis(rs)):
         for k in range(rs.ambient_dim):
             amb[k] += c * basis_vec[k]
     return tuple(amb)
@@ -321,7 +340,7 @@ def _fraction_coweight_basis(dbasis):
 
 
 def _fraction_coweight_coords(rs, ambient):
-    rows = [[v[k] for v in rs.coweight_basis] for k in range(rs.ambient_dim)]
+    rows = [[v[k] for v in coweight_basis(rs)] for k in range(rs.ambient_dim)]
     sol = solve_linear(rows, ambient, Fraction)
     if sol is None or any(x.denominator != 1 for x in sol):
         return None
@@ -335,7 +354,7 @@ def test_coweight_basis_matches_fraction_oracle(tag, rank):
     cw = _fraction_coweight_basis(rs.lattice_basis)
     den = math.lcm(*(x.denominator for w in cw for x in w))
     cw_num = [tuple(int(x * den) for x in w) for w in cw]
-    assert rs.coweight_basis == cw
+    assert coweight_basis(rs) == cw
     assert rs.coweight_scaled == (list(zip(*cw_num)), den)
     assert rs.coweight_values == [tuple(_oracle_evaluate(v, w) for w in cw) for v in rs.roots]
 

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from ambient_matrix import matrix_of
@@ -7,6 +8,7 @@ from weyl_words import random_element
 
 from flagcr import weyl
 from flagcr.classify import enumerate_maximal
+from flagcr.gaussq import Factored
 from flagcr.rootsys import TYPES, build_root_system, find_root, roots_set
 from flagcr.weyl import (
     apply_matrix_cols,
@@ -18,6 +20,7 @@ from flagcr.weyl import (
     reflection_perm,
     sets_equivalent,
     set_orbit,
+    simple_coordinates,
     simple_roots,
 )
 
@@ -384,21 +387,21 @@ def test_generators_are_isometries_and_match_matrix_of():
 
 
 def test_generators_built_once(monkeypatch):
-    from flagcr import weyl
-
+    # "diagram" counts the simple-coordinate table, which only the diagram
+    # automorphisms read
     built = {"reflections": 0, "diagram": 0}
-    reflection_perm_, base_map = weyl.reflection_perm, weyl._base_map
+    reflection_perm_, column_solver = weyl.reflection_perm, weyl.column_solver
 
     def counting_reflection(r, i):
         built["reflections"] += 1
         return reflection_perm_(r, i)
 
-    def counting_base_map(r, base):
+    def counting_solver(columns):
         built["diagram"] += 1
-        return base_map(r, base)
+        return column_solver(columns)
 
     monkeypatch.setattr(weyl, "reflection_perm", counting_reflection)
-    monkeypatch.setattr(weyl, "_base_map", counting_base_map)
+    monkeypatch.setattr(weyl, "column_solver", counting_solver)
     d4 = build_root_system("D", 4)
     q = roots_set(d4, [(1, 1, 0, 0), (1, 0, 1, 0)])
     orbit = set_orbit(d4, q)
@@ -410,3 +413,76 @@ def test_generators_built_once(monkeypatch):
     set_orbit(d4, q, "aut")
     set_orbit(d4, q, "aut")
     assert built == {"reflections": 4, "diagram": 1}
+
+
+NINE = [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("G2", None), ("F4", None), ("E6", None), ("E7", None), ("E8", None)]
+
+
+@pytest.mark.parametrize("tag,rank", NINE)
+def test_simple_coordinates_are_integral_and_of_one_sign(tag, rank):
+    rs = build_root_system(tag, rank)
+    simples = simple_roots(rs)
+    coords = simple_coordinates(rs)
+    assert len(coords) == rs.nroots
+    for i, row in enumerate(coords):
+        assert len(row) == len(simples) and all(type(c) is int for c in row)
+        assert all(c >= 0 for c in row) or all(c <= 0 for c in row), (tag, rs.roots[i], row)
+        assert tuple(sum(c * rs.roots[s][k] for c, s in zip(row, simples)) for k in range(rs.ambient_dim)) == rs.roots[i]
+    assert all(coords[s] == tuple(int(t == s) for t in simples) for s in simples)
+
+
+def _fraction_base_map(r, base):
+    """Oracle: each root's coordinates in the base solved over Q, as integer
+    numerators over a common denominator; the returned function takes the
+    images of the base roots and gives the root permutation of the isometry
+    they define, or None when some root is not sent to a root."""
+    f = Factored([[r.roots[b][k] for b in base] for k in range(r.ambient_dim)], Fraction)
+    coords = [f.solve(v) for v in r.roots]
+    den = math.lcm(*(x.denominator for c in coords for x in c))
+    nums = [[int(x * den) for x in c] for c in coords]
+
+    def perm_of(images):
+        vecs = [r.roots[i] for i in images]
+        out = []
+        for row in nums:
+            img = []
+            for k in range(r.ambient_dim):
+                x, rem = divmod(sum(c * v[k] for c, v in zip(row, vecs)), den)
+                if rem:
+                    return None
+                img.append(x)
+            idx = r.index.get(tuple(img))
+            if idx is None:
+                return None
+            out.append(idx)
+        return tuple(out)
+
+    return perm_of
+
+
+def _gram_preserving_permutations(gram):
+    """The permutations p with gram[p[i]][p[j]] == gram[i][j], in
+    lexicographic order, by extending prefixes that keep the Gram matrix."""
+    k = len(gram)
+
+    def extend(prefix):
+        if len(prefix) == k:
+            yield tuple(prefix)
+            return
+        i = len(prefix)
+        for t in range(k):
+            if t not in prefix and all(gram[t][prefix[j]] == gram[i][j] for j in range(i)) and gram[t][t] == gram[i][i]:
+                yield from extend(prefix + [t])
+
+    return extend([])
+
+
+@pytest.mark.parametrize("tag,rank", [("A", n) for n in range(4, 11)] + [("D", n) for n in range(4, 9)] + [("E6", None)])
+def test_diagram_automorphisms_match_fraction_oracle(tag, rank):
+    rs = build_root_system(tag, rank)
+    simples = simple_roots(rs)
+    gram = [[sum(a * b for a, b in zip(rs.roots[i], rs.roots[j])) for j in simples] for i in simples]
+    perm_of = _fraction_base_map(rs, simples)
+    want = [perm_of([simples[i] for i in p]) for p in _gram_preserving_permutations(gram)][1:]
+    assert None not in want
+    assert diagram_automorphisms(rs) == want
