@@ -26,6 +26,7 @@ definitions, which route A reads in closed form; the tests check it on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .intlat import SNFSolver, lattice_coset_gcd
 from .rootsys import GradingElement, RootSystem, _cached, dot, evaluate_int, root_sum, sorted_indices
@@ -69,14 +70,17 @@ def compatible(r: RootSystem, i: int, j: int) -> bool:
 def compat_graph(r: RootSystem) -> list[int]:
     """The compatibility graph over all roots as neighbour masks: bit j of
     entry i is set when roots i and j are compatible.  lb-sets are exactly
-    the cliques.  Built once per root system."""
+    the cliques.  Each mask starts from every root but i and -i, and each
+    pair whose vector sum is a root clears its two bits (the sum of i and -i,
+    the zero vector, is not a root).  Built once per root system."""
     def build():
-        nbr = [0] * r.nroots
-        for i in range(r.nroots):
-            for j in range(i + 1, r.nroots):
-                if compatible(r, i, j):
-                    nbr[i] |= 1 << j
-                    nbr[j] |= 1 << i
+        roots, index, n = r.roots, r.index, r.nroots
+        nbr = [((1 << n) - 1) ^ (1 << i) ^ (1 << r.negation[i]) for i in range(n)]
+        for i, u in enumerate(roots):
+            for j in range(i + 1, n):
+                if tuple(map(add, u, roots[j])) in index:
+                    nbr[i] ^= 1 << j
+                    nbr[j] ^= 1 << i
         return tuple(nbr)
 
     return list(_cached(r, "compat", build))

@@ -8,7 +8,8 @@ automorphisms are built once per root system, in integer arithmetic, and kept
 on it.  A stabiliser chain of W and of Aut, also built once, gives the
 canonical form of a set (its least image, found without walking the orbit),
 and two sets are equivalent when their canonical forms agree.  A set orbit
-is enumerated once per member, through the W-orbit of its dominant root sum.
+is enumerated once per member, through the W-orbit of its dominant root sum,
+walked on weights packed into one integer each.
 Membership of one element in W is decided by the chamber walk on
 permutations; in_weyl has no caller in the package and stays only because
 the benchmark tracer (perfbench/tracer.py) wraps it.
@@ -16,9 +17,9 @@ the benchmark tracer (perfbench/tracer.py) wraps it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
+from operator import itemgetter
 
 from .intlat import column_solver
 from .rootsys import RootSystem, _cached, dot
@@ -108,20 +109,34 @@ def diagram_automorphisms(r: RootSystem) -> list[tuple[int, ...]]:
 
 
 def _diagram_automorphisms(r: RootSystem) -> tuple[tuple[int, ...], ...]:
-    """The permutations of the simple roots that keep their Gram matrix, each
-    extended linearly through the simple coordinates of the roots (all of
-    them permute the roots)."""
+    """The permutations of the simple roots that keep their Gram matrix, in
+    lexicographic order, each extended linearly through the simple
+    coordinates of the roots (all of them permute the roots).  A prefix is
+    extended only while it keeps the Gram matrix, so the walk visits no
+    permutation of the k! that fails on its first entries."""
     simples = simple_roots(r)
     k = len(simples)
     gram = [[sum(a * b for a, b in zip(r.roots[i], r.roots[j])) for j in simples] for i in simples]
     coords = simple_coordinates(r)
     out = []
-    for perm in itertools.permutations(range(k)):
-        if perm == tuple(range(k)) or any(gram[perm[i]][perm[j]] != gram[i][j] for i in range(k) for j in range(k)):
-            continue
-        cols = list(zip(*(r.roots[simples[i]] for i in perm)))
-        out.append(tuple(r.index[tuple(dot(row, col) for col in cols)] for row in coords))
+    stack = [()]
+    while stack:  # depth first, each prefix's extensions pushed in reverse
+        prefix = stack.pop()
+        if len(prefix) < k:
+            stack.extend(prefix + (t,) for t in reversed(_gram_extensions(gram, prefix)))
+        elif prefix != tuple(range(k)):
+            cols = list(zip(*(r.roots[simples[i]] for i in prefix)))
+            out.append(tuple(r.index[tuple(dot(row, col) for col in cols)] for row in coords))
     return tuple(out)
+
+
+def _gram_extensions(gram, prefix) -> list[int]:
+    """The t that extend the prefix p of a permutation to one that still keeps
+    the Gram matrix on its first i + 1 entries, i = len(p): t is new,
+    gram[t][t] == gram[i][i] and gram[t][p[j]] == gram[i][j] for j < i."""
+    i = len(prefix)
+    return [t for t in range(len(gram)) if t not in prefix and gram[t][t] == gram[i][i]
+            and all(gram[t][prefix[j]] == gram[i][j] for j in range(i))]
 
 
 def generators(r: RootSystem, group: str = "weyl") -> tuple[tuple[int, ...], ...]:
@@ -260,6 +275,17 @@ def set_orbit(r: RootSystem, q, group: str = "weyl", budget: int | None = 2_000_
     ACM TOMS 16, 1990; Avis-Fukuda 1996): a weight's parent is its reflection
     at its first negative label.  For 'aut', where W is normal, each diagram
     automorphism that moves Q out of the orbit adds its image of the W-orbit.
+
+    The tree walk runs on integers.  A weight of W lam is one int whose field
+    k, w bits wide, holds label k plus off = 2^(w-1).  Every such weight is the
+    root sum of some w(Q), so label k is a sum of |Q| Cartan integers
+    <beta, alpha_k^vee>, each in [-3, 3]: |label| <= 3|Q| < off, and every
+    field lies in [1, 2^w - 1].  So a reflection is one multiply and subtract
+    of a packed Cartan row, a label is a shift and a mask, and the labels
+    before i are all >= 0 exactly when the top bits of their fields are set.
+    During the walk a member is a tuple of root indices, imaged under a
+    reflection g by itemgetter(*s)(g), and frozen once, as its node is made.
+
     OrbitBudgetExceeded is raised exactly when the orbit has more than
     ``budget`` sets; None means no limit."""
     labels, cartan = _labels(r), cartan_matrix(r)
@@ -284,19 +310,28 @@ def set_orbit(r: RootSystem, q, group: str = "weyl", budget: int | None = 2_000_
             if (img := frozenset(map(g.__getitem__, s))) not in orbit:
                 fibre.append(img)
                 grow((img,))
-    # node (nu, p, fib): nu's first negative label is at p (n at lam); s_i raises only
-    # i's neighbours, so s_i nu is a child if i < p, and can be if i is p's later neighbour
-    later = [[j for j in range(i + 1, n) if cartan[i][j]] for i in range(n)] + [[]]
-    stack = [(lam, n, fibre)]
+    w = (3 * len(q)).bit_length() + 1
+    off, mask = 1 << (w - 1), (1 << w) - 1
+    # per simple root i: i, its field's shift, its packed Cartan row, the top
+    # bits of the fields before it, and its reflection
+    steps = [(i, i * w, sum(c << (j * w) for j, c in enumerate(row)), sum(off << (j * w) for j in range(i)), g)
+             for i, (row, g) in enumerate(zip(cartan, refl))]
+    # node (nu, p, members): nu's first negative label is at p (n at lam); s_i
+    # raises only i's neighbours, so s_i nu is a child if i < p, and can be if
+    # i is p's later neighbour
+    cands = [[steps[i] for i in range(p)] + [steps[j] for j in range(p + 1, n) if cartan[p][j]] for p in range(n)]
+    cands.append(steps)
+    # itemgetter of one index returns the root, not a tuple: a one-root
+    # member carries its root twice.  The empty set, of root sum 0, has no
+    # tree nodes
+    pad = 2 if len(q) == 1 else 1
+    stack = [(sum((x + off) << (k * w) for k, x in enumerate(lam)), n, [tuple(s) * pad for s in fibre])]
     while stack:
-        nu, p, fib = stack.pop()
-        for i in itertools.chain(range(p), later[p]):
-            if (x := nu[i]) <= 0 or i > p and nu[p] < x * cartan[i][p]:
-                continue
-            child = [a - x * c for a, c in zip(nu, cartan[i])]
-            if i < p or min(child[:i]) >= 0:
-                g = refl[i]
-                grow(img := [frozenset(map(g.__getitem__, s)) for s in fib])
+        nu, p, members = stack.pop()
+        for i, shift, row, top, g in cands[p]:
+            if (x := (nu >> shift & mask) - off) > 0 and (child := nu - x * row) & top == top:
+                img = [itemgetter(*s)(g) for s in members]
+                grow(map(frozenset, img))
                 stack.append((child, i, img))
     if group == "aut":
         w_orbit = list(orbit)

@@ -156,6 +156,8 @@ def test_canonical_form_budget():
 # A2-A5 (build_root_system("A", n) is A_{n-1}), B2-B4, C2-C4, D4, D5, G2, F4, E6
 ORBIT_SYSTEMS = [("A", 3), ("A", 4), ("A", 5), ("A", 6), ("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3),
                  ("C", 4), ("D", 4), ("D", 5), ("G2", None), ("F4", None), ("E6", None)]
+# E7 and E8, whose orbits are compared on small ones only
+LARGE_SYSTEMS = [("E7", None), ("E8", None)]
 
 
 def _orbit_inputs(rs, rng, n_random):
@@ -167,18 +169,42 @@ def _orbit_inputs(rs, rng, n_random):
     return sets + [tuple(rng.sample(range(rs.nroots), rng.randint(1, min(8, rs.nroots)))) for _ in range(n_random)]
 
 
-@pytest.mark.parametrize("tag,rank", ORBIT_SYSTEMS, ids=[f"{t}{n or ''}" for t, n in ORBIT_SYSTEMS])
+def _small_orbit_inputs(rs, rng, k):
+    """The empty set, k seeded single roots, k seeded {beta, -beta} and all
+    of R: orbits of at most |R| sets."""
+    pos = weyl.positive_roots(rs)
+    return [(), *((i,) for i in rng.sample(range(rs.nroots), k)), *((i, rs.neg(i)) for i in rng.sample(pos, k)),
+            tuple(range(rs.nroots))]
+
+
+def _coroot_labels(rs):
+    """Each root's Cartan integers <beta, alpha^vee> against the simple
+    roots, from the root vectors."""
+    alphas = [rs.roots[a] for a in simple_roots(rs)]
+    return [tuple(2 * sum(x * a for x, a in zip(v, alpha)) // sum(a * a for a in alpha) for alpha in alphas)
+            for v in rs.roots]
+
+
+@pytest.mark.parametrize("tag,rank", ORBIT_SYSTEMS + LARGE_SYSTEMS,
+                         ids=[f"{t}{n or ''}" for t, n in ORBIT_SYSTEMS + LARGE_SYSTEMS])
 def test_set_orbit_matches_bfs_oracle(tag, rank):
     rs = build_root_system(tag, rank)
     rng = random.Random(f"orbit-{tag}{rank}")
-    for q in _orbit_inputs(rs, rng, 1 if tag == "E6" else 12):
+    large = (tag, rank) in LARGE_SYSTEMS
+    labels = _coroot_labels(rs)
+    for q in _small_orbit_inputs(rs, rng, 6) if large else _orbit_inputs(rs, rng, 1 if tag == "E6" else 12):
         # on E6 the oracle takes seconds per group for the positive system and
         # a random set (orbits of 51,840 to 103,680 sets), so those two run
         # under W only; the E6 Aut orbits of the enumerated classes are
         # compared with the oracle in the canonical-form test below
         big = tag == "E6" and 2 < len(q) < rs.nroots
         for group in ("weyl",) if big else ("weyl", "aut"):
-            assert set_orbit(rs, q, group) == _bfs_orbit(rs, q, group), (group, sorted(q))
+            orbit = _bfs_orbit(rs, q, group)
+            assert set_orbit(rs, q, group) == orbit, (group, sorted(q))
+        # the packing bound of set_orbit's integer walk: every label of the
+        # root sum of every member lies within 3|Q|
+        sums = {tuple(map(sum, zip(*(labels[b] for b in s)))) for s in orbit}
+        assert all(abs(x) <= 3 * len(q) for label in sums for x in label), sorted(q)
 
 
 def test_set_orbit_builds_each_set_once(monkeypatch):
@@ -477,7 +503,8 @@ def _gram_preserving_permutations(gram):
     return extend([])
 
 
-@pytest.mark.parametrize("tag,rank", [("A", n) for n in range(4, 11)] + [("D", n) for n in range(4, 9)] + [("E6", None)])
+@pytest.mark.parametrize("tag,rank", [("A", n) for n in range(4, 11)] + [("D", n) for n in range(4, 9)]
+                         + [("E6", None), ("E7", None), ("E8", None)])
 def test_diagram_automorphisms_match_fraction_oracle(tag, rank):
     rs = build_root_system(tag, rank)
     simples = simple_roots(rs)
@@ -486,3 +513,22 @@ def test_diagram_automorphisms_match_fraction_oracle(tag, rank):
     want = [perm_of([simples[i] for i in p]) for p in _gram_preserving_permutations(gram)][1:]
     assert None not in want
     assert diagram_automorphisms(rs) == want
+
+
+def test_diagram_automorphisms_extend_only_gram_keeping_prefixes(monkeypatch):
+    # A9's simple roots in root order are a path, and a prefix keeps the Gram
+    # matrix only when it runs along the path in one direction: the empty
+    # prefix, the 9 single nodes and the 2 (10 - m) runs of each length m in
+    # 2..8 are extended: 80 prefixes, against the 9! = 362,880 permutations
+    # of the simple roots
+    examined = []
+    extensions = weyl._gram_extensions
+
+    def counting(gram, prefix):
+        examined.append(prefix)
+        return extensions(gram, prefix)
+
+    monkeypatch.setattr(weyl, "_gram_extensions", counting)
+    a9 = build_root_system("A", 10)
+    assert len(diagram_automorphisms(a9)) == 1
+    assert len(examined) == 1 + 9 + sum(2 * (10 - m) for m in range(2, 9)) == 80
