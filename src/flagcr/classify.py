@@ -6,12 +6,17 @@ Maximal elements of Q(R) are exactly the maximal cliques of the compatibility
 graph, each of which spans R over Z (the proof is at enumerate_maximal), so
 enumeration is pivoting Bron-Kerbosch on the graph's neighbour masks, which
 the root system keeps (qsets.compat_graph), followed by orbit-first
-deduplication: the group permutes the maximal cliques, so in the sorted
-clique list the first clique of each orbit is its least member, the class
-representative.  Each orbit is walked once, and one property report on that
-member serves the whole class.  enumerate_maximal is the one caller of
-set_orbit, because it reports orbit sizes; the B/D catalogs and the maximal
-symmetric classes key W-classes by canonical form.
+deduplication.  The search runs only through the orbit leaders, the least
+root of each W-orbit of roots (one on A/D/E, two on B/C/F4/G2): the least
+member of a clique orbit, the class representative, contains the least root
+m that any member meets, and m leads its W-orbit, since W moves a member
+through m onto one through any root of Wm.  So in the sorted list of the
+cliques through the leaders, the first clique of each orbit is its least
+member.  Each orbit is walked once, one property report on that member
+serves the whole class, and the weighted mass identity checks every orbit
+walk against the search.  enumerate_maximal is the one caller of set_orbit,
+because it reports orbit sizes; the B/D catalogs and the maximal symmetric
+classes key W-classes by canonical form.
 
 catalog, on the caller's root system: each type yields rows of (label, root
 set, parameters, claims, source, witness), and one loop builds and
@@ -34,6 +39,7 @@ from .qsets import compat_graph, is_fundamental, property_report
 from .rootsys import (
     GradingElement,
     RootSystem,
+    _cached,
     build_root_system,
     evaluate_int,
     find_root,
@@ -41,7 +47,7 @@ from .rootsys import (
     roots_set,
     sorted_indices,
 )
-from .weyl import canonical_form, set_orbit
+from .weyl import OrbitBudgetExceeded, canonical_form, generators, root_orbit, set_orbit
 
 H = Fraction(1, 2)
 
@@ -50,6 +56,11 @@ class BudgetExceeded(RuntimeError):
     def __init__(self, msg, partial=None):
         super().__init__(msg)
         self.partial = partial
+
+
+class MassIdentityViolation(AssertionError):
+    """An orbit walk and the clique search disagree on the weighted mass
+    identity of enumerate_maximal; internal bug."""
 
 
 class CatalogClaimFailed(AssertionError):
@@ -67,17 +78,30 @@ class AnchorViolation(ValueError):
 # clique machinery
 
 
-def maximal_cliques(nbr: list[int], budget: int | None = None):
+class _Cliques(list):
+    """The cliques maximal_cliques found; ``nodes`` is the number of
+    recursion nodes the search made."""
+
+    nodes = 0
+
+
+def maximal_cliques(nbr: list[int], budget: int | None = None, through: list[int] | None = None):
     """Pivoting Bron-Kerbosch (Tomita et al., TCS 363, 2006) on int bitmasks
     (San Segundo et al., Comput. Oper. Res. 38, 2011), the pivot of most
     neighbours in P by int.bit_count; returns the maximal cliques of the graph
     on 0..n-1 with neighbour masks ``nbr`` (bit j of nbr[i] for an edge ij,
-    as compat_graph gives them) as sorted tuples.
+    as compat_graph gives them) as sorted tuples, in a list whose ``nodes``
+    attribute counts the recursion nodes.
+
+    With ``through``, a sequence of distinct vertices, only the maximal
+    cliques that contain one of them are found, each once: the search from
+    the k-th starts at R = {v}, P = its neighbours after the earlier ones,
+    X = its neighbours among them.
 
     ``budget`` bounds the number of recursion nodes; exceeding it raises
     BudgetExceeded with the cliques found so far attached.
     """
-    found: list[tuple[int, ...]] = []
+    found = _Cliques()
     nodes = 0
 
     def bk(r: tuple[int, ...], p: int, x: int):
@@ -108,8 +132,27 @@ def maximal_cliques(nbr: list[int], budget: int | None = None):
             p ^= low
             x |= low
 
-    bk((), (1 << len(nbr)) - 1, 0)
+    if through is None:
+        bk((), (1 << len(nbr)) - 1, 0)
+    else:
+        done = 0
+        for v in through:
+            bk((v,), nbr[v] & ~done, nbr[v] & done)
+            done |= 1 << v
+    found.nodes = nodes
     return found
+
+
+def _root_orbits(r: RootSystem) -> tuple[frozenset[int], ...]:
+    """The W-orbits of the roots, in the order of their least roots; built once."""
+    def build():
+        gens, remaining, out = generators(r), set(range(r.nroots)), []
+        while remaining:
+            out.append(root_orbit(r, min(remaining), gens))
+            remaining -= out[-1]
+        return tuple(out)
+
+    return _cached(r, "root_orbits", build)
 
 
 @dataclass
@@ -129,8 +172,7 @@ class EnumClass:
 
 def enumerate_maximal(r: RootSystem, quotient: str = "weyl", budget: int | None = 2_000_000) -> list[EnumClass]:
     """All maximal elements of Q(R) up to the chosen quotient group, with
-    property reports.  A budget stop in the clique search raises
-    BudgetExceeded with no partial classes.
+    property reports, each class represented by its least member.
 
     Every maximal clique Q is fundamental, so none is filtered out.  Two
     compatible roots p != -q have p.q >= 0, since otherwise p + q would be a
@@ -138,24 +180,56 @@ def enumerate_maximal(r: RootSystem, quotient: str = "weyl", budget: int | None 
     Z[Q], take such a gamma with gamma.s largest.  Q is maximal, so some q in
     Q is incompatible with gamma: either gamma = -q, or gamma + q is a root
     with a larger pairing with s, which puts it in Z[Q].  Both put gamma in
-    Z[Q]."""
+    Z[Q].
+
+    Only the cliques through the leaders, the least root of each W-orbit of
+    roots, are searched.  Let m be the least root that any member of a clique
+    orbit contains.  The orbit's least member (its sorted index tuples
+    compared, which sort as the tuples of their roots, as the roots are
+    stored sorted) begins with m.  m leads its W-orbit: for w m in Wm and a
+    member S through m, w S is a member through w m (the group contains W),
+    so m <= w m.
+    Hence the least member of every orbit is among the searched cliques, and
+    in their sorted list the first clique of an orbit is its least member.
+
+    Mass identity: for a class C with orbit O and a leader rho, counting the
+    pairs (S in O, root of W rho in S) two ways gives
+    |O| |C & W rho| = |W rho| #{S in O : rho in S}, the right-hand count
+    read off the search (the group keeps each W-orbit of roots, as diagram
+    automorphisms keep root lengths).  It is checked for every class and
+    leader, and MassIdentityViolation raised when it fails.
+
+    ``budget`` counts the search nodes and the orbit sets together.  A stop
+    in the search raises BudgetExceeded with no classes; a stop in an orbit
+    walk raises it with the classes completed before it."""
+    orbits = _root_orbits(r)
+    leaders = [min(o) for o in orbits]
     try:
-        cliques = maximal_cliques(compat_graph(r), budget)
+        cliques = maximal_cliques(compat_graph(r), budget, leaders)
     except BudgetExceeded as e:
         raise BudgetExceeded(str(e), []) from e
-    seen: set[frozenset[int]] = set()
+    left = None if budget is None else budget - cliques.nodes
+    unseen = set(map(frozenset, cliques))
     classes = []
-    # the group permutes the maximal cliques, so the first clique of an orbit
-    # in sorted order is its least member, the canonical form (the roots are
-    # stored sorted, so index tuples sort as the tuples of their roots); each
-    # orbit is walked once and decided on that member
     for cl in sorted(cliques):
-        if frozenset(cl) in seen:
+        if frozenset(cl) not in unseen:
             continue
-        # an orbit has no more sets than the search found maximal cliques, nor
-        # these more than its nodes, so no budget the search met can stop it
-        orbit = set_orbit(r, cl, quotient, budget=None)
-        seen |= orbit
+        try:
+            orbit = set_orbit(r, cl, quotient, left)
+        except OrbitBudgetExceeded as e:
+            raise BudgetExceeded(
+                f"orbit walks exceeded the budget of {budget} nodes after the clique search's "
+                f"{cliques.nodes}, at class {len(classes) + 1}", classes) from e
+        if left is not None:
+            left -= len(orbit)
+        hits = unseen & orbit  # the searched cliques of this orbit
+        unseen -= hits
+        for rho, o in zip(leaders, orbits):
+            meet, count = len(o.intersection(cl)), sum(rho in s for s in hits)
+            if len(orbit) * meet != len(o) * count:
+                raise MassIdentityViolation(
+                    f"class {cl}: orbit size {len(orbit)} x {meet} roots of the orbit of root {rho} "
+                    f"!= {len(o)} x {count} searched cliques through it")
         classes.append(EnumClass(cl, len(orbit), property_report(r, cl)))
     return classes
 

@@ -9,13 +9,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from flagcr import qsets
+from flagcr import classify, qsets
 from flagcr.cli import _system_for, main
 from flagcr.classify import (
     XI,
     AnchorViolation,
     BudgetExceeded,
     CatalogClaimFailed,
+    MassIdentityViolation,
     b3_counterexample,
     beta0,
     catalog,
@@ -37,7 +38,15 @@ from flagcr.classify import (
 )
 from flagcr.qsets import compat_graph, is_fundamental, is_lb
 from flagcr.rootsys import build_root_system, evaluate_int, find_root, root_sum, roots_set
-from flagcr.weyl import canonical_form, reflection_perm, root_orbit, sets_equivalent
+from flagcr.weyl import (
+    OrbitBudgetExceeded,
+    canonical_form,
+    generators,
+    reflection_perm,
+    root_orbit,
+    set_orbit,
+    sets_equivalent,
+)
 
 H = Fraction(1, 2)
 
@@ -116,8 +125,9 @@ def test_enumerate_classes_cover_the_fundamental_cliques(tag, n, quotient):
 
 @pytest.mark.parametrize("tag,n", [("F4", None), ("D", 5)])
 def test_enumerate_finishes_at_the_least_clique_budget(enumerated, tag, n):
-    # an orbit has no more sets than there are maximal cliques, so at the
-    # least budget the clique search finishes in, the orbit walks finish too
+    # the search through the orbit leaders makes fewer nodes than the full
+    # search, by more than the orbit sets it leaves to the orbit walks, so the
+    # least budget the full search finishes in covers both stages
     rs, classes = enumerated(tag, n, "weyl")
     nbr = compat_graph(rs)
     lo, hi = 1, 2_000_000
@@ -132,6 +142,89 @@ def test_enumerate_finishes_at_the_least_clique_budget(enumerated, tag, n):
         maximal_cliques(nbr, lo - 1)
     got = enumerate_maximal(rs, budget=lo)
     assert [(c.canonical, c.orbit_size) for c in got] == [(c.canonical, c.orbit_size) for c in classes]
+
+
+def _leaders(rs):
+    """The least root of each W-orbit of roots."""
+    gens, remaining, out = generators(rs), set(range(rs.nroots)), []
+    while remaining:
+        out.append(min(remaining))
+        remaining -= root_orbit(rs, out[-1], gens)
+    return out
+
+
+def test_enumerate_budget_counts_the_orbit_sets(enumerated):
+    # the budget is charged the search nodes, then each orbit's sets: a stop
+    # inside the walk of class k + 1 carries exactly the first k classes
+    rs, classes = enumerated("F4", None, "weyl")
+    nodes = maximal_cliques(compat_graph(rs), through=_leaders(rs)).nodes
+    sizes = list(itertools.accumulate(c.orbit_size for c in classes))
+    assert [(c.canonical, c.orbit_size) for c in enumerate_maximal(rs, budget=nodes + sizes[-1])] == [
+        (c.canonical, c.orbit_size) for c in classes]
+    for k in range(len(classes)):
+        with pytest.raises(BudgetExceeded, match="orbit walks exceeded") as e:
+            enumerate_maximal(rs, budget=nodes + sizes[k] - 1)
+        assert [c.canonical for c in e.value.partial] == [c.canonical for c in classes[:k]]
+        assert isinstance(e.value.__cause__, OrbitBudgetExceeded)
+
+
+def test_enumerate_orbit_stop_prints_the_completed_classes(enumerated, capsys):
+    rs, classes = enumerated("F4", None, "weyl")
+    budget = maximal_cliques(compat_graph(rs), through=_leaders(rs)).nodes + classes[0].orbit_size
+    assert main(["enumerate", "--type", "F4", "--budget", str(budget)]) == 2
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert data["exhaustive"] is False
+    assert [c["roots"] for c in data["results"]["classes"]] == [[list(rs.roots[i]) for i in classes[0].canonical]]
+    assert "orbit walks exceeded" in captured.err
+
+
+def _full_graph_classes(rs, cliques, quotient):
+    """Oracle: every maximal clique searched, then scanned in sorted order;
+    the first clique of each orbit not yet seen is its least member."""
+    seen, classes = set(), []
+    for cl in sorted(cliques):
+        if frozenset(cl) not in seen:
+            orbit = set_orbit(rs, cl, quotient, budget=None)
+            seen |= orbit
+            classes.append((cl, len(orbit), qsets.property_report(rs, cl)))
+    return classes
+
+
+CLIQUE_COUNTS = {("E6", None): 59_238, ("D", 6): 10_036}
+
+
+@pytest.mark.parametrize(
+    "tag,n",
+    [("A", n) for n in (3, 4, 5, 6)] + [("B", n) for n in (3, 4, 5)] + [("C", n) for n in (3, 4, 5)]
+    + [("D", n) for n in (4, 5, 6)] + [("G2", None), ("F4", None), ("E6", None)],
+)
+def test_enumerate_matches_the_full_graph_route(enumerated, tag, n):
+    rs = enumerated(tag, n, "weyl")[0]
+    cliques = maximal_cliques(compat_graph(rs))
+    for quotient in ("weyl", "aut"):
+        got = enumerated(tag, n, quotient)[1]
+        assert [(c.canonical, c.orbit_size, c.report) for c in got] == _full_graph_classes(rs, cliques, quotient)
+        assert sum(c.orbit_size for c in got) == len(cliques)
+    if (tag, n) in CLIQUE_COUNTS:
+        assert len(cliques) == CLIQUE_COUNTS[tag, n]
+
+
+def test_a_dropped_orbit_member_breaks_the_mass_identity(monkeypatch):
+    f4 = build_root_system("F4")
+    dropped = []
+
+    def short_orbit(*args, **kwargs):
+        orbit = set_orbit(*args, **kwargs)
+        if not dropped:
+            dropped.append(max(orbit, key=sorted))
+            orbit.discard(dropped[0])
+        return orbit
+
+    monkeypatch.setattr(classify, "set_orbit", short_orbit)
+    with pytest.raises(MassIdentityViolation):
+        enumerate_maximal(f4)
+    assert dropped
 
 
 def _adjacency(nbr):
@@ -177,14 +270,20 @@ def test_maximal_cliques_match_set_oracle(tag, n):
 
 
 def test_maximal_cliques_on_random_mask_graphs_match_set_oracle():
-    rng = random.Random(5)
+    rng, pick = random.Random(5), random.Random(6)
     for _ in range(30):
         nbr = [0] * rng.randint(1, 24)
         for u, v in itertools.combinations(range(len(nbr)), 2):
             if rng.random() < 0.5:
                 nbr[u] |= 1 << v
                 nbr[v] |= 1 << u
-        assert sorted(maximal_cliques(nbr)) == sorted(_set_maximal_cliques(_adjacency(nbr)))
+        want = _set_maximal_cliques(_adjacency(nbr))
+        assert sorted(maximal_cliques(nbr)) == sorted(want)
+        v = pick.randrange(len(nbr))
+        assert sorted(maximal_cliques(nbr, through=[v])) == sorted(c for c in want if v in c)
+        # through several vertices, each clique that meets them is found once
+        vs = pick.sample(range(len(nbr)), min(3, len(nbr)))
+        assert sorted(maximal_cliques(nbr, through=vs)) == sorted(c for c in want if set(vs) & set(c))
     assert maximal_cliques([]) == [()]
 
 

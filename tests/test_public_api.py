@@ -19,8 +19,9 @@ PUBLIC = {
         "AnchorViolation", "BudgetExceeded", "CatalogClaimFailed", "CatalogEntry", "EnumClass", "GradingTable",
         "H", "KNOWN_DISCREPANCIES", "XI", "b3_counterexample", "beta0", "bn_constraint_discrepancy",
         "catalog", "construct_q", "e8_example_set", "e8_examples", "e_system", "enumerate_maximal",
-        "f4_counterexample", "grading_level_set", "grading_table", "maximal_cliques", "maximal_symmetric_classes",
-        "orbit_lemma_expected", "printed_orbit_61", "q_prime_p", "spin", "subset_universe", "verify_grading",
+        "f4_counterexample", "grading_level_set", "grading_table", "MassIdentityViolation", "maximal_cliques",
+        "maximal_symmetric_classes", "orbit_lemma_expected", "printed_orbit_61", "q_prime_p", "spin",
+        "subset_universe", "verify_grading",
     },
     "cli": {"SystemExit2", "cmd_check", "cmd_cralg", "cmd_enumerate", "cmd_realform", "cmd_verify_paper", "main"},
     "cralg": {
