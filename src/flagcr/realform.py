@@ -19,7 +19,7 @@ from .gaussq import CMatrix, CNum, kernel
 from .qsets import is_closed
 from .intlat import column_solver
 from .rootsys import RootSystem, dot, root_sum, scaled
-from .weyl import apply_matrix_cols, simple_roots
+from .weyl import simple_roots
 
 
 class NoRegularVector(RuntimeError):
@@ -246,6 +246,11 @@ def _minus_eigenbasis(sigma: RootConjugation, n: int):
     return kernel([[sigma.cols[j][i] + (1 if i == j else 0) for j in range(n)] for i in range(n)], Fraction)
 
 
+def _apply_matrix_cols(cols, v) -> tuple[Fraction, ...]:
+    """The matrix with columns cols applied to the vector v, exactly."""
+    return tuple(sum((Fraction(x) * col[t] for x, col in zip(v, cols) if x), Fraction(0)) for t in range(len(cols[0])))
+
+
 def regular_max_structure(r: RootSystem, sigma: RootConjugation, q, m_basis) -> dict:
     """Verify the data of a regular maximal-CR-dimension structure: the
     complex Cartan part m must have dim = floor(l/2), contain the Q^r-coroot
@@ -265,8 +270,8 @@ def regular_max_structure(r: RootSystem, sigma: RootConjugation, q, m_basis) -> 
     # conj(v) for the h-space conjugation: sigma applied to coordinatewise conj
     conj_rows = []
     for re, im in m_basis:
-        cre = apply_matrix_cols(sigma.cols, re)
-        cim = apply_matrix_cols(sigma.cols, im)
+        cre = _apply_matrix_cols(sigma.cols, re)
+        cim = _apply_matrix_cols(sigma.cols, im)
         conj_rows.append([CNum(Fraction(x), Fraction(-y)) for x, y in zip(cre, cim)])
     mbar = CMatrix(conj_rows)
     inter = m.intersect(mbar)

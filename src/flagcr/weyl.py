@@ -5,11 +5,14 @@ A group element is the permutation it induces on the root list: a tuple g of
 root indices, g[i] the index of the image of root i.  The simple roots, each
 root's integer coordinates on them, the simple reflections and the diagram
 automorphisms are built once per root system, in integer arithmetic, and kept
-on it.  A stabiliser chain of W and of Aut, also built once, gives the
-canonical form of a set (its least image, found without walking the orbit),
-and two sets are equivalent when their canonical forms agree.  A set orbit
-is enumerated once per member, through the W-orbit of its dominant root sum,
-walked on weights packed into one integer each.
+on it.  A stabiliser chain of W, also built once, gives the canonical form of
+a set (its least image, found without walking the orbit); each level's group
+is the reflection subgroup of the roots orthogonal to the base points before
+it (Steinberg), and the Aut form is the least W-image of the set's images
+under the diagram automorphisms.  Two sets are equivalent when their
+canonical forms agree.  A set orbit is enumerated once per member, through
+the W-orbit of its dominant root sum, walked on weights packed into one
+integer each.
 Membership of one element in W is decided by the chamber walk on
 permutations; in_weyl has no caller in the package and stays only because
 the benchmark tracer (perfbench/tracer.py) wraps it.
@@ -18,7 +21,6 @@ the benchmark tracer (perfbench/tracer.py) wraps it.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import itemgetter
 
 from .intlat import column_solver
@@ -139,38 +141,30 @@ def _gram_extensions(gram, prefix) -> list[int]:
             and all(gram[t][prefix[j]] == gram[i][j] for j in range(i))]
 
 
-def generators(r: RootSystem, group: str = "weyl") -> tuple[tuple[int, ...], ...]:
-    """The simple reflections, followed for 'aut' by the diagram
-    automorphisms; built once per root system."""
+def generators(r: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """The simple reflections, built once per root system."""
+    return _cached(r, "reflections", lambda: tuple(reflection_perm(r, s) for s in simple_roots(r)))
+
+
+def _check_group(group: str) -> None:
     if group not in ("weyl", "aut"):
         raise ValueError("group must be 'weyl' or 'aut'")
-    gens = _cached(r, "reflections", lambda: tuple(reflection_perm(r, s) for s in simple_roots(r)))
-    if group == "aut":
-        gens = gens + tuple(diagram_automorphisms(r))
-    return gens
-
-
-def apply_matrix_cols(cols, v):
-    n = len(cols)
-    out = [Fraction(0)] * len(cols[0])
-    for k in range(n):
-        if v[k]:
-            vk = Fraction(v[k])
-            col = cols[k]
-            for t in range(len(col)):
-                out[t] += vk * col[t]
-    return tuple(out)
 
 
 def canonical_form(r: RootSystem, q, group: str = "weyl", budget: int | None = 2_000_000) -> frozenset[int]:
     """Lexicographically least image of the set under the chosen group (the
     member of its orbit with the least sorted tuple of root vectors), by Linton's smallest-image search
-    down the stabiliser chain.  ``budget`` counts the candidate images the
-    search generates; past it OrbitBudgetExceeded is raised, and None means
-    no limit."""
+    down the stabiliser chain of W.  Aut is W extended by the diagram
+    automorphisms, so for 'aut' the search starts from the set and its images
+    under them, and their least W-image is the least Aut-image.  ``budget``
+    counts the candidate images the search generates; past it
+    OrbitBudgetExceeded is raised, and None means no limit."""
+    _check_group(group)
     cands = {frozenset(q)}
+    if group == "aut":
+        cands.update(frozenset(map(g.__getitem__, q)) for g in diagram_automorphisms(r))
     made = 0
-    for k, level in enumerate(_chain(r, group)):
+    for k, level in enumerate(_chain(r)):
         # the least image contains k exactly when some candidate can be moved
         # onto k by the stabiliser of 0..k-1; the candidates all agree on 0..k-1
         if len(level) == 1:
@@ -186,76 +180,35 @@ def canonical_form(r: RootSystem, q, group: str = "weyl", budget: int | None = 2
     return min(cands, key=sorted)
 
 
-def _chain(r: RootSystem, group: str) -> tuple[dict[int, tuple[int, ...]], ...]:
-    """Stabiliser chain of the group for the base 0, 1, ..., n-1 (root-index
-    order, which is the order of the root vectors because they are stored
-    sorted): level k maps each point t of the orbit of k under the pointwise
+def _chain(r: RootSystem) -> tuple[dict[int, tuple[int, ...]], ...]:
+    """Stabiliser chain of W for the base 0, 1, ..., n-1 (root-index order,
+    which is the order of the root vectors because they are stored sorted):
+    level k maps each point t of the orbit of k under the pointwise
     stabiliser of 0..k-1 to the inverse of a transversal element sending k to
-    t.  It stops at the last level with more than one point; built once per
-    root system and group."""
-    return _cached(r, "chain:" + group, lambda: _schreier_sims(generators(r, group), r.nroots))
+    t.  That stabiliser is generated by the reflections it contains
+    (Steinberg; Humphreys, Reflection Groups and Coxeter Groups, 1.12), the
+    reflections in the roots orthogonal to 0..k-1, so the orbit is a
+    breadth-first search under the reflections in the simple roots of those
+    positive roots.  A level is one point exactly when every root of its
+    subsystem is orthogonal to its base point, so the subsystem of the next
+    level is the same; the chain stops where that subsystem is empty, and so
+    its last level has more than one point.  Built once per root system."""
+    def build():
+        levels, perp = [], positive_roots(r)
+        while perp:  # else the stabiliser of 0..k-1 is trivial
+            k = len(levels)
+            gens = [reflection_perm(r, s) for s in simple_roots(r, perp)]
+            level, pts = {k: tuple(range(r.nroots))}, [k]
+            for t in pts:
+                for s in gens:
+                    if s[t] not in level:  # s is an involution: level[t] o s sends s[t] to k
+                        level[s[t]] = tuple(map(level[t].__getitem__, s))
+                        pts.append(s[t])
+            levels.append(level)
+            perp = [b for b in perp if dot(r.roots[b], r.roots[k]) == 0]
+        return tuple(levels)
 
-
-def _schreier_sims(gens, n: int) -> tuple[dict[int, tuple[int, ...]], ...]:
-    """Deterministic Schreier-Sims (Seress, Permutation Group Algorithms,
-    2003) for the base 0..n-1.  Levels are completed from the deepest
-    up: every Schreier generator of level k is sifted through the levels
-    below it, and a residue that does not sift becomes a strong generator of
-    every level down to the point where it stuck, whose levels are redone."""
-    ident = tuple(range(n))
-
-    def compose(a, b):  # a after b
-        return tuple(map(a.__getitem__, b))
-
-    strong = [[] for _ in range(n)]  # level k: the strong generators fixing 0..k-1
-    trans = [{k: (ident, ident)} for k in range(n)]  # level k: t -> (u_t, u_t^-1)
-    tested = [set() for _ in range(n)]
-
-    def add(g):
-        j = next(i for i in range(n) if g[i] != i)
-        for k in range(j + 1):
-            strong[k].append(g)
-        return j
-
-    def sift(h, k):
-        for j in range(k, n):
-            if h[j] != j:
-                u = trans[j].get(h[j])
-                if u is None:
-                    return h
-                h = compose(u[1], h)
-        return None
-
-    for g in gens:
-        if g != ident:
-            add(g)
-    k = n - 1
-    while k >= 0:
-        orbit = trans[k]
-        pts = list(orbit)
-        for t in pts:  # extend the orbit, keeping the transversal already chosen
-            u = orbit[t][0]
-            for s in strong[k]:
-                if s[t] not in orbit:
-                    su = compose(s, u)
-                    orbit[s[t]] = (su, _inverse(su))
-                    pts.append(s[t])
-        redo = None
-        for t in pts:
-            u = orbit[t][0]
-            for i, s in enumerate(strong[k]):
-                if (t, i) in tested[k]:
-                    continue
-                tested[k].add((t, i))
-                h = sift(compose(orbit[s[t]][1], compose(s, u)), k + 1)
-                if h is not None:
-                    redo = add(h)
-                    break
-            if redo is not None:
-                break
-        k = k - 1 if redo is None else redo
-    last = max((k for k in range(n) if len(trans[k]) > 1), default=-1)
-    return tuple({t: uinv for t, (u, uinv) in level.items()} for level in trans[: last + 1])
+    return _cached(r, "chain", build)
 
 
 def _inverse(g) -> tuple[int, ...]:
@@ -288,9 +241,10 @@ def set_orbit(r: RootSystem, q, group: str = "weyl", budget: int | None = 2_000_
 
     OrbitBudgetExceeded is raised exactly when the orbit has more than
     ``budget`` sets; None means no limit."""
+    _check_group(group)
     labels, cartan = _labels(r), cartan_matrix(r)
     n, limit = len(cartan), math.inf if budget is None else budget
-    refl = generators(r, group)[:n]
+    refl = generators(r)
     cur = q = tuple(q)
     lam = [sum(c) for c in zip(*(labels[b] for b in cur))] or [0] * n
     while (i := next((k for k, x in enumerate(lam) if x < 0), None)) is not None:
@@ -379,5 +333,6 @@ def sets_equivalent(r: RootSystem, q1, q2, group: str = "weyl") -> bool:
     have the same size and the same canonical form.  Each of the two
     canonical-image searches runs under canonical_form's default budget
     (candidate images generated), and OrbitBudgetExceeded is raised past it."""
+    _check_group(group)
     q1, q2 = frozenset(q1), frozenset(q2)
     return len(q1) == len(q2) and canonical_form(r, q1, group) == canonical_form(r, q2, group)

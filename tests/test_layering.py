@@ -43,6 +43,15 @@ def test_lower_layers_import_no_algebra_layer(module):
     assert not got, f"{module} imports {got}"
 
 
+def test_weyl_imports_no_fractions():
+    # every group computation is on root indices and integer labels
+    with open(os.path.join(SRC, "weyl.py")) as f:
+        tree = ast.parse(f.read())
+    names = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    names += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module]
+    assert "fractions" not in {name.split(".")[0] for name in names}
+
+
 def test_the_scan_sees_the_imports():
     # presets is built on gaussq and cralg, so the scan must find both there
     found = {mod for _, mod in _package_imports(os.path.join(SRC, "presets.py"))}

@@ -60,7 +60,7 @@ PUBLIC = {
         "rootset_from_json", "rootset_to_json", "scaled", "sorted_indices",
     },
     "weyl": {
-        "OrbitBudgetExceeded", "apply_matrix_cols", "canonical_form", "cartan_matrix", "diagram_automorphisms",
+        "OrbitBudgetExceeded", "canonical_form", "cartan_matrix", "diagram_automorphisms",
         "generators", "in_weyl", "positive_roots", "reflection_perm", "root_orbit", "set_orbit", "sets_equivalent",
         "simple_coordinates", "simple_roots",
     },

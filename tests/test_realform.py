@@ -6,6 +6,7 @@ import pytest
 
 from flagcr.realform import (
     NoRegularVector,
+    _apply_matrix_cols,
     a_reverse_conjugation,
     adapted_simple_system,
     check_eq_ha,
@@ -16,7 +17,7 @@ from flagcr.realform import (
     verify_lemma_lb,
 )
 from flagcr.rootsys import build_root_system, find_root, roots_set, rootset_to_json
-from flagcr.weyl import apply_matrix_cols, positive_roots
+from flagcr.weyl import positive_roots
 
 H = Fraction(1, 2)
 
@@ -147,8 +148,6 @@ def test_sigma_equivariance():
     from ambient_matrix import matrix_of
     from weyl_words import random_element
 
-    from flagcr.weyl import apply_matrix_cols
-
     a3, sigma, q = a3_reverse_q()
     rng = random.Random(17)
     base = verify_lemma_lb(a3, q, sigma)["ok"]
@@ -175,9 +174,9 @@ def test_sigma_equivariance():
         for j in range(n):
             e = [Fraction(0)] * n
             e[j] = Fraction(1)
-            v = apply_matrix_cols(ginv_cols, e)
-            v = apply_matrix_cols(sigma.cols, v)
-            v = apply_matrix_cols(g_cols, v)
+            v = _apply_matrix_cols(ginv_cols, e)
+            v = _apply_matrix_cols(sigma.cols, v)
+            v = _apply_matrix_cols(g_cols, v)
             new_cols.append(v)
         sigma2 = conjugation_from_matrix(a3, new_cols)
         assert verify_lemma_lb(a3, moved, sigma2)["ok"] == base
@@ -236,11 +235,11 @@ def _fraction_conjugation_perm(r, cols):
     n = r.ambient_dim
     for k in range(n):
         e = [Fraction(int(i == k)) for i in range(n)]
-        if list(apply_matrix_cols(cols, apply_matrix_cols(cols, e))) != e:
+        if list(_apply_matrix_cols(cols, _apply_matrix_cols(cols, e))) != e:
             return None
     perm = []
     for v in r.roots:
-        img = apply_matrix_cols(cols, v)
+        img = _apply_matrix_cols(cols, v)
         if any(x.denominator != 1 for x in img) or tuple(map(int, img)) not in r.index:
             return None
         perm.append(r.index[tuple(map(int, img))])

@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 from ambient_matrix import matrix_of
-from weyl_words import random_element
+from weyl_words import group_generators, random_element
 
 from flagcr import weyl
 from flagcr.classify import enumerate_maximal
 from flagcr.gaussq import Factored
+from flagcr.realform import _apply_matrix_cols as apply_matrix_cols
 from flagcr.rootsys import TYPES, build_root_system, find_root, roots_set
 from flagcr.weyl import (
-    apply_matrix_cols,
     canonical_form,
     cartan_matrix,
     diagram_automorphisms,
@@ -28,7 +28,7 @@ from flagcr.weyl import (
 def _bfs_orbit(rs, q, group):
     """Oracle: the orbit of a set by breadth-first search under the simple
     reflections, plus the diagram automorphisms for 'aut'."""
-    gens = generators(rs, group)
+    gens = group_generators(rs, group)
     start = frozenset(q)
     seen = {start}
     frontier = [start]
@@ -122,11 +122,17 @@ def test_trivial_equivalences():
     assert sets_equivalent(b2, q, q, "weyl")
     q2 = roots_set(b2, [(1, 0), (1, 1)])
     assert not sets_equivalent(b2, q, q2, "weyl")
+    # only 'weyl' and 'aut' name a group, also where the sizes alone decide
+    for group in ("W", "Aut", ""):
+        for call in (lambda: canonical_form(b2, q, group), lambda: set_orbit(b2, q, group),
+                     lambda: sets_equivalent(b2, q, q, group), lambda: sets_equivalent(b2, q, q2, group)):
+            with pytest.raises(ValueError):
+                call()
 
 
 def test_in_weyl():
     a3 = build_root_system("A", 4)
-    for g in generators(a3, "weyl"):
+    for g in generators(a3):
         assert in_weyl(a3, g)
     flip = diagram_automorphisms(a3)[0]
     assert not in_weyl(a3, flip)
@@ -287,34 +293,32 @@ GROUP_ORDERS = [
 @pytest.mark.parametrize("tag,rank,w_order,aut_order", GROUP_ORDERS, ids=[f"{t}{n or ''}" for t, n, *_ in GROUP_ORDERS])
 def test_chain_orders(tag, rank, w_order, aut_order):
     rs = build_root_system(tag, rank)
-    for group, order in (("weyl", w_order), ("aut", aut_order)):
-        chain = weyl._chain(rs, group)
-        assert math.prod(len(level) for level in chain) == order, group
-        assert len(chain[-1]) > 1
-        for k, level in enumerate(chain):
-            for t, uinv in level.items():
-                # u_t^-1 fixes 0..k-1 and sends t to k
-                assert uinv[t] == k and all(uinv[i] == i for i in range(k))
-        assert weyl._chain(rs, group) is chain
+    chain = weyl._chain(rs)
+    assert math.prod(len(level) for level in chain) == w_order
+    # Aut is W extended by the diagram automorphisms, none of which lies in W
+    assert w_order * (1 + len(diagram_automorphisms(rs))) == aut_order
+    assert len(chain[-1]) > 1
+    for k, level in enumerate(chain):
+        for t, uinv in level.items():
+            # u_t^-1 fixes 0..k-1 and sends t to k
+            assert uinv[t] == k and all(uinv[i] == i for i in range(k))
+    assert weyl._chain(rs) is chain
 
 
-def test_schreier_sims_from_other_generating_sets():
-    # the simple reflections already generate every point stabiliser of the
-    # chain; generators conjugated by a random element, or a few random
-    # products, do not, and the Schreier generators must fill the levels
-    rng = random.Random(11)
-    for tag, rank, group, order in [("B", 4, "weyl", 384), ("D", 4, "aut", 1152), ("F4", None, "weyl", 1152),
-                                    ("E6", None, "aut", 103680)]:
-        rs = build_root_system(tag, rank)
-        g = random_element(rs, rng, length=30, group=group)
-        ginv = weyl._inverse(g)
-        conjugated = [tuple(g[s[ginv[i]]] for i in range(rs.nroots)) for s in generators(rs, group)]
-        assert math.prod(len(level) for level in weyl._schreier_sims(conjugated, rs.nroots)) == order, tag
-        if order < 2000:
-            # three random products may generate a proper subgroup
-            products = [random_element(rs, rng, length=25, group=group) for _ in range(3)]
-            chain = weyl._schreier_sims(products, rs.nroots)
-            assert math.prod(len(level) for level in chain) == len(_closure(products)), tag
+@pytest.mark.parametrize("tag,rank", [("A", 5), ("B", 3), ("C", 3), ("D", 4), ("G2", None), ("F4", None)])
+def test_chain_levels_are_steinberg_orbits(tag, rank):
+    # oracle: W as the closure of the simple reflections; level k holds the
+    # orbit of root k under the elements of W that fix roots 0..k-1, and the
+    # levels after the last are single points
+    rs = build_root_system(tag, rank)
+    w = _closure(generators(rs))
+    chain = weyl._chain(rs)
+    for k in range(rs.nroots):
+        stab = [g for g in w if all(g[i] == i for i in range(k))]
+        orbit = {g[k] for g in stab}
+        assert set(chain[k]) == orbit if k < len(chain) else orbit == {k}, (tag, k)
+        if len(stab) == 1:
+            break
 
 
 def test_roots_stored_sorted():
@@ -355,13 +359,31 @@ def test_canonical_form_matches_bfs_on_enumerated_classes(enumerated, tag, rank)
                 assert canonical_form(rs, [g[i] for i in c.canonical], group) == want
 
 
+@pytest.mark.parametrize("tag,rank,group", [("E7", None, "weyl"), ("E8", None, "weyl"), ("E6", None, "aut"),
+                                            ("D", 4, "aut")])
+def test_canonical_form_is_least_orbit_member(tag, rank, group):
+    # E7's chain is the one with single-point levels inside it (sizes 126,
+    # 32, 15, 8, 1, 3, 1, 1, 1, 1, 2); the sets are those of the set_orbit
+    # oracle test, whose orbits set_orbit gives exactly
+    rs = build_root_system(tag, rank)
+    rng = random.Random(f"orbit-{tag}{rank}")
+    large = (tag, rank) in LARGE_SYSTEMS
+    inputs = _small_orbit_inputs(rs, rng, 6) if large else _orbit_inputs(rs, rng, 1 if tag == "E6" else 12)
+    for q in inputs:
+        want = min(set_orbit(rs, q, group, None), key=sorted)
+        assert canonical_form(rs, q, group) == want, sorted(q)
+        for _ in range(2):
+            g = random_element(rs, rng, group=group)
+            assert canonical_form(rs, [g[i] for i in q], group) == want, sorted(q)
+
+
 def test_canonical_form_matches_bfs_on_random_sets():
     rng = random.Random(23)
     disjoint_from_first_orbit = 0
     for tag, rank in [("A", 4), ("B", 3), ("B", 4), ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("G2", None), ("F4", None)]:
         rs = build_root_system(tag, rank)
         for group in ("weyl", "aut"):
-            first_orbit = weyl._chain(rs, group)[0]
+            first_orbit = weyl._chain(rs)[0]
             for _ in range(12):
                 q = frozenset(rng.sample(range(rs.nroots), rng.randint(1, min(12, rs.nroots))))
                 # a set missing the orbit of root 0 sends the search through
@@ -405,7 +427,7 @@ def test_generators_are_isometries_and_match_matrix_of():
                       ("E6", None), ("E7", None), ("E8", None)]:
         rs = build_root_system(tag, rank)
         gram = [[sum(a * b for a, b in zip(u, v)) for v in rs.roots] for u in rs.roots]
-        for g in generators(rs, "aut"):
+        for g in group_generators(rs, "aut"):
             assert sorted(g) == list(range(rs.nroots))
             assert all(gram[g[i]][g[j]] == gram[i][j] for i in range(rs.nroots) for j in range(rs.nroots)), tag
             cols = matrix_of(rs, g)
@@ -414,7 +436,8 @@ def test_generators_are_isometries_and_match_matrix_of():
 
 def test_generators_built_once(monkeypatch):
     # "diagram" counts the simple-coordinate table, which only the diagram
-    # automorphisms read
+    # automorphisms read; the reflections past the four simple ones are the
+    # chain's, built by the first canonical form and by no later search
     built = {"reflections": 0, "diagram": 0}
     reflection_perm_, column_solver = weyl.reflection_perm, weyl.column_solver
 
@@ -433,12 +456,18 @@ def test_generators_built_once(monkeypatch):
     orbit = set_orbit(d4, q)
     assert built == {"reflections": 4, "diagram": 0}
     assert set_orbit(d4, q) == orbit
-    canonical_form(d4, q)
     random_element(d4, random.Random(3))
     assert built == {"reflections": 4, "diagram": 0}
+    canonical_form(d4, q)
+    chain_built = dict(built)
+    assert chain_built["reflections"] > 4 and chain_built["diagram"] == 0
+    canonical_form(d4, q)
+    sets_equivalent(d4, q, q)
+    assert built == chain_built
     set_orbit(d4, q, "aut")
     set_orbit(d4, q, "aut")
-    assert built == {"reflections": 4, "diagram": 1}
+    canonical_form(d4, q, "aut")
+    assert built == {"reflections": chain_built["reflections"], "diagram": 1}
 
 
 NINE = [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("G2", None), ("F4", None), ("E6", None), ("E7", None), ("E8", None)]
