@@ -6,17 +6,20 @@ Maximal elements of Q(R) are exactly the maximal cliques of the compatibility
 graph, each of which spans R over Z (the proof is at enumerate_maximal), so
 enumeration is pivoting Bron-Kerbosch on the graph's neighbour masks, which
 the root system keeps (qsets.compat_graph), followed by orbit-first
-deduplication.  The search runs only through the orbit leaders, the least
-root of each W-orbit of roots (one on A/D/E, two on B/C/F4/G2): the least
-member of a clique orbit, the class representative, contains the least root
-m that any member meets, and m leads its W-orbit, since W moves a member
-through m onto one through any root of Wm.  So in the sorted list of the
-cliques through the leaders, the first clique of each orbit is its least
-member.  Each orbit is walked once, one property report on that member
-serves the whole class, and the weighted mass identity checks every orbit
-walk against the search.  enumerate_maximal is the one caller of set_orbit,
-because it reports orbit sizes; the B/D catalogs and the maximal symmetric
-classes key W-classes by canonical form.
+deduplication.  W is transitive on the roots of one length of an irreducible
+system (Humphreys, Introduction to Lie Algebras and Representation Theory,
+10.4, Lemma C), so the W-orbits of roots are the length classes, and their
+leaders are the least root of each length (one on A/D/E, two on B/C/F4/G2).
+The search runs only through the leaders: the least member of a clique
+orbit, the class representative, contains the least root m that any member
+meets, and m leads its W-orbit, since W moves a member through m onto one
+through any root of Wm.  So in the sorted list of the cliques through the
+leaders, the first clique of each orbit is its least member.  Each orbit is
+walked once, one property report on that member serves the whole class, and
+the weighted mass identity checks every orbit walk against the search.
+enumerate_maximal is the one caller of set_orbit, because it reports orbit
+sizes; the B/D catalogs and the maximal symmetric classes key W-classes by
+canonical form.
 
 catalog, on the caller's root system: each type yields rows of (label, root
 set, parameters, claims, source, witness), and one loop builds and
@@ -41,21 +44,16 @@ from .rootsys import (
     RootSystem,
     _cached,
     build_root_system,
+    dot,
     evaluate_int,
     find_root,
     inner,
     roots_set,
     sorted_indices,
 )
-from .weyl import OrbitBudgetExceeded, canonical_form, generators, root_orbit, set_orbit
+from .weyl import BudgetExceeded, canonical_form, set_orbit
 
 H = Fraction(1, 2)
-
-
-class BudgetExceeded(RuntimeError):
-    def __init__(self, msg, partial=None):
-        super().__init__(msg)
-        self.partial = partial
 
 
 class MassIdentityViolation(AssertionError):
@@ -144,13 +142,13 @@ def maximal_cliques(nbr: list[int], budget: int | None = None, through: list[int
 
 
 def _root_orbits(r: RootSystem) -> tuple[frozenset[int], ...]:
-    """The W-orbits of the roots, in the order of their least roots; built once."""
+    """The W-orbits of the roots, which are the length classes (Humphreys,
+    10.4), in the order of their least roots; built once."""
     def build():
-        gens, remaining, out = generators(r), set(range(r.nroots)), []
-        while remaining:
-            out.append(root_orbit(r, min(remaining), gens))
-            remaining -= out[-1]
-        return tuple(out)
+        by_length: dict[int, list[int]] = {}
+        for i, v in enumerate(r.roots):
+            by_length.setdefault(dot(v, v), []).append(i)
+        return tuple(map(frozenset, by_length.values()))
 
     return _cached(r, "root_orbits", build)
 
@@ -216,7 +214,7 @@ def enumerate_maximal(r: RootSystem, quotient: str = "weyl", budget: int | None 
             continue
         try:
             orbit = set_orbit(r, cl, quotient, left)
-        except OrbitBudgetExceeded as e:
+        except BudgetExceeded as e:
             raise BudgetExceeded(
                 f"orbit walks exceeded the budget of {budget} nodes after the clique search's "
                 f"{cliques.nodes}, at class {len(classes) + 1}", classes) from e
@@ -354,39 +352,25 @@ def _first_of_each_gap(gaps) -> list[int]:
     return [t for t, g in enumerate(gaps, start=1) if g not in gaps[: t - 1]]
 
 
-def _bd_sets(r: RootSystem, n: int, with_short: bool):
-    """Candidate maximal sets of types B (with the short root e_{i0}) and D,
-    parametrized by p, the gap chain and (for B) the class of i0; they carry
-    no witness."""
-    out = []
-    for p in range(1, n + 1):
-        for gaps in _gap_chains(p, n, p):
-            qs, fams = _chain(p, gaps, n)
-            params = {"p": p, "q": tuple(qs[1:])}
-            pairs = [_epm(i, j, 1, 1, n) for i in range(1, p + 1) for j in range(i + 1, p + 1)]
-            if with_short:
-                # i0 classes: one per distinct gap value, plus the tail (s, p]
-                i0s = _first_of_each_gap(gaps) + ([p] if p > len(gaps) else [])
-                for i0 in i0s or [p]:
-                    out.append(({"i0": i0, **params}, roots_set(r, [_e(i0, n)] + pairs + fams), None))
-            elif pairs or fams:
-                out.append((params, roots_set(r, pairs + fams), None))
-    return out
-
-
-def _bd_symmetric_sets(r: RootSystem, n: int, with_short: bool):
-    """Maximal symmetric candidates: cross pairs e_i+e_j (i <= s < j <= p)
-    plus the +- families; J-witness e_h -> 1 for h <= s, else 0."""
+def _bd_sets(r: RootSystem, n: int, symmetric: bool):
+    """Candidate maximal (maximal symmetric) sets of types B, with the short
+    root e_{i0}, and D, parametrized by p, the gap chain q and (for B) the
+    class of i0: the pairs e_i+e_j (i < j <= p; only the cross pairs
+    i <= s < j when symmetric) plus the +- families of the chain.  The i0
+    classes are one per distinct gap value, plus the tail (s, p] when not
+    symmetric.  A symmetric set carries the J-witness e_h -> 1 for h <= s,
+    else 0."""
     out = []
     for p in range(1, n + 1):
         for gaps in _gap_chains(p, n, p):
             s = len(gaps)
             qs, fams = _chain(p, gaps, n)
             params = {"p": p, "q": tuple(qs[1:])}
-            pairs = [_epm(i, j, 1, 1, n) for i in range(1, s + 1) for j in range(s + 1, p + 1)]
-            witness = [1 if h <= s else 0 for h in range(1, n + 1)]
-            if with_short:
-                for i0 in _first_of_each_gap(gaps):
+            pairs = [_epm(i, j, 1, 1, n) for i in range(1, p + 1) for j in range(i + 1, p + 1)
+                     if not symmetric or i <= s < j]
+            witness = [1 if h <= s else 0 for h in range(1, n + 1)] if symmetric else None
+            if r.type_tag == "B":
+                for i0 in _first_of_each_gap(gaps) + ([p] if p > s and not symmetric else []):
                     out.append(({"i0": i0, **params}, roots_set(r, [_e(i0, n)] + pairs + fams), witness))
             elif pairs or fams:
                 out.append((params, roots_set(r, pairs + fams), witness))
@@ -441,7 +425,7 @@ def _c_rows(r: RootSystem, n: int, symmetric: bool):
 def _bd_rows(r: RootSystem, n: int, symmetric: bool):
     """The generated B/D candidates (plus the two half-spin sets of D), the
     first of each W-class that is maximal (maximal symmetric)."""
-    raw = (_bd_symmetric_sets if symmetric else _bd_sets)(r, n, with_short=(r.type_tag == "B"))
+    raw = _bd_sets(r, n, symmetric)
     if r.type_tag == "D":
         # the two half-spin sets: all e_i+e_j, and its image under e_n -> -e_n
         minus_n = [_epm(i, j, 1, 1, n) for i in range(1, n) for j in range(i + 1, n)]

@@ -2,6 +2,12 @@
 coordinates, with exact inner products and the coweight lattice
 R* = {H : alpha(H) in Z for all alpha}.
 
+Every family is built from shared parts: the units +-x e_i, the pairs
++-e_i +- e_j of D_n, the differences e_i - e_j of A_{n-1}, and E8, which is D8
+plus the half-spin vectors with an even number of minus signs.  E7 and E6 are
+cut from E8 as the roots orthogonal to e7 + e8, and to e6 + e8 as well
+(Bourbaki, Lie Groups and Lie Algebras, ch. VI, plates V-VII).
+
 Roots are stored in DOUBLED ambient coordinates (stored = 2 * coordinate), so
 the half-integer roots of the E series and F4 become integer vectors.  Inner
 products in the original normalization are dot(stored)/4; evaluation of a root
@@ -35,123 +41,47 @@ class InvalidRank(ValueError):
     pass
 
 
-def _a_roots(n: int) -> list[tuple[int, ...]]:
-    out = []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                v = [0] * n
-                v[i], v[j] = 2, -2
-                out.append(tuple(v))
-    return out
+def _vec(n: int, *entries) -> tuple[int, ...]:
+    """The length-n vector with the given (index, value) entries, else 0."""
+    v = [0] * n
+    for i, x in entries:
+        v[i] = x
+    return tuple(v)
 
 
-def _b_roots(n: int) -> list[tuple[int, ...]]:
-    out = []
-    for i in range(n):
-        for s in (2, -2):
-            v = [0] * n
-            v[i] = s
-            out.append(tuple(v))
-    out.extend(_pair_roots(n))
-    return out
+def _units(n: int, x: int) -> list[tuple[int, ...]]:
+    """+-x e_i."""
+    return [_vec(n, (i, s)) for i in range(n) for s in (x, -x)]
 
 
-def _c_roots(n: int) -> list[tuple[int, ...]]:
-    out = []
-    for i in range(n):
-        for s in (4, -4):
-            v = [0] * n
-            v[i] = s
-            out.append(tuple(v))
-    out.extend(_pair_roots(n))
-    return out
+def _pairs(n: int) -> list[tuple[int, ...]]:
+    """+-2e_i +- 2e_j for i < j, the roots of D_n."""
+    return [_vec(n, (i, si), (j, sj)) for i in range(n) for j in range(i + 1, n) for si in (2, -2) for sj in (2, -2)]
 
 
-def _pair_roots(n: int) -> list[tuple[int, ...]]:
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si in (2, -2):
-                for sj in (2, -2):
-                    v = [0] * n
-                    v[i], v[j] = si, sj
-                    out.append(tuple(v))
-    return out
+def _differences(n: int) -> list[tuple[int, ...]]:
+    """2e_i - 2e_j for i != j, the roots of A_{n-1}."""
+    return [_vec(n, (i, 2), (j, -2)) for i in range(n) for j in range(n) if i != j]
 
 
-def _g2_roots() -> list[tuple[int, ...]]:
-    out = []
-    for i, j in itertools.permutations(range(3), 2):
-        v = [0, 0, 0]
-        v[i], v[j] = 2, -2
-        out.append(tuple(v))
-    for i in range(3):
-        j, k = [x for x in range(3) if x != i]
-        for s in (1, -1):
-            v = [0, 0, 0]
-            v[i], v[j], v[k] = 4 * s, -2 * s, -2 * s
-            out.append(tuple(v))
-    return out
-
-
-def _f4_roots() -> list[tuple[int, ...]]:
-    out = _b_roots(4)
-    for signs in itertools.product((1, -1), repeat=4):
-        out.append(tuple(signs))
-    return out
-
-
-def _spinor_roots(constraint) -> list[tuple[int, ...]]:
-    out = []
-    for signs in itertools.product((1, -1), repeat=8):
-        prod = 1
-        for s in signs:
-            prod *= s
-        if prod == 1 and constraint(signs):
-            out.append(tuple(signs))
-    return out
-
-
-def _pairs_in(indices: list[int]) -> list[tuple[int, ...]]:
-    out = []
-    for a, b in itertools.combinations(indices, 2):
-        for sa in (2, -2):
-            for sb in (2, -2):
-                v = [0] * 8
-                v[a], v[b] = sa, sb
-                out.append(tuple(v))
-    return out
-
-
-def _e8_roots() -> list[tuple[int, ...]]:
-    return _pairs_in(list(range(8))) + _spinor_roots(lambda s: True)
-
-
-def _e7_roots() -> list[tuple[int, ...]]:
-    out = _pairs_in(list(range(6)))
-    out.append((0, 0, 0, 0, 0, 0, 2, -2))
-    out.append((0, 0, 0, 0, 0, 0, -2, 2))
-    out.extend(_spinor_roots(lambda s: s[6] + s[7] == 0))
-    return out
-
-
-def _e6_roots() -> list[tuple[int, ...]]:
-    out = _pairs_in(list(range(5)))
-    out.extend(_spinor_roots(lambda s: s[5] == s[6] == -s[7]))
-    return out
+def _e8() -> list[tuple[int, ...]]:
+    """D_8 plus the half-spin vectors (+-1, ..., +-1) with an even number of
+    minus signs."""
+    return _pairs(8) + [s for s in itertools.product((1, -1), repeat=8) if math.prod(s) == 1]
 
 
 _BUILDERS = {
-    "A": _a_roots,
-    "B": _b_roots,
-    "C": _c_roots,
-    "D": _pair_roots,
-    "G2": lambda n: _g2_roots(),
-    "F4": lambda n: _f4_roots(),
-    "E6": lambda n: _e6_roots(),
-    "E7": lambda n: _e7_roots(),
-    "E8": lambda n: _e8_roots(),
+    "A": _differences,
+    "B": lambda n: _units(n, 2) + _pairs(n),
+    "C": lambda n: _units(n, 4) + _pairs(n),
+    "D": _pairs,
+    # A_2 plus the long roots +-(2e_i - e_j - e_k), the projections of +-6e_i
+    # (stored) onto the plane of A_2
+    "G2": lambda n: _differences(3) + [tuple(x - sum(v) // 3 for x in v) for v in _units(3, 6)],
+    "F4": lambda n: _units(4, 2) + _pairs(4) + list(itertools.product((1, -1), repeat=4)),
+    "E6": lambda n: [v for v in _e8() if v[5] + v[7] == 0 == v[6] + v[7]],
+    "E7": lambda n: [v for v in _e8() if v[6] + v[7] == 0],
+    "E8": lambda n: _e8(),
 }
 
 
@@ -297,7 +227,8 @@ def build_root_system(type_tag: str, rank: int | None = None) -> RootSystem:
 
     For type A the parameter is the ambient dimension n (the system A_{n-1});
     for B, C, D it is n; the exceptional types have fixed rank and the
-    parameter may be omitted.
+    parameter may be omitted.  A rank whose roots do not fit in memory raises
+    InvalidRank.
     """
     if type_tag not in TYPES:
         raise InvalidRank(f"unknown type {type_tag!r}")
@@ -315,9 +246,12 @@ def build_root_system(type_tag: str, rank: int | None = None) -> RootSystem:
             raise InvalidRank(f"{type_tag}_n needs n >= 2")
         if type_tag == "D" and n < 3:
             raise InvalidRank("D_n needs n >= 3 (D_2 is reducible)")
-    stored = sorted(_BUILDERS[type_tag](n))
-    ambient = len(stored[0])
     true_rank = {"A": n - 1, "B": n, "C": n, "D": n}.get(type_tag, FIXED_RANK.get(type_tag))
+    try:
+        stored = sorted(_BUILDERS[type_tag](n))
+    except MemoryError:
+        raise InvalidRank(f"{type_tag}_{true_rank} is too large: its roots do not fit in memory") from None
+    ambient = len(stored[0])
     dbasis = hermite_basis([list(v) for v in stored])
     cw_num, den = coweight_lattice_basis(dbasis)
     values = [[divmod(dot(v, w), 2 * den) for w in cw_num] for v in stored]

@@ -27,8 +27,12 @@ from .intlat import column_solver
 from .rootsys import RootSystem, _cached, dot
 
 
-class OrbitBudgetExceeded(RuntimeError):
-    pass
+class BudgetExceeded(RuntimeError):
+    """A search stopped at its budget; ``partial`` holds what it completed."""
+
+    def __init__(self, msg, partial=None):
+        super().__init__(msg)
+        self.partial = partial
 
 
 def _coroot_pairing(r: RootSystem, alpha_idx: int) -> list[int]:
@@ -158,7 +162,7 @@ def canonical_form(r: RootSystem, q, group: str = "weyl", budget: int | None = 2
     automorphisms, so for 'aut' the search starts from the set and its images
     under them, and their least W-image is the least Aut-image.  ``budget``
     counts the candidate images the search generates; past it
-    OrbitBudgetExceeded is raised, and None means no limit."""
+    BudgetExceeded is raised, and None means no limit."""
     _check_group(group)
     cands = {frozenset(q)}
     if group == "aut":
@@ -175,7 +179,7 @@ def canonical_form(r: RootSystem, q, group: str = "weyl", budget: int | None = 2
             pairs = [(t, c) for c in cands for t in level]
         made += len(pairs)
         if budget is not None and made > budget:
-            raise OrbitBudgetExceeded(f"canonical image search exceeded {budget} candidates")
+            raise BudgetExceeded(f"canonical image search exceeded {budget} candidates")
         cands = {frozenset(map(level[t].__getitem__, c)) for t, c in pairs}
     return min(cands, key=sorted)
 
@@ -239,7 +243,7 @@ def set_orbit(r: RootSystem, q, group: str = "weyl", budget: int | None = 2_000_
     During the walk a member is a tuple of root indices, imaged under a
     reflection g by itemgetter(*s)(g), and frozen once, as its node is made.
 
-    OrbitBudgetExceeded is raised exactly when the orbit has more than
+    BudgetExceeded is raised exactly when the orbit has more than
     ``budget`` sets; None means no limit."""
     _check_group(group)
     labels, cartan = _labels(r), cartan_matrix(r)
@@ -254,7 +258,7 @@ def set_orbit(r: RootSystem, q, group: str = "weyl", budget: int | None = 2_000_
     def grow(new):
         orbit.update(new)
         if len(orbit) > limit:
-            raise OrbitBudgetExceeded(f"set orbit exceeded {budget} nodes")
+            raise BudgetExceeded(f"set orbit exceeded {budget} nodes")
 
     fibre, orbit = [frozenset(cur)], set()
     grow(fibre)
@@ -332,7 +336,7 @@ def sets_equivalent(r: RootSystem, q1, q2, group: str = "weyl") -> bool:
     """True iff some element of the chosen group maps q1 onto q2: the sets
     have the same size and the same canonical form.  Each of the two
     canonical-image searches runs under canonical_form's default budget
-    (candidate images generated), and OrbitBudgetExceeded is raised past it."""
+    (candidate images generated), and BudgetExceeded is raised past it."""
     _check_group(group)
     q1, q2 = frozenset(q1), frozenset(q2)
     return len(q1) == len(q2) and canonical_form(r, q1, group) == canonical_form(r, q2, group)

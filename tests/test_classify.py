@@ -39,7 +39,6 @@ from flagcr.classify import (
 from flagcr.qsets import compat_graph, is_fundamental, is_lb
 from flagcr.rootsys import build_root_system, evaluate_int, find_root, root_sum, roots_set
 from flagcr.weyl import (
-    OrbitBudgetExceeded,
     canonical_form,
     generators,
     reflection_perm,
@@ -144,13 +143,31 @@ def test_enumerate_finishes_at_the_least_clique_budget(enumerated, tag, n):
     assert [(c.canonical, c.orbit_size) for c in got] == [(c.canonical, c.orbit_size) for c in classes]
 
 
-def _leaders(rs):
-    """The least root of each W-orbit of roots."""
+def _bfs_root_orbits(rs):
+    """Oracle: the W-orbits of the roots by breadth-first search under the
+    simple reflections, in the order of their least roots."""
     gens, remaining, out = generators(rs), set(range(rs.nroots)), []
     while remaining:
-        out.append(min(remaining))
-        remaining -= root_orbit(rs, out[-1], gens)
-    return out
+        out.append(root_orbit(rs, min(remaining), gens))
+        remaining -= out[-1]
+    return tuple(out)
+
+
+def _leaders(rs):
+    """The least root of each W-orbit of roots."""
+    return [min(o) for o in _bfs_root_orbits(rs)]
+
+
+@pytest.mark.parametrize(
+    "tag,n",
+    [("A", n) for n in range(3, 9)] + [("B", n) for n in range(2, 7)] + [("C", n) for n in range(2, 7)]
+    + [("D", n) for n in range(3, 8)] + [(t, None) for t in ("G2", "F4", "E6", "E7", "E8")],
+)
+def test_root_orbits_are_the_length_classes(tag, n):
+    # W is transitive on the roots of one length, so the orbits read off the
+    # lengths are the breadth-first ones
+    rs = build_root_system(tag, n)
+    assert classify._root_orbits(rs) == _bfs_root_orbits(rs)
 
 
 def test_enumerate_budget_counts_the_orbit_sets(enumerated):
@@ -165,7 +182,8 @@ def test_enumerate_budget_counts_the_orbit_sets(enumerated):
         with pytest.raises(BudgetExceeded, match="orbit walks exceeded") as e:
             enumerate_maximal(rs, budget=nodes + sizes[k] - 1)
         assert [c.canonical for c in e.value.partial] == [c.canonical for c in classes[:k]]
-        assert isinstance(e.value.__cause__, OrbitBudgetExceeded)
+        assert isinstance(e.value.__cause__, BudgetExceeded)
+        assert str(e.value.__cause__).startswith("set orbit exceeded")
 
 
 def test_enumerate_orbit_stop_prints_the_completed_classes(enumerated, capsys):

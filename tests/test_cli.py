@@ -320,6 +320,19 @@ def test_verify_paper_builds_each_system_once(capsys, monkeypatch, section, buil
     assert len(calls) == builds, calls
 
 
+def test_catalog_canonical_form_stop_exits_2(capsys, monkeypatch):
+    # a canonical-form budget stop inside the B/D catalogs is the one
+    # BudgetExceeded the CLI reports: exit 2, one error line, no traceback
+    from flagcr import weyl
+
+    monkeypatch.setattr(classify, "canonical_form", lambda r, q: weyl.canonical_form(r, q, budget=1))
+    code = main(["verify-paper", "--section", "6"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: canonical image search exceeded 1 candidates")
+    assert "Traceback" not in err
+
+
 BUDGET_CASES = [
     # (argv, FLAGCR_BUDGET, exit code, stderr fragment)
     (["enumerate", "--type", "G2", "--budget", "0"], None, 1, "--budget must be a positive integer"),
@@ -404,6 +417,7 @@ NO_TRACEBACK_FILES = {
     "empty.json": "",
     "binary.json": b"\xff\xfe{",
     "nonroot.json": '{"type": "A", "rank": 2, "roots": [[9, 9, 9]]}',
+    "huge.json": '{"type": "A", "rank": 99999999999999, "roots": []}',
     "q.json": X_PLUS_IY,
     "heisenberg.json": _heisenberg_json(),
     "div0.json": _heisenberg_json(_set(["c", 0, 3], "1/0")),
@@ -420,6 +434,7 @@ NO_TRACEBACK = [
     ("enumerate negative rank", ["enumerate", "--type", "B", "--rank", "-1"], None, 1),
     ("enumerate rank not an integer", ["enumerate", "--type", "A", "--rank", "x"], None, 1),
     ("enumerate fixed rank", ["enumerate", "--type", "E6", "--rank", "7"], None, 1),
+    ("enumerate huge rank", ["enumerate", "--type", "A", "--rank", "99999999999999"], None, 1),
     ("enumerate unknown type", ["enumerate", "--type", "H8"], None, 1),
     ("enumerate no type", ["enumerate"], None, 1),
     ("enumerate unknown quotient", ["enumerate", "--type", "G2", "--quotient", "w"], None, 1),
@@ -437,6 +452,7 @@ NO_TRACEBACK = [
     ("check empty file", ["check", "--roots", "{d}/empty.json"], None, 1),
     ("check non-UTF-8 file", ["check", "--roots", "{d}/binary.json"], None, 1),
     ("check non-root", ["check", "--roots", "{d}/nonroot.json"], None, 1),
+    ("check huge rank", ["check", "--roots", "{d}/huge.json"], None, 1),
     ("check budget option", ["check", "--roots", "{d}/g2.json", "--budget", "5"], None, 1),
     ("realform missing file", ["realform", "--roots", "{d}/missing.json", "--conjugation", "compact"], None, 1),
     ("realform garbled file", ["realform", "--roots", "{d}/garbled.json", "--conjugation", "compact"], None, 1),
@@ -457,6 +473,7 @@ NO_TRACEBACK = [
     ("cralg unknown preset", ["cralg", "--preset", "sl3", "--op", "predicates"], None, 1),
     ("cralg unknown Q spec", ["cralg", "--preset", "flag:B:2:Q40", "--op", "predicates"], None, 1),
     ("cralg unknown G2 Q spec", ["cralg", "--preset", "flag:G2:Q43", "--op", "predicates"], None, 1),
+    ("cralg huge rank", ["cralg", "--preset", "flag:A:99999999999999", "--op", "predicates"], None, 1),
     ("cralg unknown ideal", ["cralg", "--preset", "heisenberg", "--op", "fibration", "--ideal", "x"], None, 1),
     ("cralg no ideal", ["cralg", "--preset", "heisenberg", "--op", "fibration"], None, 1),
     ("cralg center elsewhere", ["cralg", "--preset", "su2-flag", "--op", "fibration", "--ideal", "center"], None, 1),

@@ -16,7 +16,7 @@ PUBLIC = {
     "__init__": set(),
     "__main__": set(),
     "classify": {
-        "AnchorViolation", "BudgetExceeded", "CatalogClaimFailed", "CatalogEntry", "EnumClass", "GradingTable",
+        "AnchorViolation", "CatalogClaimFailed", "CatalogEntry", "EnumClass", "GradingTable",
         "H", "KNOWN_DISCREPANCIES", "XI", "b3_counterexample", "beta0", "bn_constraint_discrepancy",
         "catalog", "construct_q", "e8_example_set", "e8_examples", "e_system", "enumerate_maximal",
         "f4_counterexample", "grading_level_set", "grading_table", "MassIdentityViolation", "maximal_cliques",
@@ -60,7 +60,7 @@ PUBLIC = {
         "rootset_from_json", "rootset_to_json", "scaled", "sorted_indices",
     },
     "weyl": {
-        "OrbitBudgetExceeded", "canonical_form", "cartan_matrix", "diagram_automorphisms",
+        "BudgetExceeded", "canonical_form", "cartan_matrix", "diagram_automorphisms",
         "generators", "in_weyl", "positive_roots", "reflection_perm", "root_orbit", "set_orbit", "sets_equivalent",
         "simple_coordinates", "simple_roots",
     },

@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -51,6 +53,51 @@ def test_root_counts(tag, rank):
     assert rs.nroots == COUNTS[(tag, rank)]
 
 
+# SHA-256 of json.dumps(roots) for each (type, build parameter), recorded from
+# the per-family builders that preceded the shared parts, so the stored roots
+# and every table derived from their order stay byte-identical
+ROOT_DIGESTS = {
+    ("A", 2): "5a26645cd1647a0c7fb4cdd16fb73471938538ae8099bf334cb8580e9f9288a3",
+    ("A", 3): "cdccf3b11c3c2bb846917875141059e0e518cf543e18cbf0af1c3bb0c7f4c15b",
+    ("A", 4): "3d2933a978e767471dc97453b56e2bf0f01e3511cb8200e015edcad84a70afcb",
+    ("A", 5): "8e927ec593ad360b553cc55c2ad88afdfc664f6b3f867a0b80f600be75677bd9",
+    ("A", 6): "30834b700f4ffcfa3c8c91766096e41e2be178b85d77b1e0ee4a5fb76a0f9653",
+    ("A", 7): "70655514974780c54511a63de1c14204845e47862d2c37633ffd54e2f7bd29e4",
+    ("A", 8): "2c51f670d7bcd504ba21c4e675ee9b11095dee568321ad6f554b85d14ffa990e",
+    ("A", 9): "1e448fc740dce89667207951a0f850147b0030479ff0b85f0bc999f1f7fa6727",
+    ("A", 10): "3fba2656d4fc9514b12a3123bfa5b47fe1852419a82c05a21b9c4e4d15b0751b",
+    ("B", 2): "0d998100a24c17581ac8e5a6b1c57801de32bd6a8c8968a5d4d4dcfb5e290b48",
+    ("B", 3): "bafd8dbb04bbf482885594ce35a0bd846d8853dee08f914be0fdf459e68ccabb",
+    ("B", 4): "530ff7c7cf0f09d7a95ce6b861e4d2d65afe591e852c3bd78718b1511e46f36f",
+    ("B", 5): "65c2e9dc849d329cab9bf3637ef4d3386fc738f4d4a3694c7b082d993222e145",
+    ("B", 6): "ce7825548a5f4a8653da9aa83a65ebfe93d44e51c667994cafc9c4e7ab6347f0",
+    ("B", 7): "7da4d303cf18602834dbb8b67445c9a1cd6ac31027e82defac474339519a8b5b",
+    ("C", 2): "b67768aaf909040c7a73b4ed1072d3188a6bfeffed55b63cf3fad1c0bf7220e8",
+    ("C", 3): "751e12b703e8731a8c0ab8bb53efb2d33f7c3df9e6a63fc410348a04ae497775",
+    ("C", 4): "314079a9a6278beb4b2713f3e1ecfe3066f112e644a16ac271b6f71984742c7c",
+    ("C", 5): "4bde35a18c2711b6cbc3ea344da7052bc4a32927d5d48b0b61e0ffad2ac34ff1",
+    ("C", 6): "3b521b31195487e0d45a2ce70ba58fe4d3b9e5ddf71b8ff8c5b0e22a3450ae7c",
+    ("C", 7): "91879ac6fee355629369f3bb38ff0260253269966b6cae748f8afd0db624f685",
+    ("D", 3): "ed4f14ffd11434d54ccaf6796db4caab2681e89a0a5b59df9b25ff94de5c6a00",
+    ("D", 4): "d129a8c393067d82566a89d12533360c2a2271c6ea709697600ba150d98c95d4",
+    ("D", 5): "d7541562361d5961a422146c33ce9205985cd7e7ec5ed12b467a10bf5cd7d280",
+    ("D", 6): "66e5ff290a5a25d8c43d2b225d952545754be014412f2f563d23b0148510780c",
+    ("D", 7): "4c04fb577242609bce4adb93e000cf6acd3e54c3dd7677ee2a0c8736f3a16843",
+    ("D", 8): "fa2562c84f96b1975f2b97d7b705580ac43321958731e6a45c5f87ff78aa8cae",
+    ("G2", None): "64736663946d6f4133ded483059df41c5b65cf17b69cb5156836bb39538c53b1",
+    ("F4", None): "dbd62256d53a8c49908091ef09de3ed99073db1e8e8862a57979025e10aaac93",
+    ("E6", None): "3fddd18b15bf199b6920b6537c370a7a2d491427055b6fa8e01ed2a281c3c753",
+    ("E7", None): "f9a2f4d7c12f3e7ec8b39bf54d7e8e18c1cde75bc336896f29f66ea092786c18",
+    ("E8", None): "714838ef1ef7b326ebb208486eb04cd318b8beca8de6a5357d44989399493494",
+}
+
+
+@pytest.mark.parametrize("tag,rank", list(ROOT_DIGESTS), ids=[f"{t}{n or ''}" for t, n in ROOT_DIGESTS])
+def test_stored_roots_are_pinned(tag, rank):
+    roots = build_root_system(tag, rank).roots
+    assert hashlib.sha256(json.dumps(roots).encode()).hexdigest() == ROOT_DIGESTS[(tag, rank)]
+
+
 def test_invalid_ranks():
     with pytest.raises(InvalidRank):
         build_root_system("A", 1)
@@ -60,6 +107,9 @@ def test_invalid_ranks():
         build_root_system("G2", 3)
     with pytest.raises(InvalidRank):
         build_root_system("H", 2)
+    # a rank whose roots cannot be allocated fails at the first vector
+    with pytest.raises(InvalidRank, match="A_99999999999999 is too large"):
+        build_root_system("A", 10**14)
 
 
 @pytest.mark.parametrize("tag,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", None), ("F4", None), ("E6", None), ("E7", None), ("E8", None)])

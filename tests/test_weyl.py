@@ -12,6 +12,7 @@ from flagcr.gaussq import Factored
 from flagcr.realform import _apply_matrix_cols as apply_matrix_cols
 from flagcr.rootsys import TYPES, build_root_system, find_root, roots_set
 from flagcr.weyl import (
+    BudgetExceeded,
     canonical_form,
     cartan_matrix,
     diagram_automorphisms,
@@ -143,20 +144,29 @@ def test_in_weyl():
 
 
 def test_canonical_form_budget():
-    import pytest
-
-    from flagcr.weyl import OrbitBudgetExceeded
-
     f4 = build_root_system("F4")
     q = roots_set(f4, [(1, 0, 0, 0), (1, 1, 0, 0)])
-    with pytest.raises(OrbitBudgetExceeded):
+    with pytest.raises(BudgetExceeded):
         canonical_form(f4, q, budget=3)
-    with pytest.raises(OrbitBudgetExceeded):
+    with pytest.raises(BudgetExceeded):
         set_orbit(f4, q, budget=3)
     # no budget: the whole orbit, whose least set is the canonical form
     orbit = set_orbit(f4, q, budget=None)
     assert frozenset(q) in orbit
     assert canonical_form(f4, q, budget=None) == min(orbit, key=lambda s: sorted(f4.roots[i] for i in s))
+
+
+@pytest.mark.parametrize("search", [canonical_form, set_orbit])
+def test_budget_stop_is_the_one_cli_exception(search):
+    # the group searches stop with the same BudgetExceeded that classify
+    # raises and the CLI turns into exit 2
+    from flagcr import cli, classify
+
+    e6 = build_root_system("E6")
+    with pytest.raises(BudgetExceeded) as e:
+        search(e6, roots_set(e6, [(1, 1, 0, 0, 0, 0, 0, 0), (1, -1, 0, 0, 0, 0, 0, 0)]), budget=1)
+    assert e.value.partial is None
+    assert BudgetExceeded is classify.BudgetExceeded is cli.BudgetExceeded
 
 
 # A2-A5 (build_root_system("A", n) is A_{n-1}), B2-B4, C2-C4, D4, D5, G2, F4, E6
@@ -229,7 +239,7 @@ def test_set_orbit_builds_each_set_once(monkeypatch):
 @pytest.mark.parametrize("tag,rank,group", [("B", 3, "weyl"), ("D", 5, "weyl"), ("F4", None, "weyl"),
                                             ("A", 5, "aut"), ("D", 4, "weyl"), ("D", 4, "aut")])
 def test_set_orbit_budget_is_exact(tag, rank, group):
-    # OrbitBudgetExceeded exactly when the orbit has more sets than the
+    # BudgetExceeded exactly when the orbit has more sets than the
     # budget, whether the count passes it in the fibre, in the tree or, for
     # 'aut', in the union over the diagram automorphisms
     rs = build_root_system(tag, rank)
@@ -238,7 +248,7 @@ def test_set_orbit_budget_is_exact(tag, rank, group):
     for q in _orbit_inputs(rs, rng, 12)[:: 3 if rs.nroots > 20 else 1]:
         orbit = set_orbit(rs, q, group, None)
         assert set_orbit(rs, q, group, len(orbit)) == orbit
-        with pytest.raises(weyl.OrbitBudgetExceeded):
+        with pytest.raises(BudgetExceeded):
             set_orbit(rs, q, group, len(orbit) - 1)
         unions += group == "aut" and len(orbit) > len(set_orbit(rs, q, "weyl"))
     if group == "aut":
@@ -249,7 +259,7 @@ def test_set_orbit_budget_is_exact(tag, rank, group):
         orbit = set_orbit(rs, q4, "aut")
         assert len(orbit) == 3 * len(set_orbit(rs, q4, "weyl"))
         assert set_orbit(rs, q4, "aut", len(orbit)) == orbit
-        with pytest.raises(weyl.OrbitBudgetExceeded):
+        with pytest.raises(BudgetExceeded):
             set_orbit(rs, q4, "aut", len(orbit) - 1)
 
 
