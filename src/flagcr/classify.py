@@ -609,20 +609,11 @@ class GradingTable:
     system: RootSystem = field(repr=False)
 
 
-_SYSTEM_CACHE: dict[int, RootSystem] = {}
-
-
-def e_system(l: int) -> RootSystem:
-    if l not in _SYSTEM_CACHE:
-        _SYSTEM_CACHE[l] = build_root_system(f"E{l}")
-    return _SYSTEM_CACHE[l]
-
-
 def grading_table(l: int, i: int) -> GradingTable:
     pair = (l, i)
     if pair not in _E_VECTORS:
         raise ValueError(f"(l,i) must be one of {XI}")
-    r = e_system(l)
+    r = build_root_system(f"E{l}")
     e = _witness_from_ambient(r, _E_VECTORS[pair])
     r_part, s_part = set(), set()
     for idx, v in enumerate(r.roots):
@@ -756,7 +747,7 @@ def e8_example_set(ex) -> tuple[int, ...]:
     """Materialize an e8_examples() record as a sorted index tuple."""
     l, i = ex["pair"]
     if ex["members"] is not None:
-        r = e_system(l)
+        r = build_root_system(f"E{l}")
         return sorted_indices(roots_set(r, ex["members"]))
     within = None
     if ex["within"] == "level+1":
@@ -767,7 +758,7 @@ def e8_example_set(ex) -> tuple[int, ...]:
 def q_prime_p(p: int) -> tuple[int, ...]:
     """The set Q'_p in E8: {beta0} u {e_i+e_r, beta_{i,j}, beta_{r,s}} with
     i <= p < r; symmetric exactly when p is even."""
-    r = e_system(8)
+    r = build_root_system("E8")
     specs = [beta0()]
     for i in range(1, p + 1):
         for rr in range(p + 1, 9):
@@ -787,7 +778,7 @@ def orbit_lemma_expected(pair):
 
 def printed_orbit_61():
     """The printed W^6_1 orbits of S^6_1 (these lists are exact)."""
-    r = e_system(6)
+    r = build_root_system("E6")
     o1 = [spin((6, 7))]
     o1 += [tuple(-x for x in spin((i, 8))) for i in range(1, 6)]
     o1 += [spin((i, j, 6, 7)) for i, j in itertools.combinations(range(1, 6), 2)]

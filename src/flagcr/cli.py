@@ -1,6 +1,11 @@
 """Command-line surface: enumerate, check, verify-paper, realform and cralg
 commands with machine-readable, byte-deterministic output.  Every command
-takes --format and --verbose.
+takes --format and --verbose; --verbose adds timing_s, the seconds since main
+was entered, argument parsing included.
+
+The argument parser is built once per process, on the first call to main,
+and later calls reuse it; so do the root systems the commands build (see
+rootsys.build_root_system).
 
 Exit codes: 0 success, 1 bad arguments / parse or validation failure,
 2 budget exceeded (partial results are still printed, flagged
@@ -12,6 +17,7 @@ positive integer, whether it comes from --budget or from FLAGCR_BUDGET.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -160,14 +166,11 @@ def _row(claim, ok, detail="", known_id=None):
 
 def _verify_section_6(budget):
     rows = []
-    # one root system per type, shared by the enumerations and the catalogs
-    systems = {key: build_root_system(*key) for key in
-               [("A", 3), ("A", 4), ("C", 2), ("C", 3), ("C", 4), ("B", 3), ("B", 4), ("D", 4)]}
     for tag, rank, want in [("A", 3, 2), ("A", 4, 3), ("C", 2, 1), ("C", 3, 1), ("C", 4, 1)]:
-        got = len(classify.enumerate_maximal(systems[tag, rank], budget=budget))
+        got = len(classify.enumerate_maximal(build_root_system(tag, rank), budget=budget))
         rows.append(_row(f"catalog count {tag} n={rank} is {want}", got == want, f"got {got}"))
     for tag, n in [("B", 3), ("B", 4), ("D", 4)]:
-        rs = systems[tag, n]
+        rs = build_root_system(tag, n)
         cat = classify.catalog(rs, "all")
         cls = classify.enumerate_maximal(rs, budget=budget)
         rows.append(
@@ -189,7 +192,7 @@ def _verify_section_6(budget):
     # symmetric catalogs verify (witnesses check on construction)
     for tag, n in [("A", 4), ("B", 3), ("B", 4), ("C", 3), ("D", 4)]:
         try:
-            entries = classify.catalog(systems[tag, n], "symmetric")
+            entries = classify.catalog(build_root_system(tag, n), "symmetric")
             rows.append(_row(f"{tag}{n} symmetric catalog entries verify", True, f"{len(entries)} entries"))
         except classify.CatalogClaimFailed as e:
             rows.append(_row(f"{tag}{n} symmetric catalog entries verify", False, str(e)))
@@ -259,7 +262,7 @@ def _verify_section_7(budget):
         ((8, 1), classify.beta0(), "Q_{8,1,b0}"),
         ((8, 2), classify.spin((7, 8)), "Q_{8,2,b78}"),
     ]:
-        rsys = classify.e_system(pair[0])
+        rsys = build_root_system(f"E{pair[0]}")
         q = classify.construct_q(*pair, [anchor])
         rep = qsets.property_report(rsys, q)
         rows.append(
@@ -299,7 +302,7 @@ def _verify_gradings():
     o1, o2 = classify.printed_orbit_61()
     exp = set(classify.orbit_lemma_expected((6, 1)))
     rows.append(_row("printed S^6_1 orbit lists are exact", {frozenset(o1), frozenset(o2)} == exp))
-    e6 = classify.e_system(6)
+    e6 = build_root_system("E6")
     rows.append(
         _row(
             "both S^6_1 orbits belong to Q_0(E6)",
@@ -311,7 +314,7 @@ def _verify_gradings():
 
 def _verify_e8():
     rows = []
-    e8 = classify.e_system(8)
+    e8 = build_root_system("E8")
     for ex in classify.e8_examples():
         q = classify.e8_example_set(ex)
         rep = qsets.property_report(e8, q)
@@ -543,7 +546,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on the first call and reused by every later
+    main in the process."""
     parser = _Parser(prog="flagcr", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
     common = argparse.ArgumentParser(add_help=False)
@@ -580,9 +586,13 @@ def main(argv=None) -> int:
     p.add_argument("--ideal")
     p.add_argument("--xi")
     p.set_defaults(fn=cmd_cralg)
+    return parser
 
-    args = parser.parse_args(argv)
-    args.started = time.perf_counter()
+
+def main(argv=None) -> int:
+    started = time.perf_counter()
+    args = _parser().parse_args(argv)
+    args.started = started
     try:
         code = args.fn(args)
         sys.stdout.flush()

@@ -16,6 +16,11 @@ grading element, which carries integer numerators over one denominator.  The
 coweight basis, dual to a Z-basis of the root lattice, comes from one Smith
 normal form of the integer Gram matrix, with no elimination over a field.
 
+build_root_system returns one shared RootSystem per type and n for the whole
+process: the first call builds it, later calls (from the CLI, the library or
+another command run in the same process) get the same object with the root
+sums and derived tables it has kept.  Callers must not mutate it.
+
 A root set is handled as a frozenset of root indices into ``RootSystem.roots``;
 the canonical external form is the sorted index tuple.  rootset_to_json
 writes the root-set file that the check and realform commands read through
@@ -222,13 +227,20 @@ def coweight_lattice_basis(dbasis: list[list[int]]) -> tuple[list[tuple[int, ...
     return [tuple(x // g for x in w) for w in num], d // g
 
 
+_SYSTEMS: dict[tuple[str, int], RootSystem] = {}
+
+
 def build_root_system(type_tag: str, rank: int | None = None) -> RootSystem:
-    """Construct a root system in the explicit coordinates used throughout.
+    """The root system in the explicit coordinates used throughout.
 
     For type A the parameter is the ambient dimension n (the system A_{n-1});
     for B, C, D it is n; the exceptional types have fixed rank and the
-    parameter may be omitted.  A rank whose roots do not fit in memory raises
-    InvalidRank.
+    parameter may be omitted.  An invalid rank, or one whose roots do not fit
+    in memory, raises InvalidRank and stores nothing.
+
+    The system is built once per process and shared: every later call with
+    the same type and n returns the same object, with the tables it has kept
+    (see _cached), so callers must not mutate it.
     """
     if type_tag not in TYPES:
         raise InvalidRank(f"unknown type {type_tag!r}")
@@ -246,6 +258,14 @@ def build_root_system(type_tag: str, rank: int | None = None) -> RootSystem:
             raise InvalidRank(f"{type_tag}_n needs n >= 2")
         if type_tag == "D" and n < 3:
             raise InvalidRank("D_n needs n >= 3 (D_2 is reducible)")
+    key = (type_tag, n)
+    if key not in _SYSTEMS:
+        _SYSTEMS[key] = _build(type_tag, n)
+    return _SYSTEMS[key]
+
+
+def _build(type_tag: str, n: int) -> RootSystem:
+    """A new RootSystem of a validated type and n."""
     true_rank = {"A": n - 1, "B": n, "C": n, "D": n}.get(type_tag, FIXED_RANK.get(type_tag))
     try:
         stored = sorted(_BUILDERS[type_tag](n))

@@ -2,7 +2,8 @@ import functools
 
 import pytest
 
-from flagcr.classify import e_system, enumerate_maximal
+from flagcr import rootsys
+from flagcr.classify import enumerate_maximal
 from flagcr.rootsys import build_root_system
 
 
@@ -13,7 +14,18 @@ def enumerated():
 
     @functools.lru_cache(maxsize=None)
     def get(tag, rank, quotient):
-        rs = e_system(6) if tag == "E6" else build_root_system(tag, rank)
+        rs = build_root_system(tag, rank)
         return rs, enumerate_maximal(rs, quotient)
 
     return get
+
+
+@pytest.fixture
+def fresh_systems(monkeypatch):
+    """An empty per-process store of root systems for one test, so that
+    build_root_system builds anew and the tables it keeps are filled from
+    empty; returns the store, which the test may clear to build a system
+    twice.  The shared systems of the rest of the session are untouched."""
+    systems = {}
+    monkeypatch.setattr(rootsys, "_SYSTEMS", systems)
+    return systems

@@ -20,7 +20,6 @@ from flagcr.classify import (
     construct_q,
     e8_example_set,
     e8_examples,
-    e_system,
     enumerate_maximal,
     grading_table,
     maximal_symmetric_classes,
@@ -162,7 +161,7 @@ def test_criterion_4_classical_j_collapse():
 
 def test_criterion_5_e8_examples():
     t0 = time.time()
-    e8 = e_system(8)
+    e8 = build_root_system("E8")
     for ex in e8_examples():
         q = e8_example_set(ex)
         s = qsets.is_symmetric(e8, q)

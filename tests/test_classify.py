@@ -23,7 +23,6 @@ from flagcr.classify import (
     construct_q,
     e8_example_set,
     e8_examples,
-    e_system,
     enumerate_maximal,
     f4_counterexample,
     grading_level_set,
@@ -346,7 +345,7 @@ def test_e6_aut_classes_are_unions_of_weyl_classes(enumerated):
 def test_e6_construct_q_is_an_enumerated_class(enumerated):
     from flagcr.classify import _is_maximal_clique
 
-    e6 = e_system(6)
+    e6 = build_root_system("E6")
     q = construct_q(6, 2, ORTH_FRAMES[(6, 2)][:1])
     assert is_lb(e6, q) and _is_maximal_clique(e6, q)
     assert canonical_form(e6, q) in {frozenset(c.canonical) for c in enumerated("E6", None, "weyl")[1]}
@@ -469,7 +468,7 @@ def test_grading_tables():
 
 
 def test_construct_q_examples():
-    e8 = e_system(8)
+    e8 = build_root_system("E8")
     q = construct_q(8, 1, [beta0()])
     assert len(q) == 29
     expect = {find_root(e8, beta0())} | {
@@ -511,7 +510,7 @@ def _w81_equivalent(e8, q1, q2):
 
 
 def test_example7_witness_is_E82():
-    e8 = e_system(8)
+    e8 = build_root_system("E8")
     q7 = construct_q(8, 2, [spin((7, 8)), spin((5, 6))])
     from fractions import Fraction as F
 
@@ -521,7 +520,7 @@ def test_example7_witness_is_E82():
 
 
 def test_construct_q_example7_exact():
-    e8 = e_system(8)
+    e8 = build_root_system("E8")
     q7 = construct_q(8, 2, [spin((7, 8)), spin((5, 6))])
     exp = {find_root(e8, spin((5, 6))), find_root(e8, spin((7, 8)))}
     exp |= {find_root(e8, spin((i, r))) for i in range(1, 7) for r in (7, 8)}
@@ -540,7 +539,7 @@ def test_anchor_violation():
 
 
 def test_e8_examples_patterns():
-    e8 = e_system(8)
+    e8 = build_root_system("E8")
     for ex in e8_examples():
         q = e8_example_set(ex)
         s = qsets.is_symmetric(e8, q)
@@ -554,7 +553,7 @@ def test_e8_examples_patterns():
 
 
 def test_example4_j_witness_is_E81():
-    e8 = e_system(8)
+    e8 = build_root_system("E8")
     ex4 = next(e for e in e8_examples() if e["label"] == "4")
     q = e8_example_set(ex4)
     coords = e8.ambient_to_coweight_coords([0, 0, 0, 0, 0, 0, 0, 2])
@@ -563,7 +562,7 @@ def test_example4_j_witness_is_E81():
 
 
 def test_q_prime_parity():
-    e8 = e_system(8)
+    e8 = build_root_system("E8")
     for p in range(1, 9):
         q = q_prime_p(p)
         got = qsets.is_symmetric(e8, q)
@@ -585,7 +584,7 @@ def test_orthogonal_anchor_split():
     # Q = Q^p u (Q n {a_1..a_p}^perp) holds for 1 <= p < k
     from flagcr.rootsys import inner
 
-    e8 = e_system(8)
+    e8 = build_root_system("E8")
     for pair, k in [((8, 2), 4), ((8, 1), 4)]:
         frame = ORTH_FRAMES[pair][:k]
         idxs = [find_root(e8, a) for a in frame]
@@ -618,7 +617,7 @@ def test_orbit_lemma_61_73():
     exp = orbit_lemma_expected((6, 1))
     assert {frozenset(o1), frozenset(o2)} == set(exp)
     # both printed (6,1) orbits are in Q_0(E6)
-    e6 = e_system(6)
+    e6 = build_root_system("E6")
     for o in (o1, o2):
         got = qsets.has_j(e6, o)
         assert got[0] is True
@@ -626,7 +625,7 @@ def test_orbit_lemma_61_73():
 
 def test_shell_sets_symmetric_not_weak():
     # the level-1 shells Q_{l,i,a0} are maximal symmetric without weak-J
-    e8 = e_system(8)
+    e8 = build_root_system("E8")
     for pair, a0 in [((8, 1), beta0()), ((8, 2), spin((7, 8)))]:
         q = construct_q(*pair, [a0])
         s = qsets.is_symmetric(e8, q)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from flagcr import classify, cli, rootsys
+from flagcr import classify, rootsys
 from flagcr.cli import main
 
 
@@ -55,7 +55,7 @@ def test_enumerate_deterministic(capsys):
 
 
 def test_check_example6(tmp_path, capsys):
-    e8 = classify.e_system(8)
+    e8 = rootsys.build_root_system("E8")
     ex6 = next(e for e in classify.e8_examples() if e["label"] == "6")
     q = classify.e8_example_set(ex6)
     f = tmp_path / "ex6.json"
@@ -301,23 +301,21 @@ def test_verify_paper_gradings(capsys):
     assert report["results"]["summary"]["pass"] >= 10
 
 
-@pytest.mark.parametrize("section,builds", [("6", 9), ("7", 6)])
-def test_verify_paper_builds_each_system_once(capsys, monkeypatch, section, builds):
-    # the enumerations, catalogs and criterion checks of a section share one
-    # root system per type; the B3 and F4 counterexamples build their own
+@pytest.mark.parametrize("section,builds", [("6", 8), ("7", 5)])
+def test_verify_paper_builds_each_system_once(capsys, monkeypatch, fresh_systems, section, builds):
+    # the enumerations, catalogs, counterexamples and criterion checks of a
+    # section share one root system per type: each is constructed once
     calls = []
-    build = rootsys.build_root_system
+    build = rootsys._build
 
     def counting(*args):
         calls.append(args)
         return build(*args)
 
-    for module in (rootsys, classify, cli):
-        monkeypatch.setattr(module, "build_root_system", counting)
-    monkeypatch.setattr(classify, "_SYSTEM_CACHE", {})
+    monkeypatch.setattr(rootsys, "_build", counting)
     code, _ = run(capsys, "verify-paper", "--section", section)
     assert code == 0
-    assert len(calls) == builds, calls
+    assert len(calls) == len(set(calls)) == builds, calls
 
 
 def test_catalog_canonical_form_stop_exits_2(capsys, monkeypatch):

@@ -1,9 +1,11 @@
 """Default CLI output, byte-compared with outputs recorded under golden/.
 
-The commands run in-process through cli.main, so module caches (the G2 flag
-preset among them) are shared with the rest of the suite.  They run from the
-repository root, because the check and realform commands read root-set files
-under golden/ by a path relative to it and echo that path.  After a change
+The commands run in-process through cli.main, so module caches (the parser,
+the root systems and the G2 flag preset among them) are shared with the rest
+of the suite; the last two tests run every command in one test, in other
+orders, from an empty store of root systems.  They run from the repository
+root, because the check and realform commands read root-set files under
+golden/ by a path relative to it and echo that path.  After a change
 that is meant to move the output, re-record a file from the repository root
 with ``PYTHONPATH=src python -m flagcr <argv> > tests/golden/<name>.out``.
 """
@@ -12,6 +14,7 @@ import os
 
 import pytest
 
+from flagcr import cli
 from flagcr.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -63,3 +66,33 @@ def test_golden_output(capsys, monkeypatch, name, argv, code):
         want = f.read()
     assert got_code == code
     assert out.encode() == want
+
+
+def _golden_bytes(name):
+    with open(os.path.join(GOLDEN, name + ".out"), "rb") as f:
+        return f.read()
+
+
+def _run_all(capsys, commands):
+    for name, argv, code in commands:
+        got_code = main(argv)
+        assert (name, got_code, capsys.readouterr().out.encode()) == (name, code, _golden_bytes(name))
+
+
+def test_golden_after_a_usage_error(capsys, monkeypatch, fresh_systems):
+    # a first main that fails in argument parsing leaves the shared parser
+    # and systems fit for every later command of the process
+    monkeypatch.chdir(ROOT)
+    cli._parser.cache_clear()
+    with pytest.raises(SystemExit) as stop:
+        main(["enumerate"])
+    assert stop.value.code == 1
+    assert "--type" in capsys.readouterr().err
+    _run_all(capsys, COMMANDS)
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_golden_in_reverse_order(capsys, monkeypatch, fresh_systems):
+    # each root system is built by another command than in the forward order
+    monkeypatch.chdir(ROOT)
+    _run_all(capsys, COMMANDS[::-1])

@@ -18,7 +18,7 @@ PUBLIC = {
     "classify": {
         "AnchorViolation", "CatalogClaimFailed", "CatalogEntry", "EnumClass", "GradingTable",
         "H", "KNOWN_DISCREPANCIES", "XI", "b3_counterexample", "beta0", "bn_constraint_discrepancy",
-        "catalog", "construct_q", "e8_example_set", "e8_examples", "e_system", "enumerate_maximal",
+        "catalog", "construct_q", "e8_example_set", "e8_examples", "enumerate_maximal",
         "f4_counterexample", "grading_level_set", "grading_table", "MassIdentityViolation", "maximal_cliques",
         "maximal_symmetric_classes", "orbit_lemma_expected", "printed_orbit_61", "q_prime_p", "spin",
         "subset_universe", "verify_grading",

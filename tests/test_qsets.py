@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagcr import qsets
-from flagcr.classify import e8_example_set, e8_examples, e_system, maximal_cliques
+from flagcr.classify import e8_example_set, e8_examples, maximal_cliques
 from flagcr.intlat import SNFSolver, column_solver
 from flagcr.qsets import (
     NOT_FUNDAMENTAL,
@@ -412,7 +412,7 @@ def witness_pin_digest(enumerated):
     golden = os.path.join(os.path.dirname(__file__), "golden", "check-E7-maximal.json")
     with open(golden) as f:
         e7, q7 = rootset_from_json(f.read())
-    e8 = e_system(8)
+    e8 = build_root_system("E8")
     sets += [(e7, q7)] + [(e8, e8_example_set(ex)) for ex in e8_examples()]
     sets += [(rs, _greedy_maximal_lb(rs, rng)) for rs in (e7, e7, e8, e8)]
     reports = []

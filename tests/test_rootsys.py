@@ -98,18 +98,23 @@ def test_stored_roots_are_pinned(tag, rank):
     assert hashlib.sha256(json.dumps(roots).encode()).hexdigest() == ROOT_DIGESTS[(tag, rank)]
 
 
-def test_invalid_ranks():
-    with pytest.raises(InvalidRank):
-        build_root_system("A", 1)
-    with pytest.raises(InvalidRank):
-        build_root_system("D", 2)
-    with pytest.raises(InvalidRank):
-        build_root_system("G2", 3)
-    with pytest.raises(InvalidRank):
-        build_root_system("H", 2)
-    # a rank whose roots cannot be allocated fails at the first vector
-    with pytest.raises(InvalidRank, match="A_99999999999999 is too large"):
-        build_root_system("A", 10**14)
+def test_invalid_ranks(fresh_systems):
+    # every call raises again: a failed call leaves no system behind
+    for _ in range(2):
+        for args in [("A", 1), ("A", None), ("D", 2), ("G2", 3), ("H", 2)]:
+            with pytest.raises(InvalidRank):
+                build_root_system(*args)
+        # a rank whose roots cannot be allocated fails at the first vector
+        with pytest.raises(InvalidRank, match="A_99999999999999 is too large"):
+            build_root_system("A", 10**14)
+    assert fresh_systems == {}
+
+
+def test_one_shared_system_per_type_and_n():
+    assert build_root_system("F4") is build_root_system("F4", 4)
+    assert build_root_system("B", 3) is build_root_system("B", 3)
+    assert build_root_system("B", 3) is not build_root_system("C", 3)
+    assert build_root_system("A", 4) is not build_root_system("A", 5)
 
 
 @pytest.mark.parametrize("tag,rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", None), ("F4", None), ("E6", None), ("E7", None), ("E8", None)])
@@ -147,11 +152,13 @@ def test_root_sum():
     assert root_sum(a2, i, k) is None
 
 
-def test_kept_tables_do_not_change_equality():
+def test_kept_tables_do_not_change_equality(fresh_systems):
     # the sum table and the derived tables fill on use; two builds of one
     # system stay equal whichever of them has been used
-    one, two = build_root_system("B", 3), build_root_system("B", 3)
-    assert one == two
+    one = build_root_system("B", 3)
+    fresh_systems.clear()
+    two = build_root_system("B", 3)
+    assert one is not two and one == two
     root_sum(one, 0, 1)
     assert one == two
     compat_graph(two)

@@ -444,7 +444,7 @@ def test_generators_are_isometries_and_match_matrix_of():
             assert all(apply_matrix_cols(cols, v) == rs.roots[g[i]] for i, v in enumerate(rs.roots)), tag
 
 
-def test_generators_built_once(monkeypatch):
+def test_generators_built_once(monkeypatch, fresh_systems):
     # "diagram" counts the simple-coordinate table, which only the diagram
     # automorphisms read; the reflections past the four simple ones are the
     # chain's, built by the first canonical form and by no later search
@@ -554,7 +554,7 @@ def test_diagram_automorphisms_match_fraction_oracle(tag, rank):
     assert diagram_automorphisms(rs) == want
 
 
-def test_diagram_automorphisms_extend_only_gram_keeping_prefixes(monkeypatch):
+def test_diagram_automorphisms_extend_only_gram_keeping_prefixes(monkeypatch, fresh_systems):
     # A9's simple roots in root order are a path, and a prefix keeps the Gram
     # matrix only when it runs along the path in one direction: the empty
     # prefix, the 9 single nodes and the 2 (10 - m) runs of each length m in
