@@ -507,27 +507,18 @@ def catalog(r: RootSystem, which: str = "all") -> list[CatalogEntry]:
 # ---------------------------------------------------------------------------
 # E-series data
 
-XI = ((6, 1), (6, 2), (7, 1), (7, 2), (7, 3), (8, 1), (8, 2))
-
-_E_VECTORS = {
-    (6, 1): (0, 0, 0, 0, 0, Fraction(-2, 3), Fraction(-2, 3), Fraction(2, 3)),
-    (6, 2): (H, H, H, H, H, -H, -H, H),
-    (7, 1): (0, 0, 0, 0, 0, 0, -1, 1),
-    (7, 2): (H, H, H, H, H, H, -1, 1),
-    (7, 3): (0, 0, 0, 0, 0, 1, -H, H),
-    (8, 1): (0, 0, 0, 0, 0, 0, 0, 2),
-    (8, 2): (H, H, H, H, H, H, H, H),
+# (l, i) -> (type label of the even part, the grading vector E_{l,i})
+_GRADINGS = {
+    (6, 1): ("D5", (0, 0, 0, 0, 0, Fraction(-2, 3), Fraction(-2, 3), Fraction(2, 3))),
+    (6, 2): ("A5xA1", (H, H, H, H, H, -H, -H, H)),
+    (7, 1): ("D6xA1", (0, 0, 0, 0, 0, 0, -1, 1)),
+    (7, 2): ("A7", (H, H, H, H, H, H, -1, 1)),
+    (7, 3): ("E6", (0, 0, 0, 0, 0, 1, -H, H)),
+    (8, 1): ("D8", (0, 0, 0, 0, 0, 0, 0, 2)),
+    (8, 2): ("E7xA1", (H, H, H, H, H, H, H, H)),
 }
 
-_TYPE_LABELS = {
-    (6, 1): "D5",
-    (6, 2): "A5xA1",
-    (7, 1): "D6xA1",
-    (7, 2): "A7",
-    (7, 3): "E6",
-    (8, 1): "D8",
-    (8, 2): "E7xA1",
-}
+XI = tuple(_GRADINGS)
 
 
 def spin(minus) -> tuple[Fraction, ...]:
@@ -611,17 +602,18 @@ class GradingTable:
 
 def grading_table(l: int, i: int) -> GradingTable:
     pair = (l, i)
-    if pair not in _E_VECTORS:
+    if pair not in _GRADINGS:
         raise ValueError(f"(l,i) must be one of {XI}")
+    type_label, vector = _GRADINGS[pair]
     r = build_root_system(f"E{l}")
-    e = _witness_from_ambient(r, _E_VECTORS[pair])
+    e = _witness_from_ambient(r, vector)
     r_part, s_part = set(), set()
     for idx, v in enumerate(r.roots):
         if evaluate_int(v, e) % 2 == 0:
             r_part.add(idx)
         else:
             s_part.add(idx)
-    return GradingTable(pair, _TYPE_LABELS[pair], frozenset(r_part), frozenset(s_part), e, r)
+    return GradingTable(pair, type_label, frozenset(r_part), frozenset(s_part), e, r)
 
 
 def verify_grading(l: int, i: int) -> tuple[bool, list[str]]:

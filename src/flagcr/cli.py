@@ -1,7 +1,9 @@
 """Command-line surface: enumerate, check, verify-paper, realform and cralg
 commands with machine-readable, byte-deterministic output.  Every command
 takes --format and --verbose; --verbose adds timing_s, the seconds since main
-was entered, argument parsing included.
+was entered, argument parsing included: a key of the JSON report, and under
+--format table a last line {"timing_s": ...} (for verify-paper, a key of its
+summary line).
 
 The argument parser is built once per process, on the first call to main,
 and later calls reuse it; so do the root systems the commands build (see
@@ -62,11 +64,18 @@ def _emit(args, command, inputs, results, exhaustive=True):
         "results": results,
     }
     if args.verbose:
-        report["timing_s"] = round(time.perf_counter() - args.started, 3)
+        report["timing_s"] = _timing(args)
     if args.format == "table":
         _print_table(results)
+        if args.verbose:
+            print(json.dumps({"timing_s": report["timing_s"]}))
     else:
         print(json.dumps(report, sort_keys=True, indent=2))
+
+
+def _timing(args) -> float:
+    """Seconds since main was entered, for --verbose."""
+    return round(time.perf_counter() - args.started, 3)
 
 
 def _print_table(results):
@@ -389,7 +398,7 @@ def cmd_verify_paper(args) -> int:
     if args.format == "json":
         _emit(args, "verify-paper", {"section": section}, {"rows": rows, "summary": summary}, exhaustive)
     else:
-        print(json.dumps(summary, sort_keys=True))
+        print(json.dumps(dict(summary, timing_s=_timing(args)) if args.verbose else summary, sort_keys=True))
     return 1 if summary["fail"] else 0 if exhaustive else 2
 
 

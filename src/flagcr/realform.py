@@ -5,7 +5,9 @@ the regular maximal CR structures over a maximally compact Cartan.
 
 A conjugation is carried as an exact rational involution of the ambient space
 together with the root-index permutation it induces, both checked on integer
-numerators over one denominator.  regular_max_structure, which no CLI op
+numerators over one denominator.  Every base, of R and of Q^r alike, is read
+off a positive system as its indecomposable roots (weyl.simple_roots), so
+this module solves no integer system.  regular_max_structure, which no CLI op
 reaches, verifies the data of the paper's left-invariant CR structures of
 maximal CR dimension on a semisimple group.
 """
@@ -17,7 +19,6 @@ from fractions import Fraction
 
 from .gaussq import CMatrix, CNum, kernel
 from .qsets import is_closed
-from .intlat import column_solver
 from .rootsys import RootSystem, dot, root_sum, scaled
 from .weyl import simple_roots
 
@@ -117,7 +118,7 @@ def verify_lemma_lb(r: RootSystem, q, sigma: RootConjugation) -> dict:
     return report
 
 
-def _defining_vector(r: RootSystem, q, qn, p) -> tuple[int, ...]:
+def _defining_vector(r: RootSystem, qn, p) -> tuple[int, ...]:
     """A_0 with alpha(A_0) > 0 on P^n, = 0 on P^r, < 0 off P; taken as the
     sum of the nilpotent-part roots, an integer vector, and verified.  A
     root takes dot(alpha, A_0) / 2 on it, so the signs are those of the dot."""
@@ -147,7 +148,7 @@ def adapted_simple_system(r: RootSystem, q, sigma: RootConjugation) -> dict:
     qr, qn = split_r_n(r, q)
     qbar_r = frozenset(sigma.bar(i) for i in qr)
     p = q | qbar_r
-    a0 = _defining_vector(r, q, qn, p)
+    a0 = _defining_vector(r, qn, p)
     n = r.ambient_dim
     # regular A_1 in the (-1)-eigenspace of sigma
     eig = _minus_eigenbasis(sigma, n)
@@ -155,19 +156,12 @@ def adapted_simple_system(r: RootSystem, q, sigma: RootConjugation) -> dict:
         raise NoRegularVector("conjugation has no (-1)-eigenspace")
     # every vector below is paired with roots as integer numerators over a
     # positive denominator: alpha(num/den) = dot(alpha, num) / (2 den)
-    a1 = None
-    t = 1
-    while t < 1000:
-        cand = [Fraction(0)] * n
-        for j, b in enumerate(eig):
-            for k in range(n):
-                cand[k] += Fraction(t**j) * b[k]
-        num1, den1 = scaled(cand)
+    for t in range(1, 1000):
+        a1 = tuple(sum((Fraction(t**j) * b[k] for j, b in enumerate(eig)), Fraction(0)) for k in range(n))
+        num1, den1 = scaled(a1)
         if all(dot(v, num1) for v in r.roots):
-            a1 = tuple(cand)
             break
-        t += 1
-    if a1 is None:
+    else:
         raise NoRegularVector("no regular vector found in the (-1)-eigenspace")
     # exact epsilon per the strict-inequality argument: max |alpha(A_1)| and
     # the largest ceil(1 / alpha(A_0)) = ceil(2 / dot) over Q^n
@@ -181,25 +175,18 @@ def adapted_simple_system(r: RootSystem, q, sigma: RootConjugation) -> dict:
     if 0 in vals:
         raise NoRegularVector("A = A0 + eps*A1 is not regular")
     simples = simple_roots(r, [i for i in range(r.nroots) if vals[i] > 0])
-    # label: first the simple roots inside Q^r, then those in Q^n, then the rest
+    # label: first the simple roots inside Q^r, then those in Q^n, then the
+    # rest, ending with the partners -conj(head) in reversed order
     head = [s for s in simples if s in qr]
     mid = [s for s in simples if s in qn]
     tail = [s for s in simples if s not in q]
+    partners = [r.neg(sigma.bar(h)) for h in head]
+    if any(s not in tail for s in partners):
+        raise ValueError("conjugate of a Q^r-simple root is not a tail simple root")
+    lset = head + mid + [s for s in tail if s not in partners] + partners[::-1]
     plen = len(head)
-    # order the tail so that conj(head[i]) = -tail-reversed partner
-    tail_sorted = []
-    used = set()
-    for h in head:
-        partner = r.neg(sigma.bar(h))
-        if partner not in tail:
-            raise ValueError("conjugate of a Q^r-simple root is not a tail simple root")
-        tail_sorted.append(partner)
-        used.add(partner)
-    extra_tail = [t_ for t_ in tail if t_ not in used]
-    labeled = head + mid + extra_tail + list(reversed(tail_sorted))
-    # verification of the five displayed conditions
-    lset = labeled
     ell = len(lset)
+    # verification of the five displayed conditions
     checks = {
         "simples_in_p": all(s in p for s in lset),
         "head_in_qr": all(s in qr for s in lset[:plen]),
@@ -208,11 +195,11 @@ def adapted_simple_system(r: RootSystem, q, sigma: RootConjugation) -> dict:
         "head_pairing": all(
             sigma.bar(lset[i]) == r.neg(lset[ell - 1 - i]) for i in range(plen)
         ),
-        "head_spans_qr": _simple_for_subsystem(r, lset[:plen], qr),
+        "head_spans_qr": _is_base(r, lset[:plen], [i for i in qr if vals[i] > 0]),
     }
     return {
         "lemma": lemma,
-        "simples": labeled,
+        "simples": lset,
         "p": plen,
         "a0": a0,
         "a1": a1,
@@ -222,23 +209,11 @@ def adapted_simple_system(r: RootSystem, q, sigma: RootConjugation) -> dict:
     }
 
 
-def _simple_for_subsystem(r: RootSystem, head, qr) -> bool:
-    """head must be a simple system for the root subsystem Q^r: every element
-    of Q^r is an all-nonnegative or all-nonpositive integer combination.  The
-    head columns are factored once, for every root of Q^r."""
-    if not head:
-        return not qr
-    solver = column_solver([r.roots[i] for i in head])
-    if solver.kernel_basis:
-        return False  # head not independent; cannot be a simple system
-    for i in qr:
-        sol = solver.solve(list(r.roots[i]))
-        if sol is None:
-            return False
-        ks = sol.particular
-        if not (all(k >= 0 for k in ks) or all(k <= 0 for k in ks)):
-            return False
-    return True
+def _is_base(r: RootSystem, head, positive) -> bool:
+    """head is a base of the root subsystem whose positive system is
+    positive: a subset of a positive system is a base exactly when it is the
+    set of its indecomposable roots (Bourbaki VI 1.6)."""
+    return set(head) == set(simple_roots(r, positive))
 
 
 def _minus_eigenbasis(sigma: RootConjugation, n: int):
@@ -261,32 +236,22 @@ def regular_max_structure(r: RootSystem, sigma: RootConjugation, q, m_basis) -> 
     if not check_eq_ha(r, q, sigma):
         raise ValueError("Q fails the partition condition")
     ell = r.rank
-    rows = []
-    for re, im in m_basis:
-        rows.append([CNum(Fraction(x), Fraction(y)) for x, y in zip(re, im)])
-    m = CMatrix(rows)
+    m = CMatrix([[CNum(Fraction(x), Fraction(y)) for x, y in zip(re, im)] for re, im in m_basis])
     report = {"dim_m": m.rank(), "expected_dim": ell // 2}
     report["dim_ok"] = m.rank() == ell // 2
     # conj(v) for the h-space conjugation: sigma applied to coordinatewise conj
-    conj_rows = []
-    for re, im in m_basis:
-        cre = _apply_matrix_cols(sigma.cols, re)
-        cim = _apply_matrix_cols(sigma.cols, im)
-        conj_rows.append([CNum(Fraction(x), Fraction(-y)) for x, y in zip(cre, cim)])
-    mbar = CMatrix(conj_rows)
+    mbar = CMatrix([
+        [CNum(x, -y) for x, y in zip(_apply_matrix_cols(sigma.cols, re), _apply_matrix_cols(sigma.cols, im))]
+        for re, im in m_basis
+    ])
     inter = m.intersect(mbar)
     report["m_meets_mbar_trivially"] = inter.rank() == 0
-    # Q^r coroot span inside m
-    qr, qn = split_r_n(r, q)
-    ok = True
-    for i in sorted(qr):
-        # the coroot is a multiple of the root, and membership ignores scale
-        vec = [CNum(Fraction(x), Fraction(0)) for x in r.roots[i]]
-        if not m.contains(vec):
-            ok = False
-    report["coroot_span_in_m"] = ok
+    # Q^r coroot span inside m: the coroot is a multiple of the root, and
+    # membership ignores scale
+    qr, _ = split_r_n(r, q)
+    report["coroot_span_in_m"] = all(m.contains(r.roots[i]) for i in qr)
     crdim = m.rank() + len(q)
-    crcodim = (ell + r.nroots) - (2 * m.rank() + r.nroots)
+    crcodim = ell - 2 * m.rank()
     report["cr_dim"] = crdim
     report["cr_codim"] = crcodim
     report["codim_matches_rank_parity"] = crcodim == ell % 2

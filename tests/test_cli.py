@@ -301,6 +301,37 @@ def test_verify_paper_gradings(capsys):
     assert report["results"]["summary"]["pass"] >= 10
 
 
+def _last_json(out):
+    """The lines before the first line opening a JSON object, and that object."""
+    lines = out.splitlines()
+    start = next(i for i, ln in enumerate(lines) if ln.startswith("{"))
+    return lines[:start], json.loads("\n".join(lines[start:]))
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("argv", [["enumerate", "--type", "G2"], ["verify-paper", "--section", "gradings"]],
+                         ids=["enumerate", "verify-paper"])
+def test_verbose_adds_timing_in_both_formats(capsys, argv, fmt):
+    # --verbose adds a non-negative timing_s and nothing else: a key of the
+    # JSON report; under --format table a key of verify-paper's summary line,
+    # else a last line of its own
+    code, plain = run(capsys, *argv, "--format", fmt)
+    vcode, verbose = run(capsys, *argv, "--format", fmt, "--verbose")
+    assert code == vcode == 0
+    assert "timing_s" not in plain
+    if fmt == "table" and argv[0] == "enumerate":
+        *head, last = verbose.splitlines()
+        assert head == plain.splitlines()
+        tail = json.loads(last)
+        timing = tail.pop("timing_s")
+        assert not tail
+    else:
+        head, report = _last_json(verbose)
+        timing = report.pop("timing_s")
+        assert (head, report) == _last_json(plain)
+    assert isinstance(timing, float) and timing >= 0
+
+
 @pytest.mark.parametrize("section,builds", [("6", 8), ("7", 5)])
 def test_verify_paper_builds_each_system_once(capsys, monkeypatch, fresh_systems, section, builds):
     # the enumerations, catalogs, counterexamples and criterion checks of a

@@ -52,6 +52,13 @@ def test_weyl_imports_no_fractions():
     assert "fractions" not in {name.split(".")[0] for name in names}
 
 
+def test_realform_imports_no_intlat():
+    # every base realform needs is read off a positive system as its
+    # indecomposable roots, so it solves no integer system
+    got = [(line, mod) for line, mod in _package_imports(os.path.join(SRC, "realform.py")) if mod == "intlat"]
+    assert not got, f"realform imports {got}"
+
+
 def test_the_scan_sees_the_imports():
     # presets is built on gaussq and cralg, so the scan must find both there
     found = {mod for _, mod in _package_imports(os.path.join(SRC, "presets.py"))}

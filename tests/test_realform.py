@@ -1,12 +1,15 @@
+import itertools
 import json
 import os
 from fractions import Fraction
 
 import pytest
 
+from flagcr.intlat import column_solver
 from flagcr.realform import (
     NoRegularVector,
     _apply_matrix_cols,
+    _is_base,
     a_reverse_conjugation,
     adapted_simple_system,
     check_eq_ha,
@@ -17,7 +20,7 @@ from flagcr.realform import (
     verify_lemma_lb,
 )
 from flagcr.rootsys import build_root_system, find_root, roots_set, rootset_to_json
-from flagcr.weyl import positive_roots
+from flagcr.weyl import positive_roots, simple_roots
 
 H = Fraction(1, 2)
 
@@ -198,9 +201,9 @@ def test_regular_max_structure_rejects_real_m():
 @pytest.mark.parametrize("case", ["F4-compact", "A3-reverse"])
 def test_realform_command_decides_the_lemma_once(case, op, tmp_path, monkeypatch, capsys):
     # one realform command runs the structure lemma once and the partition
-    # test at most twice (the command's own and the lemma's); the adapted
-    # system factors its head columns (none for F4, one root for A3) in at
-    # most one Smith normal form
+    # test at most twice (the command's own and the lemma's); neither op
+    # factors an integer matrix, since the adapted system reads the base of
+    # Q^r off its indecomposable roots
     from flagcr import cli, intlat, realform
 
     calls = {"verify_lemma_lb": 0, "check_eq_ha": 0, "smith_normal_form": 0}
@@ -218,15 +221,105 @@ def test_realform_command_decides_the_lemma_once(case, op, tmp_path, monkeypatch
     counting(realform, "check_eq_ha")
     counting(intlat, "smith_normal_form")
     if case == "F4-compact":
-        path, conj, heads = os.path.join(os.path.dirname(__file__), "golden", "realform-F4-positive.json"), "compact", 0
+        path, conj = os.path.join(os.path.dirname(__file__), "golden", "realform-F4-positive.json"), "compact"
     else:
         a3, _, q = a3_reverse_q()
-        path, conj, heads = tmp_path / "q.json", "a-reverse:m=2", 1
+        path, conj = tmp_path / "q.json", "a-reverse:m=2"
         path.write_text(rootset_to_json(a3, q))
     assert cli.main(["realform", "--roots", str(path), "--conjugation", conj, "--op", op]) == 0
     out = json.loads(capsys.readouterr().out)["results"]
     assert out["lemma"]["ok"] and ("adapted" in out) == (op == "adapted")
-    assert calls == {"verify_lemma_lb": 1, "check_eq_ha": 2, "smith_normal_form": heads if op == "adapted" else 0}
+    assert calls == {"verify_lemma_lb": 1, "check_eq_ha": 2, "smith_normal_form": 0}
+
+
+def _simple_for_subsystem(r, head, qr):
+    """Oracle for _is_base: head is a base of the root subsystem Q^r when its
+    roots are independent and every root of Q^r is an all-nonnegative or
+    all-nonpositive integer combination of them, one integer solve per root."""
+    if not head:
+        return not qr
+    solver = column_solver([r.roots[i] for i in head])
+    if solver.kernel_basis:
+        return False
+    for i in qr:
+        sol = solver.solve(list(r.roots[i]))
+        if sol is None:
+            return False
+        ks = sol.particular
+        if not (all(k >= 0 for k in ks) or all(k <= 0 for k in ks)):
+            return False
+    return True
+
+
+def _partition_sets(r, sigma):
+    """Every closed Q with Q n conj(Q) = 0 and Q u conj(Q) = R, by brute force
+    over the choices of one root from each conjugate pair."""
+    pairs = sorted({tuple(sorted((i, sigma.bar(i)))) for i in range(r.nroots)})
+    return [frozenset(pick) for pick in itertools.product(*pairs) if check_eq_ha(r, pick, sigma)]
+
+
+def _adapted_cases():
+    # every partition-compatible Q of A2, A3 and A4 (ambient dimension 3, 4
+    # and 5) under the reversal, then W-images of the positive system under
+    # the compact conjugation
+    import random
+
+    from weyl_words import random_element
+
+    for n, count in [(3, 2), (4, 16), (5, 16)]:
+        r = build_root_system("A", n)
+        sigma = a_reverse_conjugation(r)
+        qs = _partition_sets(r, sigma)
+        assert len(qs) == count
+        yield from ((r, sigma, q) for q in qs)
+    rng = random.Random(29)
+    for tag, n in [("B", 3), ("D", 4), ("F4", None)]:
+        r = build_root_system(tag, n)
+        sigma = compact_conjugation(r)
+        pos = positive_roots(r)
+        for _ in range(3):
+            g = random_element(r, rng)
+            yield r, sigma, frozenset(g[i] for i in pos)
+
+
+def test_is_base_agrees_with_integer_solve_on_adapted_systems():
+    # head_spans_qr reads the base of Q^r off its positive part; the integer
+    # solve decides the same on every head the adapted system builds
+    for r, sigma, q in _adapted_cases():
+        out = adapted_simple_system(r, q, sigma)
+        qr, _ = split_r_n(r, q)
+        head = out["simples"][: out["p"]]
+        assert out["checks"]["head_spans_qr"] == _simple_for_subsystem(r, head, qr)
+        assert out["ok"]
+
+
+def _subsystem(r, specs):
+    """A root subsystem given by the ambient vectors of its positive roots:
+    (its roots, its positive roots)."""
+    pos = sorted(roots_set(r, specs))
+    return frozenset(pos) | {r.neg(i) for i in pos}, pos
+
+
+@pytest.mark.parametrize("tag,n,specs", [
+    ("A", 4, None), ("B", 3, None), ("D", 4, None), ("F4", None, None), ("G2", None, None),
+    ("A", 5, [(1, -1, 0, 0, 0), (0, 1, -1, 0, 0), (1, 0, -1, 0, 0)]),
+    ("B", 3, [(1, -1, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]),
+])
+def test_is_base_agrees_with_integer_solve_on_constructed_heads(tag, n, specs):
+    # heads drawn from the positive part: the base in another order is one;
+    # a proper subset, the base with one root swapped for a decomposable
+    # positive root, and the base plus a decomposable root are not
+    r = build_root_system(tag, n)
+    if specs is None:
+        qr, pos = frozenset(range(r.nroots)), positive_roots(r)
+    else:
+        qr, pos = _subsystem(r, specs)
+    base = simple_roots(r, pos)
+    decomposable = [i for i in pos if i not in base]
+    heads = [(base[::-1], True), (base[:-1], False), (base + decomposable[:1], False)]
+    heads += [(base[:k] + [d] + base[k + 1 :], False) for k in range(len(base)) for d in decomposable[:2]]
+    for head, want in heads:
+        assert _is_base(r, head, pos) == _simple_for_subsystem(r, head, qr) == want, head
 
 
 def _fraction_conjugation_perm(r, cols):
