@@ -47,7 +47,6 @@ from .rootsys import (
     dot,
     evaluate_int,
     find_root,
-    inner,
     roots_set,
     sorted_indices,
 )
@@ -243,15 +242,6 @@ class CatalogEntry:
     parameters: dict
     claims: dict
     source: str
-
-    def to_jsonable(self, r: RootSystem) -> dict:
-        return {
-            "label": self.label,
-            "roots": [list(r.roots[i]) for i in self.indices],
-            "parameters": {k: list(v) if isinstance(v, tuple) else v for k, v in self.parameters.items()},
-            "claims": self.claims,
-            "source": self.source,
-        }
 
 
 def _extensions(r: RootSystem, q) -> list[int]:
@@ -540,7 +530,8 @@ def _minus_set(v: tuple[int, ...]) -> frozenset[int]:
 
 
 def _printed_s_membership(pair, v) -> bool:
-    """Membership of a stored root vector in the printed S^l_i family list."""
+    """Membership of a stored root vector in the printed S^l_i family list,
+    for ``pair`` a key of _GRADINGS."""
     if _is_spinor(v):
         m = _minus_set(v)
         if pair == (6, 1) or pair == (7, 1) or pair == (8, 1):
@@ -557,14 +548,10 @@ def _printed_s_membership(pair, v) -> bool:
             good |= {frozenset(t) | {7} for t in itertools.combinations(range(1, 6), 3)}
             good |= {frozenset({a, b, 6, 8}) for a, b in itertools.combinations(range(1, 6), 2)}
             return m in _pm_minus_sets(good)
-        if pair == (8, 2):
-            return len(m) in (2, 6)
-        return False
-    # integer-type root
-    nz = [(k + 1, x) for k, x in enumerate(v) if x]
-    if len(nz) != 2:
-        return False
-    (a, xa), (b, xb) = nz
+        # (8, 2)
+        return len(m) in (2, 6)
+    # integer-type root, +-e_a +- e_b
+    (a, xa), (b, xb) = [(k + 1, x) for k, x in enumerate(v) if x]
     if pair in ((6, 1), (7, 1), (8, 1)):
         return False
     if pair == (6, 2):
@@ -575,9 +562,8 @@ def _printed_s_membership(pair, v) -> bool:
         # (a, b) = (7, 8): the roots +-(e_8 - e_7), the only ones of E7 with
         # nonzeros at 7 and 8
         return (a <= 5 and b == 6) or (a, b) == (7, 8)
-    if pair == (8, 2):
-        return (xa > 0) == (xb > 0)
-    return False
+    # (8, 2)
+    return (xa > 0) == (xb > 0)
 
 
 def _pm_minus_sets(sets_):
@@ -650,7 +636,7 @@ def construct_q(l: int, i: int, anchors, within=None) -> tuple[int, ...]:
         if a not in table.s_part:
             raise AnchorViolation(f"anchor {r.roots[a]} is not in S^{l}_{i}")
     for a, b in itertools.combinations(idxs, 2):
-        if inner(r.roots[a], r.roots[b]) < 0:
+        if dot(r.roots[a], r.roots[b]) < 0:
             raise AnchorViolation(
                 f"anchors {r.roots[a]}, {r.roots[b]} have negative product"
             )
@@ -673,9 +659,9 @@ def _sweep(r: RootSystem, pool, idxs) -> list[frozenset[int]]:
         for cand in s_sorted:
             if cand in curset:
                 continue
-            if inner(r.roots[cand], r.roots[a]) <= 0:
+            if dot(r.roots[cand], r.roots[a]) <= 0:
                 continue
-            if all(inner(r.roots[cand], r.roots[t]) >= 0 for t in cur):
+            if all(dot(r.roots[cand], r.roots[t]) >= 0 for t in cur):
                 cur.append(cand)
                 curset.add(cand)
         stages.append(frozenset(curset))

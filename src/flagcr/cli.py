@@ -335,9 +335,7 @@ def _verify_e8():
         if ex["mod4_witness"] is not None and got == ex["pattern"]:
             coords = e8.ambient_to_coweight_coords(ex["mod4_witness"])
             ge = e8.grading_element(coords)
-            from .rootsys import evaluate_int
-
-            ok = all(evaluate_int(e8.roots[i], ge) % 4 == 1 for i in q)
+            ok = all(rootsys.evaluate_int(e8.roots[i], ge) % 4 == 1 for i in q)
             rows.append(_row(f"E8 example ({ex['label']}) printed mod-4 witness", ok))
     for label in ("4", "6"):
         known = f"e8-example-{label}"

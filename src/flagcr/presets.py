@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .cralg import CRAlgebra, LieAlgebraPresentation, _apply, _std_basis, cspan
 from .gaussq import C_I, C_ONE, C_ZERO, CMatrix, CNum, Factored
-from .rootsys import RootSystem, build_root_system, evaluate, evaluate_int, root_sum, roots_set
+from .rootsys import RootSystem, _cached, build_root_system, evaluate, evaluate_int, root_sum, roots_set
 from .weyl import cartan_matrix, positive_roots, simple_coordinates, simple_roots
 
 
@@ -228,27 +228,22 @@ def _chevalley_preset(r: RootSystem) -> FlagPreset:
 
 FLAG_TYPES = ("A", "B", "C", "D", "G2")
 
-_FLAG_CACHE: dict = {}
-
 
 def flag_preset(type_tag: str, rank: int | None = None) -> FlagPreset:
     """The flag preset of type A (rank = ambient dimension n, for sl(n)), B, C,
     D (rank n) or G2 (no rank), built once and validated: Jacobi identity,
-    conjugation axioms and the grading of every root vector."""
-    key = (type_tag, rank)
-    if key not in _FLAG_CACHE:
-        if type_tag not in FLAG_TYPES:
-            raise ValueError(f"no flag preset of type {type_tag!r}; supported types: {', '.join(FLAG_TYPES)}")
-        if type_tag == "G2" and rank is not None:
-            raise ValueError("G2 takes no rank")
-        out = _chevalley_preset(build_root_system(type_tag, rank))
-        _verify_flag(out)
-        _FLAG_CACHE[key] = out
-    return _FLAG_CACHE[key]
+    conjugation axioms and the grading of every root vector.  It is kept on
+    its shared root system, as the table "flag" (see rootsys._cached)."""
+    if type_tag not in FLAG_TYPES:
+        raise ValueError(f"no flag preset of type {type_tag!r}; supported types: {', '.join(FLAG_TYPES)}")
+    if type_tag == "G2" and rank is not None:
+        raise ValueError("G2 takes no rank")
+    r = build_root_system(type_tag, rank)
+    return _cached(r, "flag", lambda: _verify_flag(_chevalley_preset(r)))
 
 
-def _verify_flag(fp: FlagPreset):
-    """The Cartan vectors must reproduce alpha(H) on every root vector."""
+def _verify_flag(fp: FlagPreset) -> FlagPreset:
+    """The Cartan vectors must reproduce alpha(H) on every root vector; returns fp."""
     pres = fp.pres
     rs = fp.system
     for k in range(rs.ambient_dim):
@@ -262,6 +257,7 @@ def _verify_flag(fp: FlagPreset):
             rhs = tuple(CNum(want) * t for t in x)
             if lhs != rhs:
                 raise AssertionError(f"flag preset mis-grades root {rs.roots[idx]}")
+    return fp
 
 
 def _sl2_borel() -> CRAlgebra:
@@ -282,7 +278,9 @@ def get_preset(name: str) -> CRAlgebra:
     """CLI preset lookup: heisenberg, sl2, su2, su2-flag, exam-bf, or
     flag:TYPE[:RANK][:QSPEC] with TYPE one of A, B, C, D (which need RANK) or
     G2 (which takes none), and QSPEC borel (the default), cartan, or for G2
-    Q40, Q41, Q42."""
+    Q40, Q41, Q42.  RANK is flag_preset's: for A the ambient dimension, so
+    flag:A:3 is sl(3), where --type A --rank 3 and root-set files mean the
+    Lie rank, A_3 = sl(4)."""
     if name in PRESET_BUILDERS:
         return PRESET_BUILDERS[name]()
     if name.startswith("flag:"):

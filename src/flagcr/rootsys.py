@@ -104,19 +104,13 @@ def scaled(vec) -> tuple[tuple[int, ...], int]:
 class GradingElement:
     """Element of the coweight lattice R*, stored both as integer coordinates
     in the coweight basis and as the ambient rational vector, the latter also
-    as integer numerators over one denominator, ambient = num/den (derived
-    when not given; not compared), so alpha(E) = dot(alpha, num) / (2 den)."""
+    as integer numerators over one denominator, ambient = num/den (not
+    compared), so alpha(E) = dot(alpha, num) / (2 den)."""
 
     coords: tuple[int, ...]
     ambient: tuple[Fraction, ...]
-    num: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
-    den: int = field(default=1, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.num is None:
-            num, den = scaled(self.ambient)
-            object.__setattr__(self, "num", num)
-            object.__setattr__(self, "den", den)
+    num: tuple[int, ...] = field(repr=False, compare=False)
+    den: int = field(repr=False, compare=False)
 
 
 @dataclass
@@ -168,13 +162,6 @@ class RootSystem:
         if any(rem for _, rem in pairs) or any(dot(coords, col) * den != x * cw_den for col, x in zip(cols, num)):
             return None
         return coords
-
-
-def inner(alpha: tuple[int, ...], beta: tuple[int, ...]) -> Fraction:
-    """Exact inner product in the original (undoubled) normalization."""
-    if len(alpha) != len(beta):
-        raise ValueError("ambient dimension mismatch")
-    return Fraction(dot(alpha, beta), 4)
 
 
 def evaluate(alpha: tuple[int, ...], e: GradingElement | tuple) -> Fraction:

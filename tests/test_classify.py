@@ -36,7 +36,7 @@ from flagcr.classify import (
     verify_grading,
 )
 from flagcr.qsets import compat_graph, is_fundamental, is_lb
-from flagcr.rootsys import build_root_system, evaluate_int, find_root, root_sum, roots_set
+from flagcr.rootsys import build_root_system, dot, evaluate_int, find_root, root_sum, roots_set
 from flagcr.weyl import (
     canonical_form,
     generators,
@@ -582,8 +582,6 @@ def construct_q_stages(l: int, i: int, anchors) -> list[frozenset[int]]:
 def test_orthogonal_anchor_split():
     # for maximal constructed sets with orthogonal anchors, the split
     # Q = Q^p u (Q n {a_1..a_p}^perp) holds for 1 <= p < k
-    from flagcr.rootsys import inner
-
     e8 = build_root_system("E8")
     for pair, k in [((8, 2), 4), ((8, 1), 4)]:
         frame = ORTH_FRAMES[pair][:k]
@@ -594,7 +592,7 @@ def test_orthogonal_anchor_split():
             perp = {
                 q
                 for q in full
-                if all(inner(e8.roots[q], e8.roots[a]) == 0 for a in idxs[:p])
+                if all(dot(e8.roots[q], e8.roots[a]) == 0 for a in idxs[:p])
             }
             assert full == stages[p] | perp, (pair, p)
 

@@ -137,6 +137,23 @@ def test_cralg_exam_bf_fibration(capsys):
     assert json.loads(out)["results"]["compatible"] is False
 
 
+@pytest.mark.parametrize("ideal,base,fiber", [("center", [1, 0], [0, 1]), ("zero", [1, 1], [0, 0]),
+                                              ("full", [0, 0], [1, 1])])
+def test_cralg_heisenberg_fibration(capsys, ideal, base, fiber):
+    # a compatible ideal prints the CR (dim, codim) of the base and the fiber
+    code, out = run(capsys, "cralg", "--preset", "heisenberg", "--op", "fibration", "--ideal", ideal)
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res == {"ideal": ideal, "compatible": True, "base_cr": base, "fiber_cr": fiber}
+
+
+def test_enumerate_budget_stop_table(capsys):
+    # a stop before the first class prints the empty table and exits 2
+    code, out = run(capsys, "enumerate", "--type", "G2", "--budget", "1", "--format", "table")
+    assert code == 2
+    assert out == "(empty)\n"
+
+
 @pytest.mark.parametrize("preset,ideal,owner", [("su2-flag", "center", "heisenberg"),
                                                 ("heisenberg", "radical", "exam-bf")])
 def test_cralg_named_ideal_names_its_preset(capsys, preset, ideal, owner):
@@ -172,7 +189,7 @@ BAD_PRESETS = [
 @pytest.mark.parametrize("preset,message", [c[1:] for c in BAD_PRESETS], ids=[c[0] for c in BAD_PRESETS])
 def test_bad_preset_exits_1(capsys, preset, message):
     # a malformed preset name ends in exit 1 with a precise message, and
-    # leaves no flag preset cached under a malformed key
+    # keeps no flag preset on a root system of a type that has none
     from flagcr import presets
 
     assert main(["cralg", "--preset", preset, "--op", "predicates"]) == 1
@@ -180,8 +197,8 @@ def test_bad_preset_exits_1(capsys, preset, message):
     assert captured.out == ""
     assert captured.err.startswith("error: cannot load algebra: ")
     assert message in captured.err
-    for tag, rank in presets._FLAG_CACHE:
-        assert tag in presets.FLAG_TYPES and (rank is None) == (tag == "G2")
+    for (tag, _), rs in rootsys._SYSTEMS.items():
+        assert tag in presets.FLAG_TYPES or "flag" not in rs._tables
 
 
 def test_cralg_file_mode(tmp_path, capsys):
@@ -216,6 +233,12 @@ def _set(path, value):
     return edit
 
 
+def _sl2_json():
+    from flagcr.presets import sl2
+
+    return sl2().to_json()
+
+
 X_PLUS_IY = "[[[1, 0], [0, 1], [0, 0]]]"
 
 # (id, --file text or None for --preset heisenberg, --q text, extra argv, message)
@@ -234,6 +257,12 @@ MALFORMED_CRALG = [
     ("not an object", "[3]", X_PLUS_IY, [], "expected a JSON object with keys dim, c and conj"),
     ("dim not an integer", _heisenberg_json(_set(["dim"], "3")), X_PLUS_IY, [],
      "dim must be a non-negative integer, got '3'"),
+    ("c not a list", _heisenberg_json(_set(["c"], 5)), X_PLUS_IY, [],
+     "c must be a list of entries and conj a list of rows"),
+    ("labels of the wrong length", _heisenberg_json(_set(["labels"], ["X", "Y"])), X_PLUS_IY, [],
+     "labels must be a list of 3 names"),
+    ("q not a subalgebra", _sl2_json(), "[[[0, 0], [1, 0], [0, 0]], [[0, 0], [0, 0], [1, 0]]]", [],
+     "q is not closed under the bracket"),
     ("Jacobi fails", _heisenberg_json(lambda d: d["c"].append([0, 2, 0, "1", "0"])), X_PLUS_IY, [],
      "Jacobi identity fails on basis triple 0,1,2"),
     ("q vector too short", _heisenberg_json(), "[[[1, 0], [0, 1]]]", [], "vector 0 has 2 coordinates, not 3"),

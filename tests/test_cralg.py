@@ -37,7 +37,7 @@ from flagcr.cralg import (
 )
 from flagcr.gaussq import C_I, C_ONE, C_ZERO, CMatrix, CNum, RMatrix, complexify_vector, realify_vector
 from flagcr.presets import PRESET_BUILDERS, exam_bf, flag_preset, get_preset, heisenberg, sl2, su2, su2_flag
-from flagcr.rootsys import roots_set
+from flagcr.rootsys import build_root_system, find_root, roots_set
 from flagcr.weyl import positive_roots, simple_roots
 
 
@@ -444,6 +444,50 @@ def test_morphism_classify():
     assert out3["kind"] == "Submersion"
     # fiber is totally real here (fiber q inside cartan)
     assert out3["fiber_q"].rank() <= 1
+
+
+def test_morphism_classify_not_a_morphism():
+    # the identity of sl(2) does not take span(H, E) into span(H, F)
+    p = sl2()
+    borel = CRAlgebra(p, cspan(p, [(1, 0, 0), (0, 1, 0)]))
+    opposite = CRAlgebra(p, cspan(p, [(1, 0, 0), (0, 0, 1)]))
+    assert morphism_classify(borel, opposite, ident(3))["kind"] == "NotAMorphism"
+
+
+def test_morphism_classify_immersion():
+    # sl(2) onto the root subalgebra of e1 - e2 in sl(3), Borel to Borel: it
+    # is injective and pulls q' and q' n qbar' back to q and q n qbar, and
+    # its image is a proper subalgebra, so it is not a submersion
+    s, t = flag_preset("A", 2), flag_preset("A", 3)
+    b, a = find_root(s.system, (1, -1)), find_root(t.system, (1, -1, 0))
+    mb, ma = s.system.neg(b), t.system.neg(a)
+    # h0 = [x_b, x_-b] goes to [x_a, x_-a]
+    images = {0: t.pres.bracket(t.root_vec[a], t.root_vec[ma]), 1 + b: t.root_vec[a], 1 + mb: t.root_vec[ma]}
+    phi = [[images[j][i] for j in range(3)] for i in range(t.pres.dim)]
+    src, tgt = s.cr_algebra(positive_roots(s.system)), t.cr_algebra(positive_roots(t.system))
+    assert morphism_classify(src, tgt, phi)["kind"] == "Immersion"
+
+
+def test_psd_indefinite():
+    # a negative diagonal entry, and an indefinite form with zero diagonal
+    assert cralg._psd([[1, 0], [0, -1]]) == (False, None)
+    assert cralg._psd([[0, 1], [1, 0]]) == (False, None)
+
+
+def test_psd_radical():
+    assert cralg._psd([[2, 0], [0, 3]]) == (True, [])
+    psd, rad = cralg._psd([[1, 1], [1, 1]])
+    assert psd and rad == [[-1, 1]]
+
+
+@pytest.mark.parametrize("spec", [("A", 3), ("G2", None)], ids=["A3", "G2"])
+def test_flag_preset_is_kept_on_its_root_system(fresh_systems, spec):
+    # a new store of root systems gives a new preset, on the new system
+    first = flag_preset(*spec)
+    fresh_systems.clear()
+    fp = flag_preset(*spec)
+    assert fp is not first and fp.system is build_root_system(*spec)
+    assert flag_preset(*spec) is fp
 
 
 def test_weak_j_implies_compatible_property():

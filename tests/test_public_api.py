@@ -56,7 +56,7 @@ PUBLIC = {
     },
     "rootsys": {
         "FIXED_RANK", "GradingElement", "InvalidRank", "RootSystem", "TYPES", "build_root_system",
-        "coweight_lattice_basis", "dot", "evaluate", "evaluate_int", "find_root", "inner", "root_sum", "roots_set",
+        "coweight_lattice_basis", "dot", "evaluate", "evaluate_int", "find_root", "root_sum", "roots_set",
         "rootset_from_json", "rootset_to_json", "scaled", "sorted_indices",
     },
     "weyl": {

@@ -15,6 +15,7 @@ from flagcr.classify import e8_example_set, e8_examples, maximal_cliques
 from flagcr.intlat import SNFSolver, column_solver
 from flagcr.qsets import (
     NOT_FUNDAMENTAL,
+    DegreeCoset,
     MethodDisagreement,
     compat_graph,
     compatible,
@@ -37,6 +38,7 @@ from flagcr.rootsys import (
     find_root,
     roots_set,
     rootset_from_json,
+    scaled,
 )
 from test_intlat import lifted_congruence
 from weyl_words import random_element
@@ -94,6 +96,15 @@ def test_degree_set_examples():
     # gamma not in Z[Q]
     single = roots_set(a2, [(1, -1, 0)])
     assert degree_set(a2, single, other).empty
+
+
+def test_degree_coset_contains():
+    # an empty coset holds no degree, step 0 only its base, step > 0 the
+    # progression base + step*Z
+    degrees = range(-6, 7)
+    assert [h for h in degrees if DegreeCoset(empty=True).contains(h)] == []
+    assert [h for h in degrees if DegreeCoset(empty=False, base=2).contains(h)] == [2]
+    assert [h for h in degrees if DegreeCoset(empty=False, base=1, step=3).contains(h)] == [-5, -2, 1, 4]
 
 
 def test_q_star_11():
@@ -312,7 +323,8 @@ def test_witness_outside_coweight_lattice_is_rejected(tag, rank):
     rs = build_root_system(tag, rank)
     alpha = rs.roots[0]
     # the coroot 2 alpha / (alpha|alpha), with (alpha|alpha) = dot / 4 on the doubled roots
-    e = GradingElement((0,) * rs.rank, tuple(Fraction(2 * x, dot(alpha, alpha)) for x in alpha))
+    coroot = tuple(Fraction(2 * x, dot(alpha, alpha)) for x in alpha)
+    e = GradingElement((0,) * rs.rank, coroot, *scaled(coroot))
     assert evaluate(alpha, e) == 1
     assert any(evaluate(root, e).denominator != 1 for root in rs.roots)
     for modulus in (2, 4, None):

@@ -21,12 +21,18 @@ from flagcr.rootsys import (
     evaluate,
     evaluate_int,
     find_root,
-    inner,
     root_sum,
     roots_set,
     rootset_from_json,
     rootset_to_json,
+    scaled,
 )
+
+
+def inner(a, b):
+    """The inner product in the original (undoubled) normalization."""
+    return Fraction(dot(a, b), 4)
+
 
 COUNTS = {
     ("A", 3): 6,
@@ -340,9 +346,9 @@ def test_integer_pairing_matches_fraction_oracle(data):
     assert e.ambient == _oracle_ambient(rs, coords)
     assert all(Fraction(x, e.den) == y for x, y in zip(e.num, e.ambient))
     _assert_pairing_matches_oracle(rs, e)
-    # built from ambient only, the numerators are derived; they take no part
-    # in equality, hashing or repr
-    direct = GradingElement(e.coords, e.ambient)
+    # over the least denominator of the ambient vector, which need not be the
+    # coweight one, the numerators take no part in equality, hashing or repr
+    direct = GradingElement(e.coords, e.ambient, *scaled(e.ambient))
     assert (direct, hash(direct), repr(direct)) == (e, hash(e), repr(e))
     _assert_pairing_matches_oracle(rs, direct)
 
@@ -356,7 +362,7 @@ def test_direct_grading_element_matches_fraction_oracle(data):
     rs = _system(tag, rank)
     entry = st.fractions(min_value=-8, max_value=8, max_denominator=12)
     ambient = tuple(data.draw(st.lists(entry, min_size=rs.ambient_dim, max_size=rs.ambient_dim)))
-    e = GradingElement((0,) * rs.rank, ambient)
+    e = GradingElement((0,) * rs.rank, ambient, *scaled(ambient))
     assert e.den > 0 and all(Fraction(x, e.den) == y for x, y in zip(e.num, ambient))
     _assert_pairing_matches_oracle(rs, e)
 
