@@ -5,21 +5,21 @@ the Z2-grading tables of the E series.
 Maximal elements of Q(R) are exactly the maximal cliques of the compatibility
 graph, each of which spans R over Z (the proof is at enumerate_maximal), so
 enumeration is pivoting Bron-Kerbosch on the graph's neighbour masks, which
-the root system keeps (qsets.compat_graph), followed by orbit-first
-deduplication.  W is transitive on the roots of one length of an irreducible
+the root system keeps (qsets.compat_graph), followed by deduplication up to
+the group.  W is transitive on the roots of one length of an irreducible
 system (Humphreys, Introduction to Lie Algebras and Representation Theory,
 10.4, Lemma C), so the W-orbits of roots are the length classes, and their
 leaders are the least root of each length (one on A/D/E, two on B/C/F4/G2).
 The search runs only through the leaders: the least member of a clique
 orbit, the class representative, contains the least root m that any member
 meets, and m leads its W-orbit, since W moves a member through m onto one
-through any root of Wm.  So in the sorted list of the cliques through the
-leaders, the first clique of each orbit is its least member.  Each orbit is
-walked once, one property report on that member serves the whole class, and
-the weighted mass identity checks every orbit walk against the search.
-enumerate_maximal is the one caller of set_orbit, because it reports orbit
-sizes; the B/D catalogs and the maximal symmetric classes key W-classes by
-canonical form.
+through any root of Wm.  No orbit is walked: the searched cliques are
+bucketed by an invariant read off the neighbour masks, each class's
+representative and orbit size come from one counted canonical form
+(weyl.counted_form), one property report on the representative serves the
+whole class, and the weighted mass identity checks the classes of every
+bucket against the number of its cliques through each leader.  The B/D
+catalogs and the maximal symmetric classes key W-classes by canonical form.
 
 catalog, on the caller's root system: each type yields rows of (label, root
 set, parameters, claims, source, witness), and one loop builds and
@@ -36,6 +36,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 
 from . import qsets
 from .qsets import compat_graph, is_fundamental, property_report
@@ -50,14 +51,14 @@ from .rootsys import (
     roots_set,
     sorted_indices,
 )
-from .weyl import BudgetExceeded, canonical_form, set_orbit
+from .weyl import BudgetExceeded, canonical_form, counted_form
 
 H = Fraction(1, 2)
 
 
 class MassIdentityViolation(AssertionError):
-    """An orbit walk and the clique search disagree on the weighted mass
-    identity of enumerate_maximal; internal bug."""
+    """The counted forms of a bucket's classes and the clique search disagree
+    on the weighted mass identity of enumerate_maximal; internal bug."""
 
 
 class CatalogClaimFailed(AssertionError):
@@ -169,7 +170,8 @@ class EnumClass:
 
 def enumerate_maximal(r: RootSystem, quotient: str = "weyl", budget: int | None = 2_000_000) -> list[EnumClass]:
     """All maximal elements of Q(R) up to the chosen quotient group, with
-    property reports, each class represented by its least member.
+    property reports, each class represented by its least member, in the
+    order of the representatives.
 
     Every maximal clique Q is fundamental, so none is filtered out.  Two
     compatible roots p != -q have p.q >= 0, since otherwise p + q would be a
@@ -185,50 +187,82 @@ def enumerate_maximal(r: RootSystem, quotient: str = "weyl", budget: int | None 
     compared, which sort as the tuples of their roots, as the roots are
     stored sorted) begins with m.  m leads its W-orbit: for w m in Wm and a
     member S through m, w S is a member through w m (the group contains W),
-    so m <= w m.
-    Hence the least member of every orbit is among the searched cliques, and
-    in their sorted list the first clique of an orbit is its least member.
+    so m <= w m.  Hence the least member of every orbit is among the searched
+    cliques, and it is the orbit's canonical form.
+
+    The searched cliques are bucketed by the key (|C|, the sorted counts, for
+    i in C, of the j in C with alpha_j - alpha_i a root or zero), read off
+    the compatibility masks: bit j of ~nbr[-i] is set for j = i, j = -i and
+    these j.  Each element of the group permutes the roots linearly, so it
+    keeps differences of roots and maps C onto its image, and the key is
+    constant on each orbit; an orbit's searched members lie in one bucket.
 
     Mass identity: for a class C with orbit O and a leader rho, counting the
     pairs (S in O, root of W rho in S) two ways gives
-    |O| |C & W rho| = |W rho| #{S in O : rho in S}, the right-hand count
-    read off the search (the group keeps each W-orbit of roots, as diagram
-    automorphisms keep root lengths).  It is checked for every class and
-    leader, and MassIdentityViolation raised when it fails.
+    |O| |C & W rho| = |W rho| #{S in O : rho in S} (the group keeps each
+    W-orbit of roots, as diagram automorphisms keep root lengths).  Each
+    bucket keeps, per leader, the number of its cliques through it; its
+    cliques are walked in sorted order, one counted form each
+    (weyl.counted_form, which gives |O| without walking O), and each new
+    form subtracts its class's members through every leader, until every
+    count is 0.  A class's members through its leaders are all searched, so
+    a count that goes negative, a share that is not an integer, or a count
+    left over when the bucket is spent raises MassIdentityViolation.  The
+    identity is checked per bucket, not per class: an orbit size too large
+    by exactly the share of a class of the same bucket not yet found ends
+    the walk early and goes unseen.
 
-    ``budget`` counts the search nodes and the orbit sets together.  A stop
-    in the search raises BudgetExceeded with no classes; a stop in an orbit
-    walk raises it with the classes completed before it."""
+    ``budget`` counts the search nodes, then the candidate images of the
+    counted forms.  A stop in the search raises BudgetExceeded with no
+    classes; a stop in a counted form raises it with the classes of the
+    buckets certified before it."""
     orbits = _root_orbits(r)
     leaders = [min(o) for o in orbits]
+    nbr = compat_graph(r)
     try:
-        cliques = maximal_cliques(compat_graph(r), budget, leaders)
+        cliques = maximal_cliques(nbr, budget, leaders)
     except BudgetExceeded as e:
         raise BudgetExceeded(str(e), []) from e
     left = None if budget is None else budget - cliques.nodes
-    unseen = set(map(frozenset, cliques))
-    classes = []
-    for cl in sorted(cliques):
-        if frozenset(cl) not in unseen:
-            continue
-        try:
-            orbit = set_orbit(r, cl, quotient, left)
-        except BudgetExceeded as e:
-            raise BudgetExceeded(
-                f"orbit walks exceeded the budget of {budget} nodes after the clique search's "
-                f"{cliques.nodes}, at class {len(classes) + 1}", classes) from e
-        if left is not None:
-            left -= len(orbit)
-        hits = unseen & orbit  # the searched cliques of this orbit
-        unseen -= hits
-        for rho, o in zip(leaders, orbits):
-            meet, count = len(o.intersection(cl)), sum(rho in s for s in hits)
-            if len(orbit) * meet != len(o) * count:
-                raise MassIdentityViolation(
-                    f"class {cl}: orbit size {len(orbit)} x {meet} roots of the orbit of root {rho} "
-                    f"!= {len(o)} x {count} searched cliques through it")
-        classes.append(EnumClass(cl, len(orbit), property_report(r, cl)))
-    return classes
+    near = [~nbr[j] for j in r.negation]  # bit j of near[i]: alpha_j - alpha_i is a root or zero, or j = -i
+    bit = [1 << i for i in range(r.nroots)]
+    buckets: dict[tuple, list[tuple[int, ...]]] = {}
+    for cl in cliques:
+        m = sum(map(bit.__getitem__, cl))
+        buckets.setdefault((len(cl), tuple(sorted([(near[i] & m).bit_count() for i in cl]))), []).append(cl)
+    classes: list[EnumClass] = []
+    for bucket in sorted(map(sorted, buckets.values())):
+        counts = [sum(rho in cl for cl in bucket) for rho in leaders]
+        found: dict[frozenset[int], tuple[tuple[int, ...], int]] = {}
+        for cl in bucket:
+            if not any(counts):
+                break
+            try:
+                form = counted_form(r, cl, quotient, left)
+            except BudgetExceeded as e:
+                raise BudgetExceeded(
+                    f"counted forms exceeded the budget of {budget} after the clique search's "
+                    f"{cliques.nodes} nodes, with {len(classes)} classes certified",
+                    sorted(classes, key=attrgetter("canonical"))) from e
+            if left is not None:
+                left -= form.candidates
+            if form.image in found:
+                continue
+            rep = tuple(sorted(form.image))
+            found[form.image] = rep, form.orbit_size
+            for k, (rho, o) in enumerate(zip(leaders, orbits)):
+                meet = len(o & form.image)
+                through, rest = divmod(form.orbit_size * meet, len(o))
+                if rest or through > counts[k]:
+                    raise MassIdentityViolation(
+                        f"class {rep}: orbit size {form.orbit_size} x {meet} roots of the orbit of root {rho} "
+                        f"is not {len(o)} x at most the {counts[k]} cliques through it left in its bucket")
+                counts[k] -= through
+        if any(counts):
+            raise MassIdentityViolation(
+                f"bucket of {bucket[0]}: {counts} searched cliques through the leaders {leaders} are in no class")
+        classes += [EnumClass(rep, n, property_report(r, rep)) for rep, n in found.values()]
+    return sorted(classes, key=attrgetter("canonical"))
 
 
 # ---------------------------------------------------------------------------

@@ -541,7 +541,9 @@ def cmd_cralg(args) -> int:
             "q_prime_dim_c": rep["q_prime"].rank(),
             "item5": rep["item5"],
         }
-    _emit(args, "cralg", {"preset": args.preset, "op": args.op}, out)
+    inputs = {"preset": args.preset, "op": args.op}
+    inputs.update({k: getattr(args, k) for k in ("ideal", "xi", "file", "q") if getattr(args, k) is not None})
+    _emit(args, "cralg", inputs, out)
     return 0
 
 

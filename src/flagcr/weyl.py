@@ -9,10 +9,14 @@ on it.  A stabiliser chain of W, also built once, gives the canonical form of
 a set (its least image, found without walking the orbit); each level's group
 is the reflection subgroup of the roots orthogonal to the base points before
 it (Steinberg), and the Aut form is the least W-image of the set's images
-under the diagram automorphisms.  Two sets are equivalent when their
-canonical forms agree.  A set orbit is enumerated once per member, through
-the W-orbit of its dominant root sum, walked on weights packed into one
-integer each.
+under the diagram automorphisms.  The same search counts the group elements
+that reach the least image, so it also gives the order of the set's
+stabiliser and, with the group's order, its orbit size (counted_form); two
+sets are equivalent when their canonical forms agree.  set_orbit enumerates
+a set orbit once per member, through the W-orbit of its dominant root sum,
+walked on weights packed into one integer each; no module of the package
+calls it, and it serves the benchmark (perfbench/workloads.py) and the tests
+as their oracle of orbits.
 Membership of one element in W is decided by the chamber walk on
 permutations; in_weyl has no caller in the package and stays only because
 the benchmark tracer (perfbench/tracer.py) wraps it.
@@ -21,7 +25,9 @@ the benchmark tracer (perfbench/tracer.py) wraps it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from operator import itemgetter
+from typing import NamedTuple
 
 from .intlat import column_solver
 from .rootsys import RootSystem, _cached, dot
@@ -155,33 +161,70 @@ def _check_group(group: str) -> None:
         raise ValueError("group must be 'weyl' or 'aut'")
 
 
+class CountedForm(NamedTuple):
+    """A set's least image under a group, the order of its stabiliser there,
+    the order of the group, and the candidate images the search generated."""
+
+    image: frozenset[int]
+    stabiliser: int
+    order: int
+    candidates: int
+
+    @property
+    def orbit_size(self) -> int:
+        return self.order // self.stabiliser
+
+
 def canonical_form(r: RootSystem, q, group: str = "weyl", budget: int | None = 2_000_000) -> frozenset[int]:
     """Lexicographically least image of the set under the chosen group (the
-    member of its orbit with the least sorted tuple of root vectors), by Linton's smallest-image search
-    down the stabiliser chain of W.  Aut is W extended by the diagram
-    automorphisms, so for 'aut' the search starts from the set and its images
-    under them, and their least W-image is the least Aut-image.  ``budget``
-    counts the candidate images the search generates; past it
-    BudgetExceeded is raised, and None means no limit."""
+    member of its orbit with the least sorted tuple of root vectors): the
+    image of counted_form, under the same budget."""
+    return counted_form(r, q, group, budget).image
+
+
+def counted_form(r: RootSystem, q, group: str = "weyl", budget: int | None = 2_000_000) -> CountedForm:
+    """The least image of the set, by Linton's smallest-image search down the
+    stabiliser chain of W (Linton, Finding the smallest image of a set,
+    ISSAC 2004), with the order of its stabiliser.  Aut is W extended by the
+    diagram automorphisms, so for 'aut' the search starts from the set and
+    its images under them, and their least W-image is the least Aut-image.
+
+    Every group element is one product of a transversal element per level,
+    so each candidate carries the number of products that reach it: a pair
+    of a transversal element and a candidate adds the candidate's count to
+    its image, and the seeds count 1 each.  The
+    search drops only products whose image cannot be least, so the count of
+    the least image is the number of elements mapping the set onto it, the
+    order of its stabiliser; the group's order is the product of the level
+    sizes, times 1 + |Gamma| for 'aut'.  ``budget`` counts the candidate
+    images the search generates; past it BudgetExceeded is raised, and None
+    means no limit."""
     _check_group(group)
-    cands = {frozenset(q)}
+    seeds = [frozenset(q)]
     if group == "aut":
-        cands.update(frozenset(map(g.__getitem__, q)) for g in diagram_automorphisms(r))
+        seeds += [frozenset(map(g.__getitem__, q)) for g in diagram_automorphisms(r)]
+    cands: dict[frozenset[int], int] = Counter(seeds)
     made = 0
     for k, level in enumerate(_chain(r)):
         # the least image contains k exactly when some candidate can be moved
         # onto k by the stabiliser of 0..k-1; the candidates all agree on 0..k-1
         if len(level) == 1:
-            cands = {c for c in cands if k in c} or cands
+            cands = {c: n for c, n in cands.items() if k in c} or cands
             continue
-        pairs = [(t, c) for c in cands for t in c if t in level]
+        pairs = [(level[t], c, n) for c, n in cands.items() for t in c if t in level]
         if not pairs:
-            pairs = [(t, c) for c in cands for t in level]
+            pairs = [(g, c, n) for c, n in cands.items() for g in level.values()]
         made += len(pairs)
         if budget is not None and made > budget:
             raise BudgetExceeded(f"canonical image search exceeded {budget} candidates")
-        cands = {frozenset(map(level[t].__getitem__, c)) for t, c in pairs}
-    return min(cands, key=sorted)
+        cands = {}
+        get = cands.get
+        for g, c, n in pairs:
+            img = frozenset(map(g.__getitem__, c))
+            cands[img] = get(img, 0) + n
+    image = min(cands, key=sorted)
+    order = math.prod(map(len, _chain(r))) * len(seeds)
+    return CountedForm(image, cands[image], order, made)
 
 
 def _chain(r: RootSystem) -> tuple[dict[int, tuple[int, ...]], ...]:
@@ -223,8 +266,8 @@ def _inverse(g) -> tuple[int, ...]:
 
 
 def set_orbit(r: RootSystem, q, group: str = "weyl", budget: int | None = 2_000_000) -> set[frozenset[int]]:
-    """Full orbit of the set, for orbit sizes and the orbit dedup of the
-    clique enumeration, with each member built once.  Simple reflections move
+    """Full orbit of the set, with each member built once: the oracle that
+    counted_form's orbit sizes are tested against.  Simple reflections move
     Q until its root sum, which is W-equivariant, is a dominant weight lam; BFS under its stabiliser W_J, generated by the s_j
     with lam_j = 0 (Chevalley), gives the fibre W_J Q.  The orbit is the
     disjoint union of the fibre's images under the minimal coset

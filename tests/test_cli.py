@@ -211,8 +211,26 @@ def test_cralg_file_mode(tmp_path, capsys):
     fq.write_text(json.dumps([[[1, 0], [0, 1], [0, 0]]]))  # X + iY
     code, out = run(capsys, "cralg", "--file", str(fa), "--q", str(fq), "--op", "predicates")
     assert code == 0
-    res = json.loads(out)["results"]
-    assert res["cr_dim"] == 1 and res["cr_codim"] == 1
+    data = json.loads(out)
+    assert data["results"]["cr_dim"] == 1 and data["results"]["cr_codim"] == 1
+    assert data["inputs"] == {"preset": None, "op": "predicates", "file": str(fa), "q": str(fq)}
+
+
+def test_cralg_inputs_name_every_given_option(capsys):
+    # --ideal and --xi enter inputs, and so inputs_digest, only when given
+    runs = [("--op", "fibration", "--ideal", ideal) for ideal in ("center", "zero", "full")]
+    runs += [("--op", "levi"), ("--op", "levi", "--xi", "[0, 0, 1]")]
+    reports = []
+    for argv in runs:
+        assert main(["cralg", "--preset", "heisenberg", *argv]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert [r["inputs"] for r in reports] == [
+        {"preset": "heisenberg", "op": "fibration", "ideal": "center"},
+        {"preset": "heisenberg", "op": "fibration", "ideal": "zero"},
+        {"preset": "heisenberg", "op": "fibration", "ideal": "full"},
+        {"preset": "heisenberg", "op": "levi"},
+        {"preset": "heisenberg", "op": "levi", "xi": "[0, 0, 1]"}]
+    assert len({r["inputs_digest"] for r in reports}) == len(runs)
 
 
 def _heisenberg_json(edit=None):

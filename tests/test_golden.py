@@ -10,7 +10,9 @@ that is meant to move the output, re-record a file from the repository root
 with ``PYTHONPATH=src python -m flagcr <argv> > tests/golden/<name>.out``.
 """
 
+import json
 import os
+from collections import Counter
 
 import pytest
 
@@ -96,3 +98,22 @@ def test_golden_in_reverse_order(capsys, monkeypatch, fresh_systems):
     # each root system is built by another command than in the forward order
     monkeypatch.chdir(ROOT)
     _run_all(capsys, COMMANDS[::-1])
+
+
+def test_golden_e7_enumeration(capsys):
+    # E7 is listed from counted forms, with no orbit walk: 2,343,574 search
+    # nodes and 102,648 candidate images.  It is tested apart from COMMANDS,
+    # which the last two tests run twice more
+    assert main(["enumerate", "--type", "E7", "--budget", "3000000"]) == 0
+    out = capsys.readouterr().out
+    assert out.encode() == _golden_bytes("enumerate-E7")
+    classes = json.loads(out)["results"]["classes"]
+    assert len(classes) == 39
+    assert Counter(c["size"] for c in classes) == {14: 1, 17: 28, 18: 5, 19: 1, 20: 2, 22: 1, 27: 1}
+    # the weighted mass: every maximal clique counted once per root
+    assert sum(c["size"] * c["orbit_size"] for c in classes) == 138_288_528
+    # the default budget of 2,000,000 stops inside the clique search
+    assert main(["enumerate", "--type", "E7"]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["exhaustive"] is False
+    assert "clique search exceeded" in captured.err

@@ -52,6 +52,33 @@ def test_weyl_imports_no_fractions():
     assert "fractions" not in {name.split(".")[0] for name in names}
 
 
+def _names(path):
+    """Every name the file imports, binds, reads or spells as a string: the
+    imported names and their aliases, identifiers, attributes and string
+    constants."""
+    with open(path) as f:
+        tree = ast.parse(f.read(), path)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name
+                yield alias.asname
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_classify_walks_no_orbit():
+    # enumerate_maximal reads orbit sizes off counted canonical forms, so
+    # classify neither imports nor names weyl.set_orbit
+    names = set(_names(os.path.join(SRC, "classify.py")))
+    assert "counted_form" in names and "maximal_cliques" in names
+    assert "set_orbit" not in names
+
+
 def test_realform_imports_no_intlat():
     # every base realform needs is read off a positive system as its
     # indecomposable roots, so it solves no integer system

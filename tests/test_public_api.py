@@ -60,7 +60,7 @@ PUBLIC = {
         "rootset_from_json", "rootset_to_json", "scaled", "sorted_indices",
     },
     "weyl": {
-        "BudgetExceeded", "canonical_form", "cartan_matrix", "diagram_automorphisms",
+        "BudgetExceeded", "CountedForm", "canonical_form", "cartan_matrix", "counted_form", "diagram_automorphisms",
         "generators", "in_weyl", "positive_roots", "reflection_perm", "root_orbit", "set_orbit", "sets_equivalent",
         "simple_coordinates", "simple_roots",
     },

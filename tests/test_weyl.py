@@ -403,6 +403,72 @@ def test_canonical_form_matches_bfs_on_random_sets():
     assert disjoint_from_first_orbit >= 5
 
 
+# build_root_system("A", n) is A_{n-1}: A2-A6, B3-B5, C3-C5, D4-D6, G2, F4, E6
+COUNTED_SYSTEMS = [("A", n) for n in range(3, 8)] + [("B", n) for n in (3, 4, 5)] + [("C", n) for n in (3, 4, 5)] \
+    + [("D", n) for n in (4, 5, 6)] + [("G2", None), ("F4", None), ("E6", None)]
+
+
+@pytest.mark.parametrize("tag,rank", COUNTED_SYSTEMS, ids=[f"{t}{n or ''}" for t, n in COUNTED_SYSTEMS])
+def test_counted_form_orbit_is_the_walked_orbit(enumerated, tag, rank):
+    # |G| / |Stab_G(Q)| is the size of the orbit set_orbit walks, and the
+    # image is its least member, on the class representatives, the empty
+    # set, single roots, sets orthogonal to a root (which span no more than
+    # a hyperplane) and random sets
+    rs = build_root_system(tag, rank)
+    rng = random.Random(f"counted-{tag}{rank}")
+    beta = rng.randrange(rs.nroots)
+    perp = [i for i, v in enumerate(rs.roots) if sum(a * b for a, b in zip(v, rs.roots[beta])) == 0]
+    n_random = 2 if tag == "E6" else 8
+    sets = [(), *((i,) for i in rng.sample(range(rs.nroots), 3)),
+            *(tuple(rng.sample(perp, rng.randint(1, min(6, len(perp))))) for _ in range(3) if perp),
+            *(tuple(rng.sample(range(rs.nroots), rng.randint(2, min(10, rs.nroots)))) for _ in range(n_random))]
+    for group in ("weyl", "aut"):
+        for q in [c.canonical for c in enumerated(tag, rank, group)[1]] + sets:
+            form = weyl.counted_form(rs, q, group, None)
+            orbit = set_orbit(rs, q, group, None)
+            assert form.order % form.stabiliser == 0, (group, sorted(q))
+            assert form.orbit_size == len(orbit), (group, sorted(q))
+            assert form.image == min(orbit, key=sorted) == canonical_form(rs, q, group)
+
+
+@pytest.mark.parametrize("tag,rank", LARGE_SYSTEMS, ids=[t for t, _ in LARGE_SYSTEMS])
+def test_counted_form_orbit_is_the_walked_orbit_on_small_orbits(tag, rank):
+    # E7's chain has single-point levels inside it, which keep the counts of
+    # the candidates they keep; the sets are those of the set_orbit oracle
+    # test, orbits of at most |R| sets
+    rs = build_root_system(tag, rank)
+    for q in _small_orbit_inputs(rs, random.Random(f"orbit-{tag}{rank}"), 6):
+        form = weyl.counted_form(rs, q)
+        assert form.orbit_size == len(set_orbit(rs, q)) and form.order % form.stabiliser == 0, sorted(q)
+
+
+@pytest.mark.parametrize("tag,rank", [("A", 4), ("B", 3), ("C", 3), ("D", 4), ("G2", None)])
+def test_counted_form_stabiliser_matches_the_group(tag, rank):
+    # oracle: the elements of W, and of Aut, listed by closure, that map the
+    # set onto itself; and the group orders
+    rs = build_root_system(tag, rank)
+    w = _closure(generators(rs))
+    aut = _closure(list(generators(rs)) + diagram_automorphisms(rs))
+    rng = random.Random(f"stabiliser-{tag}{rank}")
+    for q in [(), (0,), tuple(weyl.positive_roots(rs))] + [tuple(rng.sample(range(rs.nroots), k)) for k in (2, 3, 4, 5)]:
+        for group, elements in (("weyl", w), ("aut", aut)):
+            form = weyl.counted_form(rs, q, group)
+            assert form.order == len(elements)
+            assert form.stabiliser == sum(frozenset(g[i] for i in q) == frozenset(q) for g in elements), (group, q)
+
+
+def test_counted_form_candidates_are_the_budget():
+    # the candidates it reports are the least budget it finishes in
+    rs = build_root_system("F4")
+    rng = random.Random(5)
+    for q in [(), (3,), tuple(rng.sample(range(rs.nroots), 6))]:
+        for group in ("weyl", "aut"):
+            form = weyl.counted_form(rs, q, group, None)
+            assert weyl.counted_form(rs, q, group, form.candidates) == form
+            with pytest.raises(BudgetExceeded):
+                weyl.counted_form(rs, q, group, form.candidates - 1)
+
+
 def _closure(gens):
     """All products of the permutations gens (a finite group), by BFS."""
     ident = tuple(range(len(gens[0])))
