@@ -44,6 +44,7 @@ from .rootsys import (
     GradingElement,
     RootSystem,
     _cached,
+    _vec,
     build_root_system,
     dot,
     evaluate_int,
@@ -327,15 +328,11 @@ def _verify_entry(r: RootSystem, entry: CatalogEntry, witness: GradingElement | 
 
 
 def _e(i, n):
-    v = [0] * n
-    v[i - 1] = 1
-    return tuple(v)
+    return _vec(n, (i - 1, 1))
 
 
 def _epm(i, j, si, sj, n):
-    v = [0] * n
-    v[i - 1], v[j - 1] = si, sj
-    return tuple(v)
+    return _vec(n, (i - 1, si), (j - 1, sj))
 
 
 def _gap_chains(p: int, n: int, max_s: int):
@@ -627,13 +624,8 @@ def grading_table(l: int, i: int) -> GradingTable:
     type_label, vector = _GRADINGS[pair]
     r = build_root_system(f"E{l}")
     e = _witness_from_ambient(r, vector)
-    r_part, s_part = set(), set()
-    for idx, v in enumerate(r.roots):
-        if evaluate_int(v, e) % 2 == 0:
-            r_part.add(idx)
-        else:
-            s_part.add(idx)
-    return GradingTable(pair, type_label, frozenset(r_part), frozenset(s_part), e, r)
+    r_part = frozenset(idx for idx, v in enumerate(r.roots) if evaluate_int(v, e) % 2 == 0)
+    return GradingTable(pair, type_label, r_part, frozenset(range(r.nroots)) - r_part, e, r)
 
 
 def verify_grading(l: int, i: int) -> tuple[bool, list[str]]:
@@ -646,8 +638,6 @@ def verify_grading(l: int, i: int) -> tuple[bool, list[str]]:
         actual_s = idx in table.s_part
         if printed_s != actual_s:
             failures.append(f"root {v}: printed S={printed_s}, E-split S={actual_s}")
-    if not table.r_part | table.s_part == frozenset(range(table.system.nroots)):
-        failures.append("split does not partition the root system")
     return (not failures, failures)
 
 
@@ -663,9 +653,7 @@ def construct_q(l: int, i: int, anchors, within=None) -> tuple[int, ...]:
     """
     table = grading_table(l, i)
     r = table.system
-    idxs = []
-    for a in anchors:
-        idxs.append(a if isinstance(a, int) else find_root(r, a))
+    idxs = [a if isinstance(a, int) else find_root(r, a) for a in anchors]
     for a in idxs:
         if a not in table.s_part:
             raise AnchorViolation(f"anchor {r.roots[a]} is not in S^{l}_{i}")

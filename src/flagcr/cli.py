@@ -26,6 +26,7 @@ import os
 import re
 import sys
 import time
+from collections import Counter
 
 from . import classify, qsets, rootsys
 from .classify import BudgetExceeded, KNOWN_DISCREPANCIES
@@ -101,15 +102,11 @@ def _cell(v):
 
 
 def _system_for(args):
-    """The root system of --type and --rank, where --rank is the Lie rank:
-    --type A --rank n is A_n = sl(n+1), built as ("A", n + 1)."""
-    tag = args.type
-    if tag in rootsys.FIXED_RANK:
-        return build_root_system(tag, args.rank)
-    if args.rank is None:
+    """The root system of --type and --rank, where --rank is the Lie rank
+    (rootsys.root_system_of_rank): --type A --rank n is A_n = sl(n+1)."""
+    if args.rank is None and args.type not in rootsys.FIXED_RANK:
         raise SystemExit2("--rank is required for classical types", 1)
-    n = args.rank + 1 if tag == "A" else args.rank
-    return build_root_system(tag, n)
+    return rootsys.root_system_of_rank(args.type, args.rank)
 
 
 class SystemExit2(SystemExit):
@@ -159,18 +156,23 @@ def cmd_check(args) -> int:
 
 
 def _row(claim, ok, detail="", known_id=None):
-    if ok:
-        status = "pass"
-    elif known_id is not None:
-        status = "known-discrepancy"
-    else:
-        status = "FAIL"
+    status = "pass" if ok else "FAIL" if known_id is None else "known-discrepancy"
     row = {"claim": claim, "status": status}
     if detail:
         row["detail"] = detail
     if not ok and known_id:
         row["discrepancy_id"] = known_id
     return row
+
+
+def _catalog_row(claim, rs, which, detail):
+    """The row of a catalog that verifies on construction, witnesses
+    included; ``detail`` is formatted with its number of entries."""
+    try:
+        entries = classify.catalog(rs, which)
+    except classify.CatalogClaimFailed as e:
+        return _row(claim, False, str(e))
+    return _row(claim, True, detail.format(len(entries)))
 
 
 def _verify_section_6(budget):
@@ -200,11 +202,8 @@ def _verify_section_6(budget):
     )
     # symmetric catalogs verify (witnesses check on construction)
     for tag, n in [("A", 4), ("B", 3), ("B", 4), ("C", 3), ("D", 4)]:
-        try:
-            entries = classify.catalog(build_root_system(tag, n), "symmetric")
-            rows.append(_row(f"{tag}{n} symmetric catalog entries verify", True, f"{len(entries)} entries"))
-        except classify.CatalogClaimFailed as e:
-            rows.append(_row(f"{tag}{n} symmetric catalog entries verify", False, str(e)))
+        rs = build_root_system(tag, n)
+        rows.append(_catalog_row(f"{tag}{n} symmetric catalog entries verify", rs, "symmetric", "{} entries"))
     # the classical collapse claim itself
     rep = qsets.property_report(*classify.b3_counterexample())
     sym, jay = rep.symmetric, rep.j_property
@@ -243,11 +242,7 @@ def _verify_section_7(budget):
             known_id="f4-count",
         )
     )
-    try:
-        classify.catalog(f4, "all")
-        rows.append(_row("F4: the five printed sets are maximal elements", True))
-    except classify.CatalogClaimFailed as e:
-        rows.append(_row("F4: the five printed sets are maximal elements", False, str(e)))
+    rows.append(_catalog_row("F4: the five printed sets are maximal elements", f4, "all", ""))
     rep = qsets.property_report(*classify.f4_counterexample())
     sym, wk = rep.symmetric, rep.weak_j
     rows.append(
@@ -258,11 +253,7 @@ def _verify_section_7(budget):
             known_id="f4-collapse",
         )
     )
-    try:
-        classify.catalog(f4, "symmetric")
-        rows.append(_row("F4: Q4'_{1,2,3,4} verifies with witness e1,e2 -> 1", True))
-    except classify.CatalogClaimFailed as e:
-        rows.append(_row("F4: Q4'_{1,2,3,4} verifies with witness e1,e2 -> 1", False, str(e)))
+    rows.append(_catalog_row("F4: Q4'_{1,2,3,4} verifies with witness e1,e2 -> 1", f4, "symmetric", ""))
     # level-1 shells: symmetric, not weak-J
     for pair, anchor, label in [
         ((6, 2), classify.spin((4, 5, 6, 7)), "Q_{6,2,b4567}"),
@@ -388,11 +379,8 @@ def cmd_verify_paper(args) -> int:
         if r.get("detail"):
             line += f"  -- {r['detail']}"
         print(line)
-    summary = {
-        "pass": sum(1 for r in rows if r["status"] == "pass"),
-        "fail": sum(1 for r in rows if r["status"] == "FAIL"),
-        "known_discrepancies": sum(1 for r in rows if r["status"] == "known-discrepancy"),
-    }
+    counts = Counter(r["status"] for r in rows)
+    summary = {"pass": counts["pass"], "fail": counts["FAIL"], "known_discrepancies": counts["known-discrepancy"]}
     if args.format == "json":
         _emit(args, "verify-paper", {"section": section}, {"rows": rows, "summary": summary}, exhaustive)
     else:

@@ -13,6 +13,8 @@ held as its complexification V + iV, a nu-stable complex subspace of complex
 rank dim_R V: i0 = q n g0 is q n qbar, (q + qbar) n g0 is q + qbar, g0 is all
 of g, and a real condition {v in g0 : P(v)} with P C-linear is W n nu(W) for
 W = {v in g : P(v)}.  Real vectors are read off such a space by real_points.
+The module has no elimination of its own: all of them, the semidefiniteness
+test of the Killing form on i0 included, go through gaussq.
 Every linear map (J, Upsilon, lambda, a morphism phi) is a CNum matrix on the
 presentation bases, given by rows; a map that must be real (J, phi) is
 checked to commute with nu.  g0_basis() is the one realified row space of the
@@ -34,8 +36,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from .gaussq import C_I, C_ONE, C_ZERO, CMatrix, CNum, Factored, RMatrix, _insert, _rref, complexify_vector, kernel, realify_vector
+from .gaussq import C_I, C_ONE, C_ZERO, CMatrix, CNum, Factored, RMatrix, _insert, _reduce, _rref, complexify_vector, kernel, realify_vector
 
 
 class NotADerivation(ValueError):
@@ -97,14 +100,21 @@ def _commutes_with_nu(src, tgt, apply, rows) -> bool:
     return all(apply(src.nu(w)) == tgt.nu(apply(w)) for w in rows)
 
 
+def _on_basis_pairs(n, holds, error):
+    """holds(i, j) for every pair i < j of the n basis indices; raises error
+    of a message naming the first pair where it fails."""
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not holds(i, j):
+                raise error(f"fails on basis pair {i},{j}")
+
+
 def _preserves_bracket(src, tgt, apply, basis, error):
     """apply([u, v]) = [apply(u), apply(v)] on every pair of the basis (of
     src); raises error naming the first pair where it fails."""
     imgs = [apply(b) for b in basis]
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            if apply(src.bracket(basis[i], basis[j])) != tgt.bracket(imgs[i], imgs[j]):
-                raise error(f"fails on basis pair {i},{j}")
+    _on_basis_pairs(len(basis), lambda i, j: apply(src.bracket(basis[i], basis[j])) == tgt.bracket(imgs[i], imgs[j]),
+                    error)
 
 
 class LieAlgebraPresentation:
@@ -137,9 +147,6 @@ class LieAlgebraPresentation:
             raise ValueError(f"conj must be a {dim} x {dim} matrix")
         self.conj_cols = tuple(tuple(CNum.of(conj[i][j]) for i in range(dim)) for j in range(dim))
         self._validate()
-        self._g0_basis = None
-        self._g0_coords = None
-        self._killing = None
 
     # -- core algebra ------------------------------------------------------
     def bracket(self, x, y):
@@ -181,37 +188,39 @@ class LieAlgebraPresentation:
             raise ValueError("conjugation is not an involution")
         _preserves_bracket(self, self, self.nu, basis, lambda m: ValueError(f"conjugation is not a Lie automorphism: {m}"))
 
+    @cached_property
+    def _g0_rows(self):
+        real = RMatrix([realify_vector(v) for v in real_points(self, full_space(self))])
+        return [complexify_vector(r) for r in real.rows]
+
     def g0_basis(self):
         """The fixed vectors of nu (a C-basis of g as well) as CNum tuples: the
         rows of the reduced echelon form of g0 in realified coordinates
         (re_1, im_1, ..., re_n, im_n), in which --xi is written."""
-        if self._g0_basis is None:
-            real = RMatrix([realify_vector(v) for v in real_points(self, full_space(self))])
-            self._g0_basis = [complexify_vector(r) for r in real.rows]
-        return self._g0_basis
+        return self._g0_rows
+
+    @cached_property
+    def _g0_solver(self):
+        return Factored([[b[i] for b in self._g0_rows] for i in range(self.dim)], CNum.of)
 
     def g0_coords(self, v):
         """Coordinates in the C-basis g0_basis(), factored once per presentation."""
-        if self._g0_coords is None:
-            basis = self.g0_basis()
-            self._g0_coords = Factored([[b[i] for b in basis] for i in range(self.dim)], CNum.of)
-        return self._g0_coords.solve(v)
+        return self._g0_solver.solve(v)
 
     def killing(self, x, y):
         """The Killing form tr(ad x ad y) = sum of x_i K[i][j] y_j over the
         Gram matrix K of the basis, built on first use."""
-        if self._killing is None:
-            self._killing = self._killing_gram()
         ys = [(j, b) for j, b in enumerate(y) if b]
         tot = C_ZERO
         for i, a in enumerate(x):
             if a:
-                row = self._killing[i]
+                row = self._killing_gram[i]
                 for j, b in ys:
                     if row[j]:
                         tot = tot + a * row[j] * b
         return tot
 
+    @cached_property
     def _killing_gram(self):
         """K[i][j] = tr(ad b_i ad b_j) = sum over k, l of c^k_{il} c^l_{jk},
         read off the stored structure constants."""
@@ -469,20 +478,11 @@ def scalar_levi_form(a: CRAlgebra, xi) -> list[list[CNum]]:
     pres = a.pres
     if not is_characteristic(a, xi):
         raise NotCharacteristic("xi does not annihilate (q+qbar) n g0")
-    zs = []
-    probe = a.q_cap_qbar()
-    for v in a.q.rows:
-        if not probe.contains(v):
-            probe = probe.sum(cspan(pres, [v]))
-            zs.append(v)
-    m = []
-    for za in zs:
-        row = []
-        for zb in zs:
-            val = CNum(Fraction(0), Fraction(-1)) * _xi_value(pres, xi, pres.bracket(za, pres.nu(zb)))
-            row.append(val)
-        m.append(row)
-    return m
+    # a basis of q mod q n qbar: the rows of q new to one echelon copy of q n qbar
+    cap = a.q_cap_qbar()
+    rows, pivots = list(cap.rows), list(cap.pivots)
+    zs = [v for v in a.q.rows if _insert(rows, pivots, v) is not None]
+    return [[-C_I * _xi_value(pres, xi, pres.bracket(za, pres.nu(zb))) for zb in zs] for za in zs]
 
 
 def vector_levi_form(a: CRAlgebra, z) -> tuple[CNum, ...]:
@@ -503,12 +503,12 @@ def _check_derivation(pres, j):
     if not _commutes_with_nu(pres, pres, apply, basis):
         raise NotADerivation("the map does not commute with nu, so it is not a derivation of g0")
     imgs = [apply(b) for b in basis]
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            lhs = apply(pres.bracket(basis[i], basis[j]))
-            rhs = zip(pres.bracket(imgs[i], basis[j]), pres.bracket(basis[i], imgs[j]))
-            if lhs != tuple(x + y for x, y in rhs):
-                raise NotADerivation(f"Leibniz fails on basis pair {i},{j}")
+
+    def leibniz(i, j):
+        rhs = zip(pres.bracket(imgs[i], basis[j]), pres.bracket(basis[i], imgs[j]))
+        return apply(pres.bracket(basis[i], basis[j])) == tuple(x + y for x, y in rhs)
+
+    _on_basis_pairs(pres.dim, leibniz, lambda m: NotADerivation(f"Leibniz {m}"))
     return apply
 
 
@@ -583,32 +583,18 @@ def _preserves_real(pres, space: CMatrix, apply) -> bool:
 
 def _psd(matrix_rows) -> tuple[bool, list | None]:
     """(is positive semidefinite, a basis of the radical or None) for a
-    symmetric rational matrix."""
-    n = len(matrix_rows)
-    a = [[Fraction(x) for x in row] for row in matrix_rows]
-    rad_rows = []
-
-    def form(u, v):
-        return sum(u[i] * a[i][j] * v[j] for i in range(n) for j in range(n))
-
-    vecs = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    pos = []
-    while vecs:
-        v = vecs.pop(0)
-        q = form(v, v)
-        if q < 0:
+    symmetric rational matrix, by symmetric elimination through gaussq: row
+    k reduced by the rows inserted before it is row k of the Schur
+    complement, so the form is semidefinite exactly when each such row has
+    a nonnegative diagonal entry and is zero where that entry is.  The
+    radical of a semidefinite form is its kernel."""
+    rows, pivots = [], []
+    for k, row in enumerate(matrix_rows):
+        v = _reduce(map(Fraction, row), rows, pivots)
+        if v[k] < 0 or not v[k] and any(v):
             return False, None
-        if q == 0:
-            # must pair to zero with everything for PSD; check later
-            rad_rows.append(v)
-            continue
-        pos.append(v)
-        vecs = [[w[i] - form(w, v) / q * v[i] for i in range(n)] for w in vecs]
-    for v in rad_rows:
-        for u in pos + rad_rows:
-            if form(v, u) != 0:
-                return False, None
-    return True, rad_rows
+        _insert(rows, pivots, v)
+    return True, kernel(matrix_rows, Fraction)
 
 
 def check_cr_symmetric(a: CRAlgebra, lam) -> dict:

@@ -1,8 +1,9 @@
 """Exact linear algebra over the Gaussian rationals Q(i) and over Q.
 
 CNum is an immutable Gaussian rational.  _insert is the one Gauss-Jordan
-step over a field in the package: _rref applies it row by row, and the
-closures of cralg grow a reduced basis with it.  Factored keeps one
+step over a field in the package: _rref applies it row by row, and cralg
+grows every reduced basis with it, its closures, its Levi-form quotient basis
+and its semidefiniteness test included.  Factored keeps one
 elimination of a matrix for repeated solves and its inverse; kernel is a
 one-shot elimination of the matrix alone.
 CMatrix / RMatrix represent subspaces by their rows, canonicalized through

@@ -1,11 +1,13 @@
 """Exact integer linear algebra: Smith normal form, Diophantine and modular
-linear systems, Hermite bases of lattices.
+linear systems, echelon (Hermite-style) bases of lattices.
 
 Matrices are plain lists of rows of Python ints (arbitrary precision).  All
 functions are pure and total except where a ``None`` return is documented to
 mean "no solution".  The package solves through SNFSolver; the one-shot
 solve_diophantine and solve_congruence have no caller in it and stay only
 because the benchmark tracer (perfbench/tracer.py) wraps them.
+column_solver(columns, n) is the one builder of a matrix from its columns,
+and lattice_coset_gcd(vectors) the gcd of the vectors' coordinate sums.
 """
 
 from __future__ import annotations
@@ -190,29 +192,24 @@ def solve_congruence(a: list[list[int]], b: list[int], m: int) -> list[int] | No
     return SNFSolver(a).solve_mod(b, m)
 
 
-def lattice_coset_gcd(vectors: list[list[int]] | tuple, weight: list[int] | tuple) -> int:
-    """gcd of <weight, v> over the lattice spanned by ``vectors`` (0 if empty).
-
-    The set of achievable weighted sums over the lattice is exactly g*Z for
-    the returned g.
-    """
-    g = 0
-    for v in vectors:
-        g = gcd(g, sum(w * x for w, x in zip(weight, v)))
-    return abs(g)
+def lattice_coset_gcd(vectors: list[list[int]] | tuple) -> int:
+    """gcd of the coordinate sums of ``vectors`` (0 if there are none): the
+    coordinate sums over the lattice they span are exactly g*Z for the
+    returned g."""
+    return gcd(*map(sum, vectors))
 
 
-def column_solver(columns: list[list[int]]) -> SNFSolver:
-    """SNFSolver for the matrix whose columns are the given vectors."""
-    if not columns:
-        return SNFSolver([])
-    n = len(columns[0])
-    return SNFSolver([[col[i] for col in columns] for i in range(n)])
+def column_solver(columns: list[list[int]], n: int) -> SNFSolver:
+    """SNFSolver for the n-row matrix whose columns are the given vectors;
+    with no columns, the matrix of one zero column."""
+    return SNFSolver([[col[i] for col in columns] or [0] for i in range(n)])
 
 
 def hermite_basis(vectors: list[list[int]]) -> list[list[int]]:
-    """A canonical Z-basis (row-style Hermite form) of the lattice spanned by
-    the given integer vectors."""
+    """An echelon Z-basis, with positive pivots, of the lattice spanned by the
+    given integer vectors; deterministic for a given generator list, but not
+    canonical: the last pass reduces the entries above each pivot from the
+    bottom row up, and a later reduction can undo an earlier one."""
     rows = [list(v) for v in vectors if any(v)]
     if not rows:
         return []
@@ -235,17 +232,12 @@ def hermite_basis(vectors: list[list[int]]) -> list[list[int]]:
             work = [piv] + [r for r in work[1:] if r[c] != 0]
             if done:
                 break
+        # every other row is now 0 in column c
         if piv[c] < 0:
-            piv = [-x for x in piv]
+            piv[:] = [-x for x in piv]
         basis.append(piv)
-        rest = [r for r in rows if r is not piv and any(r)]
-        for r in rest:
-            if r[c] != 0:
-                q = r[c] // piv[c]
-                for k in range(nc):
-                    r[k] -= q * piv[k]
-        rows = [r for r in rest if any(r)]
-    # reduce entries above each pivot for canonicity
+        rows = [r for r in rows if r is not piv and any(r)]
+    # reduce the entries above each pivot, from the bottom row up
     for i in reversed(range(len(basis))):
         c = next(k for k in range(nc) if basis[i][k] != 0)
         for j in range(i):

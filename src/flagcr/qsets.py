@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .intlat import SNFSolver, lattice_coset_gcd
+from .intlat import SNFSolver, column_solver, lattice_coset_gcd
 from .rootsys import GradingElement, RootSystem, _cached, dot, evaluate_int, root_sum, sorted_indices
 
 
@@ -106,12 +106,7 @@ def is_closed(r: RootSystem, q) -> bool:
 
 def _expression_solver(r: RootSystem, q) -> SNFSolver:
     """Solver for the system (columns = stored vectors of Q) * k = gamma."""
-    qs = sorted(q)
-    cols = [r.roots[i] for i in qs]
-    if not cols:
-        return SNFSolver([[0] for _ in range(r.ambient_dim)])
-    a = [[c[t] for c in cols] for t in range(r.ambient_dim)]
-    return SNFSolver(a)
+    return column_solver([r.roots[i] for i in sorted(q)], r.ambient_dim)
 
 
 def is_fundamental(r: RootSystem, q, solver: SNFSolver | None = None) -> bool:
@@ -151,18 +146,14 @@ def degree_set(r: RootSystem, q, gamma_idx: int) -> DegreeCoset:
     if sol is None:
         return DegreeCoset(empty=True)
     base = sum(sol.particular)
-    step = lattice_coset_gcd(sol.kernel_basis, [1] * len(sol.particular))
+    step = lattice_coset_gcd(sol.kernel_basis)
     return DegreeCoset(empty=False, base=base, step=step)
 
 
 def kernel_degree_gcd(r: RootSystem, q) -> int:
     """gcd of coefficient sums over the integer kernel of the Q-expression
     lattice; the coset of every expressible root is (base + gcd*Z)."""
-    return _kernel_gcd(_expression_solver(r, q))
-
-
-def _kernel_gcd(solver: SNFSolver) -> int:
-    return lattice_coset_gcd(solver.kernel_basis, [1] * solver.nc)
+    return lattice_coset_gcd(_expression_solver(r, q).kernel_basis)
 
 
 def q_star_11(r: RootSystem, q) -> frozenset[int]:
@@ -210,7 +201,7 @@ class _Analysis:
         self.fundamental = is_fundamental(r, self.q, solver)
         self.holds = self.lb and self.fundamental
         if self.holds:
-            self.gcd = _kernel_gcd(solver)
+            self.gcd = lattice_coset_gcd(solver.kernel_basis)
             self.star = q_star_11(r, self.q)
             self.coweights = SNFSolver([r.coweight_values[i] for i in self.q])
             self.ones = self.coweights.transform([1] * len(self.q))

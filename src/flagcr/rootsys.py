@@ -12,7 +12,8 @@ Roots are stored in DOUBLED ambient coordinates (stored = 2 * coordinate), so
 the half-integer roots of the E series and F4 become integer vectors.  Inner
 products in the original normalization are dot(stored)/4; evaluation of a root
 on an ambient vector is dot(stored, vector)/2, one integer dot product on a
-grading element, which carries integer numerators over one denominator.  The
+grading element, which carries its coweight coordinates and its ambient
+vector as integer numerators over one denominator, and no Fraction.  The
 coweight basis, dual to a Z-basis of the root lattice, comes from one Smith
 normal form of the integer Gram matrix, with no elimination over a field.
 
@@ -20,6 +21,8 @@ build_root_system returns one shared RootSystem per type and n for the whole
 process: the first call builds it, later calls (from the CLI, the library or
 another command run in the same process) get the same object with the root
 sums and derived tables it has kept.  Callers must not mutate it.
+root_system_of_rank takes the Lie rank instead, as the CLI and the root-set
+file give it: A_n is built on ambient dimension n + 1.
 
 A root set is handled as a frozenset of root indices into ``RootSystem.roots``;
 the canonical external form is the sorted index tuple.  rootset_to_json
@@ -102,13 +105,12 @@ def scaled(vec) -> tuple[tuple[int, ...], int]:
 
 @dataclass(frozen=True)
 class GradingElement:
-    """Element of the coweight lattice R*, stored both as integer coordinates
-    in the coweight basis and as the ambient rational vector, the latter also
-    as integer numerators over one denominator, ambient = num/den (not
-    compared), so alpha(E) = dot(alpha, num) / (2 den)."""
+    """Element of the coweight lattice R*: its integer coordinates in the
+    coweight basis, and its ambient vector num/den as integer numerators
+    over one denominator (not compared), so alpha(E) = dot(alpha, num) /
+    (2 den)."""
 
     coords: tuple[int, ...]
-    ambient: tuple[Fraction, ...]
     num: tuple[int, ...] = field(repr=False, compare=False)
     den: int = field(repr=False, compare=False)
 
@@ -145,7 +147,7 @@ class RootSystem:
         coords = tuple(int(c) for c in coords)
         cols, den = self.coweight_scaled
         num = tuple(dot(coords, col) for col in cols)
-        return GradingElement(coords, tuple(Fraction(x, den) for x in num), num, den)
+        return GradingElement(coords, num, den)
 
     def ambient_to_coweight_coords(self, ambient) -> tuple[int, ...] | None:
         """Integer coweight coordinates of an ambient vector, or None if it is
@@ -251,6 +253,17 @@ def build_root_system(type_tag: str, rank: int | None = None) -> RootSystem:
     return _SYSTEMS[key]
 
 
+def root_system_of_rank(type_tag: str, rank: int | None) -> RootSystem:
+    """The root system of Lie rank ``rank``, as the CLI and the root-set file
+    give it: A_n = sl(n+1) is built on ambient dimension n + 1, every other
+    type as build_root_system builds it.  InvalidRank names the rank given."""
+    if type_tag == "A" and rank is not None:
+        if rank < 1:
+            raise InvalidRank(f"A_n needs rank n >= 1, got {rank}")
+        rank += 1
+    return build_root_system(type_tag, rank)
+
+
 def _build(type_tag: str, n: int) -> RootSystem:
     """A new RootSystem of a validated type and n."""
     true_rank = {"A": n - 1, "B": n, "C": n, "D": n}.get(type_tag, FIXED_RANK.get(type_tag))
@@ -316,12 +329,8 @@ def rootset_from_json(text: str) -> tuple[RootSystem, frozenset[int]]:
     rank = data.get("rank")
     if type(rank) is not int and not (rank is None and tag in FIXED_RANK):
         raise ValueError(f"type {tag} needs an integer rank, got {rank!r}")
-    if tag in FIXED_RANK:
-        rs = build_root_system(tag, rank)
-        name = tag
-    else:
-        rs = build_root_system(tag, rank + 1 if tag == "A" else rank)
-        name = f"{tag}{rank}"
+    rs = root_system_of_rank(tag, rank)
+    name = tag if tag in FIXED_RANK else f"{tag}{rank}"
     if not isinstance(roots, list):
         raise ValueError("roots must be a list of root vectors")
     q: set[int] = set()

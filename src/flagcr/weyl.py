@@ -107,7 +107,7 @@ def simple_coordinates(r: RootSystem) -> tuple[tuple[int, ...], ...]:
     all of one sign (Humphreys, Introduction to Lie Algebras, 10.1), read off
     one Smith form of the simple-root columns; built once."""
     def build():
-        solver = column_solver([r.roots[s] for s in simple_roots(r)])
+        solver = column_solver([r.roots[s] for s in simple_roots(r)], r.ambient_dim)
         return tuple(solver.lift(solver.transform(v)) for v in r.roots)
 
     return _cached(r, "coordinates", build)
@@ -343,17 +343,13 @@ def set_orbit(r: RootSystem, q, group: str = "weyl", budget: int | None = 2_000_
 
 
 def root_orbit(r: RootSystem, idx: int, gen_perms) -> frozenset[int]:
-    seen = {idx}
-    frontier = [idx]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for p in gen_perms:
-                img = p[cur]
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
+    """The orbit of one root under the group the permutations generate."""
+    seen, pts = {idx}, [idx]
+    for t in pts:
+        for p in gen_perms:
+            if p[t] not in seen:
+                seen.add(p[t])
+                pts.append(p[t])
     return frozenset(seen)
 
 

@@ -110,6 +110,9 @@ MALFORMED_ROOT_SETS = [
      "roots[1] = [2, -2, 0] repeats an earlier root"),
     ("rank contradicts a fixed-rank type", '{"type": "E6", "rank": 7, "roots": []}', "E6 has fixed rank 6"),
     ("fixed rank not an integer", '{"type": "E6", "rank": 6.0, "roots": []}', "type E6 needs an integer rank, got 6.0"),
+    # the rank of a root-set file is the Lie rank, and so is the error
+    ("type A rank 0", '{"type": "A", "rank": 0, "roots": []}', "A_n needs rank n >= 1, got 0"),
+    ("type A negative rank", '{"type": "A", "rank": -3, "roots": []}', "A_n needs rank n >= 1, got -3"),
 ]
 
 
@@ -431,6 +434,9 @@ BUDGET_CASES = [
     (["realform", "--roots", "{a_roots}", "--conjugation", "a-reverse:k"], None, 1, "'a-reverse:k'"),
     (["enumerate", "--type", "G2", "--rank", "9"], None, 1, "G2 has fixed rank 2"),
     (["enumerate", "--type", "G2", "--rank", "2"], None, 0, ""),
+    # --rank is the Lie rank, and so is the error
+    (["enumerate", "--type", "A", "--rank", "0"], None, 1, "A_n needs rank n >= 1, got 0"),
+    (["enumerate", "--type", "A", "--rank", "-1"], None, 1, "A_n needs rank n >= 1, got -1"),
 ]
 
 

@@ -1,4 +1,7 @@
+import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -477,7 +480,69 @@ def test_psd_indefinite():
 def test_psd_radical():
     assert cralg._psd([[2, 0], [0, 3]]) == (True, [])
     psd, rad = cralg._psd([[1, 1], [1, 1]])
-    assert psd and rad == [[-1, 1]]
+    assert psd and rad == [(-1, 1)]
+
+
+def _det(m) -> Fraction:
+    """Leibniz formula in exact Fractions: the oracle eliminates nothing."""
+    n = len(m)
+    total = Fraction(0)
+    for p in itertools.permutations(range(n)):
+        sign = (-1) ** sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        total += sign * math.prod(Fraction(m[i][p[i]]) for i in range(n))
+    return total
+
+
+def _minor_rank(m) -> int:
+    """The size of the largest nonzero minor."""
+    rows, cols = len(m), len(m[0]) if m else 0
+    for k in range(min(rows, cols), 0, -1):
+        for ri in itertools.combinations(range(rows), k):
+            if any(_det([[m[i][j] for j in ci] for i in ri]) for ci in itertools.combinations(range(cols), k)):
+                return k
+    return 0
+
+
+def _random_symmetric(rng, n):
+    """A symmetric integer matrix: random entries, a Gram matrix B^T B of k
+    random rows (singular for k < n), or such a Gram matrix perturbed in one
+    symmetric pair of entries."""
+    kind = rng.choice(("entries", "gram", "perturbed"))
+    if kind == "entries":
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                a[i][j] = a[j][i] = rng.randint(-3, 3)
+        return a
+    b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, n))]
+    a = [[sum(r[i] * r[j] for r in b) for j in range(n)] for i in range(n)]
+    if kind == "perturbed":
+        i, j, d = rng.randrange(n), rng.randrange(n), rng.choice((-1, 1))
+        a[i][j] += d
+        a[j][i] += d if i != j else 0
+    return a
+
+
+def test_psd_matches_principal_minor_oracle():
+    # semidefinite exactly when every principal minor is >= 0; the radical
+    # is then a basis of the kernel, of n - rank A vectors
+    rng = random.Random("psd-principal-minors")
+    seen = Counter()
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        a = _random_symmetric(rng, n)
+        psd, rad = cralg._psd(a)
+        minors = (_det([[a[i][j] for j in idx] for i in idx])
+                  for k in range(1, n + 1) for idx in itertools.combinations(range(n), k))
+        assert psd == all(d >= 0 for d in minors), a
+        if not psd:
+            assert rad is None
+            seen["indefinite"] += 1
+            continue
+        assert all(sum(row[j] * r[j] for j in range(n)) == 0 for r in rad for row in a), a
+        assert len(rad) == n - _minor_rank(a) == _minor_rank(rad), a
+        seen["singular" if rad else "definite"] += 1
+    assert min(seen[k] for k in ("indefinite", "singular", "definite")) >= 30, seen
 
 
 @pytest.mark.parametrize("spec", [("A", 3), ("G2", None)], ids=["A3", "G2"])
@@ -799,7 +864,7 @@ def _g0_j_derivation(fp, e):
     """Oracle: J = ad(-i H_E) as a rational matrix on the g0 basis, one
     g0-coordinate solve per basis vector."""
     pres = fp.pres
-    mih = tuple(-C_I * x for x in fp.cartan_element(e.ambient))
+    mih = tuple(-C_I * x for x in fp.cartan_element([Fraction(x, e.den) for x in e.num]))
     cols = []
     for b in pres.g0_basis():
         c = pres.g0_coords(pres.bracket(mih, b))

@@ -11,6 +11,7 @@ from flagcr.gaussq import Factored
 from flagcr.intlat import (
     DiophantineSolution,
     SNFSolver,
+    column_solver,
     hermite_basis,
     identity_matrix,
     lattice_coset_gcd,
@@ -190,22 +191,21 @@ def test_congruence_vs_exhaustive():
 
 
 def test_coset_gcd():
-    assert lattice_coset_gcd([[1, -1]], [1, 1]) == 0
-    assert lattice_coset_gcd([[1, -1], [0, 2]], [1, 1]) == 2
-    assert lattice_coset_gcd([], [1, 1]) == 0
+    assert lattice_coset_gcd([[1, -1]]) == 0
+    assert lattice_coset_gcd([[1, -1], [0, 2]]) == 2
+    assert lattice_coset_gcd([]) == 0
 
 
 def test_coset_gcd_vs_box_enumeration():
     basis = [[1, -1], [0, 2]]
-    weight = [1, 1]
     sums = set()
     for c1 in range(-4, 5):
         for c2 in range(-4, 5):
             v = [c1 * basis[0][k] + c2 * basis[1][k] for k in range(2)]
-            sums.add(sum(w * x for w, x in zip(weight, v)))
+            sums.add(sum(v))
     nonzero = sorted(abs(s) for s in sums if s)
     g = nonzero[0]
-    assert g == lattice_coset_gcd(basis, weight)
+    assert g == lattice_coset_gcd(basis)
     assert all(s % g == 0 for s in sums)
 
 
@@ -216,6 +216,44 @@ def test_hermite_basis():
         assert lattice_contains([list(b) for b in basis], v)
     assert not lattice_contains([list(b) for b in basis], [1, 0])
     assert hermite_basis([[0, 0]]) == []
+
+
+def _in_lattice(generators, v) -> bool:
+    """v lies in the Z-span of the generators: one feasibility test on U v."""
+    solver = column_solver(generators, len(v))
+    return solver.feasible(solver.transform(v))
+
+
+def test_hermite_basis_spans_the_lattice_in_echelon_form():
+    rng = random.Random("hermite-basis")
+    for _ in range(400):
+        nr, nc, e = rng.randint(1, 6), rng.randint(1, 5), rng.choice((1, 3, 9))
+        vecs = [[rng.randint(-e, e) for _ in range(nc)] for _ in range(nr)]
+        basis = hermite_basis(vecs)
+        # echelon: the leading columns strictly increase, each pivot positive
+        leads = [next(k for k, x in enumerate(b) if x) for b in basis]
+        assert all(a < b for a, b in zip(leads, leads[1:])), basis
+        assert all(b[k] > 0 for b, k in zip(basis, leads)), basis
+        # the same lattice: each side's vectors lie in the other's span
+        assert all(_in_lattice(basis, v) for v in vecs), (vecs, basis)
+        assert all(_in_lattice(vecs, b) for b in basis), (vecs, basis)
+
+
+# inputs whose elimination meets a negative pivot, with the bases the Hermite
+# reduction gave before the pivot row was negated in place
+NEGATIVE_PIVOTS = [
+    ([[-2, 1], [0, 3]], [[2, 2], [0, 3]]),
+    ([[-1, 2, 0], [0, -1, 3], [0, 0, -2]], [[1, 0, 2], [0, 1, 1], [0, 0, 2]]),
+    ([[-3, 5], [-6, 4]], [[3, 1], [0, 6]]),
+    ([[0, -2, 4], [0, 3, -1]], [[0, 1, 3], [0, 0, 10]]),
+    ([[-4, 6, 2], [6, -4, 0], [-2, 2, -2]], [[2, 0, 8], [0, 2, 6], [0, 0, 12]]),
+    ([[0, 0, -5], [0, -3, 7]], [[0, 3, 3], [0, 0, 5]]),
+]
+
+
+@pytest.mark.parametrize("vectors,want", NEGATIVE_PIVOTS)
+def test_hermite_basis_negative_pivots_are_pinned(vectors, want):
+    assert hermite_basis(vectors) == want
 
 
 # --- properties (Hypothesis) -------------------------------------------------

@@ -5,10 +5,14 @@ perfbench/) or a claim of the paper that its module docstring names; a helper
 that only tests call lives under tests/."""
 
 import ast
+import dataclasses
 import glob
+import inspect
 import os
 
 import pytest
+
+from flagcr import intlat, rootsys
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "flagcr")
 
@@ -57,7 +61,7 @@ PUBLIC = {
     "rootsys": {
         "FIXED_RANK", "GradingElement", "InvalidRank", "RootSystem", "TYPES", "build_root_system",
         "coweight_lattice_basis", "dot", "evaluate", "evaluate_int", "find_root", "root_sum", "roots_set",
-        "rootset_from_json", "rootset_to_json", "scaled", "sorted_indices",
+        "root_system_of_rank", "rootset_from_json", "rootset_to_json", "scaled", "sorted_indices",
     },
     "weyl": {
         "BudgetExceeded", "CountedForm", "canonical_form", "cartan_matrix", "counted_form", "diagram_automorphisms",
@@ -112,3 +116,30 @@ def test_public_names_are_listed(module):
     want = PUBLIC.get(module, set())
     assert not got - want, f"{module} defines unlisted public names: {sorted(got - want)}"
     assert not want - got, f"{module} no longer defines listed names: {sorted(want - got)}"
+
+
+# The parameters of intlat's public functions and the fields of a grading
+# element, so that a dropped knob or field does not come back unnoticed.
+INTLAT_PARAMETERS = {
+    "column_solver": ("columns", "n"),
+    "hermite_basis": ("vectors",),
+    "identity_matrix": ("n",),
+    "lattice_coset_gcd": ("vectors",),
+    "mat_vec": ("a", "v"),
+    "smith_normal_form": ("m",),
+    "solve_congruence": ("a", "b", "m"),
+    "solve_diophantine": ("a", "b"),
+}
+
+
+def test_intlat_parameters_are_pinned():
+    got = {
+        name: tuple(inspect.signature(fn).parameters)
+        for name, fn in vars(intlat).items()
+        if inspect.isfunction(fn) and fn.__module__ == intlat.__name__ and not name.startswith("_")
+    }
+    assert got == INTLAT_PARAMETERS
+
+
+def test_grading_element_fields_are_pinned():
+    assert tuple(f.name for f in dataclasses.fields(rootsys.GradingElement)) == ("coords", "num", "den")

@@ -264,7 +264,7 @@ def test_difference_roots_nonempty_for_proper_sets():
 
 def _fundamental_oracle(r, q):
     """Every root, not only a basis of the root lattice, lies in Z[Q]."""
-    solver = column_solver([list(r.roots[i]) for i in sorted(q)])
+    solver = column_solver([list(r.roots[i]) for i in sorted(q)], r.ambient_dim)
     return all(solver.solve(list(v)) is not None for v in r.roots)
 
 
@@ -324,7 +324,7 @@ def test_witness_outside_coweight_lattice_is_rejected(tag, rank):
     alpha = rs.roots[0]
     # the coroot 2 alpha / (alpha|alpha), with (alpha|alpha) = dot / 4 on the doubled roots
     coroot = tuple(Fraction(2 * x, dot(alpha, alpha)) for x in alpha)
-    e = GradingElement((0,) * rs.rank, coroot, *scaled(coroot))
+    e = GradingElement((0,) * rs.rank, *scaled(coroot))
     assert evaluate(alpha, e) == 1
     assert any(evaluate(root, e).denominator != 1 for root in rs.roots)
     for modulus in (2, 4, None):

@@ -238,7 +238,7 @@ def _simple_for_subsystem(r, head, qr):
     all-nonpositive integer combination of them, one integer solve per root."""
     if not head:
         return not qr
-    solver = column_solver([r.roots[i] for i in head])
+    solver = column_solver([r.roots[i] for i in head], r.ambient_dim)
     if solver.kernel_basis:
         return False
     for i in qr:

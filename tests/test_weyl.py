@@ -521,9 +521,9 @@ def test_generators_built_once(monkeypatch, fresh_systems):
         built["reflections"] += 1
         return reflection_perm_(r, i)
 
-    def counting_solver(columns):
+    def counting_solver(columns, n):
         built["diagram"] += 1
-        return column_solver(columns)
+        return column_solver(columns, n)
 
     monkeypatch.setattr(weyl, "reflection_perm", counting_reflection)
     monkeypatch.setattr(weyl, "column_solver", counting_solver)
