@@ -1,6 +1,8 @@
 """Enumeration of maximal lb/fundamental sets, the classification catalogs for
-the classical types and G2/F4, the E-series constructors Q_{l,i,anchors}, and
-the Z2-grading tables of the E series.
+the classical types and G2/F4, the E-series constructors Q_{l,i,anchors}, the
+Z2-grading tables of the E series with the orbits of each grading group, and
+KNOWN_DISCREPANCIES, the one registry of the paper's claims that flagcr
+falsifies, from which verify-paper takes each such claim's text and status.
 
 Maximal elements of Q(R) are exactly the maximal cliques of the compatibility
 graph, each of which spans R over Z (the proof is at enumerate_maximal), so
@@ -52,7 +54,15 @@ from .rootsys import (
     roots_set,
     sorted_indices,
 )
-from .weyl import BudgetExceeded, canonical_form, counted_form
+from .weyl import (
+    BudgetExceeded,
+    canonical_form,
+    counted_form,
+    positive_roots,
+    reflection_perm,
+    root_orbit,
+    simple_roots,
+)
 
 H = Fraction(1, 2)
 
@@ -84,18 +94,17 @@ class _Cliques(list):
     nodes = 0
 
 
-def maximal_cliques(nbr: list[int], budget: int | None = None, through: list[int] | None = None):
+def maximal_cliques(nbr: list[int], through, budget: int | None = None):
     """Pivoting Bron-Kerbosch (Tomita et al., TCS 363, 2006) on int bitmasks
     (San Segundo et al., Comput. Oper. Res. 38, 2011), the pivot of most
     neighbours in P by int.bit_count; returns the maximal cliques of the graph
     on 0..n-1 with neighbour masks ``nbr`` (bit j of nbr[i] for an edge ij,
-    as compat_graph gives them) as sorted tuples, in a list whose ``nodes``
-    attribute counts the recursion nodes.
-
-    With ``through``, a sequence of distinct vertices, only the maximal
-    cliques that contain one of them are found, each once: the search from
-    the k-th starts at R = {v}, P = its neighbours after the earlier ones,
-    X = its neighbours among them.
+    as compat_graph gives them) that contain one of the distinct vertices
+    ``through``, each once, as sorted tuples, in a list whose ``nodes``
+    attribute counts the recursion nodes.  The search from the k-th vertex v
+    of ``through`` starts at R = {v}, P = its neighbours after the earlier
+    ones, X = its neighbours among them; through = range(len(nbr)) finds
+    every maximal clique of a graph with a vertex.
 
     ``budget`` bounds the number of recursion nodes; exceeding it raises
     BudgetExceeded with the cliques found so far attached.
@@ -131,13 +140,10 @@ def maximal_cliques(nbr: list[int], budget: int | None = None, through: list[int
             p ^= low
             x |= low
 
-    if through is None:
-        bk((), (1 << len(nbr)) - 1, 0)
-    else:
-        done = 0
-        for v in through:
-            bk((v,), nbr[v] & ~done, nbr[v] & done)
-            done |= 1 << v
+    done = 0
+    for v in through:
+        bk((v,), nbr[v] & ~done, nbr[v] & done)
+        done |= 1 << v
     found.nodes = nodes
     return found
 
@@ -221,7 +227,7 @@ def enumerate_maximal(r: RootSystem, quotient: str = "weyl", budget: int | None 
     leaders = [min(o) for o in orbits]
     nbr = compat_graph(r)
     try:
-        cliques = maximal_cliques(nbr, budget, leaders)
+        cliques = maximal_cliques(nbr, leaders, budget)
     except BudgetExceeded as e:
         raise BudgetExceeded(str(e), []) from e
     left = None if budget is None else budget - cliques.nodes
@@ -776,6 +782,22 @@ def orbit_lemma_expected(pair):
     return grading_level_set(*pair, 1), grading_level_set(*pair, -1)
 
 
+def s_part_orbits(l: int, i: int) -> set[frozenset[int]]:
+    """The orbits of W^l_i, the Weyl group of the R-part of E_{l,i}, on
+    S^l_i.  W^l_i is generated by the reflections in the simple roots of the
+    R-part's lexicographically positive roots, and it keeps S^l_i, since a
+    reflection in a root of even E-value keeps the parity of E."""
+    t = grading_table(l, i)
+    r = t.system
+    gens = [reflection_perm(r, a) for a in simple_roots(r, t.r_part.intersection(positive_roots(r)))]
+    orbits, remaining = set(), set(t.s_part)
+    while remaining:
+        o = root_orbit(r, min(remaining), gens)
+        orbits.add(o)
+        remaining -= o
+    return orbits
+
+
 def printed_orbit_61():
     """The printed W^6_1 orbits of S^6_1 (these lists are exact)."""
     r = build_root_system("E6")
@@ -788,23 +810,19 @@ def printed_orbit_61():
     return roots_set(r, o1), roots_set(r, o2)
 
 
-def bn_constraint_discrepancy(n: int) -> dict:
-    """The chains that the printed B_n parameter constraint admits; returns a
-    report dict (the printed inequality admits no chain with s >= 2)."""
-    printed_ok = []
+def bn_constraint_discrepancy(n: int) -> list[tuple[int, ...]]:
+    """The chains p = q_0 < q_1 < ... < q_s = n with s >= 2 that the printed
+    B_n parameter constraint q_i + 2q_{i-2} <= q_{i-1} admits: none, as it
+    admits no increasing chain, so the catalog derives a nonincreasing-gap
+    rule from the enumeration instead."""
+    chains = []
     for p in range(1, n + 1):
-        for s in range(1, p + 1):
+        for s in range(2, p + 1):
             for qs in itertools.combinations(range(p + 1, n), s - 1):
                 chain = (p,) + qs + (n,)
-                if all(chain[t] < chain[t + 1] for t in range(len(chain) - 1)) and all(
-                    chain[t] + 2 * chain[t - 2] <= chain[t - 1] for t in range(2, len(chain))
-                ):
-                    printed_ok.append(chain)
-    return {
-        "printed_chains_with_s_ge_2": [c for c in printed_ok if len(c) >= 4],
-        "note": "printed inequality q_i + 2q_{i-2} <= q_{i-1} admits no increasing chain; "
-        "enumeration-derived nonincreasing-gap rule used instead",
-    }
+                if all(chain[t] + 2 * chain[t - 2] <= chain[t - 1] for t in range(2, len(chain))):
+                    chains.append(chain)
+    return chains
 
 
 # subsets of the maximal class representatives that subset_universe examines
@@ -871,47 +889,29 @@ def f4_counterexample():
     return r, q
 
 
-# Paper claims that verify-paper checks and reports as failed-but-known.
-KNOWN_DISCREPANCIES = (
-    {
-        "id": "bn-dn-constraints",
-        "claim": "printed B_n/D_n parameter constraints",
-        "status": "inconsistent as printed; enumeration-derived nonincreasing-gap rule used",
-    },
-    {
-        "id": "f4-count",
-        "claim": "five inequivalent maximal classes in Q(F4)",
-        "status": "false: 8 classes mod W; the printed five contain a W-equivalent pair",
-    },
-    {
-        "id": "classical-collapse",
-        "claim": "Q_s = Q_0 for the classical types",
-        "status": "false for B_n (n >= 3) and D_4: explicit 4- and 5-root counterexamples",
-    },
-    {
-        "id": "f4-collapse",
-        "claim": "Q_s(F4) = Q_Upsilon(F4) = Q_0(F4), unique maximal symmetric class",
-        "status": "false: 8-root symmetric set with no mod-4 witness",
-    },
-    {
-        "id": "e8-example-4",
-        "claim": "printed anchor list of E8 example (4)",
-        "status": "anchors conflict with the printed members; level-set-restricted sweep used",
-    },
-    {
-        "id": "e8-example-6",
-        "claim": "printed set of E8 example (6)",
-        "status": "printed set is not fundamental; W-relabeled unnumbered example used",
-    },
-    {
-        "id": "e8-beta0-b12",
-        "claim": "Q_{8,1,b0,b12} equals Q_{8,1,b0,b1234,b1256,b1278}",
-        "status": "holds modulo W only (both are maximal; a single W-word maps one to the other)",
-    },
-    {
-        "id": "s73-orbit-lists",
-        "claim": "printed two-orbit lists for S^7_3",
-        "status": "lists drop +-beta_{i,7}; the E_{7,3} level sets are the true orbits",
-    },
-)
-
+# The paper's claims that flagcr falsifies, by id: each claim as verify-paper
+# prints it, and its detail where that does not depend on the run.  A failing
+# verify-paper claim is a known discrepancy exactly when it is registered here.
+KNOWN_DISCREPANCIES = {
+    "bn-dn-constraints": (
+        "printed B_n parameter constraint admits chains with s >= 2",
+        "printed inequality q_i + 2q_{i-2} <= q_{i-1} admits no increasing chain; "
+        "enumeration-derived nonincreasing-gap rule used instead",
+    ),
+    "classical-collapse": (
+        "classical collapse Q_s = Q_0 (B_n, D_n)",
+        "B3 counterexample {e2, e1+e2, e1+-e3} is symmetric without J",
+    ),
+    "f4-count": ("F4 has five inequivalent maximal classes", ""),
+    "f4-collapse": ("F4 collapse Q_s = Q_Upsilon = Q_0", "8-root symmetric set without mod-4 witness"),
+    "s73-orbit-lists": ("printed S^7_3 orbit lists are complete", "printed lists drop +-beta_{i,7}"),
+    "e8-example-4": (
+        "E8 example (4) printed data is consistent",
+        "anchors conflict with the printed members; level-set-restricted sweep used",
+    ),
+    "e8-example-6": (
+        "E8 example (6) printed data is consistent",
+        "printed set is not fundamental; W-relabeled unnumbered example used",
+    ),
+    "e8-beta0-b12": ("Q_{8,1,b0,b12} equals Q_{8,1,b0,b1234,b1256,b1278} as sets", "equal modulo W only"),
+}

@@ -11,9 +11,11 @@ rootsys.build_root_system).
 
 Exit codes: 0 success, 1 bad arguments / parse or validation failure,
 2 budget exceeded (partial results are still printed, flagged
-non-exhaustive, and stderr names the stop).  verify-paper exits 1 only when
-a claim fails that is not on the known-discrepancy list.  A budget must be a
-positive integer, whether it comes from --budget or from FLAGCR_BUDGET.
+non-exhaustive, and stderr names the stop).  verify-paper prints one line
+per claim before its report, and exits 1 only when a claim fails that
+classify.KNOWN_DISCREPANCIES does not register; that registry alone decides
+each row's status.  A budget must be a positive integer, whether it comes
+from --budget or from FLAGCR_BUDGET.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import time
 from collections import Counter
 
 from . import classify, qsets, rootsys
-from .classify import BudgetExceeded, KNOWN_DISCREPANCIES
+from .classify import BudgetExceeded
 from .rootsys import build_root_system
 
 
@@ -155,14 +157,22 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _row(claim, ok, detail="", known_id=None):
-    status = "pass" if ok else "FAIL" if known_id is None else "known-discrepancy"
-    row = {"claim": claim, "status": status}
+def _row(claim, ok, detail=""):
+    """A verify-paper row.  A failing claim is a known discrepancy, with its
+    id, exactly when classify.KNOWN_DISCREPANCIES registers it."""
+    known = next((k for k, (c, _) in classify.KNOWN_DISCREPANCIES.items() if c == claim), None)
+    row = {"claim": claim, "status": "pass" if ok else "FAIL" if known is None else "known-discrepancy"}
     if detail:
         row["detail"] = detail
-    if not ok and known_id:
-        row["discrepancy_id"] = known_id
+    if not ok and known:
+        row["discrepancy_id"] = known
     return row
+
+
+def _known(discrepancy_id, ok):
+    """The row of the claim and detail registered under ``discrepancy_id``."""
+    claim, detail = classify.KNOWN_DISCREPANCIES[discrepancy_id]
+    return _row(claim, ok, detail)
 
 
 def _catalog_row(claim, rs, which, detail):
@@ -191,30 +201,14 @@ def _verify_section_6(budget):
                 f"catalog {len(cat)}, enumeration {len(cls)}",
             )
         )
-    rep = classify.bn_constraint_discrepancy(4)
-    rows.append(
-        _row(
-            "printed B_n parameter constraint admits chains with s >= 2",
-            bool(rep["printed_chains_with_s_ge_2"]),
-            rep["note"],
-            known_id="bn-dn-constraints",
-        )
-    )
+    rows.append(_known("bn-dn-constraints", bool(classify.bn_constraint_discrepancy(4))))
     # symmetric catalogs verify (witnesses check on construction)
     for tag, n in [("A", 4), ("B", 3), ("B", 4), ("C", 3), ("D", 4)]:
         rs = build_root_system(tag, n)
         rows.append(_catalog_row(f"{tag}{n} symmetric catalog entries verify", rs, "symmetric", "{} entries"))
     # the classical collapse claim itself
     rep = qsets.property_report(*classify.b3_counterexample())
-    sym, jay = rep.symmetric, rep.j_property
-    rows.append(
-        _row(
-            "classical collapse Q_s = Q_0 (B_n, D_n)",
-            not (sym and not jay),
-            "B3 counterexample {e2, e1+e2, e1+-e3} is symmetric without J",
-            known_id="classical-collapse",
-        )
-    )
+    rows.append(_known("classical-collapse", not (rep.symmetric and not rep.j_property)))
     return rows
 
 
@@ -234,25 +228,11 @@ def _verify_section_7(budget):
     rows.append(_row("G2: Q4_0 has weak-J and J", any(e.label == "Q4_0" for e in ups)))
     f4 = build_root_system("F4")
     f4cls = classify.enumerate_maximal(f4, budget=budget)
-    rows.append(
-        _row(
-            "F4 has five inequivalent maximal classes",
-            len(f4cls) == 5,
-            f"enumeration gives {len(f4cls)} classes mod W",
-            known_id="f4-count",
-        )
-    )
+    claim = classify.KNOWN_DISCREPANCIES["f4-count"][0]
+    rows.append(_row(claim, len(f4cls) == 5, f"enumeration gives {len(f4cls)} classes mod W"))
     rows.append(_catalog_row("F4: the five printed sets are maximal elements", f4, "all", ""))
     rep = qsets.property_report(*classify.f4_counterexample())
-    sym, wk = rep.symmetric, rep.weak_j
-    rows.append(
-        _row(
-            "F4 collapse Q_s = Q_Upsilon = Q_0",
-            not (sym and not wk),
-            "8-root symmetric set without mod-4 witness",
-            known_id="f4-collapse",
-        )
-    )
+    rows.append(_known("f4-collapse", not (rep.symmetric and not rep.weak_j)))
     rows.append(_catalog_row("F4: Q4'_{1,2,3,4} verifies with witness e1,e2 -> 1", f4, "symmetric", ""))
     # level-1 shells: symmetric, not weak-J
     for pair, anchor, label in [
@@ -273,32 +253,14 @@ def _verify_section_7(budget):
 
 def _verify_gradings():
     rows = []
-    from .weyl import reflection_perm, root_orbit
-
     for pair in classify.XI:
         ok, fails = classify.verify_grading(*pair)
         rows.append(_row(f"Z2-grading table ({pair[0]},{pair[1]})", ok, "; ".join(fails[:2])))
     for pair in ((6, 1), (7, 3)):
-        t = classify.grading_table(*pair)
-        gens = [reflection_perm(t.system, i) for i in sorted(t.r_part)]
-        orbits = set()
-        remaining = set(t.s_part)
-        while remaining:
-            o = root_orbit(t.system, min(remaining), gens)
-            orbits.add(frozenset(o & t.s_part))
-            remaining -= o
-        expect = set(classify.orbit_lemma_expected(pair))
-        ok = orbits == expect and len(orbits) == 2
+        orbits = classify.s_part_orbits(*pair)
+        ok = orbits == set(classify.orbit_lemma_expected(pair)) and len(orbits) == 2
         rows.append(_row(f"S^{pair[0]}_{pair[1]} splits into two W-orbits (level sets)", ok))
-        if pair == (7, 3):
-            rows.append(
-                _row(
-                    "printed S^7_3 orbit lists are complete",
-                    False,
-                    "printed lists drop +-beta_{i,7}",
-                    known_id="s73-orbit-lists",
-                )
-            )
+    rows.append(_known("s73-orbit-lists", False))
     o1, o2 = classify.printed_orbit_61()
     exp = set(classify.orbit_lemma_expected((6, 1)))
     rows.append(_row("printed S^6_1 orbit lists are exact", {frozenset(o1), frozenset(o2)} == exp))
@@ -328,10 +290,7 @@ def _verify_e8():
             ge = e8.grading_element(coords)
             ok = all(rootsys.evaluate_int(e8.roots[i], ge) % 4 == 1 for i in q)
             rows.append(_row(f"E8 example ({ex['label']}) printed mod-4 witness", ok))
-    for label in ("4", "6"):
-        known = f"e8-example-{label}"
-        status = next(d["status"] for d in KNOWN_DISCREPANCIES if d["id"] == known)
-        rows.append(_row(f"E8 example ({label}) printed data is consistent", False, status, known_id=known))
+    rows += [_known(f"e8-example-{label}", False) for label in ("4", "6")]
     for p in range(1, 9):
         q = classify.q_prime_p(p)
         got = qsets.is_symmetric(e8, q)[0]
@@ -342,14 +301,7 @@ def _verify_e8():
         8, 1, [classify.spin((1, 2)), classify.spin((3, 4)), classify.spin((5, 6)), classify.spin((7, 8))]
     )
     rows.append(_row("Q_{8,1,b0} = Q_{8,1,b12,b34,b56,b78}", set(a) == set(b)))
-    rows.append(
-        _row(
-            "Q_{8,1,b0,b12} equals Q_{8,1,b0,b1234,b1256,b1278} as sets",
-            False,
-            "equal modulo W only",
-            known_id="e8-beta0-b12",
-        )
-    )
+    rows.append(_known("e8-beta0-b12", False))
     w81 = qsets.has_weak_j(e8, a)
     rows.append(_row("Q_{8,1,b0} is not in Q_Upsilon", w81[0] is False))
     return rows

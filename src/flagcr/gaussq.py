@@ -4,8 +4,8 @@ CNum is an immutable Gaussian rational.  _insert is the one Gauss-Jordan
 step over a field in the package: _rref applies it row by row, and cralg
 grows every reduced basis with it, its closures, its Levi-form quotient basis
 and its semidefiniteness test included.  Factored keeps one
-elimination of a matrix for repeated solves and its inverse; kernel is a
-one-shot elimination of the matrix alone.
+elimination of a matrix for repeated solves; kernel is a one-shot
+elimination of the matrix alone.
 CMatrix / RMatrix represent subspaces by their rows, canonicalized through
 reduced row echelon form, so equality of subspaces is equality of canonical
 forms.
@@ -130,8 +130,8 @@ class Factored:
     """A matrix A (given by its rows) eliminated once over the field of
     ``coerce``: Gauss-Jordan on [A | I] gives [R | T], with R the reduced row
     echelon form of A and T the invertible row transform, T A = R.  Solves
-    against any number of right-hand sides and the inverse are read off R
-    and T without eliminating again."""
+    against any number of right-hand sides are read off R and T without
+    eliminating again."""
 
     def __init__(self, rows, coerce):
         self.coerce = coerce
@@ -164,12 +164,6 @@ class Factored:
         for p, t in zip(self.pivots, self._t):
             x[p] = t_dot_b(t)
         return x
-
-    def inverse(self):
-        """Rows of A^-1; ValueError unless A is square and invertible."""
-        if not self.rank == self.ncols == len(self._t):
-            raise ValueError("matrix is not invertible")
-        return list(self._t)
 
 
 def solve_linear(rows, rhs, coerce):

@@ -1,10 +1,24 @@
-"""Test oracle: the ambient matrix of a W or Aut element given as a root-index
-permutation."""
+"""Test oracles: the inverse of a matrix over a field, and the ambient matrix
+of a W or Aut element given as a root-index permutation."""
 
 from fractions import Fraction
 
 from flagcr.gaussq import Factored
 from flagcr.weyl import simple_roots
+
+
+def inverse(rows, coerce) -> list[tuple]:
+    """Rows of A^-1, built one column at a time: column k is the solution of
+    A x = e_k by Factored.solve.  ValueError unless A is square and every
+    unit vector is solvable, that is unless A is invertible."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
+    f = Factored(rows, coerce)
+    cols = [f.solve([int(t == k) for t in range(n)]) for k in range(n)]
+    if None in cols:
+        raise ValueError("matrix is not invertible")
+    return list(zip(*cols))
 
 
 def matrix_of(r, g) -> list[tuple[Fraction, ...]]:
@@ -14,7 +28,7 @@ def matrix_of(r, g) -> list[tuple[Fraction, ...]]:
     simples = simple_roots(r)
     vecs = [r.roots[s] for s in simples]
     gram = [[sum(a * b for a, b in zip(u, v)) for v in vecs] for u in vecs]
-    ginv = Factored(gram, Fraction).inverse()
+    ginv = inverse(gram, Fraction)
     n = r.ambient_dim
     cols = []
     for k in range(n):

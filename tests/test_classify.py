@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import itertools
@@ -114,7 +115,8 @@ def test_enumerate_classes_cover_the_fundamental_cliques(tag, n, quotient):
     # oracle: fundamentality tested on every maximal clique, as an
     # enumeration that filters before it dedups would
     rs = build_root_system(tag, n)
-    fundamental = [c for c in maximal_cliques(compat_graph(rs)) if is_fundamental(rs, c)]
+    nbr = compat_graph(rs)
+    fundamental = [c for c in maximal_cliques(nbr, range(len(nbr))) if is_fundamental(rs, c)]
     classes = enumerate_maximal(rs, quotient)
     assert sum(c.orbit_size for c in classes) == len(fundamental)
     assert all(c.report.is_fundamental and is_fundamental(rs, c.canonical) for c in classes)
@@ -122,24 +124,33 @@ def test_enumerate_classes_cover_the_fundamental_cliques(tag, n, quotient):
     assert all(frozenset(c.canonical) == canonical_form(rs, c.canonical, quotient) for c in classes)
 
 
-@pytest.mark.parametrize("tag,n", [("F4", None), ("D", 5)])
-def test_enumerate_finishes_at_the_least_clique_budget(enumerated, tag, n):
-    # the search through the orbit leaders makes fewer nodes than the full
-    # search, by more than the candidate images of the counted forms after
-    # it, so the least budget the full search finishes in covers both stages
-    rs, classes = enumerated(tag, n, "weyl")
-    nbr = compat_graph(rs)
+def _least_budget(run):
+    """The least budget in 1..2,000,000 with which run(budget) raises no
+    BudgetExceeded, by bisection."""
     lo, hi = 1, 2_000_000
     while lo < hi:
         mid = (lo + hi) // 2
         try:
-            maximal_cliques(nbr, mid)
+            run(mid)
             hi = mid
         except BudgetExceeded:
             lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize("tag,n", [("F4", None), ("D", 5)])
+def test_enumerate_finishes_at_the_least_clique_budget(enumerated, monkeypatch, tag, n):
+    # enumerate finishes at the least budget the search through the orbit
+    # leaders finishes in, plus the candidate images of the counted forms
+    # after it, and at no smaller one
+    rs, classes = enumerated(tag, n, "weyl")
+    nbr, leaders = compat_graph(rs), _leaders(rs)
+    lo = _least_budget(lambda budget: maximal_cliques(nbr, leaders, budget))
     with pytest.raises(BudgetExceeded):
-        maximal_cliques(nbr, lo - 1)
-    got = enumerate_maximal(rs, budget=lo)
+        maximal_cliques(nbr, leaders, lo - 1)
+    spent = sum(form.candidates for _, form in _recorded_forms(monkeypatch, rs, "weyl")[1])
+    assert _least_budget(lambda budget: enumerate_maximal(rs, budget=budget)) == lo + spent
+    got = enumerate_maximal(rs, budget=lo + spent)
     assert [(c.canonical, c.orbit_size) for c in got] == [(c.canonical, c.orbit_size) for c in classes]
 
 
@@ -290,7 +301,8 @@ CLIQUE_COUNTS = {("E6", None): 59_238, ("D", 6): 10_036}
 )
 def test_enumerate_matches_the_full_graph_route(enumerated, tag, n):
     rs = enumerated(tag, n, "weyl")[0]
-    cliques = maximal_cliques(compat_graph(rs))
+    nbr = compat_graph(rs)
+    cliques = maximal_cliques(nbr, range(len(nbr)))
     for quotient in ("weyl", "aut"):
         got = enumerated(tag, n, quotient)[1]
         assert [(c.canonical, c.orbit_size, c.report) for c in got] == _full_graph_classes(rs, cliques, quotient)
@@ -334,7 +346,7 @@ CLIQUE_TYPES = [("A", 4), ("A", 6), ("B", 3), ("B", 4), ("C", 3), ("C", 5), ("D"
 @pytest.mark.parametrize("tag,n", CLIQUE_TYPES)
 def test_maximal_cliques_match_set_oracle(tag, n):
     nbr = compat_graph(build_root_system(tag, n))
-    got = maximal_cliques(nbr)
+    got = maximal_cliques(nbr, range(len(nbr)))
     want = _set_maximal_cliques(_adjacency(nbr))
     assert all(c == tuple(sorted(c)) for c in got)
     assert len(set(got)) == len(got)
@@ -350,13 +362,14 @@ def test_maximal_cliques_on_random_mask_graphs_match_set_oracle():
                 nbr[u] |= 1 << v
                 nbr[v] |= 1 << u
         want = _set_maximal_cliques(_adjacency(nbr))
-        assert sorted(maximal_cliques(nbr)) == sorted(want)
+        assert sorted(maximal_cliques(nbr, range(len(nbr)))) == sorted(want)
         v = pick.randrange(len(nbr))
         assert sorted(maximal_cliques(nbr, through=[v])) == sorted(c for c in want if v in c)
         # through several vertices, each clique that meets them is found once
         vs = pick.sample(range(len(nbr)), min(3, len(nbr)))
         assert sorted(maximal_cliques(nbr, through=vs)) == sorted(c for c in want if set(vs) & set(c))
-    assert maximal_cliques([]) == [()]
+    # the empty graph's one maximal clique, (), meets no vertex
+    assert maximal_cliques([], range(0)) == []
 
 
 def test_clique_budget_stop_carries_maximal_cliques():
@@ -364,7 +377,7 @@ def test_clique_budget_stop_carries_maximal_cliques():
     everything = set(_set_maximal_cliques(_adjacency(nbr)))
     for budget in (20, 200, 2000):
         with pytest.raises(BudgetExceeded) as e:
-            maximal_cliques(nbr, budget)
+            maximal_cliques(nbr, range(len(nbr)), budget)
         partial = e.value.partial
         assert partial and len(set(partial)) == len(partial) < len(everything)
         assert set(partial) <= everything
@@ -652,17 +665,30 @@ def test_orthogonal_anchor_split():
             assert full == stages[p] | perp, (pair, p)
 
 
+def _all_reflection_orbits(pair):
+    """Oracle: the orbits on S^l_i of the group generated by the reflections
+    in every root of the R-part."""
+    t = grading_table(*pair)
+    gens = [reflection_perm(t.system, i) for i in sorted(t.r_part)]
+    orbits = set()
+    remaining = set(t.s_part)
+    while remaining:
+        o = root_orbit(t.system, min(remaining), gens)
+        orbits.add(frozenset(o & t.s_part))
+        remaining -= o
+    return orbits
+
+
+@pytest.mark.parametrize("pair", XI)
+def test_s_part_orbits_of_the_base_reflections(pair):
+    # the reflections in the R-part's simple roots generate its Weyl group
+    assert classify.s_part_orbits(*pair) == _all_reflection_orbits(pair)
+
+
 def test_orbit_lemma_61_73():
     # two-orbit decompositions of S^6_1 and S^7_3 under W^l_i
     for pair in ((6, 1), (7, 3)):
-        t = grading_table(*pair)
-        gens = [reflection_perm(t.system, i) for i in sorted(t.r_part)]
-        orbits = set()
-        remaining = set(t.s_part)
-        while remaining:
-            o = root_orbit(t.system, min(remaining), gens)
-            orbits.add(frozenset(o & t.s_part))
-            remaining -= o
+        orbits = _all_reflection_orbits(pair)
         assert len(orbits) == 2, pair
         assert orbits == set(orbit_lemma_expected(pair)), pair
     # the printed S^6_1 orbit lists are exact
@@ -758,15 +784,56 @@ def test_chevalley_presentation_axioms(spec):
             assert n.im == 0 and abs(n.re) == p + 1
 
 
-def test_known_discrepancies_listed():
-    from flagcr.classify import KNOWN_DISCREPANCIES
-
-    ids = {d["id"] for d in KNOWN_DISCREPANCIES}
-    assert {"f4-count", "classical-collapse", "f4-collapse", "e8-example-4", "e8-example-6"} <= ids
-    # verify-paper reports exactly the listed discrepancies, each by its id
+def _verify_paper(section):
+    """verify-paper's exit code, its row lines and its JSON report's rows."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(["verify-paper", "--section", "all"]) == 0
+        code = main(["verify-paper", "--section", section])
     text = out.getvalue()
-    rows = json.loads(text[text.index("\n{") :])["results"]["rows"]
-    assert {r["discrepancy_id"] for r in rows if "discrepancy_id" in r} == ids
+    cut = text.index("\n{") + 1
+    return code, text[:cut], json.loads(text[cut:])["results"]["rows"]
+
+
+def test_known_discrepancies_listed():
+    ids = list(classify.KNOWN_DISCREPANCIES)
+    assert {"f4-count", "classical-collapse", "f4-collapse", "e8-example-4", "e8-example-6"} <= set(ids)
+    # verify-paper reports each registered discrepancy once, by its id and
+    # with its registered claim
+    code, _, rows = _verify_paper("all")
+    assert code == 0
+    known = [r for r in rows if "discrepancy_id" in r]
+    assert sorted(r["discrepancy_id"] for r in known) == sorted(ids)
+    assert all(r["status"] == "known-discrepancy" for r in known)
+    assert all(r["claim"] == classify.KNOWN_DISCREPANCIES[r["discrepancy_id"]][0] for r in known)
+    assert [r for r in rows if r["status"] != "pass"] == known
+
+
+def test_an_unregistered_failing_claim_fails(monkeypatch):
+    monkeypatch.setattr(classify, "verify_grading", lambda l, i: (False, [f"root of E{l}"]))
+    code, lines, rows = _verify_paper("gradings")
+    assert code == 1
+    assert f"[FAIL] Z2-grading table (6,1)  -- root of E6\n" in lines
+    failed = [r for r in rows if r["claim"].startswith("Z2-grading table")]
+    assert len(failed) == len(XI)
+    assert all(r["status"] == "FAIL" and "discrepancy_id" not in r for r in failed)
+
+
+def test_a_registered_claim_that_holds_passes(monkeypatch):
+    monkeypatch.setattr(classify, "bn_constraint_discrepancy", lambda n: [(1, 2, 3, n)])
+    claim, detail = classify.KNOWN_DISCREPANCIES["bn-dn-constraints"]
+    code, lines, rows = _verify_paper("6")
+    assert code == 0
+    assert f"[PASS] {claim}  -- {detail}\n" in lines
+    assert [r for r in rows if r["claim"] == claim] == [{"claim": claim, "status": "pass", "detail": detail}]
+
+
+def test_registered_claims_are_stated_only_in_classify():
+    # every other module reads a falsified claim's text off the registry
+    claims = [claim for claim, _ in classify.KNOWN_DISCREPANCIES.values()]
+    src = os.path.dirname(classify.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name != "classify.py":
+            with open(os.path.join(src, name)) as f:
+                tree = ast.parse(f.read())
+            strings = [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+            assert not [c for c in claims for s in strings if c in s], name

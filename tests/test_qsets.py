@@ -285,7 +285,8 @@ def test_is_fundamental_matches_all_roots_oracle(tag, rank, limit):
 @functools.lru_cache(maxsize=None)
 def _system_and_cliques(tag):
     rs = build_root_system(tag, 3 if tag == "B" else None)
-    return rs, maximal_cliques(compat_graph(rs))
+    nbr = compat_graph(rs)
+    return rs, maximal_cliques(nbr, range(len(nbr)))
 
 
 @settings(max_examples=100, deadline=None)

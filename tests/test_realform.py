@@ -148,7 +148,7 @@ def test_sigma_equivariance():
     # verify_lemma_lb(Q, sigma) <=> verify_lemma_lb(wQ, w sigma w^-1)
     import random
 
-    from ambient_matrix import matrix_of
+    from ambient_matrix import inverse, matrix_of
     from weyl_words import random_element
 
     a3, sigma, q = a3_reverse_q()
@@ -166,12 +166,9 @@ def test_sigma_equivariance():
 
         from fractions import Fraction
 
-        # compute inverse columns by solving g * x = e_k
-        from flagcr.gaussq import Factored
-
         g_cols = matrix_of(a3, g)
         gmat = [[g_cols[j][i] for j in range(n)] for i in range(n)]
-        ginv = Factored(gmat, Fraction).inverse()
+        ginv = inverse(gmat, Fraction)
         ginv_cols = [tuple(ginv[i][j] for i in range(n)) for j in range(n)]
         new_cols = []
         for j in range(n):

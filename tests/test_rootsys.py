@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagcr.gaussq import Factored, solve_linear
+from ambient_matrix import inverse
+
+from flagcr.gaussq import solve_linear
 from flagcr.intlat import column_solver, hermite_basis, smith_normal_form
 from flagcr.qsets import compat_graph
 from flagcr.rootsys import (
@@ -395,7 +397,7 @@ ALL_TYPES = (
 def _fraction_coweight_basis(dbasis):
     r, n = len(dbasis), len(dbasis[0])
     gram = [[Fraction(dot(dbasis[i], dbasis[j]), 2) for j in range(r)] for i in range(r)]
-    inv = Factored(gram, Fraction).inverse()
+    inv = inverse(gram, Fraction)
     dual = []
     for j in range(r):
         vec = [Fraction(0)] * n
