@@ -55,9 +55,11 @@ from .rootsys import (
     sorted_indices,
 )
 from .weyl import (
+    BUDGET,
     BudgetExceeded,
     canonical_form,
     counted_form,
+    diagram_automorphisms,
     positive_roots,
     reflection_perm,
     root_orbit,
@@ -175,7 +177,7 @@ class EnumClass:
         }
 
 
-def enumerate_maximal(r: RootSystem, quotient: str = "weyl", budget: int | None = 2_000_000) -> list[EnumClass]:
+def enumerate_maximal(r: RootSystem, quotient: str = "weyl", budget: int | None = BUDGET) -> list[EnumClass]:
     """All maximal elements of Q(R) up to the chosen quotient group, with
     property reports, each class represented by its least member, in the
     order of the representatives.
@@ -217,12 +219,15 @@ def enumerate_maximal(r: RootSystem, quotient: str = "weyl", budget: int | None 
     left over when the bucket is spent raises MassIdentityViolation.  The
     identity is checked per bucket, not per class: an orbit size too large
     by exactly the share of a class of the same bucket not yet found ends
-    the walk early and goes unseen.
+    the walk early.  Under 'weyl' a diagram automorphism keeps the key, so
+    the counted form of each class's image under it must be a class of the
+    bucket, or MassIdentityViolation is raised: only a lost class that no
+    diagram automorphism pairs with a found one goes unseen.
 
     ``budget`` counts the search nodes, then the candidate images of the
-    counted forms.  A stop in the search raises BudgetExceeded with no
-    classes; a stop in a counted form raises it with the classes of the
-    buckets certified before it."""
+    counted forms, those of the images included.  A stop in the search
+    raises BudgetExceeded with no classes; a stop in a counted form raises
+    it with the classes of the buckets certified before it."""
     orbits = _root_orbits(r)
     leaders = [min(o) for o in orbits]
     nbr = compat_graph(r)
@@ -231,28 +236,35 @@ def enumerate_maximal(r: RootSystem, quotient: str = "weyl", budget: int | None 
     except BudgetExceeded as e:
         raise BudgetExceeded(str(e), []) from e
     left = None if budget is None else budget - cliques.nodes
+    classes: list[EnumClass] = []
+
+    def charged_form(q):
+        nonlocal left
+        try:
+            form = counted_form(r, q, quotient, left)
+        except BudgetExceeded as e:
+            raise BudgetExceeded(
+                f"counted forms exceeded the budget of {budget} after the clique search's "
+                f"{cliques.nodes} nodes, with {len(classes)} classes certified",
+                sorted(classes, key=attrgetter("canonical"))) from e
+        if left is not None:
+            left -= form.candidates
+        return form
+
+    autos = diagram_automorphisms(r) if quotient == "weyl" else []
     near = [~nbr[j] for j in r.negation]  # bit j of near[i]: alpha_j - alpha_i is a root or zero, or j = -i
     bit = [1 << i for i in range(r.nroots)]
     buckets: dict[tuple, list[tuple[int, ...]]] = {}
     for cl in cliques:
         m = sum(map(bit.__getitem__, cl))
         buckets.setdefault((len(cl), tuple(sorted([(near[i] & m).bit_count() for i in cl]))), []).append(cl)
-    classes: list[EnumClass] = []
     for bucket in sorted(map(sorted, buckets.values())):
         counts = [sum(rho in cl for cl in bucket) for rho in leaders]
         found: dict[frozenset[int], tuple[tuple[int, ...], int]] = {}
         for cl in bucket:
             if not any(counts):
                 break
-            try:
-                form = counted_form(r, cl, quotient, left)
-            except BudgetExceeded as e:
-                raise BudgetExceeded(
-                    f"counted forms exceeded the budget of {budget} after the clique search's "
-                    f"{cliques.nodes} nodes, with {len(classes)} classes certified",
-                    sorted(classes, key=attrgetter("canonical"))) from e
-            if left is not None:
-                left -= form.candidates
+            form = charged_form(cl)
             if form.image in found:
                 continue
             rep = tuple(sorted(form.image))
@@ -268,6 +280,12 @@ def enumerate_maximal(r: RootSystem, quotient: str = "weyl", budget: int | None 
         if any(counts):
             raise MassIdentityViolation(
                 f"bucket of {bucket[0]}: {counts} searched cliques through the leaders {leaders} are in no class")
+        for image, (rep, _) in found.items():
+            for g in autos:
+                moved = frozenset(map(g.__getitem__, image))
+                if moved not in found and charged_form(moved).image not in found:
+                    raise MassIdentityViolation(
+                        f"class {rep}: its image under a diagram automorphism is in no class of its bucket")
         classes += [EnumClass(rep, n, property_report(r, rep)) for rep, n in found.values()]
     return sorted(classes, key=attrgetter("canonical"))
 

@@ -14,8 +14,8 @@ Exit codes: 0 success, 1 bad arguments / parse or validation failure,
 non-exhaustive, and stderr names the stop).  verify-paper prints one line
 per claim before its report, and exits 1 only when a claim fails that
 classify.KNOWN_DISCREPANCIES does not register; that registry alone decides
-each row's status.  A budget must be a positive integer, whether it comes
-from --budget or from FLAGCR_BUDGET.
+each row's status.  enumerate --budget, a positive integer, is the one way
+to set the search budget (default weyl.BUDGET); verify-paper takes none.
 """
 
 from __future__ import annotations
@@ -30,28 +30,9 @@ import sys
 import time
 from collections import Counter
 
-from . import classify, qsets, rootsys
+from . import classify, qsets, rootsys, weyl
 from .classify import BudgetExceeded
 from .rootsys import build_root_system
-
-
-def _budget(args) -> int:
-    """--budget, else FLAGCR_BUDGET, else the default; anything but a positive
-    integer is a usage error (exit 1) naming where it came from."""
-    env = os.environ.get("FLAGCR_BUDGET")
-    if args.budget is not None:
-        source, text = "--budget", args.budget
-    elif env:
-        source, text = "FLAGCR_BUDGET", env
-    else:
-        return 2_000_000
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise SystemExit2(f"{source} must be a positive integer, got {text!r}", 1)
-    return value
 
 
 def _digest(payload) -> str:
@@ -132,15 +113,16 @@ def cmd_enumerate(args) -> int:
         rs = _system_for(args)
     except rootsys.InvalidRank as e:
         raise SystemExit2(str(e), 1)
-    budget = _budget(args)
+    if args.budget <= 0:
+        raise SystemExit2(f"--budget must be a positive integer, got {args.budget}", 1)
     exhaustive = True
     try:
-        classes = classify.enumerate_maximal(rs, args.quotient, budget)
+        classes = classify.enumerate_maximal(rs, args.quotient, args.budget)
     except BudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         classes = e.partial
         exhaustive = False
-    inputs = {"type": args.type, "rank": args.rank, "quotient": args.quotient, "budget": budget}
+    inputs = {"type": args.type, "rank": args.rank, "quotient": args.quotient, "budget": args.budget}
     results = [c.to_jsonable(rs) for c in classes]
     payload = {"classes": results, "count": len(results)} if args.format == "json" else results
     _emit(args, "enumerate", inputs, payload, exhaustive)
@@ -185,15 +167,15 @@ def _catalog_row(claim, rs, which, detail):
     return _row(claim, True, detail.format(len(entries)))
 
 
-def _verify_section_6(budget):
+def _verify_section_6():
     rows = []
     for tag, rank, want in [("A", 3, 2), ("A", 4, 3), ("C", 2, 1), ("C", 3, 1), ("C", 4, 1)]:
-        got = len(classify.enumerate_maximal(build_root_system(tag, rank), budget=budget))
+        got = len(classify.enumerate_maximal(build_root_system(tag, rank)))
         rows.append(_row(f"catalog count {tag} n={rank} is {want}", got == want, f"got {got}"))
     for tag, n in [("B", 3), ("B", 4), ("D", 4)]:
         rs = build_root_system(tag, n)
         cat = classify.catalog(rs, "all")
-        cls = classify.enumerate_maximal(rs, budget=budget)
+        cls = classify.enumerate_maximal(rs)
         rows.append(
             _row(
                 f"{tag}{n} catalog (derived constraints) matches enumeration",
@@ -212,10 +194,10 @@ def _verify_section_6(budget):
     return rows
 
 
-def _verify_section_7(budget):
+def _verify_section_7():
     rows = []
     g2 = build_root_system("G2")
-    cls = classify.enumerate_maximal(g2, budget=budget)
+    cls = classify.enumerate_maximal(g2)
     rows.append(_row("G2 has two maximal classes", len(cls) == 2, f"got {len(cls)}"))
     flags = [(c.report.symmetric, c.report.weak_j) for c in cls]
     rows.append(
@@ -227,7 +209,7 @@ def _verify_section_7(budget):
     ups = classify.catalog(g2, "symmetric")
     rows.append(_row("G2: Q4_0 has weak-J and J", any(e.label == "Q4_0" for e in ups)))
     f4 = build_root_system("F4")
-    f4cls = classify.enumerate_maximal(f4, budget=budget)
+    f4cls = classify.enumerate_maximal(f4)
     claim = classify.KNOWN_DISCREPANCIES["f4-count"][0]
     rows.append(_row(claim, len(f4cls) == 5, f"enumeration gives {len(f4cls)} classes mod W"))
     rows.append(_catalog_row("F4: the five printed sets are maximal elements", f4, "all", ""))
@@ -301,18 +283,21 @@ def _verify_e8():
         8, 1, [classify.spin((1, 2)), classify.spin((3, 4)), classify.spin((5, 6)), classify.spin((7, 8))]
     )
     rows.append(_row("Q_{8,1,b0} = Q_{8,1,b12,b34,b56,b78}", set(a) == set(b)))
-    rows.append(_known("e8-beta0-b12", False))
+    c = classify.construct_q(8, 1, [classify.beta0(), classify.spin((1, 2))])
+    d = classify.construct_q(8, 1, [classify.beta0(), *map(classify.spin, [(1, 2, 3, 4), (1, 2, 5, 6), (1, 2, 7, 8)])])
+    claim, modulo_w = classify.KNOWN_DISCREPANCIES["e8-beta0-b12"]
+    same = set(c) == set(d)
+    rows.append(_row(claim, same, "" if same else modulo_w if weyl.sets_equivalent(e8, c, d) else "not W-equivalent"))
     w81 = qsets.has_weak_j(e8, a)
     rows.append(_row("Q_{8,1,b0} is not in Q_Upsilon", w81[0] is False))
     return rows
 
 
 def cmd_verify_paper(args) -> int:
-    budget = _budget(args)
     section = args.section
     sections = {
-        "6": lambda: _verify_section_6(budget),
-        "7": lambda: _verify_section_7(budget),
+        "6": _verify_section_6,
+        "7": _verify_section_7,
         "gradings": _verify_gradings,
         "e8-examples": _verify_e8,
     }
@@ -509,7 +494,7 @@ def _parser() -> _Parser:
     p.add_argument("--type", required=True, choices=list(rootsys.TYPES))
     p.add_argument("--rank", type=int)
     p.add_argument("--quotient", choices=["weyl", "aut"], default="weyl")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, default=weyl.BUDGET)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("check", parents=[common], help="full property report for a root-set file")
@@ -518,7 +503,6 @@ def _parser() -> _Parser:
 
     p = sub.add_parser("verify-paper", parents=[common], help="itemized verification of the catalog claims")
     p.add_argument("--section", default="all", choices=["6", "7", "gradings", "e8-examples", "all"])
-    p.add_argument("--budget", type=int)
     p.set_defaults(fn=cmd_verify_paper)
 
     p = sub.add_parser("realform", parents=[common], help="real-form compatibility checks for a closed root set")

@@ -663,18 +663,17 @@ def fibration_compatible(a: CRAlgebra, ideal: CMatrix) -> bool:
     return lhs == rhs
 
 
-def weak_j_implies_compatible(a: CRAlgebra, ideal: CMatrix, upsilon=None) -> bool:
+def weak_j_implies_compatible(a: CRAlgebra, ideal: CMatrix, upsilon) -> bool:
     """For an Upsilon-invariant ideal and a weak-J structure, the
     fibration-compatibility identity must hold; returns the verification
     outcome of fibration_compatible after checking the hypotheses on Upsilon
-    (a matrix as for check_weak_j), when one is given."""
+    (a matrix as for check_weak_j)."""
     pres = a.pres
-    if upsilon is not None:
-        apply_u = _matrix_map(upsilon, pres.dim)
-        if not _is_weak_j(a, apply_u):
-            raise PreconditionViolation("structure does not have the weak-J property")
-        if not _preserves_real(pres, ideal, apply_u):
-            raise PreconditionViolation("ideal is not Upsilon-invariant")
+    apply_u = _matrix_map(upsilon, pres.dim)
+    if not _is_weak_j(a, apply_u):
+        raise PreconditionViolation("structure does not have the weak-J property")
+    if not _preserves_real(pres, ideal, apply_u):
+        raise PreconditionViolation("ideal is not Upsilon-invariant")
     return fibration_compatible(a, ideal)
 
 

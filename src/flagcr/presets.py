@@ -268,14 +268,13 @@ def _sl2_borel() -> CRAlgebra:
 PRESET_BUILDERS = {
     "heisenberg": heisenberg,
     "sl2": _sl2_borel,
-    "su2": su2_flag,
     "su2-flag": su2_flag,
     "exam-bf": lambda: exam_bf()[0],
 }
 
 
 def get_preset(name: str) -> CRAlgebra:
-    """CLI preset lookup: heisenberg, sl2, su2, su2-flag, exam-bf, or
+    """CLI preset lookup: heisenberg, sl2, su2-flag, exam-bf, or
     flag:TYPE[:RANK][:QSPEC] with TYPE one of A, B, C, D (which need RANK) or
     G2 (which takes none), and QSPEC borel (the default), cartan, or for G2
     Q40, Q41, Q42.  RANK is flag_preset's: for A the ambient dimension, so

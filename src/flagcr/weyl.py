@@ -12,7 +12,9 @@ it (Steinberg), and the Aut form is the least W-image of the set's images
 under the diagram automorphisms.  The same search counts the group elements
 that reach the least image, so it also gives the order of the set's
 stabiliser and, with the group's order, its orbit size (counted_form); two
-sets are equivalent when their canonical forms agree.  set_orbit enumerates
+sets are equivalent when their canonical forms agree.  These searches and
+the clique search of classify.enumerate_maximal stop at one default budget,
+BUDGET, which only enumerate --budget overrides.  set_orbit enumerates
 a set orbit once per member, through the W-orbit of its dominant root sum,
 walked on weights packed into one integer each; no module of the package
 calls it, and it serves the benchmark (perfbench/workloads.py) and the tests
@@ -31,6 +33,10 @@ from typing import NamedTuple
 
 from .intlat import column_solver
 from .rootsys import RootSystem, _cached, dot
+
+
+# candidate images, orbit members or clique-search nodes
+BUDGET = 2_000_000
 
 
 class BudgetExceeded(RuntimeError):
@@ -125,11 +131,11 @@ def _diagram_automorphisms(r: RootSystem) -> tuple[tuple[int, ...], ...]:
     lexicographic order, each extended linearly through the simple
     coordinates of the roots (all of them permute the roots).  A prefix is
     extended only while it keeps the Gram matrix, so the walk visits no
-    permutation of the k! that fails on its first entries."""
+    permutation of the k! that fails on its first entries; B, C, F4 and G2
+    have none, and build no simple coordinates."""
     simples = simple_roots(r)
     k = len(simples)
     gram = [[sum(a * b for a, b in zip(r.roots[i], r.roots[j])) for j in simples] for i in simples]
-    coords = simple_coordinates(r)
     out = []
     stack = [()]
     while stack:  # depth first, each prefix's extensions pushed in reverse
@@ -138,7 +144,7 @@ def _diagram_automorphisms(r: RootSystem) -> tuple[tuple[int, ...], ...]:
             stack.extend(prefix + (t,) for t in reversed(_gram_extensions(gram, prefix)))
         elif prefix != tuple(range(k)):
             cols = list(zip(*(r.roots[simples[i]] for i in prefix)))
-            out.append(tuple(r.index[tuple(dot(row, col) for col in cols)] for row in coords))
+            out.append(tuple(r.index[tuple(dot(row, col) for col in cols)] for row in simple_coordinates(r)))
     return tuple(out)
 
 
@@ -175,14 +181,14 @@ class CountedForm(NamedTuple):
         return self.order // self.stabiliser
 
 
-def canonical_form(r: RootSystem, q, group: str = "weyl", budget: int | None = 2_000_000) -> frozenset[int]:
+def canonical_form(r: RootSystem, q, group: str = "weyl", budget: int | None = BUDGET) -> frozenset[int]:
     """Lexicographically least image of the set under the chosen group (the
     member of its orbit with the least sorted tuple of root vectors): the
     image of counted_form, under the same budget."""
     return counted_form(r, q, group, budget).image
 
 
-def counted_form(r: RootSystem, q, group: str = "weyl", budget: int | None = 2_000_000) -> CountedForm:
+def counted_form(r: RootSystem, q, group: str = "weyl", budget: int | None = BUDGET) -> CountedForm:
     """The least image of the set, by Linton's smallest-image search down the
     stabiliser chain of W (Linton, Finding the smallest image of a set,
     ISSAC 2004), with the order of its stabiliser.  Aut is W extended by the
@@ -265,7 +271,7 @@ def _inverse(g) -> tuple[int, ...]:
     return tuple(out)
 
 
-def set_orbit(r: RootSystem, q, group: str = "weyl", budget: int | None = 2_000_000) -> set[frozenset[int]]:
+def set_orbit(r: RootSystem, q, group: str = "weyl", budget: int | None = BUDGET) -> set[frozenset[int]]:
     """Full orbit of the set, with each member built once: the oracle that
     counted_form's orbit sizes are tested against.  Simple reflections move
     Q until its root sum, which is W-equivariant, is a dominant weight lam; BFS under its stabiliser W_J, generated by the s_j
@@ -374,8 +380,8 @@ def in_weyl(r: RootSystem, g) -> bool:
 def sets_equivalent(r: RootSystem, q1, q2, group: str = "weyl") -> bool:
     """True iff some element of the chosen group maps q1 onto q2: the sets
     have the same size and the same canonical form.  Each of the two
-    canonical-image searches runs under canonical_form's default budget
-    (candidate images generated), and BudgetExceeded is raised past it."""
+    canonical-image searches runs under BUDGET (candidate images
+    generated), and BudgetExceeded is raised past it."""
     _check_group(group)
     q1, q2 = frozenset(q1), frozenset(q2)
     return len(q1) == len(q2) and canonical_form(r, q1, group) == canonical_form(r, q2, group)

@@ -250,15 +250,17 @@ def test_enumerate_counted_form_stop_prints_the_certified_classes(enumerated, mo
 
 
 @pytest.mark.parametrize("tag,n,quotient,factor", [
-    ("F4", None, "weyl", 2), ("D", 4, "aut", 2), ("D", 5, "weyl", 2), ("F4", None, "weyl", 0.5), ("D", 4, "aut", 0.5)])
+    ("F4", None, "weyl", 2), ("D", 4, "aut", 2), ("D", 5, "weyl", 2), ("F4", None, "weyl", 0.5), ("D", 4, "aut", 0.5),
+    ("D", 5, "weyl", 0.5), ("E6", None, "weyl", 0.5), ("A", 6, "weyl", 0.5), ("D", 4, "weyl", 0.5)])
 def test_a_corrupted_stabiliser_breaks_the_mass_identity(monkeypatch, tag, n, quotient, factor):
     # a stabiliser count off by a factor of 2 in the counted form of any one
     # class gives an orbit size that the counts of searched cliques refute: a
     # doubled one leaves cliques over, a halved one takes more than its
-    # bucket holds.  A halved one is not refuted where its bucket holds
-    # another class of the same mass, as some buckets of D5 and E6 do (the
-    # pairs exchanged by the diagram automorphism among them): the walk
-    # stops before it reaches the second, a limit recorded in CHANGES.md
+    # bucket holds.  Where the bucket holds another class of the same mass, a
+    # halved one can end the walk before it reaches the second; in the
+    # buckets of D5, E6, A5 and D4 under W where it does, the second is the
+    # image of a found class under a diagram automorphism, and the closure
+    # check on those images finds it missing
     rs = build_root_system(tag, n)
     calls = _recorded_forms(monkeypatch, rs, quotient)[1]
     firsts = {}

@@ -37,9 +37,11 @@ def test_enumerate_budget_exit2(capsys):
 
 
 def test_enumerate_env_budget(capsys, monkeypatch):
+    # no environment variable sets the budget: F4 runs under the default
     monkeypatch.setenv("FLAGCR_BUDGET", "10")
     code, out = run(capsys, "enumerate", "--type", "F4")
-    assert code == 2
+    assert code == 0
+    assert json.loads(out)["inputs"]["budget"] == 2_000_000
 
 
 def test_enumerate_bad_args(capsys):
@@ -413,19 +415,21 @@ def test_catalog_canonical_form_stop_exits_2(capsys, monkeypatch):
 
 
 BUDGET_CASES = [
-    # (argv, FLAGCR_BUDGET, exit code, stderr fragment)
+    # (argv, FLAGCR_BUDGET, which no command reads, exit code, stderr fragment)
     (["enumerate", "--type", "G2", "--budget", "0"], None, 1, "--budget must be a positive integer"),
     (["enumerate", "--type", "G2", "--budget", "-5"], None, 1, "--budget must be a positive integer"),
     (["enumerate", "--type", "G2", "--budget", "abc"], None, 1, "argument --budget"),
-    (["enumerate", "--type", "G2"], "abc", 1, "FLAGCR_BUDGET must be a positive integer"),
-    (["enumerate", "--type", "G2"], "0", 1, "FLAGCR_BUDGET must be a positive integer"),
-    (["enumerate", "--type", "G2"], "-5", 1, "FLAGCR_BUDGET must be a positive integer"),
+    # FLAGCR_BUDGET is ignored, verify-paper takes no --budget, and the
+    # su2-flag preset has no second name
+    (["enumerate", "--type", "G2"], "abc", 0, ""),
+    (["enumerate", "--type", "G2"], "0", 0, ""),
+    (["cralg", "--preset", "su2", "--op", "predicates"], None, 1, "unknown preset 'su2'"),
     (["enumerate", "--type", "G2", "--budget", "100000"], "abc", 0, ""),
     (["enumerate", "--type", "F4", "--budget", "10"], None, 2, ""),
-    (["verify-paper", "--section", "7", "--budget", "0"], None, 1, "--budget must be a positive integer"),
-    (["verify-paper", "--section", "7", "--budget", "-5"], None, 1, "--budget must be a positive integer"),
-    (["verify-paper", "--section", "7"], "abc", 1, "FLAGCR_BUDGET must be a positive integer"),
-    (["verify-paper", "--section", "7", "--budget", "5"], None, 2, "clique search exceeded 5 nodes"),
+    (["verify-paper", "--section", "7", "--budget", "0"], None, 1, "unrecognized arguments: --budget 0"),
+    (["verify-paper", "--section", "7", "--budget", "-5"], None, 1, "unrecognized arguments: --budget -5"),
+    (["verify-paper", "--section", "7"], "abc", 0, ""),
+    (["verify-paper", "--section", "7", "--budget", "5"], None, 1, "unrecognized arguments: --budget 5"),
     (["check", "--roots", "{roots}"], "abc", 0, ""),
     (["check", "--roots", "{roots}", "--budget", "5"], None, 1, "unrecognized arguments"),
     (["check", "--roots", "{roots}", "--properties", "all"], None, 1, "unrecognized arguments"),
@@ -449,9 +453,7 @@ def test_budget_inputs(argv, env, want, fragment, tmp_path, capsys, monkeypatch)
     a3 = rootsys.build_root_system("A", 4)
     fa = tmp_path / "a.json"
     fa.write_text(rootsys.rootset_to_json(a3, classify.enumerate_maximal(a3)[0].canonical))
-    if env is None:
-        monkeypatch.delenv("FLAGCR_BUDGET", raising=False)
-    else:
+    if env is not None:
         monkeypatch.setenv("FLAGCR_BUDGET", env)
     try:
         code = main([a.format(roots=f, a_roots=fa) for a in argv])
@@ -460,6 +462,7 @@ def test_budget_inputs(argv, env, want, fragment, tmp_path, capsys, monkeypatch)
     captured = capsys.readouterr()
     assert code == want
     assert fragment in captured.err
+    assert "Traceback" not in captured.err
     if want == 2:
         assert json.loads(captured.out[captured.out.index("{") :])["exhaustive"] is False
 
@@ -508,82 +511,73 @@ NO_TRACEBACK_FILES = {
     "conj2.json": _heisenberg_json(_set(["conj", 0, 0], ["2", "0"])),
 }
 
-# (id, argv with {d} the directory of NO_TRACEBACK_FILES, FLAGCR_BUDGET, exit code)
+# (id, argv with {d} the directory of NO_TRACEBACK_FILES, exit code)
 NO_TRACEBACK = [
-    ("enumerate no rank", ["enumerate", "--type", "A"], None, 1),
-    ("enumerate rank 0", ["enumerate", "--type", "A", "--rank", "0"], None, 1),
-    ("enumerate rank too small", ["enumerate", "--type", "D", "--rank", "2"], None, 1),
-    ("enumerate negative rank", ["enumerate", "--type", "B", "--rank", "-1"], None, 1),
-    ("enumerate rank not an integer", ["enumerate", "--type", "A", "--rank", "x"], None, 1),
-    ("enumerate fixed rank", ["enumerate", "--type", "E6", "--rank", "7"], None, 1),
-    ("enumerate huge rank", ["enumerate", "--type", "A", "--rank", "99999999999999"], None, 1),
-    ("enumerate unknown type", ["enumerate", "--type", "H8"], None, 1),
-    ("enumerate no type", ["enumerate"], None, 1),
-    ("enumerate unknown quotient", ["enumerate", "--type", "G2", "--quotient", "w"], None, 1),
-    ("enumerate budget 0", ["enumerate", "--type", "G2", "--budget", "0"], None, 1),
-    ("enumerate budget negative", ["enumerate", "--type", "G2", "--budget", "-1"], None, 1),
-    ("enumerate budget fractional", ["enumerate", "--type", "G2", "--budget", "1.5"], None, 1),
-    ("enumerate env budget text", ["enumerate", "--type", "G2"], "abc", 1),
-    ("enumerate env budget 0", ["enumerate", "--type", "G2"], "0", 1),
-    ("enumerate env budget exponent", ["enumerate", "--type", "G2"], "1e3", 1),
-    ("enumerate budget stop", ["enumerate", "--type", "F4", "--budget", "10"], None, 2),
-    ("check no roots", ["check"], None, 1),
-    ("check missing file", ["check", "--roots", "{d}/missing.json"], None, 1),
-    ("check directory", ["check", "--roots", "{d}"], None, 1),
-    ("check garbled file", ["check", "--roots", "{d}/garbled.json"], None, 1),
-    ("check empty file", ["check", "--roots", "{d}/empty.json"], None, 1),
-    ("check non-UTF-8 file", ["check", "--roots", "{d}/binary.json"], None, 1),
-    ("check non-root", ["check", "--roots", "{d}/nonroot.json"], None, 1),
-    ("check huge rank", ["check", "--roots", "{d}/huge.json"], None, 1),
-    ("check budget option", ["check", "--roots", "{d}/g2.json", "--budget", "5"], None, 1),
-    ("realform missing file", ["realform", "--roots", "{d}/missing.json", "--conjugation", "compact"], None, 1),
-    ("realform garbled file", ["realform", "--roots", "{d}/garbled.json", "--conjugation", "compact"], None, 1),
-    ("realform non-root", ["realform", "--roots", "{d}/nonroot.json", "--conjugation", "compact"], None, 1),
-    ("realform no conjugation", ["realform", "--roots", "{d}/g2.json"], None, 1),
-    ("realform unknown conjugation", ["realform", "--roots", "{d}/g2.json", "--conjugation", "split"], None, 1),
-    ("realform a-reverse on G2", ["realform", "--roots", "{d}/g2.json", "--conjugation", "a-reverse"], None, 1),
-    ("realform a-reverse m mismatch", ["realform", "--roots", "{d}/a3.json", "--conjugation", "a-reverse:m=3"], None, 1),
-    ("realform a-reverse m=0", ["realform", "--roots", "{d}/a3.json", "--conjugation", "a-reverse:m=0"], None, 1),
-    ("realform a-reverse empty m", ["realform", "--roots", "{d}/a3.json", "--conjugation", "a-reverse:m="], None, 1),
-    ("realform unknown op", ["realform", "--roots", "{d}/a3.json", "--conjugation", "compact", "--op", "x"], None, 1),
-    ("verify-paper unknown section", ["verify-paper", "--section", "9"], None, 1),
-    ("verify-paper budget 0", ["verify-paper", "--section", "7", "--budget", "0"], None, 1),
-    ("verify-paper env budget negative", ["verify-paper", "--section", "7"], "-3", 1),
-    ("verify-paper budget stop", ["verify-paper", "--section", "7", "--budget", "5"], None, 2),
-    ("cralg no op", ["cralg", "--preset", "heisenberg"], None, 1),
-    ("cralg unknown op", ["cralg", "--preset", "heisenberg", "--op", "x"], None, 1),
-    ("cralg unknown preset", ["cralg", "--preset", "sl3", "--op", "predicates"], None, 1),
-    ("cralg unknown Q spec", ["cralg", "--preset", "flag:B:2:Q40", "--op", "predicates"], None, 1),
-    ("cralg unknown G2 Q spec", ["cralg", "--preset", "flag:G2:Q43", "--op", "predicates"], None, 1),
-    ("cralg huge rank", ["cralg", "--preset", "flag:A:99999999999999", "--op", "predicates"], None, 1),
-    ("cralg unknown ideal", ["cralg", "--preset", "heisenberg", "--op", "fibration", "--ideal", "x"], None, 1),
-    ("cralg no ideal", ["cralg", "--preset", "heisenberg", "--op", "fibration"], None, 1),
-    ("cralg center elsewhere", ["cralg", "--preset", "su2-flag", "--op", "fibration", "--ideal", "center"], None, 1),
-    ("cralg xi not JSON", ["cralg", "--preset", "heisenberg", "--op", "levi", "--xi", "abc"], None, 1),
-    ("cralg xi too long", ["cralg", "--preset", "heisenberg", "--op", "levi", "--xi", "[0,0,0,1]"], None, 1),
-    ("cralg file without q", ["cralg", "--file", "{d}/heisenberg.json", "--op", "predicates"], None, 1),
-    ("cralg q without file", ["cralg", "--q", "{d}/q.json", "--op", "predicates"], None, 1),
-    ("cralg missing file", ["cralg", "--file", "{d}/missing.json", "--q", "{d}/q.json", "--op", "levi"], None, 1),
-    ("cralg constant 1/0", ["cralg", "--file", "{d}/div0.json", "--q", "{d}/q.json", "--op", "levi"], None, 1),
-    ("cralg constant NaN", ["cralg", "--file", "{d}/nan.json", "--q", "{d}/q.json", "--op", "levi"], None, 1),
-    ("cralg i = j", ["cralg", "--file", "{d}/ieqj.json", "--q", "{d}/q.json", "--op", "levi"], None, 1),
-    ("cralg conj not involutive", ["cralg", "--file", "{d}/conj2.json", "--q", "{d}/q.json", "--op", "levi"], None, 1),
-    ("cralg q garbled", ["cralg", "--file", "{d}/heisenberg.json", "--q", "{d}/garbled.json", "--op", "levi"], None, 1),
-    ("no command", [], None, 1),
-    ("unknown command", ["classify"], None, 1),
+    ("enumerate no rank", ["enumerate", "--type", "A"], 1),
+    ("enumerate rank 0", ["enumerate", "--type", "A", "--rank", "0"], 1),
+    ("enumerate rank too small", ["enumerate", "--type", "D", "--rank", "2"], 1),
+    ("enumerate negative rank", ["enumerate", "--type", "B", "--rank", "-1"], 1),
+    ("enumerate rank not an integer", ["enumerate", "--type", "A", "--rank", "x"], 1),
+    ("enumerate fixed rank", ["enumerate", "--type", "E6", "--rank", "7"], 1),
+    ("enumerate huge rank", ["enumerate", "--type", "A", "--rank", "99999999999999"], 1),
+    ("enumerate unknown type", ["enumerate", "--type", "H8"], 1),
+    ("enumerate no type", ["enumerate"], 1),
+    ("enumerate unknown quotient", ["enumerate", "--type", "G2", "--quotient", "w"], 1),
+    ("enumerate budget 0", ["enumerate", "--type", "G2", "--budget", "0"], 1),
+    ("enumerate budget negative", ["enumerate", "--type", "G2", "--budget", "-1"], 1),
+    ("enumerate budget fractional", ["enumerate", "--type", "G2", "--budget", "1.5"], 1),
+    ("enumerate budget stop", ["enumerate", "--type", "F4", "--budget", "10"], 2),
+    ("check no roots", ["check"], 1),
+    ("check missing file", ["check", "--roots", "{d}/missing.json"], 1),
+    ("check directory", ["check", "--roots", "{d}"], 1),
+    ("check garbled file", ["check", "--roots", "{d}/garbled.json"], 1),
+    ("check empty file", ["check", "--roots", "{d}/empty.json"], 1),
+    ("check non-UTF-8 file", ["check", "--roots", "{d}/binary.json"], 1),
+    ("check non-root", ["check", "--roots", "{d}/nonroot.json"], 1),
+    ("check huge rank", ["check", "--roots", "{d}/huge.json"], 1),
+    ("check budget option", ["check", "--roots", "{d}/g2.json", "--budget", "5"], 1),
+    ("realform missing file", ["realform", "--roots", "{d}/missing.json", "--conjugation", "compact"], 1),
+    ("realform garbled file", ["realform", "--roots", "{d}/garbled.json", "--conjugation", "compact"], 1),
+    ("realform non-root", ["realform", "--roots", "{d}/nonroot.json", "--conjugation", "compact"], 1),
+    ("realform no conjugation", ["realform", "--roots", "{d}/g2.json"], 1),
+    ("realform unknown conjugation", ["realform", "--roots", "{d}/g2.json", "--conjugation", "split"], 1),
+    ("realform a-reverse on G2", ["realform", "--roots", "{d}/g2.json", "--conjugation", "a-reverse"], 1),
+    ("realform a-reverse m mismatch", ["realform", "--roots", "{d}/a3.json", "--conjugation", "a-reverse:m=3"], 1),
+    ("realform a-reverse m=0", ["realform", "--roots", "{d}/a3.json", "--conjugation", "a-reverse:m=0"], 1),
+    ("realform a-reverse empty m", ["realform", "--roots", "{d}/a3.json", "--conjugation", "a-reverse:m="], 1),
+    ("realform unknown op", ["realform", "--roots", "{d}/a3.json", "--conjugation", "compact", "--op", "x"], 1),
+    ("verify-paper unknown section", ["verify-paper", "--section", "9"], 1),
+    ("verify-paper budget 0", ["verify-paper", "--section", "7", "--budget", "0"], 1),
+    ("cralg no op", ["cralg", "--preset", "heisenberg"], 1),
+    ("cralg unknown op", ["cralg", "--preset", "heisenberg", "--op", "x"], 1),
+    ("cralg unknown preset", ["cralg", "--preset", "sl3", "--op", "predicates"], 1),
+    ("cralg unknown Q spec", ["cralg", "--preset", "flag:B:2:Q40", "--op", "predicates"], 1),
+    ("cralg unknown G2 Q spec", ["cralg", "--preset", "flag:G2:Q43", "--op", "predicates"], 1),
+    ("cralg huge rank", ["cralg", "--preset", "flag:A:99999999999999", "--op", "predicates"], 1),
+    ("cralg unknown ideal", ["cralg", "--preset", "heisenberg", "--op", "fibration", "--ideal", "x"], 1),
+    ("cralg no ideal", ["cralg", "--preset", "heisenberg", "--op", "fibration"], 1),
+    ("cralg center elsewhere", ["cralg", "--preset", "su2-flag", "--op", "fibration", "--ideal", "center"], 1),
+    ("cralg xi not JSON", ["cralg", "--preset", "heisenberg", "--op", "levi", "--xi", "abc"], 1),
+    ("cralg xi too long", ["cralg", "--preset", "heisenberg", "--op", "levi", "--xi", "[0,0,0,1]"], 1),
+    ("cralg file without q", ["cralg", "--file", "{d}/heisenberg.json", "--op", "predicates"], 1),
+    ("cralg q without file", ["cralg", "--q", "{d}/q.json", "--op", "predicates"], 1),
+    ("cralg missing file", ["cralg", "--file", "{d}/missing.json", "--q", "{d}/q.json", "--op", "levi"], 1),
+    ("cralg constant 1/0", ["cralg", "--file", "{d}/div0.json", "--q", "{d}/q.json", "--op", "levi"], 1),
+    ("cralg constant NaN", ["cralg", "--file", "{d}/nan.json", "--q", "{d}/q.json", "--op", "levi"], 1),
+    ("cralg i = j", ["cralg", "--file", "{d}/ieqj.json", "--q", "{d}/q.json", "--op", "levi"], 1),
+    ("cralg conj not involutive", ["cralg", "--file", "{d}/conj2.json", "--q", "{d}/q.json", "--op", "levi"], 1),
+    ("cralg q garbled", ["cralg", "--file", "{d}/heisenberg.json", "--q", "{d}/garbled.json", "--op", "levi"], 1),
+    ("no command", [], 1),
+    ("unknown command", ["classify"], 1),
 ]
 
 
-@pytest.mark.parametrize("argv,env,want", [c[1:] for c in NO_TRACEBACK], ids=[c[0] for c in NO_TRACEBACK])
-def test_bad_input_exits_without_traceback(tmp_path, capsys, monkeypatch, argv, env, want):
+@pytest.mark.parametrize("argv,want", [c[1:] for c in NO_TRACEBACK], ids=[c[0] for c in NO_TRACEBACK])
+def test_bad_input_exits_without_traceback(tmp_path, capsys, argv, want):
     # every subcommand turns bad input into an exit code and one error line,
     # never into an exception
     for name, text in NO_TRACEBACK_FILES.items():
         (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
-    if env is None:
-        monkeypatch.delenv("FLAGCR_BUDGET", raising=False)
-    else:
-        monkeypatch.setenv("FLAGCR_BUDGET", env)
     try:
         code = main([a.format(d=tmp_path) for a in argv])
     except SystemExit as e:

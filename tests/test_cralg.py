@@ -918,7 +918,6 @@ def test_g0_basis_is_pinned(name):
 RECORDED = {
     "heisenberg": ((1, 1), 0, 1),
     "sl2": ((0, 1), 2, 2),
-    "su2": ((1, 0), 1, 1),
     "su2-flag": ((1, 0), 1, 1),
     "exam-bf": ((1, 2), 1, 1),
     "A3-class0": ((2, 2), 2, 2),

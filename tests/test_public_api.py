@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from flagcr import intlat, rootsys
+from flagcr import classify, cli, cralg, intlat, presets, rootsys, weyl
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "flagcr")
 
@@ -64,9 +64,9 @@ PUBLIC = {
         "root_system_of_rank", "rootset_from_json", "rootset_to_json", "scaled", "sorted_indices",
     },
     "weyl": {
-        "BudgetExceeded", "CountedForm", "canonical_form", "cartan_matrix", "counted_form", "diagram_automorphisms",
-        "generators", "in_weyl", "positive_roots", "reflection_perm", "root_orbit", "set_orbit", "sets_equivalent",
-        "simple_coordinates", "simple_roots",
+        "BUDGET", "BudgetExceeded", "CountedForm", "canonical_form", "cartan_matrix", "counted_form",
+        "diagram_automorphisms", "generators", "in_weyl", "positive_roots", "reflection_perm", "root_orbit",
+        "set_orbit", "sets_equivalent", "simple_coordinates", "simple_roots",
     },
 }
 
@@ -143,3 +143,35 @@ def test_intlat_parameters_are_pinned():
 
 def test_grading_element_fields_are_pinned():
     assert tuple(f.name for f in dataclasses.fields(rootsys.GradingElement)) == ("coords", "num", "den")
+
+
+# The parameters, with their defaults, of the searches that take a budget
+# and of weak_j_implies_compatible, and the preset names, so that a dropped
+# option or alias does not come back unnoticed.
+EMPTY = inspect.Parameter.empty
+SEARCH = {"r": EMPTY, "q": EMPTY, "group": "weyl", "budget": weyl.BUDGET}
+OPTION_PARAMETERS = {
+    weyl.counted_form: SEARCH,
+    weyl.canonical_form: SEARCH,
+    weyl.set_orbit: SEARCH,
+    classify.enumerate_maximal: {"r": EMPTY, "quotient": "weyl", "budget": weyl.BUDGET},
+    cralg.weak_j_implies_compatible: {"a": EMPTY, "ideal": EMPTY, "upsilon": EMPTY},
+}
+
+
+def test_option_parameters_are_pinned():
+    for fn, want in OPTION_PARAMETERS.items():
+        got = {name: p.default for name, p in inspect.signature(fn).parameters.items()}
+        assert got == want, fn.__qualname__
+
+
+def test_every_budget_default_is_the_one_constant():
+    # the budget is written once: each default is weyl.BUDGET itself, and so
+    # is the default of enumerate --budget
+    searches = [weyl.counted_form, weyl.canonical_form, weyl.set_orbit, classify.enumerate_maximal]
+    assert all(inspect.signature(fn).parameters["budget"].default is weyl.BUDGET for fn in searches)
+    assert cli._parser().parse_args(["enumerate", "--type", "G2"]).budget is weyl.BUDGET
+
+
+def test_preset_names_are_pinned():
+    assert list(presets.PRESET_BUILDERS) == ["heisenberg", "sl2", "su2-flag", "exam-bf"]
