@@ -96,7 +96,7 @@ class _Cliques(list):
     nodes = 0
 
 
-def maximal_cliques(nbr: list[int], through, budget: int | None = None):
+def maximal_cliques(nbr: list[int], through, budget: int = BUDGET):
     """Pivoting Bron-Kerbosch (Tomita et al., TCS 363, 2006) on int bitmasks
     (San Segundo et al., Comput. Oper. Res. 38, 2011), the pivot of most
     neighbours in P by int.bit_count; returns the maximal cliques of the graph
@@ -117,7 +117,7 @@ def maximal_cliques(nbr: list[int], through, budget: int | None = None):
     def bk(r: tuple[int, ...], p: int, x: int):
         nonlocal nodes
         nodes += 1
-        if budget is not None and nodes > budget:
+        if nodes > budget:
             raise BudgetExceeded(f"clique search exceeded {budget} nodes", found)
         if not p and not x:
             found.append(tuple(sorted(r)))
@@ -177,7 +177,7 @@ class EnumClass:
         }
 
 
-def enumerate_maximal(r: RootSystem, quotient: str = "weyl", budget: int | None = BUDGET) -> list[EnumClass]:
+def enumerate_maximal(r: RootSystem, quotient: str = "weyl", budget: int = BUDGET) -> list[EnumClass]:
     """All maximal elements of Q(R) up to the chosen quotient group, with
     property reports, each class represented by its least member, in the
     order of the representatives.
@@ -235,7 +235,7 @@ def enumerate_maximal(r: RootSystem, quotient: str = "weyl", budget: int | None 
         cliques = maximal_cliques(nbr, leaders, budget)
     except BudgetExceeded as e:
         raise BudgetExceeded(str(e), []) from e
-    left = None if budget is None else budget - cliques.nodes
+    left = budget - cliques.nodes
     classes: list[EnumClass] = []
 
     def charged_form(q):
@@ -247,8 +247,7 @@ def enumerate_maximal(r: RootSystem, quotient: str = "weyl", budget: int | None 
                 f"counted forms exceeded the budget of {budget} after the clique search's "
                 f"{cliques.nodes} nodes, with {len(classes)} classes certified",
                 sorted(classes, key=attrgetter("canonical"))) from e
-        if left is not None:
-            left -= form.candidates
+        left -= form.candidates
         return form
 
     autos = diagram_automorphisms(r) if quotient == "weyl" else []
@@ -843,17 +842,13 @@ def bn_constraint_discrepancy(n: int) -> list[tuple[int, ...]]:
     return chains
 
 
-# subsets of the maximal class representatives that subset_universe examines
-# before it stops with BudgetExceeded
-_SUBSET_BUDGET = 1_000_000
-
-
 def subset_universe(r: RootSystem) -> list[frozenset[int]]:
     """All fundamental lb-subsets of the maximal class representatives.
 
     Every fundamental lb-set is W-equivalent to a subset of some maximal
     class representative, so W-invariant predicates quantified over Q(R) can
-    be checked exhaustively on this universe.
+    be checked exhaustively on this universe.  Past BUDGET subsets examined,
+    BudgetExceeded is raised.
     """
     classes = enumerate_maximal(r)
     seen: set[frozenset[int]] = set()
@@ -864,7 +859,7 @@ def subset_universe(r: RootSystem) -> list[frozenset[int]]:
         for size in range(1, len(rep) + 1):
             for combo in itertools.combinations(rep, size):
                 count += 1
-                if count > _SUBSET_BUDGET:
+                if count > BUDGET:
                     raise BudgetExceeded("subset universe exceeded budget", out)
                 fs = frozenset(combo)
                 if fs in seen:

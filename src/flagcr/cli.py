@@ -84,14 +84,6 @@ def _cell(v):
     return str(v)
 
 
-def _system_for(args):
-    """The root system of --type and --rank, where --rank is the Lie rank
-    (rootsys.root_system_of_rank): --type A --rank n is A_n = sl(n+1)."""
-    if args.rank is None and args.type not in rootsys.FIXED_RANK:
-        raise SystemExit2("--rank is required for classical types", 1)
-    return rootsys.root_system_of_rank(args.type, args.rank)
-
-
 class SystemExit2(SystemExit):
     def __init__(self, msg, code):
         print(f"error: {msg}", file=sys.stderr)
@@ -110,7 +102,7 @@ def _read_rootset(path):
 
 def cmd_enumerate(args) -> int:
     try:
-        rs = _system_for(args)
+        rs = rootsys.root_system_of_rank(args.type, args.rank)
     except rootsys.InvalidRank as e:
         raise SystemExit2(str(e), 1)
     if args.budget <= 0:

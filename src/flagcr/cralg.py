@@ -16,9 +16,12 @@ W = {v in g : P(v)}.  Real vectors are read off such a space by real_points.
 The module has no elimination of its own: all of them, the semidefiniteness
 test of the Killing form on i0 included, go through gaussq.
 Every linear map (J, Upsilon, lambda, a morphism phi) is a CNum matrix on the
-presentation bases, given by rows; a map that must be real (J, phi) is
-checked to commute with nu.  g0_basis() is the one realified row space of the
-module, and only the covector --xi is written in it.
+presentation bases, which callers give by rows and the module keeps as its
+columns, the images of the unit vectors; a map that must be real (J,
+Upsilon, phi) is checked to commute with nu, and a bracket identity is
+checked on every basis pair with [b_i, b_j] read off the stored table.
+g0_basis() is the one realified row space of the module, and only the
+covector --xi is written in it.
 
 Names that no CLI op reaches state a notion or claim of the paper:
 check_j_property, check_weak_j and check_cr_symmetric verify the J, weak-J
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .gaussq import C_I, C_ONE, C_ZERO, CMatrix, CNum, Factored, RMatrix, _insert, _reduce, _rref, complexify_vector, kernel, realify_vector
+from .gaussq import C_I, C_ONE, C_ZERO, CMatrix, CNum, Factored, RMatrix, _apply, _insert, _reduce, _rref, complexify_vector, kernel, realify_vector
 
 
 class NotADerivation(ValueError):
@@ -74,47 +77,31 @@ def _std_basis(n):
     return [tuple(C_ONE if k == i else C_ZERO for k in range(n)) for i in range(n)]
 
 
-def _apply(cols, v, n):
-    """sum_j v[j] cols[j] as a CNum n-vector, skipping the zero coordinates
-    of v and of the columns: every linear map of this module is applied here."""
-    out = [C_ZERO] * n
-    for z, col in zip(v, cols):
-        if z:
-            z = CNum.of(z)
-            for t, c in enumerate(col):
-                if c:
-                    out[t] = out[t] + z * c
-    return tuple(out)
+def _columns(m, n):
+    """The n columns of the matrix m given by its rows, as CNum tuples."""
+    return [tuple(CNum.of(row[j]) for row in m) for j in range(n)]
 
 
-def _matrix_map(m, n):
-    """v -> M v for the matrix M with n columns given by its rows."""
-    cols = [tuple(CNum.of(row[j]) for row in m) for j in range(n)]
-    return lambda v: _apply(cols, v, len(m))
-
-
-def _commutes_with_nu(src, tgt, apply, rows) -> bool:
-    """apply(nu(w)) = nu'(apply(w)) on the rows: on a basis, this is what
-    makes a C-linear map take real points to real points (both sides are
-    antilinear)."""
-    return all(apply(src.nu(w)) == tgt.nu(apply(w)) for w in rows)
-
-
-def _on_basis_pairs(n, holds, error):
-    """holds(i, j) for every pair i < j of the n basis indices; raises error
-    of a message naming the first pair where it fails."""
+def _check_pairs(table, cols, rhs, error):
+    """T [b_i, b_j] = rhs(i, j) on every basis pair i < j, for the map T with
+    columns cols and [b_i, b_j] read off the table of stored structure
+    constants; raises error of a message naming the first pair where it
+    fails."""
+    n = len(cols)
     for i in range(n):
         for j in range(i + 1, n):
-            if not holds(i, j):
+            v = [C_ZERO] * n
+            for k, c in table.get((i, j), ()):
+                v[k] = c
+            if _apply(cols, v, len(cols[i])) != rhs(i, j):
                 raise error(f"fails on basis pair {i},{j}")
 
 
-def _preserves_bracket(src, tgt, apply, basis, error):
-    """apply([u, v]) = [apply(u), apply(v)] on every pair of the basis (of
-    src); raises error naming the first pair where it fails."""
-    imgs = [apply(b) for b in basis]
-    _on_basis_pairs(len(basis), lambda i, j: apply(src.bracket(basis[i], basis[j])) == tgt.bracket(imgs[i], imgs[j]),
-                    error)
+def _is_real(src, tgt, cols) -> bool:
+    """T nu = nu' T on the unit vectors, where nu b_j is column j of nu, for
+    the C-linear map T with columns cols: both sides are antilinear, so this
+    makes T take real points to real points."""
+    return all(_apply(cols, nb, tgt.dim) == tgt.nu(col) for nb, col in zip(src.conj_cols, cols))
 
 
 class LieAlgebraPresentation:
@@ -183,10 +170,14 @@ class LieAlgebraPresentation:
                                 acc[t] = acc.get(t, C_ZERO) + f * d
                     if any(acc.values()):
                         raise ValueError(f"Jacobi identity fails on basis triple {i},{j},{k}")
-        basis = _std_basis(n)
-        if any(self.nu(self.nu(b)) != b for b in basis):
+        cols = self.conj_cols
+        if any(self.nu(col) != b for col, b in zip(cols, _std_basis(n))):
             raise ValueError("conjugation is not an involution")
-        _preserves_bracket(self, self, self.nu, basis, lambda m: ValueError(f"conjugation is not a Lie automorphism: {m}"))
+        # nu is antilinear: nu [b_i, b_j] sums the conjugated constants times
+        # the columns of nu
+        conj_table = {key: [(k, c.conj()) for k, c in pairs] for key, pairs in table.items()}
+        _check_pairs(conj_table, cols, lambda i, j: self.bracket(cols[i], cols[j]),
+                     lambda m: ValueError(f"conjugation is not a Lie automorphism: {m}"))
 
     @cached_property
     def _g0_rows(self):
@@ -277,10 +268,10 @@ def _span(n, rows) -> CMatrix:
     return CMatrix(rows) if rows else CMatrix.empty(n)
 
 
-def _image(space: CMatrix, apply, dim) -> CMatrix:
-    """The image of a space under a C-linear or antilinear map into CNum
-    dim-vectors: the span of the images of its rows."""
-    return _span(dim, (apply(r) for r in space.rows))
+def _image(space: CMatrix, cols, dim) -> CMatrix:
+    """The image of a space under the C-linear map with columns cols into
+    CNum dim-vectors: the span of the images of its rows."""
+    return _span(dim, (_apply(cols, r, dim) for r in space.rows))
 
 
 def _preimage(domain: CMatrix, images_fn, target: CMatrix) -> CMatrix:
@@ -311,7 +302,7 @@ def full_space(pres: LieAlgebraPresentation) -> CMatrix:
 
 
 def conj_space(pres: LieAlgebraPresentation, space: CMatrix) -> CMatrix:
-    return _image(space, pres.nu, pres.dim)
+    return _span(pres.dim, map(pres.nu, space.rows))
 
 
 def real_points(pres: LieAlgebraPresentation, space: CMatrix) -> list:
@@ -327,13 +318,11 @@ def real_points(pres: LieAlgebraPresentation, space: CMatrix) -> list:
     return out
 
 
-def _eigenspace(images, c) -> CMatrix:
-    """{v : T v = c v} for a C-linear map T on CNum n-vectors given by the
-    images of the unit vectors: the kernel of the matrix with columns
-    T e_j - c e_j."""
-    n = len(images)
-    cols = [tuple(x - c if t == j else x for t, x in enumerate(img)) for j, img in enumerate(images)]
-    return _span(n, kernel([[col[t] for col in cols] for t in range(n)], CNum.of))
+def _eigenspace(cols, c) -> CMatrix:
+    """{v : T v = c v} for the C-linear map T on CNum n-vectors with columns
+    cols: the kernel of the matrix with columns T e_j - c e_j."""
+    rows = [[x - c if t == j else x for j, x in enumerate(row)] for t, row in enumerate(zip(*cols))]
+    return _span(len(cols), kernel(rows, CNum.of))
 
 
 def bracket_spaces(pres: LieAlgebraPresentation, a: CMatrix, b: CMatrix) -> CMatrix:
@@ -494,50 +483,48 @@ def vector_levi_form(a: CRAlgebra, z) -> tuple[CNum, ...]:
     return tuple(a.q_plus_qbar().residue(C_I * x for x in v))
 
 
-def _check_derivation(pres, j):
-    """j: CNum matrix on the presentation basis; returns its map once it
-    commutes with nu (so it is the complexification of a map of g0) and the
-    Leibniz rule holds on every basis pair."""
-    apply = _matrix_map(j, pres.dim)
-    basis = _std_basis(pres.dim)
-    if not _commutes_with_nu(pres, pres, apply, basis):
+def _check_derivation(pres, cols):
+    """The map with columns cols (on the presentation basis) commutes with nu,
+    so it is the complexification of a map of g0, and the Leibniz rule holds
+    on every basis pair."""
+    if not _is_real(pres, pres, cols):
         raise NotADerivation("the map does not commute with nu, so it is not a derivation of g0")
-    imgs = [apply(b) for b in basis]
+    basis = _std_basis(pres.dim)
 
     def leibniz(i, j):
-        rhs = zip(pres.bracket(imgs[i], basis[j]), pres.bracket(basis[i], imgs[j]))
-        return apply(pres.bracket(basis[i], basis[j])) == tuple(x + y for x, y in rhs)
+        return tuple(x + y for x, y in zip(pres.bracket(cols[i], basis[j]), pres.bracket(basis[i], cols[j])))
 
-    _on_basis_pairs(pres.dim, leibniz, lambda m: NotADerivation(f"Leibniz {m}"))
-    return apply
+    _check_pairs(pres.table, cols, leibniz, lambda m: NotADerivation(f"Leibniz {m}"))
 
 
 def check_j_property(a: CRAlgebra, j) -> bool:
     """J(i0) in i0 and X + i J(X) in q for a derivation J of g0 (CNum matrix
     on the presentation basis); verified in the complexified form J(q) in q,
     Z - i J(Z) in q n qbar on a basis of q."""
-    apply_j = _check_derivation(a.pres, j)
-    return all(a.q.contains(apply_j(v)) for v in a.q.rows) and _shift_in_cap(a, apply_j, -C_I)
+    n = a.pres.dim
+    cols = _columns(j, n)
+    _check_derivation(a.pres, cols)
+    return all(a.q.contains(_apply(cols, v, n)) for v in a.q.rows) and _shift_in_cap(a, cols, -C_I)
 
 
-def _shift_in_cap(a: CRAlgebra, apply, c) -> bool:
-    """Z + c T(Z) lies in q n qbar for every Z of the basis of q."""
-    cap = a.q_cap_qbar()
-    return all(cap.contains(tuple(x + c * y for x, y in zip(v, apply(v)))) for v in a.q.rows)
+def _shift_in_cap(a: CRAlgebra, cols, c) -> bool:
+    """Z + c T(Z) lies in q n qbar for every Z of the basis of q, for the map
+    T with columns cols."""
+    cap, n = a.q_cap_qbar(), a.pres.dim
+    return all(cap.contains(tuple(x + c * y for x, y in zip(v, _apply(cols, v, n)))) for v in a.q.rows)
 
 
 def exact_exponential(pres: LieAlgebraPresentation, j):
     """Upsilon = exp(pi J / 2), as a CNum matrix on the presentation basis,
     for a semisimple derivation J with spectrum in iZ: it acts as i^k on the
     eigenspace of ik; NonExactExponential otherwise."""
-    apply_j = _check_derivation(pres, j)
     n = pres.dim
-    # J applied once to the unit vectors, for every eigenvalue
-    images = [apply_j(e) for e in _std_basis(n)]
-    bound = max((int(sum(abs(x.re) + abs(x.im) for x in col)) + 1 for col in images), default=0)
+    cols = _columns(j, n)
+    _check_derivation(pres, cols)
+    bound = max((int(sum(abs(x.re) + abs(x.im) for x in col)) + 1 for col in cols), default=0)
     # eigenspaces of distinct eigenvalues are independent: they span C^n
     # exactly when their dimensions add up to it
-    pieces = [(k, _eigenspace(images, CNum(Fraction(0), Fraction(k)))) for k in range(-bound, bound + 1)]
+    pieces = [(k, _eigenspace(cols, CNum(Fraction(0), Fraction(k)))) for k in range(-bound, bound + 1)]
     if sum(space.rank() for _, space in pieces) != n:
         raise NonExactExponential("derivation is not semisimple with spectrum in iZ")
     # express v in the union of the eigenbases, factored once; the
@@ -545,8 +532,8 @@ def exact_exponential(pres: LieAlgebraPresentation, j):
     eigvecs = [(k, r) for k, space in pieces for r in space.rows]
     eigen = Factored([[r[i] for _, r in eigvecs] for i in range(n)], CNum.of)
     ipow = (C_ONE, C_I, -C_ONE, -C_I)
-    cols = [tuple(ipow[k % 4] * x for x in r) for k, r in eigvecs]
-    units = [_apply(cols, eigen.solve(e), n) for e in _std_basis(n)]
+    scaled = [tuple(ipow[k % 4] * x for x in r) for k, r in eigvecs]
+    units = [_apply(scaled, eigen.solve(e), n) for e in _std_basis(n)]
     return [[u[i] for u in units] for i in range(n)]
 
 
@@ -554,31 +541,23 @@ def check_weak_j(a: CRAlgebra, upsilon) -> bool:
     """Upsilon(q) = q and Z - i Upsilon(Z) in q n qbar, for an automorphism
     Upsilon of g0 (CNum matrix on the presentation basis, for instance the
     exact_exponential of a derivation); NotAnAutomorphism otherwise."""
-    return _is_weak_j(a, _matrix_map(upsilon, a.pres.dim))
+    return _is_weak_j(a, _columns(upsilon, a.pres.dim))
 
 
-def _is_weak_j(a: CRAlgebra, apply_u) -> bool:
+def _is_weak_j(a: CRAlgebra, cols) -> bool:
     pres = a.pres
-    _check_automorphism(pres, apply_u)
-    if not _commutes_with_nu(pres, pres, apply_u, _std_basis(pres.dim)):
+    _check_automorphism(pres, cols)
+    if not _is_real(pres, pres, cols):
         raise NotAnAutomorphism("the map does not commute with nu, so it is not an automorphism of g0")
-    return _image(a.q, apply_u, pres.dim) == a.q and _shift_in_cap(a, apply_u, -C_I)
+    return _image(a.q, cols, pres.dim) == a.q and _shift_in_cap(a, cols, -C_I)
 
 
-def _check_automorphism(pres, apply):
-    """A Lie automorphism is bijective, so the basis images span g over C (the
+def _check_automorphism(pres, cols):
+    """A Lie automorphism is bijective, so its columns span g over C (the
     zero map preserves every bracket), and preserves the bracket."""
-    basis = _std_basis(pres.dim)
-    if len(_rref([apply(b) for b in basis])[1]) != pres.dim:
+    if len(_rref(cols)[1]) != pres.dim:
         raise NotAnAutomorphism("the basis images do not span g")
-    _preserves_bracket(pres, pres, apply, basis, NotAnAutomorphism)
-
-
-def _preserves_real(pres, space: CMatrix, apply) -> bool:
-    """A C-linear map takes the real points of a nu-stable space onto
-    themselves exactly when it maps the space onto itself and commutes with
-    nu on its rows."""
-    return _image(space, apply, pres.dim) == space and _commutes_with_nu(pres, pres, apply, space.rows)
+    _check_pairs(pres.table, cols, lambda i, j: pres.bracket(cols[i], cols[j]), NotAnAutomorphism)
 
 
 def _psd(matrix_rows) -> tuple[bool, list | None]:
@@ -603,25 +582,26 @@ def check_cr_symmetric(a: CRAlgebra, lam) -> dict:
     compatibility, the bracket corollary, and almost-compactness of i0."""
     pres = a.pres
     n = pres.dim
-    apply_l = _matrix_map(lam, n)
+    cols = _columns(lam, n)
     basis = _std_basis(n)
     report = {}
-    report["involution"] = all(apply_l(apply_l(b)) == b for b in basis)
+    report["involution"] = all(_apply(cols, col, n) == b for col, b in zip(cols, basis))
     try:
-        _check_automorphism(pres, apply_l)
+        _check_automorphism(pres, cols)
         report["automorphism"] = True
     except NotAnAutomorphism:
         report["automorphism"] = False
-    report["preserves_g0"] = _preserves_real(pres, full_space(pres), apply_l)
-    report["preserves_q"] = _image(a.q, apply_l, n) == a.q
+    # lambda maps g0 onto itself exactly when it is bijective and real
+    full = full_space(pres)
+    report["preserves_g0"] = _image(full, cols, n) == full and _is_real(pres, pres, cols)
+    report["preserves_q"] = _image(a.q, cols, n) == a.q
     # ker(Id - lambda) inside the subalgebra generated by q + qbar
-    images = [apply_l(b) for b in basis]
-    fixed = _eigenspace(images, C_ONE)
+    fixed = _eigenspace(cols, C_ONE)
     report["fixed_in_qnat"] = a.q_nat().contains_space(fixed)
     cap = a.q_cap_qbar()
-    report["z_plus_lz_in_cap"] = _shift_in_cap(a, apply_l, C_ONE)
+    report["z_plus_lz_in_cap"] = _shift_in_cap(a, cols, C_ONE)
     # gradation compatibility: q and g0 split into (+1) and (-1) eigenparts
-    minus = _eigenspace(images, -C_ONE)
+    minus = _eigenspace(cols, -C_ONE)
     # bracket corollary: the odd part of q brackets into q n qbar (the
     # clause Z + lambda(Z) in cap makes the even part of q sit in cap, so
     # this is the content of the printed [Z1, Z2] in q n qbar)
@@ -669,10 +649,11 @@ def weak_j_implies_compatible(a: CRAlgebra, ideal: CMatrix, upsilon) -> bool:
     outcome of fibration_compatible after checking the hypotheses on Upsilon
     (a matrix as for check_weak_j)."""
     pres = a.pres
-    apply_u = _matrix_map(upsilon, pres.dim)
-    if not _is_weak_j(a, apply_u):
+    cols = _columns(upsilon, pres.dim)
+    if not _is_weak_j(a, cols):
         raise PreconditionViolation("structure does not have the weak-J property")
-    if not _preserves_real(pres, ideal, apply_u):
+    # _is_weak_j has checked that Upsilon is real
+    if _image(ideal, cols, pres.dim) != ideal:
         raise PreconditionViolation("ideal is not Upsilon-invariant")
     return fibration_compatible(a, ideal)
 
@@ -683,7 +664,7 @@ def induced_base_fiber(a: CRAlgebra, ideal: CMatrix):
     pres = a.pres
     base = CRAlgebra(pres, a.q.sum(ideal))
     sub_pres, embed, project = sub_presentation(pres, ideal)
-    fiber = CRAlgebra(sub_pres, _image(a.q.intersect(ideal), project, sub_pres.dim))
+    fiber = CRAlgebra(sub_pres, _span(sub_pres.dim, map(project, a.q.intersect(ideal).rows)))
     return base, fiber
 
 
@@ -772,22 +753,21 @@ def morphism_classify(src: CRAlgebra, tgt: CRAlgebra, phi) -> dict:
     phi0 : g0 -> g0' (CNum matrix from the src to the tgt presentation basis,
     commuting with the conjugations) as a CR-algebras morphism."""
     sp, tp = src.pres, tgt.pres
-    apply = _matrix_map(phi, sp.dim)
-    basis = _std_basis(sp.dim)
-    if not _commutes_with_nu(sp, tp, apply, basis):
+    cols = _columns(phi, sp.dim)
+    if not _is_real(sp, tp, cols):
         raise NotAHomomorphism("the map does not commute with the conjugations, so it does not map g0 into g0'")
-    _preserves_bracket(sp, tp, apply, basis, NotAHomomorphism)
+    _check_pairs(sp.table, cols, lambda i, j: tp.bracket(cols[i], cols[j]), NotAHomomorphism)
     full = full_space(sp)
 
     def pull(space: CMatrix) -> CMatrix:
-        return _preimage(full, lambda v: [apply(v)], space)
+        return _preimage(full, lambda v: [_apply(cols, v, tp.dim)], space)
 
     tcap = tgt.q_cap_qbar()
     pulled_cap = pull(tcap)
-    push_q = _image(src.q, apply, tp.dim)
+    push_q = _image(src.q, cols, tp.dim)
     is_morphism = tgt.q.contains_space(push_q)
     immersion = pulled_cap == src.q_cap_qbar() and pull(tgt.q) == src.q
-    submersion = _image(full, apply, tp.dim).sum(tcap).rank() == tp.dim and push_q.sum(tcap) == tgt.q
+    submersion = _image(full, cols, tp.dim).sum(tcap).rank() == tp.dim and push_q.sum(tcap) == tgt.q
     if not is_morphism:
         kind = "NotAMorphism"
     elif immersion and submersion:

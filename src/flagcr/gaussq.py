@@ -5,7 +5,8 @@ step over a field in the package: _rref applies it row by row, and cralg
 grows every reduced basis with it, its closures, its Levi-form quotient basis
 and its semidefiniteness test included.  Factored keeps one
 elimination of a matrix for repeated solves; kernel is a one-shot
-elimination of the matrix alone.
+elimination of the matrix alone.  _apply is the one product of a matrix,
+given by its columns, with a vector.
 CMatrix / RMatrix represent subspaces by their rows, canonicalized through
 reduced row echelon form, so equality of subspaces is equality of canonical
 forms.
@@ -85,6 +86,19 @@ class CNum:
 C_ZERO = CNum()
 C_ONE = CNum(Fraction(1))
 C_I = CNum(Fraction(0), Fraction(1))
+
+
+def _apply(cols, v, n):
+    """sum_j v[j] cols[j] as a CNum n-vector, skipping the zero coordinates
+    of v and of the columns."""
+    out = [C_ZERO] * n
+    for z, col in zip(v, cols):
+        if z:
+            z = CNum.of(z)
+            for t, c in enumerate(col):
+                if c:
+                    out[t] = out[t] + z * c
+    return tuple(out)
 
 
 def _reduce(vec, rows, pivots):

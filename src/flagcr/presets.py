@@ -16,8 +16,8 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cralg import CRAlgebra, LieAlgebraPresentation, _apply, _std_basis, cspan
-from .gaussq import C_I, C_ONE, C_ZERO, CMatrix, CNum, Factored
+from .cralg import CRAlgebra, LieAlgebraPresentation, _std_basis, cspan
+from .gaussq import C_I, C_ONE, C_ZERO, CMatrix, CNum, Factored, _apply
 from .rootsys import RootSystem, _cached, build_root_system, evaluate, evaluate_int, root_sum, roots_set
 from .weyl import cartan_matrix, positive_roots, simple_coordinates, simple_roots
 

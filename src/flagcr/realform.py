@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gaussq import CMatrix, CNum, kernel
+from .gaussq import CMatrix, CNum, _apply, kernel
 from .qsets import is_closed
 from .rootsys import RootSystem, dot, root_sum, scaled
 from .weyl import simple_roots
@@ -221,11 +221,6 @@ def _minus_eigenbasis(sigma: RootConjugation, n: int):
     return kernel([[sigma.cols[j][i] + (1 if i == j else 0) for j in range(n)] for i in range(n)], Fraction)
 
 
-def _apply_matrix_cols(cols, v) -> tuple[Fraction, ...]:
-    """The matrix with columns cols applied to the vector v, exactly."""
-    return tuple(sum((Fraction(x) * col[t] for x, col in zip(v, cols) if x), Fraction(0)) for t in range(len(cols[0])))
-
-
 def regular_max_structure(r: RootSystem, sigma: RootConjugation, q, m_basis) -> dict:
     """Verify the data of a regular maximal-CR-dimension structure: the
     complex Cartan part m must have dim = floor(l/2), contain the Q^r-coroot
@@ -239,11 +234,9 @@ def regular_max_structure(r: RootSystem, sigma: RootConjugation, q, m_basis) -> 
     m = CMatrix([[CNum(Fraction(x), Fraction(y)) for x, y in zip(re, im)] for re, im in m_basis])
     report = {"dim_m": m.rank(), "expected_dim": ell // 2}
     report["dim_ok"] = m.rank() == ell // 2
-    # conj(v) for the h-space conjugation: sigma applied to coordinatewise conj
-    mbar = CMatrix([
-        [CNum(x, -y) for x, y in zip(_apply_matrix_cols(sigma.cols, re), _apply_matrix_cols(sigma.cols, im))]
-        for re, im in m_basis
-    ])
+    # the h-space conjugation is sigma applied to coordinatewise conj, which
+    # is conj(sigma v) as sigma is real
+    mbar = CMatrix([[z.conj() for z in _apply(sigma.cols, v, r.ambient_dim)] for v in m.rows])
     inter = m.intersect(mbar)
     report["m_meets_mbar_trivially"] = inter.rank() == 0
     # Q^r coroot span inside m: the coroot is a multiple of the root, and

@@ -12,9 +12,9 @@ it (Steinberg), and the Aut form is the least W-image of the set's images
 under the diagram automorphisms.  The same search counts the group elements
 that reach the least image, so it also gives the order of the set's
 stabiliser and, with the group's order, its orbit size (counted_form); two
-sets are equivalent when their canonical forms agree.  These searches and
-the clique search of classify.enumerate_maximal stop at one default budget,
-BUDGET, which only enumerate --budget overrides.  set_orbit enumerates
+sets are equivalent when their canonical forms agree.  These searches, the
+clique search of classify.enumerate_maximal and classify.subset_universe
+stop at one budget, BUDGET, which only enumerate --budget overrides.  set_orbit enumerates
 a set orbit once per member, through the W-orbit of its dominant root sum,
 walked on weights packed into one integer each; no module of the package
 calls it, and it serves the benchmark (perfbench/workloads.py) and the tests
@@ -35,7 +35,7 @@ from .intlat import column_solver
 from .rootsys import RootSystem, _cached, dot
 
 
-# candidate images, orbit members or clique-search nodes
+# candidate images, orbit members, clique-search nodes or subsets
 BUDGET = 2_000_000
 
 
@@ -181,14 +181,14 @@ class CountedForm(NamedTuple):
         return self.order // self.stabiliser
 
 
-def canonical_form(r: RootSystem, q, group: str = "weyl", budget: int | None = BUDGET) -> frozenset[int]:
+def canonical_form(r: RootSystem, q, group: str = "weyl", budget: int = BUDGET) -> frozenset[int]:
     """Lexicographically least image of the set under the chosen group (the
     member of its orbit with the least sorted tuple of root vectors): the
     image of counted_form, under the same budget."""
     return counted_form(r, q, group, budget).image
 
 
-def counted_form(r: RootSystem, q, group: str = "weyl", budget: int | None = BUDGET) -> CountedForm:
+def counted_form(r: RootSystem, q, group: str = "weyl", budget: int = BUDGET) -> CountedForm:
     """The least image of the set, by Linton's smallest-image search down the
     stabiliser chain of W (Linton, Finding the smallest image of a set,
     ISSAC 2004), with the order of its stabiliser.  Aut is W extended by the
@@ -203,8 +203,7 @@ def counted_form(r: RootSystem, q, group: str = "weyl", budget: int | None = BUD
     the least image is the number of elements mapping the set onto it, the
     order of its stabiliser; the group's order is the product of the level
     sizes, times 1 + |Gamma| for 'aut'.  ``budget`` counts the candidate
-    images the search generates; past it BudgetExceeded is raised, and None
-    means no limit."""
+    images the search generates; past it BudgetExceeded is raised."""
     _check_group(group)
     seeds = [frozenset(q)]
     if group == "aut":
@@ -221,7 +220,7 @@ def counted_form(r: RootSystem, q, group: str = "weyl", budget: int | None = BUD
         if not pairs:
             pairs = [(g, c, n) for c, n in cands.items() for g in level.values()]
         made += len(pairs)
-        if budget is not None and made > budget:
+        if made > budget:
             raise BudgetExceeded(f"canonical image search exceeded {budget} candidates")
         cands = {}
         get = cands.get
@@ -271,7 +270,7 @@ def _inverse(g) -> tuple[int, ...]:
     return tuple(out)
 
 
-def set_orbit(r: RootSystem, q, group: str = "weyl", budget: int | None = BUDGET) -> set[frozenset[int]]:
+def set_orbit(r: RootSystem, q, group: str = "weyl", budget: int = BUDGET) -> set[frozenset[int]]:
     """Full orbit of the set, with each member built once: the oracle that
     counted_form's orbit sizes are tested against.  Simple reflections move
     Q until its root sum, which is W-equivariant, is a dominant weight lam; BFS under its stabiliser W_J, generated by the s_j
@@ -293,10 +292,10 @@ def set_orbit(r: RootSystem, q, group: str = "weyl", budget: int | None = BUDGET
     reflection g by itemgetter(*s)(g), and frozen once, as its node is made.
 
     BudgetExceeded is raised exactly when the orbit has more than
-    ``budget`` sets; None means no limit."""
+    ``budget`` sets."""
     _check_group(group)
     labels, cartan = _labels(r), cartan_matrix(r)
-    n, limit = len(cartan), math.inf if budget is None else budget
+    n = len(cartan)
     refl = generators(r)
     cur = q = tuple(q)
     lam = [sum(c) for c in zip(*(labels[b] for b in cur))] or [0] * n
@@ -306,7 +305,7 @@ def set_orbit(r: RootSystem, q, group: str = "weyl", budget: int | None = BUDGET
 
     def grow(new):
         orbit.update(new)
-        if len(orbit) > limit:
+        if len(orbit) > budget:
             raise BudgetExceeded(f"set orbit exceeded {budget} nodes")
 
     fibre, orbit = [frozenset(cur)], set()

@@ -1,9 +1,10 @@
-"""Test oracles: the inverse of a matrix over a field, and the ambient matrix
-of a W or Aut element given as a root-index permutation."""
+"""Test oracles: the inverse of a matrix over a field, the ambient matrix of
+a W or Aut element given as a root-index permutation, and a rational matrix
+given by its columns applied to a vector."""
 
 from fractions import Fraction
 
-from flagcr.gaussq import Factored
+from flagcr.gaussq import Factored, _apply
 from flagcr.weyl import simple_roots
 
 
@@ -41,3 +42,9 @@ def matrix_of(r, g) -> list[tuple[Fraction, ...]]:
                 col[t] += c * (r.roots[g[s]][t] - v[t])
         cols.append(tuple(col))
     return cols
+
+
+def apply_cols(cols, v) -> tuple[Fraction, ...]:
+    """The rational matrix with columns cols times the vector v, by
+    gaussq._apply, read back as rationals."""
+    return tuple(z.re for z in _apply(cols, v, len(cols[0])))

@@ -7,12 +7,11 @@ import os
 import random
 from fractions import Fraction
 from operator import sub
-from types import SimpleNamespace
 
 import pytest
 
 from flagcr import classify, qsets, weyl
-from flagcr.cli import _system_for, main
+from flagcr.cli import main
 from flagcr.classify import (
     XI,
     AnchorViolation,
@@ -38,7 +37,7 @@ from flagcr.classify import (
     verify_grading,
 )
 from flagcr.qsets import compat_graph, is_fundamental, is_lb
-from flagcr.rootsys import build_root_system, dot, evaluate_int, find_root, root_sum, roots_set
+from flagcr.rootsys import build_root_system, dot, evaluate_int, find_root, root_sum, root_system_of_rank, roots_set
 from flagcr.weyl import (
     canonical_form,
     generators,
@@ -287,7 +286,7 @@ def _full_graph_classes(rs, cliques, quotient):
     seen, classes = set(), []
     for cl in sorted(cliques):
         if frozenset(cl) not in seen:
-            orbit = set_orbit(rs, cl, quotient, budget=None)
+            orbit = set_orbit(rs, cl, quotient)
             seen |= orbit
             classes.append((cl, len(orbit), qsets.property_report(rs, cl)))
     return classes
@@ -450,7 +449,7 @@ def test_catalog_a_and_c():
     a3 = build_root_system("A", 4)
     entries = catalog(a3, "all")
     assert [e.parameters["p"] for e in entries] == [1, 2, 3]
-    assert _system_for(SimpleNamespace(type="A", rank=3)).roots == a3.roots
+    assert root_system_of_rank("A", 3).roots == a3.roots
     sym = catalog(a3, "symmetric")
     assert len(sym) == 3
     c = catalog(build_root_system("C", 3), "symmetric")

@@ -415,36 +415,39 @@ def test_catalog_canonical_form_stop_exits_2(capsys, monkeypatch):
 
 
 BUDGET_CASES = [
-    # (argv, FLAGCR_BUDGET, which no command reads, exit code, stderr fragment)
-    (["enumerate", "--type", "G2", "--budget", "0"], None, 1, "--budget must be a positive integer"),
-    (["enumerate", "--type", "G2", "--budget", "-5"], None, 1, "--budget must be a positive integer"),
-    (["enumerate", "--type", "G2", "--budget", "abc"], None, 1, "argument --budget"),
+    # (id, argv, FLAGCR_BUDGET, which no command reads, exit code, stderr
+    # fragment); an id argv<k>-... is the one pytest gave row k before the
+    # table had ids, kept so that no test is renamed
+    ("argv0-None-1---budget must be a positive integer", ["enumerate", "--type", "G2", "--budget", "0"], None, 1, "--budget must be a positive integer"),
+    ("argv1-None-1---budget must be a positive integer", ["enumerate", "--type", "G2", "--budget", "-5"], None, 1, "--budget must be a positive integer"),
+    ("argv2-None-1-argument --budget", ["enumerate", "--type", "G2", "--budget", "abc"], None, 1, "argument --budget"),
     # FLAGCR_BUDGET is ignored, verify-paper takes no --budget, and the
     # su2-flag preset has no second name
-    (["enumerate", "--type", "G2"], "abc", 0, ""),
-    (["enumerate", "--type", "G2"], "0", 0, ""),
-    (["cralg", "--preset", "su2", "--op", "predicates"], None, 1, "unknown preset 'su2'"),
-    (["enumerate", "--type", "G2", "--budget", "100000"], "abc", 0, ""),
-    (["enumerate", "--type", "F4", "--budget", "10"], None, 2, ""),
-    (["verify-paper", "--section", "7", "--budget", "0"], None, 1, "unrecognized arguments: --budget 0"),
-    (["verify-paper", "--section", "7", "--budget", "-5"], None, 1, "unrecognized arguments: --budget -5"),
-    (["verify-paper", "--section", "7"], "abc", 0, ""),
-    (["verify-paper", "--section", "7", "--budget", "5"], None, 1, "unrecognized arguments: --budget 5"),
-    (["check", "--roots", "{roots}"], "abc", 0, ""),
-    (["check", "--roots", "{roots}", "--budget", "5"], None, 1, "unrecognized arguments"),
-    (["check", "--roots", "{roots}", "--properties", "all"], None, 1, "unrecognized arguments"),
-    (["realform", "--roots", "{a_roots}", "--conjugation", "a-reverse:m=x"], None, 1, "'a-reverse:m=x'"),
-    (["realform", "--roots", "{a_roots}", "--conjugation", "a-reverse:m="], None, 1, "'a-reverse:m='"),
-    (["realform", "--roots", "{a_roots}", "--conjugation", "a-reverse:k"], None, 1, "'a-reverse:k'"),
-    (["enumerate", "--type", "G2", "--rank", "9"], None, 1, "G2 has fixed rank 2"),
-    (["enumerate", "--type", "G2", "--rank", "2"], None, 0, ""),
+    ("argv3-abc-0-", ["enumerate", "--type", "G2"], "abc", 0, ""),
+    ("argv4-0-0-", ["enumerate", "--type", "G2"], "0", 0, ""),
+    ("argv5-None-1-unknown preset 'su2'", ["cralg", "--preset", "su2", "--op", "predicates"], None, 1, "unknown preset 'su2'"),
+    ("argv6-abc-0-", ["enumerate", "--type", "G2", "--budget", "100000"], "abc", 0, ""),
+    ("argv7-None-2-", ["enumerate", "--type", "F4", "--budget", "10"], None, 2, ""),
+    ("argv8-None-1-unrecognized arguments: --budget 0", ["verify-paper", "--section", "7", "--budget", "0"], None, 1, "unrecognized arguments: --budget 0"),
+    ("argv9-None-1-unrecognized arguments: --budget -5", ["verify-paper", "--section", "7", "--budget", "-5"], None, 1, "unrecognized arguments: --budget -5"),
+    ("argv10-abc-0-", ["verify-paper", "--section", "7"], "abc", 0, ""),
+    ("argv11-None-1-unrecognized arguments: --budget 5", ["verify-paper", "--section", "7", "--budget", "5"], None, 1, "unrecognized arguments: --budget 5"),
+    ("argv12-abc-0-", ["check", "--roots", "{roots}"], "abc", 0, ""),
+    ("argv13-None-1-unrecognized arguments", ["check", "--roots", "{roots}", "--budget", "5"], None, 1, "unrecognized arguments"),
+    ("argv14-None-1-unrecognized arguments", ["check", "--roots", "{roots}", "--properties", "all"], None, 1, "unrecognized arguments"),
+    ("argv15-None-1-'a-reverse:m=x'", ["realform", "--roots", "{a_roots}", "--conjugation", "a-reverse:m=x"], None, 1, "'a-reverse:m=x'"),
+    ("argv16-None-1-'a-reverse:m='", ["realform", "--roots", "{a_roots}", "--conjugation", "a-reverse:m="], None, 1, "'a-reverse:m='"),
+    ("argv17-None-1-'a-reverse:k'", ["realform", "--roots", "{a_roots}", "--conjugation", "a-reverse:k"], None, 1, "'a-reverse:k'"),
+    ("argv18-None-1-G2 has fixed rank 2", ["enumerate", "--type", "G2", "--rank", "9"], None, 1, "G2 has fixed rank 2"),
+    ("argv19-None-0-", ["enumerate", "--type", "G2", "--rank", "2"], None, 0, ""),
     # --rank is the Lie rank, and so is the error
-    (["enumerate", "--type", "A", "--rank", "0"], None, 1, "A_n needs rank n >= 1, got 0"),
-    (["enumerate", "--type", "A", "--rank", "-1"], None, 1, "A_n needs rank n >= 1, got -1"),
+    ("argv20-None-1-A_n needs rank n >= 1, got 0", ["enumerate", "--type", "A", "--rank", "0"], None, 1, "A_n needs rank n >= 1, got 0"),
+    ("argv21-None-1-A_n needs rank n >= 1, got -1", ["enumerate", "--type", "A", "--rank", "-1"], None, 1, "A_n needs rank n >= 1, got -1"),
+    ("enumerate A without rank", ["enumerate", "--type", "A"], None, 1, "type A requires a rank"),
 ]
 
 
-@pytest.mark.parametrize("argv,env,want,fragment", BUDGET_CASES)
+@pytest.mark.parametrize("argv,env,want,fragment", [c[1:] for c in BUDGET_CASES], ids=[c[0] for c in BUDGET_CASES])
 def test_budget_inputs(argv, env, want, fragment, tmp_path, capsys, monkeypatch):
     # every budget or option input ends in an exit code, never in an exception
     g2 = rootsys.build_root_system("G2")

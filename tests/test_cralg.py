@@ -53,6 +53,10 @@ def test_presentation_validation():
     bad = {(0, 1): [(2, C_ONE)], (0, 2): [(0, C_ONE)], (1, 2): [(1, C_ONE)]}
     with pytest.raises(ValueError):
         LieAlgebraPresentation(3, bad, ident(3))
+    # [X, Y] = iT with nu the conjugation of the coordinates: nu [X, Y] = -iT
+    # but [nu X, nu Y] = iT, so nu is not an automorphism
+    with pytest.raises(ValueError, match="conjugation is not a Lie automorphism"):
+        LieAlgebraPresentation(3, {(0, 1): [(2, C_I)]}, ident(3))
 
 
 def _conj_rows(pres):
@@ -810,16 +814,17 @@ def test_eigenspace_preimage_matches_kernel_oracle(spec):
     for q in qs:
         ok, e = qsets.is_symmetric(rs, q)
         if ok:
-            lam = cralg._matrix_map(fp.symmetry_involution(e), n)
+            lam = cralg._columns(fp.symmetry_involution(e), n)
             maps += [(lam, C_ONE), (lam, -C_ONE)]
         ok, e = qsets.has_j(rs, q)
         if ok:
-            j = cralg._check_derivation(pres, fp.j_derivation(e))
+            j = cralg._columns(fp.j_derivation(e), n)
+            cralg._check_derivation(pres, j)
             maps += [(j, CNum(Fraction(0), Fraction(k))) for k in range(-2, 3)]
     assert len(maps) >= 7
-    for apply, c in maps:
-        images = [apply(e) for e in cralg._std_basis(n)]
-        assert cralg._eigenspace(images, c) == _complexified(_kernel_eigenspace(n, apply, c), n)
+    for cols, c in maps:
+        oracle = _kernel_eigenspace(n, lambda v: gaussq._apply(cols, v, n), c)
+        assert cralg._eigenspace(cols, c) == _complexified(oracle, n)
 
 
 def test_morphism_fibers_match_augmented_pull():
@@ -827,7 +832,11 @@ def test_morphism_fibers_match_augmented_pull():
     cases = [(h, h, ident(3)), (h, h, [[0] * 3 for _ in range(3)]), _extension_morphism()]
     for src, tgt, phi0 in cases:
         sp, tp = src.pres, tgt.pres
-        apply = cralg._matrix_map(phi0, sp.dim)
+        cols = cralg._columns(phi0, sp.dim)
+
+        def apply(v):
+            return gaussq._apply(cols, v, tp.dim)
+
         out = morphism_classify(src, tgt, phi0)
         g0s, g0t = (_kernel_eigenspace(p.dim, p.nu, C_ONE) for p in (sp, tp))
         g0pp = _augmented_pull(sp, tp, apply, _realified(tgt.q).intersect(g0t)).intersect(g0s)
@@ -851,13 +860,30 @@ def test_non_real_maps_are_rejected():
         morphism_classify(h, h, phi)
 
 
+def test_maps_breaking_a_zero_bracket_are_rejected():
+    # heisenberg + R on X, Y, T, Z stores only [X, Y] = T.  Z -> Z + X keeps
+    # that bracket but sends [Y, Z] = 0 to [Y, X] = -T, and the derivation
+    # Z -> X breaks Leibniz on the same pair
+    pres = LieAlgebraPresentation(4, {(0, 1): [(2, 1)]}, ident(4), labels=["X", "Y", "T", "Z"])
+    a = CRAlgebra(pres, cspan(pres, [(1, C_I, 0, 0)]))
+    shear = ident(4)
+    shear[0][3] = 1
+    with pytest.raises(NotAnAutomorphism, match="basis pair 1,3"):
+        check_weak_j(a, shear)
+    assert check_cr_symmetric(a, shear)["automorphism"] is False
+    d = [[0] * 4 for _ in range(4)]
+    d[0][3] = 1
+    with pytest.raises(NotADerivation, match="Leibniz fails on basis pair 1,3"):
+        check_j_property(a, d)
+
+
 def _g0_map(src, tgt, mat):
     """Oracle: the complex-linear map from src to tgt presentation coordinates
     whose matrix on the g0 bases is the rational matrix mat."""
     sbasis, tbasis = src.g0_basis(), tgt.g0_basis()
-    imgs = [cralg._apply(tbasis, [mat[i][j] for i in range(len(tbasis))], tgt.dim) for j in range(len(sbasis))]
-    cols = [cralg._apply(imgs, src.g0_coords(e), tgt.dim) for e in cralg._std_basis(src.dim)]
-    return lambda v: cralg._apply(cols, v, tgt.dim)
+    imgs = [gaussq._apply(tbasis, [mat[i][j] for i in range(len(tbasis))], tgt.dim) for j in range(len(sbasis))]
+    cols = [gaussq._apply(imgs, src.g0_coords(e), tgt.dim) for e in cralg._std_basis(src.dim)]
+    return lambda v: gaussq._apply(cols, v, tgt.dim)
 
 
 def _g0_j_derivation(fp, e):
@@ -886,8 +912,7 @@ def test_diagonal_j_derivation_matches_g0_basis_oracle(spec):
         ok, e = qsets.has_j(rs, frozenset(c.canonical))
         if ok:
             want = _g0_map(pres, pres, _g0_j_derivation(fp, e))
-            got = cralg._matrix_map(fp.j_derivation(e), pres.dim)
-            assert [got(u) for u in units] == [want(u) for u in units]
+            assert cralg._columns(fp.j_derivation(e), pres.dim) == [want(u) for u in units]
             checked += 1
     assert checked
 

@@ -168,7 +168,8 @@ def test_option_parameters_are_pinned():
 def test_every_budget_default_is_the_one_constant():
     # the budget is written once: each default is weyl.BUDGET itself, and so
     # is the default of enumerate --budget
-    searches = [weyl.counted_form, weyl.canonical_form, weyl.set_orbit, classify.enumerate_maximal]
+    searches = [weyl.counted_form, weyl.canonical_form, weyl.set_orbit, classify.enumerate_maximal,
+                classify.maximal_cliques]
     assert all(inspect.signature(fn).parameters["budget"].default is weyl.BUDGET for fn in searches)
     assert cli._parser().parse_args(["enumerate", "--type", "G2"]).budget is weyl.BUDGET
 

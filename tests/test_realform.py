@@ -4,11 +4,11 @@ import os
 from fractions import Fraction
 
 import pytest
+from ambient_matrix import apply_cols
 
 from flagcr.intlat import column_solver
 from flagcr.realform import (
     NoRegularVector,
-    _apply_matrix_cols,
     _is_base,
     a_reverse_conjugation,
     adapted_simple_system,
@@ -174,9 +174,9 @@ def test_sigma_equivariance():
         for j in range(n):
             e = [Fraction(0)] * n
             e[j] = Fraction(1)
-            v = _apply_matrix_cols(ginv_cols, e)
-            v = _apply_matrix_cols(sigma.cols, v)
-            v = _apply_matrix_cols(g_cols, v)
+            v = apply_cols(ginv_cols, e)
+            v = apply_cols(sigma.cols, v)
+            v = apply_cols(g_cols, v)
             new_cols.append(v)
         sigma2 = conjugation_from_matrix(a3, new_cols)
         assert verify_lemma_lb(a3, moved, sigma2)["ok"] == base
@@ -325,11 +325,11 @@ def _fraction_conjugation_perm(r, cols):
     n = r.ambient_dim
     for k in range(n):
         e = [Fraction(int(i == k)) for i in range(n)]
-        if list(_apply_matrix_cols(cols, _apply_matrix_cols(cols, e))) != e:
+        if list(apply_cols(cols, apply_cols(cols, e))) != e:
             return None
     perm = []
     for v in r.roots:
-        img = _apply_matrix_cols(cols, v)
+        img = apply_cols(cols, v)
         if any(x.denominator != 1 for x in img) or tuple(map(int, img)) not in r.index:
             return None
         perm.append(r.index[tuple(map(int, img))])

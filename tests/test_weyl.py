@@ -3,13 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from ambient_matrix import matrix_of
+from ambient_matrix import apply_cols, matrix_of
 from weyl_words import group_generators, random_element
 
 from flagcr import weyl
 from flagcr.classify import enumerate_maximal
 from flagcr.gaussq import Factored
-from flagcr.realform import _apply_matrix_cols as apply_matrix_cols
 from flagcr.rootsys import TYPES, build_root_system, find_root, roots_set
 from flagcr.weyl import (
     BudgetExceeded,
@@ -54,7 +53,7 @@ def test_reflect_basics():
     # s_{e1-e2}(e2-e3) = e1-e3
     assert s[find_root(a2, (0, 1, -1))] == find_root(a2, (1, 0, -1))
     # the vector orthogonal to the root span is fixed
-    assert apply_matrix_cols(matrix_of(a2, s), (1, 1, 1)) == (1, 1, 1)
+    assert apply_cols(matrix_of(a2, s), (1, 1, 1)) == (1, 1, 1)
 
 
 def test_simple_roots_counts():
@@ -150,10 +149,10 @@ def test_canonical_form_budget():
         canonical_form(f4, q, budget=3)
     with pytest.raises(BudgetExceeded):
         set_orbit(f4, q, budget=3)
-    # no budget: the whole orbit, whose least set is the canonical form
-    orbit = set_orbit(f4, q, budget=None)
+    # the default budget: the whole orbit, whose least set is the canonical form
+    orbit = set_orbit(f4, q)
     assert frozenset(q) in orbit
-    assert canonical_form(f4, q, budget=None) == min(orbit, key=lambda s: sorted(f4.roots[i] for i in s))
+    assert canonical_form(f4, q) == min(orbit, key=lambda s: sorted(f4.roots[i] for i in s))
 
 
 @pytest.mark.parametrize("search", [canonical_form, set_orbit])
@@ -246,7 +245,7 @@ def test_set_orbit_budget_is_exact(tag, rank, group):
     rng = random.Random(f"budget-{tag}{rank}{group}")
     unions = 0
     for q in _orbit_inputs(rs, rng, 12)[:: 3 if rs.nroots > 20 else 1]:
-        orbit = set_orbit(rs, q, group, None)
+        orbit = set_orbit(rs, q, group)
         assert set_orbit(rs, q, group, len(orbit)) == orbit
         with pytest.raises(BudgetExceeded):
             set_orbit(rs, q, group, len(orbit) - 1)
@@ -380,7 +379,7 @@ def test_canonical_form_is_least_orbit_member(tag, rank, group):
     large = (tag, rank) in LARGE_SYSTEMS
     inputs = _small_orbit_inputs(rs, rng, 6) if large else _orbit_inputs(rs, rng, 1 if tag == "E6" else 12)
     for q in inputs:
-        want = min(set_orbit(rs, q, group, None), key=sorted)
+        want = min(set_orbit(rs, q, group), key=sorted)
         assert canonical_form(rs, q, group) == want, sorted(q)
         for _ in range(2):
             g = random_element(rs, rng, group=group)
@@ -424,8 +423,8 @@ def test_counted_form_orbit_is_the_walked_orbit(enumerated, tag, rank):
             *(tuple(rng.sample(range(rs.nroots), rng.randint(2, min(10, rs.nroots)))) for _ in range(n_random))]
     for group in ("weyl", "aut"):
         for q in [c.canonical for c in enumerated(tag, rank, group)[1]] + sets:
-            form = weyl.counted_form(rs, q, group, None)
-            orbit = set_orbit(rs, q, group, None)
+            form = weyl.counted_form(rs, q, group)
+            orbit = set_orbit(rs, q, group)
             assert form.order % form.stabiliser == 0, (group, sorted(q))
             assert form.orbit_size == len(orbit), (group, sorted(q))
             assert form.image == min(orbit, key=sorted) == canonical_form(rs, q, group)
@@ -463,7 +462,7 @@ def test_counted_form_candidates_are_the_budget():
     rng = random.Random(5)
     for q in [(), (3,), tuple(rng.sample(range(rs.nroots), 6))]:
         for group in ("weyl", "aut"):
-            form = weyl.counted_form(rs, q, group, None)
+            form = weyl.counted_form(rs, q, group)
             assert weyl.counted_form(rs, q, group, form.candidates) == form
             with pytest.raises(BudgetExceeded):
                 weyl.counted_form(rs, q, group, form.candidates - 1)
@@ -507,7 +506,7 @@ def test_generators_are_isometries_and_match_matrix_of():
             assert sorted(g) == list(range(rs.nroots))
             assert all(gram[g[i]][g[j]] == gram[i][j] for i in range(rs.nroots) for j in range(rs.nroots)), tag
             cols = matrix_of(rs, g)
-            assert all(apply_matrix_cols(cols, v) == rs.roots[g[i]] for i, v in enumerate(rs.roots)), tag
+            assert all(apply_cols(cols, v) == rs.roots[g[i]] for i, v in enumerate(rs.roots)), tag
 
 
 def test_generators_built_once(monkeypatch, fresh_systems):
