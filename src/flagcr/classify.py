@@ -1,8 +1,8 @@
 """Enumeration of maximal lb/fundamental sets, the classification catalogs for
 the classical types and G2/F4, the E-series constructors Q_{l,i,anchors}, the
 Z2-grading tables of the E series with the orbits of each grading group, and
-KNOWN_DISCREPANCIES, the one registry of the paper's claims that flagcr
-falsifies, from which verify-paper takes each such claim's text and status.
+verify_paper's checks of the paper's claims (SECTIONS: classical, G2/F4,
+gradings, E8), with KNOWN_DISCREPANCIES, the one registry of those falsified.
 
 Maximal elements of Q(R) are exactly the maximal cliques of the compatibility
 graph, each of which spans R over Z (the proof is at enumerate_maximal), so
@@ -63,6 +63,7 @@ from .weyl import (
     positive_roots,
     reflection_perm,
     root_orbit,
+    sets_equivalent,
     simple_roots,
 )
 
@@ -886,7 +887,7 @@ def maximal_symmetric_classes(r: RootSystem):
 
 def b3_counterexample():
     """CR-symmetric maximal element of Q(B3) without the weak-J or J
-    property; falsifies the classical-collapse claim (see decisions ledger)."""
+    property; falsifies the claim KNOWN_DISCREPANCIES["classical-collapse"]."""
     r = build_root_system("B", 3)
     q = roots_set(r, [(0, 1, 0), (1, 1, 0), (1, 0, 1), (1, 0, -1)])
     return r, q
@@ -928,3 +929,177 @@ KNOWN_DISCREPANCIES = {
     ),
     "e8-beta0-b12": ("Q_{8,1,b0,b12} equals Q_{8,1,b0,b1234,b1256,b1278} as sets", "equal modulo W only"),
 }
+
+
+# ---------------------------------------------------------------------------
+# verify-paper: one row per claim of the paper
+
+
+def _row(claim, ok, detail=""):
+    """A verify-paper row.  A failing claim is a known discrepancy, with its
+    id, exactly when KNOWN_DISCREPANCIES registers it."""
+    known = next((k for k, (c, _) in KNOWN_DISCREPANCIES.items() if c == claim), None)
+    row = {"claim": claim, "status": "pass" if ok else "FAIL" if known is None else "known-discrepancy"}
+    if detail:
+        row["detail"] = detail
+    if not ok and known:
+        row["discrepancy_id"] = known
+    return row
+
+
+def _known(discrepancy_id, ok):
+    """The row of the claim and detail registered under ``discrepancy_id``."""
+    claim, detail = KNOWN_DISCREPANCIES[discrepancy_id]
+    return _row(claim, ok, detail)
+
+
+def _catalog_row(claim, r, which, detail):
+    """The row of a catalog that verifies on construction, witnesses
+    included; ``detail`` is formatted with its number of entries."""
+    try:
+        entries = catalog(r, which)
+    except CatalogClaimFailed as e:
+        return _row(claim, False, str(e))
+    return _row(claim, True, detail.format(len(entries)))
+
+
+def _verify_section_6():
+    rows = []
+    for tag, rank, want in [("A", 3, 2), ("A", 4, 3), ("C", 2, 1), ("C", 3, 1), ("C", 4, 1)]:
+        got = len(enumerate_maximal(build_root_system(tag, rank)))
+        rows.append(_row(f"catalog count {tag} n={rank} is {want}", got == want, f"got {got}"))
+    for tag, n in [("B", 3), ("B", 4), ("D", 4)]:
+        rs = build_root_system(tag, n)
+        cat = catalog(rs, "all")
+        cls = enumerate_maximal(rs)
+        rows.append(
+            _row(
+                f"{tag}{n} catalog (derived constraints) matches enumeration",
+                len(cat) == len(cls),
+                f"catalog {len(cat)}, enumeration {len(cls)}",
+            )
+        )
+    rows.append(_known("bn-dn-constraints", bool(bn_constraint_discrepancy(4))))
+    # symmetric catalogs verify (witnesses check on construction)
+    for tag, n in [("A", 4), ("B", 3), ("B", 4), ("C", 3), ("D", 4)]:
+        rs = build_root_system(tag, n)
+        rows.append(_catalog_row(f"{tag}{n} symmetric catalog entries verify", rs, "symmetric", "{} entries"))
+    # the classical collapse claim itself
+    rep = property_report(*b3_counterexample())
+    rows.append(_known("classical-collapse", not (rep.symmetric and not rep.j_property)))
+    return rows
+
+
+def _verify_section_7():
+    rows = []
+    g2 = build_root_system("G2")
+    cls = enumerate_maximal(g2)
+    rows.append(_row("G2 has two maximal classes", len(cls) == 2, f"got {len(cls)}"))
+    rows.append(
+        _row(
+            "G2: one maximal class symmetric, the other not",
+            sorted(c.report.symmetric for c in cls) == [False, True],
+        )
+    )
+    ups = catalog(g2, "symmetric")
+    rows.append(_row("G2: Q4_0 has weak-J and J", any(e.label == "Q4_0" for e in ups)))
+    f4 = build_root_system("F4")
+    f4cls = enumerate_maximal(f4)
+    claim = KNOWN_DISCREPANCIES["f4-count"][0]
+    rows.append(_row(claim, len(f4cls) == 5, f"enumeration gives {len(f4cls)} classes mod W"))
+    rows.append(_catalog_row("F4: the five printed sets are maximal elements", f4, "all", ""))
+    rep = property_report(*f4_counterexample())
+    rows.append(_known("f4-collapse", not (rep.symmetric and not rep.weak_j)))
+    rows.append(_catalog_row("F4: Q4'_{1,2,3,4} verifies with witness e1,e2 -> 1", f4, "symmetric", ""))
+    # level-1 shells: symmetric, not weak-J
+    for pair, anchor, label in [
+        ((6, 2), spin((4, 5, 6, 7)), "Q_{6,2,b4567}"),
+        ((7, 1), spin((6, 7)), "Q_{7,1,b67}"),
+        ((7, 2), spin((4, 5, 6, 7)), "Q_{7,2,b4567}"),
+        ((8, 1), beta0(), "Q_{8,1,b0}"),
+        ((8, 2), spin((7, 8)), "Q_{8,2,b78}"),
+    ]:
+        rsys = build_root_system(f"E{pair[0]}")
+        q = construct_q(*pair, [anchor])
+        rep = property_report(rsys, q)
+        rows.append(
+            _row(f"{label} in Q_s \\ Q_Upsilon", rep.symmetric is True and rep.weak_j is False, f"size {len(q)}")
+        )
+    return rows
+
+
+def _verify_gradings():
+    rows = []
+    for pair in XI:
+        ok, fails = verify_grading(*pair)
+        rows.append(_row(f"Z2-grading table ({pair[0]},{pair[1]})", ok, "; ".join(fails[:2])))
+    for pair in ((6, 1), (7, 3)):
+        orbits = s_part_orbits(*pair)
+        ok = orbits == set(orbit_lemma_expected(pair)) and len(orbits) == 2
+        rows.append(_row(f"S^{pair[0]}_{pair[1]} splits into two W-orbits (level sets)", ok))
+    rows.append(_known("s73-orbit-lists", False))
+    o1, o2 = printed_orbit_61()
+    exp = set(orbit_lemma_expected((6, 1)))
+    rows.append(_row("printed S^6_1 orbit lists are exact", {frozenset(o1), frozenset(o2)} == exp))
+    e6 = build_root_system("E6")
+    rows.append(
+        _row(
+            "both S^6_1 orbits belong to Q_0(E6)",
+            all(qsets.has_j(e6, o)[0] for o in (o1, o2)),
+        )
+    )
+    return rows
+
+
+def _verify_e8():
+    rows = []
+    e8 = build_root_system("E8")
+    for ex in e8_examples():
+        q = e8_example_set(ex)
+        rep = property_report(e8, q)
+        got = (rep.symmetric, rep.weak_j, rep.j_property)
+        detail = f"size {len(q)}, got {got}"
+        if ex["label"] in ("4", "6"):
+            detail += " (printed data repaired; see discrepancy list)"
+        rows.append(_row(f"E8 example ({ex['label']}) membership pattern", got == ex["pattern"], detail))
+        if ex["mod4_witness"] is not None and got == ex["pattern"]:
+            ge = _witness_from_ambient(e8, ex["mod4_witness"])
+            ok = all(evaluate_int(e8.roots[i], ge) % 4 == 1 for i in q)
+            rows.append(_row(f"E8 example ({ex['label']}) printed mod-4 witness", ok))
+    rows += [_known(f"e8-example-{label}", False) for label in ("4", "6")]
+    for p in range(1, 9):
+        q = q_prime_p(p)
+        got = qsets.is_symmetric(e8, q)[0]
+        rows.append(_row(f"Q'_{p} symmetric iff p even", got == (p % 2 == 0)))
+    # non-uniqueness remark
+    a = construct_q(8, 1, [beta0()])
+    b = construct_q(8, 1, [spin((1, 2)), spin((3, 4)), spin((5, 6)), spin((7, 8))])
+    rows.append(_row("Q_{8,1,b0} = Q_{8,1,b12,b34,b56,b78}", set(a) == set(b)))
+    c = construct_q(8, 1, [beta0(), spin((1, 2))])
+    d = construct_q(8, 1, [beta0(), *map(spin, [(1, 2, 3, 4), (1, 2, 5, 6), (1, 2, 7, 8)])])
+    claim, modulo_w = KNOWN_DISCREPANCIES["e8-beta0-b12"]
+    same = set(c) == set(d)
+    rows.append(_row(claim, same, "" if same else modulo_w if sets_equivalent(e8, c, d) else "not W-equivalent"))
+    w81 = qsets.has_weak_j(e8, a)
+    rows.append(_row("Q_{8,1,b0} is not in Q_Upsilon", w81[0] is False))
+    return rows
+
+
+SECTIONS = {"6": _verify_section_6, "7": _verify_section_7, "gradings": _verify_gradings, "e8-examples": _verify_e8}
+
+
+def verify_paper(section: str) -> list[dict]:
+    """The rows of the paper's claims in ``section`` (a key of SECTIONS, or
+    'all' for each in order): dicts of the claim as printed, its status
+    ('pass', 'FAIL', or 'known-discrepancy' when KNOWN_DISCREPANCIES names
+    it), a detail if any and a known discrepancy's id.  Three rows re-check
+    nothing: a constant falsifies s73-orbit-lists, e8-example-4 and
+    e8-example-6, whose printed data is not in the repository.  A budget stop
+    raises BudgetExceeded with the finished sections' rows as ``partial``."""
+    rows: list[dict] = []
+    for name in SECTIONS if section == "all" else [section]:
+        try:
+            rows += SECTIONS[name]()
+        except BudgetExceeded as e:
+            raise BudgetExceeded(str(e), rows) from e
+    return rows

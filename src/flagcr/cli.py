@@ -12,10 +12,9 @@ rootsys.build_root_system).
 Exit codes: 0 success, 1 bad arguments / parse or validation failure,
 2 budget exceeded (partial results are still printed, flagged
 non-exhaustive, and stderr names the stop).  verify-paper prints one line
-per claim before its report, and exits 1 only when a claim fails that
-classify.KNOWN_DISCREPANCIES does not register; that registry alone decides
-each row's status.  enumerate --budget, a positive integer, is the one way
-to set the search budget (default weyl.BUDGET); verify-paper takes none.
+per row of classify.verify_paper before its report, and exits 1 only on a
+FAIL row.  enumerate --budget, a positive integer, is the one way to set
+the search budget (default weyl.BUDGET); verify-paper takes none.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from collections import Counter
 
 from . import classify, qsets, rootsys, weyl
 from .classify import BudgetExceeded
-from .rootsys import build_root_system
 
 
 def _digest(payload) -> str:
@@ -131,177 +129,14 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _row(claim, ok, detail=""):
-    """A verify-paper row.  A failing claim is a known discrepancy, with its
-    id, exactly when classify.KNOWN_DISCREPANCIES registers it."""
-    known = next((k for k, (c, _) in classify.KNOWN_DISCREPANCIES.items() if c == claim), None)
-    row = {"claim": claim, "status": "pass" if ok else "FAIL" if known is None else "known-discrepancy"}
-    if detail:
-        row["detail"] = detail
-    if not ok and known:
-        row["discrepancy_id"] = known
-    return row
-
-
-def _known(discrepancy_id, ok):
-    """The row of the claim and detail registered under ``discrepancy_id``."""
-    claim, detail = classify.KNOWN_DISCREPANCIES[discrepancy_id]
-    return _row(claim, ok, detail)
-
-
-def _catalog_row(claim, rs, which, detail):
-    """The row of a catalog that verifies on construction, witnesses
-    included; ``detail`` is formatted with its number of entries."""
-    try:
-        entries = classify.catalog(rs, which)
-    except classify.CatalogClaimFailed as e:
-        return _row(claim, False, str(e))
-    return _row(claim, True, detail.format(len(entries)))
-
-
-def _verify_section_6():
-    rows = []
-    for tag, rank, want in [("A", 3, 2), ("A", 4, 3), ("C", 2, 1), ("C", 3, 1), ("C", 4, 1)]:
-        got = len(classify.enumerate_maximal(build_root_system(tag, rank)))
-        rows.append(_row(f"catalog count {tag} n={rank} is {want}", got == want, f"got {got}"))
-    for tag, n in [("B", 3), ("B", 4), ("D", 4)]:
-        rs = build_root_system(tag, n)
-        cat = classify.catalog(rs, "all")
-        cls = classify.enumerate_maximal(rs)
-        rows.append(
-            _row(
-                f"{tag}{n} catalog (derived constraints) matches enumeration",
-                len(cat) == len(cls),
-                f"catalog {len(cat)}, enumeration {len(cls)}",
-            )
-        )
-    rows.append(_known("bn-dn-constraints", bool(classify.bn_constraint_discrepancy(4))))
-    # symmetric catalogs verify (witnesses check on construction)
-    for tag, n in [("A", 4), ("B", 3), ("B", 4), ("C", 3), ("D", 4)]:
-        rs = build_root_system(tag, n)
-        rows.append(_catalog_row(f"{tag}{n} symmetric catalog entries verify", rs, "symmetric", "{} entries"))
-    # the classical collapse claim itself
-    rep = qsets.property_report(*classify.b3_counterexample())
-    rows.append(_known("classical-collapse", not (rep.symmetric and not rep.j_property)))
-    return rows
-
-
-def _verify_section_7():
-    rows = []
-    g2 = build_root_system("G2")
-    cls = classify.enumerate_maximal(g2)
-    rows.append(_row("G2 has two maximal classes", len(cls) == 2, f"got {len(cls)}"))
-    flags = [(c.report.symmetric, c.report.weak_j) for c in cls]
-    rows.append(
-        _row(
-            "G2: one maximal class symmetric, the other not",
-            sorted(f[0] for f in flags) == [False, True],
-        )
-    )
-    ups = classify.catalog(g2, "symmetric")
-    rows.append(_row("G2: Q4_0 has weak-J and J", any(e.label == "Q4_0" for e in ups)))
-    f4 = build_root_system("F4")
-    f4cls = classify.enumerate_maximal(f4)
-    claim = classify.KNOWN_DISCREPANCIES["f4-count"][0]
-    rows.append(_row(claim, len(f4cls) == 5, f"enumeration gives {len(f4cls)} classes mod W"))
-    rows.append(_catalog_row("F4: the five printed sets are maximal elements", f4, "all", ""))
-    rep = qsets.property_report(*classify.f4_counterexample())
-    rows.append(_known("f4-collapse", not (rep.symmetric and not rep.weak_j)))
-    rows.append(_catalog_row("F4: Q4'_{1,2,3,4} verifies with witness e1,e2 -> 1", f4, "symmetric", ""))
-    # level-1 shells: symmetric, not weak-J
-    for pair, anchor, label in [
-        ((6, 2), classify.spin((4, 5, 6, 7)), "Q_{6,2,b4567}"),
-        ((7, 1), classify.spin((6, 7)), "Q_{7,1,b67}"),
-        ((7, 2), classify.spin((4, 5, 6, 7)), "Q_{7,2,b4567}"),
-        ((8, 1), classify.beta0(), "Q_{8,1,b0}"),
-        ((8, 2), classify.spin((7, 8)), "Q_{8,2,b78}"),
-    ]:
-        rsys = build_root_system(f"E{pair[0]}")
-        q = classify.construct_q(*pair, [anchor])
-        rep = qsets.property_report(rsys, q)
-        rows.append(
-            _row(f"{label} in Q_s \\ Q_Upsilon", rep.symmetric is True and rep.weak_j is False, f"size {len(q)}")
-        )
-    return rows
-
-
-def _verify_gradings():
-    rows = []
-    for pair in classify.XI:
-        ok, fails = classify.verify_grading(*pair)
-        rows.append(_row(f"Z2-grading table ({pair[0]},{pair[1]})", ok, "; ".join(fails[:2])))
-    for pair in ((6, 1), (7, 3)):
-        orbits = classify.s_part_orbits(*pair)
-        ok = orbits == set(classify.orbit_lemma_expected(pair)) and len(orbits) == 2
-        rows.append(_row(f"S^{pair[0]}_{pair[1]} splits into two W-orbits (level sets)", ok))
-    rows.append(_known("s73-orbit-lists", False))
-    o1, o2 = classify.printed_orbit_61()
-    exp = set(classify.orbit_lemma_expected((6, 1)))
-    rows.append(_row("printed S^6_1 orbit lists are exact", {frozenset(o1), frozenset(o2)} == exp))
-    e6 = build_root_system("E6")
-    rows.append(
-        _row(
-            "both S^6_1 orbits belong to Q_0(E6)",
-            all(qsets.has_j(e6, o)[0] for o in (o1, o2)),
-        )
-    )
-    return rows
-
-
-def _verify_e8():
-    rows = []
-    e8 = build_root_system("E8")
-    for ex in classify.e8_examples():
-        q = classify.e8_example_set(ex)
-        rep = qsets.property_report(e8, q)
-        got = (rep.symmetric, rep.weak_j, rep.j_property)
-        detail = f"size {len(q)}, got {got}"
-        if ex["label"] in ("4", "6"):
-            detail += " (printed data repaired; see discrepancy list)"
-        rows.append(_row(f"E8 example ({ex['label']}) membership pattern", got == ex["pattern"], detail))
-        if ex["mod4_witness"] is not None and got == ex["pattern"]:
-            coords = e8.ambient_to_coweight_coords(ex["mod4_witness"])
-            ge = e8.grading_element(coords)
-            ok = all(rootsys.evaluate_int(e8.roots[i], ge) % 4 == 1 for i in q)
-            rows.append(_row(f"E8 example ({ex['label']}) printed mod-4 witness", ok))
-    rows += [_known(f"e8-example-{label}", False) for label in ("4", "6")]
-    for p in range(1, 9):
-        q = classify.q_prime_p(p)
-        got = qsets.is_symmetric(e8, q)[0]
-        rows.append(_row(f"Q'_{p} symmetric iff p even", got == (p % 2 == 0)))
-    # non-uniqueness remark
-    a = classify.construct_q(8, 1, [classify.beta0()])
-    b = classify.construct_q(
-        8, 1, [classify.spin((1, 2)), classify.spin((3, 4)), classify.spin((5, 6)), classify.spin((7, 8))]
-    )
-    rows.append(_row("Q_{8,1,b0} = Q_{8,1,b12,b34,b56,b78}", set(a) == set(b)))
-    c = classify.construct_q(8, 1, [classify.beta0(), classify.spin((1, 2))])
-    d = classify.construct_q(8, 1, [classify.beta0(), *map(classify.spin, [(1, 2, 3, 4), (1, 2, 5, 6), (1, 2, 7, 8)])])
-    claim, modulo_w = classify.KNOWN_DISCREPANCIES["e8-beta0-b12"]
-    same = set(c) == set(d)
-    rows.append(_row(claim, same, "" if same else modulo_w if weyl.sets_equivalent(e8, c, d) else "not W-equivalent"))
-    w81 = qsets.has_weak_j(e8, a)
-    rows.append(_row("Q_{8,1,b0} is not in Q_Upsilon", w81[0] is False))
-    return rows
-
-
 def cmd_verify_paper(args) -> int:
-    section = args.section
-    sections = {
-        "6": _verify_section_6,
-        "7": _verify_section_7,
-        "gradings": _verify_gradings,
-        "e8-examples": _verify_e8,
-    }
-    rows, exhaustive = [], True
+    exhaustive = True
     try:
-        for name, run in sections.items():
-            if section in (name, "all"):
-                rows += run()
+        rows = classify.verify_paper(args.section)
     except BudgetExceeded as e:
         # the rows of the sections that finished are printed, flagged
         print(f"error: {e}", file=sys.stderr)
-        exhaustive = False
+        rows, exhaustive = e.partial, False
     for r in rows:
         mark = {"pass": "PASS", "FAIL": "FAIL", "known-discrepancy": "KNOWN"}[r["status"]]
         line = f"[{mark}] {r['claim']}"
@@ -311,7 +146,7 @@ def cmd_verify_paper(args) -> int:
     counts = Counter(r["status"] for r in rows)
     summary = {"pass": counts["pass"], "fail": counts["FAIL"], "known_discrepancies": counts["known-discrepancy"]}
     if args.format == "json":
-        _emit(args, "verify-paper", {"section": section}, {"rows": rows, "summary": summary}, exhaustive)
+        _emit(args, "verify-paper", {"section": args.section}, {"rows": rows, "summary": summary}, exhaustive)
     else:
         print(json.dumps(dict(summary, timing_s=_timing(args)) if args.verbose else summary, sort_keys=True))
     return 1 if summary["fail"] else 0 if exhaustive else 2
@@ -382,6 +217,11 @@ def cmd_cralg(args) -> int:
     from . import cralg as ca
     from .presets import get_preset
 
+    if args.preset and (args.file or args.q):
+        raise SystemExit2("--preset takes no --file or --q", 1)
+    for opt, op in (("xi", "levi"), ("ideal", "fibration")):
+        if getattr(args, opt) is not None and args.op != op:
+            raise SystemExit2(f"--{opt} applies only to --op {op}", 1)
     try:
         if args.preset:
             alg = get_preset(args.preset)
@@ -494,7 +334,7 @@ def _parser() -> _Parser:
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("verify-paper", parents=[common], help="itemized verification of the catalog claims")
-    p.add_argument("--section", default="all", choices=["6", "7", "gradings", "e8-examples", "all"])
+    p.add_argument("--section", default="all", choices=[*classify.SECTIONS, "all"])
     p.set_defaults(fn=cmd_verify_paper)
 
     p = sub.add_parser("realform", parents=[common], help="real-form compatibility checks for a closed root set")

@@ -14,11 +14,11 @@ that reach the least image, so it also gives the order of the set's
 stabiliser and, with the group's order, its orbit size (counted_form); two
 sets are equivalent when their canonical forms agree.  These searches, the
 clique search of classify.enumerate_maximal and classify.subset_universe
-stop at one budget, BUDGET, which only enumerate --budget overrides.  set_orbit enumerates
-a set orbit once per member, through the W-orbit of its dominant root sum,
-walked on weights packed into one integer each; no module of the package
-calls it, and it serves the benchmark (perfbench/workloads.py) and the tests
-as their oracle of orbits.
+stop at one budget, BUDGET, which only enumerate --budget overrides.
+set_orbit enumerates a set orbit once per member, through the W-orbit of its
+dominant root sum, walked on weights packed into one integer each; no module
+of the package calls it, and it serves the benchmark (perfbench/workloads.py)
+and the tests as their oracle of orbits.
 Membership of one element in W is decided by the chamber walk on
 permutations; in_weyl has no caller in the package and stays only because
 the benchmark tracer (perfbench/tracer.py) wraps it.

@@ -786,13 +786,14 @@ def test_chevalley_presentation_axioms(spec):
 
 
 def _verify_paper(section):
-    """verify-paper's exit code, its row lines and its JSON report's rows."""
+    """verify-paper's exit code and its row lines under --format table, which
+    end in one JSON summary line, and the rows of classify.verify_paper."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["verify-paper", "--section", section])
-    text = out.getvalue()
-    cut = text.index("\n{") + 1
-    return code, text[:cut], json.loads(text[cut:])["results"]["rows"]
+        code = main(["verify-paper", "--section", section, "--format", "table"])
+    *lines, summary = out.getvalue().splitlines(keepends=True)
+    assert set(json.loads(summary)) == {"pass", "fail", "known_discrepancies"}
+    return code, "".join(lines), classify.verify_paper(section)
 
 
 def test_known_discrepancies_listed():

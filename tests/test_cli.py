@@ -238,6 +238,30 @@ def test_cralg_inputs_name_every_given_option(capsys):
     assert len({r["inputs_digest"] for r in reports}) == len(runs)
 
 
+CRALG_IGNORED_OPTIONS = [
+    ("preset with file and q", ["--preset", "heisenberg", "--file", "x", "--q", "y", "--op", "predicates"],
+     "--preset takes no --file or --q"),
+    ("preset with q", ["--preset", "heisenberg", "--q", "y", "--op", "levi"], "--preset takes no --file or --q"),
+    ("xi outside levi", ["--preset", "heisenberg", "--op", "predicates", "--xi", "[1,0,0]"],
+     "--xi applies only to --op levi"),
+    ("ideal outside fibration", ["--preset", "heisenberg", "--op", "levi", "--ideal", "center"],
+     "--ideal applies only to --op fibration"),
+    ("xi in file mode", ["--file", "x", "--q", "y", "--op", "anticanonical", "--xi", "[0,0,1]"],
+     "--xi applies only to --op levi"),
+]
+
+
+@pytest.mark.parametrize("argv,message", [c[1:] for c in CRALG_IGNORED_OPTIONS],
+                         ids=[c[0] for c in CRALG_IGNORED_OPTIONS])
+def test_cralg_rejects_options_it_ignores(capsys, argv, message):
+    # an option the chosen mode or --op would not read is an error, not
+    # silently kept in inputs (and inputs_digest); no file is opened
+    assert main(["cralg", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def _heisenberg_json(edit=None):
     from flagcr.presets import heisenberg
 
@@ -414,6 +438,40 @@ def test_catalog_canonical_form_stop_exits_2(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_budget_stop_in_a_later_section_keeps_the_finished_ones(capsys, monkeypatch):
+    # a stop in the gradings section of 'all' keeps the rows of sections 6
+    # and 7, which finished; the CLI prints exactly those, flagged, and exits 2
+    finished = classify.verify_paper("6") + classify.verify_paper("7")
+
+    def stop(l, i):
+        raise classify.BudgetExceeded(f"orbit search of S^{l}_{i} stopped", None)
+
+    monkeypatch.setattr(classify, "s_part_orbits", stop)
+    with pytest.raises(classify.BudgetExceeded) as caught:
+        classify.verify_paper("all")
+    assert caught.value.partial == finished
+    code = main(["verify-paper", "--section", "all"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: orbit search of S^6_1 stopped\n"
+    lines, report = _last_json(captured.out)
+    assert report["exhaustive"] is False
+    assert report["results"]["rows"] == finished
+    assert len(lines) == len(finished)
+    assert all(ln.startswith(("[PASS] ", "[KNOWN] ")) for ln in lines)
+
+
+@pytest.mark.parametrize("section", [*classify.SECTIONS, "all"])
+def test_verify_paper_report_rows_are_the_library_rows(capsys, section):
+    code, out = run(capsys, "verify-paper", "--section", section)
+    assert code == 0
+    lines, report = _last_json(out)
+    rows = classify.verify_paper(section)
+    assert report["results"]["rows"] == rows
+    assert report["exhaustive"] is True
+    assert len(lines) == len(rows)
+
+
 BUDGET_CASES = [
     # (id, argv, FLAGCR_BUDGET, which no command reads, exit code, stderr
     # fragment); an id argv<k>-... is the one pytest gave row k before the
@@ -570,6 +628,11 @@ NO_TRACEBACK = [
     ("cralg i = j", ["cralg", "--file", "{d}/ieqj.json", "--q", "{d}/q.json", "--op", "levi"], 1),
     ("cralg conj not involutive", ["cralg", "--file", "{d}/conj2.json", "--q", "{d}/q.json", "--op", "levi"], 1),
     ("cralg q garbled", ["cralg", "--file", "{d}/heisenberg.json", "--q", "{d}/garbled.json", "--op", "levi"], 1),
+    ("cralg preset with file and q",
+     ["cralg", "--preset", "heisenberg", "--file", "{d}/missing.json", "--q", "{d}/q.json", "--op", "predicates"], 1),
+    ("cralg preset with q", ["cralg", "--preset", "heisenberg", "--q", "{d}/q.json", "--op", "predicates"], 1),
+    ("cralg xi outside levi", ["cralg", "--preset", "heisenberg", "--op", "predicates", "--xi", "[1,0,0]"], 1),
+    ("cralg ideal outside fibration", ["cralg", "--preset", "heisenberg", "--op", "levi", "--ideal", "center"], 1),
     ("no command", [], 1),
     ("unknown command", ["classify"], 1),
 ]

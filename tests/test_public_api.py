@@ -25,7 +25,7 @@ PUBLIC = {
         "catalog", "construct_q", "e8_example_set", "e8_examples", "enumerate_maximal",
         "f4_counterexample", "grading_level_set", "grading_table", "MassIdentityViolation", "maximal_cliques",
         "maximal_symmetric_classes", "orbit_lemma_expected", "printed_orbit_61", "q_prime_p", "s_part_orbits", "spin",
-        "subset_universe", "verify_grading",
+        "SECTIONS", "subset_universe", "verify_grading", "verify_paper",
     },
     "cli": {"SystemExit2", "cmd_check", "cmd_cralg", "cmd_enumerate", "cmd_realform", "cmd_verify_paper", "main"},
     "cralg": {
