@@ -1096,6 +1096,8 @@ def verify_paper(section: str) -> list[dict]:
     nothing: a constant falsifies s73-orbit-lists, e8-example-4 and
     e8-example-6, whose printed data is not in the repository.  A budget stop
     raises BudgetExceeded with the finished sections' rows as ``partial``."""
+    if section != "all" and section not in SECTIONS:
+        raise ValueError(f"section must be one of {', '.join(SECTIONS)} or all, got {section!r}")
     rows: list[dict] = []
     for name in SECTIONS if section == "all" else [section]:
         try:

@@ -77,9 +77,12 @@ def _std_basis(n):
     return [tuple(C_ONE if k == i else C_ZERO for k in range(n)) for i in range(n)]
 
 
-def _columns(m, n):
-    """The n columns of the matrix m given by its rows, as CNum tuples."""
-    return [tuple(CNum.of(row[j]) for row in m) for j in range(n)]
+def _columns(m, rows, cols, name):
+    """The columns of the rows x cols matrix m given by its rows, as CNum
+    tuples; ValueError naming m and its shape if it has another."""
+    if (lengths := [len(row) for row in m]) != [cols] * rows:
+        raise ValueError(f"{name} must be a {rows} x {cols} matrix, not one with rows of lengths {lengths}")
+    return [tuple(CNum.of(row[j]) for row in m) for j in range(cols)]
 
 
 def _check_pairs(table, cols, rhs, error):
@@ -130,9 +133,7 @@ class LieAlgebraPresentation:
         for key, row in sorted(rows.items()):
             if pairs := tuple((k, c) for k, c in sorted(row.items()) if c):
                 self.table[key] = pairs
-        if len(conj) != dim or any(len(row) != dim for row in conj):
-            raise ValueError(f"conj must be a {dim} x {dim} matrix")
-        self.conj_cols = tuple(tuple(CNum.of(conj[i][j]) for i in range(dim)) for j in range(dim))
+        self.conj_cols = _columns(conj, dim, dim, "conj")
         self._validate()
 
     # -- core algebra ------------------------------------------------------
@@ -181,7 +182,7 @@ class LieAlgebraPresentation:
 
     @cached_property
     def _g0_rows(self):
-        real = RMatrix([realify_vector(v) for v in real_points(self, full_space(self))])
+        real = RMatrix(2 * self.dim, [realify_vector(v) for v in real_points(self, full_space(self))])
         return [complexify_vector(r) for r in real.rows]
 
     def g0_basis(self):
@@ -261,17 +262,10 @@ class LieAlgebraPresentation:
         return LieAlgebraPresentation(n, table, conj, labels)
 
 
-def _span(n, rows) -> CMatrix:
-    """Row space of the nonzero rows, of width n also when there are none:
-    every subspace this module builds is made here."""
-    rows = [r for r in rows if any(r)]
-    return CMatrix(rows) if rows else CMatrix.empty(n)
-
-
 def _image(space: CMatrix, cols, dim) -> CMatrix:
     """The image of a space under the C-linear map with columns cols into
     CNum dim-vectors: the span of the images of its rows."""
-    return _span(dim, (_apply(cols, r, dim) for r in space.rows))
+    return CMatrix(dim, (_apply(cols, r, dim) for r in space.rows))
 
 
 def _preimage(domain: CMatrix, images_fn, target: CMatrix) -> CMatrix:
@@ -285,24 +279,26 @@ def _preimage(domain: CMatrix, images_fn, target: CMatrix) -> CMatrix:
     mat_rows = [[res[m][t] for res in residues] for m in range(n_images) for t in range(target.ncols)]
     if not mat_rows:
         return domain
-    return _span(domain.ncols, (_apply(rows, c, domain.ncols) for c in kernel(mat_rows, CNum.of)))
+    return CMatrix(domain.ncols, (_apply(rows, c, domain.ncols) for c in kernel(mat_rows, CNum.of)))
+
+
+def _in_g(pres: LieAlgebraPresentation, space: CMatrix, name):
+    if space.ncols != pres.dim:
+        raise ValueError(f"{name} has {space.ncols} coordinates, but g has dimension {pres.dim}")
 
 
 def cspan(pres: LieAlgebraPresentation, vectors) -> CMatrix:
-    """Complex span of CNum vectors."""
-    for t, v in enumerate(vectors):
-        if len(v) != pres.dim:
-            raise ValueError(f"vector {t} has {len(v)} coordinates, not {pres.dim}")
-    return _span(pres.dim, vectors)
+    """Complex span of CNum vectors of g."""
+    return CMatrix(pres.dim, vectors)
 
 
 def full_space(pres: LieAlgebraPresentation) -> CMatrix:
     """All of g: the complexification of g0."""
-    return _span(pres.dim, _std_basis(pres.dim))
+    return CMatrix(pres.dim, _std_basis(pres.dim))
 
 
 def conj_space(pres: LieAlgebraPresentation, space: CMatrix) -> CMatrix:
-    return _span(pres.dim, map(pres.nu, space.rows))
+    return CMatrix(pres.dim, map(pres.nu, space.rows))
 
 
 def real_points(pres: LieAlgebraPresentation, space: CMatrix) -> list:
@@ -322,13 +318,13 @@ def _eigenspace(cols, c) -> CMatrix:
     """{v : T v = c v} for the C-linear map T on CNum n-vectors with columns
     cols: the kernel of the matrix with columns T e_j - c e_j."""
     rows = [[x - c if t == j else x for j, x in enumerate(row)] for t, row in enumerate(zip(*cols))]
-    return _span(len(cols), kernel(rows, CNum.of))
+    return CMatrix(len(cols), kernel(rows, CNum.of))
 
 
 def bracket_spaces(pres: LieAlgebraPresentation, a: CMatrix, b: CMatrix) -> CMatrix:
     """[a, b]; for a is b only its row pairs i < j, which span it by antisymmetry."""
     pairs = ((u, w) for i, u in enumerate(a.rows) for w in (b.rows[i + 1 :] if a is b else b.rows))
-    return _span(pres.dim, (pres.bracket(u, w) for u, w in pairs))
+    return CMatrix(pres.dim, (pres.bracket(u, w) for u, w in pairs))
 
 
 def is_subalgebra(pres, space: CMatrix) -> bool:
@@ -352,7 +348,7 @@ def _ascend(space: CMatrix, images) -> CMatrix:
                 if len(rows) == space.ncols:
                     break
         old, new = old + new, added
-    return _span(space.ncols, rows) if len(rows) > space.rank() else space
+    return CMatrix(space.ncols, rows) if len(rows) > space.rank() else space
 
 
 def _generated(pres, space: CMatrix) -> CMatrix:
@@ -374,6 +370,7 @@ class CRAlgebra:
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _in_g(self.pres, self.q, "q")
         if not is_subalgebra(self.pres, self.q):
             raise ValueError("q is not closed under the bracket")
 
@@ -502,7 +499,7 @@ def check_j_property(a: CRAlgebra, j) -> bool:
     on the presentation basis); verified in the complexified form J(q) in q,
     Z - i J(Z) in q n qbar on a basis of q."""
     n = a.pres.dim
-    cols = _columns(j, n)
+    cols = _columns(j, n, n, "J")
     _check_derivation(a.pres, cols)
     return all(a.q.contains(_apply(cols, v, n)) for v in a.q.rows) and _shift_in_cap(a, cols, -C_I)
 
@@ -519,7 +516,7 @@ def exact_exponential(pres: LieAlgebraPresentation, j):
     for a semisimple derivation J with spectrum in iZ: it acts as i^k on the
     eigenspace of ik; NonExactExponential otherwise."""
     n = pres.dim
-    cols = _columns(j, n)
+    cols = _columns(j, n, n, "J")
     _check_derivation(pres, cols)
     bound = max((int(sum(abs(x.re) + abs(x.im) for x in col)) + 1 for col in cols), default=0)
     # eigenspaces of distinct eigenvalues are independent: they span C^n
@@ -541,7 +538,7 @@ def check_weak_j(a: CRAlgebra, upsilon) -> bool:
     """Upsilon(q) = q and Z - i Upsilon(Z) in q n qbar, for an automorphism
     Upsilon of g0 (CNum matrix on the presentation basis, for instance the
     exact_exponential of a derivation); NotAnAutomorphism otherwise."""
-    return _is_weak_j(a, _columns(upsilon, a.pres.dim))
+    return _is_weak_j(a, _columns(upsilon, a.pres.dim, a.pres.dim, "Upsilon"))
 
 
 def _is_weak_j(a: CRAlgebra, cols) -> bool:
@@ -582,7 +579,7 @@ def check_cr_symmetric(a: CRAlgebra, lam) -> dict:
     compatibility, the bracket corollary, and almost-compactness of i0."""
     pres = a.pres
     n = pres.dim
-    cols = _columns(lam, n)
+    cols = _columns(lam, n, n, "lambda")
     basis = _std_basis(n)
     report = {}
     report["involution"] = all(_apply(cols, col, n) == b for col, b in zip(cols, basis))
@@ -634,6 +631,7 @@ def fibration_compatible(a: CRAlgebra, ideal: CMatrix) -> bool:
     """(q n qbar) + a == (q + a) n (qbar + a) for an ideal of g0 given by its
     complexification a."""
     pres = a.pres
+    _in_g(pres, ideal, "the ideal")
     if conj_space(pres, ideal) != ideal:
         raise NotAnIdeal("subspace is not nu-stable, so not the complexification of a subspace of g0")
     if not ideal.contains_space(bracket_spaces(pres, full_space(pres), ideal)):
@@ -649,7 +647,8 @@ def weak_j_implies_compatible(a: CRAlgebra, ideal: CMatrix, upsilon) -> bool:
     outcome of fibration_compatible after checking the hypotheses on Upsilon
     (a matrix as for check_weak_j)."""
     pres = a.pres
-    cols = _columns(upsilon, pres.dim)
+    _in_g(pres, ideal, "the ideal")
+    cols = _columns(upsilon, pres.dim, pres.dim, "Upsilon")
     if not _is_weak_j(a, cols):
         raise PreconditionViolation("structure does not have the weak-J property")
     # _is_weak_j has checked that Upsilon is real
@@ -664,7 +663,7 @@ def induced_base_fiber(a: CRAlgebra, ideal: CMatrix):
     pres = a.pres
     base = CRAlgebra(pres, a.q.sum(ideal))
     sub_pres, embed, project = sub_presentation(pres, ideal)
-    fiber = CRAlgebra(sub_pres, _span(sub_pres.dim, map(project, a.q.intersect(ideal).rows)))
+    fiber = CRAlgebra(sub_pres, CMatrix(sub_pres.dim, map(project, a.q.intersect(ideal).rows)))
     return base, fiber
 
 
@@ -753,7 +752,7 @@ def morphism_classify(src: CRAlgebra, tgt: CRAlgebra, phi) -> dict:
     phi0 : g0 -> g0' (CNum matrix from the src to the tgt presentation basis,
     commuting with the conjugations) as a CR-algebras morphism."""
     sp, tp = src.pres, tgt.pres
-    cols = _columns(phi, sp.dim)
+    cols = _columns(phi, tp.dim, sp.dim, "phi")
     if not _is_real(sp, tp, cols):
         raise NotAHomomorphism("the map does not commute with the conjugations, so it does not map g0 into g0'")
     _check_pairs(sp.table, cols, lambda i, j: tp.bracket(cols[i], cols[j]), NotAHomomorphism)

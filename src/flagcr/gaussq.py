@@ -9,7 +9,8 @@ elimination of the matrix alone.  _apply is the one product of a matrix,
 given by its columns, with a vector.
 CMatrix / RMatrix represent subspaces by their rows, canonicalized through
 reduced row echelon form, so equality of subspaces is equality of canonical
-forms.
+forms.  A subspace is built with its width, CMatrix(n, rows), the zero
+subspace as CMatrix(n, []), and refuses a row or vector of another width.
 """
 
 from __future__ import annotations
@@ -204,27 +205,24 @@ def kernel(rows, coerce):
 
 
 class _SpaceBase:
-    zero = None
+    def __init__(self, ncols, rows):
+        self.ncols = ncols
+        self.rows, self.pivots = _rref(self._vector(r, f"vector {t}") for t, r in enumerate(rows))
 
-    def __init__(self, rows):
-        rows = [tuple(self.coerce(x) for x in r) for r in rows]
-        self.ncols = len(rows[0]) if rows else 0
-        reduced, pivots = _rref(rows)
-        self.rows = reduced
-        self.pivots = pivots
-
-    @classmethod
-    def empty(cls, ncols):
-        out = cls([])
-        out.ncols = ncols
-        return out
+    def _vector(self, vec, name) -> tuple:
+        """vec over the field; ValueError naming it unless it has ncols
+        coordinates, as the eliminations zip vectors and would cut it."""
+        v = tuple(map(self.coerce, vec))
+        if len(v) != self.ncols:
+            raise ValueError(f"{name} has {len(v)} coordinates, not {self.ncols}")
+        return v
 
     def rank(self) -> int:
         return len(self.rows)
 
     def residue(self, vec) -> list:
         """vec reduced modulo the row space; zero exactly when vec lies in it."""
-        return _reduce(map(self.coerce, vec), self.rows, self.pivots)
+        return _reduce(self._vector(vec, "vector"), self.rows, self.pivots)
 
     def contains(self, vec) -> bool:
         return not any(self.residue(vec))
@@ -238,22 +236,21 @@ class _SpaceBase:
     def __hash__(self):
         return hash((self.ncols, self.rows))
 
+    def _same_width(self, other):
+        if other.ncols != self.ncols:
+            raise ValueError(f"space has {other.ncols} coordinates, not {self.ncols}")
+
     def sum(self, other):
-        if not self.rows:
-            return other
-        if not other.rows:
-            return self
-        return type(self)(list(self.rows) + list(other.rows))
+        self._same_width(other)
+        return type(self)(self.ncols, self.rows + other.rows)
 
     def intersect(self, other):
         """Intersection of row spaces (Zassenhaus): in the reduced form of the
         rows (u | u) and (w | 0), the rows whose first half vanishes span it."""
+        self._same_width(other)
         n, zero = self.ncols, self.coerce(0)
-        if not self.rows or not other.rows:
-            return type(self).empty(n)
         red, pivots = _rref([u + u for u in self.rows] + [w + (zero,) * n for w in other.rows])
-        vecs = [r[n:] for r, p in zip(red, pivots) if p >= n]
-        return type(self)(vecs) if vecs else type(self).empty(n)
+        return type(self)(n, (r[n:] for r, p in zip(red, pivots) if p >= n))
 
 
 class CMatrix(_SpaceBase):

@@ -231,12 +231,13 @@ def regular_max_structure(r: RootSystem, sigma: RootConjugation, q, m_basis) -> 
     if not check_eq_ha(r, q, sigma):
         raise ValueError("Q fails the partition condition")
     ell = r.rank
-    m = CMatrix([[CNum(Fraction(x), Fraction(y)) for x, y in zip(re, im)] for re, im in m_basis])
+    n = r.ambient_dim
+    m = CMatrix(n, [[CNum(Fraction(x), Fraction(y)) for x, y in zip(re, im, strict=True)] for re, im in m_basis])
     report = {"dim_m": m.rank(), "expected_dim": ell // 2}
     report["dim_ok"] = m.rank() == ell // 2
     # the h-space conjugation is sigma applied to coordinatewise conj, which
     # is conj(sigma v) as sigma is real
-    mbar = CMatrix([[z.conj() for z in _apply(sigma.cols, v, r.ambient_dim)] for v in m.rows])
+    mbar = CMatrix(n, [[z.conj() for z in _apply(sigma.cols, v, n)] for v in m.rows])
     inter = m.intersect(mbar)
     report["m_meets_mbar_trivially"] = inter.rank() == 0
     # Q^r coroot span inside m: the coroot is a multiple of the root, and

@@ -270,7 +270,7 @@ def test_criterion_8_cralg_oracles():
         assert i0.contains_space(ideal)
         assert ideal.contains_space(bracket_spaces(a.pres, full_space(a.pres), ideal))
         for r in real_points(a.pres, i0):
-            cand = ideal.sum(CMatrix([r]))
+            cand = ideal.sum(CMatrix(len(r), [r]))
             if cand.rank() == ideal.rank():
                 continue
             assert not i0.contains_space(ideal_closure(a.pres, cand))

@@ -829,6 +829,12 @@ def test_a_registered_claim_that_holds_passes(monkeypatch):
     assert [r for r in rows if r["claim"] == claim] == [{"claim": claim, "status": "pass", "detail": detail}]
 
 
+@pytest.mark.parametrize("section", ["8", "", "All"])
+def test_verify_paper_refuses_an_unknown_section(section):
+    with pytest.raises(ValueError, match=f"section must be one of 6, 7, gradings, e8-examples or all, got {section!r}"):
+        classify.verify_paper(section)
+
+
 def test_registered_claims_are_stated_only_in_classify():
     # every other module reads a falsified claim's text off the registry
     claims = [claim for claim, _ in classify.KNOWN_DISCREPANCIES.values()]

@@ -313,6 +313,8 @@ MALFORMED_CRALG = [
     ("Jacobi fails", _heisenberg_json(lambda d: d["c"].append([0, 2, 0, "1", "0"])), X_PLUS_IY, [],
      "Jacobi identity fails on basis triple 0,1,2"),
     ("q vector too short", _heisenberg_json(), "[[[1, 0], [0, 1]]]", [], "vector 0 has 2 coordinates, not 3"),
+    ("q vector too long", _heisenberg_json(), "[[[1, 0], [0, 1], [0, 0], [0, 0]]]", [],
+     "vector 0 has 4 coordinates, not 3"),
     ("q not a list of vectors", _heisenberg_json(), "5", [], "--q must hold a JSON list of vectors"),
     ("q coordinate not a pair", _heisenberg_json(), "[[[1, 0], [0, 1], 5]]", [],
      "--q vector 0: 5 is not a pair [re, im] of rationals"),

@@ -191,7 +191,7 @@ def test_effective_brute_force_small():
         assert ideal.contains_space(bracket_spaces(pres, cralg.full_space(pres), ideal))
         # (ii) maximality: adding any real complement direction of i0 escapes i0
         for r in real_points(pres, i0):
-            cand = ideal.sum(CMatrix([r]))
+            cand = ideal.sum(CMatrix(pres.dim, [r]))
             if cand.rank() == ideal.rank():
                 continue
             closure = ideal_closure(pres, cand)
@@ -279,7 +279,7 @@ def test_exam_bf_fibration_fails():
 
 def test_fibration_trivial_cases():
     h = heisenberg()
-    zero = CMatrix.empty(h.pres.dim)
+    zero = CMatrix(h.pres.dim, [])
     assert fibration_compatible(h, zero)
     g0 = cralg.full_space(h.pres)
     assert fibration_compatible(h, g0)
@@ -571,13 +571,13 @@ def test_weak_j_implies_compatible_property():
     assert check_weak_j(h, upsilon)
     assert weak_j_implies_compatible(h, center, upsilon)
     # extremes: zero ideal and the full algebra
-    assert weak_j_implies_compatible(h, CMatrix.empty(h.pres.dim), upsilon)
+    assert weak_j_implies_compatible(h, CMatrix(h.pres.dim, []), upsilon)
     assert weak_j_implies_compatible(h, cralg.full_space(h.pres), upsilon)
     # re-evaluation stability under basis shuffling
     for _ in range(5):
         rows = list(center.rows)
         rng.shuffle(rows)
-        assert fibration_compatible(h, CMatrix(rows))
+        assert fibration_compatible(h, CMatrix(h.pres.dim, rows))
     # J that is not weak-J-compatible raises: exp(0) is the identity
     with pytest.raises(PreconditionViolation):
         n = 3
@@ -661,7 +661,7 @@ def test_semi_naive_closure_matches_fixed_point(spec, gaussian):
         proper += got.rank() < pres.dim
     assert 3 <= proper < len(seeds)
     g0 = pres.g0_basis()
-    for seed in [CMatrix.empty(pres.dim), cspan(pres, g0[:1]), cspan(pres, rng.sample(g0, 2))]:
+    for seed in [CMatrix(pres.dim, []), cspan(pres, g0[:1]), cspan(pres, rng.sample(g0, 2))]:
         assert ideal_closure(pres, seed) == _naive_ideal(pres, seed)
 
 
@@ -699,7 +699,7 @@ def test_derived_spaces_computed_once(monkeypatch):
 def test_zero_q_images_keep_their_width():
     # the image of q = 0 is the zero space of g, not a space of width 0
     h = heisenberg()
-    a = CRAlgebra(h.pres, CMatrix.empty(3))
+    a = CRAlgebra(h.pres, CMatrix(3, []))
     iden = [[C_ONE if i == j else C_ZERO for j in range(3)] for i in range(3)]
     assert check_weak_j(a, iden)
     assert check_cr_symmetric(a, iden)["preserves_q"]
@@ -707,7 +707,7 @@ def test_zero_q_images_keep_their_width():
 
 def test_singular_maps_are_not_automorphisms():
     # the zero map preserves every bracket, but it is not bijective
-    a = CRAlgebra(heisenberg().pres, CMatrix.empty(3))
+    a = CRAlgebra(heisenberg().pres, CMatrix(3, []))
     zero = [[C_ZERO] * 3 for _ in range(3)]
     iden = [[C_ONE if i == j else C_ZERO for j in range(3)] for i in range(3)]
     with pytest.raises(NotAnAutomorphism, match="span"):
@@ -715,6 +715,56 @@ def test_singular_maps_are_not_automorphisms():
     assert check_cr_symmetric(a, zero)["automorphism"] is False
     assert check_weak_j(a, iden)
     assert check_cr_symmetric(a, iden)["automorphism"] is True
+
+
+def _misshapen_map_cases():
+    # (id, call taking the matrix, matrix, message): a map given by rows must
+    # be dim x dim, or target x source for a morphism; heisenberg has dim 3
+    # and exam-bf dim 5
+    h, bf = heisenberg(), exam_bf()[0]
+    wide, tall = [[0, 0, 0, 7]] * 3, [[0] * 3] * 4
+    calls = [
+        ("check_j_property", lambda m: check_j_property(h, m), "J"),
+        ("check_weak_j", lambda m: check_weak_j(h, m), "Upsilon"),
+        ("check_cr_symmetric", lambda m: check_cr_symmetric(h, m), "lambda"),
+        ("exact_exponential", lambda m: exact_exponential(h.pres, m), "J"),
+    ]
+    cases = []
+    for name, call, label in calls:
+        shape = f"{label} must be a 3 x 3 matrix, not one with rows of lengths"
+        cases.append((f"{name}-3x4", call, wide, f"{shape} [4, 4, 4]"))
+        cases.append((f"{name}-4x3", call, tall, f"{shape} [3, 3, 3, 3]"))
+    shape = "phi must be a 5 x 3 matrix, not one with rows of lengths"
+    cases.append(("morphism_classify-3x3", lambda m: morphism_classify(h, bf, m), ident(3), f"{shape} [3, 3, 3]"))
+    cases.append(("morphism_classify-3x5", lambda m: morphism_classify(h, bf, m), [[0] * 5] * 3, f"{shape} [5, 5, 5]"))
+    return cases
+
+
+MISSHAPEN_MAPS = _misshapen_map_cases()
+
+
+@pytest.mark.parametrize("call,matrix,message", [c[1:] for c in MISSHAPEN_MAPS], ids=[c[0] for c in MISSHAPEN_MAPS])
+def test_a_misshapen_map_is_refused(call, matrix, message):
+    with pytest.raises(ValueError) as caught:
+        call(matrix)
+    assert type(caught.value) is ValueError and message in str(caught.value)
+
+
+def test_a_space_of_another_width_is_refused():
+    # a q or an ideal must lie in g: width-5 spaces on heisenberg (dim 3)
+    from flagcr.cralg import weak_j_implies_compatible
+
+    h = heisenberg()
+    wide = CMatrix(5, [(1, 0, 0, 0, 0)])
+    with pytest.raises(ValueError, match="q has 5 coordinates, but g has dimension 3"):
+        CRAlgebra(h.pres, wide)
+    with pytest.raises(ValueError, match="the ideal has 5 coordinates, but g has dimension 3"):
+        fibration_compatible(h, wide)
+    upsilon = exact_exponential(h.pres, [[0, -1, 0], [1, 0, 0], [0, 0, 0]])
+    with pytest.raises(ValueError, match="the ideal has 5 coordinates, but g has dimension 3"):
+        weak_j_implies_compatible(h, CMatrix(5, []), upsilon)
+    with pytest.raises(ValueError, match="space has 5 coordinates, not 3"):
+        induced_base_fiber(h, wide)
 
 
 def test_preserves_g0_needs_a_bijection_commuting_with_nu():
@@ -773,7 +823,7 @@ def _kernel_eigenspace(n, apply, c):
         img = apply(tuple(unit))
         cols.append(realify_vector(tuple(x - c * y for x, y in zip(img, unit))))
     basis = gaussq.kernel([[col[t] for col in cols] for t in range(2 * n)], Fraction)
-    return RMatrix(basis) if basis else RMatrix.empty(2 * n)
+    return RMatrix(2 * n, basis)
 
 
 def _augmented_pull(sp, tp, apply, space):
@@ -781,20 +831,18 @@ def _augmented_pull(sp, tp, apply, space):
     n2s = 2 * sp.dim
     cols = [realify_vector(apply(tuple(z * x for x in b))) for b in cralg._std_basis(sp.dim) for z in (C_ONE, C_I)]
     mat = [[col[t] for col in cols] + [-Fraction(w[t]) for w in space.rows] for t in range(2 * tp.dim)]
-    vecs = [k[:n2s] for k in gaussq.kernel(mat, Fraction) if any(k[:n2s])]
-    return RMatrix(vecs) if vecs else RMatrix.empty(n2s)
+    return RMatrix(n2s, [k[:n2s] for k in gaussq.kernel(mat, Fraction)])
 
 
 def _realified(space):
     # a complex space as the real row space of the rows v, iv
     rows = [realify_vector(w) for v in space.rows for w in (v, tuple(C_I * x for x in v))]
-    return RMatrix(rows) if rows else RMatrix.empty(2 * space.ncols)
+    return RMatrix(2 * space.ncols, rows)
 
 
 def _complexified(space, n):
     # the complex span of realified rows
-    rows = [complexify_vector(r) for r in space.rows]
-    return CMatrix(rows) if rows else CMatrix.empty(n)
+    return CMatrix(n, [complexify_vector(r) for r in space.rows])
 
 
 @pytest.mark.parametrize("spec", [("A", 3), ("B", 2), ("G2", None)], ids=["sl3", "so5", "G2"])
@@ -814,11 +862,11 @@ def test_eigenspace_preimage_matches_kernel_oracle(spec):
     for q in qs:
         ok, e = qsets.is_symmetric(rs, q)
         if ok:
-            lam = cralg._columns(fp.symmetry_involution(e), n)
+            lam = cralg._columns(fp.symmetry_involution(e), n, n, "lambda")
             maps += [(lam, C_ONE), (lam, -C_ONE)]
         ok, e = qsets.has_j(rs, q)
         if ok:
-            j = cralg._columns(fp.j_derivation(e), n)
+            j = cralg._columns(fp.j_derivation(e), n, n, "J")
             cralg._check_derivation(pres, j)
             maps += [(j, CNum(Fraction(0), Fraction(k))) for k in range(-2, 3)]
     assert len(maps) >= 7
@@ -832,7 +880,7 @@ def test_morphism_fibers_match_augmented_pull():
     cases = [(h, h, ident(3)), (h, h, [[0] * 3 for _ in range(3)]), _extension_morphism()]
     for src, tgt, phi0 in cases:
         sp, tp = src.pres, tgt.pres
-        cols = cralg._columns(phi0, sp.dim)
+        cols = cralg._columns(phi0, tp.dim, sp.dim, "phi")
 
         def apply(v):
             return gaussq._apply(cols, v, tp.dim)
@@ -912,7 +960,7 @@ def test_diagonal_j_derivation_matches_g0_basis_oracle(spec):
         ok, e = qsets.has_j(rs, frozenset(c.canonical))
         if ok:
             want = _g0_map(pres, pres, _g0_j_derivation(fp, e))
-            assert cralg._columns(fp.j_derivation(e), pres.dim) == [want(u) for u in units]
+            assert cralg._columns(fp.j_derivation(e), pres.dim, pres.dim, "J") == [want(u) for u in units]
             checked += 1
     assert checked
 
@@ -980,7 +1028,7 @@ def test_real_points_and_complex_spaces(name):
     # (q + qbar) n g0, and a0 = {v in g0 : [v, w] in q for w in q} by pulls
     g0 = _kernel_eigenspace(n, pres.nu, C_ONE)
     q = _realified(a.q)
-    qbar = RMatrix([realify_vector(pres.nu(complexify_vector(r))) for r in q.rows]) if q.rows else q
+    qbar = RMatrix(2 * n, [realify_vector(pres.nu(complexify_vector(r))) for r in q.rows])
     assert a.q_cap_qbar() == _complexified(q.intersect(g0), n)
     assert a.q_plus_qbar() == _complexified(q.sum(qbar).intersect(g0), n)
     normalizer = g0

@@ -39,24 +39,24 @@ def test_realify_roundtrip():
 
 
 def test_rmatrix_ops():
-    a = RMatrix([[1, 0, 1], [0, 1, 1]])
-    b = RMatrix([[1, 1, 2], [1, -1, 0]])
+    a = RMatrix(3, [[1, 0, 1], [0, 1, 1]])
+    b = RMatrix(3, [[1, 1, 2], [1, -1, 0]])
     assert a == b
-    c = RMatrix([[1, 0, 0]])
+    c = RMatrix(3, [[1, 0, 0]])
     assert a.sum(c).rank() == 3
-    inter = a.intersect(RMatrix([[1, 0, 1], [0, 0, 1]]))
+    inter = a.intersect(RMatrix(3, [[1, 0, 1], [0, 0, 1]]))
     assert inter.rank() == 1
     assert inter.contains([1, 0, 1])
     assert not a.contains([1, 0, 0])
-    assert a.contains_space(RMatrix([[1, 1, 2]]))
+    assert a.contains_space(RMatrix(3, [[1, 1, 2]]))
 
 
 def test_cmatrix_complex_spans():
     v = (C_ONE, C_I)
-    a = CMatrix([v])
+    a = CMatrix(2, [v])
     assert a.contains((C_I, -C_ONE))  # i * v
     assert not a.contains((C_ONE, -C_I))
-    b = CMatrix([(C_ONE, -C_I)])
+    b = CMatrix(2, [(C_ONE, -C_I)])
     assert a.intersect(b).rank() == 0
 
 
@@ -116,8 +116,8 @@ def _mul(a, x, coerce):
     return out
 
 
-def _rank(name, rows):
-    return FIELDS[name][2](rows).rank()
+def _rank(name, n, rows):
+    return FIELDS[name][2](n, rows).rank()
 
 
 @settings(max_examples=150, deadline=None)
@@ -126,9 +126,9 @@ def test_factored_solve_property(system):
     name, a, b = system
     coerce = FIELDS[name][1]
     f = Factored(a, coerce)
-    assert f.rank == _rank(name, a)
+    assert f.rank == _rank(name, len(a[0]), a)
     x = f.solve(b)
-    augmented_rank = _rank(name, [row + [bi] for row, bi in zip(a, b)])
+    augmented_rank = _rank(name, len(a[0]) + 1, [row + [bi] for row, bi in zip(a, b)])
     assert (x is None) == (augmented_rank > f.rank)
     if x is not None:
         assert _mul(a, x, coerce) == [coerce(v) for v in b]
@@ -144,8 +144,7 @@ def test_factored_kernel_property(system):
     assert len(ker) == len(a[0]) - Factored(a, coerce).rank
     for v in ker:
         assert all(not z for z in _mul(a, v, coerce))
-    if ker:
-        assert _rank(name, ker) == len(ker)
+    assert _rank(name, len(a[0]), ker) == len(ker)
 
 
 @settings(max_examples=150, deadline=None)
@@ -162,3 +161,57 @@ def test_factored_inverse_property(system):
     n = len(a)
     prod = [[_mul([inv[i]], [a[k][j] for k in range(n)], coerce)[0] for j in range(n)] for i in range(n)]
     assert prod == [[coerce(1 if i == j else 0) for j in range(n)] for i in range(n)]
+
+
+# Width properties over both fields: a subspace is built with its width n,
+# refuses a row or vector of any other width, and the zero subspace of
+# width n, X(n, []), is the empty result of intersect and sum.
+
+
+@st.composite
+def spaces_and_strays(draw):
+    """(field, n, rows, stray): up to 3 rows of width n <= 4, and a vector
+    whose width is not n."""
+    name = draw(st.sampled_from(sorted(FIELDS)))
+    entry, coerce, _ = FIELDS[name]
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.one_of(st.just(coerce(0)), entry), min_size=n, max_size=n), max_size=3))
+    width = draw(st.integers(0, 6).filter(lambda w: w != n))
+    stray = draw(st.lists(entry, min_size=width, max_size=width))
+    return name, n, rows, stray
+
+
+@settings(max_examples=100, deadline=None)
+@given(spaces_and_strays(), st.data())
+def test_a_ragged_row_is_refused(case, data):
+    name, n, rows, stray = case
+    at = data.draw(st.integers(0, len(rows)))
+    with pytest.raises(ValueError, match=f"vector {at} has {len(stray)} coordinates, not {n}"):
+        FIELDS[name][2](n, rows[:at] + [stray] + rows[at:])
+
+
+@settings(max_examples=100, deadline=None)
+@given(spaces_and_strays())
+def test_a_vector_of_another_width_is_refused(case):
+    name, n, rows, stray = case
+    space = FIELDS[name][2](n, rows)
+    with pytest.raises(ValueError, match=f"vector has {len(stray)} coordinates, not {n}"):
+        space.contains(stray)
+    with pytest.raises(ValueError, match=f"vector has {len(stray)} coordinates, not {n}"):
+        space.residue(stray)
+    other = FIELDS[name][2](len(stray), [])
+    for combine in (space.sum, space.intersect):
+        with pytest.raises(ValueError, match=f"space has {len(stray)} coordinates, not {n}"):
+            combine(other)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spaces_and_strays())
+def test_the_zero_subspace_keeps_its_width(case):
+    name, n, rows, _ = case
+    space_type = FIELDS[name][2]
+    zero, space = space_type(n, []), space_type(n, rows)
+    assert zero.ncols == space.ncols == n and zero != space_type(n + 1, [])
+    assert space.intersect(zero) == zero.intersect(space) == zero.sum(zero) == zero
+    assert zero.sum(space) == space.sum(zero) == space
+    assert zero.contains([0] * n) and zero.residue([0] * n) == [FIELDS[name][1](0)] * n

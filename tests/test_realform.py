@@ -193,6 +193,25 @@ def test_regular_max_structure_rejects_real_m():
     assert not out["ok"]
 
 
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        (((1, -1), (0, 0)), "vector 0 has 2 coordinates, not 3"),
+        (((1, -1, 0, 0), (0, 0, 0, 0)), "vector 0 has 4 coordinates, not 3"),
+        (((1, -1, 0), (0, 1)), "zip"),
+    ],
+    ids=["short", "long", "re and im of different lengths"],
+)
+def test_regular_max_structure_refuses_a_malformed_m_row(row, message):
+    # A2 lives in an ambient space of dimension 3: an m row of another width,
+    # or with re and im of different widths, is refused, not cut to fit
+    a2 = build_root_system("A", 3)
+    sigma = compact_conjugation(a2)
+    pos = frozenset(positive_roots(a2))
+    with pytest.raises(ValueError, match=message):
+        regular_max_structure(a2, sigma, pos, [row])
+
+
 
 @pytest.mark.parametrize("op", ["lemma", "adapted"])
 @pytest.mark.parametrize("case", ["F4-compact", "A3-reverse"])
