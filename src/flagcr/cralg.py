@@ -193,7 +193,7 @@ class LieAlgebraPresentation:
 
     @cached_property
     def _g0_solver(self):
-        return Factored([[b[i] for b in self._g0_rows] for i in range(self.dim)], CNum.of)
+        return Factored(self._g0_rows, self.dim, CNum.of)
 
     def g0_coords(self, v):
         """Coordinates in the C-basis g0_basis(), factored once per presentation."""
@@ -272,14 +272,12 @@ def _preimage(domain: CMatrix, images_fn, target: CMatrix) -> CMatrix:
     """{v in domain : every vector of images_fn(v) lies in target}, for a
     C-linear images_fn."""
     rows = domain.rows
-    # unknowns: coefficients c_k over the domain basis; one condition per
-    # image m and coordinate: sum_k c_k residue(image m of row k) = 0
-    residues = [[target.residue(img) for img in images_fn(r)] for r in rows]
-    n_images = len(residues[0]) if rows else 0
-    mat_rows = [[res[m][t] for res in residues] for m in range(n_images) for t in range(target.ncols)]
-    if not mat_rows:
-        return domain
-    return CMatrix(domain.ncols, (_apply(rows, c, domain.ncols) for c in kernel(mat_rows, CNum.of)))
+    # unknowns: coefficients c_k over the domain basis; column k holds the
+    # residues of the images of row k, so a kernel vector c is one whose
+    # sum_k c_k row k has every image in target
+    cols = [[x for img in images_fn(r) for x in target.residue(img)] for r in rows]
+    height = len(cols[0]) if cols else 0  # every row has as many images
+    return CMatrix(domain.ncols, (_apply(rows, c, domain.ncols) for c in kernel(cols, height, CNum.of)))
 
 
 def _in_g(pres: LieAlgebraPresentation, space: CMatrix, name):
@@ -317,8 +315,8 @@ def real_points(pres: LieAlgebraPresentation, space: CMatrix) -> list:
 def _eigenspace(cols, c) -> CMatrix:
     """{v : T v = c v} for the C-linear map T on CNum n-vectors with columns
     cols: the kernel of the matrix with columns T e_j - c e_j."""
-    rows = [[x - c if t == j else x for j, x in enumerate(row)] for t, row in enumerate(zip(*cols))]
-    return CMatrix(len(cols), kernel(rows, CNum.of))
+    shifted = [[x - c if t == j else x for t, x in enumerate(col)] for j, col in enumerate(cols)]
+    return CMatrix(len(cols), kernel(shifted, len(cols), CNum.of))
 
 
 def bracket_spaces(pres: LieAlgebraPresentation, a: CMatrix, b: CMatrix) -> CMatrix:
@@ -527,7 +525,7 @@ def exact_exponential(pres: LieAlgebraPresentation, j):
     # express v in the union of the eigenbases, factored once; the
     # eigenvector of ik goes to i^k times itself
     eigvecs = [(k, r) for k, space in pieces for r in space.rows]
-    eigen = Factored([[r[i] for _, r in eigvecs] for i in range(n)], CNum.of)
+    eigen = Factored([r for _, r in eigvecs], n, CNum.of)
     ipow = (C_ONE, C_I, -C_ONE, -C_I)
     scaled = [tuple(ipow[k % 4] * x for x in r) for k, r in eigvecs]
     units = [_apply(scaled, eigen.solve(e), n) for e in _std_basis(n)]
@@ -570,7 +568,7 @@ def _psd(matrix_rows) -> tuple[bool, list | None]:
         if v[k] < 0 or not v[k] and any(v):
             return False, None
         _insert(rows, pivots, v)
-    return True, kernel(matrix_rows, Fraction)
+    return True, kernel(matrix_rows, len(matrix_rows), Fraction)  # symmetric: its rows are its columns
 
 
 def check_cr_symmetric(a: CRAlgebra, lam) -> dict:

@@ -3,10 +3,12 @@
 CNum is an immutable Gaussian rational.  _insert is the one Gauss-Jordan
 step over a field in the package: _rref applies it row by row, and cralg
 grows every reduced basis with it, its closures, its Levi-form quotient basis
-and its semidefiniteness test included.  Factored keeps one
-elimination of a matrix for repeated solves; kernel is a one-shot
-elimination of the matrix alone.  _apply is the one product of a matrix,
-given by its columns, with a vector.
+and its semidefiniteness test included.  The solvers take a matrix by its
+columns and their height n, as intlat.column_solver does, and refuse a
+column or right-hand side of another height: Factored keeps one
+elimination of a matrix for repeated solves, each one _reduce; kernel is a
+one-shot elimination of the matrix alone.  _apply is the one product of a
+matrix, given by its columns, with a vector.
 CMatrix / RMatrix represent subspaces by their rows, canonicalized through
 reduced row echelon form, so equality of subspaces is equality of canonical
 forms.  A subspace is built with its width, CMatrix(n, rows), the zero
@@ -141,62 +143,57 @@ def _rref(rows):
     return [tuple(red[i]) for i in order], [pivots[i] for i in order]
 
 
-class Factored:
-    """A matrix A (given by its rows) eliminated once over the field of
-    ``coerce``: Gauss-Jordan on [A | I] gives [R | T], with R the reduced row
-    echelon form of A and T the invertible row transform, T A = R.  Solves
-    against any number of right-hand sides are read off R and T without
-    eliminating again."""
+def _vector(vec, n, coerce, name) -> tuple:
+    """vec over the field of ``coerce``; ValueError naming it unless it has
+    n coordinates, as the eliminations zip vectors and would cut it."""
+    v = tuple(map(coerce, vec))
+    if len(v) != n:
+        raise ValueError(f"{name} has {len(v)} coordinates, not {n}")
+    return v
 
-    def __init__(self, rows, coerce):
-        self.coerce = coerce
-        a = [[coerce(x) for x in r] for r in rows]
-        m = len(a)
-        n = len(a[0]) if m else 0
-        zero, one = coerce(0), coerce(1)
-        red, pivots = _rref([r + [one if j == i else zero for j in range(m)] for i, r in enumerate(a)])
-        self.ncols = n
-        self.rank = sum(1 for p in pivots if p < n)
-        self.pivots = pivots[: self.rank]
-        self._t = [row[n:] for row in red]
+
+class Factored:
+    """The matrix A with the given columns a_j of height n, eliminated once
+    over the field of ``coerce``: every row of the reduced form of the rows
+    (a_j | e_j) is (A t | t) for some t, so solves against any number of
+    right-hand sides need no further elimination."""
+
+    def __init__(self, columns, n, coerce):
+        self.n, self.coerce = n, coerce
+        self._tags = (coerce(0),) * len(columns)
+        rows = [list(_vector(c, n, coerce, f"column {j}") + self._tags) for j, c in enumerate(columns)]
+        for j, row in enumerate(rows):
+            row[n + j] = coerce(1)
+        self._rows, self._pivots = _rref(rows)
+        self.rank = sum(1 for p in self._pivots if p < n)
 
     def solve(self, b):
-        """One x with A x = b, free unknowns set to 0; None when the system
-        is inconsistent (some row of T b beyond the rank is nonzero)."""
-        b = [(j, v) for j, v in enumerate(map(self.coerce, b)) if v]
-        zero = self.coerce(0)
-
-        def t_dot_b(t):
-            s = zero
-            for j, v in b:
-                if t[j]:
-                    s = s + t[j] * v
-            return s
-
-        if any(t_dot_b(t) for t in self._t[self.rank :]):
+        """One x with A x = b, or None when there is none: (b | 0) reduces to
+        (b - A t | -t), whose first n entries vanish exactly when A t = b."""
+        v = _reduce(_vector(b, self.n, self.coerce, "right-hand side") + self._tags, self._rows, self._pivots)
+        if any(v[: self.n]):
             return None
-        x = [zero] * self.ncols
-        for p, t in zip(self.pivots, self._t):
-            x[p] = t_dot_b(t)
-        return x
+        return [-x for x in v[self.n :]]
 
 
-def solve_linear(rows, rhs, coerce):
-    """One solution x of rows * x = rhs over the field, or None."""
-    return Factored(rows, coerce).solve(rhs)
+def solve_linear(columns, rhs, coerce):
+    """One solution x of A x = rhs over the field, for the matrix A with the
+    given columns, or None."""
+    return Factored(columns, len(rhs), coerce).solve(rhs)
 
 
-def kernel(rows, coerce):
-    """Basis of {x : rows * x = 0} over the field.  A one-shot kernel needs
-    no row transform, so A alone is eliminated: on tall systems (many
-    conditions, few unknowns) T would be square in the row count.  One basis
-    vector per free column."""
-    a = [[coerce(x) for x in r] for r in rows]
-    red, pivots = _rref(a)
-    ncols, zero, one = len(a[0]) if a else 0, coerce(0), coerce(1)
+def kernel(columns, n, coerce):
+    """Basis of {x : A x = 0} over the field, for the matrix A with the given
+    columns of height n: one basis vector per free column of the reduced
+    rows of A.  The tag rows of Factored with a zero A-part span the same
+    kernel in another basis; realform.adapted_simple_system picks its a1,
+    and so the printed epsilon, from this one."""
+    cols = [_vector(c, n, coerce, f"column {j}") for j, c in enumerate(columns)]
+    red, pivots = _rref(zip(*cols))
+    zero, one = coerce(0), coerce(1)
     basis = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
-        v = [zero] * ncols
+    for fc in sorted(set(range(len(cols))) - set(pivots)):
+        v = [zero] * len(cols)
         v[fc] = one
         for row, pc in zip(red, pivots):
             v[pc] = -row[fc]
@@ -207,22 +204,14 @@ def kernel(rows, coerce):
 class _SpaceBase:
     def __init__(self, ncols, rows):
         self.ncols = ncols
-        self.rows, self.pivots = _rref(self._vector(r, f"vector {t}") for t, r in enumerate(rows))
-
-    def _vector(self, vec, name) -> tuple:
-        """vec over the field; ValueError naming it unless it has ncols
-        coordinates, as the eliminations zip vectors and would cut it."""
-        v = tuple(map(self.coerce, vec))
-        if len(v) != self.ncols:
-            raise ValueError(f"{name} has {len(v)} coordinates, not {self.ncols}")
-        return v
+        self.rows, self.pivots = _rref(_vector(r, ncols, self.coerce, f"vector {t}") for t, r in enumerate(rows))
 
     def rank(self) -> int:
         return len(self.rows)
 
     def residue(self, vec) -> list:
         """vec reduced modulo the row space; zero exactly when vec lies in it."""
-        return _reduce(self._vector(vec, "vector"), self.rows, self.pivots)
+        return _reduce(_vector(vec, self.ncols, self.coerce, "vector"), self.rows, self.pivots)
 
     def contains(self, vec) -> bool:
         return not any(self.residue(vec))
@@ -232,9 +221,6 @@ class _SpaceBase:
 
     def __eq__(self, other):
         return self.ncols == other.ncols and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.ncols, self.rows))
 
     def _same_width(self, other):
         if other.ncols != self.ncols:

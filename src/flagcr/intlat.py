@@ -6,8 +6,9 @@ functions are pure and total except where a ``None`` return is documented to
 mean "no solution".  The package solves through SNFSolver; the one-shot
 solve_diophantine and solve_congruence have no caller in it and stay only
 because the benchmark tracer (perfbench/tracer.py) wraps them.
-column_solver(columns, n) is the one builder of a matrix from its columns,
-and lattice_coset_gcd(vectors) the gcd of the vectors' coordinate sums.
+column_solver(columns, n) is the one builder of a matrix from its columns
+and their height n, as gaussq's field solvers take one, and
+lattice_coset_gcd(vectors) the gcd of the vectors' coordinate sums.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ class DiophantineSolution:
 
 class SNFSolver:
     """Factored form U A V = S of an integer matrix, for solving many systems
-    A x = b over Z (solve) or mod m (solve_mod).
+    A x = b over Z (solve) or mod m (lift_mod).
 
     Each right-hand side b is carried into the diagonal system S y = c by
     c = U b (transform) once; feasible, lift and lift_mod start from c, so a
@@ -172,9 +173,6 @@ class SNFSolver:
         x = self.lift(self.transform(b))
         return None if x is None else DiophantineSolution(x, self.kernel_basis)
 
-    def solve_mod(self, b: list[int], m: int) -> list[int] | None:
-        return self.lift_mod(self.transform(b), m)
-
 
 def solve_diophantine(a: list[list[int]], b: list[int]) -> DiophantineSolution | None:
     """Solve A x = b over the integers.
@@ -187,9 +185,10 @@ def solve_diophantine(a: list[list[int]], b: list[int]) -> DiophantineSolution |
 
 def solve_congruence(a: list[list[int]], b: list[int], m: int) -> list[int] | None:
     """Solve A x = b (mod m) for m >= 2, valid for composite m, through the
-    Smith normal form of A (SNFSolver.solve_mod).  The returned vector has
+    Smith normal form of A (SNFSolver.lift_mod).  The returned vector has
     entries in 0..m-1; ``None`` means no solution exists."""
-    return SNFSolver(a).solve_mod(b, m)
+    s = SNFSolver(a)
+    return s.lift_mod(s.transform(b), m)
 
 
 def lattice_coset_gcd(vectors: list[list[int]] | tuple) -> int:
@@ -200,9 +199,9 @@ def lattice_coset_gcd(vectors: list[list[int]] | tuple) -> int:
 
 
 def column_solver(columns: list[list[int]], n: int) -> SNFSolver:
-    """SNFSolver for the n-row matrix whose columns are the given vectors;
-    with no columns, the matrix of one zero column."""
-    return SNFSolver([[col[i] for col in columns] or [0] for i in range(n)])
+    """SNFSolver for the n-row matrix whose columns are the given vectors,
+    the n x 0 matrix when there are none."""
+    return SNFSolver([[col[i] for col in columns] for i in range(n)])
 
 
 def hermite_basis(vectors: list[list[int]]) -> list[list[int]]:

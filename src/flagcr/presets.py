@@ -19,7 +19,7 @@ from fractions import Fraction
 from .cralg import CRAlgebra, LieAlgebraPresentation, _std_basis, cspan
 from .gaussq import C_I, C_ONE, C_ZERO, CMatrix, CNum, Factored, _apply
 from .rootsys import RootSystem, _cached, build_root_system, evaluate, evaluate_int, root_sum, roots_set
-from .weyl import cartan_matrix, positive_roots, simple_coordinates, simple_roots
+from .weyl import positive_roots, simple_coordinates, simple_roots
 
 
 def heisenberg() -> CRAlgebra:
@@ -148,6 +148,10 @@ def _chevalley_preset(r: RootSystem) -> FlagPreset:
     rank, nroots = len(simples), r.nroots
     norm = [sum(x * x for x in v) for v in r.roots]
 
+    def pairing(a, s):
+        """<a, s^v>: the eigenvalue of h_s on x_a."""
+        return 2 * sum(u * v for u, v in zip(r.roots[a], r.roots[s])) // norm[s]
+
     def diff(a, b):
         """Index of a - b when it is a root, else None."""
         return r.index.get(tuple(x - y for x, y in zip(r.roots[a], r.roots[b])))
@@ -198,8 +202,7 @@ def _chevalley_preset(r: RootSystem) -> FlagPreset:
     for a in range(nroots):
         x = rank + a
         for i, s in enumerate(simples):
-            c = 2 * sum(u * v for u, v in zip(r.roots[a], r.roots[s])) // norm[s]
-            if c:
+            if c := pairing(a, s):
                 entries[(i, x)] = [(x, c)]
         ma = r.neg(a)
         if a < ma:
@@ -216,8 +219,9 @@ def _chevalley_preset(r: RootSystem) -> FlagPreset:
         conj[rank + r.neg(a)][rank + a] = -C_ONE
     labels = [f"h{i}" for i in range(rank)] + [f"x{a}" for a in range(nroots)]
     pres = LieAlgebraPresentation(dim, entries, conj, labels=labels)
-    # H_k = sum_i c_i h_i with s_j(H_k) = evaluate(s_j, e_k) for every simple root s_j
-    cartan = Factored(cartan_matrix(r), Fraction)
+    # H_k = sum_i c_i h_i with s_j(H_k) = evaluate(s_j, e_k) for every simple
+    # root s_j: column i of the Cartan matrix holds the s_j(h_i)
+    cartan = Factored([[pairing(t, s) for t in simples] for s in simples], rank, Fraction)
     cartan_vec = []
     for k in range(r.ambient_dim):
         sol = cartan.solve([Fraction(r.roots[s][k], 2) for s in simples])

@@ -218,7 +218,7 @@ def _is_base(r: RootSystem, head, positive) -> bool:
 
 def _minus_eigenbasis(sigma: RootConjugation, n: int):
     """Rational basis of ker(sigma + id)."""
-    return kernel([[sigma.cols[j][i] + (1 if i == j else 0) for j in range(n)] for i in range(n)], Fraction)
+    return kernel([[x + (1 if i == j else 0) for i, x in enumerate(col)] for j, col in enumerate(sigma.cols)], n, Fraction)
 
 
 def regular_max_structure(r: RootSystem, sigma: RootConjugation, q, m_basis) -> dict:

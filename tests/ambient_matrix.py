@@ -8,18 +8,17 @@ from flagcr.gaussq import Factored, _apply
 from flagcr.weyl import simple_roots
 
 
-def inverse(rows, coerce) -> list[tuple]:
-    """Rows of A^-1, built one column at a time: column k is the solution of
-    A x = e_k by Factored.solve.  ValueError unless A is square and every
-    unit vector is solvable, that is unless A is invertible."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix is not square")
-    f = Factored(rows, coerce)
+def inverse(columns, coerce) -> list[tuple]:
+    """Columns of A^-1 for the matrix A with the given columns: column k is
+    the solution of A x = e_k by Factored.solve.  ValueError unless A is
+    square (Factored refuses a column of another height) and every unit
+    vector is solvable, that is unless A is invertible."""
+    n = len(columns)
+    f = Factored(columns, n, coerce)
     cols = [f.solve([int(t == k) for t in range(n)]) for k in range(n)]
     if None in cols:
         raise ValueError("matrix is not invertible")
-    return list(zip(*cols))
+    return [tuple(col) for col in cols]
 
 
 def matrix_of(r, g) -> list[tuple[Fraction, ...]]:

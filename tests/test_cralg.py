@@ -822,7 +822,7 @@ def _kernel_eigenspace(n, apply, c):
         unit[i // 2] = C_ONE if i % 2 == 0 else C_I
         img = apply(tuple(unit))
         cols.append(realify_vector(tuple(x - c * y for x, y in zip(img, unit))))
-    basis = gaussq.kernel([[col[t] for col in cols] for t in range(2 * n)], Fraction)
+    basis = gaussq.kernel(cols, 2 * n, Fraction)
     return RMatrix(2 * n, basis)
 
 
@@ -830,8 +830,8 @@ def _augmented_pull(sp, tp, apply, space):
     # oracle: {v : phi(v) in space} from the kernel of [phi | -rows of space]
     n2s = 2 * sp.dim
     cols = [realify_vector(apply(tuple(z * x for x in b))) for b in cralg._std_basis(sp.dim) for z in (C_ONE, C_I)]
-    mat = [[col[t] for col in cols] + [-Fraction(w[t]) for w in space.rows] for t in range(2 * tp.dim)]
-    return RMatrix(n2s, [k[:n2s] for k in gaussq.kernel(mat, Fraction)])
+    cols += [[-Fraction(x) for x in w] for w in space.rows]
+    return RMatrix(n2s, [k[:n2s] for k in gaussq.kernel(cols, 2 * tp.dim, Fraction)])
 
 
 def _realified(space):

@@ -58,22 +58,23 @@ def test_cmatrix_complex_spans():
     assert not a.contains((C_ONE, -C_I))
     b = CMatrix(2, [(C_ONE, -C_I)])
     assert a.intersect(b).rank() == 0
+    with pytest.raises(TypeError, match="unhashable type: 'CMatrix'"):
+        hash(a)
 
 
 def test_solve_linear():
-    rows = [[Fraction(2), Fraction(1)], [Fraction(0), Fraction(3)]]
-    x = solve_linear(rows, [Fraction(5), Fraction(6)], Fraction)
+    columns = [[Fraction(2), Fraction(0)], [Fraction(1), Fraction(3)]]
+    x = solve_linear(columns, [Fraction(5), Fraction(6)], Fraction)
     assert x == [Fraction(3, 2), Fraction(2)]
-    assert solve_linear([[Fraction(1)], [Fraction(1)]], [Fraction(1), Fraction(2)], Fraction) is None
+    assert solve_linear([[Fraction(1), Fraction(1)]], [Fraction(1), Fraction(2)], Fraction) is None
 
 
 def test_factored_inverse_and_singular():
     # the tests' inverse solves A x = e_k through Factored, column by column
-    f = Factored([[2, 1], [4, 3]], Fraction)
-    assert f.rank == 2 and f.pivots == [0, 1]
+    assert Factored([[2, 1], [4, 3]], 2, Fraction).rank == 2
     assert inverse([[2, 1], [4, 3]], Fraction) == [(Fraction(3, 2), Fraction(-1, 2)), (Fraction(-2), Fraction(1))]
-    assert kernel([[2, 1], [4, 3]], Fraction) == []
-    assert Factored([[1, 2], [2, 4]], Fraction).solve([0, 1]) is None
+    assert kernel([[2, 1], [4, 3]], 2, Fraction) == []
+    assert Factored([[1, 2], [2, 4]], 2, Fraction).solve([0, 1]) is None
     with pytest.raises(ValueError):
         inverse([[1, 2], [2, 4]], Fraction)
     with pytest.raises(ValueError):
@@ -91,28 +92,27 @@ FIELDS = {"Q": (_Q, Fraction, RMatrix), "Q(i)": (_QI, CNum.of, CMatrix)}
 
 @st.composite
 def systems(draw):
-    """(field, A, b): A is m x n with m, n <= 4; b is A x for a random x
-    half the time (a consistent system) and random otherwise."""
+    """(field, n, columns, b): the m columns of an n x m matrix A, with
+    m, n <= 4; b is A x for a random x half the time (a consistent system)
+    and random otherwise."""
     name = draw(st.sampled_from(sorted(FIELDS)))
     entry, coerce, _ = FIELDS[name]
-    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     # sparse entries make rank-deficient matrices common
-    a = [[draw(st.one_of(st.just(coerce(0)), entry)) for _ in range(n)] for _ in range(m)]
+    cols = [[draw(st.one_of(st.just(coerce(0)), entry)) for _ in range(n)] for _ in range(m)]
     if draw(st.booleans()):
-        x = [draw(entry) for _ in range(n)]
-        b = _mul(a, x, coerce)
+        x = [draw(entry) for _ in range(m)]
+        b = _mul(n, cols, x, coerce)
     else:
-        b = [draw(entry) for _ in range(m)]
-    return name, a, b
+        b = [draw(entry) for _ in range(n)]
+    return name, n, cols, b
 
 
-def _mul(a, x, coerce):
-    out = []
-    for row in a:
-        s = coerce(0)
-        for u, v in zip(row, x):
-            s = s + u * v
-        out.append(s)
+def _mul(n, cols, x, coerce):
+    """A x for the matrix A of height n with the given columns."""
+    out = [coerce(0)] * n
+    for col, v in zip(cols, x):
+        out = [s + u * v for s, u in zip(out, col)]
     return out
 
 
@@ -123,44 +123,44 @@ def _rank(name, n, rows):
 @settings(max_examples=150, deadline=None)
 @given(systems())
 def test_factored_solve_property(system):
-    name, a, b = system
+    name, n, cols, b = system
     coerce = FIELDS[name][1]
-    f = Factored(a, coerce)
-    assert f.rank == _rank(name, len(a[0]), a)
+    f = Factored(cols, n, coerce)
+    assert f.rank == _rank(name, n, cols)
     x = f.solve(b)
-    augmented_rank = _rank(name, len(a[0]) + 1, [row + [bi] for row, bi in zip(a, b)])
+    augmented_rank = _rank(name, n, cols + [b])
     assert (x is None) == (augmented_rank > f.rank)
     if x is not None:
-        assert _mul(a, x, coerce) == [coerce(v) for v in b]
-    assert solve_linear(a, b, coerce) == x
+        assert _mul(n, cols, x, coerce) == [coerce(v) for v in b]
+    assert solve_linear(cols, b, coerce) == x
 
 
 @settings(max_examples=150, deadline=None)
 @given(systems())
 def test_factored_kernel_property(system):
-    name, a, _ = system
+    name, n, cols, _ = system
     coerce = FIELDS[name][1]
-    ker = kernel(a, coerce)
-    assert len(ker) == len(a[0]) - Factored(a, coerce).rank
+    ker = kernel(cols, n, coerce)
+    assert len(ker) == len(cols) - Factored(cols, n, coerce).rank
     for v in ker:
-        assert all(not z for z in _mul(a, v, coerce))
-    assert _rank(name, len(a[0]), ker) == len(ker)
+        assert all(not z for z in _mul(n, cols, v, coerce))
+    assert _rank(name, len(cols), ker) == len(ker)
 
 
 @settings(max_examples=150, deadline=None)
 @given(systems())
 def test_factored_inverse_property(system):
-    name, a, _ = system
+    name, _, cols, _ = system
     coerce = FIELDS[name][1]
-    a = [row[: len(a)] + [coerce(1)] * (len(a) - len(row)) for row in a]  # square
-    if Factored(a, coerce).rank < len(a):
+    m = len(cols)
+    cols = [col[:m] + [coerce(1)] * (m - len(col)) for col in cols]  # square
+    if Factored(cols, m, coerce).rank < m:
         with pytest.raises(ValueError):
-            inverse(a, coerce)
+            inverse(cols, coerce)
         return
-    inv = inverse(a, coerce)
-    n = len(a)
-    prod = [[_mul([inv[i]], [a[k][j] for k in range(n)], coerce)[0] for j in range(n)] for i in range(n)]
-    assert prod == [[coerce(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    # column k of A^-1 solves A x = e_k
+    prod = [_mul(m, cols, col, coerce) for col in inverse(cols, coerce)]
+    assert prod == [[coerce(1 if i == k else 0) for i in range(m)] for k in range(m)]
 
 
 # Width properties over both fields: a subspace is built with its width n,
@@ -215,3 +215,47 @@ def test_the_zero_subspace_keeps_its_width(case):
     assert space.intersect(zero) == zero.intersect(space) == zero.sum(zero) == zero
     assert zero.sum(space) == space.sum(zero) == space
     assert zero.contains([0] * n) and zero.residue([0] * n) == [FIELDS[name][1](0)] * n
+
+
+# Shape properties of the solvers over both fields: each takes the columns
+# of a matrix and their height n, and refuses a column or a right-hand side
+# of any other height instead of cutting it.
+
+
+@settings(max_examples=100, deadline=None)
+@given(spaces_and_strays(), st.data())
+def test_a_column_or_right_hand_side_of_another_height_is_refused(case, data):
+    name, n, cols, stray = case
+    coerce = FIELDS[name][1]
+    at = data.draw(st.integers(0, len(cols)))
+    ragged = cols[:at] + [stray] + cols[at:]
+    message = f"column {at} has {len(stray)} coordinates, not {n}"
+    with pytest.raises(ValueError, match=message):
+        Factored(ragged, n, coerce)
+    with pytest.raises(ValueError, match=message):
+        kernel(ragged, n, coerce)
+    with pytest.raises(ValueError, match=message):
+        solve_linear(ragged, [0] * n, coerce)
+    with pytest.raises(ValueError, match=f"right-hand side has {len(stray)} coordinates, not {n}"):
+        Factored(cols, n, coerce).solve(stray)
+    if cols:
+        with pytest.raises(ValueError, match=f"column 0 has {n} coordinates, not {len(stray)}"):
+            solve_linear(cols, stray, coerce)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_a_short_second_column_is_refused(name):
+    # the first column gives no width to guess: the second column of
+    # [[1, 2], [1]] has 1 coordinate, not 2
+    coerce = FIELDS[name][1]
+    for solve in (Factored, kernel, lambda cols, n, coerce: solve_linear(cols, [1, 1], coerce)):
+        with pytest.raises(ValueError, match="column 1 has 1 coordinates, not 2"):
+            solve([[1, 2], [1]], 2, coerce)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_a_height_zero_kernel_is_the_unit_basis(name):
+    # no condition on m unknowns: every x solves A x = 0
+    coerce = FIELDS[name][1]
+    for m in range(4):
+        assert kernel([()] * m, 0, coerce) == [tuple(coerce(int(i == j)) for i in range(m)) for j in range(m)]

@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from flagcr import classify, cli, cralg, intlat, presets, rootsys, weyl
+from flagcr import classify, cli, cralg, gaussq, intlat, presets, rootsys, weyl
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "flagcr")
 
@@ -118,8 +118,10 @@ def test_public_names_are_listed(module):
     assert not want - got, f"{module} no longer defines listed names: {sorted(want - got)}"
 
 
-# The parameters of intlat's public functions and the fields of a grading
-# element, so that a dropped knob or field does not come back unnoticed.
+# The parameters of intlat's and gaussq's public functions and the fields of
+# a grading element, so that a dropped knob or field does not come back
+# unnoticed; the solvers over Z and over a field all take a matrix by its
+# columns and their height.
 INTLAT_PARAMETERS = {
     "column_solver": ("columns", "n"),
     "hermite_basis": ("vectors",),
@@ -130,15 +132,29 @@ INTLAT_PARAMETERS = {
     "solve_congruence": ("a", "b", "m"),
     "solve_diophantine": ("a", "b"),
 }
+GAUSSQ_PARAMETERS = {
+    "complexify_vector": ("v",),
+    "kernel": ("columns", "n", "coerce"),
+    "realify_vector": ("v",),
+    "solve_linear": ("columns", "rhs", "coerce"),
+}
+
+
+def _parameters(module):
+    return {
+        name: tuple(inspect.signature(fn).parameters)
+        for name, fn in vars(module).items()
+        if inspect.isfunction(fn) and fn.__module__ == module.__name__ and not name.startswith("_")
+    }
 
 
 def test_intlat_parameters_are_pinned():
-    got = {
-        name: tuple(inspect.signature(fn).parameters)
-        for name, fn in vars(intlat).items()
-        if inspect.isfunction(fn) and fn.__module__ == intlat.__name__ and not name.startswith("_")
-    }
-    assert got == INTLAT_PARAMETERS
+    assert _parameters(intlat) == INTLAT_PARAMETERS
+
+
+def test_gaussq_parameters_are_pinned():
+    assert _parameters(gaussq) == GAUSSQ_PARAMETERS
+    assert tuple(inspect.signature(gaussq.Factored).parameters) == ("columns", "n", "coerce")
 
 
 def test_grading_element_fields_are_pinned():

@@ -249,6 +249,14 @@ def test_kernel_gcd_matches_j():
     assert kernel_degree_gcd(g2, q1) % 4 != 0
 
 
+def test_the_empty_set_has_no_relations():
+    # Q = {} spans no lattice: no relation, so the kernel gcd is 0, and no
+    # root is expressible in it
+    g2 = g2_sets()[0]
+    assert kernel_degree_gcd(g2, frozenset()) == 0
+    assert all(degree_set(g2, frozenset(), i).empty for i in range(g2.nroots))
+
+
 def test_difference_roots_nonempty_for_proper_sets():
     # fundamental lb-sets with Q u -Q != R have nonempty Q*_{1,1}
     for tag, rank in [("A", 3), ("B", 2), ("G2", None)]:

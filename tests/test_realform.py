@@ -159,17 +159,8 @@ def test_sigma_equivariance():
         moved = frozenset(g[i] for i in q)
         # conjugated sigma: w sigma w^-1 as a matrix
         n = a3.ambient_dim
-        ginv_cols = []
-        # invert g by applying to basis and solving: W elements are orthogonal
-        # with rational entries; build inverse via transpose of the matrix
-        import itertools
-
-        from fractions import Fraction
-
         g_cols = matrix_of(a3, g)
-        gmat = [[g_cols[j][i] for j in range(n)] for i in range(n)]
-        ginv = inverse(gmat, Fraction)
-        ginv_cols = [tuple(ginv[i][j] for i in range(n)) for j in range(n)]
+        ginv_cols = inverse(g_cols, Fraction)
         new_cols = []
         for j in range(n):
             e = [Fraction(0)] * n

@@ -409,8 +409,7 @@ def _fraction_coweight_basis(dbasis):
 
 
 def _fraction_coweight_coords(rs, ambient):
-    rows = [[v[k] for v in coweight_basis(rs)] for k in range(rs.ambient_dim)]
-    sol = solve_linear(rows, ambient, Fraction)
+    sol = solve_linear(coweight_basis(rs), ambient, Fraction)
     if sol is None or any(x.denominator != 1 for x in sol):
         return None
     return tuple(int(x) for x in sol)

@@ -566,7 +566,7 @@ def _fraction_base_map(r, base):
     numerators over a common denominator; the returned function takes the
     images of the base roots and gives the root permutation of the isometry
     they define, or None when some root is not sent to a root."""
-    f = Factored([[r.roots[b][k] for b in base] for k in range(r.ambient_dim)], Fraction)
+    f = Factored([r.roots[b] for b in base], r.ambient_dim, Fraction)
     coords = [f.solve(v) for v in r.roots]
     den = math.lcm(*(x.denominator for c in coords for x in c))
     nums = [[int(x * den) for x in c] for c in coords]
