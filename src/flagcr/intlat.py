@@ -3,12 +3,12 @@ linear systems, echelon (Hermite-style) bases of lattices.
 
 Matrices are plain lists of rows of Python ints (arbitrary precision).  All
 functions are pure and total except where a ``None`` return is documented to
-mean "no solution".  The package solves through SNFSolver; the one-shot
-solve_diophantine and solve_congruence have no caller in it and stay only
-because the benchmark tracer (perfbench/tracer.py) wraps them.
-column_solver(columns, n) is the one builder of a matrix from its columns
-and their height n, as gaussq's field solvers take one, and
-lattice_coset_gcd(vectors) the gcd of the vectors' coordinate sums.
+mean "no solution".  A matrix comes with its shape and a row or column of
+another length is refused: SNFSolver(rows, ncols) and smith_normal_form
+take the rows and their length, column_solver(columns, n) the columns and
+their height, as gaussq's field solvers do.  The package solves through
+SNFSolver; the one-shot solve_diophantine and solve_congruence have no
+caller in it and stay only because the benchmark tracer wraps them.
 """
 
 from __future__ import annotations
@@ -25,18 +25,26 @@ def mat_vec(a: list[list[int]], v: list[int]) -> list[int]:
     return [sum(r[k] * v[k] for k in range(len(v))) for r in a]
 
 
+def _shaped(vectors, n: int, name: str) -> list[list[int]]:
+    """The vectors as new lists; ValueError on one of another length than n."""
+    out = [list(v) for v in vectors]
+    for k, v in enumerate(out):
+        if len(v) != n:
+            raise ValueError(f"{name} {k} has {len(v)} entries, not {n}")
+    return out
+
+
 def smith_normal_form(
-    m: list[list[int]],
+    m: list[list[int]], ncols: int
 ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Return (S, U, V) with U*M*V = S, S diagonal with d1 | d2 | ..., U, V
-    unimodular.
+    unimodular, for the matrix M with the given rows of ncols entries each.
 
     Pivots are chosen by minimal absolute value to limit coefficient growth.
     Total on any rectangular matrix, including empty ones.
     """
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    a = [list(row) for row in m]
+    a = _shaped(m, ncols, "row")
+    nr, nc = len(a), ncols
     u = identity_matrix(nr)
     v = identity_matrix(nc)
 
@@ -125,12 +133,12 @@ class SNFSolver:
 
     Each right-hand side b is carried into the diagonal system S y = c by
     c = U b (transform) once; feasible, lift and lift_mod start from c, so a
-    caller that needs several answers about one b forms c once."""
+    caller that needs several answers about one b forms c once.  A is given
+    by its rows of ncols entries each."""
 
-    def __init__(self, a: list[list[int]]):
-        self.nr = len(a)
-        self.nc = len(a[0]) if self.nr else 0
-        self.s, self.u, self.v = smith_normal_form(a)
+    def __init__(self, rows: list[list[int]], ncols: int):
+        self.nr, self.nc = len(rows), ncols
+        self.s, self.u, self.v = smith_normal_form(rows, ncols)
         # the nonzero invariant factors d_1 | d_2 | ... lead the diagonal of S
         self.d = [x for x in (self.s[i][i] for i in range(min(self.nr, self.nc))) if x]
         self.rank = len(self.d)
@@ -147,6 +155,8 @@ class SNFSolver:
     def feasible(self, c: list[int]) -> bool:
         """Whether A x = b has an integer solution, for c = U b: d_i | c_i up
         to the rank and c_i = 0 past it.  Forms no solution."""
+        if len(c) != self.nr:
+            raise ValueError(f"c has {len(c)} entries, not {self.nr}")
         return all(ci % d == 0 for ci, d in zip(c, self.d)) and not any(c[self.rank :])
 
     def lift(self, c: list[int]) -> tuple[int, ...] | None:
@@ -163,6 +173,8 @@ class SNFSolver:
         ch. II).  V y reduced mod m, or None."""
         if m < 2:
             raise ValueError("modulus must be >= 2")
+        if len(c) != self.nr:
+            raise ValueError(f"c has {len(c)} entries, not {self.nr}")
         g = [gcd(d, m) for d in self.d] + [m] * (self.nr - self.rank)
         if any(ci % gi for ci, gi in zip(c, g)):
             return None
@@ -180,14 +192,14 @@ def solve_diophantine(a: list[list[int]], b: list[int]) -> DiophantineSolution |
     Returns the particular solution and a basis of the full integer kernel
     lattice, or ``None`` when no integer solution exists.
     """
-    return SNFSolver(a).solve(b)
+    return SNFSolver(a, len(a[0]) if a else 0).solve(b)
 
 
 def solve_congruence(a: list[list[int]], b: list[int], m: int) -> list[int] | None:
     """Solve A x = b (mod m) for m >= 2, valid for composite m, through the
     Smith normal form of A (SNFSolver.lift_mod).  The returned vector has
     entries in 0..m-1; ``None`` means no solution exists."""
-    s = SNFSolver(a)
+    s = SNFSolver(a, len(a[0]) if a else 0)
     return s.lift_mod(s.transform(b), m)
 
 
@@ -201,7 +213,8 @@ def lattice_coset_gcd(vectors: list[list[int]] | tuple) -> int:
 def column_solver(columns: list[list[int]], n: int) -> SNFSolver:
     """SNFSolver for the n-row matrix whose columns are the given vectors,
     the n x 0 matrix when there are none."""
-    return SNFSolver([[col[i] for col in columns] for i in range(n)])
+    columns = _shaped(columns, n, "column")
+    return SNFSolver([[col[i] for col in columns] for i in range(n)], len(columns))
 
 
 def hermite_basis(vectors: list[list[int]]) -> list[list[int]]:
@@ -209,10 +222,8 @@ def hermite_basis(vectors: list[list[int]]) -> list[list[int]]:
     given integer vectors; deterministic for a given generator list, but not
     canonical: the last pass reduces the entries above each pivot from the
     bottom row up, and a later reduction can undo an earlier one."""
-    rows = [list(v) for v in vectors if any(v)]
-    if not rows:
-        return []
-    nc = len(rows[0])
+    nc = len(vectors[0]) if vectors else 0
+    rows = [v for v in _shaped(vectors, nc, "vector") if any(v)]
     basis: list[list[int]] = []
     for c in range(nc):
         work = [r for r in rows if r[c] != 0]

@@ -18,8 +18,8 @@ from fractions import Fraction
 
 from .cralg import CRAlgebra, LieAlgebraPresentation, _std_basis, cspan
 from .gaussq import C_I, C_ONE, C_ZERO, CMatrix, CNum, Factored, _apply
-from .rootsys import RootSystem, _cached, build_root_system, evaluate, evaluate_int, root_sum, roots_set
-from .weyl import positive_roots, simple_coordinates, simple_roots
+from .rootsys import RootSystem, _ambient, _cached, build_root_system, evaluate, evaluate_int, root_sum, roots_set
+from .weyl import _coroot_pairing, positive_roots, simple_coordinates, simple_roots
 
 
 def heisenberg() -> CRAlgebra:
@@ -102,8 +102,9 @@ class FlagPreset:
 
     def cartan_element(self, ambient):
         """Element H with alpha(H) = evaluate(alpha, ambient) for all roots,
-        as a CNum coordinate vector."""
-        return _apply(self.cartan_vec, ambient, self.pres.dim)
+        as a CNum coordinate vector; ValueError unless ambient has the
+        ambient dimension."""
+        return _apply(self.cartan_vec, _ambient(ambient, self.system.ambient_dim), self.pres.dim)
 
     def q_subspace(self, q_indices) -> CMatrix:
         """q = h + sum of the root spaces of Q."""
@@ -147,14 +148,12 @@ def _chevalley_preset(r: RootSystem) -> FlagPreset:
     pos = set(positive)
     rank, nroots = len(simples), r.nroots
     norm = [sum(x * x for x in v) for v in r.roots]
-
-    def pairing(a, s):
-        """<a, s^v>: the eigenvalue of h_s on x_a."""
-        return 2 * sum(u * v for u, v in zip(r.roots[a], r.roots[s])) // norm[s]
+    # pairing[i][a] = <a, s_i^v>, the eigenvalue of h_i on x_a
+    pairing = [_coroot_pairing(r, s) for s in simples]
 
     def diff(a, b):
         """Index of a - b when it is a root, else None."""
-        return r.index.get(tuple(x - y for x, y in zip(r.roots[a], r.roots[b])))
+        return root_sum(r, a, r.negation[b])
 
     extraspecial = {}
     for c in positive:
@@ -201,8 +200,8 @@ def _chevalley_preset(r: RootSystem) -> FlagPreset:
     entries = {}
     for a in range(nroots):
         x = rank + a
-        for i, s in enumerate(simples):
-            if c := pairing(a, s):
+        for i, p in enumerate(pairing):
+            if c := p[a]:
                 entries[(i, x)] = [(x, c)]
         ma = r.neg(a)
         if a < ma:
@@ -221,7 +220,7 @@ def _chevalley_preset(r: RootSystem) -> FlagPreset:
     pres = LieAlgebraPresentation(dim, entries, conj, labels=labels)
     # H_k = sum_i c_i h_i with s_j(H_k) = evaluate(s_j, e_k) for every simple
     # root s_j: column i of the Cartan matrix holds the s_j(h_i)
-    cartan = Factored([[pairing(t, s) for t in simples] for s in simples], rank, Fraction)
+    cartan = Factored([[p[t] for t in simples] for p in pairing], rank, Fraction)
     cartan_vec = []
     for k in range(r.ambient_dim):
         sol = cartan.solve([Fraction(r.roots[s][k], 2) for s in simples])

@@ -26,7 +26,6 @@ definitions, which route A reads in closed form; the tests check it on them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 
 from .intlat import SNFSolver, column_solver, lattice_coset_gcd
 from .rootsys import GradingElement, RootSystem, _cached, dot, evaluate_int, root_sum, sorted_indices
@@ -62,9 +61,7 @@ NOT_FUNDAMENTAL = NotFundamental()
 
 def compatible(r: RootSystem, i: int, j: int) -> bool:
     """Edge relation of the lb compatibility graph."""
-    if r.neg(i) == j:
-        return False
-    return root_sum(r, i, j) is None
+    return r.neg(i) != j and root_sum(r, i, j) is None
 
 
 def compat_graph(r: RootSystem) -> list[int]:
@@ -74,11 +71,11 @@ def compat_graph(r: RootSystem) -> list[int]:
     pair whose vector sum is a root clears its two bits (the sum of i and -i,
     the zero vector, is not a root).  Built once per root system."""
     def build():
-        roots, index, n = r.roots, r.index, r.nroots
+        n = r.nroots
         nbr = [((1 << n) - 1) ^ (1 << i) ^ (1 << r.negation[i]) for i in range(n)]
-        for i, u in enumerate(roots):
+        for i in range(n):
             for j in range(i + 1, n):
-                if tuple(map(add, u, roots[j])) in index:
+                if root_sum(r, i, j) is not None:
                     nbr[i] ^= 1 << j
                     nbr[j] ^= 1 << i
         return tuple(nbr)
@@ -95,13 +92,8 @@ def is_lb(r: RootSystem, q) -> bool:
 def is_closed(r: RootSystem, q) -> bool:
     """Closed under root addition: a,b in Q, a+b a root => a+b in Q."""
     qs = sorted(q)
-    qset = set(qs)
-    for a in range(len(qs)):
-        for b in range(a + 1, len(qs)):
-            s = root_sum(r, qs[a], qs[b])
-            if s is not None and s not in qset:
-                return False
-    return True
+    closed = {*qs, None}
+    return all(root_sum(r, i, j) in closed for a, i in enumerate(qs) for j in qs[a + 1 :])
 
 
 def _expression_solver(r: RootSystem, q) -> SNFSolver:
@@ -158,16 +150,10 @@ def kernel_degree_gcd(r: RootSystem, q) -> int:
 
 def q_star_11(r: RootSystem, q) -> frozenset[int]:
     """Roots of the form +-(beta1 - beta2) with beta1, beta2 in Q, read off
-    the system's sum table as beta1 + (-beta2)."""
-    out = set()
+    root_sum as beta1 + (-beta2)."""
     qs = sorted(q)
-    for a in range(len(qs)):
-        for b in range(a + 1, len(qs)):
-            idx = root_sum(r, qs[a], r.neg(qs[b]))
-            if idx is not None:
-                out.add(idx)
-                out.add(r.neg(idx))
-    return frozenset(out)
+    diffs = {root_sum(r, i, r.neg(j)) for a, i in enumerate(qs) for j in qs[a + 1 :]} - {None}
+    return frozenset(diffs | {r.neg(d) for d in diffs})
 
 
 def _verify_witness(r: RootSystem, q, e: GradingElement, modulus: int | None):
@@ -203,7 +189,7 @@ class _Analysis:
         if self.holds:
             self.gcd = lattice_coset_gcd(solver.kernel_basis)
             self.star = q_star_11(r, self.q)
-            self.coweights = SNFSolver([r.coweight_values[i] for i in self.q])
+            self.coweights = SNFSolver([r.coweight_values[i] for i in self.q], r.rank)
             self.ones = self.coweights.transform([1] * len(self.q))
 
     def decide(self, m: int | None):

@@ -13,14 +13,17 @@ the half-integer roots of the E series and F4 become integer vectors.  Inner
 products in the original normalization are dot(stored)/4; evaluation of a root
 on an ambient vector is dot(stored, vector)/2, one integer dot product on a
 grading element, which carries its coweight coordinates and its ambient
-vector as integer numerators over one denominator, and no Fraction.  The
+vector as integer numerators over one denominator, and no Fraction.  An
+ambient vector of another length than the ambient dimension is refused.  The
 coweight basis, dual to a Z-basis of the root lattice, comes from one Smith
 normal form of the integer Gram matrix, with no elimination over a field.
+root_sum is the one lookup of root addition, differences included, that
+every module reads.
 
 build_root_system returns one shared RootSystem per type and n for the whole
 process: the first call builds it, later calls (from the CLI, the library or
-another command run in the same process) get the same object with the root
-sums and derived tables it has kept.  Callers must not mutate it.
+another command run in the same process) get the same object with the
+derived tables it has kept.  Callers must not mutate it.
 root_system_of_rank takes the Lie rank instead, as the CLI and the root-set
 file give it: A_n is built on ambient dimension n + 1.
 
@@ -37,9 +40,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
-from .intlat import hermite_basis, smith_normal_form
+from .intlat import SNFSolver, hermite_basis
 
 TYPES = ("A", "B", "C", "D", "G2", "F4", "E6", "E7", "E8")
 
@@ -130,10 +133,10 @@ class RootSystem:
     coweight_values: list[tuple[int, ...]] = field(repr=False)
     # negation[i] is the index of -roots[i]
     negation: list[int] = field(repr=False)
-    _sum_table: dict[tuple[int, int], int | None] = field(default_factory=dict, repr=False, compare=False)
     # tables derived from the roots on first use and kept here (see _cached):
     # the compatibility masks of qsets, the simple roots, their integer
-    # coordinates and the group data of weyl
+    # coordinates, the Cartan integers and the group data of weyl, and the
+    # flag preset; root sums are not kept, root_sum looks each one up
     _tables: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -155,9 +158,7 @@ class RootSystem:
         lattice_basis, so the coordinates are c_i = dot(b_i, H)/2; H is in the
         lattice when they are integers and sum_i c_i omega_i gives H back,
         which fails off the span of the roots."""
-        if len(ambient) != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        num, den = scaled(ambient)
+        num, den = scaled(_ambient(ambient, self.ambient_dim))
         pairs = [divmod(dot(b, num), 2 * den) for b in self.lattice_basis]
         coords = tuple(c for c, _ in pairs)
         cols, cw_den = self.coweight_scaled
@@ -166,9 +167,17 @@ class RootSystem:
         return coords
 
 
+def _ambient(vec, n: int):
+    """vec, or ValueError unless it has the ambient dimension n."""
+    if len(vec) != n:
+        raise ValueError(f"ambient vector has {len(vec)} coordinates, not the ambient dimension {n}")
+    return vec
+
+
 def evaluate(alpha: tuple[int, ...], e: GradingElement | tuple) -> Fraction:
-    """alpha(E) for a grading element or an ambient vector E."""
-    num, den = (e.num, e.den) if isinstance(e, GradingElement) else scaled(e)
+    """alpha(E) for a grading element or an ambient vector E, which must
+    have the length of alpha."""
+    num, den = (e.num, e.den) if isinstance(e, GradingElement) else scaled(_ambient(e, len(alpha)))
     return Fraction(dot(alpha, num), 2 * den)
 
 
@@ -187,33 +196,26 @@ def _cached(r: RootSystem, key: str, build):
 
 
 def root_sum(r: RootSystem, i: int, j: int) -> int | None:
-    """Index of alpha_i + alpha_j when the sum is a root, else None."""
-    key = (i, j) if i <= j else (j, i)
-    hit = r._sum_table.get(key, -1)
-    if hit != -1:
-        return hit
-    s = tuple(a + b for a, b in zip(r.roots[i], r.roots[j]))
-    out = r.index.get(s)
-    r._sum_table[key] = out
-    return out
+    """Index of alpha_i + alpha_j when the sum is a root, else None: the one
+    lookup of root addition.  The difference alpha_i - alpha_j is
+    root_sum(r, i, r.neg(j))."""
+    return r.index.get(tuple(map(add, r.roots[i], r.roots[j])))
 
 
 def coweight_lattice_basis(dbasis: list[list[int]]) -> tuple[list[tuple[int, ...]], int]:
     """Basis of {H in span(R) : alpha(H) in Z for all alpha}, the dual of the
     root lattice, from a Z-basis ``dbasis`` of the doubled root lattice, as
     (num, den) with omega_j = num[j]/den over the least denominator.  As
-    alpha(H) = dot(stored, H)/2, omega = (G/2)^-1 dbasis for the integer Gram
-    matrix G, and one Smith form U G V = S inverts it in integers:
-    (G/2)^-1 = 2 V S^-1 U = V diag(2d/d_i) U / d, d the largest invariant
-    factor."""
+    alpha(H) = dot(stored, H)/2, omega = 2 G^-1 dbasis for the integer Gram
+    matrix G.  G is invertible and d G^-1 is integral for d its largest
+    invariant factor, so each ambient column c of 2d G^-1 dbasis is the one
+    integer solution of G y = 2d c, lifted from one Smith form of G."""
     r = len(dbasis)
-    s, u, v = smith_normal_form([[dot(a, b) for b in dbasis] for a in dbasis])
-    d = s[r - 1][r - 1]
-    su = [[2 * d // s[i][i] * x for x in u[i]] for i in range(r)]
-    n_mat = [[dot(v[j], col) for col in zip(*su)] for j in range(r)]
-    num = [tuple(dot(row, col) for col in zip(*dbasis)) for row in n_mat]
-    g = math.gcd(d, *(x for w in num for x in w))
-    return [tuple(x // g for x in w) for w in num], d // g
+    gram = SNFSolver([[dot(a, b) for b in dbasis] for a in dbasis], r)
+    d = gram.d[-1]
+    cols = [gram.lift(gram.transform([2 * d * x for x in c])) for c in zip(*dbasis)]
+    g = math.gcd(d, *(x for c in cols for x in c))
+    return [tuple(x // g for x in w) for w in zip(*cols)], d // g
 
 
 _SYSTEMS: dict[tuple[str, int], RootSystem] = {}

@@ -32,7 +32,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .intlat import column_solver
-from .rootsys import RootSystem, _cached, dot
+from .rootsys import RootSystem, _cached, dot, root_sum
 
 
 # candidate images, orbit members, clique-search nodes or subsets
@@ -90,9 +90,7 @@ def simple_roots(r: RootSystem, positive=None) -> list[int]:
     pset = set(pos)
     simples = []
     for i in pos:
-        if not any(
-            r.index.get(tuple(x - y for x, y in zip(r.roots[i], r.roots[a]))) in pset for a in pos if a != i
-        ):
+        if not any(root_sum(r, i, r.negation[a]) in pset for a in pos if a != i):
             simples.append(i)
     return simples
 

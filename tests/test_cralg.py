@@ -383,6 +383,15 @@ def test_anticanonical_flag_cartan_normalizes():
     assert rep["a0"].rank() >= 2
 
 
+def test_cartan_element_refuses_ambient_vectors_of_another_length():
+    # a short or long vector was once zipped down to the ambient dimension
+    fa = flag_preset("A", 3)
+    for bad in ([1, 0], [1, 0, 0, 5]):
+        with pytest.raises(ValueError, match=f"has {len(bad)} coordinates, not the ambient dimension 3"):
+            fa.cartan_element(bad)
+    assert fa.cartan_element([1, 0, 0]) != fa.cartan_element([1, 0, -1])
+
+
 def test_anticanonical_ideal_case():
     # q an ideal -> q' = g
     pres = LieAlgebraPresentation(2, {}, ident(2))

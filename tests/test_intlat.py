@@ -46,7 +46,7 @@ def _unimodular(m):
 
 
 def check_snf(m):
-    s, u, v = smith_normal_form(m)
+    s, u, v = smith_normal_form(m, len(m[0]))
     assert mat_mul(mat_mul(u, m), v) == s
     assert _unimodular(u) and _unimodular(v)
     diag = [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]
@@ -63,7 +63,7 @@ def check_snf(m):
 
 
 def test_snf_identity():
-    s, u, v = smith_normal_form(identity_matrix(2))
+    s, u, v = smith_normal_form(identity_matrix(2), 2)
     assert s == identity_matrix(2)
     assert u == identity_matrix(2)
     assert v == identity_matrix(2)
@@ -76,7 +76,7 @@ def test_snf_diag_2_3():
 
 
 def test_snf_zero():
-    s, u, v = smith_normal_form([[0, 0], [0, 0]])
+    s, u, v = smith_normal_form([[0, 0], [0, 0]], 2)
     assert s == [[0, 0], [0, 0]]
     assert u == identity_matrix(2)
     assert v == identity_matrix(2)
@@ -94,8 +94,10 @@ def test_snf_random():
 def test_snf_rectangular_and_empty():
     check_snf([[2, 4, 6]])
     check_snf([[2], [4], [6]])
-    s, u, v = smith_normal_form([])
+    s, u, v = smith_normal_form([], 0)
     assert s == [] and u == [] and v == []
+    # a 0 x n matrix: V = I_n, and every unit vector is in the kernel
+    assert smith_normal_form([], 3) == ([], [], identity_matrix(3))
 
 
 def enumerate_solutions(a, b, box):
@@ -279,7 +281,7 @@ def _certified_unsolvable(a, b):
     """Some row u of the SNF transform U (U A V = S) with u A = 0 mod d and
     u b != 0 mod d for its invariant factor d (d = 0: u A = 0 and u b != 0);
     then A x = b has no integer solution, whatever V is."""
-    s, u, _ = smith_normal_form(a)
+    s, u, _ = smith_normal_form(a, len(a[0]))
     d = _diag(s) + [0] * (len(a) - min(len(a), len(a[0])))
     for ui, di in zip(u, d):
         ua = [sum(x * row[j] for x, row in zip(ui, a)) for j in range(len(a[0]))]
@@ -306,7 +308,7 @@ def test_diophantine_answers_substitute_back(system):
     assert mat_vec(a, list(sol.particular)) == b
     for k in sol.kernel_basis:
         assert mat_vec(a, list(k)) == [0] * len(a)
-    rank = sum(1 for d in _diag(smith_normal_form(a)[0]) if d)
+    rank = sum(1 for d in _diag(smith_normal_form(a, len(a[0]))[0]) if d)
     assert len(sol.kernel_basis) == len(a[0]) - rank
 
 
@@ -354,7 +356,7 @@ def test_invariant_factors_match_sympy(system):
 
     a = system[0]
     want = _diag(sympy_snf(sympy.Matrix(a), domain=sympy.ZZ).tolist())
-    assert [abs(d) for d in _diag(smith_normal_form(a)[0])] == [abs(int(d)) for d in want]
+    assert [abs(d) for d in _diag(smith_normal_form(a, len(a[0]))[0])] == [abs(int(d)) for d in want]
 
 
 # --- the unit-pivot skip and the feasibility test -------------------------
@@ -465,7 +467,7 @@ def _seeded_matrices():
 
 def test_unit_pivot_skip_keeps_snf():
     for m in _seeded_matrices():
-        assert smith_normal_form(m) == _snf_full_scan(m), m
+        assert smith_normal_form(m, len(m[0]) if m else 0) == _snf_full_scan(m), m
 
 
 def test_feasible_matches_solve():
@@ -476,8 +478,8 @@ def test_feasible_matches_solve():
     rng = random.Random(36)
     outcomes = set()
     for a in _seeded_matrices():
-        solver = SNFSolver(a)
         nc = len(a[0]) if a else 0
+        solver = SNFSolver(a, nc)
         for _ in range(4):
             ax = mat_vec(a, [rng.randint(-3, 3) for _ in range(nc)])
             bumped = [y + (i == 0) for i, y in enumerate(ax)]
@@ -491,3 +493,45 @@ def test_feasible_matches_solve():
                     assert b is not ax and _certified_unsolvable(a, b), (a, b)
                 outcomes.add(got)
     assert outcomes == {True, False}
+
+
+# --- shapes: every matrix comes with its width ----------------------------
+
+
+def test_ragged_rows_are_refused():
+    # a row of another length than ncols was once cut (a wrong solution) or
+    # overran the elimination (IndexError); now each is named
+    with pytest.raises(ValueError, match="row 1 has 2 entries, not 1"):
+        SNFSolver([[1], [1, 2]], 1)
+    with pytest.raises(ValueError, match="row 1 has 1 entries, not 2"):
+        SNFSolver([[1, 2], [1]], 2)
+    with pytest.raises(ValueError, match="row 0 has 3 entries, not 2"):
+        smith_normal_form([[1, 2, 3]], 2)
+    with pytest.raises(ValueError, match="row 1 has 2 entries, not 1"):
+        solve_diophantine([[1], [1, 2]], [1, 1])
+    with pytest.raises(ValueError, match="row 1 has 1 entries, not 2"):
+        solve_congruence([[1, 2], [1]], [1, 1], 2)
+    with pytest.raises(ValueError, match="vector 1 has 2 entries, not 3"):
+        hermite_basis([[2, 0, 1], [0, 3]])
+
+
+def test_column_solver_checks_heights_and_keeps_free_unknowns():
+    with pytest.raises(ValueError, match="column 1 has 1 entries, not 2"):
+        column_solver([[1, 2], [1]], 2)
+    # two columns of height 0: both unknowns are free
+    solver = column_solver([[], []], 0)
+    assert solver.kernel_basis == ((1, 0), (0, 1))
+    assert solver.solve([]) == DiophantineSolution((0, 0), ((1, 0), (0, 1)))
+    assert SNFSolver([], 3).kernel_basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def test_transformed_right_hand_sides_of_another_length_are_refused():
+    solver = SNFSolver([[2, 0], [0, 3]], 2)
+    for c in ([2], [2, 0, 0]):
+        with pytest.raises(ValueError, match=f"c has {len(c)} entries, not 2"):
+            solver.feasible(c)
+        with pytest.raises(ValueError, match=f"c has {len(c)} entries, not 2"):
+            solver.lift(c)
+        with pytest.raises(ValueError, match=f"c has {len(c)} entries, not 2"):
+            solver.lift_mod(c, 2)
+    assert solver.lift(solver.transform([2, 3])) == (1, 1)

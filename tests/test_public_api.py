@@ -120,15 +120,15 @@ def test_public_names_are_listed(module):
 
 # The parameters of intlat's and gaussq's public functions and the fields of
 # a grading element, so that a dropped knob or field does not come back
-# unnoticed; the solvers over Z and over a field all take a matrix by its
-# columns and their height.
+# unnoticed; the solvers over Z and over a field all take a matrix with its
+# shape: by its columns and their height, or by its rows and their length.
 INTLAT_PARAMETERS = {
     "column_solver": ("columns", "n"),
     "hermite_basis": ("vectors",),
     "identity_matrix": ("n",),
     "lattice_coset_gcd": ("vectors",),
     "mat_vec": ("a", "v"),
-    "smith_normal_form": ("m",),
+    "smith_normal_form": ("m", "ncols"),
     "solve_congruence": ("a", "b", "m"),
     "solve_diophantine": ("a", "b"),
 }
@@ -150,6 +150,7 @@ def _parameters(module):
 
 def test_intlat_parameters_are_pinned():
     assert _parameters(intlat) == INTLAT_PARAMETERS
+    assert tuple(inspect.signature(intlat.SNFSolver).parameters) == ("rows", "ncols")
 
 
 def test_gaussq_parameters_are_pinned():

@@ -158,11 +158,26 @@ def test_root_sum():
     k = find_root(a2, (1, 0, -1))
     assert root_sum(a2, i, j) == k
     assert root_sum(a2, i, k) is None
+    # a difference is the sum with the negated root
+    assert root_sum(a2, k, a2.neg(j)) == i
+
+
+@pytest.mark.parametrize(
+    "tag,rank", [("A", 5), ("B", 3), ("C", 3), ("D", 4), ("G2", None), ("F4", None), ("E6", None), ("E7", None), ("E8", None)]
+)
+def test_root_sum_matches_vector_sums(tag, rank):
+    # every pair of roots, against the vector sum looked up in a dict built
+    # here; compat_graph, simple_roots and the Chevalley basis rest on it
+    r = build_root_system(tag, rank)
+    where = {v: k for k, v in enumerate(r.roots)}
+    for i, u in enumerate(r.roots):
+        for j, v in enumerate(r.roots):
+            assert root_sum(r, i, j) == where.get(tuple(a + b for a, b in zip(u, v))), (u, v)
 
 
 def test_kept_tables_do_not_change_equality(fresh_systems):
-    # the sum table and the derived tables fill on use; two builds of one
-    # system stay equal whichever of them has been used
+    # the derived tables fill on use; two builds of one system stay equal
+    # whichever of them has been used
     one = build_root_system("B", 3)
     fresh_systems.clear()
     two = build_root_system("B", 3)
@@ -170,7 +185,20 @@ def test_kept_tables_do_not_change_equality(fresh_systems):
     root_sum(one, 0, 1)
     assert one == two
     compat_graph(two)
-    assert one._sum_table != two._sum_table and one == two
+    assert one._tables != two._tables and one == two
+
+
+def test_ambient_vectors_of_another_length_are_refused():
+    # a short or long vector was once zipped down to the ambient dimension
+    a2 = build_root_system("A", 3)
+    alpha = a2.roots[0]
+    for bad in ((1, 0), (1, 0, 0, 5)):
+        msg = f"ambient vector has {len(bad)} coordinates, not the ambient dimension 3"
+        with pytest.raises(ValueError, match=msg):
+            evaluate(alpha, bad)
+        with pytest.raises(ValueError, match=msg):
+            a2.ambient_to_coweight_coords(bad)
+    assert evaluate(alpha, (1, 0, 0)) == Fraction(dot(alpha, (1, 0, 0)), 2)
 
 
 def test_g2_short_plus_short_is_root():
@@ -243,7 +271,7 @@ def coweight_index(r) -> int:
         if sol is None:
             raise ValueError("coroot lattice not contained in coweight lattice")
         coords.append(list(sol.particular))
-    s, _, _ = smith_normal_form(coords)
+    s, _, _ = smith_normal_form(coords, r.rank)
     idx = 1
     for i in range(min(len(s), len(s[0]) if s else 0)):
         if s[i][i] == 0:
