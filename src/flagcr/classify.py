@@ -36,9 +36,9 @@ collapse claims (criteria 3 and 4), and solver agreement and invariance.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
+from typing import NamedTuple
 
 from . import qsets
 from .qsets import compat_graph, is_fundamental, property_report
@@ -163,8 +163,7 @@ def _root_orbits(r: RootSystem) -> tuple[frozenset[int], ...]:
     return _cached(r, "root_orbits", build)
 
 
-@dataclass
-class EnumClass:
+class EnumClass(NamedTuple):
     canonical: tuple[int, ...]
     orbit_size: int
     report: qsets.PropertyReport
@@ -294,8 +293,7 @@ def enumerate_maximal(r: RootSystem, quotient: str = "weyl", budget: int = BUDGE
 # classical catalogs
 
 
-@dataclass
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     label: str
     indices: tuple[int, ...]
     parameters: dict
@@ -631,14 +629,13 @@ def _pm_minus_sets(sets_):
     return out
 
 
-@dataclass
-class GradingTable:
+class GradingTable(NamedTuple):
     pair: tuple[int, int]
     type_label: str
     r_part: frozenset[int]
     s_part: frozenset[int]
     e: GradingElement
-    system: RootSystem = field(repr=False)
+    system: RootSystem
 
 
 def grading_table(l: int, i: int) -> GradingTable:

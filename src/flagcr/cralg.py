@@ -37,7 +37,6 @@ Upsilon-invariant ideal give a compatible fibration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -360,17 +359,15 @@ def _generated(pres, space: CMatrix) -> CMatrix:
     return _ascend(space, images)
 
 
-@dataclass
 class CRAlgebra:
-    pres: LieAlgebraPresentation
-    q: CMatrix = field(repr=False)
+    """A complex subalgebra q of g, refused unless it is one, and the spaces
+    derived from (g0, q), kept in _derived as they are built."""
 
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        _in_g(self.pres, self.q, "q")
-        if not is_subalgebra(self.pres, self.q):
+    def __init__(self, pres: LieAlgebraPresentation, q: CMatrix):
+        _in_g(pres, q, "q")
+        if not is_subalgebra(pres, q):
             raise ValueError("q is not closed under the bracket")
+        self.pres, self.q, self._derived = pres, q, {}
 
     def _once(self, key, build):
         """A space derived from (g0, q), built on first use and kept."""

@@ -1,14 +1,15 @@
 """Exact linear algebra over the Gaussian rationals Q(i) and over Q.
 
-CNum is an immutable Gaussian rational.  _insert is the one Gauss-Jordan
-step over a field in the package: _rref applies it row by row, and cralg
-grows every reduced basis with it, its closures, its Levi-form quotient basis
-and its semidefiniteness test included.  The solvers take a matrix by its
-columns and their height n, as intlat.column_solver does, and refuse a
-column or right-hand side of another height: Factored keeps one
-elimination of a matrix for repeated solves, each one _reduce; kernel is a
-one-shot elimination of the matrix alone.  _apply is the one product of a
-matrix, given by its columns, with a vector.
+CNum is an immutable Gaussian rational: a class with two slots, re and im,
+equal and hashed by value, and not a tuple, so that + and * stay arithmetic.
+_insert is the one Gauss-Jordan step over a field in the package: _rref
+applies it row by row, and cralg grows every reduced basis with it, its
+closures, its Levi-form quotient basis and its semidefiniteness test
+included.  The solvers take a matrix by its columns and their height n, as
+intlat.column_solver does, and refuse a column or right-hand side of another
+height: Factored keeps one elimination of a matrix for repeated solves, each
+one _reduce; kernel is a one-shot elimination of the matrix alone.  _apply
+is the one product of a matrix, given by its columns, with a vector.
 CMatrix / RMatrix represent subspaces by their rows, canonicalized through
 reduced row echelon form, so equality of subspaces is equality of canonical
 forms.  A subspace is built with its width, CMatrix(n, rows), the zero
@@ -17,14 +18,33 @@ subspace as CMatrix(n, []), and refuses a row or vector of another width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
 class CNum:
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    """The Gaussian rational re + i im: immutable, equal and hashed by value."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
+        _set(self, "re", re)
+        _set(self, "im", im)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, o):
+        return self.re == o.re and self.im == o.im if o.__class__ is CNum else NotImplemented
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        return f"CNum(re={self.re!r}, im={self.im!r})"
 
     @staticmethod
     def of(x) -> "CNum":

@@ -8,13 +8,14 @@ another length is refused: SNFSolver(rows, ncols) and smith_normal_form
 take the rows and their length, column_solver(columns, n) the columns and
 their height, as gaussq's field solvers do.  The package solves through
 SNFSolver; the one-shot solve_diophantine and solve_congruence have no
-caller in it and stay only because the benchmark tracer wraps them.
+caller in it and stay only because the benchmark tracer wraps them; they
+read the width off the first row, so they refuse a system with no rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -119,8 +120,7 @@ def smith_normal_form(
     return a, u, v
 
 
-@dataclass(frozen=True)
-class DiophantineSolution:
+class DiophantineSolution(NamedTuple):
     """Integer solution set of A x = b: x = particular + Z-span(kernel_basis)."""
 
     particular: tuple[int, ...]
@@ -192,15 +192,23 @@ def solve_diophantine(a: list[list[int]], b: list[int]) -> DiophantineSolution |
     Returns the particular solution and a basis of the full integer kernel
     lattice, or ``None`` when no integer solution exists.
     """
-    return SNFSolver(a, len(a[0]) if a else 0).solve(b)
+    return SNFSolver(a, _width(a)).solve(b)
 
 
 def solve_congruence(a: list[list[int]], b: list[int], m: int) -> list[int] | None:
     """Solve A x = b (mod m) for m >= 2, valid for composite m, through the
     Smith normal form of A (SNFSolver.lift_mod).  The returned vector has
     entries in 0..m-1; ``None`` means no solution exists."""
-    s = SNFSolver(a, len(a[0]) if a else 0)
+    s = SNFSolver(a, _width(a))
     return s.lift_mod(s.transform(b), m)
+
+
+def _width(a) -> int:
+    """The unknowns of A x = b, read off its first row; ValueError when A has
+    no rows."""
+    if not a:
+        raise ValueError("a system with no rows does not give its width: use column_solver(columns, n)")
+    return len(a[0])
 
 
 def lattice_coset_gcd(vectors: list[list[int]] | tuple) -> int:

@@ -13,7 +13,6 @@ derivations/automorphisms of the presentation.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cralg import CRAlgebra, LieAlgebraPresentation, _std_basis, cspan
@@ -89,16 +88,15 @@ def exam_bf() -> tuple[CRAlgebra, CMatrix]:
 # flag presets: the Chevalley basis of a root system
 
 
-@dataclass
 class FlagPreset:
     """The Chevalley basis of the complex simple Lie algebra of a root system:
     simple coroots h0, h1, ... first, then x_alpha for every root in root
-    order, with the compact conjugation nu(h) = -h, nu(x_alpha) = -x_{-alpha}."""
+    order, with the compact conjugation nu(h) = -h, nu(x_alpha) = -x_{-alpha}.
+    root_vec maps a root index to its CNum coordinate vector, cartan_vec an
+    ambient coordinate to its Cartan coordinate vector."""
 
-    system: RootSystem
-    pres: LieAlgebraPresentation
-    root_vec: dict = field(repr=False)  # root index -> CNum coordinate vector
-    cartan_vec: list = field(repr=False)  # ambient coordinate -> Cartan coordinate vectors
+    def __init__(self, system: RootSystem, pres: LieAlgebraPresentation, root_vec: dict, cartan_vec: list):
+        self.system, self.pres, self.root_vec, self.cartan_vec = system, pres, root_vec, cartan_vec
 
     def cartan_element(self, ambient):
         """Element H with alpha(H) = evaluate(alpha, ambient) for all roots,

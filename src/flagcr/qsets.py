@@ -25,7 +25,7 @@ definitions, which route A reads in closed form; the tests check it on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .intlat import SNFSolver, column_solver, lattice_coset_gcd
 from .rootsys import GradingElement, RootSystem, _cached, dot, evaluate_int, root_sum, sorted_indices
@@ -114,8 +114,7 @@ def is_fundamental(r: RootSystem, q, solver: SNFSolver | None = None) -> bool:
     return all(solver.feasible(solver.transform(v)) for v in r.lattice_basis)
 
 
-@dataclass(frozen=True)
-class DegreeCoset:
+class DegreeCoset(NamedTuple):
     """Set {h : gamma in Q*_h} as the arithmetic progression base + step*Z
     (step 0 means the singleton {base}); empty when gamma is not in Z[Q]."""
 
@@ -228,8 +227,7 @@ def has_j(r: RootSystem, q):
     return _Analysis(r, q).decide(None)
 
 
-@dataclass
-class PropertyReport:
+class PropertyReport(NamedTuple):
     is_lb: bool
     is_fundamental: bool
     symmetric: bool | None = None
@@ -259,12 +257,9 @@ def property_report(r: RootSystem, q) -> PropertyReport:
     """Full report; enforces the j => weak-J => symmetric hierarchy on every
     evaluation (HierarchyViolation would be an internal bug)."""
     a = _Analysis(r, q)
-    rep = PropertyReport(is_lb=a.lb, is_fundamental=a.fundamental)
     if not a.holds:
-        return rep
+        return PropertyReport(a.lb, a.fundamental)
     (sym, e2), (wj, e4), (jp, ee) = (a.decide(m) for m in (2, 4, None))
-    rep.symmetric, rep.weak_j, rep.j_property = sym, wj, jp
-    rep.witness_mod2, rep.witness_mod4, rep.witness_exact = e2, e4, ee
     if (jp and not wj) or (wj and not sym):
         raise HierarchyViolation(f"hierarchy broken: j={jp} weak={wj} sym={sym}")
-    return rep
+    return PropertyReport(a.lb, a.fundamental, sym, wj, jp, e2, e4, ee)

@@ -14,8 +14,8 @@ maximal CR dimension on a semisimple group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .gaussq import CMatrix, CNum, _apply, kernel
 from .qsets import is_closed
@@ -27,8 +27,7 @@ class NoRegularVector(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class RootConjugation:
+class RootConjugation(NamedTuple):
     """Involution alpha -> conj(alpha) on the root system."""
 
     cols: tuple[tuple[Fraction, ...], ...]

@@ -38,7 +38,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul
 
@@ -106,38 +105,70 @@ def scaled(vec) -> tuple[tuple[int, ...], int]:
     return tuple(int(Fraction(x) * den) for x in vec), den
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
 class GradingElement:
     """Element of the coweight lattice R*: its integer coordinates in the
     coweight basis, and its ambient vector num/den as integer numerators
-    over one denominator (not compared), so alpha(E) = dot(alpha, num) /
-    (2 den)."""
+    over one denominator, so alpha(E) = dot(alpha, num) / (2 den).  It is
+    immutable, and its equality, hash and repr read coords alone."""
 
-    coords: tuple[int, ...]
-    num: tuple[int, ...] = field(repr=False, compare=False)
-    den: int = field(repr=False, compare=False)
+    __slots__ = ("coords", "num", "den")
+
+    def __init__(self, coords: tuple[int, ...], num: tuple[int, ...], den: int):
+        _set(self, "coords", coords)
+        _set(self, "num", num)
+        _set(self, "den", den)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, o):
+        return self.coords == o.coords if o.__class__ is GradingElement else NotImplemented
+
+    def __hash__(self):
+        return hash((self.coords,))
+
+    def __repr__(self):
+        return f"GradingElement(coords={self.coords!r})"
 
 
-@dataclass
 class RootSystem:
+    """Equal to another RootSystem whose fields other than _tables are
+    equal; unhashable."""
+
     type_tag: str
     rank: int
     ambient_dim: int
-    roots: list[tuple[int, ...]] = field(repr=False)
-    index: dict[tuple[int, ...], int] = field(repr=False)
+    roots: list[tuple[int, ...]]
+    index: dict[tuple[int, ...], int]
     # Z-basis of the lattice spanned by the stored (doubled) roots
-    lattice_basis: list[list[int]] = field(repr=False)
+    lattice_basis: list[list[int]]
     # (columns of the coweight basis scaled to integers, their denominator)
-    coweight_scaled: tuple[list[tuple[int, ...]], int] = field(repr=False)
+    coweight_scaled: tuple[list[tuple[int, ...]], int]
     # coweight_values[i][k] = alpha_i(omega_k) for the coweight basis omega_k
-    coweight_values: list[tuple[int, ...]] = field(repr=False)
+    coweight_values: list[tuple[int, ...]]
     # negation[i] is the index of -roots[i]
-    negation: list[int] = field(repr=False)
+    negation: list[int]
     # tables derived from the roots on first use and kept here (see _cached):
     # the compatibility masks of qsets, the simple roots, their integer
     # coordinates, the Cartan integers and the group data of weyl, and the
     # flag preset; root sums are not kept, root_sum looks each one up
-    _tables: dict = field(default_factory=dict, repr=False, compare=False)
+    _tables: dict
+
+    def __init__(self, type_tag, rank, ambient_dim, roots, index, lattice_basis, coweight_scaled, coweight_values,
+                 negation, _tables=None):
+        self.type_tag, self.rank, self.ambient_dim, self.roots, self.index = type_tag, rank, ambient_dim, roots, index
+        self.lattice_basis, self.coweight_scaled, self.coweight_values = lattice_basis, coweight_scaled, coweight_values
+        self.negation, self._tables = negation, {} if _tables is None else _tables
+
+    def __eq__(self, o):
+        if o.__class__ is not RootSystem:
+            return NotImplemented
+        return {**vars(self), "_tables": None} == {**vars(o), "_tables": None}
 
     @property
     def nroots(self) -> int:

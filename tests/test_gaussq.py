@@ -33,6 +33,21 @@ def test_cnum_arithmetic():
     assert not CNum() and a and CNum(Fraction(0), Fraction(-1)) and CNum(Fraction(1, 3))
 
 
+def test_cnum_is_an_immutable_value():
+    a = CNum(Fraction(1), Fraction(2))
+    assert a == CNum(1, 2) and hash(a) == hash(CNum(1, 2))
+    assert len({a, CNum(1, 2), CNum(Fraction(2), Fraction(1))}) == 2
+    # not a tuple: no equality with one, and + stays arithmetic
+    assert a != (Fraction(1), Fraction(2)) and a + a == CNum(2, 4)
+    assert repr(a) == "CNum(re=Fraction(1, 1), im=Fraction(2, 1))"
+    for name in ("re", "im", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, Fraction(3))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert (a.re, a.im) == (1, 2)
+
+
 def test_realify_roundtrip():
     v = (CNum(Fraction(1), Fraction(2)), CNum(Fraction(-3), Fraction(0)))
     assert complexify_vector(realify_vector(v)) == v

@@ -515,6 +515,18 @@ def test_ragged_rows_are_refused():
         hermite_basis([[2, 0, 1], [0, 3]])
 
 
+def test_solve_diophantine_refuses_a_system_with_no_rows():
+    # it once answered for zero unknowns: DiophantineSolution((), ())
+    with pytest.raises(ValueError, match=r"no rows does not give its width: use column_solver\(columns, n\)"):
+        solve_diophantine([], [])
+
+
+def test_solve_congruence_refuses_a_system_with_no_rows():
+    # it once answered for zero unknowns: []
+    with pytest.raises(ValueError, match=r"no rows does not give its width: use column_solver\(columns, n\)"):
+        solve_congruence([], [], 3)
+
+
 def test_column_solver_checks_heights_and_keeps_free_unknowns():
     with pytest.raises(ValueError, match="column 1 has 1 entries, not 2"):
         column_solver([[1, 2], [1]], 2)

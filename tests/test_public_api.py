@@ -5,14 +5,14 @@ perfbench/) or a claim of the paper that its module docstring names; a helper
 that only tests call lives under tests/."""
 
 import ast
-import dataclasses
 import glob
 import inspect
 import os
+from fractions import Fraction
 
 import pytest
 
-from flagcr import classify, cli, cralg, gaussq, intlat, presets, rootsys, weyl
+from flagcr import classify, cli, cralg, gaussq, intlat, presets, qsets, realform, rootsys, weyl
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "flagcr")
 
@@ -159,7 +159,7 @@ def test_gaussq_parameters_are_pinned():
 
 
 def test_grading_element_fields_are_pinned():
-    assert tuple(f.name for f in dataclasses.fields(rootsys.GradingElement)) == ("coords", "num", "den")
+    assert tuple(inspect.signature(rootsys.GradingElement).parameters) == ("coords", "num", "den")
 
 
 # The parameters, with their defaults, of the searches that take a budget
@@ -174,6 +174,39 @@ OPTION_PARAMETERS = {
     classify.enumerate_maximal: {"r": EMPTY, "quotient": "weyl", "budget": weyl.BUDGET},
     cralg.weak_j_implies_compatible: {"a": EMPTY, "ideal": EMPTY, "upsilon": EMPTY},
 }
+
+
+# The constructor of every record, parameter by parameter with its default,
+# so that callers building records by keyword keep working.
+RECORD_PARAMETERS = {
+    gaussq.CNum: {"re": Fraction(0), "im": Fraction(0)},
+    intlat.DiophantineSolution: {"particular": EMPTY, "kernel_basis": EMPTY},
+    rootsys.GradingElement: {"coords": EMPTY, "num": EMPTY, "den": EMPTY},
+    rootsys.RootSystem: {
+        "type_tag": EMPTY, "rank": EMPTY, "ambient_dim": EMPTY, "roots": EMPTY, "index": EMPTY,
+        "lattice_basis": EMPTY, "coweight_scaled": EMPTY, "coweight_values": EMPTY, "negation": EMPTY,
+        "_tables": None,
+    },
+    qsets.DegreeCoset: {"empty": EMPTY, "base": 0, "step": 0},
+    qsets.PropertyReport: {
+        "is_lb": EMPTY, "is_fundamental": EMPTY, "symmetric": None, "weak_j": None, "j_property": None,
+        "witness_mod2": None, "witness_mod4": None, "witness_exact": None,
+    },
+    realform.RootConjugation: {"cols": EMPTY, "perm": EMPTY},
+    cralg.CRAlgebra: {"pres": EMPTY, "q": EMPTY},
+    presets.FlagPreset: {"system": EMPTY, "pres": EMPTY, "root_vec": EMPTY, "cartan_vec": EMPTY},
+    classify.EnumClass: {"canonical": EMPTY, "orbit_size": EMPTY, "report": EMPTY},
+    classify.CatalogEntry: {"label": EMPTY, "indices": EMPTY, "parameters": EMPTY, "claims": EMPTY, "source": EMPTY},
+    classify.GradingTable: {
+        "pair": EMPTY, "type_label": EMPTY, "r_part": EMPTY, "s_part": EMPTY, "e": EMPTY, "system": EMPTY,
+    },
+}
+
+
+def test_record_constructors_are_pinned():
+    for cls, want in RECORD_PARAMETERS.items():
+        got = {name: p.default for name, p in inspect.signature(cls).parameters.items()}
+        assert got == want, cls.__qualname__
 
 
 def test_option_parameters_are_pinned():

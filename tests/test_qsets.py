@@ -206,6 +206,17 @@ def test_weyl_invariance_of_predicates():
         )
 
 
+def test_property_reports_compare_field_by_field():
+    g2, q0, _, _ = g2_sets()
+    rep = property_report(g2, q0)
+    assert rep.witness_exact is not None
+    assert rep == property_report(g2, q0) == qsets.PropertyReport(**rep._asdict())
+    for name in rep._fields:
+        assert rep._replace(**{name: "changed"}) != rep, name
+    # one root is lb but not fundamental in G2: the hypotheses alone are reported
+    assert property_report(g2, {0}) == qsets.PropertyReport(is_lb=True, is_fundamental=False)
+
+
 def q_star_bounded(r, q, h: int, max_terms: int = 6) -> frozenset[int]:
     """Explicit Q*_h by bounded enumeration: expressions with at most
     ``max_terms`` summands +-beta."""

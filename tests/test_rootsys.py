@@ -175,6 +175,20 @@ def test_root_sum_matches_vector_sums(tag, rank):
             assert root_sum(r, i, j) == where.get(tuple(a + b for a, b in zip(u, v))), (u, v)
 
 
+def test_grading_elements_are_immutable_and_equal_by_coords():
+    e = GradingElement((1, 0), (2, 1, 0), 1)
+    same = GradingElement((1, 0), (4, 2, 0), 2)
+    assert e == same and hash(e) == hash(same) and len({e, same}) == 1
+    assert repr(e) == repr(same) == "GradingElement(coords=(1, 0))"
+    assert e != GradingElement((0, 1), (2, 1, 0), 1) and e != (1, 0)
+    for name in ("coords", "num", "den", "other"):
+        with pytest.raises(AttributeError):
+            setattr(e, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(e, name)
+    assert (e.coords, e.num, e.den) == ((1, 0), (2, 1, 0), 1)
+
+
 def test_kept_tables_do_not_change_equality(fresh_systems):
     # the derived tables fill on use; two builds of one system stay equal
     # whichever of them has been used

@@ -1,9 +1,10 @@
 """The runtime stays stdlib-only: every import in the package names flagcr
-itself or a module of the standard library."""
+itself or a module of the standard library, and none is dataclasses."""
 
 import ast
 import glob
 import os
+import subprocess
 import sys
 
 import pytest
@@ -35,3 +36,20 @@ def test_package_files_found():
 def test_imports_are_flagcr_or_stdlib(path):
     foreign = [(line, mod) for line, mod in _imported(path) if mod != "flagcr" and mod not in sys.stdlib_module_names]
     assert not foreign, f"{os.path.basename(path)} imports outside the standard library: {foreign}"
+
+
+@pytest.mark.parametrize("path", FILES, ids=os.path.basename)
+def test_no_dataclasses(path):
+    # each decorator generates and execs its methods at every import, and the
+    # module pulls in inspect, ast, dis and tokenize: start-up time for nothing
+    assert "dataclasses" not in {mod for _, mod in _imported(path)}
+
+
+def test_entry_modules_load_neither_dataclasses_nor_inspect():
+    code = (
+        "import sys, flagcr.cli, flagcr.cralg, flagcr.presets, flagcr.realform\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
