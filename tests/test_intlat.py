@@ -15,12 +15,19 @@ from flagcr.intlat import (
     column_solver,
     hermite_basis,
     identity_matrix,
-    lattice_coset_gcd,
     mat_vec,
     smith_normal_form,
     solve_congruence,
     solve_diophantine,
 )
+
+
+def lattice_coset_gcd(vectors) -> int:
+    """gcd of the coordinate sums of ``vectors`` (0 if there are none): the
+    coordinate sums over the lattice they span are exactly g*Z for the
+    returned g.  The dense-V oracle of the coefficient-sum step that qsets
+    reads off a solver carrying only the sum row."""
+    return gcd(*map(sum, vectors))
 
 
 def mat_mul(a, b):
@@ -191,6 +198,23 @@ def test_congruence_vs_exhaustive():
                 sum(r[k] * got[k] for k in range(nc)) % m == b[i] % m
                 for i, r in enumerate(a)
             )
+
+
+def test_congruence_vs_exhaustive_when_the_modulus_shares_odd_or_higher_factors():
+    # entries 3, 4, 6, 8, 9 against m = 3, 6, 8, 9, 12: gcd(d, m) of an
+    # invariant factor d is then often neither 1 nor gcd(d, 2)
+    rng = random.Random("shared-factors")
+    outcomes = set()
+    for _ in range(150):
+        m = rng.choice([3, 6, 8, 9, 12])
+        a = [[rng.choice((0, 3, -3, 4, 6, -8, 9)) for _ in range(2)] for _ in range(rng.randint(1, 2))]
+        b = [rng.randint(-12, 12) for _ in a]
+        got = solve_congruence(a, b, m)
+        assert (got is None) == (exhaustive_congruence(a, b, m) is None), (a, b, m)
+        if got is not None:
+            assert all((y - c) % m == 0 for y, c in zip(mat_vec(a, got), b)), (a, b, m)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
 def test_coset_gcd():
@@ -547,3 +571,66 @@ def test_transformed_right_hand_sides_of_another_length_are_refused():
         with pytest.raises(ValueError, match=f"c has {len(c)} entries, not 2"):
             solver.lift_mod(c, 2)
     assert solver.lift(solver.transform([2, 3])) == (1, 1)
+
+
+# --- carried rows: B V in place of V ----------------------------------------
+
+
+def _carried_sum_matrices():
+    """Seeded integer matrices with entries up to +-50: rows with no columns,
+    taller than wide, square, wider than tall, and rank-deficient ones (rows
+    that are integer combinations of two others)."""
+    rng = random.Random("carried-sums")
+    out = [[], [[]], [[], [], []]]
+    for nr, nc in ((1, 1), (1, 6), (2, 5), (3, 8), (4, 2), (5, 5), (6, 12), (8, 3), (9, 32)):
+        dense = [[rng.randint(-50, 50) for _ in range(nc)] for _ in range(nr)]
+        out.append(dense)
+        if nr > 2:
+            deficient = [list(row) for row in dense[:2]]
+            for _ in range(nr - 2):
+                f, g = rng.randint(-3, 3), rng.randint(-3, 3)
+                deficient.append([f * x + g * y for x, y in zip(*deficient[:2])])
+            rng.shuffle(deficient)
+            out.append(deficient)
+    return out
+
+
+def test_carried_sum_row_is_the_column_sums_of_v():
+    # the all-ones row carried through the elimination is 1^T V of the dense
+    # solve: the same S, U and invariant factors, and every solution and
+    # kernel vector comes out as its coordinate sum; the dense side is held
+    # to A x = b and A k = 0, so an elimination that drops the carried
+    # updates fails here too
+    rng = random.Random(41)
+    outcomes = set()
+    for a in _carried_sum_matrices():
+        nc = len(a[0]) if a else 0
+        dense, sums = SNFSolver(a, nc), SNFSolver(a, nc, [[1] * nc])
+        assert (sums.s, sums.u, sums.d) == (dense.s, dense.u, dense.d), a
+        assert sums.v == [[sum(col) for col in zip(*dense.v)] if dense.v else []], a
+        assert sums.kernel_basis == tuple((sum(k),) for k in dense.kernel_basis), a
+        assert all(not any(mat_vec(a, list(k))) for k in dense.kernel_basis), a
+        for _ in range(3):
+            ax = mat_vec(a, [rng.randint(-5, 5) for _ in range(nc)])
+            for b in (ax, [rng.randint(-50, 50) for _ in a]):
+                c = dense.transform(b)
+                x = dense.lift(c)
+                assert x is None or mat_vec(a, list(x)) == b, (a, b)
+                assert sums.lift(c) == (None if x is None else (sum(x),)), (a, b)
+                for m in (2, 4, 6):
+                    xm = dense.lift_mod(c, m)
+                    assert sums.lift_mod(c, m) == (None if xm is None else [sum(xm) % m]), (a, b, m)
+                outcomes.add(x is None)
+    assert outcomes == {True, False}
+
+
+def test_carried_rows_give_b_times_v():
+    # any block of rows B, not only the all-ones row, comes out as B V
+    rng = random.Random("carried-block")
+    for a in _carried_sum_matrices():
+        nc = len(a[0]) if a else 0
+        s, u, v = smith_normal_form(a, nc)
+        b = [[rng.randint(-3, 3) for _ in range(nc)] for _ in range(rng.randint(1, 3))]
+        assert smith_normal_form(a, nc, b) == (s, u, mat_mul(b, v)), a
+    with pytest.raises(ValueError, match="carried row 0 has 1 entries, not 2"):
+        smith_normal_form([[1, 2]], 2, [[1]])

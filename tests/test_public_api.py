@@ -42,8 +42,8 @@ PUBLIC = {
         "realify_vector", "solve_linear",
     },
     "intlat": {
-        "DiophantineSolution", "SNFSolver", "column_solver", "hermite_basis", "identity_matrix",
-        "lattice_coset_gcd", "mat_vec", "smith_normal_form", "solve_congruence", "solve_diophantine",
+        "DiophantineSolution", "SNFSolver", "column_solver", "hermite_basis", "identity_matrix", "mat_vec",
+        "smith_normal_form", "solve_congruence", "solve_diophantine",
     },
     "presets": {
         "FLAG_TYPES", "FlagPreset", "PRESET_BUILDERS", "exam_bf", "flag_preset", "get_preset", "heisenberg", "sl2",
@@ -51,7 +51,7 @@ PUBLIC = {
     },
     "qsets": {
         "DegreeCoset", "HierarchyViolation", "MethodDisagreement", "NOT_FUNDAMENTAL", "NotFundamental",
-        "PropertyReport", "compat_graph", "compatible", "degree_set", "has_j", "has_weak_j", "is_closed",
+        "PropertyReport", "WitnessRejected", "compat_graph", "compatible", "degree_set", "has_j", "has_weak_j", "is_closed",
         "is_fundamental", "is_lb", "is_symmetric", "kernel_degree_gcd", "property_report", "q_star_11",
     },
     "realform": {
@@ -122,13 +122,13 @@ def test_public_names_are_listed(module):
 # a grading element, so that a dropped knob or field does not come back
 # unnoticed; the solvers over Z and over a field all take a matrix with its
 # shape: by its columns and their height, or by its rows and their length.
+# The Smith form and its solvers also take the rows they carry in place of V.
 INTLAT_PARAMETERS = {
-    "column_solver": ("columns", "n"),
+    "column_solver": ("columns", "n", "carried"),
     "hermite_basis": ("vectors",),
     "identity_matrix": ("n",),
-    "lattice_coset_gcd": ("vectors",),
     "mat_vec": ("a", "v"),
-    "smith_normal_form": ("m", "ncols"),
+    "smith_normal_form": ("m", "ncols", "carried"),
     "solve_congruence": ("a", "b", "m"),
     "solve_diophantine": ("a", "b"),
 }
@@ -150,7 +150,7 @@ def _parameters(module):
 
 def test_intlat_parameters_are_pinned():
     assert _parameters(intlat) == INTLAT_PARAMETERS
-    assert tuple(inspect.signature(intlat.SNFSolver).parameters) == ("rows", "ncols")
+    assert tuple(inspect.signature(intlat.SNFSolver).parameters) == ("rows", "ncols", "carried")
 
 
 def test_gaussq_parameters_are_pinned():

@@ -4,6 +4,8 @@ import itertools
 import json
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,11 +14,13 @@ from hypothesis import strategies as st
 
 from flagcr import qsets
 from flagcr.classify import e8_example_set, e8_examples, maximal_cliques
-from flagcr.intlat import SNFSolver, column_solver
+from flagcr.intlat import SNFSolver, column_solver, solve_congruence, solve_diophantine
 from flagcr.qsets import (
     NOT_FUNDAMENTAL,
     DegreeCoset,
     MethodDisagreement,
+    PropertyReport,
+    WitnessRejected,
     compat_graph,
     compatible,
     degree_set,
@@ -40,7 +44,7 @@ from flagcr.rootsys import (
     rootset_from_json,
     scaled,
 )
-from test_intlat import lifted_congruence
+from test_intlat import lattice_coset_gcd, lifted_congruence
 from weyl_words import random_element
 
 H = Fraction(1, 2)
@@ -352,6 +356,47 @@ def test_witness_outside_coweight_lattice_is_rejected(tag, rank):
             qsets._verify_witness(rs, [0], e, modulus)
 
 
+@pytest.mark.parametrize("tag,rank", [("A", 3), ("F4", None), ("E8", None)])
+def test_zero_witness_fails_the_congruence_and_the_exact_check(tag, rank):
+    # E = 0 lies in the coweight lattice and takes the value 0 on every root,
+    # which is neither 1 mod 2, 1 mod 4 nor 1: only the checks on Q refuse it
+    rs = build_root_system(tag, rank)
+    e = rs.grading_element((0,) * rs.rank)
+    for modulus, check in ((2, "congruence"), (4, "congruence"), (None, "exact evaluation")):
+        with pytest.raises(WitnessRejected, match=f"witness fails {check}"):
+            qsets._verify_witness(rs, [0], e, modulus)
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+REFUSE_UNDER_O = """
+import sys
+from fractions import Fraction
+from flagcr import qsets, rootsys
+rs = rootsys.build_root_system("A", 3)
+alpha = rs.roots[0]
+half_coroot = rootsys.scaled([Fraction(2 * x, rootsys.dot(alpha, alpha)) for x in alpha])
+witnesses = [(rs.grading_element((0,) * rs.rank), m) for m in (2, 4, None)]
+witnesses.append((rootsys.GradingElement((0,) * rs.rank, *half_coroot), 2))
+refused = []
+for e, m in witnesses:
+    try:
+        qsets._verify_witness(rs, [0], e, m)
+    except qsets.WitnessRejected as exc:
+        refused.append(str(exc))
+print(sys.flags.optimize, refused)
+"""
+
+
+def test_bad_witnesses_are_refused_under_python_O():
+    # the witness checks raise: python -O, which drops assert statements,
+    # still refuses E = 0 for every modulus and E = alpha^vee / 2 off the
+    # coweight lattice
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-O", "-c", REFUSE_UNDER_O], env=env, capture_output=True, text=True, check=True)
+    fails = ["witness fails congruence"] * 2 + ["witness fails exact evaluation", "witness leaves the coweight lattice"]
+    assert out.stdout.strip() == f"1 {fails}"
+
+
 def test_both_routes_run_on_every_decision(monkeypatch):
     # with route B forced to find no solution, route A still says symmetric
     g2, _, q1, _ = g2_sets()
@@ -458,3 +503,68 @@ def witness_pin_digest(enumerated):
 def test_witness_pin(enumerated):
     # verdicts and witness coordinates of exceptional maximal sets did not move
     assert witness_pin_digest(enumerated) == WITNESS_PIN
+
+
+# --- the carried sum row against a dense-V reference -------------------------
+
+
+def _dense_expression_solver(r, q):
+    """Q's expression solver carrying the dense transform V, the reference for
+    the one that carries only its coordinate-sum row."""
+    return column_solver([list(r.roots[i]) for i in sorted(q)], r.ambient_dim)
+
+
+def _dense_degree_set(r, q, gamma_idx):
+    sol = _dense_expression_solver(r, q).solve(list(r.roots[gamma_idx]))
+    if sol is None:
+        return DegreeCoset(empty=True)
+    return DegreeCoset(empty=False, base=sum(sol.particular), step=lattice_coset_gcd(sol.kernel_basis))
+
+
+def _dense_report(r, q):
+    """property_report from a dense-V expression solve: fundamentality by
+    solving for each lattice-basis vector, route A's gcd from the kernel
+    basis itself, and route B through the one-shot solves of the coweight
+    rows, whose verdicts must agree with route A's."""
+    q = sorted(q)
+    lb = is_lb(r, q)
+    dense = _dense_expression_solver(r, q)
+    fundamental = bool(q) and all(dense.solve(list(b)) is not None for b in r.lattice_basis)
+    if not (lb and fundamental):
+        return PropertyReport(lb, fundamental)
+    g = lattice_coset_gcd(dense.kernel_basis)
+    star = q_star_11(r, q)
+    verdicts = [not star or g % 2 == 0, not star or g % 4 == 0, g == 0]
+    rows, ones = [r.coweight_values[i] for i in q], [1] * len(q)
+    exact = solve_diophantine(rows, ones)
+    solutions = [solve_congruence(rows, ones, 2), solve_congruence(rows, ones, 4), exact and exact.particular]
+    assert verdicts == [x is not None for x in solutions], q
+    witnesses = [None if x is None else r.grading_element(x) for x in solutions]
+    return PropertyReport(lb, fundamental, *verdicts, *witnesses)
+
+
+DENSE_SYSTEMS = [("A", 4), ("B", 5), ("C", 4), ("D", 5), ("G2", None), ("F4", None), ("E6", None), ("E7", None), ("E8", None)]
+
+
+@pytest.mark.parametrize("tag,rank", DENSE_SYSTEMS, ids=[f"{t}{r or ''}" for t, r in DENSE_SYSTEMS])
+def test_carried_sums_match_dense_reference(tag, rank):
+    # seeded maximal lb-sets, subcliques (one to three roots dropped, some
+    # not fundamental) and non-lb sets (a root added): the degree cosets of
+    # seeded roots, the kernel degree gcd and the full report are those of
+    # the dense-V solve
+    rs = build_root_system(tag, rank)
+    rng = random.Random(f"carried-{tag}{rank}")
+    outcomes = set()
+    for _ in range(4):
+        clique = _greedy_maximal_lb(rs, rng)
+        sub = sorted(rng.sample(clique, len(clique) - rng.randint(1, min(3, len(clique) - 1))))
+        extra = rng.choice([i for i in range(rs.nroots) if i not in clique])
+        for q in (clique, sub, sorted(clique + [extra])):
+            assert kernel_degree_gcd(rs, q) == lattice_coset_gcd(_dense_expression_solver(rs, q).kernel_basis), q
+            for gamma in rng.sample(range(rs.nroots), min(8, rs.nroots)):
+                assert degree_set(rs, q, gamma) == _dense_degree_set(rs, q, gamma), (q, gamma)
+            rep = property_report(rs, q)
+            assert rep == _dense_report(rs, q), q
+            outcomes.add((rep.is_lb, rep.is_fundamental))
+    assert {(True, True), (False, True)} <= outcomes, outcomes
+
